@@ -17,7 +17,6 @@ built recursively from conjugated F blocks (one letter at a time).
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,15 +372,17 @@ class Engine:
         return f.tensor(g)
 
 
-_ENGINES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def engine_for(spec) -> Engine:
-    """One shared engine per spec instance, so caches survive across calls."""
-    eng = _ENGINES.get(spec)
-    if eng is None:
+    """One shared engine per spec instance, so caches survive across calls.
+
+    The engine is kept on the spec itself: the engine refers back to its
+    spec, so the pair is freed together once the spec is dropped.  A copied
+    spec carries its original's engine along and gets its own here.
+    """
+    eng = getattr(spec, "_engine", None)
+    if eng is None or eng.spec is not spec:
         eng = Engine(spec)
-        _ENGINES[spec] = eng
+        object.__setattr__(spec, "_engine", eng)
     return eng
 
 

@@ -4,11 +4,18 @@ These are the load-bearing checks for everything diagrammatic later; tensor
 associativity and bifunctoriality in particular exercise the left-tensor
 basis change (the only place F enters the engine).
 """
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubecat.morphism import Engine
+from conftest import pointed_category
+from tubecat.catspec import load_spec
+from tubecat.morphism import Engine, engine_for
+from tubecat.tube import LambdaObject, build_tube_algebra
 
 ENGINES = {}
 
@@ -129,3 +136,16 @@ def test_interchange_random_words(seed):
     lhs = eng.tensor_id_left(b, g) @ eng.tensor_id_right(f, c)
     rhs = eng.tensor_id_right(f, d) @ eng.tensor_id_left(a, g)
     assert lhs.close_to(rhs, 1e-9), (lhs - rhs).norm()
+
+
+def test_engine_shared_per_spec_and_freed_with_it():
+    spec = load_spec(pointed_category(3, k=1))
+    eng = engine_for(spec)
+    assert engine_for(spec) is eng
+    assert engine_for(copy.copy(spec)) is not eng
+    build_tube_algebra(spec, LambdaObject.all_simples(spec))  # fill its caches
+    assert eng.cache
+    ref = weakref.ref(eng)
+    del eng, spec
+    gc.collect()
+    assert ref() is None

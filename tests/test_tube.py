@@ -10,14 +10,16 @@ demand machine-precision agreement at a loose 1e-9 gate.
 import numpy as np
 import pytest
 
+import tubecat.tube
 from conftest import pointed_category
 from tubecat.catspec import load_spec
-from tubecat.errors import NotInCommutant, ShapeError
+from tubecat.errors import NotInCommutant, ShapeError, ToleranceError
 from tubecat.morphism import engine_for
 from tubecat.sums import BlockMorphism
 from tubecat.tube import (LambdaObject, build_delta, build_tube_algebra,
                           f_map, gram, hexagon_residual, naturality_residual,
                           t_map, tube_json, tube_product, tube_star)
+from tubecat.tube import _direction_slices, _table_residuals
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -151,6 +153,95 @@ def test_build_residuals_small(algebras, deltas):
     for name, D in deltas.items():
         for what, r in D.residuals.items():
             assert r < 1e-9, (name, what, r)
+
+
+# ---- the self-check by direction blocks -------------------------------------------
+
+def dense_residuals(c, s):
+    """assoc and star_anti as full dim⁵ contractions: the oracle for the
+    blockwise check, which must give the same max-abs value."""
+    assoc = np.max(np.abs(np.einsum("ijm,mkl->ijkl", c, c)
+                          - np.einsum("jkm,iml->ijkl", c, c)))
+    anti = np.max(np.abs(np.einsum("ijk,kl->ijl", np.conj(c), s)
+                         - np.einsum("jp,iq,pql->ijl", s, s, c)))
+    return float(assoc), float(anti)
+
+
+def table_residuals(A, c=None, s=None):
+    c = A.mult_table if c is None else c
+    s = A.star_table if s is None else s
+    return _table_residuals(c, s, A.vector_of(A.unit), A.layout)
+
+
+@pytest.fixture(scope="module")
+def pointed_algebras():
+    out = {}
+    for n in (4, 6):
+        spec = load_spec(pointed_category(n, k=1))
+        out[n] = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    return out
+
+
+def test_blockwise_selfcheck_matches_dense(algebras, pointed_algebras):
+    cases = list(algebras.items()) + [(f"Z/{n} k=1", A)
+                                      for n, A in pointed_algebras.items()]
+    for name, A in cases:
+        got = table_residuals(A)
+        assert got == A.residuals, name
+        assoc, anti = dense_residuals(A.mult_table, A.star_table)
+        assert abs(got["assoc"] - assoc) <= 1e-14, (name, got["assoc"], assoc)
+        assert abs(got["star_anti"] - anti) <= 1e-14, (name, got["star_anti"], anti)
+
+
+def test_blockwise_selfcheck_sees_perturbed_entry(algebras):
+    A = algebras["rep_s3"]
+    c = A.mult_table.copy()
+    i, j, k = np.unravel_index(np.argmax(np.abs(c)), c.shape)
+    c[i, j, k] += 1e-6
+    got = table_residuals(A, c=c)
+    assert got["assoc"] >= 1e-7
+    assoc, anti = dense_residuals(c, A.star_table)
+    assert abs(got["assoc"] - assoc) <= 1e-14
+    assert abs(got["star_anti"] - anti) <= 1e-14
+
+
+def test_blockwise_selfcheck_reads_grading_from_table(pointed_algebras):
+    # on Vec[Z/4] a product of directions 1 and 1 lands in direction 2 only;
+    # an entry in direction 0 sits in a block the fusion rules say is zero
+    A = pointed_algebras[4]
+    I = _direction_slices(A.layout)
+    assert not np.any(A.mult_table[I[1], I[1], I[0]])
+    c = A.mult_table.copy()
+    c[I[1].start, I[1].start, I[0].start] = 1e-6
+    clean = table_residuals(A)
+    got = table_residuals(A, c=c)
+    assert got["assoc"] >= 1e-7 > clean["assoc"]
+    assert got["star_anti"] >= 1e-7 > clean["star_anti"]
+    assoc, anti = dense_residuals(c, A.star_table)
+    assert abs(got["assoc"] - assoc) <= 1e-14
+    assert abs(got["star_anti"] - anti) <= 1e-14
+
+
+def test_build_rejects_corrupted_product(catalog, algebras, monkeypatch):
+    spec = catalog["fibonacci"]
+    A = algebras["fibonacci"]
+    # a basis pair away from the unit direction with a nonzero product, so
+    # the unit law cannot catch it and the self-check has to
+    tau = _direction_slices(A.layout)[spec.index("tau")]
+    i, j = next((i, j) for i in range(tau.start, tau.stop)
+                for j in range(tau.start, tau.stop) if np.any(A.mult_table[i, j]))
+    real = tubecat.tube.tube_product
+
+    def scaled(alg, f, g):
+        out = real(alg, f, g)
+        if (np.flatnonzero(f.vector()).tolist() == [i]
+                and np.flatnonzero(g.vector()).tolist() == [j]):
+            out = out * 2.0
+        return out
+
+    monkeypatch.setattr(tubecat.tube, "tube_product", scaled)
+    with pytest.raises(ToleranceError, match=r"tube algebra (assoc|star_anti) defect"):
+        build_tube_algebra(spec, LambdaObject.all_simples(spec))
 
 
 def test_product_associative_on_random_triples(algebras):
