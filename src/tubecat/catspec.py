@@ -9,6 +9,7 @@ consistent unitary fusion category and nothing downstream re-checks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,11 @@ def _need(data: dict, key: str, typ) -> object:
 def _as_number(val, where: str) -> float:
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SchemaError(f"{where} must be a number, got {type(val).__name__}")
-    return float(val)
+    val = float(val)
+    # Python's json reads NaN and Infinity; no gate below would see them
+    if not math.isfinite(val):
+        raise SchemaError(f"{where} must be finite, got {val!r}")
+    return val
 
 
 def load_spec(source) -> FusionCategorySpec:
@@ -140,7 +145,7 @@ def load_spec(source) -> FusionCategorySpec:
             dims = QuantumDimensions(d=given, global_dim=float(np.sum(given ** 2)))
         else:
             gap = np.abs(given - dims.d)
-            if np.max(gap) > DIM_TOL:
+            if not np.max(gap) <= DIM_TOL:
                 bad = labels[int(np.argmax(gap))]
                 raise ConsistencyError(
                     f"supplied dim for {bad!r} is off by {np.max(gap):.3e} "
@@ -178,7 +183,7 @@ def load_spec(source) -> FusionCategorySpec:
     # pentagon before unitarity: a perturbed table usually breaks both, and
     # the pentagon instance is the more useful thing to name
     res, word = pentagon_residual(fsymbols)
-    if res > PENTAGON_LOAD_TOL:
+    if not res <= PENTAGON_LOAD_TOL:
         named = tuple(labels[i] for i in word)
         raise ConsistencyError(
             f"pentagon residual {res:.3e} at word {named} exceeds {PENTAGON_LOAD_TOL:g}")

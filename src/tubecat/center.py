@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .duality import weighted_trace
-from .errors import DegenerateSpectrum, ToleranceError
+from .errors import DegenerateSpectrum, ToleranceError, worst
 from .sums import BlockMorphism, SumObject
 from .tube import (DeltaObject, LambdaObject, TubeAlgebra, TubeElement,
                    _padded_identity, build_delta, build_tube_algebra,
@@ -329,21 +329,17 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
             braiding[a] = BlockMorphism(X.tensor_right((a,)),
                                         X.tensor_left((a,)), blocks)
 
-        worst_u = 0.0
+        defects = []
         for a, e in braiding.items():
-            worst_u = max(
-                worst_u,
-                (e.dag() @ e - BlockMorphism.identity(X.tensor_right((a,)))).norm(),
-                (e @ e.dag() - BlockMorphism.identity(X.tensor_left((a,)))).norm())
-        worst_u = max(worst_u,
-                      (braiding[ring.unit] - _padded_identity(X, ring.unit)).norm())
+            defects.append((e.dag() @ e - BlockMorphism.identity(X.tensor_right((a,)))).norm())
+            defects.append((e @ e.dag() - BlockMorphism.identity(X.tensor_left((a,)))).norm())
+        defects.append((braiding[ring.unit] - _padded_identity(X, ring.unit)).norm())
+        worst_u = worst(defects)
         if not worst_u < tol:
             raise ToleranceError(
                 f"block {k}: compressed braiding unitarity defect {worst_u:.3e}")
-        worst_h = 0.0
-        for a in range(ring.rank):
-            for b in range(ring.rank):
-                worst_h = max(worst_h, hexagon_residual(X, braiding, a, b))
+        worst_h = worst(hexagon_residual(X, braiding, a, b)
+                        for a in range(ring.rank) for b in range(ring.rank))
         if not worst_h < tol:
             raise ToleranceError(
                 f"block {k}: hexagon defect {worst_h:.3e} on the extracted simple")

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the residual fold that
+decides when a tolerance check raises one."""
 
 __all__ = [
     "TubecatError",
@@ -9,7 +10,24 @@ __all__ = [
     "ToleranceError",
     "NotInCommutant",
     "DegenerateSpectrum",
+    "worst",
 ]
+
+
+def worst(values) -> float:
+    """Largest of some residuals: 0.0 if there are none, NaN if any is NaN.
+
+    The builtin ``max`` keeps a NaN only in first place (``max(0.0, nan)``
+    is 0.0), so a check that folded its residuals with it would pass a NaN
+    defect as clean.  Stops at the first NaN.
+    """
+    out = 0.0
+    for v in values:
+        if v != v:
+            return float(v)
+        if v > out:
+            out = v
+    return float(out)
 
 
 class TubecatError(Exception):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConsistencyError, SchemaError
+from .errors import ConsistencyError, SchemaError, worst
 from .ring import FusionRing
 
 __all__ = ["FSymbolTable"]
@@ -130,16 +130,16 @@ class FSymbolTable:
 
     def check_unitary(self, tol: float = 1e-10) -> float:
         """Max unitarity defect over all blocks; raises above tol."""
-        worst = 0.0
+        defects = []
         for key, mat in self._blocks.items():
             n, m = mat.shape
             if n != m:
                 raise ConsistencyError(f"F block {key} is not square: {mat.shape}")
-            defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(n))))
-            worst = max(worst, defect)
-        if worst > tol:
-            raise ConsistencyError(f"F blocks fail unitarity at {worst:.3e}")
-        return worst
+            defects.append(float(np.max(np.abs(mat.conj().T @ mat - np.eye(n)))))
+        top = worst(defects)
+        if not top <= tol:
+            raise ConsistencyError(f"F blocks fail unitarity at {top:.3e}")
+        return top
 
     def iter_entries(self):
         """Yield sparse entries of non-unit blocks (loader inverse)."""

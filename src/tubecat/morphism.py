@@ -13,7 +13,9 @@ Tensoring with the identity on the RIGHT is index bookkeeping: a comb for
 A + W is a comb for A continued by an extension, and the extension rides
 along unchanged.  Tensoring on the LEFT is where the associator enters: the
 basis change between "comb of (c,)+W" and "id_c (x) comb of W" is a unitary
-built recursively from conjugated F blocks (one letter at a time).
+built recursively from conjugated F blocks (one letter at a time).  The same
+extension picture gives id_W (x) g as id_u (x) g lifted over the roots u of
+W (Engine.lift_id_left).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ShapeError
+from .errors import ConsistencyError, ShapeError, worst
 from .trees import Tree, TreeBasis, Word, enumerate_trees, tree_root
 
 __all__ = ["Morphism", "HomSpace", "Engine", "engine_for", "hom_space"]
@@ -57,8 +59,8 @@ class Morphism:
 
     def norm(self) -> float:
         """Max-abs coefficient; residuals throughout are stated in this norm."""
-        return max((float(np.max(np.abs(b))) for b in self.blocks.values()
-                    if b.size), default=0.0)
+        return worst(float(np.max(np.abs(b))) for b in self.blocks.values()
+                     if b.size)
 
     def scalar(self) -> complex:
         if self.src or self.dst:
@@ -160,8 +162,9 @@ class Engine:
         return tb
 
     def common_roots(self, src: Word, dst: Word):
-        sb, db = self.basis(src), self.basis(dst)
-        return [(z, db.dim(z), sb.dim(z)) for z in db.roots() if sb.dim(z)]
+        sdims = self.basis(src).dims
+        return [(z, dd, sdims[z]) for z, dd in self.basis(dst).dims.items()
+                if z in sdims]
 
     def dual_word(self, word: Word) -> Word:
         return tuple(self.ring.dual[x] for x in reversed(word))
@@ -261,16 +264,16 @@ class Engine:
         rb = self._right_basis.get(key)
         if rb is not None:
             return rb
-        N = self.ring.N
+        channels = self.ring.channels[c]
         tb = self.basis(word)
-        rb = {}
-        for r in self.basis((c,) + tuple(word)).roots():
-            ents = []
-            for z in tb.roots():
-                for t in tb.by_root[z]:
-                    for nu in range(int(N[c, z, r])):
+        rb = {r: [] for r in self.basis((c,) + tuple(word)).roots()}
+        for z in tb.roots():
+            fused = channels[z].items()
+            for t in tb.by_root[z]:
+                for r, n in fused:
+                    ents = rb[r]
+                    for nu in range(n):
                         ents.append((z, t, nu))
-            rb[r] = ents
         self._right_basis[key] = rb
         return rb
 
@@ -367,6 +370,48 @@ class Engine:
         for c in reversed(tuple(word)):
             out = self._tensor_one_left(c, out)
         return out
+
+    def lift_id_left(self, word: Word, f: Morphism, pads: dict) -> Morphism:
+        """id_word (x) f, lifted from one-letter pads over the roots of word.
+
+        A left comb of word + S at root z is a tree of word rooted at some u
+        followed by a comb of (u,) + S at root z.  So in comb coordinates
+        id_word (x) f is block-diagonal over the trees of word, and the
+        block of a tree rooted at u is id_u (x) f.  ``pads`` memoizes
+        id_u (x) f by u; callers share it between words padding the same f.
+        This needs one omega per root u, where tensor_id_left needs one per
+        letter of word on an ever longer word.  The two agree up to rounding,
+        and tensor_id_left stays the reference.  Words of length <= 1 take
+        tensor_id_left itself.
+        """
+        word = tuple(word)
+        if len(word) <= 1:
+            return self.tensor_id_left(word, f)
+        cut = len(word) - 1  # tree pairs that belong to word
+        unit = self.ring.unit
+        src2, dst2 = word + f.src, word + f.dst
+        sb2, db2 = self.basis(src2), self.basis(dst2)
+        blocks = {}
+        for z, dd, sd in self.common_roots(src2, dst2):
+            cols: dict = {}
+            for j, t in enumerate(sb2.by_root[z]):
+                cols.setdefault(t[:cut], []).append((j, t[cut:]))
+            blk = np.zeros((dd, sd), dtype=complex)
+            for i, t in enumerate(db2.by_root[z]):
+                pre = t[:cut]
+                src_cols = cols.get(pre)
+                if src_cols is None:
+                    continue
+                u = tree_root(word, pre, unit)
+                pad = pads.get(u)
+                if pad is None:
+                    pad = pads[u] = self._tensor_one_left(u, f)
+                row = pad.blocks[z][self.basis((u,) + f.dst).index[z][t[cut:]]]
+                col_of = self.basis((u,) + f.src).index[z]
+                for j, ext in src_cols:
+                    blk[i, j] = row[col_of[ext]]
+            blocks[z] = blk
+        return self.make(src2, dst2, blocks)
 
     def tensor(self, f: Morphism, g: Morphism) -> Morphism:
         return f.tensor(g)

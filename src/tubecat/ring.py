@@ -9,6 +9,7 @@ except the Perron–Frobenius dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +45,17 @@ class FusionRing:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
+    @cached_property
+    def channels(self) -> tuple:
+        """``channels[x][y]`` maps each z in x ⊗ y, ascending, to N[x, y, z]
+        as a Python int: the table the tree bookkeeping reads instead of
+        indexing ``N`` one numpy scalar at a time.  Read-only by convention."""
+        N = self.N.tolist()
+        return tuple(tuple({z: n for z, n in enumerate(row) if n} for row in plane)
+                     for plane in N)
+
     def fusion_outcomes(self, x: int, y: int) -> list[int]:
-        return [z for z in range(self.rank) if self.N[x, y, z] > 0]
+        return list(self.channels[x][y])
 
     def validate(self) -> None:
         """Check the ring axioms exactly; raise ConsistencyError on failure."""

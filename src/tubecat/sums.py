@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, worst
 from .morphism import Engine, Morphism
 from .trees import Word
 
@@ -96,7 +96,7 @@ class BlockMorphism:
         return m
 
     def norm(self) -> float:
-        return max((m.norm() for m in self.blocks.values()), default=0.0)
+        return worst(m.norm() for m in self.blocks.values())
 
     def close_to(self, other: "BlockMorphism", tol: float = 1e-9) -> bool:
         return (self - other).norm() < tol

@@ -30,11 +30,12 @@ def enumerate_trees(ring, word: Word) -> dict[int, list[Tree]]:
         states = [(ring.unit, ())]
     else:
         states = [(word[0], ())]
+    channels = ring.channels
     for letter in word[1:]:
         nxt = []
         for root, tree in states:
-            for z in range(ring.rank):
-                for mu in range(int(ring.N[root, letter, z])):
+            for z, n in channels[root][letter].items():
+                for mu in range(n):
                     nxt.append((z, tree + ((z, mu),)))
         states = nxt
     by_root: dict[int, list[Tree]] = {}
@@ -45,21 +46,28 @@ def enumerate_trees(ring, word: Word) -> dict[int, list[Tree]]:
 
 @dataclass
 class TreeBasis:
-    """Tree enumeration for one word with index lookups."""
+    """Tree enumeration for one word with index lookups.
+
+    ``dims`` maps each root, ascending, to its number of trees; it is taken
+    once here, since the engine asks for roots and dims far more often than
+    it builds bases."""
 
     word: Word
     by_root: dict[int, list[Tree]]
     index: dict[int, dict[Tree, int]] = field(init=False)
+    dims: dict[int, int] = field(init=False)
 
     def __post_init__(self):
         self.index = {z: {t: i for i, t in enumerate(ts)}
                       for z, ts in self.by_root.items()}
+        self.dims = {z: len(self.by_root[z]) for z in sorted(self.by_root)}
+        self._roots = tuple(self.dims)
 
-    def roots(self) -> list[int]:
-        return sorted(self.by_root)
+    def roots(self) -> tuple[int, ...]:
+        return self._roots
 
     def dim(self, z: int) -> int:
-        return len(self.by_root.get(z, ()))
+        return self.dims.get(z, 0)
 
     def total_dim(self) -> int:
         return sum(len(ts) for ts in self.by_root.values())

@@ -20,12 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .duality import coev, ev, rotate_clockwise
-from .errors import (NotInCommutant, ShapeError, ToleranceError)
+from .errors import NotInCommutant, ShapeError, ToleranceError, worst
 from .morphism import Engine, Morphism, engine_for
 from .pairs import canonical_pair
 from .sums import BlockMorphism, SumObject, block_trace
@@ -161,7 +161,14 @@ def _padded_identity(obj: SumObject, unit: int) -> BlockMorphism:
 
 def extend_halfbraiding(obj: SumObject, braiding: dict, word: Word) -> BlockMorphism:
     """Half-braiding against an arbitrary word, assembled from the simple
-    components through the tree isometries of Hom(c, word)."""
+    components through the tree isometries of Hom(c, word).
+
+    The pad id_{Δ_j} ⊗ ι† on the source side is lifted over the roots u of
+    the summand Δ_j: comb(Δ_j + word) at root z is the trees of Δ_j rooted
+    at u times comb((u,) + word), so id_{Δ_j} ⊗ ι† is id_u ⊗ ι† on each of
+    those trees (Engine.lift_id_left).  Each id_u ⊗ ι† is computed once per
+    (u, c, ι) and shared by every summand with a tree rooted at u.
+    """
     word = tuple(word)
     eng = obj.engine
     if len(word) == 1:
@@ -171,9 +178,11 @@ def extend_halfbraiding(obj: SumObject, braiding: dict, word: Word) -> BlockMorp
     for c in eng.basis(word).roots():
         for iota in eng.hom_basis((c,), word):
             e_c = braiding[c]
+            iota_dag = iota.dag()
+            pads: dict = {}  # root u -> id_u ⊗ ι†
             for (i, j), m in e_c.blocks.items():
                 left = eng.tensor_id_right(iota, obj.summands[i])
-                right = eng.tensor_id_left(obj.summands[j], iota.dag())
+                right = eng.lift_id_left(obj.summands[j], iota_dag, pads)
                 term = left @ m @ right
                 key = (i, j)
                 out[key] = out[key] + term if key in out else term
@@ -208,11 +217,11 @@ def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
 
     braiding = {a: _delta_braiding_component(eng, obj, a) for a in range(ring.rank)}
 
-    worst_u = 0.0
+    defects = []
     for a, e in braiding.items():
-        left = (e.dag() @ e - BlockMorphism.identity(obj.tensor_right((a,)))).norm()
-        right = (e @ e.dag() - BlockMorphism.identity(obj.tensor_left((a,)))).norm()
-        worst_u = max(worst_u, left, right)
+        defects.append((e.dag() @ e - BlockMorphism.identity(obj.tensor_right((a,)))).norm())
+        defects.append((e @ e.dag() - BlockMorphism.identity(obj.tensor_left((a,)))).norm())
+    worst_u = worst(defects)
     if not worst_u < tol:
         raise ToleranceError(f"half-braiding unitarity defect {worst_u:.3e} >= {tol:g}")
 
@@ -220,10 +229,8 @@ def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
     if not unit_res < tol:
         raise ToleranceError(f"unit braiding component defect {unit_res:.3e} >= {tol:g}")
 
-    worst_h = 0.0
-    for a in range(ring.rank):
-        for b in range(ring.rank):
-            worst_h = max(worst_h, hexagon_residual(obj, braiding, a, b))
+    worst_h = worst(hexagon_residual(obj, braiding, a, b)
+                    for a in range(ring.rank) for b in range(ring.rank))
     if not worst_h < tol:
         raise ToleranceError(f"hexagon defect {worst_h:.3e} >= {tol:g}")
 
@@ -279,7 +286,7 @@ class TubeElement:
     __rmul__ = __mul__
 
     def norm(self) -> float:
-        return max((m.norm() for m in self.components.values()), default=0.0)
+        return worst(m.norm() for m in self.components.values())
 
     def close_to(self, other: "TubeElement", tol: float = 1e-9) -> bool:
         return (self - other).norm() < tol
@@ -297,7 +304,8 @@ class TubeAlgebra:
     Basis order inside the a-component: source slot major, then target slot,
     then the tree-pair index of Hom(x⊗a, a⊗y).  ``mult_table[i,j,k]`` is the
     coefficient of basis k in (basis i)·(basis j); ``star_table[i,j]`` the
-    coefficient of basis j in (basis i)*.
+    coefficient of basis j in (basis i)*.  ``slices[a]`` is the index range
+    of the a-component in that basis.
     """
 
     spec: object
@@ -313,21 +321,17 @@ class TubeAlgebra:
     star_table: np.ndarray
     unit: TubeElement
     residuals: dict
+    slices: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # taken once: the coordinate maps below run dim² times per build
+        self.slices = _direction_slices(self.layout)
 
     # ---- coordinates ---------------------------------------------------------
-    def component_dim(self, a: int) -> int:
-        return sum(n for (_l, _m, n, _off) in self.layout[a])
-
-    def offset(self, a: int) -> int:
-        off = 0
-        for b in range(a):
-            off += self.component_dim(b)
-        return off
-
     def vector_of(self, f: TubeElement) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
         for a, comp in f.components.items():
-            base = self.offset(a)
+            base = self.slices[a].start
             for (l, m, n, off) in self.layout[a]:
                 if n == 0:
                     continue
@@ -343,7 +347,7 @@ class TubeAlgebra:
         eng = self.engine
         comps = {}
         for a in range(eng.ring.rank):
-            base = self.offset(a)
+            base = self.slices[a].start
             blocks = {}
             for (l, m, n, off) in self.layout[a]:
                 if n == 0:
@@ -441,10 +445,10 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
             alg.mult_table[i, j] = alg.vector_of(tube_product(alg, ei, ej))
 
     alg.residuals = _table_residuals(alg.mult_table, alg.star_table,
-                                     alg.vector_of(alg.unit), layout)
-    worst = max(alg.residuals.values())
-    if not worst < tol:
-        bad = max(alg.residuals, key=alg.residuals.get)
+                                     alg.vector_of(alg.unit), alg.slices)
+    top = worst(alg.residuals.values())
+    if not top < tol:
+        bad = next(k for k, v in alg.residuals.items() if v == top or v != v)
         raise ToleranceError(f"tube algebra {bad} defect {alg.residuals[bad]:.3e} >= {tol:g}")
     return alg
 
@@ -475,42 +479,49 @@ def _graded_blocks(table: np.ndarray, slices: list) -> dict:
 def _max_abs_difference(lhs: dict, rhs: dict) -> float:
     """Max-abs entry of lhs - rhs over the union of their blocks; entries
     outside every block are exactly 0 on both sides."""
-    worst = [np.max(np.abs(lhs.get(k, 0) - rhs.get(k, 0)))
-             for k in lhs.keys() | rhs.keys()]
-    return float(np.max(worst, initial=0.0))
+    gaps = [np.max(np.abs(lhs.get(k, 0) - rhs.get(k, 0)))
+            for k in lhs.keys() | rhs.keys()]
+    return float(np.max(gaps, initial=0.0))
+
+
+def _assoc_gap(i: int, j: int, c_by_first: dict, c_by_pair: dict) -> float:
+    """assoc restricted to outputs (e_i e_j) e_k with e_i, e_j in directions
+    i, j: (e_i e_j) e_k = Σ_m c[i,j,m] c[m,k,l] against
+    e_i (e_j e_k) = Σ_m c[j,k,m] c[i,m,l], each block summed over m
+    ascending."""
+    left, right = defaultdict(int), defaultdict(int)
+    for m, cij in c_by_pair.get((i, j), ()):
+        for k, l, cmk in c_by_first.get(m, ()):
+            left[k, l] += np.tensordot(cij, cmk, axes=(2, 0))
+    for k, m, cjk in c_by_first.get(j, ()):
+        for l, cim in c_by_pair.get((i, m), ()):
+            right[k, l] += np.tensordot(cjk, cim, axes=(2, 1)).transpose(2, 0, 1, 3)
+    return _max_abs_difference(left, right)
 
 
 def _table_residuals(c: np.ndarray, s: np.ndarray, uvec: np.ndarray,
-                     layout: dict) -> dict:
+                     slices: list) -> dict:
     """Worst defects of the algebra axioms on the structure-constant tables.
 
     ``assoc`` compares (e_i e_j) e_k with e_i (e_j e_k) and ``star_anti``
     compares (e_i e_j)* with e_j* e_i*, both as sums of products of direction
-    blocks: C[(b, c, a)] = c[I_b, I_c, I_a] and S[(a, a')] = s[I_a, I_a'].
-    This is the same max-abs residual as the dense dim⁵ contractions over
-    the full index range, at the cost of the nonzero blocks only.
+    blocks: C[(b, c, a)] = c[I_b, I_c, I_a] and S[(a, a')] = s[I_a, I_a'],
+    with I_a = slices[a].  This is the same max-abs residual as the dense
+    dim⁵ contractions over the full index range, at the cost of the nonzero
+    blocks only.  ``assoc`` is taken one direction pair (i, j) at a time, so
+    only that pair's dim⁴ blocks are held at once.
     """
-    slices = _direction_slices(layout)
     C = _graded_blocks(c, slices)
     S = _graded_blocks(s, slices)
-    c_by_first, c_by_middle, c_by_pair, s_by_row = {}, {}, {}, {}
+    c_by_first, c_by_pair, s_by_row = {}, {}, {}
     for (x, y, z), blk in C.items():
         c_by_first.setdefault(x, []).append((y, z, blk))
-        c_by_middle.setdefault(y, []).append((x, z, blk))
         c_by_pair.setdefault((x, y), []).append((z, blk))
     for (x, y), blk in S.items():
         s_by_row.setdefault(x, []).append((y, blk))
 
-    # (e_i e_j) e_k = Σ_m c[i,j,m] c[m,k,l]  vs  e_i (e_j e_k) = Σ_m c[j,k,m] c[i,m,l]
-    left, right = defaultdict(int), defaultdict(int)
-    for (x, y, m), cxy in C.items():
-        for z, w, cmz in c_by_first.get(m, ()):
-            left[x, y, z, w] += np.tensordot(cxy, cmz, axes=(2, 0))
-        # on the right, the same block is the inner product e_j e_k
-        for v, w, cvm in c_by_middle.get(m, ()):
-            right[v, x, y, w] += np.tensordot(cxy, cvm,
-                                              axes=(2, 1)).transpose(2, 0, 1, 3)
-    r_assoc = _max_abs_difference(left, right)
+    r_assoc = worst(_assoc_gap(i, j, c_by_first, c_by_pair)
+                    for i, j in itertools.product(range(len(slices)), repeat=2))
 
     # (e_i e_j)* = Σ_k conj(c[i,j,k]) s[k,l]  vs  e_j* e_i* = Σ_pq s[j,p] s[i,q] c[p,q,l]
     left, right = defaultdict(int), defaultdict(int)
@@ -526,9 +537,9 @@ def _table_residuals(c: np.ndarray, s: np.ndarray, uvec: np.ndarray,
     r_anti = _max_abs_difference(left, right)
 
     eye = np.eye(len(uvec))
-    r_unit = max(
+    r_unit = worst([
         float(np.max(np.abs(np.einsum("i,ijk->jk", uvec, c) - eye))),
-        float(np.max(np.abs(np.einsum("j,ijk->ik", uvec, c) - eye))))
+        float(np.max(np.abs(np.einsum("j,ijk->ik", uvec, c) - eye)))])
     r_inv = float(np.max(np.abs(np.conj(s) @ s - eye)))
     r_star_unit = float(np.max(np.abs(np.conj(uvec) @ s - uvec)))
     return {"unit": r_unit, "assoc": r_assoc, "star_inv": r_inv,
@@ -635,12 +646,8 @@ def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorphism:
 
 def naturality_residual(delta: DeltaObject, T: BlockMorphism) -> float:
     """How far T is from commuting with the half-braiding of Δ."""
-    worst = 0.0
-    for b, e in delta.braiding.items():
-        lhs = T.tensor_id_left((b,)) @ e
-        rhs = e @ T.tensor_id_right((b,))
-        worst = max(worst, (lhs - rhs).norm())
-    return worst
+    return worst((T.tensor_id_left((b,)) @ e - e @ T.tensor_id_right((b,))).norm()
+                 for b, e in delta.braiding.items())
 
 
 def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,

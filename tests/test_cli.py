@@ -144,3 +144,21 @@ def test_main_subprocess_round_trip():
 def test_main_parses_alias(capsys):
     assert main(["verify", "--category", "fib"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field, mangle", [
+    ("F.re", lambda d: d["F"][0].update(re=float("nan"))),
+    ("F.im", lambda d: d["F"][0].update(im=float("inf"))),
+    ("dims[1]", lambda d: d.update(dims={"0": 1.0, "1": float("nan"), "2": 1.0},
+                                   dims_override=True)),
+])
+def test_non_finite_numbers_are_input_errors(field, mangle, tmp_path, capsys):
+    # Python's json writes and reads NaN and Infinity; the loader must
+    # refuse them instead of letting them slip past its tolerance gates
+    doc = pointed_category(3, k=1)
+    mangle(doc)
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run_capture(capsys, command="verify", category=str(bad))
+    assert code == 2, err
+    assert field in err and "finite" in err

@@ -149,3 +149,29 @@ def test_engine_shared_per_spec_and_freed_with_it():
     del eng, spec
     gc.collect()
     assert ref() is None
+
+
+def multi_root_words(eng):
+    return [w for w in words_upto(eng.ring.rank, 3)
+            if len(w) >= 2 and len(eng.basis(w).roots()) > 1]
+
+
+@pytest.mark.parametrize("source", ["rep_s3", "ising", "Z/4 k=1"])
+def test_lifted_pad_matches_iterated_left_tensor(source, catalog):
+    # the iterated one-letter tensor_id_left is the reference for the lift
+    spec = (load_spec(pointed_category(4, k=1)) if source == "Z/4 k=1"
+            else catalog[source])
+    eng = Engine(spec)
+    rng = np.random.default_rng(11)
+    rank = spec.rank
+    # every word of a pointed category has one root; take them all there
+    words = multi_root_words(eng) or [w for w in words_upto(rank, 3) if len(w) >= 2]
+    for src, dst in [((rank - 1,), (rank - 1,)), ((rank - 1, rank - 1), (rank - 1,)),
+                     ((1, rank - 1), (rank - 1, 1))]:
+        f = eng.random(src, dst, rng)
+        pads = {}  # shared across words, as extend_halfbraiding shares them
+        for word in words:
+            lifted = eng.lift_id_left(word, f, pads)
+            iterated = eng.tensor_id_left(word, f)
+            assert lifted.src == iterated.src and lifted.dst == iterated.dst
+            assert (lifted - iterated).norm() <= 1e-14, (source, word, src, dst)

@@ -106,3 +106,18 @@ def test_fib_ring_from_scratch():
     ring.validate()
     dims = compute_fp_dims(ring)
     assert dims.d[1] == pytest.approx(PHI, abs=1e-12)
+
+
+def test_channel_table_matches_N(catalog):
+    rings = [spec.ring for spec in catalog.values()] + [pointed_ring(5)]
+    for ring in rings:
+        r = ring.rank
+        table = np.zeros((r, r, r), dtype=np.int64)
+        for x in range(r):
+            for y in range(r):
+                fused = ring.channels[x][y]
+                assert list(fused) == sorted(fused), ring.labels
+                for z, n in fused.items():
+                    assert type(n) is int and n > 0
+                    table[x, y, z] = n
+        assert np.array_equal(table, ring.N), ring.labels

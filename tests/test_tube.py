@@ -170,7 +170,7 @@ def dense_residuals(c, s):
 def table_residuals(A, c=None, s=None):
     c = A.mult_table if c is None else c
     s = A.star_table if s is None else s
-    return _table_residuals(c, s, A.vector_of(A.unit), A.layout)
+    return _table_residuals(c, s, A.vector_of(A.unit), A.slices)
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +220,80 @@ def test_blockwise_selfcheck_reads_grading_from_table(pointed_algebras):
     assoc, anti = dense_residuals(c, A.star_table)
     assert abs(got["assoc"] - assoc) <= 1e-14
     assert abs(got["star_anti"] - anti) <= 1e-14
+
+
+def test_selfcheck_fold_keeps_nan(algebras):
+    # a NaN in the last direction pair's blocks must not be folded away
+    A = algebras["rep_s3"]
+    last = A.slices[-1]
+    c = A.mult_table.copy()
+    i, j, k = (last.start + idx for idx in np.unravel_index(
+        np.argmax(np.abs(A.mult_table[last, last, last])), (last.stop - last.start,) * 3))
+    c[i, j, k] = np.nan
+    got = table_residuals(A, c=c)
+    assert np.isnan(got["assoc"]) and np.isnan(got["star_anti"])
+
+
+def test_build_names_nan_residual(catalog, monkeypatch):
+    real = tubecat.tube._table_residuals
+
+    def with_nan(*args):
+        out = real(*args)
+        out["star_inv"] = float("nan")
+        return out
+
+    monkeypatch.setattr(tubecat.tube, "_table_residuals", with_nan)
+    spec = catalog["fibonacci"]
+    with pytest.raises(ToleranceError, match="star_inv defect nan"):
+        build_tube_algebra(spec, LambdaObject.all_simples(spec))
+
+
+def test_selfcheck_holds_one_direction_pair_at_a_time():
+    # the Z/6 build peaked at 10.4 MiB while the assoc check held every
+    # direction pair's dim⁴ blocks at once; streamed it peaks near 2 MiB
+    import tracemalloc
+    spec = load_spec(pointed_category(6, k=1))
+    lam = LambdaObject.all_simples(spec)
+    tracemalloc.start()
+    try:
+        build_tube_algebra(spec, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak / 2 ** 20
+
+
+def test_norms_keep_nan_in_any_block(catalog, algebras):
+    spec = catalog["rep_s3"]
+    eng = engine_for(spec)
+    f = eng.identity((2, 2))
+    assert sorted(f.blocks) == [0, 1, 2]
+    f.blocks[2] = f.blocks[2] * np.nan  # the last root, not the first
+    assert np.isnan(f.norm())
+    A = algebras["rep_s3"]
+    g = A.random_element(np.random.default_rng(2))
+    a = max(g.components)
+    comp = g.components[a]
+    key = max(comp.blocks)
+    blocks = dict(comp.blocks)
+    blocks[key] = blocks[key] * np.nan
+    g.components[a] = BlockMorphism(comp.src, comp.dst, blocks)
+    assert np.isnan(g.components[a].norm())
+    assert np.isnan(g.norm())
+
+
+def test_build_delta_rejects_nan_in_a_later_hexagon(catalog, monkeypatch):
+    spec = catalog["fibonacci"]
+    real = tubecat.tube.hexagon_residual
+    last = spec.rank - 1
+
+    def nan_at_last(obj, braiding, a, b):
+        res = real(obj, braiding, a, b)
+        return float("nan") if (a, b) == (last, last) else res
+
+    monkeypatch.setattr(tubecat.tube, "hexagon_residual", nan_at_last)
+    with pytest.raises(ToleranceError, match="hexagon defect nan"):
+        build_delta(spec, LambdaObject.all_simples(spec))
 
 
 def test_build_rejects_corrupted_product(catalog, algebras, monkeypatch):
