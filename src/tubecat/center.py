@@ -113,7 +113,8 @@ def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
     c, dim = A.mult_table, A.dim
     # center = nullspace of all commutators [e_i, -]
     comm = (np.transpose(c, (1, 2, 0)) - np.transpose(c, (0, 2, 1)))
-    _, svals, vh = np.linalg.svd(comm.reshape(dim * dim, dim))
+    # thin: the dim²×dim² U of the full SVD is never used
+    _, svals, vh = np.linalg.svd(comm.reshape(dim * dim, dim), full_matrices=False)
     cutoff = 1e-10 * max(1.0, float(svals[0]) if svals.size else 0.0)
     nkeep = int(np.sum(svals > cutoff))
     V = vh[nkeep:].conj().T
@@ -311,6 +312,11 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
         braiding = {}
         for a in range(ring.rank):
             e = delta.braiding[a]
+            # id_a ⊗ u_i[s]† and u_j[s] ⊗ id_a, each built once per (i, s)
+            outs = {(i, s): eng.tensor_id_left((a,), u.dag())
+                    for i, comps in iso.items() for s, u in comps.items()}
+            ins = {(j, s): eng.tensor_id_right(u, (a,))
+                   for j, comps in iso.items() for s, u in comps.items()}
             blocks = {}
             for i, (_zi, _ci) in enumerate(tags):
                 ui = iso[i]
@@ -320,9 +326,7 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
                     for (si, sj), m in e.blocks.items():
                         if si not in ui or sj not in uj:
                             continue
-                        term = (eng.tensor_id_left((a,), ui[si].dag())
-                                @ m
-                                @ eng.tensor_id_right(uj[sj], (a,)))
+                        term = outs[i, si] @ m @ ins[j, sj]
                         acc = term if acc is None else acc + term
                     if acc is not None and acc.norm() > 1e-14:
                         blocks[(i, j)] = acc

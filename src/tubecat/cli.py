@@ -9,6 +9,7 @@ malformed.  JSON output is canonical: same config and seed, same bytes.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -81,6 +82,10 @@ def _cmd_verify(cfg: CliConfig):
     suites = []
     for name in SUITES:
         rep = run_suite(spec, name, tol=cfg.tol)
+        bad = rep.worst()
+        if bad is not None and not math.isfinite(bad.residual):
+            raise ToleranceError(f"{name} residual {bad.residual} at "
+                                 f"({', '.join(bad.labels)})")
         suites.append({
             "suite": name,
             "cases": len(rep.cases),

@@ -111,10 +111,10 @@ class Morphism:
             raise ShapeError(f"cannot compose {other.src}->{other.dst} "
                              f"then {self.src}->{self.dst}")
         eng = self.engine
+        mids = eng.basis(self.src).dims
         out = {}
         for z, dd, sd in eng.common_roots(other.src, self.dst):
-            mid = eng.basis(self.src).dim(z)
-            if mid and z in self.blocks and z in other.blocks:
+            if mids.get(z, 0) and z in self.blocks and z in other.blocks:
                 out[z] = self.blocks[z] @ other.blocks[z]
             else:
                 out[z] = np.zeros((dd, sd), dtype=complex)
@@ -239,18 +239,18 @@ class Engine:
         src2, dst2 = f.src + word, f.dst + word
         ssplit = self.basis(src2).split(len(f.src), self.ring.unit)
         dsplit = self.basis(dst2).split(len(f.dst), self.ring.unit)
+        sidx, didx = self.basis(f.src).index, self.basis(f.dst).index
         blocks = {}
         for z, dd, sd in self.common_roots(src2, dst2):
             blk = np.zeros((dd, sd), dtype=complex)
             cols: dict = {}
             for j, (pre, mid, ext) in enumerate(ssplit[z]):
-                cols.setdefault((mid, ext), []).append(
-                    (j, self.basis(f.src).index[mid][pre]))
+                cols.setdefault((mid, ext), []).append((j, sidx[mid][pre]))
             for i, (pre, mid, ext) in enumerate(dsplit[z]):
                 fb = f.blocks.get(mid)
                 if fb is None:
                     continue
-                ri = self.basis(f.dst).index[mid][pre]
+                ri = didx[mid][pre]
                 for (j, ci) in cols.get((mid, ext), ()):
                     blk[i, j] = fb[ri, ci]
             blocks[z] = blk

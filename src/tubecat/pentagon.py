@@ -18,16 +18,19 @@ from .errors import worst
 __all__ = ["pentagon_residual", "verify_pentagon"]
 
 
-def _basis_T1(ring, a, b, c, d, root):
-    # ((ab)c)d: (e1, m1) then (e2, m2) then m3
+def _trees_T1(ring, a, b, c, d):
+    """((ab)c)d trees by root: (e1, m1) then (e2, m2) then m3.  One pass
+    over the word visits only the admissible roots; each root's list keeps
+    the (e1, m1, e2, m2, m3) order."""
     ch = ring.channels
-    out = []
+    out = {}
     for e1, n1 in ch[a][b].items():
         for m1 in range(n1):
             for e2, n2 in ch[e1][c].items():
                 for m2 in range(n2):
-                    for m3 in range(ch[e2][d].get(root, 0)):
-                        out.append((e1, m1, e2, m2, m3))
+                    for root, n3 in ch[e2][d].items():
+                        out.setdefault(root, []).extend(
+                            (e1, m1, e2, m2, m3) for m3 in range(n3))
     return out
 
 
@@ -100,10 +103,9 @@ def iter_pentagon_cases(F):
     for word in itertools.product(range(ring.rank), repeat=4):
         a, b, c, d = word
         gaps = []
-        for root in range(ring.rank):
-            src = _basis_T1(ring, a, b, c, d, root)
-            if not src:
-                continue
+        trees = _trees_T1(ring, a, b, c, d)
+        for root in sorted(trees):
+            src = trees[root]
             dst = _basis_T4(ring, a, b, c, d, root)
             m_pair = _route_via_pair(F, a, b, c, d, root, src, dst)
             m_mid = _route_via_middle(F, a, b, c, d, root, src, dst)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import errors
 from .jsonutil import dumps_canonical
 
 __all__ = ["CaseResult", "VerificationReport"]
@@ -28,14 +29,18 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((c.residual for c in self.cases), default=0.0)
+        """Largest case residual, NaN if any case is NaN (errors.worst)."""
+        return errors.worst(c.residual for c in self.cases)
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.cases)
 
     def worst(self) -> CaseResult | None:
-        return max(self.cases, key=lambda c: c.residual, default=None)
+        """The first case attaining max_residual: the first NaN case, if any."""
+        top = self.max_residual
+        return next((c for c in self.cases
+                     if c.residual == top or c.residual != c.residual), None)
 
     def as_dict(self) -> dict:
         return {

@@ -96,55 +96,92 @@ class DeltaObject:
         return self.obj.engine
 
 
+def _cached(eng: Engine, key: tuple, make):
+    """eng.cache[key], made on first use: diagram pieces that depend only on
+    labels, shared by every call on the engine's category."""
+    out = eng.cache.get(key)
+    if out is None:
+        out = eng.cache[key] = make()
+    return out
+
+
 def _rotated_fuses(eng: Engine, a: int, y: int, x: int) -> tuple:
     """Fusion halves of the (a,y;x) dual pair, rotated to sit on a downward
     strand: each maps (x̄, a) → (ȳ,)."""
-    key = ("rotfuse", a, y, x)
-    out = eng.cache.get(key)
-    if out is None:
-        pair = canonical_pair(eng, a, y, x)
-        out = tuple(rotate_clockwise(f) for f in pair.fuses)
-        eng.cache[key] = out
-    return out
+    return _cached(eng, ("rotfuse", a, y, x), lambda: tuple(
+        rotate_clockwise(f) for f in canonical_pair(eng, a, y, x).fuses))
 
 
 def _rotated_splits(eng: Engine, x: int, a: int, y: int) -> tuple:
     """Splitting halves of the (x,a;y) dual pair rotated likewise: each maps
     (x̄,) → (a, ȳ)."""
-    key = ("rotsplit", x, a, y)
-    out = eng.cache.get(key)
-    if out is None:
-        pair = canonical_pair(eng, x, a, y)
-        out = tuple(rotate_clockwise(s) for s in pair.splits)
-        eng.cache[key] = out
-    return out
+    return _cached(eng, ("rotsplit", x, a, y), lambda: tuple(
+        rotate_clockwise(s) for s in canonical_pair(eng, x, a, y).splits))
+
+
+def _delta_blocks(eng: Engine, obj: SumObject, a: int, legs) -> dict:
+    """Blocks (i, j) of Σ_t upper_t ∘ lower_t · √(d_x d_y), one per summand
+    j = (x, l, x̄) of Δ and y with N[a, y, x] > 0, where i is summand
+    (y, l, ȳ) of the same slot and ``legs(x, l, y, t)`` returns the pair
+    (upper_t, lower_t) drawn on the t-th (a, y; x) vertex."""
+    ring, d = eng.ring, eng.d
+    blocks: dict = {}
+    for j, (x, s) in enumerate(obj.tags):
+        l = obj.summands[j][1]
+        for y in range(ring.rank):
+            n = int(ring.N[a, y, x])
+            if not n:
+                continue
+            acc = None
+            for t in range(n):
+                upper, lower = legs(x, l, y, t)
+                term = upper @ lower
+                acc = term if acc is None else acc + term
+            blocks[(obj.index((y, s)), j)] = acc * math.sqrt(d[x] * d[y])
+    return blocks
 
 
 def _delta_braiding_component(eng: Engine, obj: SumObject, a: int) -> BlockMorphism:
     # Per summand (x, slot): split x into (a, y) on the left line, absorb a
     # into the conjugate line with the transported fusion half on the right.
     # Coefficient per (x, y): √(d_a⁻¹)·√(d_a d_y d_x) = √(d_x d_y).
-    ring, d = eng.ring, eng.d
-    blocks: dict = {}
-    for j, (x, s) in enumerate(obj.tags):
-        word = obj.summands[j]
-        l = word[1]
-        for y in range(ring.rank):
-            n = int(ring.N[a, y, x])
-            if not n:
-                continue
-            i = obj.index((y, s))
-            yd = ring.dual[y]
-            pair = canonical_pair(eng, a, y, x)
-            rots = _rotated_fuses(eng, a, y, x)
-            acc = None
-            for t in range(n):
-                left = eng.tensor_id_right(pair.splits[t], (l, yd))
-                right = eng.tensor_id_left((x, l), rots[t])
-                term = left @ right
-                acc = term if acc is None else acc + term
-            blocks[(i, j)] = acc * math.sqrt(d[x] * d[y])
-    return BlockMorphism(obj.tensor_right((a,)), obj.tensor_left((a,)), blocks)
+    ring = eng.ring
+
+    def legs(x, l, y, t):
+        split = canonical_pair(eng, a, y, x).splits[t]
+        return (eng.tensor_id_right(split, (l, ring.dual[y])),
+                eng.tensor_id_left((x, l), _rotated_fuses(eng, a, y, x)[t]))
+
+    return BlockMorphism(obj.tensor_right((a,)), obj.tensor_left((a,)),
+                         _delta_blocks(eng, obj, a, legs))
+
+
+def _delta_left_leg(eng: Engine, obj: SumObject, a: int, b: int,
+                    split_pads: dict, rot_pads: dict) -> BlockMorphism:
+    """id_a ⊗ e_b from the vertices that define e_b (see hexagon_residual).
+
+    Block (i, j) of id_a ⊗ e_b is Σ_t ((id_a ⊗ split_t) ⊗ id_(l,ȳ)) ∘
+    (id_(a,x,l) ⊗ rot_t) · √(d_x d_y).  ``split_pads`` memoizes id_a ⊗ split_t
+    by (a, b, y, x, t); ``rot_pads`` holds, per (b, y, x, t), the one-letter
+    pads id_u ⊗ rot_t that Engine.lift_id_left shares between words.  Only
+    words of up to three letters get a fresh associator here, where
+    left-tensoring the assembled blocks of e_b needs one on five letters.
+    """
+    ring = eng.ring
+
+    def legs(x, l, y, t):
+        key = (a, b, y, x, t)
+        top = split_pads.get(key)
+        if top is None:
+            split = canonical_pair(eng, b, y, x).splits[t]
+            top = split_pads[key] = eng.tensor_id_left((a,), split)
+        pads = rot_pads.setdefault((b, y, x, t), {})
+        return (eng.tensor_id_right(top, (l, ring.dual[y])),
+                eng.lift_id_left((a, x, l), _rotated_fuses(eng, b, y, x)[t], pads))
+
+    return BlockMorphism(obj.tensor_right((b,)).tensor_left((a,)),
+                         obj.tensor_left((b,)).tensor_left((a,)),
+                         _delta_blocks(eng, obj, b, legs))
 
 
 def _padded_identity(obj: SumObject, unit: int) -> BlockMorphism:
@@ -189,11 +226,26 @@ def extend_halfbraiding(obj: SumObject, braiding: dict, word: Word) -> BlockMorp
     return BlockMorphism(src, dst, out)
 
 
-def hexagon_residual(obj: SumObject, braiding: dict, a: int, b: int) -> float:
-    """Defect of braiding past a⊗b in one move versus one leg at a time."""
+def hexagon_residual(obj: SumObject, braiding: dict, a: int, b: int,
+                     left: BlockMorphism | None = None) -> float:
+    """Defect of braiding past a⊗b in one move versus one leg at a time:
+    e_{a⊗b} against (id_a ⊗ e_b) ∘ (e_a ⊗ id_b).
+
+    ``left`` is the staged leg id_a ⊗ e_b; by default it is
+    ``braiding[b].tensor_id_left((a,))``.  A caller that built e_b from
+    vertices may hand in that leg computed from the same vertices, by
+    functoriality of id_a ⊗ -:
+
+        id_a ⊗ Σ_t (split_t ⊗ id_W) ∘ (id_V ⊗ rot_t)
+            = Σ_t ((id_a ⊗ split_t) ⊗ id_W) ∘ (id_(a,)+V ⊗ rot_t).
+
+    The stored e_b still enters the check, through e_{a⊗b} and through
+    e_b ⊗ id on the pairs (b, ·).
+    """
     joined = extend_halfbraiding(obj, braiding, (a, b))
-    staged = braiding[b].tensor_id_left((a,)) @ braiding[a].tensor_id_right((b,))
-    return (joined - staged).norm()
+    if left is None:
+        left = braiding[b].tensor_id_left((a,))
+    return (joined - left @ braiding[a].tensor_id_right((b,))).norm()
 
 
 def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
@@ -229,8 +281,11 @@ def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
     if not unit_res < tol:
         raise ToleranceError(f"unit braiding component defect {unit_res:.3e} >= {tol:g}")
 
-    worst_h = worst(hexagon_residual(obj, braiding, a, b)
-                    for a in range(ring.rank) for b in range(ring.rank))
+    split_pads, rot_pads = {}, {}
+    worst_h = worst(
+        hexagon_residual(obj, braiding, a, b,
+                         _delta_left_leg(eng, obj, a, b, split_pads, rot_pads))
+        for a in range(ring.rank) for b in range(ring.rank))
     if not worst_h < tol:
         raise ToleranceError(f"hexagon defect {worst_h:.3e} >= {tol:g}")
 
@@ -569,10 +624,12 @@ def tube_product(A: TubeAlgebra, f: TubeElement, g: TubeElement) -> TubeElement:
                         xm = slots[m][0]
                         term = None
                         for t in range(pair.n):
-                            lo = eng.tensor_id_left((xl,), pair.splits[t])
+                            lo = _cached(eng, ("prod_lo", xl, c, b, a, t),
+                                         lambda: eng.tensor_id_left((xl,), pair.splits[t]))
                             mid = eng.tensor_id_left((c,), fblk) \
                                 @ eng.tensor_id_right(gblk, (b,))
-                            hi = eng.tensor_id_right(pair.fuses[t], (xm,))
+                            hi = _cached(eng, ("prod_hi", c, b, a, t, xm),
+                                         lambda: eng.tensor_id_right(pair.fuses[t], (xm,)))
                             piece = hi @ mid @ lo
                             term = piece if term is None else term + piece
                         key = (m, l)
@@ -593,15 +650,16 @@ def tube_star(A: TubeAlgebra, f: TubeElement) -> TubeElement:
     comps = {}
     for b, fb in f.components.items():
         a = ring.dual[b]
-        cup = coev(eng, a)   # () -> (a, abar)
-        cap = ev(eng, a)     # (abar, a) -> ()
         blocks = {}
         for (lkey, mkey), blk in fb.blocks.items():
             xl, xm = slots[lkey][0], slots[mkey][0]
             dagblk = blk.dag()  # (abar, x_l) -> (x_m, abar)
-            h1 = eng.tensor_id_right(cup, (xl, a))
+            # cup: () -> (a, abar), cap: (abar, a) -> ()
+            h1 = _cached(eng, ("star_h1", a, xl),
+                         lambda: eng.tensor_id_right(coev(eng, a), (xl, a)))
             h2 = eng.tensor_id_left((a,), eng.tensor_id_right(dagblk, (a,)))
-            h3 = eng.tensor_id_left((a, xm), cap)
+            h3 = _cached(eng, ("star_h3", a, xm),
+                         lambda: eng.tensor_id_left((a, xm), ev(eng, a)))
             blocks[(mkey, lkey)] = h3 @ h2 @ h1
         comps[a] = BlockMorphism(A.src_objs[a], A.dst_objs[a], blocks)
     return TubeElement(A, comps)
@@ -634,8 +692,10 @@ def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorphism:
                     mid = eng.tensor_id_left((x,), eng.tensor_id_right(blk, (yd,)))
                     term = None
                     for t in range(n):
-                        lo = eng.tensor_id_left((x, xl), rots[t])
-                        hi = eng.tensor_id_right(pair.fuses[t], (xm, yd))
+                        lo = _cached(eng, ("t_lo", x, xl, a, y, t),
+                                     lambda: eng.tensor_id_left((x, xl), rots[t]))
+                        hi = _cached(eng, ("t_hi", x, a, y, t, xm),
+                                     lambda: eng.tensor_id_right(pair.fuses[t], (xm, yd)))
                         piece = hi @ mid @ lo
                         term = piece if term is None else term + piece
                     key = (obj.index((y, m)), obj.index((x, l)))
@@ -690,19 +750,23 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
                             continue
                         pair = canonical_pair(eng, xd, y, a)
                         coeff = math.sqrt(d[x] * d[y] * d[a])
-                        # the x loop must close against the same pairing that
-                        # caps it, ev(x) with its own dagger; coev(xbar) is off
-                        # by the dual-twist sign on self-conjugate labels
-                        cupx = ev(eng, x).dag()  # () -> (xbar, x)
-                        capy = ev(eng, y)        # (ybar, y) -> ()
                         g3 = eng.tensor_id_left((xd,), eng.tensor_id_right(Tblk, (y,)))
-                        g4 = eng.tensor_id_left((xd, y, xm_lab), capy)
+                        # ev(y): (ybar, y) -> ()
+                        g4 = _cached(eng, ("f_g4", xd, y, xm_lab),
+                                     lambda: eng.tensor_id_left((xd, y, xm_lab), ev(eng, y)))
                         g43 = g4 @ g3
                         for t in range(pair.n):
-                            g1 = eng.tensor_id_left((xl_lab,), pair.splits[t])
-                            g2 = eng.tensor_id_right(cupx, (xl_lab, xd, y))
-                            g5 = eng.tensor_id_right(pair.fuses[t], (xm_lab,))
-                            piece = (g5 @ g43 @ (g2 @ g1)) * coeff
+                            # g2 ∘ g1: split the direction line, then open the
+                            # x loop.  It must close against the same pairing
+                            # that caps it, ev(x) with its own dagger; coev(xbar)
+                            # is off by the dual-twist sign on self-conjugate
+                            # labels.
+                            g21 = _cached(eng, ("f_g21", x, y, a, t, xl_lab), lambda: (
+                                eng.tensor_id_right(ev(eng, x).dag(), (xl_lab, xd, y))
+                                @ eng.tensor_id_left((xl_lab,), pair.splits[t])))
+                            g5 = _cached(eng, ("f_g5", xd, y, a, t, xm_lab),
+                                         lambda: eng.tensor_id_right(pair.fuses[t], (xm_lab,)))
+                            piece = (g5 @ g43 @ g21) * coeff
                             acc = piece if acc is None else acc + piece
                 if acc is not None:
                     blocks[(m, l)] = acc * pref

@@ -215,3 +215,21 @@ def test_report_schema(reports):
                             "blocks", "seed", "pass"}
         for b in rep["blocks"]:
             assert set(b) == {"size", "underlying", "twist", "hexagon_residual"}
+
+
+def test_center_nullspace_svd_is_thin():
+    # the full SVD of the dim²×dim commutator stack allocated a dim²×dim²
+    # complex U and dropped it; only the singular values and V are used
+    import tracemalloc
+    from conftest import pointed_category
+    from tubecat.catspec import load_spec
+    spec = load_spec(pointed_category(5, k=1))
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    full_u = (A.dim * A.dim) ** 2 * 16
+    tracemalloc.start()
+    try:
+        decompose_blocks(A, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_u, (peak, full_u)

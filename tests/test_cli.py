@@ -87,6 +87,25 @@ def test_broken_pentagon_is_verification_failure(tmp_path, capsys):
     assert "pentagon" in err
 
 
+def test_verify_names_a_later_nan_residual(monkeypatch, capsys):
+    # a NaN case after clean ones must fail the run by name, not reach the
+    # JSON writer (which refuses non-finite floats)
+    import tubecat.cli
+    real = tubecat.cli.run_suite
+
+    def with_nan(spec, name, tol=1e-9):
+        rep = real(spec, name, tol=tol)
+        if name == "fusion":
+            rep.add(["tau", "tau", "tau"], float("nan"))
+        return rep
+
+    monkeypatch.setattr(tubecat.cli, "run_suite", with_nan)
+    code, out, err = run_capture(capsys, command="verify", category="fibonacci")
+    assert code == 1 and out == ""
+    assert "verification failure" in err
+    assert "fusion" in err and "(tau, tau, tau)" in err and "nan" in err
+
+
 def test_stdin_category(tmp_path, monkeypatch, capsys):
     import io
     payload = json.dumps(pointed_category(2)).encode()

@@ -1,4 +1,6 @@
 """Pentagon sweeps on the catalog plus gauge-invariance of the checker."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,3 +69,39 @@ def test_gauge_orbit_keeps_pentagon(seed):
     res, _ = pentagon_residual(table)
     assert res < 1e-12
     assert table.check_unitary(1e-12) < 1e-12
+
+
+def _per_root_cases(F):
+    """Every root of every word tried, as iter_pentagon_cases did: trees
+    enumerated from N for each root, empty roots skipped."""
+    from tubecat.pentagon import _basis_T4, _route_via_middle, _route_via_pair
+    ring = F.ring
+    rank, N = ring.rank, ring.N
+    out = []
+    for word in itertools.product(range(rank), repeat=4):
+        a, b, c, d = word
+        gaps = []
+        for root in range(rank):
+            src = [(e1, m1, e2, m2, m3)
+                   for e1 in range(rank) for m1 in range(int(N[a, b, e1]))
+                   for e2 in range(rank) for m2 in range(int(N[e1, c, e2]))
+                   for m3 in range(int(N[e2, d, root]))]
+            if not src:
+                continue
+            dst = _basis_T4(ring, a, b, c, d, root)
+            gap = np.abs(_route_via_pair(F, a, b, c, d, root, src, dst)
+                         - _route_via_middle(F, a, b, c, d, root, src, dst))
+            gaps.append(float(np.max(gap)))
+        out.append((word, max(gaps)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["vec", "vec_z2", "vec_z2_twisted", "vec_z3",
+                                  "fibonacci", "ising", "rep_s3", "Z/4 k=1"])
+def test_cases_visit_admissible_roots_only(catalog, name):
+    from conftest import pointed_category
+    from tubecat.catspec import load_spec
+    from tubecat.pentagon import iter_pentagon_cases
+    spec = (load_spec(pointed_category(4, k=1)) if name == "Z/4 k=1"
+            else catalog[name])
+    assert list(iter_pentagon_cases(spec.fsymbols)) == _per_root_cases(spec.fsymbols)

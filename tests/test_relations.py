@@ -22,8 +22,26 @@ from tubecat.relations import (SUITES, check_bigon1, check_bigon2,
                                check_fusion, check_global_dim, check_ih,
                                check_spherical, global_dim_routes, ih_sides,
                                run_suite)
+from tubecat.report import VerificationReport
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+# ---- report ----------------------------------------------------------------
+
+def test_report_folds_keep_a_later_nan():
+    rep = VerificationReport(suite="s", tol=1e-9)
+    for label, res in [("a", 1e-16), ("b", float("nan")), ("c", 1e-12)]:
+        rep.add([label], res)
+    assert math.isnan(rep.max_residual)
+    assert rep.worst().labels == ("b",)
+    assert not rep.ok
+    clean = VerificationReport(suite="s", tol=1e-9)
+    for label, res in [("a", 1e-16), ("b", 3e-16), ("c", 3e-16)]:
+        clean.add([label], res)
+    assert clean.max_residual == 3e-16 and clean.worst().labels == ("b",)
+    empty = VerificationReport(suite="s", tol=1e-9)
+    assert empty.max_residual == 0.0 and empty.worst() is None
 
 
 # ---- hom spaces ------------------------------------------------------------

@@ -19,7 +19,8 @@ from tubecat.sums import BlockMorphism
 from tubecat.tube import (LambdaObject, build_delta, build_tube_algebra,
                           f_map, gram, hexagon_residual, naturality_residual,
                           t_map, tube_json, tube_product, tube_star)
-from tubecat.tube import _direction_slices, _table_residuals
+from tubecat.tube import (_delta_braiding_component, _delta_left_leg,
+                          _direction_slices, _table_residuals)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -287,12 +288,53 @@ def test_build_delta_rejects_nan_in_a_later_hexagon(catalog, monkeypatch):
     real = tubecat.tube.hexagon_residual
     last = spec.rank - 1
 
-    def nan_at_last(obj, braiding, a, b):
-        res = real(obj, braiding, a, b)
+    def nan_at_last(obj, braiding, a, b, left=None):
+        res = real(obj, braiding, a, b, left)
         return float("nan") if (a, b) == (last, last) else res
 
     monkeypatch.setattr(tubecat.tube, "hexagon_residual", nan_at_last)
     with pytest.raises(ToleranceError, match="hexagon defect nan"):
+        build_delta(spec, LambdaObject.all_simples(spec))
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3",
+                                  "vec_z2_twisted", "Z/4 k=1"])
+def test_delta_left_leg_matches_generic(catalog, name):
+    # the staged hexagon leg id_a ⊗ e_b drawn on e_b's own vertices against
+    # the generic route, which left-tensors the assembled blocks of e_b
+    spec = (load_spec(pointed_category(4, k=1)) if name == "Z/4 k=1"
+            else catalog[name])
+    D = build_delta(spec, LambdaObject.all_simples(spec))
+    eng = engine_for(spec)
+    split_pads, rot_pads = {}, {}  # shared by every (a, b), as in build_delta
+    for a in range(spec.rank):
+        for b in range(spec.rank):
+            got = _delta_left_leg(eng, D.obj, a, b, split_pads, rot_pads)
+            want = D.braiding[b].tensor_id_left((a,))
+            assert got.src.same_words(want.src) and got.dst.same_words(want.dst)
+            assert sorted(got.blocks) == sorted(want.blocks), (name, a, b)
+            assert (got - want).norm() <= 1e-13, (name, a, b)
+
+
+def test_build_delta_sees_phase_on_one_stored_block(monkeypatch):
+    # e^{i·1e-6} on one block of the stored e_2 keeps e_2 unitary (each
+    # summand of Vec[Z/4] maps to one summand) and leaves the unit component
+    # alone; the hexagon must still see it, although the staged leg
+    # id_a ⊗ e_b is now drawn from the vertices and not from the stored e_b
+    spec = load_spec(pointed_category(4, k=1))
+    real = _delta_braiding_component
+
+    def nudged(eng, obj, a):
+        e = real(eng, obj, a)
+        if a != 2:
+            return e
+        blocks = dict(e.blocks)
+        key = min(blocks)
+        blocks[key] = blocks[key] * np.exp(1e-6j)
+        return BlockMorphism(e.src, e.dst, blocks)
+
+    monkeypatch.setattr(tubecat.tube, "_delta_braiding_component", nudged)
+    with pytest.raises(ToleranceError, match=r"hexagon defect (1\.00\de-06|9\.99\de-07)"):
         build_delta(spec, LambdaObject.all_simples(spec))
 
 
