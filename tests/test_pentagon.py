@@ -72,8 +72,8 @@ def test_gauge_orbit_keeps_pentagon(seed):
 
 
 def _per_root_cases(F):
-    """Every root of every word tried, as iter_pentagon_cases did: trees
-    enumerated from N for each root, empty roots skipped."""
+    """Every root of every word tried in turn: trees enumerated from N for
+    each root, roots without trees skipped."""
     from tubecat.pentagon import _basis_T4, _route_via_middle, _route_via_pair
     ring = F.ring
     rank, N = ring.rank, ring.N
