@@ -14,7 +14,7 @@ from pathlib import Path
 from .catspec import FusionCategorySpec, load_spec
 from .errors import SchemaError
 
-__all__ = ["BUILTIN_NAMES", "available", "find", "builtin_catalog"]
+__all__ = ["BUILTIN_NAMES", "available", "find"]
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -62,8 +62,3 @@ def find(name_or_path: str) -> FusionCategorySpec:
                 return load_spec(fh)
     raise SchemaError(f"unknown category {name_or_path!r} "
                       f"(catalog: {', '.join(available())})")
-
-
-def builtin_catalog() -> list[FusionCategorySpec]:
-    """Load every shipped category (each fully validated on load)."""
-    return [find(name) for name in BUILTIN_NAMES]

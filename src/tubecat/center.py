@@ -146,18 +146,19 @@ def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
         p = _newton_idempotent(A, p)
         vectors.append(p)
 
-    worst = 0.0
+    defects = []
     total = np.zeros(dim, dtype=complex)
     for i, p in enumerate(vectors):
         total += p
-        worst = max(worst, float(np.max(np.abs(_mult(A, p, p) - p))),
-                    float(np.max(np.abs(_star(A, p) - p))))
+        defects.append(float(np.max(np.abs(_mult(A, p, p) - p))))
+        defects.append(float(np.max(np.abs(_star(A, p) - p))))
         for q in vectors[i + 1:]:
-            worst = max(worst, float(np.max(np.abs(_mult(A, p, q)))))
-    worst = max(worst, float(np.max(np.abs(total - uvec))))
-    if not worst < 1e-8:
+            defects.append(float(np.max(np.abs(_mult(A, p, q)))))
+    defects.append(float(np.max(np.abs(total - uvec))))
+    defect = worst(defects)
+    if not defect < 1e-8:
         raise DegenerateSpectrum(
-            f"idempotent system defect {worst:.3e}; try another seed")
+            f"idempotent system defect {defect:.3e}; try another seed")
 
     sizes = []
     for p in vectors:

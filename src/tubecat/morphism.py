@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ShapeError, worst
-from .trees import Tree, TreeBasis, Word, enumerate_trees, tree_root
+from .trees import Tree, TreeBasis, Word, tree_root
 
 __all__ = ["Morphism", "HomSpace", "Engine", "engine_for", "hom_space"]
 
@@ -59,7 +59,7 @@ class Morphism:
 
     def norm(self) -> float:
         """Max-abs coefficient; residuals throughout are stated in this norm."""
-        return worst(float(np.max(np.abs(b))) for b in self.blocks.values()
+        return worst(float(np.abs(b).max()) for b in self.blocks.values()
                      if b.size)
 
     def scalar(self) -> complex:
@@ -154,10 +154,13 @@ class Engine:
 
     # ---- bases -------------------------------------------------------------
     def basis(self, word: Word) -> TreeBasis:
-        word = tuple(word)
+        if type(word) is not tuple:
+            word = tuple(word)
         tb = self._bases.get(word)
         if tb is None:
-            tb = TreeBasis(word, enumerate_trees(self.ring, word))
+            prev = self._bases.get(word[:-1]) if len(word) > 1 else None
+            tb = (TreeBasis.of(self.ring, word) if prev is None
+                  else prev.extended(self.ring, word[-1:]))
             self._bases[word] = tb
         return tb
 
@@ -197,11 +200,17 @@ class Engine:
         return out
 
     # ---- construction ------------------------------------------------------
-    def make(self, src: Word, dst: Word, blocks: dict) -> Morphism:
-        """Normalize a block dict: every common-admissible root present."""
+    def make(self, src: Word, dst: Word, blocks: dict,
+             roots: list | None = None) -> Morphism:
+        """Normalize a block dict: every common-admissible root present.
+
+        ``roots`` is ``common_roots(src, dst)`` when the caller holds it
+        already; every block is shape-checked against it either way."""
         src, dst = tuple(src), tuple(dst)
+        if roots is None:
+            roots = self.common_roots(src, dst)
         out = {}
-        for z, dd, sd in self.common_roots(src, dst):
+        for z, dd, sd in roots:
             blk = blocks.get(z)
             if blk is None:
                 blk = np.zeros((dd, sd), dtype=complex)
@@ -240,8 +249,9 @@ class Engine:
         ssplit = self.basis(src2).split(len(f.src), self.ring.unit)
         dsplit = self.basis(dst2).split(len(f.dst), self.ring.unit)
         sidx, didx = self.basis(f.src).index, self.basis(f.dst).index
+        roots = self.common_roots(src2, dst2)
         blocks = {}
-        for z, dd, sd in self.common_roots(src2, dst2):
+        for z, dd, sd in roots:
             blk = np.zeros((dd, sd), dtype=complex)
             cols: dict = {}
             for j, (pre, mid, ext) in enumerate(ssplit[z]):
@@ -254,7 +264,26 @@ class Engine:
                 for (j, ci) in cols.get((mid, ext), ()):
                     blk[i, j] = fb[ri, ci]
             blocks[z] = blk
-        return self.make(src2, dst2, blocks)
+        return self.make(src2, dst2, blocks, roots)
+
+    def channel_rows(self, f: Morphism, c: int, mu: int) -> Morphism:
+        """(ι† ⊗ id_W) ∘ f for f into (a, b) + W, where ι: (c,) -> (a, b) is
+        the μ-th vertex of a ⊗ b at c (``hom_basis((c,), (a, b))[mu]``).
+
+        A comb of (a, b) + W begins with a vertex (c', μ') of a ⊗ b and goes
+        on as a comb of (c',) + W.  So ι ⊗ id_W embeds the comb basis of
+        (c,) + W as the rows of (a, b) + W that begin with (c, μ)
+        (TreeBasis.lead_runs), and its adjoint picks those rows out.  The
+        blocks are exact copies of f's entries; summed over (c, μ),
+        tensor_id_right(ι, W) ∘ channel_rows(f, c, μ) gives f back.
+        """
+        if len(f.dst) < 2 or not mu < self.ring.N[f.dst[0], f.dst[1], c]:
+            raise ShapeError(f"no vertex ({c}, {mu}) at the front of {f.dst}")
+        dst2 = (c,) + f.dst[2:]
+        runs = self.basis(f.dst).lead_runs()[(c, mu)]
+        roots = self.common_roots(f.src, dst2)
+        return self.make(f.src, dst2, {z: f.blocks[z][runs[z]] for z, _, _ in roots
+                                       if z in f.blocks}, roots)
 
     # ---- left tensoring ------------------------------------------------------
     def right_basis(self, c: int, word: Word) -> dict:
@@ -349,8 +378,9 @@ class Engine:
         oms, omd = self.omega(c, f.src), self.omega(c, f.dst)
         rbs, rbd = self.right_basis(c, f.src), self.right_basis(c, f.dst)
         sb, db = self.basis(f.src), self.basis(f.dst)
+        roots = self.common_roots(src2, dst2)
         blocks = {}
-        for z, dd, sd in self.common_roots(src2, dst2):
+        for z, dd, sd in roots:
             mid = np.zeros((len(rbd[z]), len(rbs[z])), dtype=complex)
             src_pos = {}
             for j, (w, t, nu) in enumerate(rbs[z]):
@@ -363,7 +393,7 @@ class Engine:
                 for (j, ci) in src_pos.get((w, nu), ()):
                     mid[i, j] = fb[ri, ci]
             blocks[z] = omd[z] @ mid @ oms[z].conj().T
-        return self.make(src2, dst2, blocks)
+        return self.make(src2, dst2, blocks, roots)
 
     def tensor_id_left(self, word: Word, f: Morphism) -> Morphism:
         out = f
@@ -391,8 +421,9 @@ class Engine:
         unit = self.ring.unit
         src2, dst2 = word + f.src, word + f.dst
         sb2, db2 = self.basis(src2), self.basis(dst2)
+        roots = self.common_roots(src2, dst2)
         blocks = {}
-        for z, dd, sd in self.common_roots(src2, dst2):
+        for z, dd, sd in roots:
             cols: dict = {}
             for j, t in enumerate(sb2.by_root[z]):
                 cols.setdefault(t[:cut], []).append((j, t[cut:]))
@@ -411,7 +442,7 @@ class Engine:
                 for j, ext in src_cols:
                     blk[i, j] = row[col_of[ext]]
             blocks[z] = blk
-        return self.make(src2, dst2, blocks)
+        return self.make(src2, dst2, blocks, roots)
 
     def tensor(self, f: Morphism, g: Morphism) -> Morphism:
         return f.tensor(g)

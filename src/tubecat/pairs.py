@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptySpace
+from .errors import EmptySpace, worst
 from .morphism import Engine, Morphism, engine_for
 
 __all__ = ["VertexPair", "canonical_pair"]
@@ -56,12 +56,10 @@ class VertexPair:
         """max_ij | fuse_j . split_i - delta_ij id_z / d_z |."""
         eng = self.engine
         eye = eng.identity((self.z,))
-        worst = 0.0
-        for i, s in enumerate(self.splits):
-            for j, f in enumerate(self.fuses):
-                want = eye * (1.0 / eng.d[self.z] if i == j else 0.0)
-                worst = max(worst, (f @ s - want).norm())
-        return worst
+        inv = 1.0 / eng.d[self.z]
+        return worst((f @ s - eye * (inv if i == j else 0.0)).norm()
+                     for i, s in enumerate(self.splits)
+                     for j, f in enumerate(self.fuses))
 
     def __repr__(self):
         labs = self.engine.spec.labels

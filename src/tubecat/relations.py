@@ -21,7 +21,8 @@ import numpy as np
 
 from .duality import (bend_in_left, bend_out_right, dual_morphism,
                       trace_left, trace_right, weighted_trace)
-from .morphism import Engine, Morphism, engine_for
+from .errors import worst
+from .morphism import Engine, engine_for
 from .pairs import canonical_pair
 from .pentagon import verify_pentagon
 from .report import VerificationReport
@@ -37,10 +38,6 @@ def _engine(spec_or_engine) -> Engine:
     if isinstance(spec_or_engine, Engine):
         return spec_or_engine
     return engine_for(spec_or_engine)
-
-
-def _coeffs(m: Morphism) -> np.ndarray:
-    return m.coeffs()
 
 
 def _hom_dim(eng: Engine, src, dst) -> int:
@@ -81,13 +78,13 @@ def check_bigon2(spec, tol: float = 1e-9) -> VerificationReport:
     d = eng.d
     for x, y, z in _admissible_triples(eng):
         pair = canonical_pair(eng, x, y, z)
-        vs = [_coeffs(s) for s in pair.splits]   # z -> (x,y)
-        ws = [_coeffs(f) for f in pair.fuses]    # (x,y) -> z
-        eye = _coeffs(eng.identity((z,)))
+        vs = [s.coeffs() for s in pair.splits]   # z -> (x,y)
+        ws = [f.coeffs() for f in pair.fuses]    # (x,y) -> z
+        eye = eng.identity((z,)).coeffs()
         lhs = np.zeros((eye.size, vs[0].size, ws[0].size), dtype=complex)
         rhs = np.zeros_like(lhs)
         for i, j in itertools.product(range(pair.n), repeat=2):
-            bi = _coeffs(pair.fuses[j] @ pair.splits[i])
+            bi = (pair.fuses[j] @ pair.splits[i]).coeffs()
             lhs += d[x] * d[y] * d[z] * np.einsum("p,q,r->pqr", bi, vs[j], ws[i])
         for i in range(pair.n):
             rhs += d[x] * d[y] * np.einsum("p,q,r->pqr", eye, vs[i], ws[i])
@@ -139,7 +136,7 @@ def ih_sides(eng: Engine, x: int, w: int, y: int, z: int):
         for i, j in itertools.product(range(bot.n), range(top.n)):
             f1 = top.splits[j] @ bot.fuses[i]
             f2 = duals_top[j] @ duals_bot[i]
-            side_i += pref * np.outer(_coeffs(f1), _coeffs(f2))
+            side_i += pref * np.outer(f1.coeffs(), f2.coeffs())
 
     for u in range(ring.rank):
         if not (ring.N[y, u, x] and ring.N[u, w, z]):
@@ -155,7 +152,7 @@ def ih_sides(eng: Engine, x: int, w: int, y: int, z: int):
                   @ eng.tensor_id_right(left.splits[k], (w,)))
             f2 = (eng.tensor_id_left((zd,), rot_l[k])
                   @ eng.tensor_id_right(rot_r[l], (xd,)))
-            side_h += pref * np.outer(_coeffs(f1), _coeffs(f2))
+            side_h += pref * np.outer(f1.coeffs(), f2.coeffs())
 
     return side_i, side_h
 
@@ -202,7 +199,7 @@ def global_dim_routes(eng: Engine, x: int, y: int):
         for i, j in itertools.product(range(px.n), range(py.n)):
             f1 = py.fuses[j] @ px.splits[i]
             f2 = duals_py[j] @ duals_px[i]
-            direct += pref * np.outer(_coeffs(f1), _coeffs(f2))
+            direct += pref * np.outer(f1.coeffs(), f2.coeffs())
 
     loops = 0.0 + 0.0j
     if x == y:
@@ -232,7 +229,7 @@ def check_global_dim(spec, tol: float = 1e-9) -> VerificationReport:
             res_direct, res_cross = 0.0, 0.0
         res_loops = abs(loops - target) if x == y else 0.0
         rep.add((labs[x], labs[y]),
-                max(res_direct, float(res_loops), float(res_cross)))
+                worst([res_direct, float(res_loops), float(res_cross)]))
     return rep
 
 
@@ -255,8 +252,8 @@ def check_spherical(spec, trials: int = 3, tol: float = 1e-9,
         cases += [(f"r{t}", eng.random(word, word, rng)) for t in range(trials)]
         for tag, f in cases:
             lt, rt, wt = trace_left(f), trace_right(f), weighted_trace(f)
-            scale = max(1.0, abs(wt))
-            res = max(abs(lt - rt), abs(lt - wt), abs(rt - wt)) / scale
+            scale = worst([1.0, abs(wt)])
+            res = worst([abs(lt - rt), abs(lt - wt), abs(rt - wt)]) / scale
             rep.add((wl, tag), res)
     return rep
 

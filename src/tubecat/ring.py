@@ -90,9 +90,6 @@ class FusionRing:
         if not np.array_equal(N, N[dual][:, dual][:, :, dual].transpose(1, 0, 2)):
             raise ConsistencyError("fusion multiplicities not dual-symmetric")
 
-    def is_multiplicity_free(self) -> bool:
-        return bool(np.all(self.N <= 1))
-
 
 @dataclass(frozen=True, eq=False)
 class QuantumDimensions:

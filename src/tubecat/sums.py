@@ -16,7 +16,7 @@ from .errors import ShapeError, worst
 from .morphism import Engine, Morphism
 from .trees import Word
 
-__all__ = ["SumObject", "BlockMorphism"]
+__all__ = ["SumObject", "BlockMorphism", "block_trace"]
 
 
 class SumObject:
@@ -130,11 +130,12 @@ class BlockMorphism:
         """self after other."""
         if not other.dst.same_words(self.src):
             raise ShapeError("cannot compose block morphisms: middle objects differ")
+        by_mid: dict = {}
+        for (j, k), g in other.blocks.items():
+            by_mid.setdefault(j, []).append((k, g))
         out: dict = {}
         for (i, j), f in self.blocks.items():
-            for (j2, k), g in other.blocks.items():
-                if j2 != j:
-                    continue
+            for k, g in by_mid.get(j, ()):
                 term = f @ g
                 key = (i, k)
                 out[key] = out[key] + term if key in out else term
@@ -161,6 +162,17 @@ class BlockMorphism:
         return BlockMorphism(
             self.src.tensor_left(word), self.dst.tensor_left(word),
             {k: eng.tensor_id_left(word, m) for k, m in self.blocks.items()})
+
+    def channel_rows(self, c: int, mu: int) -> "BlockMorphism":
+        """(ι† ⊗ id) ∘ self block by block (Engine.channel_rows), for a map
+        into summands that all begin with the same pair (a, b): each target
+        summand (a, b) + W becomes (c,) + W."""
+        eng = self.engine
+        if len({w[:2] for w in self.dst.summands}) > 1:
+            raise ShapeError("channel rows need one leading pair on every summand")
+        dst = SumObject(eng, [(c,) + w[2:] for w in self.dst.summands], self.dst.tags)
+        return BlockMorphism(self.src, dst, {k: eng.channel_rows(m, c, mu)
+                                             for k, m in self.blocks.items()})
 
     # ---- constructors ---------------------------------------------------------
     @staticmethod
@@ -190,5 +202,3 @@ def block_trace(f: BlockMorphism) -> complex:
             total += weighted_trace(m)
     return total
 
-
-__all__.append("block_trace")

@@ -10,9 +10,7 @@ then multiplicity index; everything downstream relies on it being stable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-__all__ = ["Word", "Tree", "TreeBasis", "enumerate_trees", "tree_root"]
+__all__ = ["Word", "Tree", "TreeBasis", "tree_root"]
 
 Word = tuple  # tuple[int, ...]
 Tree = tuple  # tuple[(channel, mult), ...]
@@ -24,44 +22,84 @@ def tree_root(word: Word, tree: Tree, unit: int) -> int:
     return word[0] if word else unit
 
 
-def enumerate_trees(ring, word: Word) -> dict[int, list[Tree]]:
-    """root -> ordered list of left-comb trees for Hom(root, tensor(word))."""
-    if len(word) == 0:
-        states = [(ring.unit, ())]
-    else:
-        states = [(word[0], ())]
+def _grow(ring, states: list, letters: Word) -> list:
+    """Generation-ordered (root, tree) states continued by more letters."""
     channels = ring.channels
-    for letter in word[1:]:
+    for letter in letters:
         nxt = []
         for root, tree in states:
             for z, n in channels[root][letter].items():
                 for mu in range(n):
                     nxt.append((z, tree + ((z, mu),)))
         states = nxt
+    return states
+
+
+def _group(states: list) -> dict[int, list[Tree]]:
     by_root: dict[int, list[Tree]] = {}
     for root, tree in states:
         by_root.setdefault(root, []).append(tree)
     return by_root
 
 
-@dataclass
 class TreeBasis:
-    """Tree enumeration for one word with index lookups.
+    """Left-comb trees of one word, root -> ordered trees, with lookups.
 
-    ``dims`` maps each root, ascending, to its number of trees; it is taken
-    once here, since the engine asks for roots and dims far more often than
-    it builds bases."""
+    ``states`` is the generation-ordered list of (root, tree); ``by_root``
+    groups it by root.  ``dims`` maps each root, ascending, to its number of
+    trees; it is taken once here, since the engine asks for roots and dims
+    far more often than it builds bases.  ``index`` (root -> tree ->
+    position) is built on first use: most bases are only ever counted."""
 
-    word: Word
-    by_root: dict[int, list[Tree]]
-    index: dict[int, dict[Tree, int]] = field(init=False)
-    dims: dict[int, int] = field(init=False)
+    __slots__ = ("word", "states", "by_root", "dims", "_roots", "_index",
+                 "_leads")
 
-    def __post_init__(self):
-        self.index = {z: {t: i for i, t in enumerate(ts)}
-                      for z, ts in self.by_root.items()}
+    def __init__(self, word: Word, states: list):
+        self.word = word
+        self.states = states
+        self.by_root = _group(states)
         self.dims = {z: len(self.by_root[z]) for z in sorted(self.by_root)}
         self._roots = tuple(self.dims)
+        self._index = None
+        self._leads = None
+
+    @classmethod
+    def of(cls, ring, word: Word) -> "TreeBasis":
+        start = [(word[0], ())] if word else [(ring.unit, ())]
+        return cls(word, _grow(ring, start, word[1:]))
+
+    def extended(self, ring, letters: Word) -> "TreeBasis":
+        """Basis of word + letters for a nonempty word, grown from this
+        basis's states: the trees of TreeBasis.of on the longer word, in the
+        same order.  (The empty word's state is the unit, which a longer
+        word does not start from.)"""
+        return TreeBasis(self.word + tuple(letters),
+                         _grow(ring, self.states, letters))
+
+    @property
+    def index(self) -> dict[int, dict[Tree, int]]:
+        if self._index is None:
+            self._index = {z: {t: i for i, t in enumerate(ts)}
+                           for z, ts in self.by_root.items()}
+        return self._index
+
+    def lead_runs(self) -> dict:
+        """(c, μ) -> {root: slice} over the trees whose first vertex is
+        (c, μ), i.e. whose first two letters fuse to c in slot μ.
+
+        Generation order expands the first vertex before any later one, so
+        each run is contiguous, and it lists its trees in the order of the
+        trees of (c,) + word[2:] with that first pair dropped."""
+        if self._leads is None:
+            leads: dict = {}
+            for z, ts in self.by_root.items():
+                start = 0
+                for i in range(1, len(ts) + 1):
+                    if i == len(ts) or ts[i][0] != ts[start][0]:
+                        leads.setdefault(ts[start][0], {})[z] = slice(start, i)
+                        start = i
+            self._leads = leads
+        return self._leads
 
     def roots(self) -> tuple[int, ...]:
         return self._roots

@@ -17,9 +17,11 @@ round-trip check instead of being absorbed silently.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +37,7 @@ __all__ = [
     "LambdaObject", "DeltaObject", "TubeBasisLabel", "TubeElement",
     "TubeAlgebra", "build_delta", "build_tube_algebra",
     "tube_product", "tube_star", "t_map", "f_map",
-    "extend_halfbraiding", "hexagon_residual", "delta_trace", "gram",
+    "extend_halfbraiding", "hexagon_residual", "gram",
     "tube_json",
 ]
 
@@ -137,7 +139,8 @@ def _delta_blocks(eng: Engine, obj: SumObject, a: int, legs) -> dict:
                 upper, lower = legs(x, l, y, t)
                 term = upper @ lower
                 acc = term if acc is None else acc + term
-            blocks[(obj.index((y, s)), j)] = acc * math.sqrt(d[x] * d[y])
+            w = math.sqrt(d[x] * d[y])
+            blocks[(obj.index((y, s)), j)] = acc if w == 1.0 else acc * w
     return blocks
 
 
@@ -156,31 +159,38 @@ def _delta_braiding_component(eng: Engine, obj: SumObject, a: int) -> BlockMorph
                          _delta_blocks(eng, obj, a, legs))
 
 
-def _delta_left_leg(eng: Engine, obj: SumObject, a: int, b: int,
-                    split_pads: dict, rot_pads: dict) -> BlockMorphism:
-    """id_a ⊗ e_b from the vertices that define e_b (see hexagon_residual).
+def _delta_left_leg(eng: Engine, obj: SumObject, a: int, b: int, c: int,
+                    mu: int, split_pads: dict, rot_pads: dict) -> BlockMorphism:
+    """Channel (c, μ) of id_a ⊗ e_b, drawn from the vertices that define
+    e_b: (ι† ⊗ id) ∘ (id_a ⊗ e_b) for the vertex ι of a ⊗ b at (c, μ) (see
+    hexagon_residual).
 
-    Block (i, j) of id_a ⊗ e_b is Σ_t ((id_a ⊗ split_t) ⊗ id_(l,ȳ)) ∘
-    (id_(a,x,l) ⊗ rot_t) · √(d_x d_y).  ``split_pads`` memoizes id_a ⊗ split_t
-    by (a, b, y, x, t); ``rot_pads`` holds, per (b, y, x, t), the one-letter
-    pads id_u ⊗ rot_t that Engine.lift_id_left shares between words.  Only
-    words of up to three letters get a fresh associator here, where
-    left-tensoring the assembled blocks of e_b needs one on five letters.
+    Block (i, j) is Σ_t (top_t ⊗ id_(l,ȳ)) ∘ (id_(a,x,l) ⊗ rot_t) · √(d_x d_y),
+    where top_t = (ι† ⊗ id_y) ∘ (id_a ⊗ split_t) : (a, x) → (c, y) is the
+    channel rows of id_a ⊗ split_t.  ``split_pads`` memoizes id_a ⊗ split_t
+    by (a, b, y, x, t) and top_t by (a, b, y, x, t, c, μ); ``rot_pads`` holds,
+    per (b, y, x, t), the one-letter pads id_u ⊗ rot_t that
+    Engine.lift_id_left shares between words.  Only words of up to three
+    letters get a fresh associator here, and the right tensor lands on the
+    four letters (c, y, l, ȳ) rather than on (a, b, y, l, ȳ).
     """
     ring = eng.ring
 
     def legs(x, l, y, t):
         key = (a, b, y, x, t)
-        top = split_pads.get(key)
+        top = split_pads.get(key + (c, mu))
         if top is None:
-            split = canonical_pair(eng, b, y, x).splits[t]
-            top = split_pads[key] = eng.tensor_id_left((a,), split)
+            full = split_pads.get(key)
+            if full is None:
+                split = canonical_pair(eng, b, y, x).splits[t]
+                full = split_pads[key] = eng.tensor_id_left((a,), split)
+            top = split_pads[key + (c, mu)] = eng.channel_rows(full, c, mu)
         pads = rot_pads.setdefault((b, y, x, t), {})
         return (eng.tensor_id_right(top, (l, ring.dual[y])),
                 eng.lift_id_left((a, x, l), _rotated_fuses(eng, b, y, x)[t], pads))
 
     return BlockMorphism(obj.tensor_right((b,)).tensor_left((a,)),
-                         obj.tensor_left((b,)).tensor_left((a,)),
+                         obj.tensor_left((c,)),
                          _delta_blocks(eng, obj, b, legs))
 
 
@@ -205,6 +215,8 @@ def extend_halfbraiding(obj: SumObject, braiding: dict, word: Word) -> BlockMorp
     at u times comb((u,) + word), so id_{Δ_j} ⊗ ι† is id_u ⊗ ι† on each of
     those trees (Engine.lift_id_left).  Each id_u ⊗ ι† is computed once per
     (u, c, ι) and shared by every summand with a tree rooted at u.
+    hexagon_residual checks the two-letter case channel by channel without
+    assembling it; this whole-word assembly is its test oracle.
     """
     word = tuple(word)
     eng = obj.engine
@@ -227,25 +239,50 @@ def extend_halfbraiding(obj: SumObject, braiding: dict, word: Word) -> BlockMorp
 
 
 def hexagon_residual(obj: SumObject, braiding: dict, a: int, b: int,
-                     left: BlockMorphism | None = None) -> float:
+                     left: Callable[[int, int], BlockMorphism] | None = None
+                     ) -> float:
     """Defect of braiding past a⊗b in one move versus one leg at a time:
-    e_{a⊗b} against (id_a ⊗ e_b) ∘ (e_a ⊗ id_b).
+    e_{a⊗b} against S = (id_a ⊗ e_b) ∘ (e_a ⊗ id_b), one fusion channel
+    (c, μ) of a⊗b at a time.
 
-    ``left`` is the staged leg id_a ⊗ e_b; by default it is
-    ``braiding[b].tensor_id_left((a,))``.  A caller that built e_b from
-    vertices may hand in that leg computed from the same vertices, by
-    functoriality of id_a ⊗ -:
+    With ι = ι_{c,μ} : c → a⊗b the tree vertices (hom_basis((c,), (a, b))),
+    e_{a⊗b} = Σ_{c,μ} (ι ⊗ id) ∘ e_c ∘ (id ⊗ ι†), as extend_halfbraiding
+    assembles it.  Every comb tree of (a, b) + W begins with exactly one
+    vertex (c, μ), and ι ⊗ id_W is the embedding of the rows that begin with
+    it (Engine.channel_rows).  So the rows of e_{a⊗b} − S fall into one group
+    per channel, group (c, μ) is e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S, and in the
+    max-abs norm
 
-        id_a ⊗ Σ_t (split_t ⊗ id_W) ∘ (id_V ⊗ rot_t)
-            = Σ_t ((id_a ⊗ split_t) ⊗ id_W) ∘ (id_(a,)+V ⊗ rot_t).
+        ‖e_{a⊗b} − S‖ = max_{c,μ} ‖e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S‖:
 
-    The stored e_b still enters the check, through e_{a⊗b} and through
-    e_b ⊗ id on the pairs (b, ·).
+    the same residual over the same entries, grouped by rows.  Neither
+    ι ⊗ id nor a map into (a, b) + Δ is built for the joined side.
+
+    ``left(c, mu)`` returns (ι† ⊗ id) ∘ (id_a ⊗ e_b).  By default it is the
+    channel rows of ``braiding[b].tensor_id_left((a,))``, built once.  A
+    caller that built e_b from vertices may hand in the leg drawn on the
+    same vertices (_delta_left_leg), by functoriality of id_a ⊗ -; the stored
+    e_b still enters the check, through e_c and through e_b ⊗ id on the
+    pairs (b, ·).
     """
-    joined = extend_halfbraiding(obj, braiding, (a, b))
+    eng = obj.engine
     if left is None:
-        left = braiding[b].tensor_id_left((a,))
-    return (joined - left @ braiding[a].tensor_id_right((b,))).norm()
+        left = braiding[b].tensor_id_left((a,)).channel_rows
+    staged = braiding[a].tensor_id_right((b,))
+    src = obj.tensor_right((a, b))
+
+    def channel_defects():
+        for c in eng.basis((a, b)).roots():
+            e_c = braiding[c]
+            for mu, iota in enumerate(eng.hom_basis((c,), (a, b))):
+                iota_dag = iota.dag()
+                pads: dict = {}  # root u -> id_u ⊗ ι†, shared by the summands
+                joined = BlockMorphism(src, e_c.dst, {
+                    (i, j): m @ eng.lift_id_left(obj.summands[j], iota_dag, pads)
+                    for (i, j), m in e_c.blocks.items()})
+                yield (joined - left(c, mu) @ staged).norm()
+
+    return worst(channel_defects())
 
 
 def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
@@ -284,7 +321,8 @@ def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
     split_pads, rot_pads = {}, {}
     worst_h = worst(
         hexagon_residual(obj, braiding, a, b,
-                         _delta_left_leg(eng, obj, a, b, split_pads, rot_pads))
+                         functools.partial(_delta_left_leg, eng, obj, a, b,
+                                           split_pads=split_pads, rot_pads=rot_pads))
         for a in range(ring.rank) for b in range(ring.rank))
     if not worst_h < tol:
         raise ToleranceError(f"hexagon defect {worst_h:.3e} >= {tol:g}")
@@ -493,11 +531,18 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
                                                   for z in tb.roots()})
     alg.unit = TubeElement(alg, {u: BlockMorphism(src_objs[u], dst_objs[u], unit_blocks)})
 
+    # (source slot, target slot) of each basis element; the product e_i e_j
+    # stacks e_i over e_j and is empty unless e_j ends where e_i starts
+    ends = []
+    for a in range(ring.rank):
+        for (l, m, n, _off) in layout[a]:
+            ends += [(l, m)] * n
     basis_elems = [alg.basis_element(k) for k in range(dim)]
     for i, ei in enumerate(basis_elems):
         alg.star_table[i] = alg.vector_of(tube_star(alg, ei))
         for j, ej in enumerate(basis_elems):
-            alg.mult_table[i, j] = alg.vector_of(tube_product(alg, ei, ej))
+            if ends[j][1] == ends[i][0]:
+                alg.mult_table[i, j] = alg.vector_of(tube_product(alg, ei, ej))
 
     alg.residuals = _table_residuals(alg.mult_table, alg.star_table,
                                      alg.vector_of(alg.unit), alg.slices)
@@ -775,16 +820,11 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
     return TubeElement(A, comps)
 
 
-def delta_trace(T: BlockMorphism) -> complex:
-    """Quantum trace over Δ of an endomorphism in block form."""
-    return block_trace(T)
-
-
 def gram(A: TubeAlgebra, delta: DeltaObject, f: TubeElement, g: TubeElement) -> complex:
     """⟨f, g⟩ = tr_Δ(T_g† ∘ T_f); positive definite on the tube algebra."""
     Tf = t_map(A, delta, f)
     Tg = t_map(A, delta, g)
-    return delta_trace(Tg.dag() @ Tf)
+    return block_trace(Tg.dag() @ Tf)
 
 
 # ---- serialization ------------------------------------------------------------

@@ -15,9 +15,10 @@ import math
 import numpy as np
 import pytest
 
+import tubecat.center
 from tubecat.center import (center_report, decompose_blocks,
                             extract_center_simples)
-from tubecat.errors import ToleranceError
+from tubecat.errors import DegenerateSpectrum, ToleranceError
 from tubecat.jsonutil import dumps_canonical
 from tubecat.tube import LambdaObject, build_delta, build_tube_algebra
 
@@ -153,6 +154,32 @@ def test_idempotents_orthogonal_resolution(catalog):
             assert tube_product(A, p, q).norm() < 1e-8
         total = p if total is None else total + p
     assert (total - A.unit).norm() < 1e-8
+
+
+def test_idempotent_system_fold_keeps_nan(catalog, monkeypatch):
+    # each block's idempotent is the second Newton polish it gets; a NaN in
+    # the self-adjointness defect of the last one must not be folded away
+    # behind the finite defects measured before it
+    spec = catalog["ising"]
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    real_newton, real_star = tubecat.center._newton_idempotent, tubecat.center._star
+    polished = []
+
+    def newton(A, p, *args, **kw):
+        out = real_newton(A, p, *args, **kw)
+        polished.append(out)
+        return out
+
+    def star(A, v):
+        last = len(polished) == 2 * len(BLOCK_SIZES["ising"])
+        if last and v is polished[-1]:
+            return v * np.nan
+        return real_star(A, v)
+
+    monkeypatch.setattr(tubecat.center, "_newton_idempotent", newton)
+    monkeypatch.setattr(tubecat.center, "_star", star)
+    with pytest.raises(DegenerateSpectrum, match="defect nan"):
+        decompose_blocks(A, seed=1)
 
 
 def test_refined_idempotent_is_subordinate(catalog):

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import pointed_category
 from tubecat.catspec import load_spec
 from tubecat.morphism import Engine, engine_for
+from tubecat.trees import TreeBasis
 from tubecat.tube import LambdaObject, build_tube_algebra
 
 ENGINES = {}
@@ -149,6 +150,18 @@ def test_engine_shared_per_spec_and_freed_with_it():
     del eng, spec
     gc.collect()
     assert ref() is None
+
+
+def test_grown_basis_matches_fresh_enumeration(catalog):
+    # Engine.basis grows a word's trees from its cached prefix; the trees and
+    # their order must be those of a fresh enumeration
+    for name in ("fibonacci", "ising", "rep_s3"):
+        eng = Engine(catalog[name])
+        for word in words_upto(eng.ring.rank, 4):  # prefixes come first
+            grown = eng.basis(word)
+            fresh = TreeBasis.of(eng.ring, word)
+            assert grown.states == fresh.states, (name, word)
+            assert grown.by_root == fresh.by_root and grown.dims == fresh.dims
 
 
 def multi_root_words(eng):

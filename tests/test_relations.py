@@ -17,7 +17,8 @@ import pytest
 from tubecat.duality import coev_word, trace_right
 from tubecat.errors import EmptySpace
 from tubecat.morphism import engine_for, hom_space
-from tubecat.pairs import canonical_pair
+import tubecat.relations
+from tubecat.pairs import VertexPair, canonical_pair
 from tubecat.relations import (SUITES, check_bigon1, check_bigon2,
                                check_fusion, check_global_dim, check_ih,
                                check_spherical, global_dim_routes, ih_sides,
@@ -109,6 +110,13 @@ def test_pair_normalization_all_catalog(catalog):
             if not eng.ring.N[x, y, z]:
                 continue
             assert canonical_pair(eng, x, y, z).defect() < 1e-12, name
+
+
+def test_pair_defect_keeps_nan(catalog):
+    eng = engine_for(catalog["fibonacci"])
+    pair = VertexPair(eng, 1, 1, 1)  # fresh: the cached pair stays clean
+    pair.fuses[0] = pair.fuses[0] * float("nan")
+    assert math.isnan(pair.defect())
 
 
 def test_pair_dagger_bookkeeping(catalog):
@@ -267,6 +275,49 @@ def test_spherical_suite_all_catalog(catalog):
 
 
 # ---- report plumbing --------------------------------------------------------
+
+def test_spherical_suite_keeps_a_later_nan(catalog, monkeypatch):
+    # a NaN weighted trace on the third case: the case residual and the
+    # scale must both keep it, not fold it away behind a finite value
+    real = tubecat.relations.weighted_trace
+    calls = []
+
+    def nan_third(f):
+        calls.append(f)
+        return complex("nan") if len(calls) == 3 else real(f)
+
+    monkeypatch.setattr(tubecat.relations, "weighted_trace", nan_third)
+    rep = check_spherical(catalog["fibonacci"])
+    assert math.isnan(rep.max_residual)
+    assert not rep.ok
+
+
+def test_global_dim_suite_keeps_nan_in_the_loop_route(catalog, monkeypatch):
+    # route two alone goes NaN; route one stays finite and comes first
+    monkeypatch.setattr(tubecat.relations, "trace_right",
+                        lambda f: complex("nan"))
+    rep = check_global_dim(catalog["fibonacci"])
+    assert math.isnan(rep.max_residual)
+    assert not rep.ok
+
+
+def test_ih_suite_keeps_nan_in_one_case(catalog, monkeypatch):
+    real = tubecat.relations.ih_sides
+    calls = []
+
+    def nan_third(eng, x, w, y, z):
+        side_i, side_h = real(eng, x, w, y, z)
+        calls.append((x, w, y, z))
+        if len(calls) == 3:
+            side_i = side_i.copy()
+            side_i.flat[-1] = np.nan
+        return side_i, side_h
+
+    monkeypatch.setattr(tubecat.relations, "ih_sides", nan_third)
+    rep = check_ih(catalog["fibonacci"])
+    assert math.isnan(rep.max_residual)
+    assert not rep.ok
+
 
 def test_report_shape_and_registry(catalog):
     rep = check_bigon1(catalog["fibonacci"], tol=1e-9)

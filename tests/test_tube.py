@@ -16,9 +16,11 @@ from tubecat.catspec import load_spec
 from tubecat.errors import NotInCommutant, ShapeError, ToleranceError
 from tubecat.morphism import engine_for
 from tubecat.sums import BlockMorphism
+from tubecat.center import decompose_blocks, extract_center_simples
 from tubecat.tube import (LambdaObject, build_delta, build_tube_algebra,
-                          f_map, gram, hexagon_residual, naturality_residual,
-                          t_map, tube_json, tube_product, tube_star)
+                          extend_halfbraiding, f_map, gram, hexagon_residual,
+                          naturality_residual, t_map, tube_json, tube_product,
+                          tube_star)
 from tubecat.tube import (_delta_braiding_component, _delta_left_leg,
                           _direction_slices, _table_residuals)
 
@@ -297,23 +299,120 @@ def test_build_delta_rejects_nan_in_a_later_hexagon(catalog, monkeypatch):
         build_delta(spec, LambdaObject.all_simples(spec))
 
 
+def _spec(catalog, name):
+    return (load_spec(pointed_category(4, k=1)) if name == "Z/4 k=1"
+            else catalog[name])
+
+
+def _channels(eng, a, b):
+    return [(c, mu) for c in eng.basis((a, b)).roots()
+            for mu in range(int(eng.ring.N[a, b, c]))]
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3",
                                   "vec_z2_twisted", "Z/4 k=1"])
 def test_delta_left_leg_matches_generic(catalog, name):
-    # the staged hexagon leg id_a ⊗ e_b drawn on e_b's own vertices against
-    # the generic route, which left-tensors the assembled blocks of e_b
-    spec = (load_spec(pointed_category(4, k=1)) if name == "Z/4 k=1"
-            else catalog[name])
+    # channel (c, μ) of the staged hexagon leg id_a ⊗ e_b, drawn on e_b's
+    # own vertices, against the channel rows of the generic route, which
+    # left-tensors the assembled blocks of e_b
+    spec = _spec(catalog, name)
     D = build_delta(spec, LambdaObject.all_simples(spec))
     eng = engine_for(spec)
     split_pads, rot_pads = {}, {}  # shared by every (a, b), as in build_delta
     for a in range(spec.rank):
         for b in range(spec.rank):
-            got = _delta_left_leg(eng, D.obj, a, b, split_pads, rot_pads)
-            want = D.braiding[b].tensor_id_left((a,))
-            assert got.src.same_words(want.src) and got.dst.same_words(want.dst)
-            assert sorted(got.blocks) == sorted(want.blocks), (name, a, b)
-            assert (got - want).norm() <= 1e-13, (name, a, b)
+            full = D.braiding[b].tensor_id_left((a,))
+            for c, mu in _channels(eng, a, b):
+                got = _delta_left_leg(eng, D.obj, a, b, c, mu, split_pads, rot_pads)
+                want = full.channel_rows(c, mu)
+                assert got.src.same_words(want.src) and got.dst.same_words(want.dst)
+                assert sorted(got.blocks) == sorted(want.blocks), (name, a, b, c)
+                assert (got - want).norm() <= 1e-13, (name, a, b, c, mu)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "Z/4 k=1"])
+def test_channel_rows_resolve_the_identity(catalog, name):
+    # Σ_{c,μ} (ι ⊗ id_W) ∘ (ι† ⊗ id_W) ∘ f = f, entry for entry
+    spec = _spec(catalog, name)
+    eng = engine_for(spec)
+    rng = np.random.default_rng(5)
+    rank = spec.rank
+    for a in range(rank):
+        for b in range(rank):
+            for src, W in [((a, b), ()), ((rank - 1, a, b), (rank - 1,)),
+                           ((b, a, 1 % rank), (1 % rank, b))]:
+                f = eng.random(src, (a, b) + W, rng)
+                total = None
+                for c, mu in _channels(eng, a, b):
+                    iota = eng.hom_basis((c,), (a, b))[mu]
+                    rows = eng.channel_rows(f, c, mu)
+                    assert rows.dst == (c,) + W
+                    back = eng.tensor_id_right(iota, W) @ rows
+                    total = back if total is None else total + back
+                assert all(np.array_equal(total.blocks[z], f.blocks[z])
+                           for z in f.blocks), (name, a, b, src)
+
+
+def _full_leg_residual(obj, braiding, a, b):
+    """‖e_{a⊗b} − (id_a ⊗ e_b) ∘ (e_a ⊗ id_b)‖ with e_{a⊗b} assembled whole."""
+    joined = extend_halfbraiding(obj, braiding, (a, b))
+    staged = braiding[b].tensor_id_left((a,)) @ braiding[a].tensor_id_right((b,))
+    return (joined - staged).norm()
+
+
+@pytest.mark.parametrize("name", ["vec", "vec_z2", "vec_z2_twisted", "vec_z3",
+                                  "fibonacci", "ising", "rep_s3", "Z/4 k=1"])
+def test_channel_hexagon_matches_full_leg(catalog, name):
+    spec = _spec(catalog, name)
+    D = build_delta(spec, LambdaObject.all_simples(spec))
+    for a in range(spec.rank):
+        for b in range(spec.rank):
+            got = hexagon_residual(D.obj, D.braiding, a, b)
+            want = _full_leg_residual(D.obj, D.braiding, a, b)
+            assert abs(got - want) <= 1e-15, (name, a, b, got, want)
+
+
+def test_channel_hexagon_matches_full_leg_on_extracted_simples(catalog):
+    spec = catalog["rep_s3"]
+    lam = LambdaObject.all_simples(spec)
+    A = build_tube_algebra(spec, lam)
+    simples = extract_center_simples(A, build_delta(spec, lam),
+                                     decompose_blocks(A, seed=1))
+    for s in simples:
+        for a in range(spec.rank):
+            for b in range(spec.rank):
+                got = hexagon_residual(s.obj, s.braiding, a, b)
+                want = _full_leg_residual(s.obj, s.braiding, a, b)
+                assert abs(got - want) <= 1e-15, (s.underlying, a, b)
+
+
+def test_hexagon_sees_phase_in_a_later_channel(catalog):
+    # std ⊗ std = triv + sgn + std in Rep(S3).  A phase on one block of
+    # e_sgn, the second channel, enters the (std, std) hexagon only through
+    # the rows of that channel: the staged side uses e_std alone
+    spec = catalog["rep_s3"]
+    D = build_delta(spec, LambdaObject.all_simples(spec))
+    std, sgn = spec.index("std"), spec.index("sgn")
+    assert [c for c, _ in _channels(D.engine, std, std)] == [0, sgn, std]
+    assert hexagon_residual(D.obj, D.braiding, std, std) < 1e-13
+    e = D.braiding[sgn]
+    blocks = dict(e.blocks)
+    key = max(blocks, key=lambda k: blocks[k].norm())
+    blocks[key] = blocks[key] * np.exp(1e-6j)
+    nudged = dict(D.braiding)
+    nudged[sgn] = BlockMorphism(e.src, e.dst, blocks)
+    res = hexagon_residual(D.obj, nudged, std, std)
+    assert 1e-7 <= res < 1e-5
+
+
+def test_build_delta_builds_fewer_tree_bases():
+    # channel by channel, no map into (a, b) + Δ is built; 933 bases at the
+    # full-leg check
+    spec = load_spec(pointed_category(4, k=1))
+    eng = engine_for(spec)
+    before = len(eng._bases)
+    build_delta(spec, LambdaObject.all_simples(spec))
+    assert len(eng._bases) - before < 933
 
 
 def test_build_delta_sees_phase_on_one_stored_block(monkeypatch):
@@ -358,6 +457,24 @@ def test_build_rejects_corrupted_product(catalog, algebras, monkeypatch):
     monkeypatch.setattr(tubecat.tube, "tube_product", scaled)
     with pytest.raises(ToleranceError, match=r"tube algebra (assoc|star_anti) defect"):
         build_tube_algebra(spec, LambdaObject.all_simples(spec))
+
+
+def test_fill_skips_only_empty_products(algebras):
+    # the table fill computes e_i e_j only when e_j ends in the slot where
+    # e_i starts; every other pair must be an empty product
+    for name in ("ising", "rep_s3"):
+        A = algebras[name]
+        ends = {}  # basis index -> (source slot, target slot)
+        for a, rows in A.layout.items():
+            for (l, m, n, off) in rows:
+                for k in range(n):
+                    ends[A.slices[a].start + off + k] = (l, m)
+        elems = [A.basis_element(k) for k in range(A.dim)]
+        for i, ei in enumerate(elems):
+            for j, ej in enumerate(elems):
+                if ends[j][1] != ends[i][0]:
+                    assert not tube_product(A, ei, ej).components, (name, i, j)
+                    assert not np.any(A.mult_table[i, j]), (name, i, j)
 
 
 def test_product_associative_on_random_triples(algebras):
