@@ -1,11 +1,10 @@
 """Matrix-block structure of the tube algebra and the center objects in it.
 
 The tube algebra is a finite-dimensional C*-algebra, so it splits as a sum
-of matrix blocks.  We find the blocks numerically: solve for the center of
-the algebra, split it along the spectrum of a seeded random self-adjoint
-central element, and polish each spectral projector into an exact
-idempotent by Newton iteration (p -> 3p^2 - 2p^3, quadratically
-convergent, self-correcting against the O(1e-13) table noise).
+of matrix blocks whose units p_k span its center.  We find them from one
+seeded random self-adjoint central element z = Σ λ_k·p_k: each eigenvector
+of left multiplication by z on the center (an r×r eigenproblem in center
+coordinates) is a multiple w of one p_k, and w·w = α·w gives p_k = w/α.
 
 Each block then yields one simple object of the center of the category:
 a minimal idempotent q inside the block is pushed through t_map, the range
@@ -13,13 +12,15 @@ of the resulting projection on each hom space Hom(z, Δ) is split off as an
 isometry, and the half-braiding of Δ is compressed onto that range.  The
 central idempotent itself would give n copies of the same simple (its
 range is X^n for a block of size n), so for n > 1 we first refine to a
-rank-one idempotent with a second seeded spectral split inside the block.
+rank-one idempotent, found the same way from a seeded positive element.
 
 Everything downstream of the random draws is verified: idempotency,
-orthogonality, unit partition, integer block sizes, unitarity of the
-compressed braiding, and the hexagon.  A bad draw (clustered spectrum)
-raises DegenerateSpectrum and a different seed will fix it; a failed
-verification raises ToleranceError and no seed will.
+self-adjointness, orthogonality, unit partition, integer block sizes,
+refined weights, unitarity of the compressed braiding, and the hexagon.
+A finite draw that fails the idempotent checks (eigenvalues too close to
+split) raises DegenerateSpectrum, and another seed will fix it; a
+non-finite defect, or a failed check on an extracted simple, raises
+ToleranceError, and no seed will.
 """
 from __future__ import annotations
 
@@ -40,49 +41,45 @@ __all__ = [
     "extract_center_simples", "compute_twists", "center_report",
 ]
 
-# relative gap that separates eigenvalue clusters of a random central element
-GAP = 1e-5
 # largest allowed distance from an integer when rounding block sizes
 SIZE_SLACK = 1e-6
 
 
 # ---- coefficient-vector arithmetic (dense tables) -----------------------------
 
+def _left(A: TubeAlgebra, v: np.ndarray) -> np.ndarray:
+    """Matrix of left multiplication by v on the coefficient space."""
+    return np.tensordot(v, A.mult_table, 1).T
+
+
+def _right(A: TubeAlgebra, v: np.ndarray) -> np.ndarray:
+    """Matrix of right multiplication by v on the coefficient space."""
+    return np.tensordot(A.mult_table, v, (1, 0)).T
+
+
 def _mult(A: TubeAlgebra, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("i,j,ijk->k", u, v, A.mult_table)
+    return _left(A, u) @ v
 
 
 def _star(A: TubeAlgebra, v: np.ndarray) -> np.ndarray:
     return np.conj(v) @ A.star_table
 
 
-def _left(A: TubeAlgebra, v: np.ndarray) -> np.ndarray:
-    """Matrix of left multiplication by v on the coefficient space."""
-    return np.einsum("m,mjk->kj", v, A.mult_table)
+def _projection_from(A: TubeAlgebra, w: np.ndarray) -> np.ndarray:
+    """The self-adjoint idempotent p of which w is a multiple: w·w = α·w
+    gives p = w/α, and ½(p + p*) drops the skew part the eigensolver left.
+    A w that is no such multiple fails the caller's defects, not this."""
+    alpha = np.vdot(w, _mult(A, w, w)) / np.vdot(w, w)
+    p = w / alpha
+    return 0.5 * (p + _star(A, p))
 
 
-def _newton_idempotent(A: TubeAlgebra, p: np.ndarray,
-                       target: float = 1e-13, rounds: int = 60) -> np.ndarray:
-    for _ in range(rounds):
-        pp = _mult(A, p, p)
-        if float(np.max(np.abs(pp - p))) < target:
-            return p
-        p = 3.0 * pp - 2.0 * _mult(A, pp, p)
-    raise DegenerateSpectrum("idempotent polish did not converge; try another seed")
-
-
-def _clusters(vals: np.ndarray, rel: float = GAP) -> list:
-    """Split sorted real values at gaps larger than rel*(spread+1)."""
-    order = np.sort(vals)
-    spread = float(order[-1] - order[0]) if order.size > 1 else 0.0
-    cut = rel * (spread + 1.0)
-    groups, start = [], 0
-    for i in range(1, order.size):
-        if order[i] - order[i - 1] > cut:
-            groups.append(order[start:i])
-            start = i
-    groups.append(order[start:])
-    return groups
+def _check_defect(defect: float, stage: str, what: str) -> None:
+    if not math.isfinite(defect):
+        raise ToleranceError(f"{stage}: {what} defect {defect:.3e} is not finite")
+    if not defect < 1e-8:
+        raise DegenerateSpectrum(f"{stage}: {what} defect {defect:.3e}; "
+                                 "try another seed")
 
 
 # ---- block decomposition -------------------------------------------------------
@@ -103,12 +100,15 @@ class BlockDecomposition:
 
 
 def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
-    """Split A into matrix blocks via a seeded random central element.
+    """Split A into matrix blocks via a seeded random central element z.
 
-    Deterministic given the seed.  Raises DegenerateSpectrum when the draw
-    fails to separate the blocks (retry with another seed); the verified
-    invariants are orthogonality, self-adjointness, unit partition, and
-    exact integer sizes with Σn² = dim.
+    The minimal central idempotents are multiples of V·e_k, for V an
+    orthonormal basis of the center and e_k the eigenvectors of the r×r
+    matrix M = V†·L_z·V.  Deterministic given the seed.  Verified:
+    idempotency, self-adjointness, orthogonality, unit partition, and
+    integer sizes with Σn² = dim.  A finite draw that fails them raises
+    DegenerateSpectrum (retry with another seed); a non-finite defect or
+    an empty center raises ToleranceError.
     """
     c, dim = A.mult_table, A.dim
     # center = nullspace of all commutators [e_i, -]
@@ -125,44 +125,21 @@ def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
     rng = np.random.default_rng(seed)
     z0 = V @ (rng.standard_normal(r) + 1j * rng.standard_normal(r))
     z = z0 + _star(A, z0)
-    L = _left(A, z)
-    vals = np.real(np.linalg.eigvals(L))
-    groups = _clusters(vals)
-    if len(groups) != r:
-        raise DegenerateSpectrum(
-            f"central element produced {len(groups)} eigenvalue clusters "
-            f"for a rank-{r} center; try another seed")
-    means = [float(np.mean(g)) for g in groups]
+    _, E = np.linalg.eig(V.conj().T @ _left(A, z) @ V)
+    vectors = [_projection_from(A, V @ e) for e in E.T]
 
-    uvec = A.vector_of(A.unit)
-    vectors = []
-    for k, mk in enumerate(means):
-        p = uvec.astype(complex).copy()
-        for j, mj in enumerate(means):
-            if j != k:
-                p = (L @ p - mj * p) / (mk - mj)
-        p = _newton_idempotent(A, p)
-        p = 0.5 * (p + _star(A, p))
-        p = _newton_idempotent(A, p)
-        vectors.append(p)
-
-    defects = []
-    total = np.zeros(dim, dtype=complex)
-    for i, p in enumerate(vectors):
-        total += p
-        defects.append(float(np.max(np.abs(_mult(A, p, p) - p))))
-        defects.append(float(np.max(np.abs(_star(A, p) - p))))
-        for q in vectors[i + 1:]:
-            defects.append(float(np.max(np.abs(_mult(A, p, q)))))
-    defects.append(float(np.max(np.abs(total - uvec))))
-    defect = worst(defects)
-    if not defect < 1e-8:
-        raise DegenerateSpectrum(
-            f"idempotent system defect {defect:.3e}; try another seed")
+    # p_i·p_j = δ_ij·p_i for all pairs at once, p* = p, and Σ p = 1
+    P = np.array(vectors)
+    products = np.matmul(P, np.tensordot(P, c, (1, 0)))
+    products[np.arange(r), np.arange(r)] -= P
+    defects = [float(np.max(np.abs(products)))]
+    defects += [float(np.max(np.abs(_star(A, p) - p))) for p in vectors]
+    defects.append(float(np.max(np.abs(P.sum(axis=0) - A.vector_of(A.unit)))))
+    _check_defect(worst(defects), "decompose_blocks", "idempotent system")
 
     sizes = []
-    for p in vectors:
-        root = math.sqrt(max(float(np.trace(_left(A, p)).real), 0.0))
+    for weight in P @ np.einsum("mjj->m", c):  # trace(L_p) = n²
+        root = math.sqrt(max(weight.real, 0.0))
         n = round(root)
         if abs(root - n) > SIZE_SLACK or n < 1:
             raise DegenerateSpectrum(f"block size {root!r} is not an integer")
@@ -180,34 +157,28 @@ def _refine_minimal(A: TubeAlgebra, p: np.ndarray, n: int,
                     seed: int, k: int) -> np.ndarray:
     """Rank-one idempotent inside the size-n block cut out by central p.
 
-    A random element of the block, made positive as b·b*, generically has n
-    distinct eigenvalues there; the projector onto the top one is minimal.
+    A random element of the block, made positive as h = b·b*, generically
+    has n distinct eigenvalues there.  For the top one μ, the nullspace of
+    [L_h − μ; R_h − μ] is the line ℂ·q through the minimal projector onto
+    that eigenvector.
     """
     rng = np.random.default_rng([seed, 17, k])
     v = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
     b = _mult(A, _mult(A, p, v), p)
     h = _mult(A, b, _star(A, b))
-    L = _left(A, h)
-    vals = np.real(np.linalg.eigvals(L))
-    scale = max(float(np.max(np.abs(vals))), 1e-30)
-    groups = [g for g in _clusters(vals)
-              if abs(float(np.mean(g))) > 1e-6 * scale]
-    if len(groups) != n or any(g.size != n for g in groups):
-        raise DegenerateSpectrum(
-            f"block {k}: positive element separated {len(groups)} of {n} "
-            f"eigenvalues; try another seed")
-    mus = sorted(float(np.mean(g)) for g in groups)
-    top = mus[-1]
-    q = p.copy()
-    for mu in mus[:-1]:
-        q = (L @ q - mu * q) / (top - mu)
-    q = _newton_idempotent(A, q)
-    q = 0.5 * (q + _star(A, q))
-    q = _newton_idempotent(A, q)
-    tr = float(np.trace(_left(A, q)).real)
+    L, R = _left(A, h), _right(A, h)
+    mu = float(np.max(np.linalg.eigvals(L).real))
+    shift = mu * np.eye(A.dim)
+    _, _, vh = np.linalg.svd(np.vstack((L - shift, R - shift)))
+    q = _projection_from(A, vh[-1].conj())
+    stage = f"block {k} refinement"
+    _check_defect(worst((float(np.max(np.abs(_mult(A, q, q) - q))),
+                         float(np.max(np.abs(_star(A, q) - q))))),
+                  stage, "refined idempotent")
+    tr = float(np.einsum("m,mjj->", q, A.mult_table).real)
     if abs(tr - n) > 1e-6:
         raise DegenerateSpectrum(
-            f"block {k}: refined idempotent has weight {tr:.6f}, wanted {n}")
+            f"{stage}: refined idempotent has weight {tr:.6f}, wanted {n}")
     return q
 
 
@@ -269,7 +240,7 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
 
         # range of Tq on each Hom(z, Δ), one isometry column per copy of z
         iso = {}      # X summand index -> {Δ summand index -> Morphism}
-        tags, words = [], []
+        tags = []
         mults = {}
         for z in range(ring.rank):
             hbs, dims, offs = _hom_into_delta(eng, z, obj)
@@ -303,13 +274,12 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
                     comps[s] = u
                 iso[len(tags)] = comps
                 tags.append((z, cpy))
-                words.append((z,))
 
         if sum(mults.get(x, 0) * A.lam.mult[x] for x in range(ring.rank)) != n:
             raise ToleranceError(
                 f"block {k}: summand bookkeeping does not match size {n}")
 
-        X = SumObject(eng, words, tags)
+        X = SumObject(eng, [(z,) for z, _c in tags], tags)
         braiding = {}
         for a in range(ring.rank):
             e = delta.braiding[a]
@@ -319,10 +289,8 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
             ins = {(j, s): eng.tensor_id_right(u, (a,))
                    for j, comps in iso.items() for s, u in comps.items()}
             blocks = {}
-            for i, (_zi, _ci) in enumerate(tags):
-                ui = iso[i]
-                for j, (_zj, _cj) in enumerate(tags):
-                    uj = iso[j]
+            for i, ui in iso.items():
+                for j, uj in iso.items():
                     acc = None
                     for (si, sj), m in e.blocks.items():
                         if si not in ui or sj not in uj:

@@ -122,12 +122,6 @@ class FSymbolTable:
     def has_block(self, a, b, c, d) -> bool:
         return (a, b, c, d) in self._blocks
 
-    def entry(self, a, b, c, d, e, f, mu=(0, 0), nu=(0, 0)) -> complex:
-        rows = self.rows(a, b, c, d)
-        cols = self.cols(a, b, c, d)
-        return self._blocks[(a, b, c, d)][rows.index((e, mu[0], mu[1])),
-                                          cols.index((f, nu[0], nu[1]))]
-
     def check_unitary(self, tol: float = 1e-10) -> float:
         """Max unitarity defect over all blocks; raises above tol."""
         defects = []

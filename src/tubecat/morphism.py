@@ -444,9 +444,6 @@ class Engine:
             blocks[z] = blk
         return self.make(src2, dst2, blocks, roots)
 
-    def tensor(self, f: Morphism, g: Morphism) -> Morphism:
-        return f.tensor(g)
-
 
 def engine_for(spec) -> Engine:
     """One shared engine per spec instance, so caches survive across calls.

@@ -157,46 +157,67 @@ def test_idempotents_orthogonal_resolution(catalog):
 
 
 def test_idempotent_system_fold_keeps_nan(catalog, monkeypatch):
-    # each block's idempotent is the second Newton polish it gets; a NaN in
-    # the self-adjointness defect of the last one must not be folded away
-    # behind the finite defects measured before it
+    # a NaN in the self-adjointness defect of the last block's idempotent
+    # must not be folded away behind the finite defects measured before it,
+    # and no seed mends a non-finite defect
     spec = catalog["ising"]
     A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
-    real_newton, real_star = tubecat.center._newton_idempotent, tubecat.center._star
-    polished = []
+    real_projection, real_star = (tubecat.center._projection_from,
+                                  tubecat.center._star)
+    made = []
 
-    def newton(A, p, *args, **kw):
-        out = real_newton(A, p, *args, **kw)
-        polished.append(out)
-        return out
+    def projection(A, w):
+        made.append(real_projection(A, w))
+        return made[-1]
 
     def star(A, v):
-        last = len(polished) == 2 * len(BLOCK_SIZES["ising"])
-        if last and v is polished[-1]:
+        last = len(made) == len(BLOCK_SIZES["ising"])
+        if last and v is made[-1]:
             return v * np.nan
         return real_star(A, v)
 
-    monkeypatch.setattr(tubecat.center, "_newton_idempotent", newton)
+    monkeypatch.setattr(tubecat.center, "_projection_from", projection)
     monkeypatch.setattr(tubecat.center, "_star", star)
-    with pytest.raises(DegenerateSpectrum, match="defect nan"):
+    with pytest.raises(ToleranceError, match="decompose_blocks: .*defect nan"):
         decompose_blocks(A, seed=1)
 
 
-def test_refined_idempotent_is_subordinate(catalog):
-    # the rank-one idempotent of the doubled Fibonacci block sits under it
+def test_refinement_names_a_non_finite_defect(catalog, monkeypatch):
     spec = catalog["fibonacci"]
-    lam = LambdaObject.all_simples(spec)
-    A = build_tube_algebra(spec, lam)
-    D = build_delta(spec, lam)
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
     dec = decompose_blocks(A, seed=1)
-    simples = extract_center_simples(A, D, dec)
-    from tubecat.tube import tube_product
-    for k, (n, s) in enumerate(zip(dec.sizes, simples)):
-        p, q = dec.idempotents[k], s.idempotent
-        assert (tube_product(A, p, q) - q).norm() < 1e-9, k
-        assert (tube_product(A, q, p) - q).norm() < 1e-9, k
-        if n == 1:
-            assert (q - p).norm() < 1e-10
+    k = dec.sizes.index(2)
+    monkeypatch.setattr(tubecat.center, "_projection_from",
+                        lambda A, w: w * np.nan)
+    with pytest.raises(ToleranceError, match=f"block {k} refinement: .*defect nan"):
+        tubecat.center._refine_minimal(A, dec.vectors[k], 2, dec.seed, k)
+
+
+def test_refined_idempotent_is_subordinate(catalog):
+    # each size-n block (fibonacci: one, ising: one, rep_s3: three) refines
+    # to a projector q ≤ p with trace(L_q) = n, i.e. rank one in M_n
+    from tubecat.tube import tube_product, tube_star
+    refined = 0
+    for name in ("fibonacci", "ising", "rep_s3"):
+        spec = catalog[name]
+        lam = LambdaObject.all_simples(spec)
+        A = build_tube_algebra(spec, lam)
+        D = build_delta(spec, lam)
+        dec = decompose_blocks(A, seed=1)
+        simples = extract_center_simples(A, D, dec)
+        for k, (n, s) in enumerate(zip(dec.sizes, simples)):
+            p, q = dec.idempotents[k], s.idempotent
+            assert (tube_product(A, p, q) - q).norm() < 1e-9, (name, k)
+            assert (tube_product(A, q, p) - q).norm() < 1e-9, (name, k)
+            if n == 1:
+                assert (q - p).norm() < 1e-10, (name, k)
+                continue
+            refined += 1
+            assert (tube_product(A, q, q) - q).norm() < 1e-9, (name, k)
+            assert (tube_star(A, q) - q).norm() < 1e-9, (name, k)
+            weight = np.einsum("m,mjj->", A.vector_of(q), A.mult_table)
+            assert abs(weight - n) < 1e-9, (name, k, weight)
+    assert refined == 5
 
 
 def test_same_seed_byte_identical(catalog):
@@ -260,3 +281,51 @@ def test_center_nullspace_svd_is_thin():
     finally:
         tracemalloc.stop()
     assert peak < full_u, (peak, full_u)
+
+
+# ---- Vec[Z/n]^ω past rank 36: the twisted double D^ω(Z/n) ----------------------
+
+def _twisted_double_twists(n, k):
+    return [cmath.exp(2j * math.pi * (a * q / n + k * a * a / (n * n)))
+            for a in range(n) for q in range(n)]
+
+
+def _same_multiset(got, want, tol=1e-9):
+    left = list(got)
+    for t in want:
+        i = min(range(len(left)), key=lambda i: abs(left[i] - t))
+        if abs(left[i] - t) > tol:
+            return False
+        left.pop(i)
+    return not left
+
+
+@pytest.fixture(scope="module")
+def pointed_level1():
+    from conftest import pointed_category
+    from tubecat.catspec import load_spec
+    return {n: load_spec(pointed_category(n, k=1)) for n in (6, 7)}
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_pointed_center_matches_twisted_double(pointed_level1, n):
+    rep = center_report(pointed_level1[n], seed=1)
+    assert rep["rank"] == n * n
+    assert rep["pass"]
+    got = [complex(*b["twist"]) for b in rep["blocks"]]
+    assert _same_multiset(got, _twisted_double_twists(n, 1))
+
+
+@pytest.fixture(scope="module")
+def z6_algebra(pointed_level1):
+    spec = pointed_level1[6]
+    return build_tube_algebra(spec, LambdaObject.all_simples(spec))
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_pointed_blocks_split_on_other_seeds(z6_algebra, seed):
+    A = z6_algebra
+    dec = decompose_blocks(A, seed=seed)
+    assert dec.rank == 36
+    assert dec.sizes == (1,) * 36
+    assert np.max(np.abs(sum(dec.vectors) - A.vector_of(A.unit))) < 1e-8

@@ -52,5 +52,9 @@ def test_block_indexing_matches_entry(catalog):
     spec = catalog["fibonacci"]
     f = spec.fsymbols
     phi = spec.dims.d[1]
-    assert f.entry(1, 1, 1, 1, 0, 0) == pytest.approx(1 / phi, abs=1e-12)
-    assert f.entry(1, 1, 1, 1, 1, 1) == pytest.approx(-1 / phi, abs=1e-12)
+    blk = f.block(1, 1, 1, 1)
+    rows, cols = f.rows(1, 1, 1, 1), f.cols(1, 1, 1, 1)
+    assert blk[rows.index((0, 0, 0)), cols.index((0, 0, 0))] == \
+        pytest.approx(1 / phi, abs=1e-12)
+    assert blk[rows.index((1, 0, 0)), cols.index((1, 0, 0))] == \
+        pytest.approx(-1 / phi, abs=1e-12)

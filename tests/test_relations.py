@@ -204,7 +204,7 @@ def test_ih_suite_all_catalog(catalog):
 def _closure_pairing(eng, f, g):
     cup_in = coev_word(eng, f.src)
     cup_out = coev_word(eng, f.dst)
-    return (cup_out.dag() @ eng.tensor(f, g) @ cup_in).scalar()
+    return (cup_out.dag() @ f.tensor(g) @ cup_in).scalar()
 
 
 def _canonical_element(eng, x, w, y, z):
