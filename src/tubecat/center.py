@@ -75,6 +75,7 @@ def _projection_from(A: TubeAlgebra, w: np.ndarray) -> np.ndarray:
 
 
 def _check_defect(defect: float, stage: str, what: str) -> None:
+    """No seed mends a non-finite defect; a finite one above 1e-8 is a bad draw."""
     if not math.isfinite(defect):
         raise ToleranceError(f"{stage}: {what} defect {defect:.3e} is not finite")
     if not defect < 1e-8:

@@ -182,6 +182,19 @@ def test_idempotent_system_fold_keeps_nan(catalog, monkeypatch):
         decompose_blocks(A, seed=1)
 
 
+def test_finite_split_defect_asks_for_another_seed(catalog, monkeypatch):
+    # a finite draw that fails the verified defects is the one refusal a
+    # new seed can mend
+    spec = catalog["ising"]
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    real = tubecat.center._projection_from
+    monkeypatch.setattr(tubecat.center, "_projection_from",
+                        lambda A, w: 2.0 * real(A, w))
+    with pytest.raises(DegenerateSpectrum,
+                       match="decompose_blocks: .*; try another seed"):
+        decompose_blocks(A, seed=1)
+
+
 def test_refinement_names_a_non_finite_defect(catalog, monkeypatch):
     spec = catalog["fibonacci"]
     A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
