@@ -24,6 +24,7 @@ ToleranceError, and no seed will.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -87,17 +88,24 @@ def _check_defect(defect: float, stage: str, what: str) -> None:
 
 @dataclass(eq=False)
 class BlockDecomposition:
-    """Minimal central idempotents of the tube algebra and their block sizes."""
+    """Minimal central idempotents of the tube algebra and their block sizes.
+
+    ``vectors`` holds the idempotents as coefficient vectors, which is all
+    the pipeline reads; ``idempotents`` builds them as tube elements on
+    first use."""
 
     algebra: TubeAlgebra
     seed: int
-    idempotents: list
     sizes: tuple
     vectors: list = field(repr=False, default_factory=list)
 
     @property
     def rank(self) -> int:
         return len(self.sizes)
+
+    @functools.cached_property
+    def idempotents(self) -> list:
+        return [self.algebra.element(p) for p in self.vectors]
 
 
 def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
@@ -149,9 +157,8 @@ def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
         raise DegenerateSpectrum(
             f"block sizes {sizes} do not exhaust dim {dim}")
 
-    return BlockDecomposition(algebra=A, seed=seed,
-                              idempotents=[A.element(p) for p in vectors],
-                              sizes=tuple(sizes), vectors=vectors)
+    return BlockDecomposition(algebra=A, seed=seed, sizes=tuple(sizes),
+                              vectors=vectors)
 
 
 def _refine_minimal(A: TubeAlgebra, p: np.ndarray, n: int,
@@ -350,13 +357,40 @@ def _block_sort_key(entry: dict, labels) -> tuple:
     return (entry["size"], under, (round(tw[0], 6), round(tw[1], 6)))
 
 
+def _soft_checks(spec, lam: LambdaObject, simples: list) -> dict:
+    """Closed-form identities of Z(C) that center_report records in
+    ``pass`` instead of raising, by name.
+
+    Every |θ_X| = 1 within 1e-9.  The sums over all simples X of Z(C) are
+    checked only when every simple of C occurs in Λ, since only then is
+    every block visible; each within 1e-6 of its scale:
+      - dimensions: Σ_X d_X² = (dim C)²;
+      - Gauss sum: Σ_X d_X² θ_X = dim C, since Z(C) is modular with central
+        charge 0 (Müger, JPAA 2003);
+      - induction: Σ_X [F X : x]·d_X = d_x·dim C for every simple x, since
+        the induced object I(x) = ⊕_X [F X : x]·X has dimension d_x·dim C.
+    """
+    checks = {"unit twists": all(abs(abs(s.twist) - 1.0) < 1e-9 for s in simples)}
+    if min(lam.mult) >= 1:
+        gd = float(spec.dims.global_dim)
+        checks["dimension sum"] = abs(sum(s.dim() ** 2 for s in simples)
+                                      - gd ** 2) < 1e-6 * gd ** 2
+        checks["gauss sum"] = bool(abs(sum(s.dim() ** 2 * s.twist for s in simples)
+                                       - gd) < 1e-6 * gd ** 2)
+        checks["induction"] = all(
+            abs(sum(s.underlying.get(lab, 0) * s.dim() for s in simples)
+                - dx * gd) < 1e-6 * dx * gd
+            for lab, dx in zip(spec.labels, spec.dims.d))
+    return checks
+
+
 def center_report(spec, lam: LambdaObject | None = None, seed: int = 1,
                   category: str | None = None) -> dict:
     """Full pipeline: tube algebra → blocks → simples → twists, as JSON data.
 
-    ``pass`` records the soft checks (every |θ| = 1 within 1e-9 and the
-    squared-dimension sum matching globalDim² within 1e-6·globalDim²); hard
-    failures raise instead.
+    ``pass`` records the soft checks of _soft_checks (unit twists, and on a
+    Λ that holds every simple the dimension sum, the Gauss sum and
+    induction); hard failures raise instead.
     """
     lam = LambdaObject.all_simples(spec) if lam is None else lam
     A = build_tube_algebra(spec, lam)
@@ -364,14 +398,7 @@ def center_report(spec, lam: LambdaObject | None = None, seed: int = 1,
     dec = decompose_blocks(A, seed)
     simples = extract_center_simples(A, delta, dec)
     compute_twists(simples)
-
-    ok = all(abs(abs(s.twist) - 1.0) < 1e-9 for s in simples)
-    if min(lam.mult) >= 1:
-        # every block is visible only when every simple occurs in Λ, and only
-        # then must the squared dimensions fill the global dimension squared
-        gd2 = float(spec.dims.global_dim) ** 2
-        sq = sum(s.dim() ** 2 for s in simples)
-        ok = ok and abs(sq - gd2) < 1e-6 * gd2
+    ok = all(_soft_checks(spec, lam, simples).values())
 
     blocks = []
     for n, s in zip(dec.sizes, simples):

@@ -7,6 +7,8 @@ bookkeeping layer: a SumObject is an ordered tuple of summand words with
 hashable tags, and a BlockMorphism stores the nonzero blocks of a linear map
 between two sums, keyed by (target summand, source summand).  Missing blocks
 are zero.  Composition is block matrix multiplication over the sparse dicts.
+A StackedBasis lines up the comb trees of all summands at each root, so a
+BlockMorphism can also be read as one matrix per root (BlockMorphism.stacked).
 """
 from __future__ import annotations
 
@@ -16,7 +18,73 @@ from .errors import ShapeError, worst
 from .morphism import Engine, Morphism
 from .trees import Word
 
-__all__ = ["SumObject", "BlockMorphism", "block_trace"]
+__all__ = ["SumObject", "BlockMorphism", "StackedBasis", "block_trace"]
+
+
+class StackedBasis:
+    """Left-comb trees of a list of nonempty words, stacked.
+
+    ``states`` lists (summand, root, tree) word by word, each word's trees
+    in TreeBasis generation order.  At root z the stacked coordinates are
+    those states in that order, ``by_root[z]`` = [(summand, tree)], and
+    summand j occupies ``starts[z][j]:starts[z][j + 1]``; so a map between
+    two sums of words is one matrix per root (BlockMorphism.stacked).
+
+    ``extended`` grows every word by one letter from these states, as
+    TreeBasis.extended grows one word.  A comb of w + (x,) at z is a comb
+    of w at some v followed by the vertex (v, x; z) in slot ν, so f ⊗ id_x
+    is block-diagonal over (v, ν) with block f at root v; ``lifts[z][(v, ν)]``
+    holds the child positions at z of the parent coordinates at v, in their
+    order.  A basis made by ``of`` has no lifts.
+    """
+
+    __slots__ = ("words", "states", "by_root", "dims", "lifts", "_starts")
+
+    def __init__(self, words: tuple, states: list, lifts: dict | None = None):
+        self.words = words
+        self.states = states
+        by_root: dict = {}
+        for j, z, tree in states:
+            by_root.setdefault(z, []).append((j, tree))
+        self.by_root = by_root
+        self.dims = {z: len(by_root[z]) for z in sorted(by_root)}
+        self.lifts = lifts if lifts is not None else {}
+        self._starts = None
+
+    @classmethod
+    def of(cls, engine: Engine, words) -> "StackedBasis":
+        words = tuple(tuple(w) for w in words)
+        return cls(words, [(j, z, tree) for j, w in enumerate(words)
+                           for z, tree in engine.basis(w).states])
+
+    def extended(self, ring, letter: int) -> "StackedBasis":
+        channels = ring.channels
+        states, lifts = [], {}
+        count: dict = {}  # child root -> coordinates made so far
+        for j, v, tree in self.states:
+            for z, n in channels[v][letter].items():
+                for mu in range(n):
+                    pos = count.get(z, 0)
+                    count[z] = pos + 1
+                    lifts.setdefault(z, {}).setdefault((v, mu), []).append(pos)
+                    states.append((j, z, tree + ((z, mu),)))
+        lifts = {z: {key: np.array(p) for key, p in by_key.items()}
+                 for z, by_key in lifts.items()}
+        return StackedBasis(tuple(w + (letter,) for w in self.words), states, lifts)
+
+    @property
+    def starts(self) -> dict:
+        if self._starts is None:
+            starts = {}
+            for z, trees in self.by_root.items():
+                first = [0] * (len(self.words) + 1)
+                for j, _tree in trees:
+                    first[j + 1] += 1
+                for j in range(len(self.words)):
+                    first[j + 1] += first[j]
+                starts[z] = first
+            self._starts = starts
+        return self._starts
 
 
 class SumObject:
@@ -26,7 +94,7 @@ class SumObject:
     callers can address blocks without tracking positions by hand.
     """
 
-    __slots__ = ("engine", "summands", "tags", "_pos")
+    __slots__ = ("engine", "summands", "tags", "_pos", "_stacks")
 
     def __init__(self, engine: Engine, summands, tags=None):
         self.engine = engine
@@ -37,6 +105,7 @@ class SumObject:
         self._pos = {t: i for i, t in enumerate(self.tags)}
         if len(self._pos) != len(self.tags):
             raise ShapeError("summand tags must be distinct")
+        self._stacks: dict = {}
 
     def __len__(self) -> int:
         return len(self.summands)
@@ -57,6 +126,23 @@ class SumObject:
 
     def same_words(self, other: "SumObject") -> bool:
         return self.summands == other.summands
+
+    def stacked(self, left: Word = (), right: Word = ()) -> StackedBasis:
+        """Stacked comb basis of the words left + w + right over the summands
+        w.  The letters of ``right`` are grown one at a time, and left + w
+        takes the engine's basis of that word.  Those with at most one letter
+        added are kept, since every pair of letters a hexagon check visits
+        shares them; longer ones are grown afresh on each call."""
+        key = (left, right)
+        sb = self._stacks.get(key)
+        if sb is None:
+            if right:
+                sb = self.stacked(left, right[:-1]).extended(self.engine.ring, right[-1])
+            else:
+                sb = StackedBasis.of(self.engine, [left + w for w in self.summands])
+            if len(left) + len(right) <= 1:
+                self._stacks[key] = sb
+        return sb
 
     def __repr__(self):
         labs = self.engine.spec.labels
@@ -114,7 +200,11 @@ class BlockMorphism:
         return BlockMorphism(self.src, self.dst, out)
 
     def __sub__(self, other: "BlockMorphism") -> "BlockMorphism":
-        return self + (other * (-1.0))
+        self._check_parallel(other)
+        out = dict(self.blocks)
+        for key, m in other.blocks.items():
+            out[key] = out[key] - m if key in out else -m
+        return BlockMorphism(self.src, self.dst, out)
 
     def __mul__(self, a) -> "BlockMorphism":
         return BlockMorphism(self.src, self.dst,
@@ -173,6 +263,22 @@ class BlockMorphism:
         dst = SumObject(eng, [(c,) + w[2:] for w in self.dst.summands], self.dst.tags)
         return BlockMorphism(self.src, dst, {k: eng.channel_rows(m, c, mu)
                                              for k, m in self.blocks.items()})
+
+    def stacked(self, src: StackedBasis, dst: StackedBasis) -> dict:
+        """One matrix per root z, from src's coordinates at z to dst's: block
+        (i, j) at z sits at rows dst.starts[z][i] on, columns src.starts[z][j]
+        on.  The stacks must be of this map's source and target words."""
+        if src.words != self.src.summands or dst.words != self.dst.summands:
+            raise ShapeError("stacked bases do not match the summand words")
+        out = {z: np.zeros((n, src.dims[z]), dtype=complex)
+               for z, n in dst.dims.items() if z in src.dims}
+        rows, cols = dst.starts, src.starts
+        for (i, j), m in self.blocks.items():
+            for z, blk in m.blocks.items():
+                if blk.size:
+                    r, c = rows[z][i], cols[z][j]
+                    out[z][r:r + blk.shape[0], c:c + blk.shape[1]] = blk
+        return out
 
     # ---- constructors ---------------------------------------------------------
     @staticmethod

@@ -30,7 +30,7 @@ from .duality import coev, ev, rotate_clockwise
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
 from .morphism import Engine, Morphism, engine_for
 from .pairs import canonical_pair
-from .sums import BlockMorphism, SumObject, block_trace
+from .sums import BlockMorphism, StackedBasis, SumObject, block_trace
 from .trees import Word
 
 __all__ = [
@@ -121,11 +121,12 @@ def _rotated_splits(eng: Engine, x: int, a: int, y: int) -> tuple:
         rotate_clockwise(s) for s in canonical_pair(eng, x, a, y).splits))
 
 
-def _delta_blocks(eng: Engine, obj: SumObject, a: int, legs) -> dict:
-    """Blocks (i, j) of Σ_t upper_t ∘ lower_t · √(d_x d_y), one per summand
-    j = (x, l, x̄) of Δ and y with N[a, y, x] > 0, where i is summand
-    (y, l, ȳ) of the same slot and ``legs(x, l, y, t)`` returns the pair
-    (upper_t, lower_t) drawn on the t-th (a, y; x) vertex."""
+def _delta_braiding_component(eng: Engine, obj: SumObject, a: int) -> BlockMorphism:
+    """Blocks (i, j) of e_a, one per summand j = (x, l, x̄) of Δ and y with
+    N[a, y, x] > 0, where i is summand (y, l, ȳ) of the same slot: on the
+    t-th (a, y; x) vertex, split x into (a, y) on the left line and absorb a
+    into the conjugate line with the transported fusion half on the right.
+    Coefficient per (x, y): √(d_a⁻¹)·√(d_a d_y d_x) = √(d_x d_y)."""
     ring, d = eng.ring, eng.d
     blocks: dict = {}
     for j, (x, s) in enumerate(obj.tags):
@@ -136,62 +137,101 @@ def _delta_blocks(eng: Engine, obj: SumObject, a: int, legs) -> dict:
                 continue
             acc = None
             for t in range(n):
-                upper, lower = legs(x, l, y, t)
-                term = upper @ lower
+                split = canonical_pair(eng, a, y, x).splits[t]
+                term = (eng.tensor_id_right(split, (l, ring.dual[y]))
+                        @ eng.tensor_id_left((x, l), _rotated_fuses(eng, a, y, x)[t]))
                 acc = term if acc is None else acc + term
             w = math.sqrt(d[x] * d[y])
             blocks[(obj.index((y, s)), j)] = acc if w == 1.0 else acc * w
-    return blocks
+    return BlockMorphism(obj.tensor_right((a,)), obj.tensor_left((a,)), blocks)
 
 
-def _delta_braiding_component(eng: Engine, obj: SumObject, a: int) -> BlockMorphism:
-    # Per summand (x, slot): split x into (a, y) on the left line, absorb a
-    # into the conjugate line with the transported fusion half on the right.
-    # Coefficient per (x, y): √(d_a⁻¹)·√(d_a d_y d_x) = √(d_x d_y).
-    ring = eng.ring
-
-    def legs(x, l, y, t):
-        split = canonical_pair(eng, a, y, x).splits[t]
-        return (eng.tensor_id_right(split, (l, ring.dual[y])),
-                eng.tensor_id_left((x, l), _rotated_fuses(eng, a, y, x)[t]))
-
-    return BlockMorphism(obj.tensor_right((a,)), obj.tensor_left((a,)),
-                         _delta_blocks(eng, obj, a, legs))
+def _vertex_pad(eng: Engine, u: int, a: int, b: int, c: int, mu: int) -> Morphism:
+    """id_u ⊗ ι† : (u, a, b) → (u, c) for the μ-th vertex ι : c → a ⊗ b
+    (hom_basis((c,), (a, b))[mu]); every hexagon check on the category
+    shares it."""
+    return _cached(eng, ("vertexpad", u, a, b, c, mu), lambda: eng._tensor_one_left(
+        u, eng.hom_basis((c,), (a, b))[mu].dag()))
 
 
-def _delta_left_leg(eng: Engine, obj: SumObject, a: int, b: int, c: int,
-                    mu: int, split_pads: dict, rot_pads: dict) -> BlockMorphism:
-    """Channel (c, μ) of id_a ⊗ e_b, drawn from the vertices that define
-    e_b: (ι† ⊗ id) ∘ (id_a ⊗ e_b) for the vertex ι of a ⊗ b at (c, μ) (see
-    hexagon_residual).
+def _vertex_groups(sb: StackedBasis) -> dict:
+    """Positions of sb's trees at each root z, grouped by (summand, channel
+    w of the first vertex, second vertex (u, ν), z), in generation order."""
+    groups: dict = {}
+    for z, trees in sb.by_root.items():
+        for pos, (j, tree) in enumerate(trees):
+            groups.setdefault((j, tree[0][0], tree[1], z), []).append(pos)
+    return {key: np.array(pos) for key, pos in groups.items()}
 
-    Block (i, j) is Σ_t (top_t ⊗ id_(l,ȳ)) ∘ (id_(a,x,l) ⊗ rot_t) · √(d_x d_y),
-    where top_t = (ι† ⊗ id_y) ∘ (id_a ⊗ split_t) : (a, x) → (c, y) is the
-    channel rows of id_a ⊗ split_t.  ``split_pads`` memoizes id_a ⊗ split_t
-    by (a, b, y, x, t) and top_t by (a, b, y, x, t, c, μ); ``rot_pads`` holds,
-    per (b, y, x, t), the one-letter pads id_u ⊗ rot_t that
-    Engine.lift_id_left shares between words.  Only words of up to three
-    letters get a fresh associator here, and the right tensor lands on the
-    four letters (c, y, l, ȳ) rather than on (a, b, y, l, ȳ).
+
+def _vertex_leg(obj: SumObject, a: int, b: int, pieces: dict,
+                c: int, mu: int, src: StackedBasis) -> dict:
+    """Channel (c, μ) of id_a ⊗ e_b on Δ, drawn on the vertices that define
+    e_b, as one matrix per root z from src, the stacked trees of
+    (a,) + Δ + (b,), to those of (c,) + Δ (see hexagon_residual).
+
+    Block (i, j) of e_b, from j = (x, l, x̄) to i = (y, l, ȳ), is
+    Σ_t (split_t ⊗ id_(l,ȳ)) ∘ (id_(x,l) ⊗ rot_t) · √(d_x d_y), so channel
+    (c, μ) of id_a ⊗ that block is Σ_t √(d_x d_y)·(top_t ⊗ id_(l,ȳ)) ∘
+    (id_(a,x,l) ⊗ rot_t), with top_t = (ι† ⊗ id_y) ∘ (id_a ⊗ split_t) :
+    (a, x) → (c, y).  A comb of (a, x, l, x̄, b) at z is (a, x) → w in slot
+    ν1, then (w, l) → u in slot ν2, then a comb of (u, x̄, b) at z; a comb of
+    (c, y, l, ȳ) at z is (c, y) → w in slot ν1′, then the same (w, l) → u,
+    then (u, ȳ) → z.  On the trees that share (w, u, ν2) the block is the
+    Kronecker product Σ_t √(d_x d_y)·top_t[w] ⊗ pad_{t,u}[z], with pad_{t,u}
+    = id_u ⊗ rot_t : (u, x̄, b) → (u, ȳ), in the generation order of the
+    trees; it is zero elsewhere.  ``pieces`` memoizes top_t, the pads and the
+    row groups for one build_delta; every piece lives on at most three
+    letters.
     """
-    ring = eng.ring
+    eng = obj.engine
+    ring, d = eng.ring, eng.d
+    dst = obj.stacked((c,))
 
-    def legs(x, l, y, t):
-        key = (a, b, y, x, t)
-        top = split_pads.get(key + (c, mu))
-        if top is None:
-            full = split_pads.get(key)
-            if full is None:
-                split = canonical_pair(eng, b, y, x).splits[t]
-                full = split_pads[key] = eng.tensor_id_left((a,), split)
-            top = split_pads[key + (c, mu)] = eng.channel_rows(full, c, mu)
-        pads = rot_pads.setdefault((b, y, x, t), {})
-        return (eng.tensor_id_right(top, (l, ring.dual[y])),
-                eng.lift_id_left((a, x, l), _rotated_fuses(eng, b, y, x)[t], pads))
+    def piece(key, make):
+        out = pieces.get(key)
+        if out is None:
+            out = pieces[key] = make()
+        return out
 
-    return BlockMorphism(obj.tensor_right((b,)).tensor_left((a,)),
-                         obj.tensor_left((c,)),
-                         _delta_blocks(eng, obj, b, legs))
+    def top(y, x, t):
+        full = piece(("split", a, b, y, x, t), lambda: eng.tensor_id_left(
+            (a,), canonical_pair(eng, b, y, x).splits[t]))
+        return piece(("top", a, b, y, x, t, c, mu),
+                     lambda: eng.channel_rows(full, c, mu))
+
+    def pad(y, x, t, u):
+        return piece(("rot", b, y, x, t, u), lambda: eng._tensor_one_left(
+            u, _rotated_fuses(eng, b, y, x)[t]))
+
+    rows = piece(("rows", c), lambda: _vertex_groups(dst))
+    cols = _vertex_groups(src)
+    ys = {x: [(y, int(ring.N[b, y, x])) for y in range(ring.rank) if ring.N[b, y, x]]
+          for x in range(ring.rank)}
+    out = {z: np.zeros((n, src.dims[z]), dtype=complex)
+           for z, n in dst.dims.items() if z in src.dims}
+    for (k, w, (u, nu), z), C in cols.items():
+        x, s = obj.tags[k]
+        for y, n in ys[x]:
+            R = rows.get((obj.index((y, s)), w, (u, nu), z))
+            if R is None:
+                continue
+            acc = None
+            for t in range(n):
+                p, q = top(y, x, t).blocks[w], pad(y, x, t, u).blocks[z]
+                term = (p[:, None, :, None] * q[None, :, None, :]).reshape(len(R), len(C))
+                acc = term if acc is None else acc + term
+            wgt = math.sqrt(d[x] * d[y])
+            out[z][R[:, None], C] = acc if wgt == 1.0 else acc * wgt
+    return out
+
+
+def _generic_leg(obj: SumObject, braiding: dict, a: int, b: int) -> Callable:
+    """(c, μ, src) -> the channel rows of braiding[b].tensor_id_left((a,)),
+    built once and stacked like _vertex_leg: the left leg for any
+    half-braided sum."""
+    full = braiding[b].tensor_id_left((a,))
+    return lambda c, mu, src: full.channel_rows(c, mu).stacked(src, obj.stacked((c,)))
 
 
 def _padded_identity(obj: SumObject, unit: int) -> BlockMorphism:
@@ -239,11 +279,11 @@ def extend_halfbraiding(obj: SumObject, braiding: dict, word: Word) -> BlockMorp
 
 
 def hexagon_residual(obj: SumObject, braiding: dict, a: int, b: int,
-                     left: Callable[[int, int], BlockMorphism] | None = None
+                     left: Callable[[int, int, StackedBasis], dict] | None = None
                      ) -> float:
     """Defect of braiding past a⊗b in one move versus one leg at a time:
     e_{a⊗b} against S = (id_a ⊗ e_b) ∘ (e_a ⊗ id_b), one fusion channel
-    (c, μ) of a⊗b at a time.
+    (c, μ) of a⊗b and one root z at a time.
 
     With ι = ι_{c,μ} : c → a⊗b the tree vertices (hom_basis((c,), (a, b))),
     e_{a⊗b} = Σ_{c,μ} (ι ⊗ id) ∘ e_c ∘ (id ⊗ ι†), as extend_halfbraiding
@@ -255,32 +295,66 @@ def hexagon_residual(obj: SumObject, braiding: dict, a: int, b: int,
 
         ‖e_{a⊗b} − S‖ = max_{c,μ} ‖e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S‖:
 
-    the same residual over the same entries, grouped by rows.  Neither
-    ι ⊗ id nor a map into (a, b) + Δ is built for the joined side.
+    the same residual over the same entries, grouped by rows.
 
-    ``left(c, mu)`` returns (ι† ⊗ id) ∘ (id_a ⊗ e_b).  By default it is the
-    channel rows of ``braiding[b].tensor_id_left((a,))``, built once.  A
-    caller that built e_b from vertices may hand in the leg drawn on the
-    same vertices (_delta_left_leg), by functoriality of id_a ⊗ -; the stored
-    e_b still enters the check, through e_c and through e_b ⊗ id on the
-    pairs (b, ·).
+    Each group is one matrix per root z, over the comb trees of all summands
+    W stacked (SumObject.stacked): columns are the trees of W + (a, b), rows
+    those of (c,) + W.  Neither factor below is built as a map.
+      - A comb of W + (a, b) at z is a comb of W + (a,) at v followed by the
+        vertex (v, b; z) in slot ν, so e_a ⊗ id_b is block-diagonal over
+        (v, ν) with block e_a at v (StackedBasis.lifts): the columns (v, ν)
+        of S are the left leg's columns (v, ν) times e_a[v].
+      - The same comb is a tree of W at u followed by a comb of (u, a, b),
+        so id_W ⊗ ι† is the pad id_u ⊗ ι† on every tree of W at u (a
+        Kronecker product with the identity): the columns of
+        e_c ∘ (id ⊗ ι†) that continue those trees are e_c's columns
+        (u, ν) times the pad.
+
+    ``left(c, mu, mid)`` returns (ι† ⊗ id) ∘ (id_a ⊗ e_b) as one matrix per
+    root, from mid, the stacked trees of (a,) + W + (b,), to those of
+    (c,) + W.  By
+    default it is the channel rows of ``braiding[b].tensor_id_left((a,))``,
+    built once (_generic_leg).  A caller that built e_b from vertices may
+    hand in the leg drawn on the same vertices (_vertex_leg), by
+    functoriality of id_a ⊗ -; the stored e_b still enters the check,
+    through e_c and through e_b ⊗ id on the pairs (b, ·).
     """
     eng = obj.engine
+    ring = eng.ring
     if left is None:
-        left = braiding[b].tensor_id_left((a,)).channel_rows
-    staged = braiding[a].tensor_id_right((b,))
-    src = obj.tensor_right((a, b))
+        left = _generic_leg(obj, braiding, a, b)
+    base, lower = obj.stacked(), obj.stacked((), (a,))
+    src, mid = obj.stacked((), (a, b)), obj.stacked((a,), (b,))
+    e_a = braiding[a].stacked(lower, obj.stacked((a,)))
+    # columns at z that continue the trees of W at u: one row per tree of W
+    # at u, one column per tree ((v, ν1), (z, ν2)) of (u, a, b) at z
+    tails = {u: {z: np.array([src.lifts[z][(v, nu2)][lower.lifts[v][(u, nu1)]]
+                              for (v, nu1), (_z, nu2) in trees]).T
+                 for z, trees in eng.basis((u, a, b)).by_root.items()}
+             for u in base.dims}
 
     def channel_defects():
-        for c in eng.basis((a, b)).roots():
-            e_c = braiding[c]
-            for mu, iota in enumerate(eng.hom_basis((c,), (a, b))):
-                iota_dag = iota.dag()
-                pads: dict = {}  # root u -> id_u ⊗ ι†, shared by the summands
-                joined = BlockMorphism(src, e_c.dst, {
-                    (i, j): m @ eng.lift_id_left(obj.summands[j], iota_dag, pads)
-                    for (i, j), m in e_c.blocks.items()})
-                yield (joined - left(c, mu) @ staged).norm()
+        for c, n in ring.channels[a][b].items():
+            joined = obj.stacked((), (c,))
+            e_c = braiding[c].stacked(joined, obj.stacked((c,)))
+            for mu in range(n):
+                leg = left(c, mu, mid)
+                lhs = {z: np.zeros((m.shape[0], src.dims[z]), dtype=complex)
+                       for z, m in e_c.items() if z in src.dims}
+                for u in base.dims:
+                    for z, blk in _vertex_pad(eng, u, a, b, c, mu).blocks.items():
+                        if z in lhs:
+                            heads = np.array([joined.lifts[z][(u, nu)]
+                                              for nu in range(blk.shape[0])]).T
+                            lhs[z][:, tails[u][z]] = e_c[z][:, heads] @ blk
+                for z, out in lhs.items():
+                    rhs = np.zeros_like(out)
+                    if z in leg:
+                        for key, cols in src.lifts[z].items():
+                            m = mid.lifts[z].get(key)
+                            if m is not None and key[0] in e_a:
+                                rhs[:, cols] = leg[z][:, m] @ e_a[key[0]]
+                    yield float(np.max(np.abs(out - rhs)))
 
     return worst(channel_defects())
 
@@ -318,11 +392,10 @@ def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
     if not unit_res < tol:
         raise ToleranceError(f"unit braiding component defect {unit_res:.3e} >= {tol:g}")
 
-    split_pads, rot_pads = {}, {}
+    pieces: dict = {}  # label-only vertex pieces, shared by every (a, b)
     worst_h = worst(
         hexagon_residual(obj, braiding, a, b,
-                         functools.partial(_delta_left_leg, eng, obj, a, b,
-                                           split_pads=split_pads, rot_pads=rot_pads))
+                         functools.partial(_vertex_leg, obj, a, b, pieces))
         for a in range(ring.rank) for b in range(ring.rank))
     if not worst_h < tol:
         raise ToleranceError(f"hexagon defect {worst_h:.3e} >= {tol:g}")

@@ -342,3 +342,79 @@ def test_pointed_blocks_split_on_other_seeds(z6_algebra, seed):
     assert dec.rank == 36
     assert dec.sizes == (1,) * 36
     assert np.max(np.abs(sum(dec.vectors) - A.vector_of(A.unit))) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def fibonacci_simples(catalog):
+    spec = catalog["fibonacci"]
+    lam = LambdaObject.all_simples(spec)
+    A = build_tube_algebra(spec, lam)
+    simples = extract_center_simples(A, build_delta(spec, lam), decompose_blocks(A, 1))
+    tubecat.center.compute_twists(simples)
+    return spec, lam, simples
+
+
+def test_gauss_sum_sees_one_conjugated_twist(fibonacci_simples):
+    spec, lam, simples = fibonacci_simples
+    assert all(tubecat.center._soft_checks(spec, lam, simples).values())
+    s = next(s for s in simples if abs(s.twist.imag) > 0.1)
+    real = s.twist
+    try:
+        s.twist = real.conjugate()
+        checks = tubecat.center._soft_checks(spec, lam, simples)
+    finally:
+        s.twist = real
+    assert [k for k, ok in checks.items() if not ok] == ["gauss sum"]
+
+
+def test_induction_sees_one_bumped_multiplicity(fibonacci_simples):
+    spec, lam, simples = fibonacci_simples
+    s = simples[-1]
+    real = dict(s.underlying)
+    try:
+        s.underlying["tau"] = real.get("tau", 0) + 1
+        checks = tubecat.center._soft_checks(spec, lam, simples)
+    finally:
+        s.underlying = real
+    assert [k for k, ok in checks.items() if not ok] == ["induction"]
+
+
+def test_report_pass_reads_the_soft_checks(catalog, monkeypatch):
+    # a conjugated twist keeps |θ| = 1 and every printed dimension, so only
+    # the Gauss sum can turn pass false
+    real = tubecat.center.compute_twists
+
+    def conjugate_last(simples):
+        out = real(simples)
+        s = max(simples, key=lambda s: s.twist.imag)
+        s.twist = s.twist.conjugate()
+        return out
+
+    monkeypatch.setattr(tubecat.center, "compute_twists", conjugate_last)
+    assert not center_report(catalog["fibonacci"], seed=1)["pass"]
+
+
+def test_partial_lambda_skips_the_sums_over_all_simples(catalog):
+    spec = catalog["ising"]
+    lam = LambdaObject.from_mapping(spec, {"sigma": 1})
+    A = build_tube_algebra(spec, lam)
+    simples = extract_center_simples(A, build_delta(spec, lam), decompose_blocks(A, 1))
+    tubecat.center.compute_twists(simples)
+    assert tubecat.center._soft_checks(spec, lam, simples) == {"unit twists": True}
+
+
+def test_idempotents_are_built_on_first_use(monkeypatch):
+    from conftest import pointed_category
+    from tubecat.catspec import load_spec
+    spec = load_spec(pointed_category(3, k=1))
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    calls = []
+    real = type(A).element
+    monkeypatch.setattr(type(A), "element",
+                        lambda self, vec: calls.append(1) or real(self, vec))
+    dec = decompose_blocks(A, seed=1)
+    assert not calls
+    elems = dec.idempotents
+    assert len(calls) == dec.rank and dec.idempotents is elems
+    for p, v in zip(elems, dec.vectors):
+        assert np.array_equal(p.vector(), v)

@@ -21,8 +21,8 @@ from tubecat.tube import (LambdaObject, build_delta, build_tube_algebra,
                           extend_halfbraiding, f_map, gram, hexagon_residual,
                           naturality_residual, t_map, tube_json, tube_product,
                           tube_star)
-from tubecat.tube import (_delta_braiding_component, _delta_left_leg,
-                          _direction_slices, _table_residuals)
+from tubecat.tube import (_delta_braiding_component, _direction_slices,
+                          _generic_leg, _table_residuals, _vertex_leg)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -313,21 +313,24 @@ def _channels(eng, a, b):
                                   "vec_z2_twisted", "Z/4 k=1"])
 def test_delta_left_leg_matches_generic(catalog, name):
     # channel (c, μ) of the staged hexagon leg id_a ⊗ e_b, drawn on e_b's
-    # own vertices, against the channel rows of the generic route, which
-    # left-tensors the assembled blocks of e_b
+    # own vertices, against the stacked channel rows of the generic route,
+    # which left-tensors the assembled blocks of e_b; one matrix per root
     spec = _spec(catalog, name)
     D = build_delta(spec, LambdaObject.all_simples(spec))
     eng = engine_for(spec)
-    split_pads, rot_pads = {}, {}  # shared by every (a, b), as in build_delta
+    pieces = {}  # shared by every (a, b), as in build_delta
     for a in range(spec.rank):
         for b in range(spec.rank):
-            full = D.braiding[b].tensor_id_left((a,))
+            generic = _generic_leg(D.obj, D.braiding, a, b)
+            mid = D.obj.stacked((a,), (b,))
             for c, mu in _channels(eng, a, b):
-                got = _delta_left_leg(eng, D.obj, a, b, c, mu, split_pads, rot_pads)
-                want = full.channel_rows(c, mu)
-                assert got.src.same_words(want.src) and got.dst.same_words(want.dst)
-                assert sorted(got.blocks) == sorted(want.blocks), (name, a, b, c)
-                assert (got - want).norm() <= 1e-13, (name, a, b, c, mu)
+                got = _vertex_leg(D.obj, a, b, pieces, c, mu, mid)
+                want = generic(c, mu, mid)
+                assert sorted(got) == sorted(want), (name, a, b, c)
+                assert all(got[z].shape == want[z].shape for z in got), (name, a, b, c)
+                gap = max(float(np.max(np.abs(got[z] - want[z]), initial=0.0))
+                          for z in got)
+                assert gap <= 1e-13, (name, a, b, c, mu)
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "Z/4 k=1"])
@@ -413,6 +416,28 @@ def test_build_delta_builds_fewer_tree_bases():
     before = len(eng._bases)
     build_delta(spec, LambdaObject.all_simples(spec))
     assert len(eng._bases) - before < 933
+
+
+def test_hexagon_stage_builds_no_long_tree_basis(monkeypatch):
+    # the hexagon check reads stacked bases grown from the summands' own and
+    # draws its left leg from pieces on at most three letters, so it makes
+    # no basis of four or more letters; 789 bases at the per-summand check
+    spec = load_spec(pointed_category(4, k=1))
+    eng = engine_for(spec)
+    real = tubecat.tube.hexagon_residual
+    made = []
+
+    def counted(obj, braiding, a, b, left=None):
+        before = set(eng._bases)
+        res = real(obj, braiding, a, b, left)
+        made.extend(w for w in eng._bases if w not in before)
+        return res
+
+    monkeypatch.setattr(tubecat.tube, "hexagon_residual", counted)
+    before = len(eng._bases)
+    build_delta(spec, LambdaObject.all_simples(spec))
+    assert [w for w in made if len(w) >= 4] == []
+    assert len(eng._bases) - before < 789
 
 
 def test_build_delta_sees_phase_on_one_stored_block(monkeypatch):
