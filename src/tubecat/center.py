@@ -7,9 +7,10 @@ of left multiplication by z on the center (an r×r eigenproblem in center
 coordinates) is a multiple w of one p_k, and w·w = α·w gives p_k = w/α.
 
 Each block then yields one simple object of the center of the category:
-a minimal idempotent q inside the block is pushed through t_map, the range
-of the resulting projection on each hom space Hom(z, Δ) is split off as an
-isometry, and the half-braiding of Δ is compressed onto that range.  The
+a minimal idempotent q inside the block acts on each hom space Hom(z, Δ)
+as the projection M_z = Σ_k q_k·R_z[k], read from the basis images of
+t_map that tube_action compiles once per (A, Δ); the range of M_z is split
+off as an isometry, and the half-braiding of Δ is compressed onto it.  The
 central idempotent itself would give n copies of the same simple (its
 range is X^n for a block of size n), so for n > 1 we first refine to a
 rank-one idempotent, found the same way from a seeded positive element.
@@ -35,7 +36,7 @@ from .errors import DegenerateSpectrum, ToleranceError, worst
 from .sums import BlockMorphism, SumObject
 from .tube import (DeltaObject, LambdaObject, TubeAlgebra, TubeElement,
                    _padded_identity, build_delta, build_tube_algebra,
-                   hexagon_residual, t_map)
+                   hexagon_residual, tube_action)
 
 __all__ = [
     "BlockDecomposition", "CenterSimple", "decompose_blocks",
@@ -195,9 +196,13 @@ def _refine_minimal(A: TubeAlgebra, p: np.ndarray, n: int,
 @dataclass(eq=False)
 class CenterSimple:
     """One simple object of the center: underlying multiplicities in C,
-    an isometric copy inside Δ, and the compressed unitary half-braiding."""
+    an isometric copy inside Δ, and the compressed unitary half-braiding.
 
-    idempotent: TubeElement
+    ``vector`` holds the minimal idempotent of its block as a coefficient
+    vector; ``idempotent`` builds it as a tube element on first use."""
+
+    algebra: TubeAlgebra = field(repr=False)
+    vector: np.ndarray = field(repr=False)
     underlying: dict
     obj: SumObject
     braiding: dict
@@ -205,17 +210,13 @@ class CenterSimple:
     unitarity_defect: float
     twist: complex | None = None
 
+    @functools.cached_property
+    def idempotent(self) -> TubeElement:
+        return self.algebra.element(self.vector)
+
     def dim(self) -> float:
         d = self.obj.engine.d
         return float(sum(d[z] for (z, _c) in self.obj.tags))
-
-
-def _hom_into_delta(eng, z: int, obj: SumObject):
-    """Tree-unit bases of Hom(z, w_s) per summand, with flat offsets."""
-    hbs = [eng.hom_basis((z,), w) for w in obj.summands]
-    dims = [len(h) for h in hbs]
-    offs = np.concatenate(([0], np.cumsum(dims))).astype(int)
-    return hbs, dims, offs
 
 
 def _polar(V: np.ndarray) -> np.ndarray:
@@ -239,29 +240,19 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
     ring = eng.ring
     labs = A.spec.labels
     obj = delta.obj
+    action = tube_action(A, delta)
+    starts = obj.stacked().starts
     out = []
     for k, n in enumerate(dec.sizes):
         qv = dec.vectors[k] if n == 1 else _refine_minimal(
             A, dec.vectors[k], n, dec.seed, k)
-        q = A.element(qv)
-        Tq = t_map(A, delta, q)
 
-        # range of Tq on each Hom(z, Δ), one isometry column per copy of z
+        # range of t(q) on each Hom(z, Δ), one isometry column per copy of z
         iso = {}      # X summand index -> {Δ summand index -> Morphism}
         tags = []
         mults = {}
-        for z in range(ring.rank):
-            hbs, dims, offs = _hom_into_delta(eng, z, obj)
-            total = int(offs[-1])
-            if total == 0:
-                continue
-            M = np.zeros((total, total), dtype=complex)
-            for (si, sj), blk in Tq.blocks.items():
-                if dims[si] == 0 or dims[sj] == 0:
-                    continue
-                for tj, iota in enumerate(hbs[sj]):
-                    M[offs[si]:offs[si] + dims[si], offs[sj] + tj] += \
-                        (blk @ iota).coeffs()
+        for z, Rz in action.items():
+            M = np.tensordot(qv, Rz, 1)
             evals, U = np.linalg.eigh(0.5 * (M + M.conj().T))
             keep = evals > 0.5
             m_z = int(np.sum(keep))
@@ -269,18 +260,11 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
                 continue
             V = _polar(M @ U[:, keep])
             mults[z] = m_z
+            first = starts[z]
             for cpy in range(m_z):
-                comps = {}
-                for s in range(len(obj.summands)):
-                    if dims[s] == 0:
-                        continue
-                    u = None
-                    for t in range(dims[s]):
-                        coef = V[offs[s] + t, cpy]
-                        term = hbs[s][t] * coef
-                        u = term if u is None else u + term
-                    comps[s] = u
-                iso[len(tags)] = comps
+                iso[len(tags)] = {
+                    s: eng.make((z,), w, {z: V[first[s]:first[s + 1], cpy:cpy + 1]})
+                    for s, w in enumerate(obj.summands) if first[s + 1] > first[s]}
                 tags.append((z, cpy))
 
         if sum(mults.get(x, 0) * A.lam.mult[x] for x in range(ring.rank)) != n:
@@ -326,7 +310,7 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
                 f"block {k}: hexagon defect {worst_h:.3e} on the extracted simple")
 
         out.append(CenterSimple(
-            idempotent=q,
+            algebra=A, vector=qv,
             underlying={labs[z]: m for z, m in sorted(mults.items())},
             obj=X, braiding=braiding,
             hexagon_defect=worst_h, unitarity_defect=worst_u))

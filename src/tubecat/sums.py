@@ -8,7 +8,8 @@ hashable tags, and a BlockMorphism stores the nonzero blocks of a linear map
 between two sums, keyed by (target summand, source summand).  Missing blocks
 are zero.  Composition is block matrix multiplication over the sparse dicts.
 A StackedBasis lines up the comb trees of all summands at each root, so a
-BlockMorphism can also be read as one matrix per root (BlockMorphism.stacked).
+BlockMorphism can also be read as one matrix per root (BlockMorphism.stacked)
+and put back together from one (BlockMorphism.from_stacked).
 """
 from __future__ import annotations
 
@@ -281,6 +282,28 @@ class BlockMorphism:
         return out
 
     # ---- constructors ---------------------------------------------------------
+    @staticmethod
+    def from_stacked(src: SumObject, dst: SumObject, mats: dict) -> "BlockMorphism":
+        """Inverse of ``stacked`` over src.stacked() and dst.stacked(): cut
+        each root's matrix back into blocks.  A block that is exactly zero
+        at every root is left out; a root missing from ``mats`` is zero."""
+        eng = src.engine
+        rows, cols = dst.stacked().starts, src.stacked().starts
+        blocks = {}
+        for i, v in enumerate(dst.summands):
+            for j, w in enumerate(src.summands):
+                per_root = {}
+                for z, dd, sd in eng.common_roots(w, v):
+                    m = mats.get(z)
+                    if m is None:
+                        per_root[z] = np.zeros((dd, sd), dtype=complex)
+                    else:
+                        r, c = rows[z][i], cols[z][j]
+                        per_root[z] = m[r:r + dd, c:c + sd].copy()
+                if any(b.any() for b in per_root.values()):
+                    blocks[(i, j)] = Morphism(eng, w, v, per_root)
+        return BlockMorphism(src, dst, blocks)
+
     @staticmethod
     def identity(obj: SumObject) -> "BlockMorphism":
         eng = obj.engine

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -36,7 +37,7 @@ from .trees import Word
 __all__ = [
     "LambdaObject", "DeltaObject", "TubeBasisLabel", "TubeElement",
     "TubeAlgebra", "build_delta", "build_tube_algebra",
-    "tube_product", "tube_star", "t_map", "f_map",
+    "tube_product", "tube_star", "tube_action", "t_map", "f_map",
     "extend_halfbraiding", "hexagon_residual", "gram",
     "tube_json",
 ]
@@ -84,7 +85,8 @@ class DeltaObject:
 
     ``obj`` tags summands by (x, slot); ``braiding[a]`` maps Δ⊗a → a⊗Δ.
     ``residuals`` records the worst unitarity / hexagon / unit-component
-    defects measured while building.
+    defects measured while building.  ``actions`` holds tube_action's
+    compiled matrices, one entry per tube algebra.
     """
 
     spec: object
@@ -92,6 +94,8 @@ class DeltaObject:
     obj: SumObject
     braiding: dict
     residuals: dict
+    actions: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, repr=False)
 
     @property
     def engine(self) -> Engine:
@@ -785,11 +789,12 @@ def tube_star(A: TubeAlgebra, f: TubeElement) -> TubeElement:
 
 # ---- tube elements as endomorphisms of Δ -------------------------------------
 
-def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorphism:
+def _t_diagram(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorphism:
     """Thread every direction line of f through the conjugate sandwich:
     the (x, a; y) dual pair crosses the a-line over the summand boundary,
     one half transported to the conjugate strand.  Output is an
-    endomorphism of Δ."""
+    endomorphism of Δ.  The one definition of t_map, which reads it through
+    tube_action's basis images."""
     if delta.lam != A.lam:
         raise ShapeError("Δ and the tube algebra were built over different Λ")
     eng = A.engine
@@ -820,6 +825,34 @@ def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorphism:
                     add = term * coeff
                     out[key] = out[key] + add if key in out else add
     return BlockMorphism(obj, obj, out)
+
+
+def tube_action(A: TubeAlgebra, delta: DeltaObject) -> dict:
+    """The linear map t compiled from its basis images: root z -> R_z with
+    R_z[k] the matrix of _t_diagram(e_k) on the stacked coordinates of
+    Hom(z, Δ) (Δ.obj.stacked()).  Made once per (A, Δ), on first use, and
+    kept on Δ keyed by A."""
+    if delta.lam != A.lam:
+        raise ShapeError("Δ and the tube algebra were built over different Λ")
+    R = delta.actions.get(A)
+    if R is None:
+        sb = delta.obj.stacked()
+        R = {z: np.zeros((A.dim, n, n), dtype=complex) for z, n in sb.dims.items()}
+        for k in range(A.dim):
+            for z, m in _t_diagram(A, delta, A.basis_element(k)).stacked(sb, sb).items():
+                R[z][k] = m
+        delta.actions[A] = R
+    return R
+
+
+def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorphism:
+    """The endomorphism of Δ that f acts as: Σ_k f_k·R_z[k] at every root z,
+    from the basis images tube_action compiles out of _t_diagram.  Blocks
+    that come out exactly zero are left out."""
+    R = tube_action(A, delta)
+    v = A.vector_of(f)
+    return BlockMorphism.from_stacked(delta.obj, delta.obj,
+                                      {z: np.tensordot(v, Rz, 1) for z, Rz in R.items()})
 
 
 def naturality_residual(delta: DeltaObject, T: BlockMorphism) -> float:

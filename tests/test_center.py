@@ -418,3 +418,43 @@ def test_idempotents_are_built_on_first_use(monkeypatch):
     assert len(calls) == dec.rank and dec.idempotents is elems
     for p, v in zip(elems, dec.vectors):
         assert np.array_equal(p.vector(), v)
+
+
+def test_extraction_builds_no_hom_basis_into_delta(monkeypatch):
+    # the isometries are read off the stacked coordinates of Hom(z, Δ), so
+    # no basis of Hom(z, w) is built for a summand w of Δ, on any block
+    from conftest import pointed_category
+    from tubecat.catspec import load_spec
+    from tubecat.morphism import Engine
+    spec = load_spec(pointed_category(6, k=1))
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    dec = decompose_blocks(A, seed=1)
+    built = []
+    real = Engine.hom_basis
+    monkeypatch.setattr(Engine, "hom_basis",
+                        lambda self, src, dst: built.append(tuple(dst))
+                        or real(self, src, dst))
+    simples = extract_center_simples(A, D, dec)
+    assert len(simples) == 36
+    assert not set(built) & set(D.obj.summands)
+
+
+def test_center_idempotent_is_built_on_first_use(catalog, monkeypatch):
+    from tubecat.tube import tube_action
+    spec = catalog["fibonacci"]
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    dec = decompose_blocks(A, seed=1)
+    tube_action(A, D)  # the compile reads basis elements
+    calls = []
+    real = type(A).element
+    monkeypatch.setattr(type(A), "element",
+                        lambda self, vec: calls.append(1) or real(self, vec))
+    simples = extract_center_simples(A, D, dec)
+    assert not calls
+    for s in simples:
+        q = s.idempotent
+        assert s.idempotent is q
+        assert np.array_equal(q.vector(), s.vector)
+    assert len(calls) == len(simples)

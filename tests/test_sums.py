@@ -65,6 +65,39 @@ def test_stacked_block_morphism_places_every_block(catalog):
         f.stacked(dsb, ssb)
 
 
+def test_from_stacked_inverts_stacked(catalog):
+    # every entry of a root's matrix lies in exactly one block, so the two
+    # readings are inverse; blocks that are exactly zero are left out
+    spec = catalog["rep_s3"]
+    eng = engine_for(spec)
+    rng = np.random.default_rng(13)
+    src = SumObject(eng, [(1, 2), (2, 2, 0), (2,)])
+    dst = SumObject(eng, [(2, 1), (2,), (0, 2, 2)])
+    blocks = {(i, j): eng.random(w, v, rng) for i, v in enumerate(dst.summands)
+              for j, w in enumerate(src.summands) if eng.common_roots(w, v)}
+    zero = min(blocks)
+    blocks[zero] = blocks[zero] * 0.0
+    f = BlockMorphism(src, dst, blocks)
+    ssb, dsb = src.stacked(), dst.stacked()
+    back = BlockMorphism.from_stacked(src, dst, f.stacked(ssb, dsb))
+    assert sorted(back.blocks) == sorted(k for k in blocks if k != zero)
+    for key, m in back.blocks.items():
+        assert sorted(m.blocks) == sorted(blocks[key].blocks)
+        for z, blk in m.blocks.items():
+            assert np.array_equal(blk, blocks[key].blocks[z])
+    mats = {z: rng.standard_normal((n, ssb.dims[z])) + 0j
+            for z, n in dsb.dims.items() if z in ssb.dims}
+    again = BlockMorphism.from_stacked(src, dst, mats).stacked(ssb, dsb)
+    assert sorted(again) == sorted(mats)
+    for z, m in mats.items():
+        assert np.array_equal(again[z], m)
+    # a root missing from the matrices reads as zero
+    z = min(mats)
+    part = BlockMorphism.from_stacked(src, dst, {z: mats[z]})
+    assert all(not b.any() for m in part.blocks.values()
+               for r, b in m.blocks.items() if r != z)
+
+
 def test_block_difference_is_blockwise(catalog):
     spec = catalog["ising"]
     eng = engine_for(spec)

@@ -22,7 +22,8 @@ from tubecat.tube import (LambdaObject, build_delta, build_tube_algebra,
                           naturality_residual, t_map, tube_json, tube_product,
                           tube_star)
 from tubecat.tube import (_delta_braiding_component, _direction_slices,
-                          _generic_leg, _table_residuals, _vertex_leg)
+                          _generic_leg, _t_diagram, _table_residuals,
+                          _vertex_leg, tube_action)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -639,6 +640,61 @@ def test_f_map_rejects_non_commutant(algebras, deltas):
     assert naturality_residual(D, T) > 1e-3  # sanity: genuinely not natural
     with pytest.raises(NotInCommutant):
         f_map(A, D, T)
+
+
+ACTION_CASES = [(name, None) for name in TUBE_DIM] + [
+    ("fibonacci", {"tau": 2}),  # repeated slots
+    ("ising", {"sigma": 1}),    # partial Λ
+]
+
+
+@pytest.mark.parametrize("name,mapping", ACTION_CASES,
+                         ids=[f"{n}-{m}" if m else n for n, m in ACTION_CASES])
+def test_compiled_t_map_matches_diagram(catalog, name, mapping):
+    # t_map reads the basis images of _t_diagram; on random elements the two
+    # agree to rounding
+    spec = catalog[name]
+    lam = (LambdaObject.all_simples(spec) if mapping is None
+           else LambdaObject.from_mapping(spec, mapping))
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    rng = np.random.default_rng(16)
+    for _ in range(5):
+        f = A.random_element(rng)
+        assert (t_map(A, D, f) - _t_diagram(A, D, f)).norm() < 1e-12, name
+
+
+def test_tube_action_is_compiled_once_per_algebra(catalog, monkeypatch):
+    # one extraction and two round trips evaluate the diagram once per basis
+    # element; a second algebra over the same Λ gets its own matrices
+    spec = catalog["ising"]
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    calls = []
+    monkeypatch.setattr(tubecat.tube, "_t_diagram",
+                        lambda *args: calls.append(1) or _t_diagram(*args))
+    extract_center_simples(A, D, decompose_blocks(A, seed=1))
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        f = A.random_element(rng)
+        assert (f_map(A, D, t_map(A, D, f)) - f).norm() < 1e-9 * f.norm()
+    assert len(calls) == A.dim
+    other = build_tube_algebra(spec, lam)
+    f = other.random_element(rng)
+    assert (f_map(other, D, t_map(other, D, f)) - f).norm() < 1e-9 * f.norm()
+    assert len(calls) == 2 * A.dim
+    assert tube_action(other, D) is not tube_action(A, D)
+
+
+def test_maps_refuse_a_delta_over_another_lambda(catalog):
+    spec = catalog["fibonacci"]
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    D = build_delta(spec, LambdaObject.from_mapping(spec, {"tau": 2}))
+    with pytest.raises(ShapeError, match="different Λ"):
+        t_map(A, D, A.unit)
+    with pytest.raises(ShapeError, match="different Λ"):
+        f_map(A, D, BlockMorphism.identity(D.obj))
+    with pytest.raises(ShapeError, match="different Λ"):
+        extract_center_simples(A, D, decompose_blocks(A, seed=1))
 
 
 def test_gram_form_positive(algebras, deltas):
