@@ -292,16 +292,12 @@ class BlockMorphism:
         blocks = {}
         for i, v in enumerate(dst.summands):
             for j, w in enumerate(src.summands):
-                per_root = {}
-                for z, dd, sd in eng.common_roots(w, v):
-                    m = mats.get(z)
-                    if m is None:
-                        per_root[z] = np.zeros((dd, sd), dtype=complex)
-                    else:
-                        r, c = rows[z][i], cols[z][j]
-                        per_root[z] = m[r:r + dd, c:c + sd].copy()
-                if any(b.any() for b in per_root.values()):
-                    blocks[(i, j)] = Morphism(eng, w, v, per_root)
+                roots = eng.common_roots(w, v)
+                cut = {z: mats[z][rows[z][i]:rows[z][i] + dd,
+                                  cols[z][j]:cols[z][j] + sd].copy()
+                       for z, dd, sd in roots if z in mats}
+                if any(b.any() for b in cut.values()):
+                    blocks[(i, j)] = eng.make(w, v, cut, roots)
         return BlockMorphism(src, dst, blocks)
 
     @staticmethod
