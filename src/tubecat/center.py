@@ -33,14 +33,15 @@ import numpy as np
 
 from .duality import weighted_trace
 from .errors import DegenerateSpectrum, ToleranceError, worst
-from .sums import BlockMorphism, SumObject
+from .sums import BlockMorphism, SumObject, left_blocks, right_blocks
 from .tube import (DeltaObject, LambdaObject, TubeAlgebra, TubeElement,
-                   _padded_identity, build_delta, build_tube_algebra,
-                   hexagon_residual, tube_action)
+                   build_delta, build_tube_algebra, tube_action,
+                   verify_halfbraiding)
 
 __all__ = [
     "BlockDecomposition", "CenterSimple", "decompose_blocks",
-    "extract_center_simples", "compute_twists", "center_report",
+    "compress_halfbraiding", "extract_center_simples", "compute_twists",
+    "center_report",
 ]
 
 # largest allowed distance from an integer when rounding block sizes
@@ -226,94 +227,81 @@ def _polar(V: np.ndarray) -> np.ndarray:
     return V @ (U * (w ** -0.5)) @ U.conj().T
 
 
+def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
+    """The half-braiding of Δ pulled back along an isometry V : X → Δ,
+    given as V_z from X.stacked() to Δ.obj.stacked() at every root z of X:
+    e_X = (id_a ⊗ V†) ∘ e_a ∘ (V ⊗ id_a) for every letter a.
+
+    On the stacked trees at r, V ⊗ id_a is block-diagonal over the lifts
+    (v, ν) with block V_v, and id_a ⊗ V† is Ω_X·B·Ω† with B = V_u† from
+    group (u, ν) of Δ to the same group of X (SumObject.omega), so e_X at r
+    is Ω_X·Y with Y = V_u†·(Ω†·e_a)·V_v on group (u, ν) and lift (v, ν′);
+    the factor Ω†·e_a is DeltaObject.kernel's.  Blocks of max-abs norm up
+    to 1e-14 are left out.
+    """
+    Vt = {z: v.conj().T for z, v in V.items()}
+    out = {}
+    for a, per_root in delta.kernel.items():
+        src = X.stacked((), (a,))
+        mats = {}
+        for r, (om, groups) in X.omega(a).items():
+            _om, dgroups, _e, e1, dlifts = per_root[r]
+            C = right_blocks(e1, V, dlifts, src.lifts.get(r, {}), src.dims.get(r, 0))
+            mats[r] = om @ left_blocks(Vt, C, groups, dgroups, len(om))
+        e = BlockMorphism.from_stacked(X.tensor_right((a,)), X.tensor_left((a,)), mats)
+        out[a] = BlockMorphism(e.src, e.dst, {k: m for k, m in e.blocks.items()
+                                              if m.norm() > 1e-14})
+    return out
+
+
 def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
                            dec: BlockDecomposition,
                            tol: float = 1e-8) -> list:
     """One CenterSimple per block, each verified as a unitary half-braiding.
 
-    The compressed braiding is checked for unitarity (both compositions),
-    trivial unit component, and the hexagon on all simple pairs; any defect
-    at ``tol`` raises ToleranceError, since it means the block structure and
-    the braiding disagree — a bug, not a bad seed.
+    The braiding compressed onto each simple (compress_halfbraiding) is
+    checked for unitarity (both compositions), trivial unit component, and
+    the hexagon on all simple pairs (verify_halfbraiding); any defect at
+    ``tol`` raises ToleranceError naming the block, since it means the block
+    structure and the braiding disagree — a bug, not a bad seed.
     """
     eng = A.engine
     ring = eng.ring
     labs = A.spec.labels
-    obj = delta.obj
     action = tube_action(A, delta)
-    starts = obj.stacked().starts
     out = []
     for k, n in enumerate(dec.sizes):
         qv = dec.vectors[k] if n == 1 else _refine_minimal(
             A, dec.vectors[k], n, dec.seed, k)
 
-        # range of t(q) on each Hom(z, Δ), one isometry column per copy of z
-        iso = {}      # X summand index -> {Δ summand index -> Morphism}
-        tags = []
-        mults = {}
+        # range of t(q) on each Hom(z, Δ): an isometry V_z onto it from the
+        # stacked copies (z, 0), (z, 1), ... of z in X
+        V, tags = {}, []
         for z, Rz in action.items():
             M = np.tensordot(qv, Rz, 1)
             evals, U = np.linalg.eigh(0.5 * (M + M.conj().T))
             keep = evals > 0.5
-            m_z = int(np.sum(keep))
-            if m_z == 0:
-                continue
-            V = _polar(M @ U[:, keep])
-            mults[z] = m_z
-            first = starts[z]
-            for cpy in range(m_z):
-                iso[len(tags)] = {
-                    s: eng.make((z,), w, {z: V[first[s]:first[s + 1], cpy:cpy + 1]})
-                    for s, w in enumerate(obj.summands) if first[s + 1] > first[s]}
-                tags.append((z, cpy))
+            if np.any(keep):
+                V[z] = _polar(M @ U[:, keep])
+                tags += [(z, cpy) for cpy in range(V[z].shape[1])]
+        mults = {z: v.shape[1] for z, v in V.items()}
 
         if sum(mults.get(x, 0) * A.lam.mult[x] for x in range(ring.rank)) != n:
             raise ToleranceError(
                 f"block {k}: summand bookkeeping does not match size {n}")
 
         X = SumObject(eng, [(z,) for z, _c in tags], tags)
-        braiding = {}
-        for a in range(ring.rank):
-            e = delta.braiding[a]
-            # id_a ⊗ u_i[s]† and u_j[s] ⊗ id_a, each built once per (i, s)
-            outs = {(i, s): eng.tensor_id_left((a,), u.dag())
-                    for i, comps in iso.items() for s, u in comps.items()}
-            ins = {(j, s): eng.tensor_id_right(u, (a,))
-                   for j, comps in iso.items() for s, u in comps.items()}
-            blocks = {}
-            for i, ui in iso.items():
-                for j, uj in iso.items():
-                    acc = None
-                    for (si, sj), m in e.blocks.items():
-                        if si not in ui or sj not in uj:
-                            continue
-                        term = outs[i, si] @ m @ ins[j, sj]
-                        acc = term if acc is None else acc + term
-                    if acc is not None and acc.norm() > 1e-14:
-                        blocks[(i, j)] = acc
-            braiding[a] = BlockMorphism(X.tensor_right((a,)),
-                                        X.tensor_left((a,)), blocks)
-
-        defects = []
-        for a, e in braiding.items():
-            defects.append((e.dag() @ e - BlockMorphism.identity(X.tensor_right((a,)))).norm())
-            defects.append((e @ e.dag() - BlockMorphism.identity(X.tensor_left((a,)))).norm())
-        defects.append((braiding[ring.unit] - _padded_identity(X, ring.unit)).norm())
-        worst_u = worst(defects)
-        if not worst_u < tol:
-            raise ToleranceError(
-                f"block {k}: compressed braiding unitarity defect {worst_u:.3e}")
-        worst_h = worst(hexagon_residual(X, braiding, a, b)
-                        for a in range(ring.rank) for b in range(ring.rank))
-        if not worst_h < tol:
-            raise ToleranceError(
-                f"block {k}: hexagon defect {worst_h:.3e} on the extracted simple")
+        braiding = compress_halfbraiding(delta, X, V)
+        try:
+            res = verify_halfbraiding(X, braiding, tol)
+        except ToleranceError as exc:
+            raise ToleranceError(f"block {k}: {exc} on the extracted simple") from exc
 
         out.append(CenterSimple(
             algebra=A, vector=qv,
             underlying={labs[z]: m for z, m in sorted(mults.items())},
-            obj=X, braiding=braiding,
-            hexagon_defect=worst_h, unitarity_defect=worst_u))
+            obj=X, braiding=braiding, hexagon_defect=res["hexagon"],
+            unitarity_defect=worst((res["unitarity"], res["unit"]))))
     return out
 
 

@@ -13,9 +13,7 @@ Tensoring with the identity on the RIGHT is index bookkeeping: a comb for
 A + W is a comb for A continued by an extension, and the extension rides
 along unchanged.  Tensoring on the LEFT is where the associator enters: the
 basis change between "comb of (c,)+W" and "id_c (x) comb of W" is a unitary
-built recursively from conjugated F blocks (one letter at a time).  The same
-extension picture gives id_W (x) g as id_u (x) g lifted over the roots u of
-W (Engine.lift_id_left).
+built recursively from conjugated F blocks (one letter at a time).
 """
 from __future__ import annotations
 
@@ -400,49 +398,6 @@ class Engine:
         for c in reversed(tuple(word)):
             out = self._tensor_one_left(c, out)
         return out
-
-    def lift_id_left(self, word: Word, f: Morphism, pads: dict) -> Morphism:
-        """id_word (x) f, lifted from one-letter pads over the roots of word.
-
-        A left comb of word + S at root z is a tree of word rooted at some u
-        followed by a comb of (u,) + S at root z.  So in comb coordinates
-        id_word (x) f is block-diagonal over the trees of word, and the
-        block of a tree rooted at u is id_u (x) f.  ``pads`` memoizes
-        id_u (x) f by u; callers share it between words padding the same f.
-        This needs one omega per root u, where tensor_id_left needs one per
-        letter of word on an ever longer word.  The two agree up to rounding,
-        and tensor_id_left stays the reference.  Words of length <= 1 take
-        tensor_id_left itself.
-        """
-        word = tuple(word)
-        if len(word) <= 1:
-            return self.tensor_id_left(word, f)
-        cut = len(word) - 1  # tree pairs that belong to word
-        unit = self.ring.unit
-        src2, dst2 = word + f.src, word + f.dst
-        sb2, db2 = self.basis(src2), self.basis(dst2)
-        roots = self.common_roots(src2, dst2)
-        blocks = {}
-        for z, dd, sd in roots:
-            cols: dict = {}
-            for j, t in enumerate(sb2.by_root[z]):
-                cols.setdefault(t[:cut], []).append((j, t[cut:]))
-            blk = np.zeros((dd, sd), dtype=complex)
-            for i, t in enumerate(db2.by_root[z]):
-                pre = t[:cut]
-                src_cols = cols.get(pre)
-                if src_cols is None:
-                    continue
-                u = tree_root(word, pre, unit)
-                pad = pads.get(u)
-                if pad is None:
-                    pad = pads[u] = self._tensor_one_left(u, f)
-                row = pad.blocks[z][self.basis((u,) + f.dst).index[z][t[cut:]]]
-                col_of = self.basis((u,) + f.src).index[z]
-                for j, ext in src_cols:
-                    blk[i, j] = row[col_of[ext]]
-            blocks[z] = blk
-        return self.make(src2, dst2, blocks, roots)
 
 
 def engine_for(spec) -> Engine:

@@ -9,7 +9,9 @@ between two sums, keyed by (target summand, source summand).  Missing blocks
 are zero.  Composition is block matrix multiplication over the sparse dicts.
 A StackedBasis lines up the comb trees of all summands at each root, so a
 BlockMorphism can also be read as one matrix per root (BlockMorphism.stacked)
-and put back together from one (BlockMorphism.from_stacked).
+and put back together from one (BlockMorphism.from_stacked); f ⊗ id and
+id ⊗ f act there as block-diagonal products (left_blocks, right_blocks,
+SumObject.omega).
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .errors import ShapeError, worst
 from .morphism import Engine, Morphism
 from .trees import Word
 
-__all__ = ["SumObject", "BlockMorphism", "StackedBasis", "block_trace"]
+__all__ = ["SumObject", "BlockMorphism", "StackedBasis", "left_blocks", "right_blocks"]
 
 
 class StackedBasis:
@@ -114,9 +116,6 @@ class SumObject:
     def index(self, tag) -> int:
         return self._pos[tag]
 
-    def word(self, i: int) -> Word:
-        return self.summands[i]
-
     def tensor_right(self, word: Word) -> "SumObject":
         word = tuple(word)
         return SumObject(self.engine, [w + word for w in self.summands], self.tags)
@@ -127,6 +126,38 @@ class SumObject:
 
     def same_words(self, other: "SumObject") -> bool:
         return self.summands == other.summands
+
+    def omega(self, c: int) -> dict:
+        """id_c ⊗ − on the stacked comb trees of the summands: root r ->
+        (Ω, groups).
+
+        Ω = ⊕_j Engine.omega(c, w_j)[r] maps the 'id_c ⊗ comb' coordinates
+        (Engine.right_basis) onto the stacked combs of (c,) + w_j at r, and
+        groups[(u, ν)] lists the right-basis positions that continue the
+        trees at u in slot ν of c ⊗ u, in their stacked order.  So for a map
+        F: S → D read as F_u at every root u, id_c ⊗ F at r is
+        D.omega(c)[r][0] · B · S.omega(c)[r][0]†, with B = F_u from group
+        (u, ν) of S to the same group of D (left_blocks).
+        """
+        eng = self.engine
+        mats, groups, size = {}, {}, {}
+        for w in self.summands:
+            om = eng.omega(c, w)
+            for r, ents in eng.right_basis(c, w).items():
+                off = size.get(r, 0)
+                mats.setdefault(r, []).append(om[r])
+                g = groups.setdefault(r, {})
+                for k, (u, _tree, nu) in enumerate(ents):
+                    g.setdefault((u, nu), []).append(off + k)
+                size[r] = off + len(ents)
+        out = {}
+        for r, blocks in mats.items():
+            om, pos = np.zeros((size[r], size[r]), dtype=complex), 0
+            for m in blocks:
+                om[pos:pos + len(m), pos:pos + len(m)] = m
+                pos += len(m)
+            out[r] = om, {key: np.array(p) for key, p in groups[r].items()}
+        return out
 
     def stacked(self, left: Word = (), right: Word = ()) -> StackedBasis:
         """Stacked comb basis of the words left + w + right over the summands
@@ -254,17 +285,6 @@ class BlockMorphism:
             self.src.tensor_left(word), self.dst.tensor_left(word),
             {k: eng.tensor_id_left(word, m) for k, m in self.blocks.items()})
 
-    def channel_rows(self, c: int, mu: int) -> "BlockMorphism":
-        """(ι† ⊗ id) ∘ self block by block (Engine.channel_rows), for a map
-        into summands that all begin with the same pair (a, b): each target
-        summand (a, b) + W becomes (c,) + W."""
-        eng = self.engine
-        if len({w[:2] for w in self.dst.summands}) > 1:
-            raise ShapeError("channel rows need one leading pair on every summand")
-        dst = SumObject(eng, [(c,) + w[2:] for w in self.dst.summands], self.dst.tags)
-        return BlockMorphism(self.src, dst, {k: eng.channel_rows(m, c, mu)
-                                             for k, m in self.blocks.items()})
-
     def stacked(self, src: StackedBasis, dst: StackedBasis) -> dict:
         """One matrix per root z, from src's coordinates at z to dst's: block
         (i, j) at z sits at rows dst.starts[z][i] on, columns src.starts[z][j]
@@ -315,15 +335,22 @@ class BlockMorphism:
                 f"{len(self.blocks)} blocks, norm={self.norm():.3g}>")
 
 
-def block_trace(f: BlockMorphism) -> complex:
-    """Sum of diagonal-block quantum traces; the loop trace of an endomorphism."""
-    from .duality import weighted_trace
+def left_blocks(F: dict, M: np.ndarray, dst: dict, src: dict, n: int) -> np.ndarray:
+    """B·M with B block-diagonal over the keys (u, ν) of dst: block F_u from
+    M's rows src[key] to the rows dst[key] of an n-row result."""
+    out = np.zeros((n, M.shape[1]), dtype=complex)
+    for key, P in dst.items():
+        if key in src and key[0] in F:
+            out[P] = F[key[0]] @ M[src[key]]
+    return out
 
-    if not f.src.same_words(f.dst):
-        raise ShapeError("trace needs an endomorphism")
-    total = 0.0 + 0.0j
-    for (i, j), m in f.blocks.items():
-        if i == j:
-            total += weighted_trace(m)
-    return total
 
+def right_blocks(M: np.ndarray, F: dict, dst: dict, src: dict, n: int) -> np.ndarray:
+    """M·B with B block-diagonal over the keys (v, ν) of src: block F_v from
+    the columns src[key] of an n-column result to M's columns dst[key]
+    (StackedBasis.lifts gives such keys for f ⊗ id_x)."""
+    out = np.zeros((M.shape[0], n), dtype=complex)
+    for key, C in src.items():
+        if key in dst and key[0] in F:
+            out[:, C] = M[:, dst[key]] @ F[key[0]]
+    return out

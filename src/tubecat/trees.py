@@ -107,9 +107,6 @@ class TreeBasis:
     def dim(self, z: int) -> int:
         return self.dims.get(z, 0)
 
-    def total_dim(self) -> int:
-        return sum(len(ts) for ts in self.by_root.values())
-
     def split(self, prefix_len: int, unit: int):
         """Decompose each tree as (prefix tree, prefix root, extension).
 

@@ -31,14 +31,14 @@ from .duality import coev, ev, rotate_clockwise
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
 from .morphism import Engine, Morphism, engine_for
 from .pairs import canonical_pair
-from .sums import BlockMorphism, StackedBasis, SumObject, block_trace
+from .sums import BlockMorphism, StackedBasis, SumObject, left_blocks, right_blocks
 from .trees import Word
 
 __all__ = [
     "LambdaObject", "DeltaObject", "TubeBasisLabel", "TubeElement",
     "TubeAlgebra", "build_delta", "build_tube_algebra",
     "tube_product", "tube_star", "tube_action", "t_map", "f_map",
-    "extend_halfbraiding", "hexagon_residual", "gram",
+    "naturality_residual", "hexagon_residual", "verify_halfbraiding",
     "tube_json",
 ]
 
@@ -86,7 +86,8 @@ class DeltaObject:
     ``obj`` tags summands by (x, slot); ``braiding[a]`` maps Δ⊗a → a⊗Δ.
     ``residuals`` records the worst unitarity / hexagon / unit-component
     defects measured while building.  ``actions`` holds tube_action's
-    compiled matrices, one entry per tube algebra.
+    compiled matrices, one entry per tube algebra, and ``kernel`` the
+    stacked half-braiding that naturality and compression read.
     """
 
     spec: object
@@ -101,27 +102,45 @@ class DeltaObject:
     def engine(self) -> Engine:
         return self.obj.engine
 
+    @functools.cached_property
+    def kernel(self) -> dict:
+        """Δ's side of naturality_residual and of the compression onto the
+        center simples, made on first use: letter b -> root r ->
+        (Ω, groups, e, Ω†·e, lifts), with e = e_b at r on the stacked
+        trees, (Ω, groups) = obj.omega(b)[r] and lifts those of
+        obj.stacked((), (b,)) at r."""
+        obj = self.obj
+        hb = _Stacked(obj, self.braiding)
+        out = {}
+        for b in self.braiding:
+            e, lifts = hb.e(b), obj.stacked((), (b,)).lifts
+            out[b] = {r: (om, groups, e[r], om.conj().T @ e[r], lifts[r])
+                      for r, (om, groups) in obj.omega(b).items()
+                      if r in e}
+        return out
 
-def _cached(eng: Engine, key: tuple, make):
-    """eng.cache[key], made on first use: diagram pieces that depend only on
-    labels, shared by every call on the engine's category."""
-    out = eng.cache.get(key)
+
+def _cached(store: dict, key: tuple, make):
+    """store[key], made on first use.  With an engine's cache as the store:
+    diagram pieces that depend only on labels, shared by every call on the
+    engine's category."""
+    out = store.get(key)
     if out is None:
-        out = eng.cache[key] = make()
+        out = store[key] = make()
     return out
 
 
 def _rotated_fuses(eng: Engine, a: int, y: int, x: int) -> tuple:
     """Fusion halves of the (a,y;x) dual pair, rotated to sit on a downward
     strand: each maps (x̄, a) → (ȳ,)."""
-    return _cached(eng, ("rotfuse", a, y, x), lambda: tuple(
+    return _cached(eng.cache, ("rotfuse", a, y, x), lambda: tuple(
         rotate_clockwise(f) for f in canonical_pair(eng, a, y, x).fuses))
 
 
 def _rotated_splits(eng: Engine, x: int, a: int, y: int) -> tuple:
     """Splitting halves of the (x,a;y) dual pair rotated likewise: each maps
     (x̄,) → (a, ȳ)."""
-    return _cached(eng, ("rotsplit", x, a, y), lambda: tuple(
+    return _cached(eng.cache, ("rotsplit", x, a, y), lambda: tuple(
         rotate_clockwise(s) for s in canonical_pair(eng, x, a, y).splits))
 
 
@@ -154,7 +173,7 @@ def _vertex_pad(eng: Engine, u: int, a: int, b: int, c: int, mu: int) -> Morphis
     """id_u ⊗ ι† : (u, a, b) → (u, c) for the μ-th vertex ι : c → a ⊗ b
     (hom_basis((c,), (a, b))[mu]); every hexagon check on the category
     shares it."""
-    return _cached(eng, ("vertexpad", u, a, b, c, mu), lambda: eng._tensor_one_left(
+    return _cached(eng.cache, ("vertexpad", u, a, b, c, mu), lambda: eng._tensor_one_left(
         u, eng.hom_basis((c,), (a, b))[mu].dag()))
 
 
@@ -192,23 +211,17 @@ def _vertex_leg(obj: SumObject, a: int, b: int, pieces: dict,
     ring, d = eng.ring, eng.d
     dst = obj.stacked((c,))
 
-    def piece(key, make):
-        out = pieces.get(key)
-        if out is None:
-            out = pieces[key] = make()
-        return out
-
     def top(y, x, t):
-        full = piece(("split", a, b, y, x, t), lambda: eng.tensor_id_left(
+        full = _cached(pieces, ("split", a, b, y, x, t), lambda: eng.tensor_id_left(
             (a,), canonical_pair(eng, b, y, x).splits[t]))
-        return piece(("top", a, b, y, x, t, c, mu),
-                     lambda: eng.channel_rows(full, c, mu))
+        return _cached(pieces, ("top", a, b, y, x, t, c, mu),
+                       lambda: eng.channel_rows(full, c, mu))
 
     def pad(y, x, t, u):
-        return piece(("rot", b, y, x, t, u), lambda: eng._tensor_one_left(
+        return _cached(pieces, ("rot", b, y, x, t, u), lambda: eng._tensor_one_left(
             u, _rotated_fuses(eng, b, y, x)[t]))
 
-    rows = piece(("rows", c), lambda: _vertex_groups(dst))
+    rows = _cached(pieces, ("rows", c), lambda: _vertex_groups(dst))
     cols = _vertex_groups(src)
     ys = {x: [(y, int(ring.N[b, y, x])) for y in range(ring.rank) if ring.N[b, y, x]]
           for x in range(ring.rank)}
@@ -230,59 +243,42 @@ def _vertex_leg(obj: SumObject, a: int, b: int, pieces: dict,
     return out
 
 
-def _generic_leg(obj: SumObject, braiding: dict, a: int, b: int) -> Callable:
-    """(c, μ, src) -> the channel rows of braiding[b].tensor_id_left((a,)),
-    built once and stacked like _vertex_leg: the left leg for any
-    half-braided sum."""
-    full = braiding[b].tensor_id_left((a,))
-    return lambda c, mu, src: full.channel_rows(c, mu).stacked(src, obj.stacked((c,)))
+class _Stacked:
+    """A half-braiding on obj read as one matrix per root (e_a from the
+    stacked trees of w + (a,) to those of (a,) + w), letter by letter on
+    first use, with the index arrays shared by every identity checked on
+    it (``memo``)."""
+
+    __slots__ = ("obj", "braiding", "memo")
+
+    def __init__(self, obj: SumObject, braiding: dict):
+        self.obj, self.braiding, self.memo = obj, braiding, {}
+
+    def e(self, a: int) -> dict:
+        obj = self.obj
+        return _cached(self.memo, ("e", a), lambda: self.braiding[a].stacked(
+            obj.stacked((), (a,)), obj.stacked((a,))))
 
 
-def _padded_identity(obj: SumObject, unit: int) -> BlockMorphism:
-    """The trivial braiding Δ⊗1 → 1⊗Δ: identity matrices in tree bases."""
-    eng = obj.engine
-    blocks = {}
-    for i, w in enumerate(obj.summands):
-        src, dst = w + (unit,), (unit,) + w
-        tb = eng.basis(src)
-        blocks[(i, i)] = eng.make(src, dst, {z: np.eye(tb.dim(z), dtype=complex)
-                                             for z in tb.roots()})
-    return BlockMorphism(obj.tensor_right((unit,)), obj.tensor_left((unit,)), blocks)
+def _stacked_leg(hb: _Stacked, a: int, b: int) -> Callable:
+    """(c, μ, src) -> channel (c, μ) of id_a ⊗ e_b, stacked as _vertex_leg
+    returns it: the left leg for any half-braided sum, built once per
+    (a, b) from the stored e_b.  id_a ⊗ e_b at r is Ω′·B·Ω† (SumObject.omega
+    of the sums of (b,) + w and w + (b,), B = e_b at u on group (u, ν)),
+    and channel (c, μ) keeps its rows on the trees of (a, b) + w whose first
+    vertex is (c, μ), which list the trees of (c,) + w in order."""
+    obj, e_b = hb.obj, hb.e(b)
+    src, dst = obj.tensor_right((b,)).omega(a), obj.tensor_left((b,)).omega(a)
+    full = {r: om @ left_blocks(e_b, src[r][0].conj().T, rows, src[r][1], len(om))
+            for r, (om, rows) in dst.items() if r in src}
+    firsts: dict = {}  # (c, μ) -> root -> rows
+    for r, trees in obj.stacked((a, b)).by_root.items():
+        for pos, (_j, tree) in enumerate(trees):
+            firsts.setdefault(tree[0], {}).setdefault(r, []).append(pos)
+    return lambda c, mu, src: {r: m[firsts[(c, mu)].get(r, [])] for r, m in full.items()}
 
 
-def extend_halfbraiding(obj: SumObject, braiding: dict, word: Word) -> BlockMorphism:
-    """Half-braiding against an arbitrary word, assembled from the simple
-    components through the tree isometries of Hom(c, word).
-
-    The pad id_{Δ_j} ⊗ ι† on the source side is lifted over the roots u of
-    the summand Δ_j: comb(Δ_j + word) at root z is the trees of Δ_j rooted
-    at u times comb((u,) + word), so id_{Δ_j} ⊗ ι† is id_u ⊗ ι† on each of
-    those trees (Engine.lift_id_left).  Each id_u ⊗ ι† is computed once per
-    (u, c, ι) and shared by every summand with a tree rooted at u.
-    hexagon_residual checks the two-letter case channel by channel without
-    assembling it; this whole-word assembly is its test oracle.
-    """
-    word = tuple(word)
-    eng = obj.engine
-    if len(word) == 1:
-        return braiding[word[0]]
-    src, dst = obj.tensor_right(word), obj.tensor_left(word)
-    out: dict = {}
-    for c in eng.basis(word).roots():
-        for iota in eng.hom_basis((c,), word):
-            e_c = braiding[c]
-            iota_dag = iota.dag()
-            pads: dict = {}  # root u -> id_u ⊗ ι†
-            for (i, j), m in e_c.blocks.items():
-                left = eng.tensor_id_right(iota, obj.summands[i])
-                right = eng.lift_id_left(obj.summands[j], iota_dag, pads)
-                term = left @ m @ right
-                key = (i, j)
-                out[key] = out[key] + term if key in out else term
-    return BlockMorphism(src, dst, out)
-
-
-def hexagon_residual(obj: SumObject, braiding: dict, a: int, b: int,
+def hexagon_residual(obj: SumObject, braiding, a: int, b: int,
                      left: Callable[[int, int, StackedBasis], dict] | None = None
                      ) -> float:
     """Defect of braiding past a⊗b in one move versus one leg at a time:
@@ -290,12 +286,11 @@ def hexagon_residual(obj: SumObject, braiding: dict, a: int, b: int,
     (c, μ) of a⊗b and one root z at a time.
 
     With ι = ι_{c,μ} : c → a⊗b the tree vertices (hom_basis((c,), (a, b))),
-    e_{a⊗b} = Σ_{c,μ} (ι ⊗ id) ∘ e_c ∘ (id ⊗ ι†), as extend_halfbraiding
-    assembles it.  Every comb tree of (a, b) + W begins with exactly one
-    vertex (c, μ), and ι ⊗ id_W is the embedding of the rows that begin with
-    it (Engine.channel_rows).  So the rows of e_{a⊗b} − S fall into one group
-    per channel, group (c, μ) is e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S, and in the
-    max-abs norm
+    e_{a⊗b} = Σ_{c,μ} (ι ⊗ id) ∘ e_c ∘ (id ⊗ ι†).  Every comb tree of
+    (a, b) + W begins with exactly one vertex (c, μ), and ι ⊗ id_W is the
+    embedding of the rows that begin with it (Engine.channel_rows).  So the
+    rows of e_{a⊗b} − S fall into one group per channel, group (c, μ) is
+    e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S, and in the max-abs norm
 
         ‖e_{a⊗b} − S‖ = max_{c,μ} ‖e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S‖:
 
@@ -314,22 +309,22 @@ def hexagon_residual(obj: SumObject, braiding: dict, a: int, b: int,
         e_c ∘ (id ⊗ ι†) that continue those trees are e_c's columns
         (u, ν) times the pad.
 
-    ``left(c, mu, mid)`` returns (ι† ⊗ id) ∘ (id_a ⊗ e_b) as one matrix per
-    root, from mid, the stacked trees of (a,) + W + (b,), to those of
-    (c,) + W.  By
-    default it is the channel rows of ``braiding[b].tensor_id_left((a,))``,
-    built once (_generic_leg).  A caller that built e_b from vertices may
-    hand in the leg drawn on the same vertices (_vertex_leg), by
-    functoriality of id_a ⊗ -; the stored e_b still enters the check,
-    through e_c and through e_b ⊗ id on the pairs (b, ·).
+    ``braiding`` is the dict of components, or the _Stacked reading of it
+    that verify_halfbraiding shares between pairs.  ``left(c, mu, mid)``
+    returns (ι† ⊗ id) ∘ (id_a ⊗ e_b) as one matrix per root, from mid, the
+    stacked trees of (a,) + W + (b,), to those of (c,) + W.  By default it
+    is built from the stored e_b (_stacked_leg).  A caller that built e_b
+    from vertices may hand in the leg drawn on the same vertices
+    (_vertex_leg), by functoriality of id_a ⊗ -; the stored e_b still
+    enters the check, through e_c and through e_b ⊗ id on the pairs (b, ·).
     """
     eng = obj.engine
-    ring = eng.ring
+    hb = braiding if isinstance(braiding, _Stacked) else _Stacked(obj, braiding)
     if left is None:
-        left = _generic_leg(obj, braiding, a, b)
+        left = _stacked_leg(hb, a, b)
     base, lower = obj.stacked(), obj.stacked((), (a,))
     src, mid = obj.stacked((), (a, b)), obj.stacked((a,), (b,))
-    e_a = braiding[a].stacked(lower, obj.stacked((a,)))
+    e_a = hb.e(a)
     # columns at z that continue the trees of W at u: one row per tree of W
     # at u, one column per tree ((v, ν1), (z, ν2)) of (u, a, b) at z
     tails = {u: {z: np.array([src.lifts[z][(v, nu2)][lower.lifts[v][(u, nu1)]]
@@ -338,9 +333,9 @@ def hexagon_residual(obj: SumObject, braiding: dict, a: int, b: int,
              for u in base.dims}
 
     def channel_defects():
-        for c, n in ring.channels[a][b].items():
+        for c, n in eng.ring.channels[a][b].items():
             joined = obj.stacked((), (c,))
-            e_c = braiding[c].stacked(joined, obj.stacked((c,)))
+            e_c = hb.e(c)
             for mu in range(n):
                 leg = left(c, mu, mid)
                 lhs = {z: np.zeros((m.shape[0], src.dims[z]), dtype=complex)
@@ -348,23 +343,66 @@ def hexagon_residual(obj: SumObject, braiding: dict, a: int, b: int,
                 for u in base.dims:
                     for z, blk in _vertex_pad(eng, u, a, b, c, mu).blocks.items():
                         if z in lhs:
-                            heads = np.array([joined.lifts[z][(u, nu)]
-                                              for nu in range(blk.shape[0])]).T
+                            heads = _cached(hb.memo, ("heads", c, u, z), lambda: np.array(
+                                [joined.lifts[z][(u, nu)] for nu in range(blk.shape[0])]).T)
                             lhs[z][:, tails[u][z]] = e_c[z][:, heads] @ blk
                 for z, out in lhs.items():
-                    rhs = np.zeros_like(out)
-                    if z in leg:
-                        for key, cols in src.lifts[z].items():
-                            m = mid.lifts[z].get(key)
-                            if m is not None and key[0] in e_a:
-                                rhs[:, cols] = leg[z][:, m] @ e_a[key[0]]
+                    rhs = (right_blocks(leg[z], e_a, mid.lifts[z], src.lifts[z], src.dims[z])
+                           if z in leg else 0)
                     yield float(np.max(np.abs(out - rhs)))
 
     return worst(channel_defects())
 
 
+def _identity_gap(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m - np.eye(len(m)))))
+
+
+def verify_halfbraiding(obj: SumObject, braiding: dict, tol: float,
+                        left: Callable[[int, int], Callable] | None = None) -> dict:
+    """Check that ``braiding`` (letter a -> e_a : obj⊗a → a⊗obj) is a
+    unitary half-braiding, on one matrix per root and letter: e_a†·e_a = 1
+    and e_a·e_a† = 1 for every a, e_1 = 1 on the unit, and the hexagon of
+    every pair (a, b) (hexagon_residual).  The stacked e_a and the index
+    arrays are made once and shared by all of them.  ``left(a, b)`` gives
+    the hexagon's left leg for a pair; by default it is drawn from the
+    stored e_b (_stacked_leg).
+
+    Returns the worst residual of each identity by name.  Raises
+    ToleranceError when one reaches ``tol``, naming it; that signals an
+    engine or data bug, not bad user input.
+    """
+    ring = obj.engine.ring
+    hb = _Stacked(obj, braiding)
+
+    def unitarity_gaps(a):
+        e = hb.e(a)
+        for z, n in obj.stacked((), (a,)).dims.items():
+            m = e.get(z)
+            yield _identity_gap(np.zeros((n, n)) if m is None else m.conj().T @ m)
+        for z, n in obj.stacked((a,)).dims.items():
+            m = e.get(z)
+            yield _identity_gap(np.zeros((n, n)) if m is None else m @ m.conj().T)
+
+    worst_u = worst(g for a in range(ring.rank) for g in unitarity_gaps(a))
+    if not worst_u < tol:
+        raise ToleranceError(f"half-braiding unitarity defect {worst_u:.3e} >= {tol:g}")
+
+    unit_res = worst(_identity_gap(m) for m in hb.e(ring.unit).values())
+    if not unit_res < tol:
+        raise ToleranceError(f"unit braiding component defect {unit_res:.3e} >= {tol:g}")
+
+    worst_h = worst(hexagon_residual(obj, hb, a, b, None if left is None else left(a, b))
+                    for a in range(ring.rank) for b in range(ring.rank))
+    if not worst_h < tol:
+        raise ToleranceError(f"hexagon defect {worst_h:.3e} >= {tol:g}")
+    return {"unitarity": worst_u, "unit": unit_res, "hexagon": worst_h}
+
+
 def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
-    """Assemble Δ(Λ) and verify that its braiding is a unitary half-braiding.
+    """Assemble Δ(Λ) and verify that its braiding is a unitary half-braiding
+    (verify_halfbraiding, with the hexagon's left leg drawn on the vertices
+    that define e_b).
 
     Raises ToleranceError when any unitarity, unit-component, or hexagon
     residual reaches ``tol``; that signals an engine or data bug, not bad
@@ -383,30 +421,11 @@ def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
     obj = SumObject(eng, words, tags)
 
     braiding = {a: _delta_braiding_component(eng, obj, a) for a in range(ring.rank)}
-
-    defects = []
-    for a, e in braiding.items():
-        defects.append((e.dag() @ e - BlockMorphism.identity(obj.tensor_right((a,)))).norm())
-        defects.append((e @ e.dag() - BlockMorphism.identity(obj.tensor_left((a,)))).norm())
-    worst_u = worst(defects)
-    if not worst_u < tol:
-        raise ToleranceError(f"half-braiding unitarity defect {worst_u:.3e} >= {tol:g}")
-
-    unit_res = (braiding[ring.unit] - _padded_identity(obj, ring.unit)).norm()
-    if not unit_res < tol:
-        raise ToleranceError(f"unit braiding component defect {unit_res:.3e} >= {tol:g}")
-
     pieces: dict = {}  # label-only vertex pieces, shared by every (a, b)
-    worst_h = worst(
-        hexagon_residual(obj, braiding, a, b,
-                         functools.partial(_vertex_leg, obj, a, b, pieces))
-        for a in range(ring.rank) for b in range(ring.rank))
-    if not worst_h < tol:
-        raise ToleranceError(f"hexagon defect {worst_h:.3e} >= {tol:g}")
-
+    residuals = verify_halfbraiding(
+        obj, braiding, tol, lambda a, b: functools.partial(_vertex_leg, obj, a, b, pieces))
     return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding,
-                       residuals={"unitarity": worst_u, "unit": unit_res,
-                                  "hexagon": worst_h})
+                       residuals=residuals)
 
 
 # ---- tube algebra -----------------------------------------------------------
@@ -746,11 +765,11 @@ def tube_product(A: TubeAlgebra, f: TubeElement, g: TubeElement) -> TubeElement:
                         xm = slots[m][0]
                         term = None
                         for t in range(pair.n):
-                            lo = _cached(eng, ("prod_lo", xl, c, b, a, t),
+                            lo = _cached(eng.cache, ("prod_lo", xl, c, b, a, t),
                                          lambda: eng.tensor_id_left((xl,), pair.splits[t]))
                             mid = eng.tensor_id_left((c,), fblk) \
                                 @ eng.tensor_id_right(gblk, (b,))
-                            hi = _cached(eng, ("prod_hi", c, b, a, t, xm),
+                            hi = _cached(eng.cache, ("prod_hi", c, b, a, t, xm),
                                          lambda: eng.tensor_id_right(pair.fuses[t], (xm,)))
                             piece = hi @ mid @ lo
                             term = piece if term is None else term + piece
@@ -777,10 +796,10 @@ def tube_star(A: TubeAlgebra, f: TubeElement) -> TubeElement:
             xl, xm = slots[lkey][0], slots[mkey][0]
             dagblk = blk.dag()  # (abar, x_l) -> (x_m, abar)
             # cup: () -> (a, abar), cap: (abar, a) -> ()
-            h1 = _cached(eng, ("star_h1", a, xl),
+            h1 = _cached(eng.cache, ("star_h1", a, xl),
                          lambda: eng.tensor_id_right(coev(eng, a), (xl, a)))
             h2 = eng.tensor_id_left((a,), eng.tensor_id_right(dagblk, (a,)))
-            h3 = _cached(eng, ("star_h3", a, xm),
+            h3 = _cached(eng.cache, ("star_h3", a, xm),
                          lambda: eng.tensor_id_left((a, xm), ev(eng, a)))
             blocks[(mkey, lkey)] = h3 @ h2 @ h1
         comps[a] = BlockMorphism(A.src_objs[a], A.dst_objs[a], blocks)
@@ -815,9 +834,9 @@ def _t_diagram(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorph
                     mid = eng.tensor_id_left((x,), eng.tensor_id_right(blk, (yd,)))
                     term = None
                     for t in range(n):
-                        lo = _cached(eng, ("t_lo", x, xl, a, y, t),
+                        lo = _cached(eng.cache, ("t_lo", x, xl, a, y, t),
                                      lambda: eng.tensor_id_left((x, xl), rots[t]))
-                        hi = _cached(eng, ("t_hi", x, a, y, t, xm),
+                        hi = _cached(eng.cache, ("t_hi", x, a, y, t, xm),
                                      lambda: eng.tensor_id_right(pair.fuses[t], (xm, yd)))
                         piece = hi @ mid @ lo
                         term = piece if term is None else term + piece
@@ -856,9 +875,27 @@ def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorphism:
 
 
 def naturality_residual(delta: DeltaObject, T: BlockMorphism) -> float:
-    """How far T is from commuting with the half-braiding of Δ."""
-    return worst((T.tensor_id_left((b,)) @ e - e @ T.tensor_id_right((b,))).norm()
-                 for b, e in delta.braiding.items())
+    """How far T is from commuting with the half-braiding of Δ: the worst
+    max-abs entry of (id_b ⊗ T) ∘ e_b − e_b ∘ (T ⊗ id_b) over the letters b,
+    one root r of the stacked trees at a time (DeltaObject.kernel).
+
+    T ⊗ id_b is block-diagonal over the lifts (v, ν) with block T_v, so the
+    right side is e[:, cols]·T_v on the columns of each lift.  id_b ⊗ T is
+    Ω·B·Ω† with B = T_u on group (u, ν) (SumObject.omega), so the left side is
+    Ω·Y with Y = T_u·(Ω†·e) on the rows of each group.  Only T is new per
+    call; everything else is Δ's, compiled once.
+    """
+    sb = delta.obj.stacked()
+    Ts = T.stacked(sb, sb)
+
+    def defects():
+        for per_root in delta.kernel.values():
+            for om, groups, e, e1, lifts in per_root.values():
+                lhs = om @ left_blocks(Ts, e1, groups, groups, len(e1))
+                rhs = right_blocks(e, Ts, lifts, lifts, e.shape[1])
+                yield float(np.max(np.abs(lhs - rhs)))
+
+    return worst(defects())
 
 
 def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
@@ -903,7 +940,7 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
                         coeff = math.sqrt(d[x] * d[y] * d[a])
                         g3 = eng.tensor_id_left((xd,), eng.tensor_id_right(Tblk, (y,)))
                         # ev(y): (ybar, y) -> ()
-                        g4 = _cached(eng, ("f_g4", xd, y, xm_lab),
+                        g4 = _cached(eng.cache, ("f_g4", xd, y, xm_lab),
                                      lambda: eng.tensor_id_left((xd, y, xm_lab), ev(eng, y)))
                         g43 = g4 @ g3
                         for t in range(pair.n):
@@ -912,10 +949,10 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
                             # that caps it, ev(x) with its own dagger; coev(xbar)
                             # is off by the dual-twist sign on self-conjugate
                             # labels.
-                            g21 = _cached(eng, ("f_g21", x, y, a, t, xl_lab), lambda: (
+                            g21 = _cached(eng.cache, ("f_g21", x, y, a, t, xl_lab), lambda: (
                                 eng.tensor_id_right(ev(eng, x).dag(), (xl_lab, xd, y))
                                 @ eng.tensor_id_left((xl_lab,), pair.splits[t])))
-                            g5 = _cached(eng, ("f_g5", xd, y, a, t, xm_lab),
+                            g5 = _cached(eng.cache, ("f_g5", xd, y, a, t, xm_lab),
                                          lambda: eng.tensor_id_right(pair.fuses[t], (xm_lab,)))
                             piece = (g5 @ g43 @ g21) * coeff
                             acc = piece if acc is None else acc + piece
@@ -924,13 +961,6 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
         if blocks:
             comps[a] = BlockMorphism(A.src_objs[a], A.dst_objs[a], blocks)
     return TubeElement(A, comps)
-
-
-def gram(A: TubeAlgebra, delta: DeltaObject, f: TubeElement, g: TubeElement) -> complex:
-    """⟨f, g⟩ = tr_Δ(T_g† ∘ T_f); positive definite on the tube algebra."""
-    Tf = t_map(A, delta, f)
-    Tg = t_map(A, delta, g)
-    return block_trace(Tg.dag() @ Tf)
 
 
 # ---- serialization ------------------------------------------------------------

@@ -1,0 +1,141 @@
+"""Whole-map formulas that the library computes another way, kept as the
+tests' oracles.
+
+Each one builds the maps of an identity whole, block by block in Morphism
+algebra (Engine.tensor_id_left / tensor_id_right on every summand), where
+the library reads the same identity on stacked per-root matrices.  They are
+slow and independent of the stacked kernel in tubecat.tube, which is what
+makes them worth comparing against.
+"""
+import numpy as np
+
+from tubecat.duality import weighted_trace
+from tubecat.sums import BlockMorphism, SumObject
+from tubecat.trees import tree_root
+from tubecat.tube import t_map
+
+
+def lift_id_left(eng, word, f, pads):
+    """id_word ⊗ f, lifted from one-letter pads over the roots of word.
+
+    A left comb of word + S at root z is a tree of word rooted at some u
+    followed by a comb of (u,) + S at root z.  So in comb coordinates
+    id_word ⊗ f is block-diagonal over the trees of word, and the block of
+    a tree rooted at u is id_u ⊗ f.  ``pads`` memoizes id_u ⊗ f by u;
+    callers share it between words padding the same f.  Engine.
+    tensor_id_left, one letter at a time, is the reference it is checked
+    against.  Words of length <= 1 take tensor_id_left itself.
+    """
+    word = tuple(word)
+    if len(word) <= 1:
+        return eng.tensor_id_left(word, f)
+    cut = len(word) - 1  # tree pairs that belong to word
+    unit = eng.ring.unit
+    src2, dst2 = word + f.src, word + f.dst
+    sb2, db2 = eng.basis(src2), eng.basis(dst2)
+    roots = eng.common_roots(src2, dst2)
+    blocks = {}
+    for z, dd, sd in roots:
+        cols: dict = {}
+        for j, t in enumerate(sb2.by_root[z]):
+            cols.setdefault(t[:cut], []).append((j, t[cut:]))
+        blk = np.zeros((dd, sd), dtype=complex)
+        for i, t in enumerate(db2.by_root[z]):
+            pre = t[:cut]
+            src_cols = cols.get(pre)
+            if src_cols is None:
+                continue
+            u = tree_root(word, pre, unit)
+            pad = pads.get(u)
+            if pad is None:
+                pad = pads[u] = eng._tensor_one_left(u, f)
+            row = pad.blocks[z][eng.basis((u,) + f.dst).index[z][t[cut:]]]
+            col_of = eng.basis((u,) + f.src).index[z]
+            for j, ext in src_cols:
+                blk[i, j] = row[col_of[ext]]
+        blocks[z] = blk
+    return eng.make(src2, dst2, blocks, roots)
+
+
+def extend_halfbraiding(obj, braiding, word):
+    """Half-braiding against an arbitrary word, assembled from the simple
+    components through the tree isometries of Hom(c, word):
+    e_word = Σ_{c,ι} (ι ⊗ id) ∘ e_c ∘ (id ⊗ ι†).  The pad id_{Δ_j} ⊗ ι† is
+    lifted over the roots of Δ_j (lift_id_left), one id_u ⊗ ι† per
+    (u, c, ι) shared by every summand with a tree rooted at u."""
+    word = tuple(word)
+    eng = obj.engine
+    if len(word) == 1:
+        return braiding[word[0]]
+    src, dst = obj.tensor_right(word), obj.tensor_left(word)
+    out: dict = {}
+    for c in eng.basis(word).roots():
+        for iota in eng.hom_basis((c,), word):
+            e_c = braiding[c]
+            iota_dag = iota.dag()
+            pads: dict = {}  # root u -> id_u ⊗ ι†
+            for (i, j), m in e_c.blocks.items():
+                left = eng.tensor_id_right(iota, obj.summands[i])
+                right = lift_id_left(eng, obj.summands[j], iota_dag, pads)
+                term = left @ m @ right
+                out[(i, j)] = out[(i, j)] + term if (i, j) in out else term
+    return BlockMorphism(src, dst, out)
+
+
+def channel_rows(f, c, mu):
+    """(ι† ⊗ id) ∘ f block by block (Engine.channel_rows), for a block map
+    into summands that all begin with the same pair (a, b): each target
+    summand (a, b) + W becomes (c,) + W."""
+    eng = f.engine
+    dst = SumObject(eng, [(c,) + w[2:] for w in f.dst.summands], f.dst.tags)
+    return BlockMorphism(f.src, dst, {k: eng.channel_rows(m, c, mu)
+                                      for k, m in f.blocks.items()})
+
+
+def generic_leg(obj, braiding, a, b):
+    """(c, μ, src) -> the channel rows of braiding[b].tensor_id_left((a,)),
+    stacked like tubecat.tube._vertex_leg: the hexagon's left leg for any
+    half-braided sum, from the whole map id_a ⊗ e_b."""
+    full = braiding[b].tensor_id_left((a,))
+    return lambda c, mu, src: channel_rows(full, c, mu).stacked(src, obj.stacked((c,)))
+
+
+def whole_map_naturality(delta, T):
+    """max_b ‖(id_b ⊗ T) ∘ e_b − e_b ∘ (T ⊗ id_b)‖ with both sides built
+    whole, block by block."""
+    return max((T.tensor_id_left((b,)) @ e - e @ T.tensor_id_right((b,))).norm()
+               for b, e in delta.braiding.items())
+
+
+def per_summand_compression(delta, X, iso, a):
+    """e_X for the letter a: Σ (id_a ⊗ u_i[s]†) ∘ e_a[s, s′] ∘ (u_j[s′] ⊗ id_a)
+    over the blocks (s, s′) of e_a, where iso[i][s] : X_i → Δ_s are the
+    pieces of the isometry on the summands of Δ.  Blocks of norm up to
+    1e-14 are left out."""
+    eng = X.engine
+    e = delta.braiding[a]
+    blocks = {}
+    for i, ui in iso.items():
+        for j, uj in iso.items():
+            acc = None
+            for (si, sj), m in e.blocks.items():
+                if si in ui and sj in uj:
+                    term = (eng.tensor_id_left((a,), ui[si].dag()) @ m
+                            @ eng.tensor_id_right(uj[sj], (a,)))
+                    acc = term if acc is None else acc + term
+            if acc is not None and acc.norm() > 1e-14:
+                blocks[(i, j)] = acc
+    return BlockMorphism(X.tensor_right((a,)), X.tensor_left((a,)), blocks)
+
+
+def block_trace(f):
+    """Sum of diagonal-block quantum traces; the loop trace of an
+    endomorphism."""
+    return sum((weighted_trace(m) for (i, j), m in f.blocks.items() if i == j), 0.0j)
+
+
+def gram(A, delta, f, g):
+    """⟨f, g⟩ = tr_Δ(T_g† ∘ T_f); positive definite on the tube algebra."""
+    Tf = t_map(A, delta, f)
+    Tg = t_map(A, delta, g)
+    return block_trace(Tg.dag() @ Tf)

@@ -458,3 +458,100 @@ def test_center_idempotent_is_built_on_first_use(catalog, monkeypatch):
         assert s.idempotent is q
         assert np.array_equal(q.vector(), s.vector)
     assert len(calls) == len(simples)
+
+
+def _extract_with_isometries(spec, monkeypatch):
+    # one extraction over all simples, recording each isometry V_z in the
+    # order extraction makes them: simple by simple, roots ascending
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    made = []
+    real = tubecat.center._polar
+    monkeypatch.setattr(tubecat.center, "_polar",
+                        lambda V: made.append(real(V)) or made[-1])
+    simples = extract_center_simples(A, D, decompose_blocks(A, seed=1))
+    return D, simples, iter(made)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3"])
+def test_compressed_braiding_matches_per_summand(catalog, name, monkeypatch):
+    # the stacked compression against (id_a ⊗ u_i†) ∘ e_a ∘ (u_j ⊗ id_a)
+    # summed block by block over the pieces u_i[s] : X_i → Δ_s of V
+    from oracles import per_summand_compression
+    D, simples, isometries = _extract_with_isometries(catalog[name], monkeypatch)
+    eng, obj = D.engine, D.obj
+    first = obj.stacked().starts
+    for s in simples:
+        V = {}
+        for z, _copy in s.obj.tags:
+            if z not in V:
+                V[z] = next(isometries)
+        iso = {i: {j: eng.make((z,), w, {z: V[z][first[z][j]:first[z][j + 1], c:c + 1]})
+                   for j, w in enumerate(obj.summands) if first[z][j + 1] > first[z][j]}
+               for i, (z, c) in enumerate(s.obj.tags)}
+        for a in range(spec_rank(D)):
+            want = per_summand_compression(D, s.obj, iso, a)
+            got = s.braiding[a]
+            assert sorted(got.blocks) == sorted(want.blocks), (name, s.underlying, a)
+            assert (got - want).norm() <= 1e-13, (name, s.underlying, a)
+    assert next(isometries, None) is None
+
+
+def spec_rank(D):
+    return D.spec.rank
+
+
+def test_extraction_names_a_conjugated_block(catalog, monkeypatch):
+    # one complex block of the two-summand simple's e_τ conjugated after
+    # compression (conjugating all of a one-summand simple's e_τ gives the
+    # other chirality, a genuine half-braiding): the checks on the stored
+    # e_X must see it and name the simple's block
+    spec = catalog["fibonacci"]
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    dec = decompose_blocks(A, seed=1)
+    tau = spec.index("tau")
+    real = tubecat.center.compress_halfbraiding
+    made = []
+
+    def conjugated(delta, X, V):
+        out = real(delta, X, V)
+        made.append(X)
+        if len(X) == 2:
+            e = out[tau]
+            key = min(k for k, m in e.blocks.items()
+                      if max(np.abs(b.imag).max() for b in m.blocks.values()) > 0.1)
+            m = e.blocks[key]
+            blocks = dict(e.blocks)
+            blocks[key] = m.engine.make(m.src, m.dst,
+                                        {z: b.conj() for z, b in m.blocks.items()})
+            out[tau] = type(e)(e.src, e.dst, blocks)
+        return out
+
+    monkeypatch.setattr(tubecat.center, "compress_halfbraiding", conjugated)
+    with pytest.raises(ToleranceError, match="block 0: .*defect") as err:
+        extract_center_simples(A, D, dec)
+    assert [len(X) for X in made] == [2], err.value
+
+
+def test_extraction_and_round_trips_tensor_no_block_map(catalog, monkeypatch):
+    # compression, the simples' hexagons and the naturality check of f_map
+    # all run on stacked per-root matrices: no BlockMorphism is tensored
+    # with an identity
+    from tubecat.sums import BlockMorphism
+    from tubecat.tube import f_map, t_map
+    spec = catalog["rep_s3"]
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    calls = []
+    for side in ("tensor_id_left", "tensor_id_right"):
+        real = getattr(BlockMorphism, side)
+        monkeypatch.setattr(BlockMorphism, side,
+                            lambda self, word, side=side, real=real:
+                            calls.append(side) or real(self, word))
+    extract_center_simples(A, D, decompose_blocks(A, seed=1))
+    rng = np.random.default_rng(20)
+    for _ in range(2):
+        f = A.random_element(rng)
+        assert (f_map(A, D, t_map(A, D, f)) - f).norm() < 1e-9 * f.norm()
+    assert calls == []

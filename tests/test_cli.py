@@ -181,3 +181,19 @@ def test_non_finite_numbers_are_input_errors(field, mangle, tmp_path, capsys):
     code, _, err = run_capture(capsys, command="verify", category=str(bad))
     assert code == 2, err
     assert field in err and "finite" in err
+
+
+def test_missing_non_unit_f_block_is_input_error(tmp_path, capsys):
+    # only blocks with the unit among a, b, c may be left out of a category
+    # file; any other admissible block that is missing is refused by name
+    from importlib.resources import files
+    doc = json.loads(files("tubecat").joinpath("data/fibonacci.json").read_text())
+    doc["F"] = [e for e in doc["F"] if e["abcd"] != ["tau"] * 4]
+    bad = tmp_path / "fib_missing.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_capture(capsys, command="verify", category=str(bad))
+    assert code == 2 and out == ""
+    assert "missing F block" in err and "(1, 1, 1, 1)" in err
+    for name in ("vec", "vec_z2", "vec_z2_twisted", "vec_z3", "fibonacci",
+                 "ising", "rep_s3"):
+        assert run_capture(capsys, command="verify", category=name)[0] == 0, name

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import pointed_category
+from oracles import lift_id_left
 from tubecat.catspec import load_spec
 from tubecat.morphism import Engine, engine_for
 from tubecat.trees import TreeBasis
@@ -184,7 +185,7 @@ def test_lifted_pad_matches_iterated_left_tensor(source, catalog):
         f = eng.random(src, dst, rng)
         pads = {}  # shared across words, as extend_halfbraiding shares them
         for word in words:
-            lifted = eng.lift_id_left(word, f, pads)
+            lifted = lift_id_left(eng, word, f, pads)
             iterated = eng.tensor_id_left(word, f)
             assert lifted.src == iterated.src and lifted.dst == iterated.dst
             assert (lifted - iterated).norm() <= 1e-14, (source, word, src, dst)

@@ -18,12 +18,13 @@ from tubecat.morphism import engine_for
 from tubecat.sums import BlockMorphism
 from tubecat.center import decompose_blocks, extract_center_simples
 from tubecat.tube import (LambdaObject, build_delta, build_tube_algebra,
-                          extend_halfbraiding, f_map, gram, hexagon_residual,
-                          naturality_residual, t_map, tube_json, tube_product,
-                          tube_star)
+                          f_map, hexagon_residual, naturality_residual, t_map,
+                          tube_json, tube_product, tube_star)
 from tubecat.tube import (_delta_braiding_component, _direction_slices,
-                          _generic_leg, _t_diagram, _table_residuals,
-                          _vertex_leg, tube_action)
+                          _t_diagram, _table_residuals, _vertex_leg,
+                          tube_action)
+from oracles import (extend_halfbraiding, generic_leg, gram,
+                     whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -322,7 +323,7 @@ def test_delta_left_leg_matches_generic(catalog, name):
     pieces = {}  # shared by every (a, b), as in build_delta
     for a in range(spec.rank):
         for b in range(spec.rank):
-            generic = _generic_leg(D.obj, D.braiding, a, b)
+            generic = generic_leg(D.obj, D.braiding, a, b)
             mid = D.obj.stacked((a,), (b,))
             for c, mu in _channels(eng, a, b):
                 got = _vertex_leg(D.obj, a, b, pieces, c, mu, mid)
@@ -646,6 +647,56 @@ ACTION_CASES = [(name, None) for name in TUBE_DIM] + [
     ("fibonacci", {"tau": 2}),  # repeated slots
     ("ising", {"sigma": 1}),    # partial Λ
 ]
+
+
+def _random_endomorphism(D, rng):
+    eng = D.engine
+    return BlockMorphism(D.obj, D.obj, {
+        (i, j): eng.random(v, w, rng)
+        for i, w in enumerate(D.obj.summands) for j, v in enumerate(D.obj.summands)
+        if eng.hom_space(v, w).dim})
+
+
+@pytest.mark.parametrize("name,mapping", ACTION_CASES + [("Z/4 k=1", None)],
+                         ids=[f"{n}-{m}" if m else n
+                              for n, m in ACTION_CASES + [("Z/4 k=1", None)]])
+def test_stacked_naturality_matches_whole_map(catalog, name, mapping):
+    # the stacked per-root check against both sides built whole, block by
+    # block: the same residual on maps that are far from natural, and both
+    # at rounding level on the images of t
+    spec = _spec(catalog, name)
+    lam = (LambdaObject.all_simples(spec) if mapping is None
+           else LambdaObject.from_mapping(spec, mapping))
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        T = _random_endomorphism(D, rng)
+        got, want = naturality_residual(D, T), whole_map_naturality(D, T)
+        assert want > 1e-3 or spec.rank == 1, name
+        assert abs(got - want) <= 1e-12 * want, (name, got, want)
+    for _ in range(5):
+        T = t_map(A, D, A.random_element(rng))
+        assert naturality_residual(D, T) < 1e-12, name
+        assert whole_map_naturality(D, T) < 1e-12, name
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "Z/4 k=1"])
+def test_f_map_sees_one_bumped_entry(catalog, name):
+    # 1e-6 on one entry of one block of a natural T is ten times f_map's
+    # tolerance; the check must see it wherever it sits
+    spec = _spec(catalog, name)
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    T = t_map(A, D, A.random_element(np.random.default_rng(19)))
+    for key in (min(T.blocks), max(T.blocks)):
+        m = T.blocks[key]
+        z = max(m.blocks)
+        bumped = {r: blk.copy() for r, blk in m.blocks.items()}
+        bumped[z][-1, 0] += 1e-6
+        blocks = dict(T.blocks)
+        blocks[key] = m.engine.make(m.src, m.dst, bumped)
+        with pytest.raises(NotInCommutant):
+            f_map(A, D, BlockMorphism(D.obj, D.obj, blocks))
 
 
 @pytest.mark.parametrize("name,mapping", ACTION_CASES,
