@@ -261,9 +261,11 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
 
     The braiding compressed onto each simple (compress_halfbraiding) is
     checked for unitarity (both compositions), trivial unit component, and
-    the hexagon on all simple pairs (verify_halfbraiding); any defect at
-    ``tol`` raises ToleranceError naming the block, since it means the block
-    structure and the braiding disagree — a bug, not a bad seed.
+    the hexagon on all simple pairs, by one verify_halfbraiding on the
+    direct sum of the simples with one part per simple; any defect at
+    ``tol`` raises ToleranceError naming the lowest failing block, since it
+    means the block structure and the braiding disagree — a bug, not a bad
+    seed.
     """
     eng = A.engine
     ring = eng.ring
@@ -291,17 +293,25 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
                 f"block {k}: summand bookkeeping does not match size {n}")
 
         X = SumObject(eng, [(z,) for z, _c in tags], tags)
-        braiding = compress_halfbraiding(delta, X, V)
-        try:
-            res = verify_halfbraiding(X, braiding, tol)
-        except ToleranceError as exc:
-            raise ToleranceError(f"block {k}: {exc} on the extracted simple") from exc
-
         out.append(CenterSimple(
             algebra=A, vector=qv,
             underlying={labs[z]: m for z, m in sorted(mults.items())},
-            obj=X, braiding=braiding, hexagon_defect=res["hexagon"],
-            unitarity_defect=worst((res["unitarity"], res["unit"]))))
+            obj=X, braiding=compress_halfbraiding(delta, X, V),
+            hexagon_defect=math.nan, unitarity_defect=math.nan))
+
+    # ⊕X, its braiding block-diagonal with the stored e_X as blocks
+    total = SumObject(eng, [w for s in out for w in s.obj.summands],
+                      [(k, t) for k, s in enumerate(out) for t in s.obj.tags])
+    parts = np.cumsum([0] + [len(s.obj) for s in out[:-1]])
+    braiding = {a: BlockMorphism(total.tensor_right((a,)), total.tensor_left((a,)), {
+        (p + i, p + j): m for p, s in zip(parts, out)
+        for (i, j), m in s.braiding[a].blocks.items()}) for a in range(ring.rank)}
+    try:
+        res = verify_halfbraiding(total, braiding, tol, parts=parts)
+    except ToleranceError as exc:
+        raise ToleranceError(f"block {exc.part}: {exc} on the extracted simple") from exc
+    for s, r in zip(out, res):
+        s.hexagon_defect, s.unitarity_defect = r["hexagon"], worst((r["unitarity"], r["unit"]))
     return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConsistencyError, ShapeError, worst
 from .trees import Tree, TreeBasis, Word, tree_root
 
-__all__ = ["Morphism", "HomSpace", "Engine", "engine_for", "hom_space"]
+__all__ = ["Linear", "Morphism", "HomSpace", "Engine", "engine_for", "hom_space"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,27 @@ class HomSpace:
         return len(self.basis)
 
 
-class Morphism:
+class Linear:
+    """The vector-space operations that follow from ``+`` and ``* scalar``,
+    shared by Morphism, BlockMorphism and TubeElement; each defines those
+    two and a max-abs ``norm``."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + other * (-1.0)
+
+    def __rmul__(self, a):
+        return self * a
+
+    def __neg__(self):
+        return self * (-1.0)
+
+    def close_to(self, other, tol: float = 1e-9) -> bool:
+        return (self - other).norm() < tol
+
+
+class Morphism(Linear):
     __slots__ = ("engine", "src", "dst", "blocks")
 
     def __init__(self, engine: "Engine", src: Word, dst: Word, blocks: dict):
@@ -74,9 +94,6 @@ class Morphism:
         return np.concatenate([self.blocks[z].ravel()
                                for z in sorted(self.blocks)])
 
-    def close_to(self, other: "Morphism", tol: float = 1e-9) -> bool:
-        return (self - other).norm() < tol
-
     # ---- linear structure --------------------------------------------------
     def _check_parallel(self, other: "Morphism"):
         if self.src != other.src or self.dst != other.dst:
@@ -88,19 +105,9 @@ class Morphism:
         return Morphism(self.engine, self.src, self.dst,
                         {z: self.blocks[z] + other.blocks[z] for z in self.blocks})
 
-    def __sub__(self, other: "Morphism") -> "Morphism":
-        self._check_parallel(other)
-        return Morphism(self.engine, self.src, self.dst,
-                        {z: self.blocks[z] - other.blocks[z] for z in self.blocks})
-
     def __mul__(self, a) -> "Morphism":
         return Morphism(self.engine, self.src, self.dst,
                         {z: b * complex(a) for z, b in self.blocks.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Morphism":
-        return self * (-1.0)
 
     # ---- categorical structure ---------------------------------------------
     def __matmul__(self, other: "Morphism") -> "Morphism":

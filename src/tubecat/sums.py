@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError, worst
-from .morphism import Engine, Morphism
+from .morphism import Engine, Linear, Morphism
 from .trees import Word
 
 __all__ = ["SumObject", "BlockMorphism", "StackedBasis", "left_blocks", "right_blocks"]
@@ -182,7 +182,7 @@ class SumObject:
         return "<SumObject " + " + ".join(parts) + ">"
 
 
-class BlockMorphism:
+class BlockMorphism(Linear):
     """Map between two SumObjects, stored as sparse blocks.
 
     ``blocks[(i, j)]`` is a Morphism from ``src.summands[j]`` to
@@ -216,9 +216,6 @@ class BlockMorphism:
     def norm(self) -> float:
         return worst(m.norm() for m in self.blocks.values())
 
-    def close_to(self, other: "BlockMorphism", tol: float = 1e-9) -> bool:
-        return (self - other).norm() < tol
-
     # ---- linear structure ----------------------------------------------------
     def _check_parallel(self, other: "BlockMorphism"):
         if not (self.src.same_words(other.src) and self.dst.same_words(other.dst)):
@@ -231,21 +228,9 @@ class BlockMorphism:
             out[key] = out[key] + m if key in out else m
         return BlockMorphism(self.src, self.dst, out)
 
-    def __sub__(self, other: "BlockMorphism") -> "BlockMorphism":
-        self._check_parallel(other)
-        out = dict(self.blocks)
-        for key, m in other.blocks.items():
-            out[key] = out[key] - m if key in out else -m
-        return BlockMorphism(self.src, self.dst, out)
-
     def __mul__(self, a) -> "BlockMorphism":
         return BlockMorphism(self.src, self.dst,
                              {k: m * a for k, m in self.blocks.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "BlockMorphism":
-        return self * (-1.0)
 
     # ---- categorical structure -----------------------------------------------
     def __matmul__(self, other: "BlockMorphism") -> "BlockMorphism":
@@ -266,24 +251,6 @@ class BlockMorphism:
     def dag(self) -> "BlockMorphism":
         return BlockMorphism(self.dst, self.src,
                              {(j, i): m.dag() for (i, j), m in self.blocks.items()})
-
-    def tensor_id_right(self, word: Word) -> "BlockMorphism":
-        word = tuple(word)
-        if not word:
-            return self
-        eng = self.engine
-        return BlockMorphism(
-            self.src.tensor_right(word), self.dst.tensor_right(word),
-            {k: eng.tensor_id_right(m, word) for k, m in self.blocks.items()})
-
-    def tensor_id_left(self, word: Word) -> "BlockMorphism":
-        word = tuple(word)
-        if not word:
-            return self
-        eng = self.engine
-        return BlockMorphism(
-            self.src.tensor_left(word), self.dst.tensor_left(word),
-            {k: eng.tensor_id_left(word, m) for k, m in self.blocks.items()})
 
     def stacked(self, src: StackedBasis, dst: StackedBasis) -> dict:
         """One matrix per root z, from src's coordinates at z to dst's: block

@@ -1,19 +1,16 @@
 """Tube algebra of a fusion category over a chosen object Λ.
 
 Λ is a multiplicity vector over the simple labels.  The algebra lives on
-A(Λ) = ⊕_a Hom(Λ⊗a, a⊗Λ), one component per simple direction a, each
-component stored blockwise over the slots of Λ.  Alongside it we build the
-conjugation closure Δ(Λ) = ⊕_x x⊗Λ⊗x̄ with its unitary half-braiding, and
-the two mutually inverse maps between tube elements and half-braiding
-commutant endomorphisms of Δ.
+A(Λ) = ⊕_a Hom(Λ⊗a, a⊗Λ), one component per direction a, stored blockwise
+over the slots of Λ.  Alongside it: Δ(Λ) = ⊕_x x⊗Λ⊗x̄ with its unitary
+half-braiding, and the two inverse maps between tube elements and the
+endomorphisms of Δ that commute with it.
 
-Diagram conventions.  Every operation here is a closed formula in the word
-engine: trivalent vertices enter through canonical_pair (dual bases carrying
-the √(d·d·d) weight), and a vertex drawn in a rotated position is the same
-element transported by exact bends (rotate_clockwise).  All √d prefactors
-are written once, next to the diagram they come from; nothing downstream
-re-normalizes, so a convention slip shows up as a failed unitarity or
-round-trip check instead of being absorbed silently.
+Every operation is a closed formula in the word engine: vertices enter
+through canonical_pair (dual bases with the √(d·d·d) weight), rotated ones
+by exact bends (rotate_clockwise).  Each √d prefactor is written once, next
+to its diagram, and nothing re-normalizes, so a convention slip shows up as
+a failed unitarity or round-trip check.
 """
 from __future__ import annotations
 
@@ -29,7 +26,7 @@ import numpy as np
 
 from .duality import coev, ev, rotate_clockwise
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
-from .morphism import Engine, Morphism, engine_for
+from .morphism import Engine, Linear, Morphism, engine_for
 from .pairs import canonical_pair
 from .sums import BlockMorphism, StackedBasis, SumObject, left_blocks, right_blocks
 from .trees import Word
@@ -83,17 +80,18 @@ class LambdaObject:
 class DeltaObject:
     """⊕ₓ x⊗Λ⊗x̄ with a unitary half-braiding, one component per simple.
 
-    ``obj`` tags summands by (x, slot); ``braiding[a]`` maps Δ⊗a → a⊗Δ.
-    ``residuals`` records the worst unitarity / hexagon / unit-component
-    defects measured while building.  ``actions`` holds tube_action's
-    compiled matrices, one entry per tube algebra, and ``kernel`` the
-    stacked half-braiding that naturality and compression read.
+    ``obj`` tags summands by (x, slot); ``braiding[a]`` maps Δ⊗a → a⊗Δ, and
+    ``drawn[a]`` is it per root on the stacked trees (_draw_braiding).
+    ``residuals`` holds the worst unitarity / unit / hexagon defects of the
+    build, ``actions`` tube_action's matrices per tube algebra, ``kernel``
+    what naturality and compression read.
     """
 
     spec: object
     lam: LambdaObject
     obj: SumObject
     braiding: dict
+    drawn: dict = field(repr=False)
     residuals: dict
     actions: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False)
@@ -104,16 +102,13 @@ class DeltaObject:
 
     @functools.cached_property
     def kernel(self) -> dict:
-        """Δ's side of naturality_residual and of the compression onto the
-        center simples, made on first use: letter b -> root r ->
-        (Ω, groups, e, Ω†·e, lifts), with e = e_b at r on the stacked
-        trees, (Ω, groups) = obj.omega(b)[r] and lifts those of
+        """Letter b -> root r -> (Ω, groups, e, Ω†·e, lifts), made on first
+        use: e = drawn[b][r], (Ω, groups) = obj.omega(b)[r], and the lifts of
         obj.stacked((), (b,)) at r."""
         obj = self.obj
-        hb = _Stacked(obj, self.braiding)
         out = {}
-        for b in self.braiding:
-            e, lifts = hb.e(b), obj.stacked((), (b,)).lifts
+        for b, e in self.drawn.items():
+            lifts = obj.stacked((), (b,)).lifts
             out[b] = {r: (om, groups, e[r], om.conj().T @ e[r], lifts[r])
                       for r, (om, groups) in obj.omega(b).items()
                       if r in e}
@@ -144,29 +139,82 @@ def _rotated_splits(eng: Engine, x: int, a: int, y: int) -> tuple:
         rotate_clockwise(s) for s in canonical_pair(eng, x, a, y).splits))
 
 
-def _delta_braiding_component(eng: Engine, obj: SumObject, a: int) -> BlockMorphism:
-    """Blocks (i, j) of e_a, one per summand j = (x, l, x̄) of Δ and y with
-    N[a, y, x] > 0, where i is summand (y, l, ȳ) of the same slot: on the
-    t-th (a, y; x) vertex, split x into (a, y) on the left line and absorb a
-    into the conjugate line with the transported fusion half on the right.
-    Coefficient per (x, y): √(d_a⁻¹)·√(d_a d_y d_x) = √(d_x d_y)."""
+def _kron(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, with less overhead."""
+    return (p[:, None, :, None] * q[None, :, None, :]).reshape(
+        len(p) * len(q), p.shape[1] * q.shape[1])
+
+
+def _pad(eng: Engine, pieces: dict, b: int, y: int, x: int, t: int, u: int) -> Morphism:
+    """id_u ⊗ rot_t : (u, x̄, b) → (u, ȳ), with rot_t the t-th (b, y; x)
+    fusion half rotated onto the conjugate strand; memoized in ``pieces``."""
+    return _cached(pieces, ("rot", b, y, x, t, u), lambda: eng._tensor_one_left(
+        u, _rotated_fuses(eng, b, y, x)[t]))
+
+
+def _fill(obj: SumObject, b: int, c: int, pieces: dict, src: StackedBasis,
+          cols: dict, factor: Callable) -> dict:
+    """One matrix per root z, from the stacked trees src to those of
+    (c,) + Δ: Σ_t √(d_x d_y)·factor(y, x, t)[h] ⊗ pad_{t,u}[z] (_pad) from
+    column group (j, h, (u, ν), z) of j = (x, s) to row group (i, h, (u, ν),
+    z) (_vertex_groups) of i = (y, s), t over the (b, y; x) vertices."""
+    eng = obj.engine
     ring, d = eng.ring, eng.d
-    blocks: dict = {}
-    for j, (x, s) in enumerate(obj.tags):
-        l = obj.summands[j][1]
-        for y in range(ring.rank):
-            n = int(ring.N[a, y, x])
-            if not n:
-                continue
-            acc = None
-            for t in range(n):
-                split = canonical_pair(eng, a, y, x).splits[t]
-                term = (eng.tensor_id_right(split, (l, ring.dual[y]))
-                        @ eng.tensor_id_left((x, l), _rotated_fuses(eng, a, y, x)[t]))
-                acc = term if acc is None else acc + term
-            w = math.sqrt(d[x] * d[y])
-            blocks[(obj.index((y, s)), j)] = acc if w == 1.0 else acc * w
-    return BlockMorphism(obj.tensor_right((a,)), obj.tensor_left((a,)), blocks)
+    dst = obj.stacked((c,))
+    rows = _cached(pieces, ("rows", c), lambda: _vertex_groups(dst))
+    out = {z: np.zeros((n, src.dims[z]), dtype=complex)
+           for z, n in dst.dims.items() if z in src.dims}
+    ys = _cached(pieces, ("ys", b), lambda: [
+        [(y, int(n), math.sqrt(d[x] * d[y])) for y, n in enumerate(ring.N[b, :, x]) if n]
+        for x in range(ring.rank)])
+    for (j, h, un, z), C in cols.items():
+        x, s = obj.tags[j]
+        for y, n, w in ys[x]:
+            R = rows.get((obj.index((y, s)), h, un, z))
+            if R is not None:
+                acc = 0
+                for t in range(n):
+                    acc = acc + _kron(factor(y, x, t).blocks[h],
+                                      _pad(eng, pieces, b, y, x, t, un[0]).blocks[z])
+                out[z][R[:, None], C] = acc * w
+    return out
+
+
+def _draw_braiding(obj: SumObject, b: int, pieces: dict) -> dict:
+    """e_b on Δ as one matrix per root z, from the stacked trees of Δ + (b,)
+    to those of (b,) + Δ.
+
+    Block (i, j), from j = (x, l, x̄) to i = (y, l, ȳ) of the same slot, is
+    Σ_t √(d_x d_y)·(split_t ⊗ id_(l,ȳ)) ∘ (id_(x,l) ⊗ rot_t) over the
+    (b, y; x) vertices: split x into (b, y) on the left line, absorb b into
+    the conjugate line with rot_t on the right (√(d_b⁻¹)·√(d_b d_y d_x)).
+    A comb of (x, l, x̄, b) is (x, l) → w in slot ν, then a comb of
+    (w, x̄, b); one of (b, y, l, ȳ) is (b, y) → x, the same (x, l) → w, then
+    (w, ȳ) → z.  So on the trees that share (w, ν) the block is
+    Σ_t √(d_x d_y)·split_t[x] ⊗ pad_{t,w}[z] (_fill).
+    """
+    eng, src, cols = obj.engine, obj.stacked((), (b,)), {}
+    for z, trees in src.by_root.items():
+        for pos, (j, tree) in enumerate(trees):
+            cols.setdefault((j, obj.tags[j][0], tree[0], z), []).append(pos)
+    return _fill(obj, b, b, pieces, src, cols,
+                 lambda y, x, t: canonical_pair(eng, b, y, x).splits[t])
+
+
+def _cut_braiding(obj: SumObject, b: int, mats: dict) -> BlockMorphism:
+    """e_b cut from its drawn matrices at the blocks _draw_braiding fills,
+    from (x, s) to (y, s) with N[b, y, x] > 0."""
+    eng, N = obj.engine, obj.engine.ring.N
+    src, dst = obj.tensor_right((b,)), obj.tensor_left((b,))
+    cols, rows = obj.stacked((), (b,)).starts, obj.stacked((b,)).starts
+    blocks = {}
+    for i, j in [(obj.index((y, s)), j) for j, (x, s) in enumerate(obj.tags)
+                 for y in range(len(N)) if N[b, y, x]]:
+        roots = eng.common_roots(src.summands[j], dst.summands[i])
+        blocks[(i, j)] = eng.make(src.summands[j], dst.summands[i], {
+            z: mats[z][rows[z][i]:rows[z][i + 1], cols[z][j]:cols[z][j + 1]]
+            for z, _, _ in roots}, roots)
+    return BlockMorphism(src, dst, blocks)
 
 
 def _vertex_pad(eng: Engine, u: int, a: int, b: int, c: int, mu: int) -> Morphism:
@@ -189,27 +237,14 @@ def _vertex_groups(sb: StackedBasis) -> dict:
 
 def _vertex_leg(obj: SumObject, a: int, b: int, pieces: dict,
                 c: int, mu: int, src: StackedBasis) -> dict:
-    """Channel (c, μ) of id_a ⊗ e_b on Δ, drawn on the vertices that define
-    e_b, as one matrix per root z from src, the stacked trees of
-    (a,) + Δ + (b,), to those of (c,) + Δ (see hexagon_residual).
-
-    Block (i, j) of e_b, from j = (x, l, x̄) to i = (y, l, ȳ), is
-    Σ_t (split_t ⊗ id_(l,ȳ)) ∘ (id_(x,l) ⊗ rot_t) · √(d_x d_y), so channel
-    (c, μ) of id_a ⊗ that block is Σ_t √(d_x d_y)·(top_t ⊗ id_(l,ȳ)) ∘
-    (id_(a,x,l) ⊗ rot_t), with top_t = (ι† ⊗ id_y) ∘ (id_a ⊗ split_t) :
-    (a, x) → (c, y).  A comb of (a, x, l, x̄, b) at z is (a, x) → w in slot
-    ν1, then (w, l) → u in slot ν2, then a comb of (u, x̄, b) at z; a comb of
-    (c, y, l, ȳ) at z is (c, y) → w in slot ν1′, then the same (w, l) → u,
-    then (u, ȳ) → z.  On the trees that share (w, u, ν2) the block is the
-    Kronecker product Σ_t √(d_x d_y)·top_t[w] ⊗ pad_{t,u}[z], with pad_{t,u}
-    = id_u ⊗ rot_t : (u, x̄, b) → (u, ȳ), in the generation order of the
-    trees; it is zero elsewhere.  ``pieces`` memoizes top_t, the pads and the
-    row groups for one build_delta; every piece lives on at most three
-    letters.
+    """Channel (c, μ) of id_a ⊗ e_b on Δ, drawn on e_b's vertices as in
+    _draw_braiding, per root from src, the stacked trees of (a,) + Δ + (b,),
+    to those of (c,) + Δ: Σ_t √(d_x d_y)·(top_t ⊗ id_(l,ȳ)) ∘
+    (id_(a,x,l) ⊗ rot_t) on block (i, j), top_t = (ι† ⊗ id_y) ∘
+    (id_a ⊗ split_t).  Both combs begin with a vertex into w, then
+    (w, l) → u in slot ν, so it is top_t[w] ⊗ pad_{t,u}[z] (_fill).
     """
     eng = obj.engine
-    ring, d = eng.ring, eng.d
-    dst = obj.stacked((c,))
 
     def top(y, x, t):
         full = _cached(pieces, ("split", a, b, y, x, t), lambda: eng.tensor_id_left(
@@ -217,56 +252,50 @@ def _vertex_leg(obj: SumObject, a: int, b: int, pieces: dict,
         return _cached(pieces, ("top", a, b, y, x, t, c, mu),
                        lambda: eng.channel_rows(full, c, mu))
 
-    def pad(y, x, t, u):
-        return _cached(pieces, ("rot", b, y, x, t, u), lambda: eng._tensor_one_left(
-            u, _rotated_fuses(eng, b, y, x)[t]))
-
-    rows = _cached(pieces, ("rows", c), lambda: _vertex_groups(dst))
-    cols = _vertex_groups(src)
-    ys = {x: [(y, int(ring.N[b, y, x])) for y in range(ring.rank) if ring.N[b, y, x]]
-          for x in range(ring.rank)}
-    out = {z: np.zeros((n, src.dims[z]), dtype=complex)
-           for z, n in dst.dims.items() if z in src.dims}
-    for (k, w, (u, nu), z), C in cols.items():
-        x, s = obj.tags[k]
-        for y, n in ys[x]:
-            R = rows.get((obj.index((y, s)), w, (u, nu), z))
-            if R is None:
-                continue
-            acc = None
-            for t in range(n):
-                p, q = top(y, x, t).blocks[w], pad(y, x, t, u).blocks[z]
-                term = (p[:, None, :, None] * q[None, :, None, :]).reshape(len(R), len(C))
-                acc = term if acc is None else acc + term
-            wgt = math.sqrt(d[x] * d[y])
-            out[z][R[:, None], C] = acc if wgt == 1.0 else acc * wgt
-    return out
+    return _fill(obj, b, c, pieces, src, _vertex_groups(src), top)
 
 
 class _Stacked:
-    """A half-braiding on obj read as one matrix per root (e_a from the
-    stacked trees of w + (a,) to those of (a,) + w), letter by letter on
-    first use, with the index arrays shared by every identity checked on
-    it (``memo``)."""
+    """A half-braiding on obj per root, from the stacked trees of w + (a,)
+    to those of (a,) + w: e(a), made on first use unless ``drawn``, and
+    index arrays shared by every identity (``memo``).  ``parts`` are the
+    first summands of runs that the braiding keeps apart (verify_halfbraiding)."""
 
-    __slots__ = ("obj", "braiding", "memo")
+    __slots__ = ("obj", "braiding", "memo", "part_of", "nparts")
 
-    def __init__(self, obj: SumObject, braiding: dict):
-        self.obj, self.braiding, self.memo = obj, braiding, {}
+    def __init__(self, obj: SumObject, braiding: dict, drawn: dict | None = None,
+                 parts=(0,)):
+        self.obj, self.braiding = obj, braiding
+        self.memo = {("e", a): m for a, m in (drawn or {}).items()}
+        self.part_of = np.searchsorted(parts, np.arange(len(obj)), side="right") - 1
+        self.nparts = len(parts)
 
     def e(self, a: int) -> dict:
         obj = self.obj
         return _cached(self.memo, ("e", a), lambda: self.braiding[a].stacked(
             obj.stacked((), (a,)), obj.stacked((a,))))
 
+    def ids(self, sb: StackedBasis, z: int) -> np.ndarray:
+        """The part of each of sb's coordinates at z."""
+        return np.repeat(self.part_of, np.diff(sb.starts[z]))
+
+    def defects(self, D: np.ndarray, rows: StackedBasis, z: int) -> np.ndarray:
+        """Max-abs entry of D, a matrix at root z onto the trees of rows, on
+        each part's rows; off its own columns they are exact zeros, as long
+        as every entry is finite (verify_halfbraiding)."""
+        if self.nparts == 1:
+            return np.array([np.max(np.abs(D), initial=0.0)])
+        out = np.zeros(self.nparts)
+        np.maximum.at(out, self.ids(rows, z), np.max(np.abs(D), axis=1, initial=0.0))
+        return out
+
 
 def _stacked_leg(hb: _Stacked, a: int, b: int) -> Callable:
-    """(c, μ, src) -> channel (c, μ) of id_a ⊗ e_b, stacked as _vertex_leg
-    returns it: the left leg for any half-braided sum, built once per
-    (a, b) from the stored e_b.  id_a ⊗ e_b at r is Ω′·B·Ω† (SumObject.omega
-    of the sums of (b,) + w and w + (b,), B = e_b at u on group (u, ν)),
-    and channel (c, μ) keeps its rows on the trees of (a, b) + w whose first
-    vertex is (c, μ), which list the trees of (c,) + w in order."""
+    """(c, μ, src) -> channel (c, μ) of id_a ⊗ e_b, as _vertex_leg gives
+    it, for any half-braided sum, from the stored e_b once per (a, b):
+    id_a ⊗ e_b at r is Ω′·B·Ω† (SumObject.omega of the sums of (b,) + w and
+    w + (b,), B = e_b at u on group (u, ν)); channel (c, μ) keeps the rows
+    of the trees of (a, b) + w that begin with (c, μ)."""
     obj, e_b = hb.obj, hb.e(b)
     src, dst = obj.tensor_right((b,)).omega(a), obj.tensor_left((b,)).omega(a)
     full = {r: om @ left_blocks(e_b, src[r][0].conj().T, rows, src[r][1], len(om))
@@ -279,44 +308,23 @@ def _stacked_leg(hb: _Stacked, a: int, b: int) -> Callable:
 
 
 def hexagon_residual(obj: SumObject, braiding, a: int, b: int,
-                     left: Callable[[int, int, StackedBasis], dict] | None = None
-                     ) -> float:
-    """Defect of braiding past a⊗b in one move versus one leg at a time:
-    e_{a⊗b} against S = (id_a ⊗ e_b) ∘ (e_a ⊗ id_b), one fusion channel
-    (c, μ) of a⊗b and one root z at a time.
+                     left: Callable[[int, int, StackedBasis], dict] | None = None):
+    """Max-abs defect of e_{a⊗b} against S = (id_a ⊗ e_b) ∘ (e_a ⊗ id_b).
 
-    With ι = ι_{c,μ} : c → a⊗b the tree vertices (hom_basis((c,), (a, b))),
-    e_{a⊗b} = Σ_{c,μ} (ι ⊗ id) ∘ e_c ∘ (id ⊗ ι†).  Every comb tree of
-    (a, b) + W begins with exactly one vertex (c, μ), and ι ⊗ id_W is the
-    embedding of the rows that begin with it (Engine.channel_rows).  So the
-    rows of e_{a⊗b} − S fall into one group per channel, group (c, μ) is
-    e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S, and in the max-abs norm
+    With ι = ι_{c,μ} : c → a⊗b (hom_basis((c,), (a, b))), e_{a⊗b} =
+    Σ (ι ⊗ id) ∘ e_c ∘ (id ⊗ ι†), and ι ⊗ id_W embeds the combs of
+    (a, b) + W that begin with (c, μ) (Engine.channel_rows).  So the defect
+    is the max over (c, μ) of ‖e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S‖, one matrix
+    per root z from the stacked trees of W + (a, b) to those of (c,) + W,
+    with no factor built as a map: e_a ⊗ id_b is e_a on the lifts (v, ν),
+    and id_W ⊗ ι† the pad id_u ⊗ ι† on the trees of W at u.
 
-        ‖e_{a⊗b} − S‖ = max_{c,μ} ‖e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S‖:
-
-    the same residual over the same entries, grouped by rows.
-
-    Each group is one matrix per root z, over the comb trees of all summands
-    W stacked (SumObject.stacked): columns are the trees of W + (a, b), rows
-    those of (c,) + W.  Neither factor below is built as a map.
-      - A comb of W + (a, b) at z is a comb of W + (a,) at v followed by the
-        vertex (v, b; z) in slot ν, so e_a ⊗ id_b is block-diagonal over
-        (v, ν) with block e_a at v (StackedBasis.lifts): the columns (v, ν)
-        of S are the left leg's columns (v, ν) times e_a[v].
-      - The same comb is a tree of W at u followed by a comb of (u, a, b),
-        so id_W ⊗ ι† is the pad id_u ⊗ ι† on every tree of W at u (a
-        Kronecker product with the identity): the columns of
-        e_c ∘ (id ⊗ ι†) that continue those trees are e_c's columns
-        (u, ν) times the pad.
-
-    ``braiding`` is the dict of components, or the _Stacked reading of it
-    that verify_halfbraiding shares between pairs.  ``left(c, mu, mid)``
-    returns (ι† ⊗ id) ∘ (id_a ⊗ e_b) as one matrix per root, from mid, the
-    stacked trees of (a,) + W + (b,), to those of (c,) + W.  By default it
-    is built from the stored e_b (_stacked_leg).  A caller that built e_b
-    from vertices may hand in the leg drawn on the same vertices
-    (_vertex_leg), by functoriality of id_a ⊗ -; the stored e_b still
-    enters the check, through e_c and through e_b ⊗ id on the pairs (b, ·).
+    ``braiding`` is the dict of components (the defect is a float), or the
+    _Stacked reading verify_halfbraiding shares (one entry per part).
+    ``left(c, mu, mid)`` is (ι† ⊗ id) ∘ (id_a ⊗ e_b) per root, from mid, the
+    trees of (a,) + W + (b,); by default _stacked_leg, from the stored e_b.
+    build_delta hands in the leg drawn on e_b's vertices (_vertex_leg); the
+    stored e_b still enters through e_c and e_b ⊗ id on the pairs (b, ·).
     """
     eng = obj.engine
     hb = braiding if isinstance(braiding, _Stacked) else _Stacked(obj, braiding)
@@ -331,83 +339,89 @@ def hexagon_residual(obj: SumObject, braiding, a: int, b: int,
                               for (v, nu1), (_z, nu2) in trees]).T
                  for z, trees in eng.basis((u, a, b)).by_root.items()}
              for u in base.dims}
-
-    def channel_defects():
-        for c, n in eng.ring.channels[a][b].items():
-            joined = obj.stacked((), (c,))
-            e_c = hb.e(c)
-            for mu in range(n):
-                leg = left(c, mu, mid)
-                lhs = {z: np.zeros((m.shape[0], src.dims[z]), dtype=complex)
-                       for z, m in e_c.items() if z in src.dims}
-                for u in base.dims:
-                    for z, blk in _vertex_pad(eng, u, a, b, c, mu).blocks.items():
-                        if z in lhs:
-                            heads = _cached(hb.memo, ("heads", c, u, z), lambda: np.array(
-                                [joined.lifts[z][(u, nu)] for nu in range(blk.shape[0])]).T)
-                            lhs[z][:, tails[u][z]] = e_c[z][:, heads] @ blk
-                for z, out in lhs.items():
-                    rhs = (right_blocks(leg[z], e_a, mid.lifts[z], src.lifts[z], src.dims[z])
-                           if z in leg else 0)
-                    yield float(np.max(np.abs(out - rhs)))
-
-    return worst(channel_defects())
+    out = np.zeros(hb.nparts)
+    for c, n in eng.ring.channels[a][b].items():
+        joined, rows = obj.stacked((), (c,)), obj.stacked((c,))
+        e_c = hb.e(c)
+        for mu in range(n):
+            leg = left(c, mu, mid)
+            lhs = {z: np.zeros((m.shape[0], src.dims[z]), dtype=complex)
+                   for z, m in e_c.items() if z in src.dims}
+            for u in base.dims:
+                for z, blk in _vertex_pad(eng, u, a, b, c, mu).blocks.items():
+                    if z in lhs:
+                        heads = _cached(hb.memo, ("heads", c, u, z), lambda: np.array(
+                            [joined.lifts[z][(u, nu)] for nu in range(blk.shape[0])]).T)
+                        lhs[z][:, tails[u][z]] = e_c[z][:, heads] @ blk
+            for z, m in lhs.items():
+                rhs = (right_blocks(leg[z], e_a, mid.lifts[z], src.lifts[z], src.dims[z])
+                       if z in leg else 0)
+                out = np.maximum(out, hb.defects(m - rhs, rows, z))
+    return out if hb is braiding else float(out[0])
 
 
-def _identity_gap(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - np.eye(len(m)))))
+_IDENTITIES = {"unitarity": "half-braiding unitarity",
+               "unit": "unit braiding component", "hexagon": "hexagon"}
 
 
-def verify_halfbraiding(obj: SumObject, braiding: dict, tol: float,
-                        left: Callable[[int, int], Callable] | None = None) -> dict:
-    """Check that ``braiding`` (letter a -> e_a : obj⊗a → a⊗obj) is a
-    unitary half-braiding, on one matrix per root and letter: e_a†·e_a = 1
-    and e_a·e_a† = 1 for every a, e_1 = 1 on the unit, and the hexagon of
-    every pair (a, b) (hexagon_residual).  The stacked e_a and the index
-    arrays are made once and shared by all of them.  ``left(a, b)`` gives
-    the hexagon's left leg for a pair; by default it is drawn from the
-    stored e_b (_stacked_leg).
+def verify_halfbraiding(obj: SumObject, braiding, tol: float,
+                        left: Callable[[int, int], Callable] | None = None,
+                        parts=(0,)) -> list:
+    """Check that ``braiding`` (letter a -> e_a : obj⊗a → a⊗obj, or its
+    _Stacked reading) is a unitary half-braiding, per root and letter on
+    stacked matrices made once: e_a†·e_a = 1 = e_a·e_a†, e_1 = 1, and the
+    hexagon of every pair (hexagon_residual, with ``left(a, b)`` as its leg).
 
-    Returns the worst residual of each identity by name.  Raises
-    ToleranceError when one reaches ``tol``, naming it; that signals an
-    engine or data bug, not bad user input.
+    ``parts`` are the first summands of runs that the braiding keeps apart,
+    as the simples of a direct sum: each is read on its own rows, as if
+    alone, and reads NaN where an e_a non-finite on it enters.  Returns
+    the worst residual of each identity by name, one dict per part.  Raises
+    ToleranceError when one reaches ``tol``, naming the lowest failing part
+    (the error's ``part``; the list is its ``residuals``) and its first
+    failing identity (unitarity, unit, hexagon): an engine or data bug.
     """
     ring = obj.engine.ring
-    hb = _Stacked(obj, braiding)
-
-    def unitarity_gaps(a):
+    hb = braiding if isinstance(braiding, _Stacked) else _Stacked(obj, braiding, parts=parts)
+    res = {name: np.zeros(hb.nparts) for name in _IDENTITIES}
+    lost = np.zeros((ring.rank, hb.nparts), dtype=bool)
+    for a in range(ring.rank):
         e = hb.e(a)
-        for z, n in obj.stacked((), (a,)).dims.items():
-            m = e.get(z)
-            yield _identity_gap(np.zeros((n, n)) if m is None else m.conj().T @ m)
-        for z, n in obj.stacked((a,)).dims.items():
-            m = e.get(z)
-            yield _identity_gap(np.zeros((n, n)) if m is None else m @ m.conj().T)
-
-    worst_u = worst(g for a in range(ring.rank) for g in unitarity_gaps(a))
-    if not worst_u < tol:
-        raise ToleranceError(f"half-braiding unitarity defect {worst_u:.3e} >= {tol:g}")
-
-    unit_res = worst(_identity_gap(m) for m in hb.e(ring.unit).values())
-    if not unit_res < tol:
-        raise ToleranceError(f"unit braiding component defect {unit_res:.3e} >= {tol:g}")
-
-    worst_h = worst(hexagon_residual(obj, hb, a, b, None if left is None else left(a, b))
-                    for a in range(ring.rank) for b in range(ring.rank))
-    if not worst_h < tol:
-        raise ToleranceError(f"hexagon defect {worst_h:.3e} >= {tol:g}")
-    return {"unitarity": worst_u, "unit": unit_res, "hexagon": worst_h}
+        for z, m in e.items() if hb.nparts > 1 else ():
+            # 0·NaN would carry one part's NaN into the others' rows
+            bad = ~np.isfinite(m)
+            if bad.any():
+                lost[a, hb.ids(obj.stacked((a,)), z)[bad.any(axis=1)]] = True
+                e[z] = np.where(bad, 0.0, m)
+        for sb, gram in ((obj.stacked((), (a,)), lambda m: m.conj().T @ m),
+                         (obj.stacked((a,)), lambda m: m @ m.conj().T)):
+            for z, n in sb.dims.items():
+                m = e.get(z)
+                D = (0 if m is None else gram(m)) - np.eye(n)
+                res["unitarity"] = np.maximum(res["unitarity"], hb.defects(D, sb, z))
+    rows = obj.stacked((ring.unit,))
+    for z, m in hb.e(ring.unit).items():
+        res["unit"] = np.maximum(res["unit"], hb.defects(m - np.eye(len(m)), rows, z))
+    for a in range(ring.rank):
+        for b in range(ring.rank):
+            res["hexagon"] = np.maximum(res["hexagon"], hexagon_residual(
+                obj, hb, a, b, None if left is None else left(a, b)))
+    res["unitarity"][lost.any(axis=0)] = res["hexagon"][lost.any(axis=0)] = np.nan
+    res["unit"][lost[ring.unit]] = np.nan
+    out = [{name: float(v[k]) for name, v in res.items()} for k in range(hb.nparts)]
+    for k, per_part in enumerate(out):
+        for name, text in _IDENTITIES.items():
+            if not per_part[name] < tol:
+                exc = ToleranceError(f"{text} defect {per_part[name]:.3e} >= {tol:g}")
+                exc.part, exc.residuals = k, out
+                raise exc
+    return out
 
 
 def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
-    """Assemble Δ(Λ) and verify that its braiding is a unitary half-braiding
-    (verify_halfbraiding, with the hexagon's left leg drawn on the vertices
-    that define e_b).
-
-    Raises ToleranceError when any unitarity, unit-component, or hexagon
-    residual reaches ``tol``; that signals an engine or data bug, not bad
-    user input.
-    """
+    """Assemble Δ(Λ) with its braiding drawn on stacked trees, and verify
+    it (verify_halfbraiding, the hexagon's leg drawn on the same vertices).
+    Raises ToleranceError when a residual reaches ``tol``: an engine or
+    data bug, not bad user input."""
     eng = engine_for(spec)
     ring = eng.ring
     if len(lam.mult) != ring.rank:
@@ -420,11 +434,13 @@ def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
             tags.append((x, s))
     obj = SumObject(eng, words, tags)
 
-    braiding = {a: _delta_braiding_component(eng, obj, a) for a in range(ring.rank)}
-    pieces: dict = {}  # label-only vertex pieces, shared by every (a, b)
+    pieces: dict = {}  # label-only vertex pieces, shared by the drawing and every (a, b)
+    drawn = {a: _draw_braiding(obj, a, pieces) for a in range(ring.rank)}
+    braiding = {a: _cut_braiding(obj, a, m) for a, m in drawn.items()}
     residuals = verify_halfbraiding(
-        obj, braiding, tol, lambda a, b: functools.partial(_vertex_leg, obj, a, b, pieces))
-    return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding,
+        obj, _Stacked(obj, braiding, drawn), tol,
+        lambda a, b: functools.partial(_vertex_leg, obj, a, b, pieces))[0]
+    return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding, drawn=drawn,
                        residuals=residuals)
 
 
@@ -438,7 +454,7 @@ class TubeBasisLabel:
     i: int
 
 
-class TubeElement:
+class TubeElement(Linear):
     """Finitely supported family of components f_a: Λ⊗a → a⊗Λ."""
 
     __slots__ = ("algebra", "components")
@@ -451,12 +467,6 @@ class TubeElement:
         self.algebra = algebra
         self.components = dict(components)
 
-    def component(self, a: int) -> BlockMorphism:
-        m = self.components.get(a)
-        if m is None:
-            m = BlockMorphism.zero(self.algebra.src_objs[a], self.algebra.dst_objs[a])
-        return m
-
     def vector(self) -> np.ndarray:
         return self.algebra.vector_of(self)
 
@@ -466,19 +476,11 @@ class TubeElement:
             out[a] = out[a] + m if a in out else m
         return TubeElement(self.algebra, out)
 
-    def __sub__(self, other: "TubeElement") -> "TubeElement":
-        return self + (other * (-1.0))
-
     def __mul__(self, z) -> "TubeElement":
         return TubeElement(self.algebra, {a: m * z for a, m in self.components.items()})
 
-    __rmul__ = __mul__
-
     def norm(self) -> float:
         return worst(m.norm() for m in self.components.values())
-
-    def close_to(self, other: "TubeElement", tol: float = 1e-9) -> bool:
-        return (self - other).norm() < tol
 
     def __repr__(self):
         labs = self.algebra.spec.labels
@@ -488,13 +490,11 @@ class TubeElement:
 
 @dataclass(eq=False)
 class TubeAlgebra:
-    """Structure constants of A(Λ) in a fixed slot-ordered basis.
-
-    Basis order inside the a-component: source slot major, then target slot,
-    then the tree-pair index of Hom(x⊗a, a⊗y).  ``mult_table[i,j,k]`` is the
-    coefficient of basis k in (basis i)·(basis j); ``star_table[i,j]`` the
-    coefficient of basis j in (basis i)*.  ``slices[a]`` is the index range
-    of the a-component in that basis.
+    """Structure constants of A(Λ) in a fixed slot-ordered basis: in the
+    a-component, source slot, then target slot, then the tree pair of
+    Hom(x⊗a, a⊗y).  ``mult_table[i,j,k]`` is the coefficient of basis k in
+    (basis i)·(basis j), ``star_table[i,j]`` that of j in (basis i)*, and
+    ``slices[a]`` the index range of the a-component.
     """
 
     spec: object
@@ -573,21 +573,11 @@ def _morphism_from_coeffs(eng: Engine, src: Word, dst: Word, vec) -> Morphism:
     return eng.make(src, dst, blocks)
 
 
-def _component_objects(eng: Engine, slots: tuple, a: int):
-    src = SumObject(eng, [(x, a) for (x, _c) in slots])
-    dst = SumObject(eng, [(a, x) for (x, _c) in slots])
-    return src, dst
-
-
 def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebra:
-    """Tabulate structure constants and star, then verify the algebra axioms.
-
-    Build-time checks: associativity over the full basis, star involutivity
-    and anti-multiplicativity, and the unit law, with the unit recomputed
-    through the product formula rather than assumed.  Associativity and
-    anti-multiplicativity run by direction blocks read off the tables (see
-    _table_residuals).  The positivity of the trace form needs Δ and lives
-    with the tests.
+    """Tabulate structure constants and star, then verify associativity,
+    star involutivity and anti-multiplicativity, and the unit law with the
+    unit recomputed through the product (_table_residuals).  Positivity of
+    the trace form needs Δ and lives with the tests.
     """
     eng = engine_for(spec)
     ring = eng.ring
@@ -598,7 +588,8 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
     src_objs, dst_objs, layout = {}, {}, {}
     basis = []
     for a in range(ring.rank):
-        src_objs[a], dst_objs[a] = _component_objects(eng, slots, a)
+        src_objs[a] = SumObject(eng, [(x, a) for (x, _c) in slots])
+        dst_objs[a] = SumObject(eng, [(a, x) for (x, _c) in slots])
         rows, off = [], 0
         for l, (x, _cx) in enumerate(slots):
             for m, (y, _cy) in enumerate(slots):
@@ -699,13 +690,11 @@ def _table_residuals(c: np.ndarray, s: np.ndarray, uvec: np.ndarray,
                      slices: list) -> dict:
     """Worst defects of the algebra axioms on the structure-constant tables.
 
-    ``assoc`` compares (e_i e_j) e_k with e_i (e_j e_k) and ``star_anti``
-    compares (e_i e_j)* with e_j* e_i*, both as sums of products of direction
-    blocks: C[(b, c, a)] = c[I_b, I_c, I_a] and S[(a, a')] = s[I_a, I_a'],
-    with I_a = slices[a].  This is the same max-abs residual as the dense
-    dim⁵ contractions over the full index range, at the cost of the nonzero
-    blocks only.  ``assoc`` is taken one direction pair (i, j) at a time, so
-    only that pair's dim⁴ blocks are held at once.
+    ``assoc`` ((e_i e_j) e_k against e_i (e_j e_k)) and ``star_anti``
+    ((e_i e_j)* against e_j* e_i*) are sums of products of the direction
+    blocks C[(b, c, a)] = c[I_b, I_c, I_a] and S[(a, a')] = s[I_a, I_a'],
+    I_a = slices[a]: the dense dim⁵ residual at the cost of the nonzero
+    blocks, ``assoc`` one direction pair (i, j) at a time.
     """
     C = _graded_blocks(c, slices)
     S = _graded_blocks(s, slices)
@@ -875,15 +864,12 @@ def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorphism:
 
 
 def naturality_residual(delta: DeltaObject, T: BlockMorphism) -> float:
-    """How far T is from commuting with the half-braiding of Δ: the worst
-    max-abs entry of (id_b ⊗ T) ∘ e_b − e_b ∘ (T ⊗ id_b) over the letters b,
-    one root r of the stacked trees at a time (DeltaObject.kernel).
+    """Worst max-abs entry of (id_b ⊗ T) ∘ e_b − e_b ∘ (T ⊗ id_b) over the
+    letters b, per root r of the stacked trees (DeltaObject.kernel).
 
-    T ⊗ id_b is block-diagonal over the lifts (v, ν) with block T_v, so the
-    right side is e[:, cols]·T_v on the columns of each lift.  id_b ⊗ T is
-    Ω·B·Ω† with B = T_u on group (u, ν) (SumObject.omega), so the left side is
-    Ω·Y with Y = T_u·(Ω†·e) on the rows of each group.  Only T is new per
-    call; everything else is Δ's, compiled once.
+    T ⊗ id_b is T_v on the lifts (v, ν), so the right side is e[:, cols]·T_v;
+    id_b ⊗ T is Ω·B·Ω† with B = T_u on group (u, ν) (SumObject.omega), so
+    the left side is Ω·(T_u·(Ω†·e)) by groups.  Only T is new per call.
     """
     sb = delta.obj.stacked()
     Ts = T.stacked(sb, sb)
@@ -965,29 +951,23 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
 
 # ---- serialization ------------------------------------------------------------
 
+def _sparse_rows(table: np.ndarray, threshold: float) -> list:
+    """[*index, re, im] of every entry above threshold in modulus, in C order."""
+    idx = np.nonzero(np.abs(table) > threshold)
+    v = table[idx]
+    return [list(row) for row in zip(*(i.tolist() for i in idx),
+                                     v.real.tolist(), v.imag.tolist())]
+
+
 def tube_json(A: TubeAlgebra, category: str | None = None,
               threshold: float = 1e-12) -> dict:
     """Sparse structure-constant tables in a stable order."""
     labs = A.spec.labels
-    mult_rows = []
-    c = A.mult_table
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                v = c[i, j, k]
-                if abs(v) > threshold:
-                    mult_rows.append([i, j, k, float(v.real), float(v.imag)])
-    star_rows = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            v = A.star_table[i, j]
-            if abs(v) > threshold:
-                star_rows.append([i, j, float(v.real), float(v.imag)])
     return {
         "category": category if category is not None else A.spec.name,
         "lambda": A.lam.as_dict(A.spec),
         "dim": A.dim,
         "basis": [{"a": labs[b.a], "i": b.i} for b in A.basis],
-        "mult_table": mult_rows,
-        "star_table": star_rows,
+        "mult_table": _sparse_rows(A.mult_table, threshold),
+        "star_table": _sparse_rows(A.star_table, threshold),
     }

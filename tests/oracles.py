@@ -7,12 +7,59 @@ the library reads the same identity on stacked per-root matrices.  They are
 slow and independent of the stacked kernel in tubecat.tube, which is what
 makes them worth comparing against.
 """
+import math
+
 import numpy as np
 
 from tubecat.duality import weighted_trace
+from tubecat.pairs import canonical_pair
 from tubecat.sums import BlockMorphism, SumObject
 from tubecat.trees import tree_root
-from tubecat.tube import t_map
+from tubecat.tube import _rotated_fuses, t_map
+
+
+def tensor_id_right(f, word):
+    """f ⊗ id_word for a block map f, block by block."""
+    eng = f.engine
+    return BlockMorphism(f.src.tensor_right(word), f.dst.tensor_right(word),
+                         {k: eng.tensor_id_right(m, word) for k, m in f.blocks.items()})
+
+
+def tensor_id_left(f, word):
+    """id_word ⊗ f for a block map f, block by block."""
+    eng = f.engine
+    return BlockMorphism(f.src.tensor_left(word), f.dst.tensor_left(word),
+                         {k: eng.tensor_id_left(word, m) for k, m in f.blocks.items()})
+
+
+def delta_braiding_component(eng, obj, a):
+    """Blocks (i, j) of Δ's e_a, one per summand j = (x, l, x̄) of Δ and y
+    with N[a, y, x] > 0, where i is summand (y, l, ȳ) of the same slot: on
+    the t-th (a, y; x) vertex, split x into (a, y) on the left line and
+    absorb a into the conjugate line with the transported fusion half on
+    the right, each block built whole on four-letter words.  Coefficient
+    per (x, y): √(d_a⁻¹)·√(d_a d_y d_x) = √(d_x d_y)."""
+    ring, d = eng.ring, eng.d
+    blocks = {}
+    for j, (x, s) in enumerate(obj.tags):
+        l = obj.summands[j][1]
+        for y in range(ring.rank):
+            acc = None
+            for t in range(int(ring.N[a, y, x])):
+                split = canonical_pair(eng, a, y, x).splits[t]
+                term = (eng.tensor_id_right(split, (l, ring.dual[y]))
+                        @ eng.tensor_id_left((x, l), _rotated_fuses(eng, a, y, x)[t]))
+                acc = term if acc is None else acc + term
+            if acc is not None:
+                blocks[(obj.index((y, s)), j)] = acc * math.sqrt(d[x] * d[y])
+    return BlockMorphism(obj.tensor_right((a,)), obj.tensor_left((a,)), blocks)
+
+
+def sparse_rows(table, threshold):
+    """[*index, re, im] of every entry of table above threshold in modulus,
+    in C order, one entry at a time."""
+    return [[*idx, float(v.real), float(v.imag)]
+            for idx, v in np.ndenumerate(table) if abs(v) > threshold]
 
 
 def lift_id_left(eng, word, f, pads):
@@ -93,17 +140,17 @@ def channel_rows(f, c, mu):
 
 
 def generic_leg(obj, braiding, a, b):
-    """(c, μ, src) -> the channel rows of braiding[b].tensor_id_left((a,)),
+    """(c, μ, src) -> the channel rows of tensor_id_left(braiding[b], (a,)),
     stacked like tubecat.tube._vertex_leg: the hexagon's left leg for any
     half-braided sum, from the whole map id_a ⊗ e_b."""
-    full = braiding[b].tensor_id_left((a,))
+    full = tensor_id_left(braiding[b], (a,))
     return lambda c, mu, src: channel_rows(full, c, mu).stacked(src, obj.stacked((c,)))
 
 
 def whole_map_naturality(delta, T):
     """max_b ‖(id_b ⊗ T) ∘ e_b − e_b ∘ (T ⊗ id_b)‖ with both sides built
     whole, block by block."""
-    return max((T.tensor_id_left((b,)) @ e - e @ T.tensor_id_right((b,))).norm()
+    return max((tensor_id_left(T, (b,)) @ e - e @ tensor_id_right(T, (b,))).norm()
                for b, e in delta.braiding.items())
 
 

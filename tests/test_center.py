@@ -263,6 +263,61 @@ def test_partial_lambda_sees_partial_center(catalog):
     assert rep["pass"]  # dimension completeness check is not applicable here
 
 
+def group_category(name: str, elements: list, unit) -> dict:
+    """Category-JSON dict for Vec_G with trivial ω, from the multiplication
+    of the group elements (Python objects with ``*`` and ``**-1``), labeled
+    by position; F = 1 on every triple without the unit."""
+    labels = [str(i) for i in range(len(elements))]
+    at = {g: i for i, g in enumerate(elements)}
+    lab = lambda g: labels[at[g]]
+    doc = {"name": name, "labels": labels, "unit": lab(unit),
+           "dual": {lab(g): lab(g ** -1) for g in elements},
+           "N": [[lab(g), lab(h), lab(g * h), 1] for g in elements for h in elements],
+           "convention": "isometry", "F": []}
+    for a in elements:
+        for b in elements:
+            for c in elements:
+                if unit not in (a, b, c):
+                    doc["F"].append({"abcd": [lab(a), lab(b), lab(c), lab(a * b * c)],
+                                     "e": lab(a * b), "f": lab(b * c), "re": 1.0, "im": 0.0})
+    return doc
+
+
+class Perm(tuple):
+    """A permutation of range(n) as the tuple of images; p * q = p ∘ q."""
+
+    def __mul__(self, other):
+        return Perm(self[i] for i in other)
+
+    def __pow__(self, k):
+        assert k == -1
+        out = [0] * len(self)
+        for i, j in enumerate(self):
+            out[j] = i
+        return Perm(out)
+
+
+def _dims_and_twists(spec, report):
+    d = dict(zip(spec.labels, spec.dims.d))
+    return sorted((round(sum(m * d[x] for x, m in b["underlying"].items()), 6),
+                   round(b["twist"][0], 6) + 0.0, round(b["twist"][1], 6) + 0.0)
+                  for b in report["blocks"])
+
+
+def test_vec_s3_is_morita_equivalent_to_rep_s3(catalog, reports):
+    # Z(Vec_S3) ≅ Z(Rep S3) = D(S3): Vec_S3, built here from the S3
+    # multiplication table, has the same center as the shipped rep_s3, seen
+    # through the multiset of (d_X, θ_X)
+    import itertools
+    from tubecat.catspec import load_spec
+    s3 = [Perm(p) for p in itertools.permutations(range(3))]
+    spec = load_spec(group_category("Vec_S3", s3, Perm(range(3))))
+    report = center_report(spec, seed=1)
+    assert (report["tube_dim"], report["rank"], report["pass"]) == (36, 8, True)
+    assert _dims_and_twists(spec, report) == _dims_and_twists(catalog["rep_s3"],
+                                                              reports["rep_s3"])
+
+
 def test_trivial_category_center(catalog, reports):
     rep = reports["vec"]
     assert rep["rank"] == 1
@@ -529,29 +584,139 @@ def test_extraction_names_a_conjugated_block(catalog, monkeypatch):
         return out
 
     monkeypatch.setattr(tubecat.center, "compress_halfbraiding", conjugated)
-    with pytest.raises(ToleranceError, match="block 0: .*defect") as err:
+    with pytest.raises(ToleranceError, match=r"^block 0: half-braiding unitarity "
+                       r"defect \S+ >= 1e-08 on the extracted simple$") as err:
         extract_center_simples(A, D, dec)
-    assert [len(X) for X in made] == [2], err.value
+    # every block is compressed once, before the one check on their sum
+    assert [len(X) for X in made] == [2, 1, 1, 1] == sorted(dec.sizes, reverse=True), err.value
 
 
-def test_extraction_and_round_trips_tensor_no_block_map(catalog, monkeypatch):
+def test_extraction_and_round_trips_tensor_no_block_map(catalog):
     # compression, the simples' hexagons and the naturality check of f_map
-    # all run on stacked per-root matrices: no BlockMorphism is tensored
-    # with an identity
+    # all run on stacked per-root matrices: BlockMorphism has no
+    # tensor_id_left / tensor_id_right left to call (the block-by-block
+    # versions are the oracles in tests/oracles.py)
     from tubecat.sums import BlockMorphism
     from tubecat.tube import f_map, t_map
+    assert not hasattr(BlockMorphism, "tensor_id_left")
+    assert not hasattr(BlockMorphism, "tensor_id_right")
     spec = catalog["rep_s3"]
     lam = LambdaObject.all_simples(spec)
     A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
-    calls = []
-    for side in ("tensor_id_left", "tensor_id_right"):
-        real = getattr(BlockMorphism, side)
-        monkeypatch.setattr(BlockMorphism, side,
-                            lambda self, word, side=side, real=real:
-                            calls.append(side) or real(self, word))
-    extract_center_simples(A, D, decompose_blocks(A, seed=1))
+    assert len(extract_center_simples(A, D, decompose_blocks(A, seed=1))) == 8
     rng = np.random.default_rng(20)
     for _ in range(2):
         f = A.random_element(rng)
         assert (f_map(A, D, t_map(A, D, f)) - f).norm() < 1e-9 * f.norm()
-    assert calls == []
+
+
+def _z4(k=1):
+    from conftest import pointed_category
+    from tubecat.catspec import load_spec
+    return load_spec(pointed_category(4, k=k))
+
+
+def _extraction(spec, seed=1):
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    return A, D, decompose_blocks(A, seed)
+
+
+@pytest.mark.parametrize("name", ["vec", "vec_z2", "vec_z2_twisted", "vec_z3",
+                                  "fibonacci", "ising", "rep_s3", "Z/4 k=1"])
+def test_sum_check_matches_each_simple_alone(catalog, name):
+    # the per-part residuals of the one check on ⊕X against verify_halfbraiding
+    # run on each simple by itself
+    from tubecat.tube import verify_halfbraiding
+    spec = _z4() if name == "Z/4 k=1" else catalog[name]
+    simples = extract_center_simples(*_extraction(spec))
+    for s in simples:
+        alone = verify_halfbraiding(s.obj, s.braiding, 1e-8)
+        assert len(alone) == 1, name
+        assert abs(alone[0]["hexagon"] - s.hexagon_defect) <= 1e-15, (name, s.underlying)
+        assert abs(max(alone[0]["unitarity"], alone[0]["unit"])
+                   - s.unitarity_defect) <= 1e-15, (name, s.underlying)
+
+
+def _corrupt_simple(monkeypatch, pick, change):
+    # change(e_X) for the simple compressed pick-th, after compression
+    real = tubecat.center.compress_halfbraiding
+    made = []
+
+    def corrupted(delta, X, V):
+        out = real(delta, X, V)
+        made.append(X)
+        if len(made) - 1 == pick(made):
+            out = change(out)
+        return out
+
+    monkeypatch.setattr(tubecat.center, "compress_halfbraiding", corrupted)
+    return made
+
+
+def _conjugate_one_block(e, letter):
+    out = dict(e)
+    m = e[letter]
+    key = min(k for k, b in m.blocks.items()
+              if max(np.abs(v.imag).max() for v in b.blocks.values()) > 0.1)
+    blocks = dict(m.blocks)
+    b = blocks[key]
+    blocks[key] = b.engine.make(b.src, b.dst, {z: v.conj() for z, v in b.blocks.items()})
+    out[letter] = type(m)(m.src, m.dst, blocks)
+    return out
+
+
+def test_extraction_names_the_last_simple(monkeypatch):
+    # one complex block of e_1 conjugated in the last simple compressed, on
+    # Vec[Z/4]^ω: only that block fails, and the error names it
+    A, D, dec = _extraction(_z4())
+    r = dec.rank
+    _corrupt_simple(monkeypatch, lambda made: r - 1,
+                    lambda e: _conjugate_one_block(e, 1))
+    with pytest.raises(ToleranceError, match=rf"^block {r - 1}: \S+ .*defect \S+ >= 1e-08 "
+                       "on the extracted simple$") as err:
+        extract_center_simples(A, D, dec)
+    per_part = err.value.__cause__.residuals
+    assert all(max(p.values()) < 1e-12 for p in per_part[:-1])
+    assert err.value.__cause__.part == r - 1
+
+
+def test_nan_in_one_simple_stays_in_its_part(catalog, monkeypatch):
+    # NaN on every block of one simple's e_τ (fibonacci, the second simple
+    # compressed): its unitarity and hexagon residuals read NaN, its unit
+    # residual and every other simple's residuals stay finite and small, and
+    # the error names that simple's block
+    def poisoned(e):
+        tau = 1
+        m = e[tau]
+        out = dict(e)
+        out[tau] = type(m)(m.src, m.dst, {k: b * np.nan for k, b in m.blocks.items()})
+        return out
+
+    A, D, dec = _extraction(catalog["fibonacci"])
+    _corrupt_simple(monkeypatch, lambda made: 1, poisoned)
+    with pytest.raises(ToleranceError, match=r"^block 1: half-braiding unitarity "
+                       r"defect nan >= 1e-08 on the extracted simple$") as err:
+        extract_center_simples(A, D, dec)
+    per_part = err.value.__cause__.residuals
+    assert len(per_part) == dec.rank
+    assert np.isnan(per_part[1]["unitarity"]) and np.isnan(per_part[1]["hexagon"])
+    assert per_part[1]["unit"] < 1e-12
+    for k, p in enumerate(per_part):
+        if k != 1:
+            assert all(v < 1e-12 for v in p.values()), (k, p)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "rep_s3", "Z/4 k=1"])
+def test_one_check_per_extraction(catalog, name, monkeypatch):
+    # every simple of an extraction is checked by one verify_halfbraiding
+    # call on their direct sum, one part per simple
+    spec = _z4() if name == "Z/4 k=1" else catalog[name]
+    A, D, dec = _extraction(spec)
+    real = tubecat.center.verify_halfbraiding
+    calls = []
+    monkeypatch.setattr(tubecat.center, "verify_halfbraiding",
+                        lambda *args, **kw: calls.append(args[0]) or real(*args, **kw))
+    simples = extract_center_simples(A, D, dec)
+    assert len(calls) == 1
+    assert len(calls[0]) == sum(len(s.obj) for s in simples)

@@ -20,10 +20,10 @@ from tubecat.center import decompose_blocks, extract_center_simples
 from tubecat.tube import (LambdaObject, build_delta, build_tube_algebra,
                           f_map, hexagon_residual, naturality_residual, t_map,
                           tube_json, tube_product, tube_star)
-from tubecat.tube import (_delta_braiding_component, _direction_slices,
-                          _t_diagram, _table_residuals, _vertex_leg,
-                          tube_action)
-from oracles import (extend_halfbraiding, generic_leg, gram,
+from tubecat.tube import (_direction_slices, _t_diagram, _table_residuals,
+                          _vertex_leg, tube_action)
+from oracles import (delta_braiding_component, extend_halfbraiding, generic_leg,
+                     gram, sparse_rows, tensor_id_left, tensor_id_right,
                      whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
@@ -302,8 +302,9 @@ def test_build_delta_rejects_nan_in_a_later_hexagon(catalog, monkeypatch):
 
 
 def _spec(catalog, name):
-    return (load_spec(pointed_category(4, k=1)) if name == "Z/4 k=1"
-            else catalog[name])
+    if name.startswith("Z/"):  # "Z/n k=1"
+        return load_spec(pointed_category(int(name[2:name.index(" ")]), k=1))
+    return catalog[name]
 
 
 def _channels(eng, a, b):
@@ -361,7 +362,7 @@ def test_channel_rows_resolve_the_identity(catalog, name):
 def _full_leg_residual(obj, braiding, a, b):
     """‖e_{a⊗b} − (id_a ⊗ e_b) ∘ (e_a ⊗ id_b)‖ with e_{a⊗b} assembled whole."""
     joined = extend_halfbraiding(obj, braiding, (a, b))
-    staged = braiding[b].tensor_id_left((a,)) @ braiding[a].tensor_id_right((b,))
+    staged = tensor_id_left(braiding[b], (a,)) @ tensor_id_right(braiding[a], (b,))
     return (joined - staged).norm()
 
 
@@ -443,25 +444,96 @@ def test_hexagon_stage_builds_no_long_tree_basis(monkeypatch):
 
 
 def test_build_delta_sees_phase_on_one_stored_block(monkeypatch):
-    # e^{i·1e-6} on one block of the stored e_2 keeps e_2 unitary (each
+    # e^{i·1e-6} on one block of the drawn e_2 keeps e_2 unitary (each
     # summand of Vec[Z/4] maps to one summand) and leaves the unit component
     # alone; the hexagon must still see it, although the staged leg
-    # id_a ⊗ e_b is now drawn from the vertices and not from the stored e_b
+    # id_a ⊗ e_b is drawn from the vertices and not from the stored e_b.
+    # The block is (0, j), from summand (2, slot 0) to (0, slot 0), the
+    # lowest key of e_2
     spec = load_spec(pointed_category(4, k=1))
-    real = _delta_braiding_component
+    real = tubecat.tube._draw_braiding
 
-    def nudged(eng, obj, a):
-        e = real(eng, obj, a)
-        if a != 2:
-            return e
-        blocks = dict(e.blocks)
-        key = min(blocks)
-        blocks[key] = blocks[key] * np.exp(1e-6j)
-        return BlockMorphism(e.src, e.dst, blocks)
+    def nudged(obj, b, pieces):
+        mats = real(obj, b, pieces)
+        if b == 2:
+            i, j = 0, obj.index((2, 0))
+            rows, cols = obj.stacked((b,)).starts, obj.stacked((), (b,)).starts
+            for z, m in mats.items():
+                m[rows[z][i]:rows[z][i + 1], cols[z][j]:cols[z][j + 1]] *= np.exp(1e-6j)
+        return mats
 
-    monkeypatch.setattr(tubecat.tube, "_delta_braiding_component", nudged)
+    monkeypatch.setattr(tubecat.tube, "_draw_braiding", nudged)
     with pytest.raises(ToleranceError, match=r"hexagon defect (1\.00\de-06|9\.99\de-07)"):
         build_delta(spec, LambdaObject.all_simples(spec))
+
+
+@pytest.mark.parametrize("name, mapping", [
+    *((name, None) for name in TUBE_DIM),
+    ("fibonacci", {"tau": 2}), ("ising", {"sigma": 1}),
+    ("Z/4 k=1", None), ("Z/5 k=1", None)])
+def test_drawn_braiding_matches_whole_blocks(catalog, name, mapping):
+    # e_b drawn on stacked trees from the three-letter vertex pieces against
+    # the blocks built whole on four-letter words, key for key; the drawn
+    # matrices are the stored blocks, stacked
+    spec = _spec(catalog, name)
+    lam = (LambdaObject.all_simples(spec) if mapping is None
+           else LambdaObject.from_mapping(spec, mapping))
+    D = build_delta(spec, lam)
+    for b in range(spec.rank):
+        want = delta_braiding_component(D.engine, D.obj, b)
+        got = D.braiding[b]
+        assert list(got.blocks) == list(want.blocks), (name, b)
+        assert (got - want).norm() <= 1e-13, (name, b)
+        stacked = got.stacked(D.obj.stacked((), (b,)), D.obj.stacked((b,)))
+        assert sorted(stacked) == sorted(D.drawn[b]), (name, b)
+        assert all(np.array_equal(m, D.drawn[b][z]) for z, m in stacked.items()), (name, b)
+
+
+def test_drawing_tensors_no_four_letter_word(monkeypatch):
+    # a Vec[Z/7]^ω build_delta draws e_b from pieces on at most three
+    # letters: no morphism is left-tensored into a four-letter word and no
+    # two-letter word is tensored on the left.  Drawing each block whole
+    # took 343 of each, and 455 tensor_id_right calls against 112 here
+    from tubecat.morphism import Engine
+    spec = load_spec(pointed_category(7, k=1))
+    calls = {"one_left_into_4": 0, "left_by_2": 0, "right": 0}
+    one, left, right = Engine._tensor_one_left, Engine.tensor_id_left, Engine.tensor_id_right
+
+    def counted_one(self, c, f):
+        out = one(self, c, f)
+        calls["one_left_into_4"] += max(len(out.src), len(out.dst)) >= 4
+        return out
+
+    def counted_left(self, word, f):
+        calls["left_by_2"] += len(tuple(word)) == 2
+        return left(self, word, f)
+
+    def counted_right(self, f, word):
+        calls["right"] += 1
+        return right(self, f, word)
+
+    monkeypatch.setattr(Engine, "_tensor_one_left", counted_one)
+    monkeypatch.setattr(Engine, "tensor_id_left", counted_left)
+    monkeypatch.setattr(Engine, "tensor_id_right", counted_right)
+    build_delta(spec, LambdaObject.all_simples(spec))
+    assert calls["one_left_into_4"] == calls["left_by_2"] == 0, calls
+    assert calls["right"] <= 112, calls
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "vec_z3",
+                                  "vec_z2_twisted"])
+def test_unit_corner_is_the_fusion_algebra(catalog, name):
+    # over Λ = 1 the tube algebra is the fusion algebra K(C)⊗ℂ: one basis
+    # element per direction a, |c[a,b,z]| = N_ab^z·√(d_a d_b / d_z), and it
+    # is commutative, so every block has size 1
+    spec = catalog[name]
+    A = build_tube_algebra(spec, LambdaObject.from_mapping(
+        spec, {spec.labels[spec.ring.unit]: 1}))
+    assert [lab.a for lab in A.basis] == list(range(spec.rank))
+    d = np.asarray(spec.dims.d, dtype=float)
+    want = spec.ring.N * np.sqrt(d[:, None, None] * d[None, :, None] / d[None, None, :])
+    assert np.max(np.abs(np.abs(A.mult_table) - want)) <= 1e-12
+    assert decompose_blocks(A, seed=1).sizes == (1,) * spec.rank
 
 
 def test_build_rejects_corrupted_product(catalog, algebras, monkeypatch):
@@ -786,6 +858,19 @@ def test_pointed_z3_twisted_builds(catalog):
 
 
 # ---- serialization ---------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["rep_s3", "Z/5 k=1"])
+def test_tube_json_rows_match_the_entry_loop(catalog, name):
+    # np.nonzero emits the same rows, in the same order, as a loop over
+    # every entry of the dense tables
+    spec = _spec(catalog, name)
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    doc = tube_json(A)
+    assert doc["mult_table"] == sparse_rows(A.mult_table, 1e-12)
+    assert doc["star_table"] == sparse_rows(A.star_table, 1e-12)
+    assert all(type(v) is int for row in doc["mult_table"] for v in row[:3])
+    assert all(type(v) is float for row in doc["mult_table"] for v in row[3:])
+
 
 def test_tube_json_shape(algebras):
     A = algebras["vec_z2"]
