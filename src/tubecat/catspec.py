@@ -47,15 +47,12 @@ class FusionCategorySpec:
     def index(self, label: str) -> int:
         return self.ring.index(label)
 
-    def d(self, x: int) -> float:
-        return float(self.dims.d[x])
-
 
 def _need(data: dict, key: str, typ) -> object:
     if key not in data:
         raise SchemaError(f"missing required key {key!r}")
     val = data[key]
-    if typ is not None and not isinstance(val, typ):
+    if not isinstance(val, typ):
         raise SchemaError(f"key {key!r} has type {type(val).__name__}")
     return val
 
@@ -200,21 +197,11 @@ def serialize(spec: FusionCategorySpec) -> str:
     """Inverse of load_spec: canonical category-JSON text."""
     ring = spec.ring
     labels = list(ring.labels)
-    n_rows = []
-    for x in range(ring.rank):
-        for y in range(ring.rank):
-            for z in range(ring.rank):
-                m = int(ring.N[x, y, z])
-                if m:
-                    n_rows.append([labels[x], labels[y], labels[z], m])
-    f_rows = []
-    for (abcd, e, f, mu, nu, val) in spec.fsymbols.iter_entries():
-        f_rows.append({
-            "abcd": [labels[i] for i in abcd],
-            "e": labels[e], "f": labels[f],
-            "mu": list(mu), "nu": list(nu),
-            "re": float(val.real), "im": float(val.imag),
-        })
+    n_rows = [[labels[x], labels[y], labels[z], int(ring.N[x, y, z])]
+              for x, y, z in zip(*np.nonzero(ring.N))]
+    f_rows = [{"abcd": [labels[i] for i in abcd], "e": labels[e], "f": labels[f],
+               "mu": list(mu), "nu": list(nu), "re": float(val.real), "im": float(val.imag)}
+              for (abcd, e, f, mu, nu, val) in spec.fsymbols.iter_entries()]
     doc = {
         "name": spec.name,
         "labels": labels,

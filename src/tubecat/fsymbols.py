@@ -11,6 +11,10 @@ so rows are indexed by the left-comb channel (e, mu ∈ N[a,b,e],
 nu ∈ N[e,c,d]) and columns by the right-comb channel (f, rho ∈ N[b,c,f],
 sigma ∈ N[a,f,d]).  Every block must be unitary.  Blocks with a, b or c equal
 to the unit are the canonical identity and are synthesized, not stored.
+
+Checks read the blocks through ``FSymbolTable.table``: every entry once, keyed
+by its row vertex pair (a,b,e,mu), (e,c,d,nu) and column pair (b,c,f,rho),
+(a,f,d,sigma).
 """
 from __future__ import annotations
 
@@ -25,22 +29,43 @@ __all__ = ["FSymbolTable"]
 Entry = tuple[tuple[int, int, int, int], int, int, tuple[int, int], tuple[int, int], complex]
 
 
-def _rows(ring: FusionRing, a: int, b: int, c: int, d: int):
-    out = []
-    for e in range(ring.rank):
-        for m1 in range(ring.N[a, b, e]):
-            for m2 in range(ring.N[e, c, d]):
-                out.append((e, m1, m2))
-    return out
+def _channels(X, Y):
+    """Channels (e, i < X[e], j < Y[e]) in ascending order."""
+    return [(e, i, j) for e, (n, m) in enumerate(zip(X, Y)) for i in range(n) for j in range(m)]
 
 
-def _cols(ring: FusionRing, a: int, b: int, c: int, d: int):
-    out = []
-    for f in range(ring.rank):
-        for n1 in range(ring.N[b, c, f]):
-            for n2 in range(ring.N[a, f, d]):
-                out.append((f, n1, n2))
-    return out
+def join(keys, queries):
+    """(query, position) for every position of the sorted array keys that
+    holds queries[query], in query, then position, order."""
+    lo = np.searchsorted(keys, queries)
+    cnt = np.searchsorted(keys, queries, side="right") - lo
+    q = np.repeat(np.arange(len(queries)), cnt)
+    return q, np.arange(len(q)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
+
+
+def _entry_table(ring: FusionRing, blocks: dict):
+    N, r = ring.N, ring.rank
+    x, y, z = np.nonzero(N)
+    n = N[x, y, z]
+    x, y, z = np.repeat(x, n), np.repeat(y, n), np.repeat(z, n)
+    V = len(x)
+    v, w = join(x, z)  # rows (a,b,e,mu), (e,c,d,nu)
+    block = ((x[v] * r + y[v]) * r + y[w]) * r + z[w]
+    order = np.argsort(block, kind="stable")
+    rows, block = (v * V + w)[order], block[order]
+    by_y = np.argsort(y, kind="stable")
+    v, w = join(y[by_y], z)  # columns (b,c,f,rho), (a,f,d,sigma)
+    w = by_y[w]
+    cols = (v * V + w)[np.argsort(((x[w] * r + x[v]) * r + y[v]) * r + z[w], kind="stable")]
+    start = np.flatnonzero(np.diff(block, prepend=-1))
+    keys, n = block[start], np.diff(start, append=len(block))
+    k = np.repeat(np.arange(len(keys)), n * n)
+    i, j = np.divmod(np.arange(len(k)) - np.repeat(np.cumsum(n * n) - n * n, n * n), n[k])
+    labels = (t.tolist() for t in np.unravel_index(keys, (r,) * 4))
+    val = np.concatenate([blocks[key].ravel() for key in zip(*labels)])
+    if len(val) != len(k):
+        raise ConsistencyError("F blocks do not fit the fusion ring")
+    return x, y, z, rows[start[k] + i], cols[start[k] + j], val.astype(complex)
 
 
 class FSymbolTable:
@@ -50,71 +75,62 @@ class FSymbolTable:
         self.ring = ring
         self.convention = convention
         self._blocks = blocks          # (a,b,c,d) -> ndarray
-        self._rows_cache: dict = {}
-        self._cols_cache: dict = {}
+        self._table = None
 
     @classmethod
     def from_entries(cls, ring: FusionRing, entries: list[Entry],
                      convention: str = "isometry") -> "FSymbolTable":
         """Assemble dense blocks from sparse entries.
 
-        Unknown labels/indices or entries on unit-containing tuples that
-        disagree with the identity raise SchemaError; a fully missing
-        admissible non-unit block does too (zero blocks cannot be unitary, so
-        silence would only defer the error to a worse place).
+        SchemaError for an entry off the admissible channels, a unit-tuple
+        entry off the identity, or a missing admissible non-unit block (a
+        zero block cannot be unitary).
         """
-        unit = ring.unit
+        # by_cd[c][d] = N[:,c,d], by_ad[a][d] = N[a,:,d]
+        N, by_cd, by_ad = (ring.N.transpose(p).tolist() for p in ((0, 1, 2), (1, 2, 0), (0, 2, 1)))
+        index: dict = {}
         staged: dict = {}
         for (abcd, e, f, mu, nu, val) in entries:
-            a, b, c, d = abcd
-            rows = _rows(ring, a, b, c, d)
-            cols = _cols(ring, a, b, c, d)
-            key_r = (e, mu[0], mu[1])
-            key_c = (f, nu[0], nu[1])
-            if key_r not in rows or key_c not in cols:
+            a, b, c, d = key = tuple(abcd)
+            if key not in index:
+                index[key] = [{ch: i for i, ch in enumerate(_channels(X, Y))}
+                              for X, Y in ((N[a][b], by_cd[c][d]), (N[b][c], by_ad[a][d]))]
+            rows, cols = index[key]
+            i, j = rows.get((e, *mu)), cols.get((f, *nu))
+            if i is None or j is None:
                 raise SchemaError(
                     f"F entry {abcd} e={e} f={f} mu={mu} nu={nu} is not an "
                     "admissible channel")
-            mat = staged.setdefault((a, b, c, d),
-                                    np.zeros((len(rows), len(cols)), dtype=complex))
-            mat[rows.index(key_r), cols.index(key_c)] = val
+            staged.setdefault(key, np.zeros((len(rows),) * 2, dtype=complex))[i, j] = val
+        # admissible tuples: block size Σ_e N[a,b,e]·N[e,c,d] > 0
+        size = np.einsum("abe,ecd->abcd", ring.N, ring.N)
         blocks: dict = {}
-        for a in range(ring.rank):
-            for b in range(ring.rank):
-                for c in range(ring.rank):
-                    for d in range(ring.rank):
-                        rows = _rows(ring, a, b, c, d)
-                        if not rows:
-                            if (a, b, c, d) in staged:
-                                raise SchemaError(
-                                    f"F entries given for inadmissible tuple {(a, b, c, d)}")
-                            continue
-                        if unit in (a, b, c):
-                            ident = np.eye(len(rows), dtype=complex)
-                            got = staged.pop((a, b, c, d), None)
-                            if got is not None and np.max(np.abs(got - ident)) > 1e-12:
-                                raise SchemaError(
-                                    f"unit-constrained F block {(a, b, c, d)} is not the identity")
-                            blocks[(a, b, c, d)] = ident
-                        else:
-                            got = staged.pop((a, b, c, d), None)
-                            if got is None:
-                                raise SchemaError(
-                                    f"missing F block for admissible tuple {(a, b, c, d)}")
-                            blocks[(a, b, c, d)] = got
+        for key, n in zip(map(tuple, np.argwhere(size).tolist()), size[size > 0].tolist()):
+            got = staged.get(key)
+            if ring.unit in key[:3]:
+                blocks[key] = ident = np.eye(n, dtype=complex)
+                if got is not None and np.max(np.abs(got - ident)) > 1e-12:
+                    raise SchemaError(f"unit-constrained F block {key} is not the identity")
+            elif got is None:
+                raise SchemaError(f"missing F block for admissible tuple {key}")
+            else:
+                blocks[key] = got
         return cls(ring, blocks, convention)
 
+    @property
+    def table(self):
+        """(x, y, z, row, col, val), built lazily: vertex v = (x[v], y[v],
+        z[v], μ) in that order, pair (v, w) = v·V + w, blocks in (a,b,c,d)
+        order, row-major."""
+        if self._table is None:
+            self._table = _entry_table(self.ring, self._blocks)
+        return self._table
+
     def rows(self, a, b, c, d):
-        key = (a, b, c, d)
-        if key not in self._rows_cache:
-            self._rows_cache[key] = _rows(self.ring, *key)
-        return self._rows_cache[key]
+        return _channels(self.ring.N[a, b], self.ring.N[:, c, d])
 
     def cols(self, a, b, c, d):
-        key = (a, b, c, d)
-        if key not in self._cols_cache:
-            self._cols_cache[key] = _cols(self.ring, *key)
-        return self._cols_cache[key]
+        return _channels(self.ring.N[b, c], self.ring.N[a, :, d])
 
     def block(self, a, b, c, d) -> np.ndarray:
         return self._blocks[(a, b, c, d)]
@@ -123,27 +139,25 @@ class FSymbolTable:
         return (a, b, c, d) in self._blocks
 
     def check_unitary(self, tol: float = 1e-10) -> float:
-        """Max unitarity defect over all blocks; raises above tol."""
-        defects = []
+        """Max unitarity defect over all blocks, stacked by size; raises
+        above tol."""
+        by_size: dict = {}
         for key, mat in self._blocks.items():
             n, m = mat.shape
             if n != m:
                 raise ConsistencyError(f"F block {key} is not square: {mat.shape}")
-            defects.append(float(np.max(np.abs(mat.conj().T @ mat - np.eye(n)))))
-        top = worst(defects)
+            by_size.setdefault(n, []).append(mat)
+        top = worst(float(np.max(np.abs(s.conj().transpose(0, 2, 1) @ s - np.eye(n))))
+                    for n, s in zip(by_size, map(np.stack, by_size.values())))
         if not top <= tol:
             raise ConsistencyError(f"F blocks fail unitarity at {top:.3e}")
         return top
 
     def iter_entries(self):
         """Yield sparse entries of non-unit blocks (loader inverse)."""
-        unit = self.ring.unit
-        for (a, b, c, d), mat in sorted(self._blocks.items()):
-            if unit in (a, b, c):
-                continue
-            rows = self.rows(a, b, c, d)
-            cols = self.cols(a, b, c, d)
-            for i, (e, m1, m2) in enumerate(rows):
-                for j, (f, n1, n2) in enumerate(cols):
-                    if mat[i, j] != 0:
-                        yield ((a, b, c, d), e, f, (m1, m2), (n1, n2), complex(mat[i, j]))
+        for key, mat in sorted(self._blocks.items()):
+            if self.ring.unit not in key[:3]:
+                rows, cols = self.rows(*key), self.cols(*key)
+                for i, j in zip(*np.nonzero(mat)):
+                    (e, m1, m2), (f, n1, n2) = rows[i], cols[j]
+                    yield key, e, f, (m1, m2), (n1, n2), complex(mat[i, j])

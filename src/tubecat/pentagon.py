@@ -5,7 +5,11 @@ the fully-left tree ((ab)c)d to the fully-right tree a(b(cd)) is computed
 twice: through (ab)(cd) (two F-moves) and through (a(bc))d, a((bc)d) (three
 F-moves).  The residual is the max-abs difference of the two transition
 matrices; no closed-form pentagon identity is trusted, only the operational
-meaning of an F-move.
+meaning of an F-move.  Both routes stay, each summed on its own.
+
+All trees of all words go at once, as sparse joins on F's flat entry table.
+The per-word loop is the oracle (tests/oracles.py); terms are summed in its
+order.
 """
 from __future__ import annotations
 
@@ -13,121 +17,90 @@ import itertools
 
 import numpy as np
 
-from .errors import worst
+from .fsymbols import join
+from .report import VerificationReport
 
 __all__ = ["pentagon_residual", "verify_pentagon"]
 
 
-def _trees_T1(ring, a, b, c, d):
-    """((ab)c)d trees by root: (e1, m1) then (e2, m2) then m3.  One pass
-    over the word visits only the admissible roots; each root's list keeps
-    the (e1, m1, e2, m2, m3) order."""
-    ch = ring.channels
-    out = {}
-    for e1, n1 in ch[a][b].items():
-        for m1 in range(n1):
-            for e2, n2 in ch[e1][c].items():
-                for m2 in range(n2):
-                    for root, n3 in ch[e2][d].items():
-                        out.setdefault(root, []).extend(
-                            (e1, m1, e2, m2, m3) for m3 in range(n3))
+def _mul(p, q):
+    """(re, im) product, unfused: numpy's complex multiply may fuse it and
+    differ in the last bit."""
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _word_residuals(F) -> np.ndarray:
+    """Residual per word, flat in itertools.product order; NaN kept."""
+    r = F.ring.rank
+    x, y, z, row, col, val = F.table
+    V = len(x)
+    # zero amplitudes make no term, so a NaN behind one stays unseen
+    live = np.flatnonzero(val != 0)
+    live = live[np.argsort(row[live], kind="stable")]
+    row, amp = row[live], np.stack([val.real, val.imag])[:, live]
+    c1, c2 = np.divmod(col[live], V)
+
+    def move(t, v, w):
+        """F on the vertex pairs (v, w): each term's tree, entry and source."""
+        q, e = join(row, v * V + w)
+        return t[q], e, q
+
+    # ((ab)c)d trees (v1, v2, v3), chained by label
+    v1 = np.arange(V)
+    q, v2 = join(x, z[v1])
+    v1 = v1[q]
+    q, v3 = join(x, z[v2])
+    v1, v2 = v1[q], v2[q]
+    word = ((x[v1] * r + y[v1]) * r + y[v2]) * r + y[v3]
+    trees = np.arange(len(v1))
+    # (ab)(cd): F on (v2, v3) -> (w1, w2), then on (v1, w2) -> (u1, u2)
+    t, e, _ = move(trees, v2, v3)
+    t, g, q = move(t, v1[t], c2[e])
+    e = e[q]
+    pair = ((t * V + c1[e]) * V + c1[g]) * V + c2[g], _mul(amp[:, e], amp[:, g])
+    # (a(bc))d, a((bc)d): F on (v1, v2) -> (h1, h2), on (h2, v3) -> (k1, k2),
+    # then on (h1, k1) -> (w1, u1)
+    t, e, _ = move(trees, v1, v2)
+    t, g, q = move(t, c2[e], v3[t])
+    e = e[q]
+    t, h, q = move(t, c1[e], c1[g])
+    e, g = e[q], g[q]
+    mid = (((t * V + c1[h]) * V + c2[h]) * V + c2[g],
+           _mul(_mul(amp[:, e], amp[:, g]), amp[:, h]))
+    # each route summed per (tree, a(b(cd)) tree) in term order; a stable
+    # sort, as np.unique's quicksort pages in more code
+    keys = np.concatenate([pair[0], mid[0]])
+    order = np.argsort(keys, kind="stable")
+    new = np.diff(keys[order], prepend=-1) != 0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(new) - 1
+    keys, n = keys[order][new], len(pair[0])
+    (pr, pi), (mr, mi) = ([np.bincount(i, part, len(keys)) for part in terms]
+                          for i, terms in ((slot[:n], pair[1]), (slot[n:], mid[1])))
+    gap = np.abs(np.stack([pr - mr, pi - mi], -1).view(complex).ravel())
+    out = np.zeros(r ** 4)
+    with np.errstate(invalid="ignore"):
+        np.maximum.at(out, word[keys // V ** 3], gap)
     return out
-
-
-def _basis_T4(ring, a, b, c, d, root):
-    # a(b(cd)): (f, r1) then (g, s1) then s2
-    ch = ring.channels
-    out = []
-    for f, n1 in ch[c][d].items():
-        for r1 in range(n1):
-            for g, n2 in ch[b][f].items():
-                for s1 in range(n2):
-                    for s2 in range(ch[a][g].get(root, 0)):
-                        out.append((f, r1, g, s1, s2))
-    return out
-
-
-def _route_via_pair(F, a, b, c, d, root, src, dst):
-    """((ab)c)d -> (ab)(cd) -> a(b(cd)); two moves."""
-    mat = np.zeros((len(src), len(dst)), dtype=complex)
-    for i, (e1, m1, e2, m2, m3) in enumerate(src):
-        rows1 = F.rows(e1, c, d, root)
-        cols1 = F.cols(e1, c, d, root)
-        blk1 = F.block(e1, c, d, root)
-        r1i = rows1.index((e2, m2, m3))
-        for jc, (f, r1, r2) in enumerate(cols1):
-            amp1 = blk1[r1i, jc]
-            if amp1 == 0:
-                continue
-            rows2 = F.rows(a, b, f, root)
-            cols2 = F.cols(a, b, f, root)
-            blk2 = F.block(a, b, f, root)
-            r2i = rows2.index((e1, m1, r2))
-            for jc2, (g, s1, s2) in enumerate(cols2):
-                amp2 = blk2[r2i, jc2]
-                if amp2 == 0:
-                    continue
-                mat[i, dst.index((f, r1, g, s1, s2))] += amp1 * amp2
-    return mat
-
-
-def _route_via_middle(F, a, b, c, d, root, src, dst):
-    """((ab)c)d -> (a(bc))d -> a((bc)d) -> a(b(cd)); three moves."""
-    mat = np.zeros((len(src), len(dst)), dtype=complex)
-    for i, (e1, m1, e2, m2, m3) in enumerate(src):
-        blk1 = F.block(a, b, c, e2)
-        r1i = F.rows(a, b, c, e2).index((e1, m1, m2))
-        for jc, (h, n1, n2) in enumerate(F.cols(a, b, c, e2)):
-            amp1 = blk1[r1i, jc]
-            if amp1 == 0:
-                continue
-            blk2 = F.block(a, h, d, root)
-            r2i = F.rows(a, h, d, root).index((e2, n2, m3))
-            for jc2, (k, t1, t2) in enumerate(F.cols(a, h, d, root)):
-                amp2 = blk2[r2i, jc2]
-                if amp2 == 0:
-                    continue
-                blk3 = F.block(b, c, d, k)
-                r3i = F.rows(b, c, d, k).index((h, n1, t1))
-                for jc3, (f, r1, s1) in enumerate(F.cols(b, c, d, k)):
-                    amp3 = blk3[r3i, jc3]
-                    if amp3 == 0:
-                        continue
-                    mat[i, dst.index((f, r1, k, s1, t2))] += amp1 * amp2 * amp3
-    return mat
 
 
 def iter_pentagon_cases(F):
-    """Yield ((a,b,c,d), residual) per 4-letter word, residual maxed over roots."""
-    ring = F.ring
-    for word in itertools.product(range(ring.rank), repeat=4):
-        a, b, c, d = word
-        gaps = []
-        trees = _trees_T1(ring, a, b, c, d)
-        for root in sorted(trees):
-            src = trees[root]
-            dst = _basis_T4(ring, a, b, c, d, root)
-            m_pair = _route_via_pair(F, a, b, c, d, root, src, dst)
-            m_mid = _route_via_middle(F, a, b, c, d, root, src, dst)
-            gaps.append(float(np.max(np.abs(m_pair - m_mid))))
-        yield word, worst(gaps)
+    """((a,b,c,d), residual) per 4-letter word, residual maxed over roots."""
+    return zip(itertools.product(range(F.ring.rank), repeat=4),
+               _word_residuals(F).tolist())
 
 
 def pentagon_residual(F):
-    """Worst residual and the word attaining it: (residual, (a,b,c,d))."""
-    top, where = 0.0, None
-    for word, res in iter_pentagon_cases(F):
-        if res != res:
-            return res, word
-        if res >= top:
-            top, where = res, word
-    return top, where
+    """Worst residual and the word attaining it: (residual, (a,b,c,d)); the
+    first NaN word, else the last word at the max."""
+    res = _word_residuals(F)
+    nan = np.flatnonzero(res != res)
+    i = nan[0] if len(nan) else len(res) - 1 - int(np.argmax(res[::-1]))
+    return float(res[i]), tuple(int(k) for k in np.unravel_index(i, (F.ring.rank,) * 4))
 
 
 def verify_pentagon(spec, tol: float = 1e-12):
     """Check every rebracketing instance of a loaded category; full report."""
-    from .report import VerificationReport
-
     rep = VerificationReport(suite="pentagon", tol=tol)
     names = spec.ring.labels
     for word, res in iter_pentagon_cases(spec.fsymbols):

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import errors
-from .jsonutil import dumps_canonical
 
 __all__ = ["CaseResult", "VerificationReport"]
 
@@ -52,6 +51,3 @@ class VerificationReport:
             "max_residual": self.max_residual,
             "pass": self.ok,
         }
-
-    def to_json(self) -> str:
-        return dumps_canonical(self.as_dict())

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from tubecat.catalog import BUILTIN_NAMES, find
+from tubecat.fsymbols import FSymbolTable
+from tubecat.ring import FusionRing
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +41,25 @@ def pointed_category(n: int, k: int = 0, name: str | None = None) -> dict:
                     "re": w.real, "im": w.imag,
                 })
     return doc
+
+
+def rep_a4_random_table(seed: int) -> FSymbolTable:
+    """Rep(A4)'s fusion ring, labels 1, 1′, 1″, 3 with 3⊗3 = 1+1′+1″+2·3,
+    carrying seeded random unitary F blocks (identity where a, b or c is the
+    unit).  No pentagon holds; it feeds a checker every multiplicity index."""
+    N = np.zeros((4, 4, 4), dtype=np.int64)
+    for a in range(3):
+        for b in range(3):
+            N[a, b, (a + b) % 3] = 1
+        N[a, 3, 3] = N[3, a, 3] = N[3, 3, a] = 1
+    N[3, 3, 3] = 2
+    ring = FusionRing(labels=("1", "1'", "1''", "3"), unit=0, dual=(0, 2, 1, 3), N=N)
+    ring.validate()
+    size = np.einsum("abe,ecd->abcd", N, N)
+    rng = np.random.default_rng(seed)
+    blocks = {}
+    for key in map(tuple, np.argwhere(size).tolist()):
+        n = int(size[key])
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        blocks[key] = np.eye(n, dtype=complex) if 0 in key[:3] else np.linalg.qr(g)[0]
+    return FSymbolTable(ring, blocks)

@@ -6,12 +6,18 @@ algebra (Engine.tensor_id_left / tensor_id_right on every summand), where
 the library reads the same identity on stacked per-root matrices.  They are
 slow and independent of the stacked kernel in tubecat.tube, which is what
 makes them worth comparing against.
+
+The pentagon's two routes are here too, one word and one root at a time, as
+loops over block rows and columns (trees_T1 … pentagon_residual), where
+tubecat.pentagon runs them as joins on the flat F entry table.
 """
+import itertools
 import math
 
 import numpy as np
 
 from tubecat.duality import weighted_trace
+from tubecat.errors import worst
 from tubecat.pairs import canonical_pair
 from tubecat.sums import BlockMorphism, SumObject
 from tubecat.trees import tree_root
@@ -186,3 +192,110 @@ def gram(A, delta, f, g):
     Tf = t_map(A, delta, f)
     Tg = t_map(A, delta, g)
     return block_trace(Tg.dag() @ Tf)
+
+
+def trees_T1(ring, a, b, c, d):
+    """((ab)c)d trees by root: (e1, m1) then (e2, m2) then m3.  One pass
+    over the word visits only the admissible roots; each root's list keeps
+    the (e1, m1, e2, m2, m3) order."""
+    ch = ring.channels
+    out = {}
+    for e1, n1 in ch[a][b].items():
+        for m1 in range(n1):
+            for e2, n2 in ch[e1][c].items():
+                for m2 in range(n2):
+                    for root, n3 in ch[e2][d].items():
+                        out.setdefault(root, []).extend(
+                            (e1, m1, e2, m2, m3) for m3 in range(n3))
+    return out
+
+
+def basis_T4(ring, a, b, c, d, root):
+    # a(b(cd)): (f, r1) then (g, s1) then s2
+    ch = ring.channels
+    out = []
+    for f, n1 in ch[c][d].items():
+        for r1 in range(n1):
+            for g, n2 in ch[b][f].items():
+                for s1 in range(n2):
+                    for s2 in range(ch[a][g].get(root, 0)):
+                        out.append((f, r1, g, s1, s2))
+    return out
+
+
+def route_via_pair(F, a, b, c, d, root, src, dst):
+    """((ab)c)d -> (ab)(cd) -> a(b(cd)); two moves."""
+    mat = np.zeros((len(src), len(dst)), dtype=complex)
+    for i, (e1, m1, e2, m2, m3) in enumerate(src):
+        rows1 = F.rows(e1, c, d, root)
+        cols1 = F.cols(e1, c, d, root)
+        blk1 = F.block(e1, c, d, root)
+        r1i = rows1.index((e2, m2, m3))
+        for jc, (f, r1, r2) in enumerate(cols1):
+            amp1 = blk1[r1i, jc]
+            if amp1 == 0:
+                continue
+            rows2 = F.rows(a, b, f, root)
+            cols2 = F.cols(a, b, f, root)
+            blk2 = F.block(a, b, f, root)
+            r2i = rows2.index((e1, m1, r2))
+            for jc2, (g, s1, s2) in enumerate(cols2):
+                amp2 = blk2[r2i, jc2]
+                if amp2 == 0:
+                    continue
+                mat[i, dst.index((f, r1, g, s1, s2))] += amp1 * amp2
+    return mat
+
+
+def route_via_middle(F, a, b, c, d, root, src, dst):
+    """((ab)c)d -> (a(bc))d -> a((bc)d) -> a(b(cd)); three moves."""
+    mat = np.zeros((len(src), len(dst)), dtype=complex)
+    for i, (e1, m1, e2, m2, m3) in enumerate(src):
+        blk1 = F.block(a, b, c, e2)
+        r1i = F.rows(a, b, c, e2).index((e1, m1, m2))
+        for jc, (h, n1, n2) in enumerate(F.cols(a, b, c, e2)):
+            amp1 = blk1[r1i, jc]
+            if amp1 == 0:
+                continue
+            blk2 = F.block(a, h, d, root)
+            r2i = F.rows(a, h, d, root).index((e2, n2, m3))
+            for jc2, (k, t1, t2) in enumerate(F.cols(a, h, d, root)):
+                amp2 = blk2[r2i, jc2]
+                if amp2 == 0:
+                    continue
+                blk3 = F.block(b, c, d, k)
+                r3i = F.rows(b, c, d, k).index((h, n1, t1))
+                for jc3, (f, r1, s1) in enumerate(F.cols(b, c, d, k)):
+                    amp3 = blk3[r3i, jc3]
+                    if amp3 == 0:
+                        continue
+                    mat[i, dst.index((f, r1, k, s1, t2))] += amp1 * amp2 * amp3
+    return mat
+
+
+def pentagon_cases(F):
+    """((a,b,c,d), residual) per word, one word and one root at a time: the
+    loop that tubecat.pentagon runs as sparse joins."""
+    ring = F.ring
+    for word in itertools.product(range(ring.rank), repeat=4):
+        gaps = []
+        trees = trees_T1(ring, *word)
+        for root in sorted(trees):
+            src = trees[root]
+            dst = basis_T4(ring, *word, root)
+            gap = np.abs(route_via_pair(F, *word, root, src, dst)
+                         - route_via_middle(F, *word, root, src, dst))
+            gaps.append(float(np.max(gap)))
+        yield word, worst(gaps)
+
+
+def pentagon_residual(F):
+    """(residual, word) from pentagon_cases: the first NaN word, else the
+    last word attaining the max."""
+    top, where = 0.0, None
+    for word, res in pentagon_cases(F):
+        if res != res:
+            return res, word
+        if res >= top:
+            top, where = res, word
+    return top, where

@@ -197,3 +197,15 @@ def test_missing_non_unit_f_block_is_input_error(tmp_path, capsys):
     for name in ("vec", "vec_z2", "vec_z2_twisted", "vec_z3", "fibonacci",
                  "ising", "rep_s3"):
         assert run_capture(capsys, command="verify", category=name)[0] == 0, name
+
+
+def test_import_loads_no_third_party_module_but_numpy():
+    """`import tubecat` is most of a CLI call's start-up: it may pull in
+    numpy and the standard library, nothing else (scipy, say)."""
+    probe = ("import sys; before = set(sys.modules); import tubecat; "
+             "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names))))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == {"numpy", "tubecat"}

@@ -58,3 +58,77 @@ def test_block_indexing_matches_entry(catalog):
         pytest.approx(1 / phi, abs=1e-12)
     assert blk[rows.index((1, 0, 0)), cols.index((1, 0, 0))] == \
         pytest.approx(-1 / phi, abs=1e-12)
+
+
+def _tables(catalog):
+    from conftest import rep_a4_random_table
+    return [s.fsymbols for s in catalog.values()] + [rep_a4_random_table(s) for s in range(3)]
+
+
+def test_unitarity_matches_block_loop(catalog):
+    from tubecat.errors import worst
+    for F in _tables(catalog):
+        want = worst(float(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))))
+                     for m in F._blocks.values())
+        assert F.check_unitary(1e-10) == want
+
+
+def test_unitarity_defect_and_shape_errors():
+    from conftest import rep_a4_random_table
+    from tubecat.errors import ConsistencyError
+    F = rep_a4_random_table(0)
+    F._blocks[(3, 3, 3, 3)] = 2 * F.block(3, 3, 3, 3)
+    with pytest.raises(ConsistencyError, match="F blocks fail unitarity at 3.000e"):
+        F.check_unitary(1e-10)
+    F._blocks[(3, 3, 3, 3)] = F.block(3, 3, 3, 3)[:, :6]
+    with pytest.raises(ConsistencyError, match=r"\(3, 3, 3, 3\) is not square"):
+        F.check_unitary(1e-10)
+
+
+def test_entries_roundtrip_with_multiplicity():
+    from conftest import rep_a4_random_table
+    for seed in range(3):
+        F = rep_a4_random_table(seed)
+        rebuilt = FSymbolTable.from_entries(F.ring, list(F.iter_entries()))
+        assert rebuilt._blocks.keys() == F._blocks.keys()
+        for key, mat in F._blocks.items():
+            assert np.array_equal(rebuilt.block(*key), mat), key
+
+
+def test_entry_table_keys_name_channels(catalog):
+    """Every table entry decodes, through the vertex numbering (x, y, z, μ),
+    to the block entry at its row (e, μ1, μ2) and column (f, ν1, ν2)."""
+    for F in _tables(catalog):
+        x, y, z, row, col, val = F.table
+        V = len(x)
+        mu = np.arange(V) - np.searchsorted(x * V * V + y * V + z, x * V * V + y * V + z)
+        assert len(val) == sum(m.size for m in F._blocks.values())
+        seen = set()
+        for r, c, v in zip(row.tolist(), col.tolist(), val.tolist()):
+            (v1, v2), (w1, w2) = divmod(r, V), divmod(c, V)
+            a, b, e, cc, d = x[v1], y[v1], z[v1], y[v2], z[v2]
+            assert (x[v2], x[w1], y[w1], x[w2], z[w2], z[w1]) == (e, b, cc, a, d, y[w2])
+            key = (a, b, cc, d)
+            i = F.rows(*key).index((e, mu[v1], mu[v2]))
+            j = F.cols(*key).index((z[w1], mu[w1], mu[w2]))
+            assert F.block(*key)[i, j] == v
+            seen.add((key, i, j))
+        assert len(seen) == len(val)
+
+
+def test_inadmissible_multiplicity_rejected():
+    from conftest import rep_a4_random_table
+    ring = rep_a4_random_table(0).ring
+    # (3,3,3,3) has e = 3 with N[3,3,3] = 2, so mu = (2, 0) is no channel
+    bad = [((3, 3, 3, 3), 3, 3, (2, 0), (0, 0), 1.0)]
+    with pytest.raises(SchemaError, match="admissible"):
+        FSymbolTable.from_entries(ring, bad)
+
+
+def test_entry_table_rejects_block_of_wrong_size():
+    from conftest import rep_a4_random_table
+    from tubecat.errors import ConsistencyError
+    F = rep_a4_random_table(0)
+    F._blocks[(3, 3, 3, 3)] = F.block(3, 3, 3, 3)[:6, :6]
+    with pytest.raises(ConsistencyError, match="do not fit the fusion ring"):
+        F.table

@@ -74,7 +74,7 @@ def test_gauge_orbit_keeps_pentagon(seed):
 def _per_root_cases(F):
     """Every root of every word tried in turn: trees enumerated from N for
     each root, roots without trees skipped."""
-    from tubecat.pentagon import _basis_T4, _route_via_middle, _route_via_pair
+    from oracles import basis_T4, route_via_middle, route_via_pair
     ring = F.ring
     rank, N = ring.rank, ring.N
     out = []
@@ -88,9 +88,9 @@ def _per_root_cases(F):
                    for m3 in range(int(N[e2, d, root]))]
             if not src:
                 continue
-            dst = _basis_T4(ring, a, b, c, d, root)
-            gap = np.abs(_route_via_pair(F, a, b, c, d, root, src, dst)
-                         - _route_via_middle(F, a, b, c, d, root, src, dst))
+            dst = basis_T4(ring, a, b, c, d, root)
+            gap = np.abs(route_via_pair(F, a, b, c, d, root, src, dst)
+                         - route_via_middle(F, a, b, c, d, root, src, dst))
             gaps.append(float(np.max(gap)))
         out.append((word, max(gaps)))
     return out
@@ -105,3 +105,42 @@ def test_cases_visit_admissible_roots_only(catalog, name):
     spec = (load_spec(pointed_category(4, k=1)) if name == "Z/4 k=1"
             else catalog[name])
     assert list(iter_pentagon_cases(spec.fsymbols)) == _per_root_cases(spec.fsymbols)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_pointed_cases_match_loop(n):
+    """The joins form and sum each tree's terms in the loop's order, with an
+    unfused complex product, so the residuals agree to the bit."""
+    import oracles
+    from conftest import pointed_category
+    from tubecat.catspec import load_spec
+    from tubecat.pentagon import iter_pentagon_cases
+    F = load_spec(pointed_category(n, k=1)).fsymbols
+    assert list(iter_pentagon_cases(F)) == list(oracles.pentagon_cases(F))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cases_match_loop_with_multiplicity(seed):
+    """Random unitary blocks on Rep(A4)'s ring, where N[3,3,3] = 2: no
+    pentagon holds, and every multiplicity index of both routes is used."""
+    import oracles
+    from conftest import rep_a4_random_table
+    from tubecat.pentagon import iter_pentagon_cases
+    F = rep_a4_random_table(seed)
+    got, want = list(iter_pentagon_cases(F)), list(oracles.pentagon_cases(F))
+    assert [w for w, _ in got] == [w for w, _ in want]
+    assert np.allclose([r for _, r in got], [r for _, r in want], rtol=0, atol=1e-14)
+    assert max(r for _, r in got) > 1.0
+    assert pentagon_residual(F) == oracles.pentagon_residual(F)
+
+
+@pytest.mark.parametrize("key", [(3, 3, 3, 3), (3, 1, 3, 2), (1, 2, 3, 3)])
+def test_nan_word_matches_loop(key):
+    import oracles
+    from conftest import rep_a4_random_table
+    F = rep_a4_random_table(3)
+    F.block(*key)[-1, 0] = np.nan
+    res, word = pentagon_residual(F)
+    assert res != res
+    want = oracles.pentagon_residual(F)
+    assert want[0] != want[0] and word == want[1]
