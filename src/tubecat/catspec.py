@@ -175,7 +175,7 @@ def load_spec(source) -> FusionCategorySpec:
                       _as_number(ent.get("im", 0.0), "F.im"))
         entries.append(((a, b, c, d), e, f, (mu[0], mu[1]), (nu[0], nu[1]), val))
 
-    fsymbols = FSymbolTable.from_entries(ring, entries, convention=convention)
+    fsymbols = FSymbolTable.from_entries(ring, entries)
 
     # pentagon before unitarity: a perturbed table usually breaks both, and
     # the pentagon instance is the more useful thing to name
@@ -210,7 +210,7 @@ def serialize(spec: FusionCategorySpec) -> str:
         "N": n_rows,
         "dims": {labels[i]: float(spec.dims.d[i]) for i in range(ring.rank)},
         "F": f_rows,
-        "convention": spec.fsymbols.convention,
+        "convention": "isometry",
     }
     if spec.metadata.get("dims_override"):
         doc["dims_override"] = True

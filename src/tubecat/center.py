@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import weighted_trace
 from .errors import DegenerateSpectrum, ToleranceError, worst
-from .sums import BlockMorphism, SumObject, left_blocks, right_blocks
+from .sums import SumObject, left_blocks, right_blocks
 from .tube import (DeltaObject, LambdaObject, TubeAlgebra, TubeElement,
                    build_delta, build_tube_algebra, tube_action,
                    verify_halfbraiding)
@@ -197,7 +196,9 @@ def _refine_minimal(A: TubeAlgebra, p: np.ndarray, n: int,
 @dataclass(eq=False)
 class CenterSimple:
     """One simple object of the center: underlying multiplicities in C,
-    an isometric copy inside Δ, and the compressed unitary half-braiding.
+    an isometric copy inside Δ, and the compressed unitary half-braiding,
+    ``braiding[a]`` one matrix per root from the stacked trees of obj + (a,)
+    to those of (a,) + obj, as DeltaObject's.
 
     ``vector`` holds the minimal idempotent of its block as a coefficient
     vector; ``idempotent`` builds it as a tube element on first use."""
@@ -236,21 +237,18 @@ def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
     (v, ν) with block V_v, and id_a ⊗ V† is Ω_X·B·Ω† with B = V_u† from
     group (u, ν) of Δ to the same group of X (SumObject.omega), so e_X at r
     is Ω_X·Y with Y = V_u†·(Ω†·e_a)·V_v on group (u, ν) and lift (v, ν′);
-    the factor Ω†·e_a is DeltaObject.kernel's.  Blocks of max-abs norm up
-    to 1e-14 are left out.
+    the factor Ω†·e_a is DeltaObject.kernel's.  Returns e_X per letter, one
+    matrix per root r of X.omega(a).
     """
     Vt = {z: v.conj().T for z, v in V.items()}
     out = {}
     for a, per_root in delta.kernel.items():
         src = X.stacked((), (a,))
-        mats = {}
+        out[a] = mats = {}
         for r, (om, groups) in X.omega(a).items():
             _om, dgroups, _e, e1, dlifts = per_root[r]
             C = right_blocks(e1, V, dlifts, src.lifts.get(r, {}), src.dims.get(r, 0))
             mats[r] = om @ left_blocks(Vt, C, groups, dgroups, len(om))
-        e = BlockMorphism.from_stacked(X.tensor_right((a,)), X.tensor_left((a,)), mats)
-        out[a] = BlockMorphism(e.src, e.dst, {k: m for k, m in e.blocks.items()
-                                              if m.norm() > 1e-14})
     return out
 
 
@@ -299,13 +297,20 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
             obj=X, braiding=compress_halfbraiding(delta, X, V),
             hexagon_defect=math.nan, unitarity_defect=math.nan))
 
-    # ⊕X, its braiding block-diagonal with the stored e_X as blocks
+    # ⊕X: its stacked trees are summand-major, so each simple's are
+    # contiguous at every root and its stored e_X sits there as a block
     total = SumObject(eng, [w for s in out for w in s.obj.summands],
                       [(k, t) for k, s in enumerate(out) for t in s.obj.tags])
     parts = np.cumsum([0] + [len(s.obj) for s in out[:-1]])
-    braiding = {a: BlockMorphism(total.tensor_right((a,)), total.tensor_left((a,)), {
-        (p + i, p + j): m for p, s in zip(parts, out)
-        for (i, j), m in s.braiding[a].blocks.items()}) for a in range(ring.rank)}
+    braiding = {}
+    for a in range(ring.rank):
+        src, dst = total.stacked((), (a,)), total.stacked((a,))
+        braiding[a] = {r: np.zeros((n, src.dims[r]), dtype=complex)
+                       for r, n in dst.dims.items() if r in src.dims}
+        for p, s in zip(parts, out):
+            for r, m in s.braiding[a].items():
+                i, j = dst.starts[r][p], src.starts[r][p]
+                braiding[a][r][i:i + len(m), j:j + m.shape[1]] = m
     try:
         res = verify_halfbraiding(total, braiding, tol, parts=parts)
     except ToleranceError as exc:
@@ -317,14 +322,17 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
 
 def compute_twists(simples: list) -> list:
     """Close each half-braiding into a ribbon loop: θ·d_X is the weighted
-    trace of the self-crossing summed over the object's simple summands."""
+    trace Σ_r d_r·tr of the self-crossing, summed over the object's simple
+    summands z: the diagonal block of e_z at summand i, roots ascending."""
     out = []
     for s in simples:
-        num = 0.0 + 0.0j
+        num, d = 0.0 + 0.0j, s.obj.engine.d
         for i, (z, _c) in enumerate(s.obj.tags):
-            blk = s.braiding[z].blocks.get((i, i))
-            if blk is not None:
-                num += weighted_trace(blk)
+            e = s.braiding[z]
+            rows, cols = s.obj.stacked((z,)).starts, s.obj.stacked((), (z,)).starts
+            num += sum(d[r] * np.trace(e[r][rows[r][i]:rows[r][i + 1],
+                                             cols[r][i]:cols[r][i + 1]])
+                       for r in sorted(e))
         theta = num / s.dim()
         s.twist = theta
         out.append(theta)

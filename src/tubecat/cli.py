@@ -198,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="fusion-category relation checks, tube algebras, centers")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, with_lambda=True, with_seed=False):
+    def common(p, with_lambda=True, with_seed=False, with_tol=True):
         p.add_argument("--category", required=True,
                        help="catalog name, file path, or - for stdin")
         if with_lambda:
@@ -206,7 +206,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            help='"all-simples" or e.g. "tau:2,1:1"')
         if with_seed:
             p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--tol", type=float, default=1e-9)
+        if with_tol:
+            p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--output", default=None, help="file path, default stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -217,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
            with_lambda=False)
     common(sub.add_parser("tube", help="emit tube-algebra structure constants"))
     common(sub.add_parser("center", help="block decomposition and center report"),
-           with_seed=True)
+           with_seed=True, with_tol=False)
     return top
 
 

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import ConsistencyError, ShapeError
-from .morphism import Engine, Morphism
+from .morphism import Engine, Morphism, engine_for
 from .trees import Word
 
 __all__ = [
@@ -86,9 +86,7 @@ def ev(engine: Engine, x: int) -> Morphism:
 
 def ev_coev(spec_or_engine, x) -> tuple[Morphism, Morphism, Morphism, Morphism]:
     """The full cap/cup quadruple (cap, cup, cap^dagger, cup^dagger) at x."""
-    from .morphism import engine_for
-    eng = (spec_or_engine if isinstance(spec_or_engine, Engine)
-           else engine_for(spec_or_engine))
+    eng = engine_for(spec_or_engine)
     if isinstance(x, str):
         x = eng.spec.index(x)
     cup, cap = _dual_data(eng, x)

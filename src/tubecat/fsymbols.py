@@ -71,20 +71,18 @@ def _entry_table(ring: FusionRing, blocks: dict):
 class FSymbolTable:
     """Dense per-(a,b,c,d) associator blocks with index bookkeeping."""
 
-    def __init__(self, ring: FusionRing, blocks: dict, convention: str = "isometry"):
+    def __init__(self, ring: FusionRing, blocks: dict):
         self.ring = ring
-        self.convention = convention
         self._blocks = blocks          # (a,b,c,d) -> ndarray
         self._table = None
 
     @classmethod
-    def from_entries(cls, ring: FusionRing, entries: list[Entry],
-                     convention: str = "isometry") -> "FSymbolTable":
+    def from_entries(cls, ring: FusionRing, entries: list[Entry]) -> "FSymbolTable":
         """Assemble dense blocks from sparse entries.
 
         SchemaError for an entry off the admissible channels, a unit-tuple
-        entry off the identity, or a missing admissible non-unit block (a
-        zero block cannot be unitary).
+        entry off the identity (a NaN is off it), or a missing admissible
+        non-unit block (a zero block cannot be unitary).
         """
         # by_cd[c][d] = N[:,c,d], by_ad[a][d] = N[a,:,d]
         N, by_cd, by_ad = (ring.N.transpose(p).tolist() for p in ((0, 1, 2), (1, 2, 0), (0, 2, 1)))
@@ -109,13 +107,13 @@ class FSymbolTable:
             got = staged.get(key)
             if ring.unit in key[:3]:
                 blocks[key] = ident = np.eye(n, dtype=complex)
-                if got is not None and np.max(np.abs(got - ident)) > 1e-12:
+                if got is not None and not np.max(np.abs(got - ident)) <= 1e-12:
                     raise SchemaError(f"unit-constrained F block {key} is not the identity")
             elif got is None:
                 raise SchemaError(f"missing F block for admissible tuple {key}")
             else:
                 blocks[key] = got
-        return cls(ring, blocks, convention)
+        return cls(ring, blocks)
 
     @property
     def table(self):

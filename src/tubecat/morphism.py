@@ -43,11 +43,34 @@ class HomSpace:
 
 
 class Linear:
-    """The vector-space operations that follow from ``+`` and ``* scalar``,
-    shared by Morphism, BlockMorphism and TubeElement; each defines those
-    two and a max-abs ``norm``."""
+    """The vector-space operations of Morphism, BlockMorphism and
+    TubeElement, done once over a dict of parts: each class names that
+    dict (``_parts``: arrays per root, or Linear blocks or components),
+    rebuilds itself from one (``_like``) and checks that two are parallel
+    (``_check_parallel``)."""
 
     __slots__ = ()
+
+    def _items(self):
+        return getattr(self, self._parts).items()
+
+    def __add__(self, other):
+        """Sparse union of the parts, in this operand's key order."""
+        self._check_parallel(other)
+        out = dict(self._items())
+        for k, p in other._items():
+            out[k] = out[k] + p if k in out else p
+        return self._like(out)
+
+    def __mul__(self, a):
+        a = complex(a)
+        return self._like({k: p * a for k, p in self._items()})
+
+    def norm(self) -> float:
+        """Max-abs coefficient, NaN if any part holds one; residuals
+        throughout are stated in this norm."""
+        return worst(p.norm() if isinstance(p, Linear) else float(np.max(np.abs(p), initial=0.0))
+                     for _k, p in self._items())
 
     def __sub__(self, other):
         return self + other * (-1.0)
@@ -64,6 +87,7 @@ class Linear:
 
 class Morphism(Linear):
     __slots__ = ("engine", "src", "dst", "blocks")
+    _parts = "blocks"
 
     def __init__(self, engine: "Engine", src: Word, dst: Word, blocks: dict):
         self.engine = engine
@@ -74,11 +98,6 @@ class Morphism(Linear):
     # ---- helpers ----------------------------------------------------------
     def block(self, z: int) -> np.ndarray:
         return self.blocks[z]
-
-    def norm(self) -> float:
-        """Max-abs coefficient; residuals throughout are stated in this norm."""
-        return worst(float(np.abs(b).max()) for b in self.blocks.values()
-                     if b.size)
 
     def scalar(self) -> complex:
         if self.src or self.dst:
@@ -95,19 +114,13 @@ class Morphism(Linear):
                                for z in sorted(self.blocks)])
 
     # ---- linear structure --------------------------------------------------
+    def _like(self, blocks: dict) -> "Morphism":
+        return Morphism(self.engine, self.src, self.dst, blocks)
+
     def _check_parallel(self, other: "Morphism"):
         if self.src != other.src or self.dst != other.dst:
             raise ShapeError(f"shape mismatch: {self.src}->{self.dst} vs "
                              f"{other.src}->{other.dst}")
-
-    def __add__(self, other: "Morphism") -> "Morphism":
-        self._check_parallel(other)
-        return Morphism(self.engine, self.src, self.dst,
-                        {z: self.blocks[z] + other.blocks[z] for z in self.blocks})
-
-    def __mul__(self, a) -> "Morphism":
-        return Morphism(self.engine, self.src, self.dst,
-                        {z: b * complex(a) for z, b in self.blocks.items()})
 
     # ---- categorical structure ---------------------------------------------
     def __matmul__(self, other: "Morphism") -> "Morphism":
@@ -408,12 +421,15 @@ class Engine:
 
 
 def engine_for(spec) -> Engine:
-    """One shared engine per spec instance, so caches survive across calls.
+    """One shared engine per spec instance, so caches survive across calls;
+    an Engine is returned as it is.
 
     The engine is kept on the spec itself: the engine refers back to its
     spec, so the pair is freed together once the spec is dropped.  A copied
     spec carries its original's engine along and gets its own here.
     """
+    if isinstance(spec, Engine):
+        return spec
     eng = getattr(spec, "_engine", None)
     if eng is None or eng.spec is not spec:
         eng = Engine(spec)
@@ -422,6 +438,4 @@ def engine_for(spec) -> Engine:
 
 
 def hom_space(spec_or_engine, source, target) -> HomSpace:
-    eng = (spec_or_engine if isinstance(spec_or_engine, Engine)
-           else engine_for(spec_or_engine))
-    return eng.hom_space(source, target)
+    return engine_for(spec_or_engine).hom_space(source, target)

@@ -68,8 +68,7 @@ class VertexPair:
 
 
 def canonical_pair(spec_or_engine, x, y, z) -> VertexPair:
-    eng = (spec_or_engine if isinstance(spec_or_engine, Engine)
-           else engine_for(spec_or_engine))
+    eng = engine_for(spec_or_engine)
     x, y, z = (eng.spec.index(i) if isinstance(i, str) else int(i)
                for i in (x, y, z))
     key = ("pair", x, y, z)

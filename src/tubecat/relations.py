@@ -34,12 +34,6 @@ __all__ = [
 ]
 
 
-def _engine(spec_or_engine) -> Engine:
-    if isinstance(spec_or_engine, Engine):
-        return spec_or_engine
-    return engine_for(spec_or_engine)
-
-
 def _hom_dim(eng: Engine, src, dst) -> int:
     return sum(dd * sd for _, dd, sd in eng.common_roots(src, dst))
 
@@ -55,7 +49,7 @@ def _admissible_triples(eng: Engine):
 
 def check_bigon1(spec, tol: float = 1e-9) -> VerificationReport:
     """Fuse-then-split collapses to a weighted identity on the channel."""
-    eng = _engine(spec)
+    eng = engine_for(spec)
     labs = eng.spec.labels
     rep = VerificationReport(suite="bigon1", tol=tol)
     d = eng.d
@@ -72,7 +66,7 @@ def check_bigon1(spec, tol: float = 1e-9) -> VerificationReport:
 
 def check_bigon2(spec, tol: float = 1e-9) -> VerificationReport:
     """Slot-resolved bigon: the three-factor form that pins delta_ij."""
-    eng = _engine(spec)
+    eng = engine_for(spec)
     labs = eng.spec.labels
     rep = VerificationReport(suite="bigon2", tol=tol)
     d = eng.d
@@ -94,7 +88,7 @@ def check_bigon2(spec, tol: float = 1e-9) -> VerificationReport:
 
 def check_fusion(spec, tol: float = 1e-9) -> VerificationReport:
     """Complete channel sum resolves the identity on a two-letter word."""
-    eng = _engine(spec)
+    eng = engine_for(spec)
     labs = eng.spec.labels
     rep = VerificationReport(suite="fusion", tol=tol)
     d = eng.d
@@ -159,7 +153,7 @@ def ih_sides(eng: Engine, x: int, w: int, y: int, z: int):
 
 def check_ih(spec, tol: float = 1e-9) -> VerificationReport:
     """Vertical channel sum equals the horizontal one, slot by slot."""
-    eng = _engine(spec)
+    eng = engine_for(spec)
     labs = eng.spec.labels
     rep = VerificationReport(suite="ih", tol=tol)
     rank = eng.ring.rank
@@ -212,7 +206,7 @@ def global_dim_routes(eng: Engine, x: int, y: int):
 
 
 def check_global_dim(spec, tol: float = 1e-9) -> VerificationReport:
-    eng = _engine(spec)
+    eng = engine_for(spec)
     labs = eng.spec.labels
     rep = VerificationReport(suite="globaldim", tol=tol)
     rank = eng.ring.rank
@@ -239,7 +233,7 @@ def check_spherical(spec, trials: int = 3, tol: float = 1e-9,
                     seed: int = 1) -> VerificationReport:
     """Left and right closures of random endomorphisms agree, and both hit
     the weighted block-trace value."""
-    eng = _engine(spec)
+    eng = engine_for(spec)
     labs = eng.spec.labels
     rep = VerificationReport(suite="spherical", tol=tol)
     rng = np.random.default_rng(seed)

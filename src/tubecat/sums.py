@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError, worst
+from .errors import ShapeError
 from .morphism import Engine, Linear, Morphism
 from .trees import Word
 
@@ -191,6 +191,7 @@ class BlockMorphism(Linear):
     """
 
     __slots__ = ("src", "dst", "blocks")
+    _parts = "blocks"
 
     def __init__(self, src: SumObject, dst: SumObject, blocks: dict):
         self.src = src
@@ -213,24 +214,13 @@ class BlockMorphism(Linear):
             m = self.engine.zero(self.src.summands[j], self.dst.summands[i])
         return m
 
-    def norm(self) -> float:
-        return worst(m.norm() for m in self.blocks.values())
-
     # ---- linear structure ----------------------------------------------------
+    def _like(self, blocks: dict) -> "BlockMorphism":
+        return BlockMorphism(self.src, self.dst, blocks)
+
     def _check_parallel(self, other: "BlockMorphism"):
         if not (self.src.same_words(other.src) and self.dst.same_words(other.dst)):
             raise ShapeError("block morphisms not parallel")
-
-    def __add__(self, other: "BlockMorphism") -> "BlockMorphism":
-        self._check_parallel(other)
-        out = dict(self.blocks)
-        for key, m in other.blocks.items():
-            out[key] = out[key] + m if key in out else m
-        return BlockMorphism(self.src, self.dst, out)
-
-    def __mul__(self, a) -> "BlockMorphism":
-        return BlockMorphism(self.src, self.dst,
-                             {k: m * a for k, m in self.blocks.items()})
 
     # ---- categorical structure -----------------------------------------------
     def __matmul__(self, other: "BlockMorphism") -> "BlockMorphism":

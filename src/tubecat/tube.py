@@ -80,18 +80,17 @@ class LambdaObject:
 class DeltaObject:
     """⊕ₓ x⊗Λ⊗x̄ with a unitary half-braiding, one component per simple.
 
-    ``obj`` tags summands by (x, slot); ``braiding[a]`` maps Δ⊗a → a⊗Δ, and
-    ``drawn[a]`` is it per root on the stacked trees (_draw_braiding).
-    ``residuals`` holds the worst unitarity / unit / hexagon defects of the
-    build, ``actions`` tube_action's matrices per tube algebra, ``kernel``
-    what naturality and compression read.
+    ``obj`` tags summands by (x, slot); ``braiding[a]`` maps Δ⊗a → a⊗Δ,
+    one matrix per root from the stacked trees of obj + (a,) to those of
+    (a,) + obj (_draw_braiding).  ``residuals`` holds the worst unitarity /
+    unit / hexagon defects of the build, ``actions`` tube_action's matrices
+    per tube algebra, ``kernel`` what naturality and compression read.
     """
 
     spec: object
     lam: LambdaObject
     obj: SumObject
-    braiding: dict
-    drawn: dict = field(repr=False)
+    braiding: dict = field(repr=False)
     residuals: dict
     actions: weakref.WeakKeyDictionary = field(
         default_factory=weakref.WeakKeyDictionary, repr=False)
@@ -103,11 +102,11 @@ class DeltaObject:
     @functools.cached_property
     def kernel(self) -> dict:
         """Letter b -> root r -> (Ω, groups, e, Ω†·e, lifts), made on first
-        use: e = drawn[b][r], (Ω, groups) = obj.omega(b)[r], and the lifts of
-        obj.stacked((), (b,)) at r."""
+        use: e = braiding[b][r], (Ω, groups) = obj.omega(b)[r], and the
+        lifts of obj.stacked((), (b,)) at r."""
         obj = self.obj
         out = {}
-        for b, e in self.drawn.items():
+        for b, e in self.braiding.items():
             lifts = obj.stacked((), (b,)).lifts
             out[b] = {r: (om, groups, e[r], om.conj().T @ e[r], lifts[r])
                       for r, (om, groups) in obj.omega(b).items()
@@ -201,22 +200,6 @@ def _draw_braiding(obj: SumObject, b: int, pieces: dict) -> dict:
                  lambda y, x, t: canonical_pair(eng, b, y, x).splits[t])
 
 
-def _cut_braiding(obj: SumObject, b: int, mats: dict) -> BlockMorphism:
-    """e_b cut from its drawn matrices at the blocks _draw_braiding fills,
-    from (x, s) to (y, s) with N[b, y, x] > 0."""
-    eng, N = obj.engine, obj.engine.ring.N
-    src, dst = obj.tensor_right((b,)), obj.tensor_left((b,))
-    cols, rows = obj.stacked((), (b,)).starts, obj.stacked((b,)).starts
-    blocks = {}
-    for i, j in [(obj.index((y, s)), j) for j, (x, s) in enumerate(obj.tags)
-                 for y in range(len(N)) if N[b, y, x]]:
-        roots = eng.common_roots(src.summands[j], dst.summands[i])
-        blocks[(i, j)] = eng.make(src.summands[j], dst.summands[i], {
-            z: mats[z][rows[z][i]:rows[z][i + 1], cols[z][j]:cols[z][j + 1]]
-            for z, _, _ in roots}, roots)
-    return BlockMorphism(src, dst, blocks)
-
-
 def _vertex_pad(eng: Engine, u: int, a: int, b: int, c: int, mu: int) -> Morphism:
     """id_u ⊗ ι† : (u, a, b) → (u, c) for the μ-th vertex ι : c → a ⊗ b
     (hom_basis((c,), (a, b))[mu]); every hexagon check on the category
@@ -256,24 +239,21 @@ def _vertex_leg(obj: SumObject, a: int, b: int, pieces: dict,
 
 
 class _Stacked:
-    """A half-braiding on obj per root, from the stacked trees of w + (a,)
-    to those of (a,) + w: e(a), made on first use unless ``drawn``, and
+    """A half-braiding on obj, letter a -> root -> matrix from the stacked
+    trees of obj + (a,) to those of (a,) + obj, read through e(a), with the
     index arrays shared by every identity (``memo``).  ``parts`` are the
     first summands of runs that the braiding keeps apart (verify_halfbraiding)."""
 
     __slots__ = ("obj", "braiding", "memo", "part_of", "nparts")
 
-    def __init__(self, obj: SumObject, braiding: dict, drawn: dict | None = None,
-                 parts=(0,)):
-        self.obj, self.braiding = obj, braiding
-        self.memo = {("e", a): m for a, m in (drawn or {}).items()}
+    def __init__(self, obj: SumObject, braiding: dict, parts=(0,)):
+        self.obj, self.braiding, self.memo = obj, braiding, {}
         self.part_of = np.searchsorted(parts, np.arange(len(obj)), side="right") - 1
         self.nparts = len(parts)
 
     def e(self, a: int) -> dict:
-        obj = self.obj
-        return _cached(self.memo, ("e", a), lambda: self.braiding[a].stacked(
-            obj.stacked((), (a,)), obj.stacked((a,))))
+        """braiding[a], or the copy verify_halfbraiding zeroed for it."""
+        return self.memo.get(("e", a), self.braiding[a])
 
     def ids(self, sb: StackedBasis, z: int) -> np.ndarray:
         """The part of each of sb's coordinates at z."""
@@ -319,8 +299,9 @@ def hexagon_residual(obj: SumObject, braiding, a: int, b: int,
     with no factor built as a map: e_a ⊗ id_b is e_a on the lifts (v, ν),
     and id_W ⊗ ι† the pad id_u ⊗ ι† on the trees of W at u.
 
-    ``braiding`` is the dict of components (the defect is a float), or the
-    _Stacked reading verify_halfbraiding shares (one entry per part).
+    ``braiding`` is the half-braiding, letter -> root -> matrix (the defect
+    is a float), or the _Stacked reading verify_halfbraiding shares (one
+    entry per part).
     ``left(c, mu, mid)`` is (ι† ⊗ id) ∘ (id_a ⊗ e_b) per root, from mid, the
     trees of (a,) + W + (b,); by default _stacked_leg, from the stored e_b.
     build_delta hands in the leg drawn on e_b's vertices (_vertex_leg); the
@@ -367,31 +348,34 @@ _IDENTITIES = {"unitarity": "half-braiding unitarity",
 def verify_halfbraiding(obj: SumObject, braiding, tol: float,
                         left: Callable[[int, int], Callable] | None = None,
                         parts=(0,)) -> list:
-    """Check that ``braiding`` (letter a -> e_a : obj⊗a → a⊗obj, or its
-    _Stacked reading) is a unitary half-braiding, per root and letter on
-    stacked matrices made once: e_a†·e_a = 1 = e_a·e_a†, e_1 = 1, and the
-    hexagon of every pair (hexagon_residual, with ``left(a, b)`` as its leg).
+    """Check that ``braiding`` (letter a -> root -> e_a : obj⊗a → a⊗obj on
+    stacked trees) is a unitary half-braiding, per root and letter:
+    e_a†·e_a = 1 = e_a·e_a†, e_1 = 1, and the hexagon of every pair
+    (hexagon_residual, with ``left(a, b)`` as its leg).
 
     ``parts`` are the first summands of runs that the braiding keeps apart,
     as the simples of a direct sum: each is read on its own rows, as if
-    alone, and reads NaN where an e_a non-finite on it enters.  Returns
+    alone, and reads NaN where an e_a non-finite on it enters.  The
+    non-finite entries are zeroed in copies, never in ``braiding``.  Returns
     the worst residual of each identity by name, one dict per part.  Raises
     ToleranceError when one reaches ``tol``, naming the lowest failing part
     (the error's ``part``; the list is its ``residuals``) and its first
     failing identity (unitarity, unit, hexagon): an engine or data bug.
     """
     ring = obj.engine.ring
-    hb = braiding if isinstance(braiding, _Stacked) else _Stacked(obj, braiding, parts=parts)
+    hb = _Stacked(obj, braiding, parts)
     res = {name: np.zeros(hb.nparts) for name in _IDENTITIES}
     lost = np.zeros((ring.rank, hb.nparts), dtype=bool)
     for a in range(ring.rank):
-        e = hb.e(a)
+        e, zeroed = hb.e(a), {}
         for z, m in e.items() if hb.nparts > 1 else ():
             # 0·NaN would carry one part's NaN into the others' rows
             bad = ~np.isfinite(m)
             if bad.any():
                 lost[a, hb.ids(obj.stacked((a,)), z)[bad.any(axis=1)]] = True
-                e[z] = np.where(bad, 0.0, m)
+                zeroed[z] = np.where(bad, 0.0, m)
+        if zeroed:
+            e = hb.memo[("e", a)] = {**e, **zeroed}
         for sb, gram in ((obj.stacked((), (a,)), lambda m: m.conj().T @ m),
                          (obj.stacked((a,)), lambda m: m @ m.conj().T)):
             for z, n in sb.dims.items():
@@ -435,13 +419,10 @@ def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
     obj = SumObject(eng, words, tags)
 
     pieces: dict = {}  # label-only vertex pieces, shared by the drawing and every (a, b)
-    drawn = {a: _draw_braiding(obj, a, pieces) for a in range(ring.rank)}
-    braiding = {a: _cut_braiding(obj, a, m) for a, m in drawn.items()}
+    braiding = {a: _draw_braiding(obj, a, pieces) for a in range(ring.rank)}
     residuals = verify_halfbraiding(
-        obj, _Stacked(obj, braiding, drawn), tol,
-        lambda a, b: functools.partial(_vertex_leg, obj, a, b, pieces))[0]
-    return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding, drawn=drawn,
-                       residuals=residuals)
+        obj, braiding, tol, lambda a, b: functools.partial(_vertex_leg, obj, a, b, pieces))[0]
+    return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding, residuals=residuals)
 
 
 # ---- tube algebra -----------------------------------------------------------
@@ -467,20 +448,17 @@ class TubeElement(Linear):
         self.algebra = algebra
         self.components = dict(components)
 
+    _parts = "components"
+
+    def _like(self, components: dict) -> "TubeElement":
+        return TubeElement(self.algebra, components)
+
+    def _check_parallel(self, other: "TubeElement"):
+        if other.algebra.lam != self.algebra.lam:
+            raise ShapeError("tube elements over different Λ")
+
     def vector(self) -> np.ndarray:
         return self.algebra.vector_of(self)
-
-    def __add__(self, other: "TubeElement") -> "TubeElement":
-        out = dict(self.components)
-        for a, m in other.components.items():
-            out[a] = out[a] + m if a in out else m
-        return TubeElement(self.algebra, out)
-
-    def __mul__(self, z) -> "TubeElement":
-        return TubeElement(self.algebra, {a: m * z for a, m in self.components.items()})
-
-    def norm(self) -> float:
-        return worst(m.norm() for m in self.components.values())
 
     def __repr__(self):
         labs = self.algebra.spec.labels
@@ -951,16 +929,19 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
 
 # ---- serialization ------------------------------------------------------------
 
-def _sparse_rows(table: np.ndarray, threshold: float) -> list:
-    """[*index, re, im] of every entry above threshold in modulus, in C order."""
-    idx = np.nonzero(np.abs(table) > threshold)
+# entries of a structure-constant table at or below this modulus stay out of tube_json
+SPARSE_ZERO = 1e-12
+
+
+def _sparse_rows(table: np.ndarray) -> list:
+    """[*index, re, im] of every entry above SPARSE_ZERO in modulus, in C order."""
+    idx = np.nonzero(np.abs(table) > SPARSE_ZERO)
     v = table[idx]
     return [list(row) for row in zip(*(i.tolist() for i in idx),
                                      v.real.tolist(), v.imag.tolist())]
 
 
-def tube_json(A: TubeAlgebra, category: str | None = None,
-              threshold: float = 1e-12) -> dict:
+def tube_json(A: TubeAlgebra, category: str | None = None) -> dict:
     """Sparse structure-constant tables in a stable order."""
     labs = A.spec.labels
     return {
@@ -968,6 +949,6 @@ def tube_json(A: TubeAlgebra, category: str | None = None,
         "lambda": A.lam.as_dict(A.spec),
         "dim": A.dim,
         "basis": [{"a": labs[b.a], "i": b.i} for b in A.basis],
-        "mult_table": _sparse_rows(A.mult_table, threshold),
-        "star_table": _sparse_rows(A.star_table, threshold),
+        "mult_table": _sparse_rows(A.mult_table),
+        "star_table": _sparse_rows(A.star_table),
     }

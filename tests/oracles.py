@@ -38,6 +38,14 @@ def tensor_id_left(f, word):
                          {k: eng.tensor_id_left(word, m) for k, m in f.blocks.items()})
 
 
+def braiding_blocks(obj, braiding):
+    """A half-braiding on obj as the library stores it, letter a -> root
+    -> matrix on stacked trees, cut into block maps obj + (a,) → (a,) + obj
+    (BlockMorphism.from_stacked)."""
+    return {a: BlockMorphism.from_stacked(obj.tensor_right((a,)), obj.tensor_left((a,)), m)
+            for a, m in braiding.items()}
+
+
 def delta_braiding_component(eng, obj, a):
     """Blocks (i, j) of Δ's e_a, one per summand j = (x, l, x̄) of Δ and y
     with N[a, y, x] > 0, where i is summand (y, l, ȳ) of the same slot: on
@@ -157,7 +165,7 @@ def whole_map_naturality(delta, T):
     """max_b ‖(id_b ⊗ T) ∘ e_b − e_b ∘ (T ⊗ id_b)‖ with both sides built
     whole, block by block."""
     return max((tensor_id_left(T, (b,)) @ e - e @ tensor_id_right(T, (b,))).norm()
-               for b, e in delta.braiding.items())
+               for b, e in braiding_blocks(delta.obj, delta.braiding).items())
 
 
 def per_summand_compression(delta, X, iso, a):
@@ -166,7 +174,7 @@ def per_summand_compression(delta, X, iso, a):
     pieces of the isometry on the summands of Δ.  Blocks of norm up to
     1e-14 are left out."""
     eng = X.engine
-    e = delta.braiding[a]
+    e = braiding_blocks(delta.obj, {a: delta.braiding[a]})[a]
     blocks = {}
     for i, ui in iso.items():
         for j, uj in iso.items():

@@ -21,6 +21,7 @@ from tubecat.center import (center_report, decompose_blocks,
 from tubecat.errors import DegenerateSpectrum, ToleranceError
 from tubecat.jsonutil import dumps_canonical
 from tubecat.tube import LambdaObject, build_delta, build_tube_algebra
+from oracles import braiding_blocks
 
 BLOCK_SIZES = {
     "vec": (1,),
@@ -545,15 +546,30 @@ def test_compressed_braiding_matches_per_summand(catalog, name, monkeypatch):
                    for j, w in enumerate(obj.summands) if first[z][j + 1] > first[z][j]}
                for i, (z, c) in enumerate(s.obj.tags)}
         for a in range(spec_rank(D)):
-            want = per_summand_compression(D, s.obj, iso, a)
+            want = per_summand_compression(D, s.obj, iso, a).stacked(
+                s.obj.stacked((), (a,)), s.obj.stacked((a,)))
             got = s.braiding[a]
-            assert sorted(got.blocks) == sorted(want.blocks), (name, s.underlying, a)
-            assert (got - want).norm() <= 1e-13, (name, s.underlying, a)
+            assert sorted(got) == sorted(want), (name, s.underlying, a)
+            assert max(float(np.max(np.abs(got[r] - m), initial=0.0))
+                       for r, m in want.items()) <= 1e-13, (name, s.underlying, a)
     assert next(isometries, None) is None
 
 
 def spec_rank(D):
     return D.spec.rank
+
+
+def _conjugate_one_block(X, e, letter):
+    """e with one complex block of e[letter] (BlockMorphism.from_stacked,
+    the lowest key whose imaginary part exceeds 0.1) conjugated."""
+    m = braiding_blocks(X, {letter: e[letter]})[letter]
+    key = min(k for k, b in m.blocks.items()
+              if max(np.abs(v.imag).max() for v in b.blocks.values()) > 0.1)
+    blocks = dict(m.blocks)
+    b = blocks[key]
+    blocks[key] = b.engine.make(b.src, b.dst, {z: v.conj() for z, v in b.blocks.items()})
+    return {**e, letter: type(m)(m.src, m.dst, blocks).stacked(
+        X.stacked((), (letter,)), X.stacked((letter,)))}
 
 
 def test_extraction_names_a_conjugated_block(catalog, monkeypatch):
@@ -572,16 +588,7 @@ def test_extraction_names_a_conjugated_block(catalog, monkeypatch):
     def conjugated(delta, X, V):
         out = real(delta, X, V)
         made.append(X)
-        if len(X) == 2:
-            e = out[tau]
-            key = min(k for k, m in e.blocks.items()
-                      if max(np.abs(b.imag).max() for b in m.blocks.values()) > 0.1)
-            m = e.blocks[key]
-            blocks = dict(e.blocks)
-            blocks[key] = m.engine.make(m.src, m.dst,
-                                        {z: b.conj() for z, b in m.blocks.items()})
-            out[tau] = type(e)(e.src, e.dst, blocks)
-        return out
+        return _conjugate_one_block(X, out, tau) if len(X) == 2 else out
 
     monkeypatch.setattr(tubecat.center, "compress_halfbraiding", conjugated)
     with pytest.raises(ToleranceError, match=r"^block 0: half-braiding unitarity "
@@ -639,7 +646,7 @@ def test_sum_check_matches_each_simple_alone(catalog, name):
 
 
 def _corrupt_simple(monkeypatch, pick, change):
-    # change(e_X) for the simple compressed pick-th, after compression
+    # change(X, e_X) for the simple compressed pick-th, after compression
     real = tubecat.center.compress_halfbraiding
     made = []
 
@@ -647,23 +654,11 @@ def _corrupt_simple(monkeypatch, pick, change):
         out = real(delta, X, V)
         made.append(X)
         if len(made) - 1 == pick(made):
-            out = change(out)
+            out = change(X, out)
         return out
 
     monkeypatch.setattr(tubecat.center, "compress_halfbraiding", corrupted)
     return made
-
-
-def _conjugate_one_block(e, letter):
-    out = dict(e)
-    m = e[letter]
-    key = min(k for k, b in m.blocks.items()
-              if max(np.abs(v.imag).max() for v in b.blocks.values()) > 0.1)
-    blocks = dict(m.blocks)
-    b = blocks[key]
-    blocks[key] = b.engine.make(b.src, b.dst, {z: v.conj() for z, v in b.blocks.items()})
-    out[letter] = type(m)(m.src, m.dst, blocks)
-    return out
 
 
 def test_extraction_names_the_last_simple(monkeypatch):
@@ -672,7 +667,7 @@ def test_extraction_names_the_last_simple(monkeypatch):
     A, D, dec = _extraction(_z4())
     r = dec.rank
     _corrupt_simple(monkeypatch, lambda made: r - 1,
-                    lambda e: _conjugate_one_block(e, 1))
+                    lambda X, e: _conjugate_one_block(X, e, 1))
     with pytest.raises(ToleranceError, match=rf"^block {r - 1}: \S+ .*defect \S+ >= 1e-08 "
                        "on the extracted simple$") as err:
         extract_center_simples(A, D, dec)
@@ -686,12 +681,11 @@ def test_nan_in_one_simple_stays_in_its_part(catalog, monkeypatch):
     # compressed): its unitarity and hexagon residuals read NaN, its unit
     # residual and every other simple's residuals stay finite and small, and
     # the error names that simple's block
-    def poisoned(e):
+    def poisoned(X, e):
         tau = 1
-        m = e[tau]
-        out = dict(e)
-        out[tau] = type(m)(m.src, m.dst, {k: b * np.nan for k, b in m.blocks.items()})
-        return out
+        m = braiding_blocks(X, {tau: e[tau]})[tau]
+        nan = type(m)(m.src, m.dst, {k: b * np.nan for k, b in m.blocks.items()})
+        return {**e, tau: nan.stacked(X.stacked((), (tau,)), X.stacked((tau,)))}
 
     A, D, dec = _extraction(catalog["fibonacci"])
     _corrupt_simple(monkeypatch, lambda made: 1, poisoned)
@@ -705,6 +699,40 @@ def test_nan_in_one_simple_stays_in_its_part(catalog, monkeypatch):
     for k, p in enumerate(per_part):
         if k != 1:
             assert all(v < 1e-12 for v in p.values()), (k, p)
+
+
+def test_verifier_leaves_the_checked_braiding_unchanged(catalog, monkeypatch):
+    # the two simples over Λ = 1 of fibonacci, summed as extraction sums
+    # them, with a NaN on one entry of the second's e_τ: that part reads NaN
+    # and the first stays clean, and the caller's dicts and matrices are as
+    # they were (the verifier zeroes the NaN in a copy of its own)
+    from tubecat.tube import verify_halfbraiding
+    spec = catalog["fibonacci"]
+    lam = LambdaObject.from_mapping(spec, {"1": 1})
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    seen = []
+    monkeypatch.setattr(tubecat.center, "verify_halfbraiding",
+                        lambda obj, braiding, tol, parts: seen.append((obj, braiding, parts))
+                        or verify_halfbraiding(obj, braiding, tol, parts=parts))
+    extract_center_simples(A, D, decompose_blocks(A, seed=1))
+    (obj, braiding, parts), = seen
+    assert len(parts) == 2
+    tau, p = spec.index("tau"), parts[1]
+    rows, cols = obj.stacked((tau,)).starts, obj.stacked((), (tau,)).starts
+    r = next(r for r in braiding[tau] if rows[r][p] < rows[r][-1] and cols[r][p] < cols[r][-1])
+    braiding[tau][r][rows[r][p], cols[r][p]] = np.nan
+    before = {a: dict(e) for a, e in braiding.items()}
+    copies = {a: {r: m.copy() for r, m in e.items()} for a, e in braiding.items()}
+    with pytest.raises(ToleranceError, match="^half-braiding unitarity defect nan") as err:
+        verify_halfbraiding(obj, braiding, 1e-8, parts=parts)
+    res = err.value.residuals
+    assert err.value.part == 1
+    assert np.isnan(res[1]["unitarity"]) and np.isnan(res[1]["hexagon"])
+    assert all(v < 1e-12 for v in res[0].values()), res[0]
+    for a, e in braiding.items():
+        assert e.keys() == before[a].keys()
+        assert all(m is before[a][r] and np.array_equal(m, copies[a][r], equal_nan=True)
+                   for r, m in e.items()), a
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "rep_s3", "Z/4 k=1"])

@@ -77,6 +77,15 @@ def test_bad_tol_and_seed(capsys):
                        seed=-1)[0] == 2
 
 
+def test_center_takes_no_tol(capsys):
+    # --tol sets the checks of verify and tube; center has none to set, so
+    # passing it there is a usage error, not an option that does nothing
+    assert main(["tube", "--category", "fibonacci", "--tol", "1e-300"]) == 1
+    with pytest.raises(SystemExit) as err:
+        main(["center", "--category", "fibonacci", "--tol", "1e-300"])
+    assert err.value.code == 2
+
+
 def test_broken_pentagon_is_verification_failure(tmp_path, capsys):
     doc = pointed_category(3, k=1)
     doc["F"][0]["re"], doc["F"][0]["im"] = 0.6, 0.8  # unit phase, wrong one

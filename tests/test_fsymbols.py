@@ -48,6 +48,16 @@ def test_missing_block_rejected(catalog):
         FSymbolTable.from_entries(ring, partial)
 
 
+def test_nan_on_a_unit_tuple_rejected(catalog):
+    # a NaN entry on a unit-constrained tuple is off the identity; it must
+    # not be replaced by the identity unseen
+    spec = catalog["fibonacci"]
+    entries = list(spec.fsymbols.iter_entries())
+    entries.append(((0, 1, 1, 0), 1, 0, (0, 0), (0, 0), complex(np.nan)))
+    with pytest.raises(SchemaError, match=r"unit-constrained F block \(0, 1, 1, 0\)"):
+        FSymbolTable.from_entries(spec.ring, entries)
+
+
 def test_block_indexing_matches_entry(catalog):
     spec = catalog["fibonacci"]
     f = spec.fsymbols

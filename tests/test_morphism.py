@@ -153,6 +153,11 @@ def test_engine_shared_per_spec_and_freed_with_it():
     assert ref() is None
 
 
+def test_engine_for_returns_an_engine_unchanged(catalog):
+    eng = engine_for(catalog["fibonacci"])
+    assert engine_for(eng) is eng
+
+
 def test_grown_basis_matches_fresh_enumeration(catalog):
     # Engine.basis grows a word's trees from its cached prefix; the trees and
     # their order must be those of a fresh enumeration
