@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateSpectrum, ToleranceError, worst
-from .sums import SumObject, left_blocks, right_blocks
+from .sums import SumObject, left_blocks, right_blocks, stack_blocks
 from .tube import (DeltaObject, LambdaObject, TubeAlgebra, TubeElement,
                    build_delta, build_tube_algebra, tube_action,
                    verify_halfbraiding)
@@ -298,19 +298,14 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
             hexagon_defect=math.nan, unitarity_defect=math.nan))
 
     # ⊕X: its stacked trees are summand-major, so each simple's are
-    # contiguous at every root and its stored e_X sits there as a block
+    # contiguous at every root and its stored e_X sits there as one block,
+    # keyed by its first summand
     total = SumObject(eng, [w for s in out for w in s.obj.summands],
                       [(k, t) for k, s in enumerate(out) for t in s.obj.tags])
     parts = np.cumsum([0] + [len(s.obj) for s in out[:-1]])
-    braiding = {}
-    for a in range(ring.rank):
-        src, dst = total.stacked((), (a,)), total.stacked((a,))
-        braiding[a] = {r: np.zeros((n, src.dims[r]), dtype=complex)
-                       for r, n in dst.dims.items() if r in src.dims}
-        for p, s in zip(parts, out):
-            for r, m in s.braiding[a].items():
-                i, j = dst.starts[r][p], src.starts[r][p]
-                braiding[a][r][i:i + len(m), j:j + m.shape[1]] = m
+    braiding = {a: stack_blocks({(p, p): s.braiding[a] for p, s in zip(parts, out)},
+                                total.stacked((), (a,)), total.stacked((a,)))
+                for a in range(ring.rank)}
     try:
         res = verify_halfbraiding(total, braiding, tol, parts=parts)
     except ToleranceError as exc:

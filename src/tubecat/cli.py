@@ -171,7 +171,7 @@ def run(cfg: CliConfig) -> int:
     if cfg.command not in _COMMANDS:
         print(f"unknown command {cfg.command!r}", file=sys.stderr)
         return 2
-    if not cfg.tol > 0:
+    if cfg.command in ("verify", "tube") and not cfg.tol > 0:
         print(f"tolerance must be positive, got {cfg.tol!r}", file=sys.stderr)
         return 2
     if cfg.seed < 0:

@@ -84,24 +84,31 @@ class FSymbolTable:
         entry off the identity (a NaN is off it), or a missing admissible
         non-unit block (a zero block cannot be unitary).
         """
-        # by_cd[c][d] = N[:,c,d], by_ad[a][d] = N[a,:,d]
-        N, by_cd, by_ad = (ring.N.transpose(p).tolist() for p in ((0, 1, 2), (1, 2, 0), (0, 2, 1)))
-        index: dict = {}
+        N = ring.N
+        ent = np.array([(*abcd, e, f, *mu, *nu) for abcd, e, f, mu, nu, _val in entries],
+                       dtype=np.int64).reshape(-1, 10)
+        # an entry with e or f off the labels, or a negative μ or ν, reads as
+        # all zeros below and is refused with the rest
+        fine = (ent[:, 4:6] < ring.rank).all(axis=1) & (ent[:, 4:] >= 0).all(axis=1)
+        a, b, c, d, e, f, m1, m2, n1, n2 = np.where(fine, ent.T, 0)
+        ok = fine & (m1 < N[a, b, e]) & (m2 < N[e, c, d]) & (n1 < N[b, c, f]) & (n2 < N[a, f, d])
+        if not ok.all():
+            abcd, e, f, mu, nu, _val = entries[int(np.argmin(ok))]
+            raise SchemaError(
+                f"F entry {abcd} e={e} f={f} mu={mu} nu={nu} is not an "
+                "admissible channel")
+        # row (e, μ1, μ2) follows the N[a,b,e']·N[e',c,d] rows of every e' < e,
+        # column (f, ν1, ν2) the N[b,c,f']·N[a,f',d] columns of every f' < f
+        k = np.arange(len(ent))
+        per_e, per_f = N[a, b] * N[:, c, d].T, N[b, c] * N[a, :, d]
+        row = np.cumsum(per_e, axis=1)[k, e] - per_e[k, e] + m1 * N[e, c, d] + m2
+        col = np.cumsum(per_f, axis=1)[k, f] - per_f[k, f] + n1 * N[a, f, d] + n2
+        size = np.einsum("abe,ecd->abcd", N, N)
         staged: dict = {}
-        for (abcd, e, f, mu, nu, val) in entries:
-            a, b, c, d = key = tuple(abcd)
-            if key not in index:
-                index[key] = [{ch: i for i, ch in enumerate(_channels(X, Y))}
-                              for X, Y in ((N[a][b], by_cd[c][d]), (N[b][c], by_ad[a][d]))]
-            rows, cols = index[key]
-            i, j = rows.get((e, *mu)), cols.get((f, *nu))
-            if i is None or j is None:
-                raise SchemaError(
-                    f"F entry {abcd} e={e} f={f} mu={mu} nu={nu} is not an "
-                    "admissible channel")
-            staged.setdefault(key, np.zeros((len(rows),) * 2, dtype=complex))[i, j] = val
+        for (abcd, *_labels, val), i, j in zip(entries, row.tolist(), col.tolist()):
+            key = tuple(abcd)
+            staged.setdefault(key, np.zeros((size[key],) * 2, dtype=complex))[i, j] = val
         # admissible tuples: block size Σ_e N[a,b,e]·N[e,c,d] > 0
-        size = np.einsum("abe,ecd->abcd", ring.N, ring.N)
         blocks: dict = {}
         for key, n in zip(map(tuple, np.argwhere(size).tolist()), size[size > 0].tolist()):
             got = staged.get(key)
@@ -132,9 +139,6 @@ class FSymbolTable:
 
     def block(self, a, b, c, d) -> np.ndarray:
         return self._blocks[(a, b, c, d)]
-
-    def has_block(self, a, b, c, d) -> bool:
-        return (a, b, c, d) in self._blocks
 
     def check_unitary(self, tol: float = 1e-10) -> float:
         """Max unitarity defect over all blocks, stacked by size; raises

@@ -43,11 +43,10 @@ class HomSpace:
 
 
 class Linear:
-    """The vector-space operations of Morphism, BlockMorphism and
-    TubeElement, done once over a dict of parts: each class names that
-    dict (``_parts``: arrays per root, or Linear blocks or components),
-    rebuilds itself from one (``_like``) and checks that two are parallel
-    (``_check_parallel``)."""
+    """The vector-space operations of Morphism and TubeElement, done once
+    over a dict of parts: each class names that dict (``_parts``: arrays per
+    root, or Morphism blocks), rebuilds itself from one (``_like``) and
+    checks that two are parallel (``_check_parallel``)."""
 
     __slots__ = ()
 
@@ -186,6 +185,10 @@ class Engine:
         sdims = self.basis(src).dims
         return [(z, dd, sdims[z]) for z, dd in self.basis(dst).dims.items()
                 if z in sdims]
+
+    def hom_dim(self, src: Word, dst: Word) -> int:
+        """dim Hom(src, dst), counted from the common roots."""
+        return sum(dd * sd for _, dd, sd in self.common_roots(src, dst))
 
     def dual_word(self, word: Word) -> Word:
         return tuple(self.ring.dual[x] for x in reversed(word))

@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 
-def _hom_dim(eng: Engine, src, dst) -> int:
-    return sum(dd * sd for _, dd, sd in eng.common_roots(src, dst))
-
-
 def _admissible_triples(eng: Engine):
     rank = eng.ring.rank
     for x, y, z in itertools.product(range(rank), repeat=3):
@@ -114,8 +110,8 @@ def ih_sides(eng: Engine, x: int, w: int, y: int, z: int):
     outer-product matrices over Hom(xw, yz) (x) Hom(wbar xbar, zbar ybar)."""
     ring, d = eng.ring, eng.d
     xd, wd, yd, zd = (ring.dual[i] for i in (x, w, y, z))
-    dim1 = _hom_dim(eng, (x, w), (y, z))
-    dim2 = _hom_dim(eng, (wd, xd), (zd, yd))
+    dim1 = eng.hom_dim((x, w), (y, z))
+    dim2 = eng.hom_dim((wd, xd), (zd, yd))
     side_i = np.zeros((dim1, dim2), dtype=complex)
     side_h = np.zeros((dim1, dim2), dtype=complex)
 
@@ -158,7 +154,7 @@ def check_ih(spec, tol: float = 1e-9) -> VerificationReport:
     rep = VerificationReport(suite="ih", tol=tol)
     rank = eng.ring.rank
     for x, w, y, z in itertools.product(range(rank), repeat=4):
-        if _hom_dim(eng, (x, w), (y, z)) == 0:
+        if eng.hom_dim((x, w), (y, z)) == 0:
             continue
         side_i, side_h = ih_sides(eng, x, w, y, z)
         res = float(np.abs(side_i - side_h).max()) if side_i.size else 0.0
@@ -179,8 +175,8 @@ def global_dim_routes(eng: Engine, x: int, y: int):
     """
     ring, d = eng.ring, eng.d
     xd, yd = ring.dual[x], ring.dual[y]
-    dim1 = _hom_dim(eng, (x,), (y,))
-    dim2 = _hom_dim(eng, (xd,), (yd,))
+    dim1 = eng.hom_dim((x,), (y,))
+    dim2 = eng.hom_dim((xd,), (yd,))
     direct = np.zeros((dim1, dim2), dtype=complex)
     for a, b in itertools.product(range(ring.rank), repeat=2):
         if not (ring.N[a, b, x] and ring.N[a, b, y]):

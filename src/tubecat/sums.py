@@ -1,27 +1,25 @@
-"""Direct sums of tensor words, and morphisms between them in block form.
+"""Direct sums of tensor words, and linear maps between them per root.
 
 The core engine only speaks single tensor words.  Everything downstream
-(the conjugation-closure object, tube-algebra components, extracted center
-objects) lives on finite direct sums of words, so this module adds the
-bookkeeping layer: a SumObject is an ordered tuple of summand words with
-hashable tags, and a BlockMorphism stores the nonzero blocks of a linear map
-between two sums, keyed by (target summand, source summand).  Missing blocks
-are zero.  Composition is block matrix multiplication over the sparse dicts.
-A StackedBasis lines up the comb trees of all summands at each root, so a
-BlockMorphism can also be read as one matrix per root (BlockMorphism.stacked)
-and put back together from one (BlockMorphism.from_stacked); f ⊗ id and
-id ⊗ f act there as block-diagonal products (left_blocks, right_blocks,
-SumObject.omega).
+(the conjugation-closure object Δ, extracted center objects) lives on
+finite direct sums of words, so this module adds the bookkeeping layer: a
+SumObject is an ordered tuple of summand words with hashable tags, and a
+StackedBasis lines up the comb trees of all summands at each root.  A
+linear map between two sums is then one matrix per root; its block between
+two summands is placed there and cut back out by stack_blocks and
+cut_block, and f ⊗ id and id ⊗ f act as block-diagonal products
+(left_blocks, right_blocks, SumObject.omega).
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ShapeError
-from .morphism import Engine, Linear, Morphism
+from .morphism import Engine, Morphism
 from .trees import Word
 
-__all__ = ["SumObject", "BlockMorphism", "StackedBasis", "left_blocks", "right_blocks"]
+__all__ = ["SumObject", "StackedBasis", "stack_blocks", "cut_block",
+           "left_blocks", "right_blocks"]
 
 
 class StackedBasis:
@@ -31,7 +29,7 @@ class StackedBasis:
     in TreeBasis generation order.  At root z the stacked coordinates are
     those states in that order, ``by_root[z]`` = [(summand, tree)], and
     summand j occupies ``starts[z][j]:starts[z][j + 1]``; so a map between
-    two sums of words is one matrix per root (BlockMorphism.stacked).
+    two sums of words is one matrix per root (stack_blocks).
 
     ``extended`` grows every word by one letter from these states, as
     TreeBasis.extended grows one word.  A comb of w + (x,) at z is a comb
@@ -124,9 +122,6 @@ class SumObject:
         word = tuple(word)
         return SumObject(self.engine, [word + w for w in self.summands], self.tags)
 
-    def same_words(self, other: "SumObject") -> bool:
-        return self.summands == other.summands
-
     def omega(self, c: int) -> dict:
         """id_c ⊗ − on the stacked comb trees of the summands: root r ->
         (Ω, groups).
@@ -182,114 +177,34 @@ class SumObject:
         return "<SumObject " + " + ".join(parts) + ">"
 
 
-class BlockMorphism(Linear):
-    """Map between two SumObjects, stored as sparse blocks.
+def stack_blocks(blocks: dict, src: StackedBasis, dst: StackedBasis) -> dict:
+    """One matrix per root z, from src's coordinates at z to dst's, of a map
+    in block form: ``blocks[(i, j)]`` is root -> matrix (Morphism.blocks)
+    from summand j to summand i, and at z it sits at rows dst.starts[z][i]
+    on, columns src.starts[z][j] on; a block may run on over the summands
+    after those.  Every other entry is zero."""
+    out = {z: np.zeros((n, src.dims[z]), dtype=complex)
+           for z, n in dst.dims.items() if z in src.dims}
+    rows, cols = dst.starts, src.starts
+    for (i, j), m in blocks.items():
+        for z, blk in m.items():
+            if blk.size:
+                r, c = rows[z][i], cols[z][j]
+                out[z][r:r + blk.shape[0], c:c + blk.shape[1]] = blk
+    return out
 
-    ``blocks[(i, j)]`` is a Morphism from ``src.summands[j]`` to
-    ``dst.summands[i]``.  Absent keys mean zero.  All arithmetic keeps the
-    dict sparse; norms use the same max-abs convention as Morphism.
-    """
 
-    __slots__ = ("src", "dst", "blocks")
-    _parts = "blocks"
-
-    def __init__(self, src: SumObject, dst: SumObject, blocks: dict):
-        self.src = src
-        self.dst = dst
-        for (i, j), m in blocks.items():
-            if m.src != src.summands[j] or m.dst != dst.summands[i]:
-                raise ShapeError(
-                    f"block ({i},{j}) is {m.src}->{m.dst}, expected "
-                    f"{src.summands[j]}->{dst.summands[i]}")
-        self.blocks = dict(blocks)
-
-    # ---- access -------------------------------------------------------------
-    @property
-    def engine(self) -> Engine:
-        return self.src.engine
-
-    def block(self, i: int, j: int) -> Morphism:
-        m = self.blocks.get((i, j))
-        if m is None:
-            m = self.engine.zero(self.src.summands[j], self.dst.summands[i])
-        return m
-
-    # ---- linear structure ----------------------------------------------------
-    def _like(self, blocks: dict) -> "BlockMorphism":
-        return BlockMorphism(self.src, self.dst, blocks)
-
-    def _check_parallel(self, other: "BlockMorphism"):
-        if not (self.src.same_words(other.src) and self.dst.same_words(other.dst)):
-            raise ShapeError("block morphisms not parallel")
-
-    # ---- categorical structure -----------------------------------------------
-    def __matmul__(self, other: "BlockMorphism") -> "BlockMorphism":
-        """self after other."""
-        if not other.dst.same_words(self.src):
-            raise ShapeError("cannot compose block morphisms: middle objects differ")
-        by_mid: dict = {}
-        for (j, k), g in other.blocks.items():
-            by_mid.setdefault(j, []).append((k, g))
-        out: dict = {}
-        for (i, j), f in self.blocks.items():
-            for k, g in by_mid.get(j, ()):
-                term = f @ g
-                key = (i, k)
-                out[key] = out[key] + term if key in out else term
-        return BlockMorphism(other.src, self.dst, out)
-
-    def dag(self) -> "BlockMorphism":
-        return BlockMorphism(self.dst, self.src,
-                             {(j, i): m.dag() for (i, j), m in self.blocks.items()})
-
-    def stacked(self, src: StackedBasis, dst: StackedBasis) -> dict:
-        """One matrix per root z, from src's coordinates at z to dst's: block
-        (i, j) at z sits at rows dst.starts[z][i] on, columns src.starts[z][j]
-        on.  The stacks must be of this map's source and target words."""
-        if src.words != self.src.summands or dst.words != self.dst.summands:
-            raise ShapeError("stacked bases do not match the summand words")
-        out = {z: np.zeros((n, src.dims[z]), dtype=complex)
-               for z, n in dst.dims.items() if z in src.dims}
-        rows, cols = dst.starts, src.starts
-        for (i, j), m in self.blocks.items():
-            for z, blk in m.blocks.items():
-                if blk.size:
-                    r, c = rows[z][i], cols[z][j]
-                    out[z][r:r + blk.shape[0], c:c + blk.shape[1]] = blk
-        return out
-
-    # ---- constructors ---------------------------------------------------------
-    @staticmethod
-    def from_stacked(src: SumObject, dst: SumObject, mats: dict) -> "BlockMorphism":
-        """Inverse of ``stacked`` over src.stacked() and dst.stacked(): cut
-        each root's matrix back into blocks.  A block that is exactly zero
-        at every root is left out; a root missing from ``mats`` is zero."""
-        eng = src.engine
-        rows, cols = dst.stacked().starts, src.stacked().starts
-        blocks = {}
-        for i, v in enumerate(dst.summands):
-            for j, w in enumerate(src.summands):
-                roots = eng.common_roots(w, v)
-                cut = {z: mats[z][rows[z][i]:rows[z][i] + dd,
-                                  cols[z][j]:cols[z][j] + sd].copy()
-                       for z, dd, sd in roots if z in mats}
-                if any(b.any() for b in cut.values()):
-                    blocks[(i, j)] = eng.make(w, v, cut, roots)
-        return BlockMorphism(src, dst, blocks)
-
-    @staticmethod
-    def identity(obj: SumObject) -> "BlockMorphism":
-        eng = obj.engine
-        return BlockMorphism(obj, obj, {(i, i): eng.identity(w)
-                                        for i, w in enumerate(obj.summands)})
-
-    @staticmethod
-    def zero(src: SumObject, dst: SumObject) -> "BlockMorphism":
-        return BlockMorphism(src, dst, {})
-
-    def __repr__(self):
-        return (f"<BlockMorphism {len(self.src)}x{len(self.dst)} summands, "
-                f"{len(self.blocks)} blocks, norm={self.norm():.3g}>")
+def cut_block(engine: Engine, mats: dict, src: StackedBasis, dst: StackedBasis,
+              i: int, j: int) -> Morphism:
+    """Block (i, j) of per-root matrices from src's coordinates to dst's, as
+    a Morphism from src.words[j] to dst.words[i]: the inverse of
+    stack_blocks on one block.  A root missing from ``mats`` reads as zero."""
+    w, v = src.words[j], dst.words[i]
+    roots = engine.common_roots(w, v)
+    rows, cols = dst.starts, src.starts
+    return engine.make(w, v, {z: mats[z][rows[z][i]:rows[z][i] + dd,
+                                         cols[z][j]:cols[z][j] + sd].copy()
+                              for z, dd, sd in roots if z in mats}, roots)
 
 
 def left_blocks(F: dict, M: np.ndarray, dst: dict, src: dict, n: int) -> np.ndarray:

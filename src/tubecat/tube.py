@@ -1,10 +1,12 @@
 """Tube algebra of a fusion category over a chosen object Λ.
 
 Λ is a multiplicity vector over the simple labels.  The algebra lives on
-A(Λ) = ⊕_a Hom(Λ⊗a, a⊗Λ), one component per direction a, stored blockwise
-over the slots of Λ.  Alongside it: Δ(Λ) = ⊕_x x⊗Λ⊗x̄ with its unitary
-half-braiding, and the two inverse maps between tube elements and the
-endomorphisms of Δ that commute with it.
+A(Λ) = ⊕_a Hom(Λ⊗a, a⊗Λ), and a tube element keeps one Morphism per
+direction a and pair of slots of Λ.  Alongside it: Δ(Λ) = ⊕_x x⊗Λ⊗x̄ with
+its unitary half-braiding, and the two inverse maps between tube elements
+and the endomorphisms of Δ that commute with it.  Maps on Δ, the
+half-braiding and those endomorphisms alike, are one matrix per root on
+the stacked trees of its summands (sums.StackedBasis).
 
 Every operation is a closed formula in the word engine: vertices enter
 through canonical_pair (dual bases with the √(d·d·d) weight), rotated ones
@@ -28,7 +30,8 @@ from .duality import coev, ev, rotate_clockwise
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
 from .morphism import Engine, Linear, Morphism, engine_for
 from .pairs import canonical_pair
-from .sums import BlockMorphism, StackedBasis, SumObject, left_blocks, right_blocks
+from .sums import (StackedBasis, SumObject, cut_block, left_blocks, right_blocks,
+                   stack_blocks)
 from .trees import Word
 
 __all__ = [
@@ -436,22 +439,24 @@ class TubeBasisLabel:
 
 
 class TubeElement(Linear):
-    """Finitely supported family of components f_a: Λ⊗a → a⊗Λ."""
+    """Finitely supported family of blocks f_(a, m, l): x_l⊗a → a⊗x_m, one
+    Morphism per direction a, source slot l and target slot m of Λ; absent
+    blocks are zero."""
 
-    __slots__ = ("algebra", "components")
+    __slots__ = ("algebra", "blocks")
+    _parts = "blocks"
 
-    def __init__(self, algebra: "TubeAlgebra", components: dict):
-        for a, m in components.items():
-            if not (m.src.same_words(algebra.src_objs[a])
-                    and m.dst.same_words(algebra.dst_objs[a])):
-                raise ShapeError(f"component {a} does not live on Λ⊗a -> a⊗Λ")
+    def __init__(self, algebra: "TubeAlgebra", blocks: dict):
+        slots = algebra.slots
+        for (a, m, l), blk in blocks.items():
+            if blk.src != (slots[l][0], a) or blk.dst != (a, slots[m][0]):
+                raise ShapeError(f"block {(a, m, l)} is {blk.src}->{blk.dst}, "
+                                 "not (x_l, a) -> (a, x_m)")
         self.algebra = algebra
-        self.components = dict(components)
+        self.blocks = dict(blocks)
 
-    _parts = "components"
-
-    def _like(self, components: dict) -> "TubeElement":
-        return TubeElement(self.algebra, components)
+    def _like(self, blocks: dict) -> "TubeElement":
+        return TubeElement(self.algebra, blocks)
 
     def _check_parallel(self, other: "TubeElement"):
         if other.algebra.lam != self.algebra.lam:
@@ -462,7 +467,8 @@ class TubeElement(Linear):
 
     def __repr__(self):
         labs = self.algebra.spec.labels
-        sup = ",".join(labs[a] for a, m in sorted(self.components.items()) if m.norm() > 0)
+        sup = ",".join(labs[a] for a in sorted({a for (a, _m, _l), blk in self.blocks.items()
+                                                if blk.norm() > 0}))
         return f"<TubeElement support=({sup}) norm={self.norm():.3g}>"
 
 
@@ -471,8 +477,9 @@ class TubeAlgebra:
     """Structure constants of A(Λ) in a fixed slot-ordered basis: in the
     a-component, source slot, then target slot, then the tree pair of
     Hom(x⊗a, a⊗y).  ``mult_table[i,j,k]`` is the coefficient of basis k in
-    (basis i)·(basis j), ``star_table[i,j]`` that of j in (basis i)*, and
-    ``slices[a]`` the index range of the a-component.
+    (basis i)·(basis j), ``star_table[i,j]`` that of j in (basis i)*,
+    ``slices[a]`` the index range of the a-component and ``spans[(a, m, l)]``
+    that of the block from slot l to slot m in it.
     """
 
     spec: object
@@ -481,53 +488,39 @@ class TubeAlgebra:
     slots: tuple
     basis: tuple
     dim: int
-    src_objs: dict
-    dst_objs: dict
     layout: dict
     mult_table: np.ndarray
     star_table: np.ndarray
     unit: TubeElement
     residuals: dict
     slices: list = field(init=False, repr=False)
+    spans: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         # taken once: the coordinate maps below run dim² times per build
         self.slices = _direction_slices(self.layout)
+        self.spans = {(a, m, l): slice(self.slices[a].start + off,
+                                       self.slices[a].start + off + n)
+                      for a, rows in self.layout.items() for (l, m, n, off) in rows}
 
     # ---- coordinates ---------------------------------------------------------
     def vector_of(self, f: TubeElement) -> np.ndarray:
         out = np.zeros(self.dim, dtype=complex)
-        for a, comp in f.components.items():
-            base = self.slices[a].start
-            for (l, m, n, off) in self.layout[a]:
-                if n == 0:
-                    continue
-                blk = comp.blocks.get((m, l))
-                if blk is not None:
-                    out[base + off: base + off + n] = blk.coeffs()
+        for key, blk in f.blocks.items():
+            out[self.spans[key]] = blk.coeffs()
         return out
 
     def element(self, vec) -> TubeElement:
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (self.dim,):
             raise ShapeError(f"coefficient vector must have length {self.dim}")
-        eng = self.engine
-        comps = {}
-        for a in range(eng.ring.rank):
-            base = self.slices[a].start
-            blocks = {}
-            for (l, m, n, off) in self.layout[a]:
-                if n == 0:
-                    continue
-                seg = vec[base + off: base + off + n]
-                if not np.any(seg):
-                    continue
-                src = self.src_objs[a].summands[l]
-                dst = self.dst_objs[a].summands[m]
-                blocks[(m, l)] = _morphism_from_coeffs(eng, src, dst, seg)
-            if blocks:
-                comps[a] = BlockMorphism(self.src_objs[a], self.dst_objs[a], blocks)
-        return TubeElement(self, comps)
+        slots = self.slots
+        blocks = {}
+        for (a, m, l), span in self.spans.items():
+            if span.start < span.stop and vec[span].any():
+                blocks[(a, m, l)] = _morphism_from_coeffs(
+                    self.engine, (slots[l][0], a), (a, slots[m][0]), vec[span])
+        return TubeElement(self, blocks)
 
     def basis_element(self, k: int) -> TubeElement:
         vec = np.zeros(self.dim, dtype=complex)
@@ -563,15 +556,12 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
         raise ShapeError("multiplicity vector length does not match the label set")
     slots = lam.slots()
 
-    src_objs, dst_objs, layout = {}, {}, {}
-    basis = []
+    layout, basis = {}, []
     for a in range(ring.rank):
-        src_objs[a] = SumObject(eng, [(x, a) for (x, _c) in slots])
-        dst_objs[a] = SumObject(eng, [(a, x) for (x, _c) in slots])
         rows, off = [], 0
         for l, (x, _cx) in enumerate(slots):
             for m, (y, _cy) in enumerate(slots):
-                n = eng.hom_space((x, a), (a, y)).dim
+                n = eng.hom_dim((x, a), (a, y))
                 rows.append((l, m, n, off))
                 off += n
         layout[a] = rows
@@ -580,8 +570,7 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
     dim = len(basis)
 
     alg = TubeAlgebra(spec=spec, lam=lam, engine=eng, slots=slots,
-                      basis=tuple(basis), dim=dim,
-                      src_objs=src_objs, dst_objs=dst_objs, layout=layout,
+                      basis=tuple(basis), dim=dim, layout=layout,
                       mult_table=np.zeros((dim, dim, dim), dtype=complex),
                       star_table=np.zeros((dim, dim), dtype=complex),
                       unit=None, residuals={})
@@ -589,12 +578,10 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
     unit_blocks = {}
     u = ring.unit
     for l, (x, _c) in enumerate(slots):
-        src = src_objs[u].summands[l]
-        dst = dst_objs[u].summands[l]
-        tb = eng.basis(src)
-        unit_blocks[(l, l)] = eng.make(src, dst, {z: np.eye(tb.dim(z), dtype=complex)
-                                                  for z in tb.roots()})
-    alg.unit = TubeElement(alg, {u: BlockMorphism(src_objs[u], dst_objs[u], unit_blocks)})
+        tb = eng.basis((x, u))
+        unit_blocks[(u, l, l)] = eng.make((x, u), (u, x), {
+            z: np.eye(tb.dim(z), dtype=complex) for z in tb.roots()})
+    alg.unit = TubeElement(alg, unit_blocks)
 
     # (source slot, target slot) of each basis element; the product e_i e_j
     # stacks e_i over e_j and is empty unless e_j ends where e_i starts
@@ -719,14 +706,14 @@ def tube_product(A: TubeAlgebra, f: TubeElement, g: TubeElement) -> TubeElement:
     ring, d = eng.ring, eng.d
     slots = A.slots
     acc: dict = {}
-    for b, fb in f.components.items():
-        for c, gc in g.components.items():
+    for b, fb in _by_direction(f).items():
+        for c, gc in _by_direction(g).items():
             for a in ring.fusion_outcomes(c, b):
                 pair = canonical_pair(eng, c, b, a)
                 coeff = math.sqrt(d[c] * d[b] * d[a])
-                for (mp, l), gblk in gc.blocks.items():
+                for mp, l, gblk in gc:
                     xl = slots[l][0]
-                    for (m, mp2), fblk in fb.blocks.items():
+                    for m, mp2, fblk in fb:
                         if mp2 != mp:
                             continue
                         xm = slots[m][0]
@@ -740,47 +727,49 @@ def tube_product(A: TubeAlgebra, f: TubeElement, g: TubeElement) -> TubeElement:
                                          lambda: eng.tensor_id_right(pair.fuses[t], (xm,)))
                             piece = hi @ mid @ lo
                             term = piece if term is None else term + piece
-                        key = (m, l)
-                        blocks = acc.setdefault(a, {})
+                        key = (a, m, l)
                         add = term * coeff
-                        blocks[key] = blocks[key] + add if key in blocks else add
-    comps = {a: BlockMorphism(A.src_objs[a], A.dst_objs[a], blocks)
-             for a, blocks in acc.items()}
-    return TubeElement(A, comps)
+                        acc[key] = acc[key] + add if key in acc else add
+    return TubeElement(A, acc)
+
+
+def _by_direction(f: TubeElement) -> dict:
+    """Direction a -> [(m, l, block)] of f, in the order of f's blocks."""
+    out: dict = {}
+    for (a, m, l), blk in f.blocks.items():
+        out.setdefault(a, []).append((m, l, blk))
+    return out
 
 
 def tube_star(A: TubeAlgebra, f: TubeElement) -> TubeElement:
     """Adjoint of the opposite-direction component, bent back into shape with
     one calibrated cup and cap; no vertex weights enter."""
     eng = A.engine
-    ring = eng.ring
     slots = A.slots
-    comps = {}
-    for b, fb in f.components.items():
-        a = ring.dual[b]
-        blocks = {}
-        for (lkey, mkey), blk in fb.blocks.items():
-            xl, xm = slots[lkey][0], slots[mkey][0]
-            dagblk = blk.dag()  # (abar, x_l) -> (x_m, abar)
-            # cup: () -> (a, abar), cap: (abar, a) -> ()
-            h1 = _cached(eng.cache, ("star_h1", a, xl),
-                         lambda: eng.tensor_id_right(coev(eng, a), (xl, a)))
-            h2 = eng.tensor_id_left((a,), eng.tensor_id_right(dagblk, (a,)))
-            h3 = _cached(eng.cache, ("star_h3", a, xm),
-                         lambda: eng.tensor_id_left((a, xm), ev(eng, a)))
-            blocks[(mkey, lkey)] = h3 @ h2 @ h1
-        comps[a] = BlockMorphism(A.src_objs[a], A.dst_objs[a], blocks)
-    return TubeElement(A, comps)
+    blocks = {}
+    for (b, lkey, mkey), blk in f.blocks.items():
+        a = eng.ring.dual[b]
+        xl, xm = slots[lkey][0], slots[mkey][0]
+        dagblk = blk.dag()  # (abar, x_l) -> (x_m, abar)
+        # cup: () -> (a, abar), cap: (abar, a) -> ()
+        h1 = _cached(eng.cache, ("star_h1", a, xl),
+                     lambda: eng.tensor_id_right(coev(eng, a), (xl, a)))
+        h2 = eng.tensor_id_left((a,), eng.tensor_id_right(dagblk, (a,)))
+        h3 = _cached(eng.cache, ("star_h3", a, xm),
+                     lambda: eng.tensor_id_left((a, xm), ev(eng, a)))
+        blocks[(a, mkey, lkey)] = h3 @ h2 @ h1
+    return TubeElement(A, blocks)
 
 
 # ---- tube elements as endomorphisms of Δ -------------------------------------
 
-def _t_diagram(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorphism:
+def _t_diagram(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> dict:
     """Thread every direction line of f through the conjugate sandwich:
     the (x, a; y) dual pair crosses the a-line over the summand boundary,
     one half transported to the conjugate strand.  Output is an
-    endomorphism of Δ.  The one definition of t_map, which reads it through
-    tube_action's basis images."""
+    endomorphism of Δ, one matrix per root on Δ.obj.stacked(), each block
+    summed whole before it is placed (stack_blocks).  The one definition of
+    t_map, which reads it through tube_action's basis images."""
     if delta.lam != A.lam:
         raise ShapeError("Δ and the tube algebra were built over different Λ")
     eng = A.engine
@@ -788,29 +777,29 @@ def _t_diagram(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorph
     slots = A.slots
     obj = delta.obj
     out: dict = {}
-    for a, fa in f.components.items():
-        for (m, l), blk in fa.blocks.items():
-            xl, xm = slots[l][0], slots[m][0]
-            for x in range(ring.rank):
-                for y in ring.fusion_outcomes(x, a):
-                    n = int(ring.N[x, a, y])
-                    yd = ring.dual[y]
-                    pair = canonical_pair(eng, x, a, y)
-                    rots = _rotated_splits(eng, x, a, y)  # (xbar,) -> (a, ybar)
-                    coeff = math.sqrt(d[x] * d[a] * d[y])
-                    mid = eng.tensor_id_left((x,), eng.tensor_id_right(blk, (yd,)))
-                    term = None
-                    for t in range(n):
-                        lo = _cached(eng.cache, ("t_lo", x, xl, a, y, t),
-                                     lambda: eng.tensor_id_left((x, xl), rots[t]))
-                        hi = _cached(eng.cache, ("t_hi", x, a, y, t, xm),
-                                     lambda: eng.tensor_id_right(pair.fuses[t], (xm, yd)))
-                        piece = hi @ mid @ lo
-                        term = piece if term is None else term + piece
-                    key = (obj.index((y, m)), obj.index((x, l)))
-                    add = term * coeff
-                    out[key] = out[key] + add if key in out else add
-    return BlockMorphism(obj, obj, out)
+    for (a, m, l), blk in f.blocks.items():
+        xl, xm = slots[l][0], slots[m][0]
+        for x in range(ring.rank):
+            for y in ring.fusion_outcomes(x, a):
+                n = int(ring.N[x, a, y])
+                yd = ring.dual[y]
+                pair = canonical_pair(eng, x, a, y)
+                rots = _rotated_splits(eng, x, a, y)  # (xbar,) -> (a, ybar)
+                coeff = math.sqrt(d[x] * d[a] * d[y])
+                mid = eng.tensor_id_left((x,), eng.tensor_id_right(blk, (yd,)))
+                term = None
+                for t in range(n):
+                    lo = _cached(eng.cache, ("t_lo", x, xl, a, y, t),
+                                 lambda: eng.tensor_id_left((x, xl), rots[t]))
+                    hi = _cached(eng.cache, ("t_hi", x, a, y, t, xm),
+                                 lambda: eng.tensor_id_right(pair.fuses[t], (xm, yd)))
+                    piece = hi @ mid @ lo
+                    term = piece if term is None else term + piece
+                key = (obj.index((y, m)), obj.index((x, l)))
+                add = term * coeff
+                out[key] = out[key] + add if key in out else add
+    sb = obj.stacked()
+    return stack_blocks({key: m.blocks for key, m in out.items()}, sb, sb)
 
 
 def tube_action(A: TubeAlgebra, delta: DeltaObject) -> dict:
@@ -822,58 +811,61 @@ def tube_action(A: TubeAlgebra, delta: DeltaObject) -> dict:
         raise ShapeError("Δ and the tube algebra were built over different Λ")
     R = delta.actions.get(A)
     if R is None:
-        sb = delta.obj.stacked()
-        R = {z: np.zeros((A.dim, n, n), dtype=complex) for z, n in sb.dims.items()}
+        R = {z: np.zeros((A.dim, n, n), dtype=complex)
+             for z, n in delta.obj.stacked().dims.items()}
         for k in range(A.dim):
-            for z, m in _t_diagram(A, delta, A.basis_element(k)).stacked(sb, sb).items():
+            for z, m in _t_diagram(A, delta, A.basis_element(k)).items():
                 R[z][k] = m
         delta.actions[A] = R
     return R
 
 
-def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> BlockMorphism:
-    """The endomorphism of Δ that f acts as: Σ_k f_k·R_z[k] at every root z,
-    from the basis images tube_action compiles out of _t_diagram.  Blocks
-    that come out exactly zero are left out."""
+def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> dict:
+    """The endomorphism of Δ that f acts as, one matrix per root z on
+    Δ.obj.stacked() like DeltaObject.braiding: Σ_k f_k·R_z[k], from the
+    basis images tube_action compiles out of _t_diagram."""
     R = tube_action(A, delta)
     v = A.vector_of(f)
-    return BlockMorphism.from_stacked(delta.obj, delta.obj,
-                                      {z: np.tensordot(v, Rz, 1) for z, Rz in R.items()})
+    return {z: np.tensordot(v, Rz, 1) for z, Rz in R.items()}
 
 
-def naturality_residual(delta: DeltaObject, T: BlockMorphism) -> float:
+def naturality_residual(delta: DeltaObject, T: dict) -> float:
     """Worst max-abs entry of (id_b ⊗ T) ∘ e_b − e_b ∘ (T ⊗ id_b) over the
-    letters b, per root r of the stacked trees (DeltaObject.kernel).
+    letters b, per root r of the stacked trees (DeltaObject.kernel), for T
+    given as t_map gives it; a root missing from T reads as zero.
 
     T ⊗ id_b is T_v on the lifts (v, ν), so the right side is e[:, cols]·T_v;
     id_b ⊗ T is Ω·B·Ω† with B = T_u on group (u, ν) (SumObject.omega), so
     the left side is Ω·(T_u·(Ω†·e)) by groups.  Only T is new per call.
     """
-    sb = delta.obj.stacked()
-    Ts = T.stacked(sb, sb)
-
     def defects():
         for per_root in delta.kernel.values():
             for om, groups, e, e1, lifts in per_root.values():
-                lhs = om @ left_blocks(Ts, e1, groups, groups, len(e1))
-                rhs = right_blocks(e, Ts, lifts, lifts, e.shape[1])
+                lhs = om @ left_blocks(T, e1, groups, groups, len(e1))
+                rhs = right_blocks(e, T, lifts, lifts, e.shape[1])
                 yield float(np.max(np.abs(lhs - rhs)))
 
     return worst(defects())
 
 
-def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
+def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict,
           tol: float = 1e-7) -> TubeElement:
     """Invert t_map: close each summand block of T with a cup on the left
     strand and a cap on the right one, then fuse the freed legs into the
-    direction line with a dual pair.  Prefactor 1/dim(C).
+    direction line with a dual pair.  Prefactor 1/dim(C).  T is one
+    (n_z, n_z) matrix per root z of Δ.obj.stacked(), as t_map gives it; a
+    block is cut out of it once, when the formula first reads it, and one
+    that is exactly zero at every root is skipped.
 
-    Raises NotInCommutant when T fails to commute with the half-braiding
-    (residual >= ``tol``); the closure formula is only inverse to t_map on
-    the commutant.
+    Raises ShapeError for a T of other roots or shapes, and NotInCommutant
+    when T fails to commute with the half-braiding (residual >= ``tol``);
+    the closure formula is only inverse to t_map on the commutant.
     """
-    if not (T.src.same_words(delta.obj) and T.dst.same_words(delta.obj)):
-        raise ShapeError("f_map needs an endomorphism of Δ in block form")
+    sb = delta.obj.stacked()
+    if T.keys() != sb.dims.keys() or any(np.shape(T[z]) != (n, n)
+                                         for z, n in sb.dims.items()):
+        raise ShapeError("f_map needs an endomorphism of Δ: one (n_z, n_z) "
+                         "matrix per root z of Δ")
     if delta.lam != A.lam:
         raise ShapeError("Δ and the tube algebra were built over different Λ")
     nat = naturality_residual(delta, T)
@@ -885,9 +877,16 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
     slots = A.slots
     obj = delta.obj
     pref = 1.0 / A.spec.dims.global_dim
-    comps = {}
+    cut: dict = {}
+
+    def block(i, j):
+        if (i, j) not in cut:
+            m = cut_block(eng, T, sb, sb, i, j)
+            cut[(i, j)] = m if any(b.any() for b in m.blocks.values()) else None
+        return cut[(i, j)]
+
+    blocks = {}
     for a in range(ring.rank):
-        blocks = {}
         for l, (xl_lab, _cl) in enumerate(slots):
             for m, (xm_lab, _cm) in enumerate(slots):
                 acc = None
@@ -897,7 +896,7 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
                         # the freed legs fuse into a only when a sits in xbar*y
                         if int(ring.N[xd, y, a]) == 0:
                             continue
-                        Tblk = T.blocks.get((obj.index((y, m)), obj.index((x, l))))
+                        Tblk = block(obj.index((y, m)), obj.index((x, l)))
                         if Tblk is None:
                             continue
                         pair = canonical_pair(eng, xd, y, a)
@@ -921,10 +920,8 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: BlockMorphism,
                             piece = (g5 @ g43 @ g21) * coeff
                             acc = piece if acc is None else acc + piece
                 if acc is not None:
-                    blocks[(m, l)] = acc * pref
-        if blocks:
-            comps[a] = BlockMorphism(A.src_objs[a], A.dst_objs[a], blocks)
-    return TubeElement(A, comps)
+                    blocks[(a, m, l)] = acc * pref
+    return TubeElement(A, blocks)
 
 
 # ---- serialization ------------------------------------------------------------

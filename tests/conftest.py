@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tubecat.catalog import BUILTIN_NAMES, find
+from tubecat.errors import worst
 from tubecat.fsymbols import FSymbolTable
 from tubecat.ring import FusionRing
 
@@ -12,6 +13,18 @@ from tubecat.ring import FusionRing
 def catalog():
     """name -> loaded spec, shared across the whole run (loads validate)."""
     return {name: find(name) for name in BUILTIN_NAMES}
+
+
+def root_norm(T: dict) -> float:
+    """Max-abs entry of a map given as one matrix per root, NaN kept: the
+    Linear.norm convention for t_map's endomorphisms of Δ."""
+    return worst(float(np.max(np.abs(m), initial=0.0)) for m in T.values())
+
+
+def root_gap(S: dict, T: dict) -> float:
+    """root_norm(S − T) for two maps on the same roots."""
+    assert S.keys() == T.keys()
+    return root_norm({z: S[z] - T[z] for z in S})
 
 
 def pointed_category(n: int, k: int = 0, name: str | None = None) -> dict:

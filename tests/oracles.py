@@ -2,10 +2,10 @@
 tests' oracles.
 
 Each one builds the maps of an identity whole, block by block in Morphism
-algebra (Engine.tensor_id_left / tensor_id_right on every summand), where
-the library reads the same identity on stacked per-root matrices.  They are
-slow and independent of the stacked kernel in tubecat.tube, which is what
-makes them worth comparing against.
+algebra (Engine.tensor_id_left / tensor_id_right on every summand, on the
+BlockMap form below), where the library reads the same identity on stacked
+per-root matrices.  They are slow and independent of the stacked kernel in
+tubecat.tube, which is what makes them worth comparing against.
 
 The pentagon's two routes are here too, one word and one root at a time, as
 loops over block rows and columns (trees_T1 … pentagon_residual), where
@@ -16,33 +16,83 @@ import math
 
 import numpy as np
 
-from tubecat.duality import weighted_trace
 from tubecat.errors import worst
+from tubecat.morphism import Linear
 from tubecat.pairs import canonical_pair
-from tubecat.sums import BlockMorphism, SumObject
+from tubecat.sums import SumObject, cut_block, stack_blocks
 from tubecat.trees import tree_root
 from tubecat.tube import _rotated_fuses, t_map
+
+
+class BlockMap(Linear):
+    """A map between two SumObjects in block form, the oracles' own:
+    ``blocks[(i, j)]`` is a Morphism from src.summands[j] to
+    dst.summands[i], and absent blocks are zero."""
+
+    __slots__ = ("src", "dst", "blocks")
+    _parts = "blocks"
+
+    def __init__(self, src, dst, blocks):
+        self.src, self.dst, self.blocks = src, dst, dict(blocks)
+
+    @property
+    def engine(self):
+        return self.src.engine
+
+    def _like(self, blocks):
+        return BlockMap(self.src, self.dst, blocks)
+
+    def _check_parallel(self, other):
+        assert (self.src.summands, self.dst.summands) == (other.src.summands, other.dst.summands)
+
+    def __matmul__(self, other):
+        """self after other, block matrix product."""
+        out = {}
+        for (i, j), f in self.blocks.items():
+            for (k, l), g in other.blocks.items():
+                if k == j:
+                    out[(i, l)] = out[(i, l)] + f @ g if (i, l) in out else f @ g
+        return BlockMap(other.src, self.dst, out)
+
+    def dag(self):
+        return BlockMap(self.dst, self.src, {(j, i): m.dag() for (i, j), m in self.blocks.items()})
+
+    def stacked(self, src, dst):
+        """One matrix per root from the stacked trees src to dst (stack_blocks)."""
+        return stack_blocks({k: m.blocks for k, m in self.blocks.items()}, src, dst)
+
+    @classmethod
+    def cut(cls, src, dst, mats):
+        """mats, one matrix per root from src.stacked() to dst.stacked(), cut
+        into blocks (cut_block); a block exactly zero at every root is left out."""
+        ssb, dsb = src.stacked(), dst.stacked()
+        blocks = {}
+        for i in range(len(dst)):
+            for j in range(len(src)):
+                m = cut_block(src.engine, mats, ssb, dsb, i, j)
+                if any(b.any() for b in m.blocks.values()):
+                    blocks[(i, j)] = m
+        return cls(src, dst, blocks)
 
 
 def tensor_id_right(f, word):
     """f ⊗ id_word for a block map f, block by block."""
     eng = f.engine
-    return BlockMorphism(f.src.tensor_right(word), f.dst.tensor_right(word),
-                         {k: eng.tensor_id_right(m, word) for k, m in f.blocks.items()})
+    return BlockMap(f.src.tensor_right(word), f.dst.tensor_right(word),
+                    {k: eng.tensor_id_right(m, word) for k, m in f.blocks.items()})
 
 
 def tensor_id_left(f, word):
     """id_word ⊗ f for a block map f, block by block."""
     eng = f.engine
-    return BlockMorphism(f.src.tensor_left(word), f.dst.tensor_left(word),
-                         {k: eng.tensor_id_left(word, m) for k, m in f.blocks.items()})
+    return BlockMap(f.src.tensor_left(word), f.dst.tensor_left(word),
+                    {k: eng.tensor_id_left(word, m) for k, m in f.blocks.items()})
 
 
 def braiding_blocks(obj, braiding):
     """A half-braiding on obj as the library stores it, letter a -> root
-    -> matrix on stacked trees, cut into block maps obj + (a,) → (a,) + obj
-    (BlockMorphism.from_stacked)."""
-    return {a: BlockMorphism.from_stacked(obj.tensor_right((a,)), obj.tensor_left((a,)), m)
+    -> matrix on stacked trees, cut into block maps obj + (a,) → (a,) + obj."""
+    return {a: BlockMap.cut(obj.tensor_right((a,)), obj.tensor_left((a,)), m)
             for a, m in braiding.items()}
 
 
@@ -66,7 +116,7 @@ def delta_braiding_component(eng, obj, a):
                 acc = term if acc is None else acc + term
             if acc is not None:
                 blocks[(obj.index((y, s)), j)] = acc * math.sqrt(d[x] * d[y])
-    return BlockMorphism(obj.tensor_right((a,)), obj.tensor_left((a,)), blocks)
+    return BlockMap(obj.tensor_right((a,)), obj.tensor_left((a,)), blocks)
 
 
 def sparse_rows(table, threshold):
@@ -140,7 +190,7 @@ def extend_halfbraiding(obj, braiding, word):
                 right = lift_id_left(eng, obj.summands[j], iota_dag, pads)
                 term = left @ m @ right
                 out[(i, j)] = out[(i, j)] + term if (i, j) in out else term
-    return BlockMorphism(src, dst, out)
+    return BlockMap(src, dst, out)
 
 
 def channel_rows(f, c, mu):
@@ -149,8 +199,8 @@ def channel_rows(f, c, mu):
     summand (a, b) + W becomes (c,) + W."""
     eng = f.engine
     dst = SumObject(eng, [(c,) + w[2:] for w in f.dst.summands], f.dst.tags)
-    return BlockMorphism(f.src, dst, {k: eng.channel_rows(m, c, mu)
-                                      for k, m in f.blocks.items()})
+    return BlockMap(f.src, dst, {k: eng.channel_rows(m, c, mu)
+                                 for k, m in f.blocks.items()})
 
 
 def generic_leg(obj, braiding, a, b):
@@ -163,7 +213,8 @@ def generic_leg(obj, braiding, a, b):
 
 def whole_map_naturality(delta, T):
     """max_b ‖(id_b ⊗ T) ∘ e_b − e_b ∘ (T ⊗ id_b)‖ with both sides built
-    whole, block by block."""
+    whole, block by block, for T given per root as t_map gives it."""
+    T = BlockMap.cut(delta.obj, delta.obj, T)
     return max((tensor_id_left(T, (b,)) @ e - e @ tensor_id_right(T, (b,))).norm()
                for b, e in braiding_blocks(delta.obj, delta.braiding).items())
 
@@ -186,20 +237,15 @@ def per_summand_compression(delta, X, iso, a):
                     acc = term if acc is None else acc + term
             if acc is not None and acc.norm() > 1e-14:
                 blocks[(i, j)] = acc
-    return BlockMorphism(X.tensor_right((a,)), X.tensor_left((a,)), blocks)
-
-
-def block_trace(f):
-    """Sum of diagonal-block quantum traces; the loop trace of an
-    endomorphism."""
-    return sum((weighted_trace(m) for (i, j), m in f.blocks.items() if i == j), 0.0j)
+    return BlockMap(X.tensor_right((a,)), X.tensor_left((a,)), blocks)
 
 
 def gram(A, delta, f, g):
-    """⟨f, g⟩ = tr_Δ(T_g† ∘ T_f); positive definite on the tube algebra."""
-    Tf = t_map(A, delta, f)
-    Tg = t_map(A, delta, g)
-    return block_trace(Tg.dag() @ Tf)
+    """⟨f, g⟩ = tr_Δ(T_g† ∘ T_f) = Σ_z d_z·tr(T_g[z]†·T_f[z]), the loop trace
+    summed over the roots; positive definite on the tube algebra."""
+    d = A.engine.d
+    Tf, Tg = t_map(A, delta, f), t_map(A, delta, g)
+    return sum((d[z] * np.trace(Tg[z].conj().T @ Tf[z]) for z in Tf), 0.0j)
 
 
 def trees_T1(ring, a, b, c, d):

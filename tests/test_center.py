@@ -560,8 +560,8 @@ def spec_rank(D):
 
 
 def _conjugate_one_block(X, e, letter):
-    """e with one complex block of e[letter] (BlockMorphism.from_stacked,
-    the lowest key whose imaginary part exceeds 0.1) conjugated."""
+    """e with one complex block of e[letter] (braiding_blocks, the lowest
+    key whose imaginary part exceeds 0.1) conjugated."""
     m = braiding_blocks(X, {letter: e[letter]})[letter]
     key = min(k for k, b in m.blocks.items()
               if max(np.abs(v.imag).max() for v in b.blocks.values()) > 0.1)
@@ -600,13 +600,12 @@ def test_extraction_names_a_conjugated_block(catalog, monkeypatch):
 
 def test_extraction_and_round_trips_tensor_no_block_map(catalog):
     # compression, the simples' hexagons and the naturality check of f_map
-    # all run on stacked per-root matrices: BlockMorphism has no
-    # tensor_id_left / tensor_id_right left to call (the block-by-block
-    # versions are the oracles in tests/oracles.py)
-    from tubecat.sums import BlockMorphism
+    # all run on stacked per-root matrices, and the library keeps no block
+    # map to tensor (the block-by-block versions are the oracles in
+    # tests/oracles.py)
+    import tubecat.sums
     from tubecat.tube import f_map, t_map
-    assert not hasattr(BlockMorphism, "tensor_id_left")
-    assert not hasattr(BlockMorphism, "tensor_id_right")
+    assert not hasattr(tubecat.sums, "BlockMorphism")
     spec = catalog["rep_s3"]
     lam = LambdaObject.all_simples(spec)
     A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)

@@ -77,6 +77,16 @@ def test_bad_tol_and_seed(capsys):
                        seed=-1)[0] == 2
 
 
+def test_tol_is_checked_only_where_it_is_read(capsys):
+    # only verify and tube read the tolerance; a zero one elsewhere is unused
+    for command, category in (("verify", "vec"), ("tube", "vec")):
+        code, _, err = run_capture(capsys, command=command, category=category, tol=0.0)
+        assert code == 2 and "tolerance must be positive" in err, command
+    for command, category in (("center", "vec"), ("catalog", None)):
+        assert run_capture(capsys, command=command, category=category,
+                           tol=0.0)[0] == 0, command
+
+
 def test_center_takes_no_tol(capsys):
     # --tol sets the checks of verify and tube; center has none to set, so
     # passing it there is a usage error, not an option that does nothing

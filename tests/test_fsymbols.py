@@ -15,12 +15,11 @@ def test_unit_blocks_are_identity(catalog):
     spec = catalog["ising"]
     ring = spec.ring
     u = ring.unit
-    for x in range(ring.rank):
-        for y in range(ring.rank):
-            for d in range(ring.rank):
-                if spec.fsymbols.has_block(u, x, y, d):
-                    blk = spec.fsymbols.block(u, x, y, d)
-                    assert np.array_equal(blk, np.eye(len(blk)))
+    unit_first = [blk for key, blk in spec.fsymbols._blocks.items() if key[0] == u]
+    assert len(unit_first) == sum(1 for x in range(ring.rank) for y in range(ring.rank)
+                                  for d in range(ring.rank) if np.dot(ring.N[u, x], ring.N[:, y, d]))
+    for blk in unit_first:
+        assert np.array_equal(blk, np.eye(len(blk)))
 
 
 def test_entries_roundtrip(catalog):
@@ -39,6 +38,19 @@ def test_inadmissible_entry_rejected(catalog):
     with pytest.raises(SchemaError, match="admissible"):
         FSymbolTable.from_entries(ring, bad)
 
+
+
+def test_entry_off_the_labels_or_negative_rejected(catalog):
+    # channels are read by position, so an e or f past the labels, or a
+    # negative μ or ν (which numpy would read from the end), must be refused
+    # as the dict lookup refused it
+    spec = catalog["fibonacci"]
+    good = list(spec.fsymbols.iter_entries())
+    (abcd, e, f, mu, nu, val), r = good[-1], spec.rank
+    for bad in ((abcd, r, f, mu, nu, val), (abcd, e, -1, mu, nu, val),
+                (abcd, e, f, (-1, 0), nu, val), (abcd, e, f, mu, (0, -1), val)):
+        with pytest.raises(SchemaError, match=r"^F entry .* is not an admissible channel$"):
+            FSymbolTable.from_entries(spec.ring, good[:-1] + [bad])
 
 def test_missing_block_rejected(catalog):
     ring = catalog["fibonacci"].ring

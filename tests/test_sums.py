@@ -1,4 +1,4 @@
-"""Direct sums of words: stacked comb bases and block arithmetic.
+"""Direct sums of words: stacked comb bases and block placement.
 
 A StackedBasis grown letter by letter must list, summand by summand, the
 same trees in the same order as the engine's TreeBasis of each longer word,
@@ -11,7 +11,7 @@ import pytest
 from conftest import pointed_category
 from tubecat.catspec import load_spec
 from tubecat.morphism import engine_for
-from tubecat.sums import BlockMorphism, StackedBasis, SumObject
+from tubecat.sums import StackedBasis, SumObject, cut_block, stack_blocks
 
 
 def _spec(catalog, name):
@@ -43,17 +43,22 @@ def test_grown_stack_matches_tree_bases(catalog, name):
                     assert trees[p] == (j, tree + ((z, nu),)), (name, z, v, nu)
 
 
+def _random_blocks(eng, rng, src, dst):
+    return {(i, j): eng.random(w, v, rng) for i, v in enumerate(dst.summands)
+            for j, w in enumerate(src.summands) if eng.common_roots(w, v)}
+
+
 def test_stacked_block_morphism_places_every_block(catalog):
+    # a map in block form, stacked per root: every block lands at its
+    # summands' rows and columns, and nothing else is written
     spec = catalog["rep_s3"]
     eng = engine_for(spec)
     rng = np.random.default_rng(11)
     src = SumObject(eng, [(1, 2), (2, 2, 0), (2,)])
     dst = SumObject(eng, [(2, 1), (2,), (0, 2, 2)])
-    blocks = {(i, j): eng.random(w, v, rng) for i, v in enumerate(dst.summands)
-              for j, w in enumerate(src.summands) if eng.common_roots(w, v)}
-    f = BlockMorphism(src, dst, blocks)
+    blocks = _random_blocks(eng, rng, src, dst)
     ssb, dsb = src.stacked(), dst.stacked()
-    mats = f.stacked(ssb, dsb)
+    mats = stack_blocks({k: m.blocks for k, m in blocks.items()}, ssb, dsb)
     for (i, j), m in blocks.items():
         for z, blk in m.blocks.items():
             rows = slice(dsb.starts[z][i], dsb.starts[z][i + 1])
@@ -61,56 +66,58 @@ def test_stacked_block_morphism_places_every_block(catalog):
             assert np.array_equal(mats[z][rows, cols], blk)
     assert sum(np.count_nonzero(m) for m in mats.values()) == sum(
         np.count_nonzero(b) for m in blocks.values() for b in m.blocks.values())
-    with pytest.raises(Exception, match="summand words"):
-        f.stacked(dsb, ssb)
 
 
 def test_from_stacked_inverts_stacked(catalog):
-    # every entry of a root's matrix lies in exactly one block, so the two
-    # readings are inverse; blocks that are exactly zero are left out
+    # every entry of a root's matrix lies in exactly one block, so cutting
+    # the blocks out of the stacked matrices (cut_block) inverts stack_blocks
     spec = catalog["rep_s3"]
     eng = engine_for(spec)
     rng = np.random.default_rng(13)
     src = SumObject(eng, [(1, 2), (2, 2, 0), (2,)])
     dst = SumObject(eng, [(2, 1), (2,), (0, 2, 2)])
-    blocks = {(i, j): eng.random(w, v, rng) for i, v in enumerate(dst.summands)
-              for j, w in enumerate(src.summands) if eng.common_roots(w, v)}
-    zero = min(blocks)
-    blocks[zero] = blocks[zero] * 0.0
-    f = BlockMorphism(src, dst, blocks)
+    blocks = _random_blocks(eng, rng, src, dst)
     ssb, dsb = src.stacked(), dst.stacked()
-    back = BlockMorphism.from_stacked(src, dst, f.stacked(ssb, dsb))
-    assert sorted(back.blocks) == sorted(k for k in blocks if k != zero)
-    for key, m in back.blocks.items():
-        assert sorted(m.blocks) == sorted(blocks[key].blocks)
+    mats = stack_blocks({k: m.blocks for k, m in blocks.items()}, ssb, dsb)
+    for (i, j), m in blocks.items():
+        back = cut_block(eng, mats, ssb, dsb, i, j)
+        assert (back.src, back.dst) == (m.src, m.dst)
+        assert sorted(back.blocks) == sorted(m.blocks)
         for z, blk in m.blocks.items():
-            assert np.array_equal(blk, blocks[key].blocks[z])
+            assert np.array_equal(back.blocks[z], blk)
     mats = {z: rng.standard_normal((n, ssb.dims[z])) + 0j
             for z, n in dsb.dims.items() if z in ssb.dims}
-    again = BlockMorphism.from_stacked(src, dst, mats).stacked(ssb, dsb)
+    cut = {(i, j): cut_block(eng, mats, ssb, dsb, i, j).blocks
+           for i in range(len(dst)) for j in range(len(src))}
+    again = stack_blocks(cut, ssb, dsb)
     assert sorted(again) == sorted(mats)
     for z, m in mats.items():
         assert np.array_equal(again[z], m)
     # a root missing from the matrices reads as zero
     z = min(mats)
-    part = BlockMorphism.from_stacked(src, dst, {z: mats[z]})
-    assert all(not b.any() for m in part.blocks.values()
-               for r, b in m.blocks.items() if r != z)
+    part = [cut_block(eng, {z: mats[z]}, ssb, dsb, i, j)
+            for i in range(len(dst)) for j in range(len(src))]
+    assert all(not b.any() for m in part for r, b in m.blocks.items() if r != z)
+    assert any(b.any() for m in part for b in m.blocks.values())
 
 
 def test_block_difference_is_blockwise(catalog):
+    # a tube element's blocks, keyed (a, m, l), subtract block by block over
+    # the union of their keys, and a NaN in any block reaches the norm
+    from tubecat.tube import LambdaObject, build_tube_algebra
     spec = catalog["ising"]
-    eng = engine_for(spec)
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
     rng = np.random.default_rng(12)
-    obj = SumObject(eng, [(0, 1), (1, 1), (2, 1)])
-    f = BlockMorphism(obj, obj, {(0, 0): eng.random((0, 1), (0, 1), rng),
-                                 (1, 2): eng.random((2, 1), (1, 1), rng)})
-    g = BlockMorphism(obj, obj, {(0, 0): eng.random((0, 1), (0, 1), rng),
-                                 (2, 2): eng.random((2, 1), (2, 1), rng)})
+    f, g = A.random_element(rng), A.random_element(rng)
+    keys = sorted(f.blocks)
+    f.blocks.pop(keys[0])
+    g.blocks.pop(keys[-1])
     got, want = f - g, f + g * (-1.0)
-    assert sorted(got.blocks) == sorted(want.blocks)
+    assert sorted(got.blocks) == sorted(want.blocks) == keys
     for key, m in want.blocks.items():
         for z, blk in m.blocks.items():
             assert np.array_equal(got.blocks[key].blocks[z], blk)
-    g.blocks[(2, 2)].blocks[max(g.blocks[(2, 2)].blocks)][0, 0] = np.nan
+    assert np.array_equal((f - g).vector(), f.vector() - g.vector())
+    g.blocks[keys[0]].blocks[max(g.blocks[keys[0]].blocks)][0, 0] = np.nan
     assert np.isnan((f - g).norm())
+

@@ -11,20 +11,19 @@ import numpy as np
 import pytest
 
 import tubecat.tube
-from conftest import pointed_category
+from conftest import pointed_category, root_gap, root_norm
 from tubecat.catspec import load_spec
 from tubecat.errors import NotInCommutant, ShapeError, ToleranceError
 from tubecat.morphism import engine_for
-from tubecat.sums import BlockMorphism
 from tubecat.center import decompose_blocks, extract_center_simples
-from tubecat.tube import (LambdaObject, build_delta, build_tube_algebra,
+from tubecat.tube import (LambdaObject, TubeElement, build_delta, build_tube_algebra,
                           f_map, hexagon_residual, naturality_residual, t_map,
                           tube_json, tube_product, tube_star)
 from tubecat.tube import (_direction_slices, _t_diagram, _table_residuals,
                           _vertex_leg, tube_action)
-from oracles import (braiding_blocks, delta_braiding_component, extend_halfbraiding,
-                     generic_leg, gram, sparse_rows, tensor_id_left, tensor_id_right,
-                     whole_map_naturality)
+from oracles import (BlockMap, braiding_blocks, delta_braiding_component,
+                     extend_halfbraiding, generic_leg, gram, sparse_rows, tensor_id_left,
+                     tensor_id_right, whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -277,13 +276,9 @@ def test_norms_keep_nan_in_any_block(catalog, algebras):
     assert np.isnan(f.norm())
     A = algebras["rep_s3"]
     g = A.random_element(np.random.default_rng(2))
-    a = max(g.components)
-    comp = g.components[a]
-    key = max(comp.blocks)
-    blocks = dict(comp.blocks)
-    blocks[key] = blocks[key] * np.nan
-    g.components[a] = BlockMorphism(comp.src, comp.dst, blocks)
-    assert np.isnan(g.components[a].norm())
+    key = max(g.blocks)
+    g.blocks[key] = g.blocks[key] * np.nan
+    assert np.isnan(g.blocks[key].norm())
     assert np.isnan(g.norm())
 
 
@@ -410,7 +405,7 @@ def test_hexagon_sees_phase_in_a_later_channel(catalog):
     key = max(blocks, key=lambda k: blocks[k].norm())
     blocks[key] = blocks[key] * np.exp(1e-6j)
     nudged = dict(D.braiding)
-    nudged[sgn] = BlockMorphism(e.src, e.dst, blocks).stacked(
+    nudged[sgn] = BlockMap(e.src, e.dst, blocks).stacked(
         D.obj.stacked((), (sgn,)), D.obj.stacked((sgn,)))
     res = hexagon_residual(D.obj, nudged, std, std)
     assert 1e-7 <= res < 1e-5
@@ -577,7 +572,7 @@ def test_fill_skips_only_empty_products(algebras):
         for i, ei in enumerate(elems):
             for j, ej in enumerate(elems):
                 if ends[j][1] != ends[i][0]:
-                    assert not tube_product(A, ei, ej).components, (name, i, j)
+                    assert not tube_product(A, ei, ej).blocks, (name, i, j)
                     assert not np.any(A.mult_table[i, j]), (name, i, j)
 
 
@@ -629,6 +624,27 @@ def test_vector_element_round_trip(algebras):
         assert w[k] == 1.0 and np.count_nonzero(w) == 1, name
 
 
+def test_tube_element_refuses_a_block_off_its_words(catalog):
+    # block (a, m, l) must map (x_l, a) -> (a, x_m); swapped words, or a
+    # block keyed to the wrong slot, is refused
+    spec = catalog["fibonacci"]
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    eng, tau = A.engine, spec.index("tau")
+    good = eng.random((0, tau), (tau, tau), np.random.default_rng(14))
+    assert TubeElement(A, {(tau, 1, 0): good}).norm() > 0
+    for key, blk in (((tau, 1, 0), good.dag()), ((tau, 0, 1), good)):
+        with pytest.raises(ShapeError, match=r"not \(x_l, a\) -> \(a, x_m\)"):
+            TubeElement(A, {key: blk})
+
+
+def test_tube_elements_over_different_lambda_do_not_add(catalog):
+    spec = catalog["fibonacci"]
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    B = build_tube_algebra(spec, LambdaObject.from_mapping(spec, {"tau": 2}))
+    with pytest.raises(ShapeError, match="different Λ"):
+        A.unit + B.unit
+
+
 # ---- Δ ------------------------------------------------------------------------
 
 def test_delta_summand_shape(catalog, deltas):
@@ -645,7 +661,9 @@ def test_delta_braiding_unitary_recheck(deltas):
     D = deltas["vec_z2_twisted"]
     for a, e in braiding_blocks(D.obj, D.braiding).items():
         src = D.obj.tensor_right((a,))
-        assert (e.dag() @ e - BlockMorphism.identity(src)).norm() < 1e-12
+        one = BlockMap(src, src, {(i, i): D.engine.identity(w)
+                                  for i, w in enumerate(src.summands)})
+        assert (e.dag() @ e - one).norm() < 1e-12
 
 
 def test_hexagon_recheck_partial_lambda(catalog):
@@ -685,7 +703,7 @@ def test_t_after_f_fixes_commutant(algebras, deltas):
         for _ in range(5):
             T = t_map(A, D, A.random_element(rng))
             again = t_map(A, D, f_map(A, D, T))
-            assert (again - T).norm() < 1e-9 * max(1.0, T.norm()), name
+            assert root_gap(again, T) < 1e-9 * max(1.0, root_norm(T)), name
 
 
 def test_t_map_is_multiplicative_and_star(algebras, deltas):
@@ -694,15 +712,17 @@ def test_t_map_is_multiplicative_and_star(algebras, deltas):
         rng = np.random.default_rng(11)
         f, g = A.random_element(rng), A.random_element(rng)
         Tf, Tg = t_map(A, D, f), t_map(A, D, g)
-        assert (t_map(A, D, tube_product(A, f, g)) - Tf @ Tg).norm() < 1e-9, name
-        assert (t_map(A, D, tube_star(A, f)) - Tf.dag()).norm() < 1e-9, name
+        assert root_gap(t_map(A, D, tube_product(A, f, g)),
+                        {z: Tf[z] @ Tg[z] for z in Tf}) < 1e-9, name
+        assert root_gap(t_map(A, D, tube_star(A, f)),
+                        {z: m.conj().T for z, m in Tf.items()}) < 1e-9, name
 
 
 def test_t_map_unit_is_identity(algebras, deltas):
     for name, A in algebras.items():
         D = deltas[name]
         T = t_map(A, D, A.unit)
-        assert (T - BlockMorphism.identity(D.obj)).norm() < 1e-10, name
+        assert root_gap(T, {z: np.eye(len(m)) for z, m in T.items()}) < 1e-10, name
 
 
 def test_f_map_rejects_non_commutant(algebras, deltas):
@@ -714,7 +734,8 @@ def test_f_map_rejects_non_commutant(algebras, deltas):
         for j, v in enumerate(D.obj.summands):
             if eng.hom_space(v, w).dim:
                 blocks[(i, j)] = eng.random(v, w, rng)
-    T = BlockMorphism(D.obj, D.obj, blocks)
+    sb = D.obj.stacked()
+    T = BlockMap(D.obj, D.obj, blocks).stacked(sb, sb)
     assert naturality_residual(D, T) > 1e-3  # sanity: genuinely not natural
     with pytest.raises(NotInCommutant):
         f_map(A, D, T)
@@ -727,11 +748,12 @@ ACTION_CASES = [(name, None) for name in TUBE_DIM] + [
 
 
 def _random_endomorphism(D, rng):
-    eng = D.engine
-    return BlockMorphism(D.obj, D.obj, {
+    """Random blocks on every pair of summands of Δ, stacked per root."""
+    eng, sb = D.engine, D.obj.stacked()
+    return BlockMap(D.obj, D.obj, {
         (i, j): eng.random(v, w, rng)
         for i, w in enumerate(D.obj.summands) for j, v in enumerate(D.obj.summands)
-        if eng.hom_space(v, w).dim})
+        if eng.hom_space(v, w).dim}).stacked(sb, sb)
 
 
 @pytest.mark.parametrize("name,mapping", ACTION_CASES + [("Z/4 k=1", None)],
@@ -764,7 +786,8 @@ def test_f_map_sees_one_bumped_entry(catalog, name):
     spec = _spec(catalog, name)
     lam = LambdaObject.all_simples(spec)
     A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
-    T = t_map(A, D, A.random_element(np.random.default_rng(19)))
+    T = BlockMap.cut(D.obj, D.obj, t_map(A, D, A.random_element(np.random.default_rng(19))))
+    sb = D.obj.stacked()
     for key in (min(T.blocks), max(T.blocks)):
         m = T.blocks[key]
         z = max(m.blocks)
@@ -773,7 +796,7 @@ def test_f_map_sees_one_bumped_entry(catalog, name):
         blocks = dict(T.blocks)
         blocks[key] = m.engine.make(m.src, m.dst, bumped)
         with pytest.raises(NotInCommutant):
-            f_map(A, D, BlockMorphism(D.obj, D.obj, blocks))
+            f_map(A, D, BlockMap(D.obj, D.obj, blocks).stacked(sb, sb))
 
 
 @pytest.mark.parametrize("name,mapping", ACTION_CASES,
@@ -788,7 +811,7 @@ def test_compiled_t_map_matches_diagram(catalog, name, mapping):
     rng = np.random.default_rng(16)
     for _ in range(5):
         f = A.random_element(rng)
-        assert (t_map(A, D, f) - _t_diagram(A, D, f)).norm() < 1e-12, name
+        assert root_gap(t_map(A, D, f), _t_diagram(A, D, f)) < 1e-12, name
 
 
 def test_tube_action_is_compiled_once_per_algebra(catalog, monkeypatch):
@@ -820,10 +843,38 @@ def test_maps_refuse_a_delta_over_another_lambda(catalog):
     with pytest.raises(ShapeError, match="different Λ"):
         t_map(A, D, A.unit)
     with pytest.raises(ShapeError, match="different Λ"):
-        f_map(A, D, BlockMorphism.identity(D.obj))
+        f_map(A, D, {z: np.eye(n) for z, n in D.obj.stacked().dims.items()})
     with pytest.raises(ShapeError, match="different Λ"):
         extract_center_simples(A, D, decompose_blocks(A, seed=1))
 
+
+
+@pytest.mark.parametrize("name,mapping", ACTION_CASES,
+                         ids=[f"{n}-{m}" if m else n for n, m in ACTION_CASES])
+def test_t_map_gives_one_square_matrix_per_root(catalog, name, mapping):
+    # an endomorphism of Δ in the braiding's form: exactly the roots of
+    # Δ.obj.stacked(), each an (n_z, n_z) ndarray
+    spec = catalog[name]
+    lam = (LambdaObject.all_simples(spec) if mapping is None
+           else LambdaObject.from_mapping(spec, mapping))
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    T = t_map(A, D, A.random_element(np.random.default_rng(21)))
+    dims = D.obj.stacked().dims
+    assert T.keys() == dims.keys(), name
+    for z, n in dims.items():
+        assert isinstance(T[z], np.ndarray) and T[z].shape == (n, n), (name, z)
+
+
+def test_f_map_refuses_a_map_off_the_roots_of_delta(algebras, deltas):
+    A, D = algebras["ising"], deltas["ising"]
+    T = t_map(A, D, A.random_element(np.random.default_rng(22)))
+    z = max(T)
+    missing = {r: m for r, m in T.items() if r != z}
+    wrong = {**T, z: T[z][:, :-1]}
+    extra = {**T, len(A.spec.labels): np.eye(1)}
+    for bad in (missing, wrong, extra):
+        with pytest.raises(ShapeError, match="one \\(n_z, n_z\\) matrix per root"):
+            f_map(A, D, bad)
 
 def test_gram_form_positive(algebras, deltas):
     for name in ("vec_z2", "ising"):
