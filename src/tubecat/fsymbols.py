@@ -43,6 +43,17 @@ def join(keys, queries):
     return q, np.arange(len(q)) + np.repeat(lo - np.cumsum(cnt) + cnt, cnt)
 
 
+def group(keys):
+    """(slot, distinct): each key's position among the distinct keys, and
+    those keys ascending.  A stable sort, as np.unique's quicksort pages in
+    more code."""
+    order = np.argsort(keys, kind="stable")
+    new = np.diff(keys[order], prepend=-1) != 0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(new) - 1
+    return slot, keys[order][new]
+
+
 def _entry_table(ring: FusionRing, blocks: dict):
     N, r = ring.N, ring.rank
     x, y, z = np.nonzero(N)

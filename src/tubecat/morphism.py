@@ -17,29 +17,12 @@ built recursively from conjugated F blocks (one letter at a time).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConsistencyError, ShapeError, worst
 from .trees import Tree, TreeBasis, Word, tree_root
 
-__all__ = ["Linear", "Morphism", "HomSpace", "Engine", "engine_for", "hom_space"]
-
-
-@dataclass(frozen=True)
-class HomSpace:
-    """Enumerated basis of Hom(source, target): triples (root, target tree,
-    source tree), roots ascending, then target tree, then source tree.
-    Morphism.coeffs() flattens in exactly this order."""
-
-    source: Word
-    target: Word
-    basis: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+__all__ = ["Linear", "Morphism", "Engine", "engine_for"]
 
 
 class Linear:
@@ -106,7 +89,8 @@ class Morphism(Linear):
         return complex(blk[0, 0]) if blk is not None and blk.size else 0.0
 
     def coeffs(self) -> np.ndarray:
-        """Flatten to the hom_space basis order (roots sorted, row-major)."""
+        """Flatten per root, roots sorted, each block row-major (target tree,
+        then source tree): the order of Engine.hom_basis."""
         if not self.blocks:
             return np.zeros(0, dtype=complex)
         return np.concatenate([self.blocks[z].ravel()
@@ -193,24 +177,10 @@ class Engine:
     def dual_word(self, word: Word) -> Word:
         return tuple(self.ring.dual[x] for x in reversed(word))
 
-    def resolve_word(self, word) -> Word:
-        """Accept label strings or indices; hot paths stay index-only."""
-        return tuple(self.spec.index(x) if isinstance(x, str) else int(x)
-                     for x in word)
-
-    def hom_space(self, src: Word, dst: Word) -> HomSpace:
-        src, dst = self.resolve_word(src), self.resolve_word(dst)
-        sb, db = self.basis(src), self.basis(dst)
-        entries = []
-        for z, _, _ in self.common_roots(src, dst):
-            for ti in db.by_root[z]:
-                for tj in sb.by_root[z]:
-                    entries.append((z, ti, tj))
-        return HomSpace(src, dst, tuple(entries))
-
     def hom_basis(self, src: Word, dst: Word) -> list:
-        """Elementary morphisms aligned with hom_space / coeffs order."""
-        src, dst = self.resolve_word(src), self.resolve_word(dst)
+        """Elementary morphisms in coeffs order: roots ascending, then target
+        tree, then source tree."""
+        src, dst = tuple(src), tuple(dst)
         out = []
         for z, dd, sd in self.common_roots(src, dst):
             for i in range(dd):
@@ -438,7 +408,3 @@ def engine_for(spec) -> Engine:
         eng = Engine(spec)
         object.__setattr__(spec, "_engine", eng)
     return eng
-
-
-def hom_space(spec_or_engine, source, target) -> HomSpace:
-    return engine_for(spec_or_engine).hom_space(source, target)

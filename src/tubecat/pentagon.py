@@ -17,7 +17,7 @@ import itertools
 
 import numpy as np
 
-from .fsymbols import join
+from .fsymbols import group, join
 from .report import VerificationReport
 
 __all__ = ["pentagon_residual", "verify_pentagon"]
@@ -67,14 +67,9 @@ def _word_residuals(F) -> np.ndarray:
     e, g = e[q], g[q]
     mid = (((t * V + c1[h]) * V + c2[h]) * V + c2[g],
            _mul(_mul(amp[:, e], amp[:, g]), amp[:, h]))
-    # each route summed per (tree, a(b(cd)) tree) in term order; a stable
-    # sort, as np.unique's quicksort pages in more code
-    keys = np.concatenate([pair[0], mid[0]])
-    order = np.argsort(keys, kind="stable")
-    new = np.diff(keys[order], prepend=-1) != 0
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(new) - 1
-    keys, n = keys[order][new], len(pair[0])
+    # each route summed per (tree, a(b(cd)) tree) in term order
+    slot, keys = group(np.concatenate([pair[0], mid[0]]))
+    n = len(pair[0])
     (pr, pi), (mr, mi) = ([np.bincount(i, part, len(keys)) for part in terms]
                           for i, terms in ((slot[:n], pair[1]), (slot[n:], mid[1])))
     gap = np.abs(np.stack([pr - mr, pi - mi], -1).view(complex).ravel())

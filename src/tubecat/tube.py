@@ -17,10 +17,8 @@ a failed unitarity or round-trip check.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import weakref
-from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -28,6 +26,7 @@ import numpy as np
 
 from .duality import coev, ev, rotate_clockwise
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
+from .fsymbols import group, join
 from .morphism import Engine, Linear, Morphism, engine_for
 from .pairs import canonical_pair
 from .sums import (StackedBasis, SumObject, cut_block, left_blocks, right_blocks,
@@ -35,7 +34,7 @@ from .sums import (StackedBasis, SumObject, cut_block, left_blocks, right_blocks
 from .trees import Word
 
 __all__ = [
-    "LambdaObject", "DeltaObject", "TubeBasisLabel", "TubeElement",
+    "LambdaObject", "DeltaObject", "TubeElement",
     "TubeAlgebra", "build_delta", "build_tube_algebra",
     "tube_product", "tube_star", "tube_action", "t_map", "f_map",
     "naturality_residual", "hexagon_residual", "verify_halfbraiding",
@@ -430,14 +429,6 @@ def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
 
 # ---- tube algebra -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class TubeBasisLabel:
-    """(direction label a, flat index into the a-component basis)."""
-
-    a: int
-    i: int
-
-
 class TubeElement(Linear):
     """Finitely supported family of blocks f_(a, m, l): x_l⊗a → a⊗x_m, one
     Morphism per direction a, source slot l and target slot m of Λ; absent
@@ -461,6 +452,8 @@ class TubeElement(Linear):
     def _check_parallel(self, other: "TubeElement"):
         if other.algebra.lam != self.algebra.lam:
             raise ShapeError("tube elements over different Λ")
+        if other.algebra.engine is not self.algebra.engine:
+            raise ShapeError("tube elements over different categories")
 
     def vector(self) -> np.ndarray:
         return self.algebra.vector_of(self)
@@ -477,31 +470,21 @@ class TubeAlgebra:
     """Structure constants of A(Λ) in a fixed slot-ordered basis: in the
     a-component, source slot, then target slot, then the tree pair of
     Hom(x⊗a, a⊗y).  ``mult_table[i,j,k]`` is the coefficient of basis k in
-    (basis i)·(basis j), ``star_table[i,j]`` that of j in (basis i)*,
-    ``slices[a]`` the index range of the a-component and ``spans[(a, m, l)]``
-    that of the block from slot l to slot m in it.
+    (basis i)·(basis j), ``star_table[i,j]`` that of j in (basis i)*, and
+    ``spans[(a, m, l)]`` the index range of the block from slot l to slot m
+    in the a-component, in basis order.
     """
 
     spec: object
     lam: LambdaObject
     engine: Engine
     slots: tuple
-    basis: tuple
     dim: int
-    layout: dict
+    spans: dict = field(repr=False)
     mult_table: np.ndarray
     star_table: np.ndarray
     unit: TubeElement
     residuals: dict
-    slices: list = field(init=False, repr=False)
-    spans: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # taken once: the coordinate maps below run dim² times per build
-        self.slices = _direction_slices(self.layout)
-        self.spans = {(a, m, l): slice(self.slices[a].start + off,
-                                       self.slices[a].start + off + n)
-                      for a, rows in self.layout.items() for (l, m, n, off) in rows}
 
     # ---- coordinates ---------------------------------------------------------
     def vector_of(self, f: TubeElement) -> np.ndarray:
@@ -556,21 +539,15 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
         raise ShapeError("multiplicity vector length does not match the label set")
     slots = lam.slots()
 
-    layout, basis = {}, []
+    spans, dim = {}, 0
     for a in range(ring.rank):
-        rows, off = [], 0
         for l, (x, _cx) in enumerate(slots):
             for m, (y, _cy) in enumerate(slots):
                 n = eng.hom_dim((x, a), (a, y))
-                rows.append((l, m, n, off))
-                off += n
-        layout[a] = rows
-        for i in range(off):
-            basis.append(TubeBasisLabel(a, i))
-    dim = len(basis)
+                spans[(a, m, l)] = slice(dim, dim + n)
+                dim += n
 
-    alg = TubeAlgebra(spec=spec, lam=lam, engine=eng, slots=slots,
-                      basis=tuple(basis), dim=dim, layout=layout,
+    alg = TubeAlgebra(spec=spec, lam=lam, engine=eng, slots=slots, dim=dim, spans=spans,
                       mult_table=np.zeros((dim, dim, dim), dtype=complex),
                       star_table=np.zeros((dim, dim), dtype=complex),
                       unit=None, residuals={})
@@ -586,9 +563,8 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
     # (source slot, target slot) of each basis element; the product e_i e_j
     # stacks e_i over e_j and is empty unless e_j ends where e_i starts
     ends = []
-    for a in range(ring.rank):
-        for (l, m, n, _off) in layout[a]:
-            ends += [(l, m)] * n
+    for (_a, m, l), span in spans.items():
+        ends += [(l, m)] * (span.stop - span.start)
     basis_elems = [alg.basis_element(k) for k in range(dim)]
     for i, ei in enumerate(basis_elems):
         alg.star_table[i] = alg.vector_of(tube_star(alg, ei))
@@ -597,7 +573,7 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
                 alg.mult_table[i, j] = alg.vector_of(tube_product(alg, ei, ej))
 
     alg.residuals = _table_residuals(alg.mult_table, alg.star_table,
-                                     alg.vector_of(alg.unit), alg.slices)
+                                     alg.vector_of(alg.unit))
     top = worst(alg.residuals.values())
     if not top < tol:
         bad = next(k for k, v in alg.residuals.items() if v == top or v != v)
@@ -605,88 +581,52 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
     return alg
 
 
-def _direction_slices(layout: dict) -> list:
-    """Index range of each direction component in the flat basis."""
-    out, off = [], 0
-    for a in sorted(layout):
-        n = sum(row[2] for row in layout[a])
-        out.append(slice(off, off + n))
-        off += n
-    return out
+def _key_gap(n: int, lhs: tuple, rhs: tuple) -> float:
+    """Max-abs gap between two sides, each (index arrays, products) with
+    indices below n, each summed per index tuple in term order, over the
+    union of their index tuples; NaN propagates."""
+    slot, keys = group(np.ravel_multi_index(
+        [np.concatenate(ix) for ix in zip(lhs[0], rhs[0])], (n,) * len(lhs[0])))
+    cut, size = len(lhs[1]), len(keys)
+    (lr, li), (rr, ri) = ([np.bincount(at, part, size) for part in (v.real, v.imag)]
+                          for at, v in ((slot[:cut], lhs[1]), (slot[cut:], rhs[1])))
+    return float(np.max(np.hypot(lr - rr, li - ri), initial=0.0))
 
 
-def _graded_blocks(table: np.ndarray, slices: list) -> dict:
-    """Direction blocks of a table with any nonzero entry, keyed by the
-    direction of each axis.  The grading is read off the entries, not taken
-    from the fusion rules, so the blocks hold the whole table exactly and a
-    stray entry where the fusion rules say zero is still seen."""
-    out = {}
-    for key in itertools.product(range(len(slices)), repeat=table.ndim):
-        blk = table[tuple(slices[k] for k in key)]
-        if np.any(blk):
-            out[key] = blk
-    return out
-
-
-def _max_abs_difference(lhs: dict, rhs: dict) -> float:
-    """Max-abs entry of lhs - rhs over the union of their blocks; entries
-    outside every block are exactly 0 on both sides."""
-    gaps = [np.max(np.abs(lhs.get(k, 0) - rhs.get(k, 0)))
-            for k in lhs.keys() | rhs.keys()]
-    return float(np.max(gaps, initial=0.0))
-
-
-def _assoc_gap(i: int, j: int, c_by_first: dict, c_by_pair: dict) -> float:
-    """assoc restricted to outputs (e_i e_j) e_k with e_i, e_j in directions
-    i, j: (e_i e_j) e_k = Σ_m c[i,j,m] c[m,k,l] against
-    e_i (e_j e_k) = Σ_m c[j,k,m] c[i,m,l], each block summed over m
-    ascending."""
-    left, right = defaultdict(int), defaultdict(int)
-    for m, cij in c_by_pair.get((i, j), ()):
-        for k, l, cmk in c_by_first.get(m, ()):
-            left[k, l] += np.tensordot(cij, cmk, axes=(2, 0))
-    for k, m, cjk in c_by_first.get(j, ()):
-        for l, cim in c_by_pair.get((i, m), ()):
-            right[k, l] += np.tensordot(cjk, cim, axes=(2, 1)).transpose(2, 0, 1, 3)
-    return _max_abs_difference(left, right)
-
-
-def _table_residuals(c: np.ndarray, s: np.ndarray, uvec: np.ndarray,
-                     slices: list) -> dict:
+def _table_residuals(c: np.ndarray, s: np.ndarray, uvec: np.ndarray) -> dict:
     """Worst defects of the algebra axioms on the structure-constant tables.
 
     ``assoc`` ((e_i e_j) e_k against e_i (e_j e_k)) and ``star_anti``
-    ((e_i e_j)* against e_j* e_i*) are sums of products of the direction
-    blocks C[(b, c, a)] = c[I_b, I_c, I_a] and S[(a, a')] = s[I_a, I_a'],
-    I_a = slices[a]: the dense dim⁵ residual at the cost of the nonzero
-    blocks, ``assoc`` one direction pair (i, j) at a time.
+    ((e_i e_j)* against e_j* e_i*) are sparse joins over the nonzero
+    entries of c and s (fsymbols.join): the dense dim⁵ residual at the cost
+    of its nonzero terms.  A stray entry where the fusion rules say zero is
+    an entry like any other, and a NaN one is nonzero.
     """
-    C = _graded_blocks(c, slices)
-    S = _graded_blocks(s, slices)
-    c_by_first, c_by_pair, s_by_row = {}, {}, {}
-    for (x, y, z), blk in C.items():
-        c_by_first.setdefault(x, []).append((y, z, blk))
-        c_by_pair.setdefault((x, y), []).append((z, blk))
-    for (x, y), blk in S.items():
-        s_by_row.setdefault(x, []).append((y, blk))
+    n = len(uvec)
+    i, j, k = np.nonzero(c)  # C order: sorted by i
+    cv = c[i, j, k]
+    by_j = np.argsort(j, kind="stable")
+    p, q = np.nonzero(s)  # sorted by p
+    sv = s[p, q]
+    by_q = np.argsort(q, kind="stable")
 
-    r_assoc = worst(_assoc_gap(i, j, c_by_first, c_by_pair)
-                    for i, j in itertools.product(range(len(slices)), repeat=2))
+    # (e_i e_j) e_k = Σ_m c[i,j,m] c[m,k,l]  vs  e_i (e_j e_k) = Σ_m c[j,k,m] c[i,m,l]
+    a, b = join(i, k)
+    e, f = join(j[by_j], k)
+    f = by_j[f]
+    r_assoc = _key_gap(n, ((i[a], j[a], j[b], k[b]), cv[a] * cv[b]),
+                       ((i[f], i[e], j[e], k[f]), cv[e] * cv[f]))
 
-    # (e_i e_j)* = Σ_k conj(c[i,j,k]) s[k,l]  vs  e_j* e_i* = Σ_pq s[j,p] s[i,q] c[p,q,l]
-    left, right = defaultdict(int), defaultdict(int)
-    for (x, y, z), cxy in C.items():
-        for w, sz in s_by_row.get(z, ()):
-            left[x, y, w] += np.tensordot(np.conj(cxy), sz, axes=(2, 0))
-    for (y, p), sj in S.items():
-        for (x, q), si in S.items():
-            for z, cpq in c_by_pair.get((p, q), ()):
-                inner = np.tensordot(si, cpq, axes=(1, 1))  # (i, p, l)
-                right[x, y, z] += np.tensordot(sj, inner,
-                                               axes=(1, 1)).transpose(1, 0, 2)
-    r_anti = _max_abs_difference(left, right)
+    # (e_i e_j)* = Σ_m conj(c[i,j,m]) s[m,l]  vs  e_j* e_i* = Σ_pq s[j,p] s[i,q] c[p,q,l]
+    a, b = join(p, k)  # conj(c[i,j,m]) s[m,l]
+    e, f = join(q[by_q], j)  # s[i,q] c[p,q,l]
+    f = by_q[f]
+    g, h = join(q[by_q], i[e])  # s[j,p] times that
+    h = by_q[h]
+    r_anti = _key_gap(n, ((i[a], j[a], q[b]), np.conj(cv[a]) * sv[b]),
+                      ((p[f[g]], p[h], k[e[g]]), sv[h] * (sv[f] * cv[e])[g]))
 
-    eye = np.eye(len(uvec))
+    eye = np.eye(n)
     r_unit = worst([
         float(np.max(np.abs(np.einsum("i,ijk->jk", uvec, c) - eye))),
         float(np.max(np.abs(np.einsum("j,ijk->ik", uvec, c) - eye)))])
@@ -832,12 +772,18 @@ def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> dict:
 def naturality_residual(delta: DeltaObject, T: dict) -> float:
     """Worst max-abs entry of (id_b ⊗ T) ∘ e_b − e_b ∘ (T ⊗ id_b) over the
     letters b, per root r of the stacked trees (DeltaObject.kernel), for T
-    given as t_map gives it; a root missing from T reads as zero.
+    given as t_map gives it.  Raises ShapeError unless T is an endomorphism
+    of Δ: one (n_z, n_z) matrix per root z of Δ.obj.stacked().
 
     T ⊗ id_b is T_v on the lifts (v, ν), so the right side is e[:, cols]·T_v;
     id_b ⊗ T is Ω·B·Ω† with B = T_u on group (u, ν) (SumObject.omega), so
     the left side is Ω·(T_u·(Ω†·e)) by groups.  Only T is new per call.
     """
+    dims = delta.obj.stacked().dims
+    if T.keys() != dims.keys() or any(np.shape(T[z]) != (n, n) for z, n in dims.items()):
+        raise ShapeError("needs an endomorphism of Δ: one (n_z, n_z) "
+                         "matrix per root z of Δ")
+
     def defects():
         for per_root in delta.kernel.values():
             for om, groups, e, e1, lifts in per_root.values():
@@ -857,15 +803,11 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict,
     block is cut out of it once, when the formula first reads it, and one
     that is exactly zero at every root is skipped.
 
-    Raises ShapeError for a T of other roots or shapes, and NotInCommutant
-    when T fails to commute with the half-braiding (residual >= ``tol``);
-    the closure formula is only inverse to t_map on the commutant.
+    Raises ShapeError for a T of other roots or shapes (naturality_residual),
+    and NotInCommutant when T fails to commute with the half-braiding
+    (residual >= ``tol``); the closure formula is only inverse to t_map on
+    the commutant.
     """
-    sb = delta.obj.stacked()
-    if T.keys() != sb.dims.keys() or any(np.shape(T[z]) != (n, n)
-                                         for z, n in sb.dims.items()):
-        raise ShapeError("f_map needs an endomorphism of Δ: one (n_z, n_z) "
-                         "matrix per root z of Δ")
     if delta.lam != A.lam:
         raise ShapeError("Δ and the tube algebra were built over different Λ")
     nat = naturality_residual(delta, T)
@@ -877,6 +819,7 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict,
     slots = A.slots
     obj = delta.obj
     pref = 1.0 / A.spec.dims.global_dim
+    sb = obj.stacked()
     cut: dict = {}
 
     def block(i, j):
@@ -941,11 +884,16 @@ def _sparse_rows(table: np.ndarray) -> list:
 def tube_json(A: TubeAlgebra, category: str | None = None) -> dict:
     """Sparse structure-constant tables in a stable order."""
     labs = A.spec.labels
+    # basis rows: each direction's blocks, numbered from its first one
+    basis, first = [], {}
+    for (a, _m, _l), span in A.spans.items():
+        start = first.setdefault(a, span.start)
+        basis += [{"a": labs[a], "i": k - start} for k in range(span.start, span.stop)]
     return {
         "category": category if category is not None else A.spec.name,
         "lambda": A.lam.as_dict(A.spec),
         "dim": A.dim,
-        "basis": [{"a": labs[b.a], "i": b.i} for b in A.basis],
+        "basis": basis,
         "mult_table": _sparse_rows(A.mult_table),
         "star_table": _sparse_rows(A.star_table),
     }

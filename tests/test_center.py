@@ -135,7 +135,7 @@ def test_summand_content_accounts_for_delta(catalog):
         simples = extract_center_simples(A, D, dec)
         eng = A.engine
         for x in range(spec.ring.rank):
-            want = sum(eng.hom_space((x,), w).dim for w in D.obj.summands)
+            want = sum(eng.hom_dim((x,), w) for w in D.obj.summands)
             got = sum(n * s.underlying.get(spec.labels[x], 0)
                       for n, s in zip(dec.sizes, simples))
             assert got == want, (name, spec.labels[x])

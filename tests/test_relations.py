@@ -16,7 +16,7 @@ import pytest
 
 from tubecat.duality import coev_word, trace_right
 from tubecat.errors import EmptySpace
-from tubecat.morphism import engine_for, hom_space
+from tubecat.morphism import engine_for
 import tubecat.relations
 from tubecat.pairs import VertexPair, canonical_pair
 from tubecat.relations import (SUITES, check_bigon1, check_bigon2,
@@ -48,11 +48,13 @@ def test_report_folds_keep_a_later_nan():
 # ---- hom spaces ------------------------------------------------------------
 
 def test_hom_space_dims_frozen(catalog):
-    fib = catalog["fibonacci"]
-    assert hom_space(fib, ("tau", "tau"), ("tau", "tau")).dim == 2
-    assert hom_space(fib, (), ()).dim == 1
-    ising = catalog["ising"]
-    assert hom_space(ising, ("sigma", "sigma"), ("psi",)).dim == 1
+    fib = engine_for(catalog["fibonacci"])
+    tau = fib.spec.index("tau")
+    assert fib.hom_dim((tau, tau), (tau, tau)) == 2
+    assert fib.hom_dim((), ()) == 1
+    ising = engine_for(catalog["ising"])
+    sig, psi = ising.spec.index("sigma"), ising.spec.index("psi")
+    assert ising.hom_dim((sig, sig), (psi,)) == 1
 
 
 def test_hom_space_dim_matches_n_table_paths(catalog):
@@ -61,15 +63,14 @@ def test_hom_space_dim_matches_n_table_paths(catalog):
     # dim End(a (x) b) = sum_z N[a,b,z]^2
     for a, b in itertools.product(range(eng.ring.rank), repeat=2):
         want = int(sum(N[a, b, z] ** 2 for z in range(eng.ring.rank)))
-        assert hom_space(eng, (a, b), (a, b)).dim == want
+        assert eng.hom_dim((a, b), (a, b)) == want
 
 
 def test_hom_basis_aligns_with_coeffs(catalog):
     eng = engine_for(catalog["ising"])
     sig = eng.spec.index("sigma")
     basis = eng.hom_basis((sig, sig), (sig, sig))
-    space = eng.hom_space((sig, sig), (sig, sig))
-    assert len(basis) == space.dim
+    assert len(basis) == eng.hom_dim((sig, sig), (sig, sig))
     for k, b in enumerate(basis):
         v = b.coeffs()
         assert v[k] == 1.0 and np.count_nonzero(v) == 1
@@ -148,7 +149,7 @@ def test_compose_matches_group_algebra_oracle(catalog):
     rng = np.random.default_rng(13)
     for A, B, C in itertools.product(words, repeat=3):
         ok_ab = np.array_equal(dense(A), dense(B))
-        assert (eng.hom_space(A, B).dim == 1) == ok_ab
+        assert (eng.hom_dim(A, B) == 1) == ok_ab
         if not (ok_ab and np.array_equal(dense(B), dense(C))):
             continue
         f = eng.random(A, B, rng)
@@ -226,7 +227,7 @@ def test_ih_sides_match_canonical_element(catalog, name):
     eng = engine_for(catalog[name])
     rank = eng.ring.rank
     for x, w, y, z in itertools.product(range(rank), repeat=4):
-        if eng.hom_space((x, w), (y, z)).dim == 0:
+        if eng.hom_dim((x, w), (y, z)) == 0:
             continue
         side_i, side_h = ih_sides(eng, x, w, y, z)
         want = _canonical_element(eng, x, w, y, z)

@@ -19,8 +19,7 @@ from tubecat.center import decompose_blocks, extract_center_simples
 from tubecat.tube import (LambdaObject, TubeElement, build_delta, build_tube_algebra,
                           f_map, hexagon_residual, naturality_residual, t_map,
                           tube_json, tube_product, tube_star)
-from tubecat.tube import (_direction_slices, _t_diagram, _table_residuals,
-                          _vertex_leg, tube_action)
+from tubecat.tube import _t_diagram, _table_residuals, _vertex_leg, tube_action
 from oracles import (BlockMap, braiding_blocks, delta_braiding_component,
                      extend_halfbraiding, generic_leg, gram, sparse_rows, tensor_id_left,
                      tensor_id_right, whole_map_naturality)
@@ -117,11 +116,8 @@ def double_z2_tables(A):
     element is delta_x ⊗ a under additive notation for Z/2.
     """
     pairs = []
-    for b in A.basis:
-        for (l, _m, n, off) in A.layout[b.a]:
-            if n and off <= b.i < off + n:
-                pairs.append((l, b.a))
-                break
+    for (a, _m, l), span in A.spans.items():
+        pairs += [(l, a)] * (span.stop - span.start)
     inv = {p: k for k, p in enumerate(pairs)}
     dim = A.dim
     c = np.zeros((dim, dim, dim))
@@ -159,11 +155,11 @@ def test_build_residuals_small(algebras, deltas):
             assert r < 1e-9, (name, what, r)
 
 
-# ---- the self-check by direction blocks -------------------------------------------
+# ---- the self-check as joins over the nonzero entries ----------------------------
 
 def dense_residuals(c, s):
     """assoc and star_anti as full dim⁵ contractions: the oracle for the
-    blockwise check, which must give the same max-abs value."""
+    sparse check, which must give the same max-abs value."""
     assoc = np.max(np.abs(np.einsum("ijm,mkl->ijkl", c, c)
                           - np.einsum("jkm,iml->ijkl", c, c)))
     anti = np.max(np.abs(np.einsum("ijk,kl->ijl", np.conj(c), s)
@@ -174,7 +170,13 @@ def dense_residuals(c, s):
 def table_residuals(A, c=None, s=None):
     c = A.mult_table if c is None else c
     s = A.star_table if s is None else s
-    return _table_residuals(c, s, A.vector_of(A.unit), A.slices)
+    return _table_residuals(c, s, A.vector_of(A.unit))
+
+
+def direction(A, a):
+    """Index range of the a-component of A, from its block spans."""
+    spans = [span for (b, _m, _l), span in A.spans.items() if b == a]
+    return slice(spans[0].start, spans[-1].stop)
 
 
 @pytest.fixture(scope="module")
@@ -186,9 +188,15 @@ def pointed_algebras():
     return out
 
 
-def test_blockwise_selfcheck_matches_dense(algebras, pointed_algebras):
+def test_blockwise_selfcheck_matches_dense(catalog, algebras, pointed_algebras):
+    z5 = load_spec(pointed_category(5, k=1))
+    fib, ising = catalog["fibonacci"], catalog["ising"]
     cases = list(algebras.items()) + [(f"Z/{n} k=1", A)
-                                      for n, A in pointed_algebras.items()]
+                                      for n, A in pointed_algebras.items()] + [
+        (name, build_tube_algebra(spec, lam)) for name, spec, lam in (
+            ("Z/5 k=1", z5, LambdaObject.all_simples(z5)),
+            ("fibonacci 1:1,tau:2", fib, LambdaObject.from_mapping(fib, {"1": 1, "tau": 2})),
+            ("ising sigma:2", ising, LambdaObject.from_mapping(ising, {"sigma": 2})))]
     for name, A in cases:
         got = table_residuals(A)
         assert got == A.residuals, name
@@ -199,21 +207,22 @@ def test_blockwise_selfcheck_matches_dense(algebras, pointed_algebras):
 
 def test_blockwise_selfcheck_sees_perturbed_entry(algebras):
     A = algebras["rep_s3"]
-    c = A.mult_table.copy()
-    i, j, k = np.unravel_index(np.argmax(np.abs(c)), c.shape)
-    c[i, j, k] += 1e-6
-    got = table_residuals(A, c=c)
-    assert got["assoc"] >= 1e-7
-    assoc, anti = dense_residuals(c, A.star_table)
-    assert abs(got["assoc"] - assoc) <= 1e-14
-    assert abs(got["star_anti"] - anti) <= 1e-14
+    i, j, k = np.unravel_index(np.argmax(np.abs(A.mult_table)), A.mult_table.shape)
+    for bump in (1e-6, 1e-6j):  # a real and an imaginary defect
+        c = A.mult_table.copy()
+        c[i, j, k] += bump
+        got = table_residuals(A, c=c)
+        assert got["assoc"] >= 1e-7, bump
+        assoc, anti = dense_residuals(c, A.star_table)
+        assert abs(got["assoc"] - assoc) <= 1e-14, bump
+        assert abs(got["star_anti"] - anti) <= 1e-14, bump
 
 
 def test_blockwise_selfcheck_reads_grading_from_table(pointed_algebras):
     # on Vec[Z/4] a product of directions 1 and 1 lands in direction 2 only;
     # an entry in direction 0 sits in a block the fusion rules say is zero
     A = pointed_algebras[4]
-    I = _direction_slices(A.layout)
+    I = [direction(A, a) for a in range(A.spec.rank)]
     assert not np.any(A.mult_table[I[1], I[1], I[0]])
     c = A.mult_table.copy()
     c[I[1].start, I[1].start, I[0].start] = 1e-6
@@ -229,13 +238,20 @@ def test_blockwise_selfcheck_reads_grading_from_table(pointed_algebras):
 def test_selfcheck_fold_keeps_nan(algebras):
     # a NaN in the last direction pair's blocks must not be folded away
     A = algebras["rep_s3"]
-    last = A.slices[-1]
+    last = direction(A, A.spec.rank - 1)
     c = A.mult_table.copy()
     i, j, k = (last.start + idx for idx in np.unravel_index(
         np.argmax(np.abs(A.mult_table[last, last, last])), (last.stop - last.start,) * 3))
     c[i, j, k] = np.nan
     got = table_residuals(A, c=c)
     assert np.isnan(got["assoc"]) and np.isnan(got["star_anti"])
+    # and one in the star table, on the last direction's largest entry
+    s = A.star_table.copy()
+    i, j = (last.start + idx for idx in np.unravel_index(
+        np.argmax(np.abs(A.star_table[last, last])), (last.stop - last.start,) * 2))
+    s[i, j] = np.nan
+    got = table_residuals(A, s=s)
+    assert np.isnan(got["star_anti"]) and np.isnan(got["star_inv"])
 
 
 def test_build_names_nan_residual(catalog, monkeypatch):
@@ -254,7 +270,8 @@ def test_build_names_nan_residual(catalog, monkeypatch):
 
 def test_selfcheck_holds_one_direction_pair_at_a_time():
     # the Z/6 build peaked at 10.4 MiB while the assoc check held every
-    # direction pair's dim⁴ blocks at once; streamed it peaks near 2 MiB
+    # direction pair's dim⁴ blocks at once; the sparse check holds only the
+    # nonzero product terms, and the build peaks near 2.2 MiB
     import tracemalloc
     spec = load_spec(pointed_category(6, k=1))
     lam = LambdaObject.all_simples(spec)
@@ -529,7 +546,8 @@ def test_unit_corner_is_the_fusion_algebra(catalog, name):
     spec = catalog[name]
     A = build_tube_algebra(spec, LambdaObject.from_mapping(
         spec, {spec.labels[spec.ring.unit]: 1}))
-    assert [lab.a for lab in A.basis] == list(range(spec.rank))
+    assert [a for (a, _m, _l), span in A.spans.items()
+            for _k in range(span.start, span.stop)] == list(range(spec.rank))
     d = np.asarray(spec.dims.d, dtype=float)
     want = spec.ring.N * np.sqrt(d[:, None, None] * d[None, :, None] / d[None, None, :])
     assert np.max(np.abs(np.abs(A.mult_table) - want)) <= 1e-12
@@ -541,7 +559,7 @@ def test_build_rejects_corrupted_product(catalog, algebras, monkeypatch):
     A = algebras["fibonacci"]
     # a basis pair away from the unit direction with a nonzero product, so
     # the unit law cannot catch it and the self-check has to
-    tau = _direction_slices(A.layout)[spec.index("tau")]
+    tau = direction(A, spec.index("tau"))
     i, j = next((i, j) for i in range(tau.start, tau.stop)
                 for j in range(tau.start, tau.stop) if np.any(A.mult_table[i, j]))
     real = tubecat.tube.tube_product
@@ -564,10 +582,9 @@ def test_fill_skips_only_empty_products(algebras):
     for name in ("ising", "rep_s3"):
         A = algebras[name]
         ends = {}  # basis index -> (source slot, target slot)
-        for a, rows in A.layout.items():
-            for (l, m, n, off) in rows:
-                for k in range(n):
-                    ends[A.slices[a].start + off + k] = (l, m)
+        for (_a, m, l), span in A.spans.items():
+            for k in range(span.start, span.stop):
+                ends[k] = (l, m)
         elems = [A.basis_element(k) for k in range(A.dim)]
         for i, ei in enumerate(elems):
             for j, ej in enumerate(elems):
@@ -643,6 +660,14 @@ def test_tube_elements_over_different_lambda_do_not_add(catalog):
     B = build_tube_algebra(spec, LambdaObject.from_mapping(spec, {"tau": 2}))
     with pytest.raises(ShapeError, match="different Λ"):
         A.unit + B.unit
+
+
+def test_tube_elements_over_different_categories_do_not_add(catalog):
+    # the same Λ = (1, 0) over two categories of rank 2
+    A, B = (build_tube_algebra(catalog[name], LambdaObject((1, 0)))
+            for name in ("fibonacci", "vec_z2"))
+    with pytest.raises(ShapeError, match="different categories"):
+        A.unit - B.unit
 
 
 # ---- Δ ------------------------------------------------------------------------
@@ -732,7 +757,7 @@ def test_f_map_rejects_non_commutant(algebras, deltas):
     blocks = {}
     for i, w in enumerate(D.obj.summands):
         for j, v in enumerate(D.obj.summands):
-            if eng.hom_space(v, w).dim:
+            if eng.hom_dim(v, w):
                 blocks[(i, j)] = eng.random(v, w, rng)
     sb = D.obj.stacked()
     T = BlockMap(D.obj, D.obj, blocks).stacked(sb, sb)
@@ -753,7 +778,7 @@ def _random_endomorphism(D, rng):
     return BlockMap(D.obj, D.obj, {
         (i, j): eng.random(v, w, rng)
         for i, w in enumerate(D.obj.summands) for j, v in enumerate(D.obj.summands)
-        if eng.hom_space(v, w).dim}).stacked(sb, sb)
+        if eng.hom_dim(v, w)}).stacked(sb, sb)
 
 
 @pytest.mark.parametrize("name,mapping", ACTION_CASES + [("Z/4 k=1", None)],
@@ -875,6 +900,15 @@ def test_f_map_refuses_a_map_off_the_roots_of_delta(algebras, deltas):
     for bad in (missing, wrong, extra):
         with pytest.raises(ShapeError, match="one \\(n_z, n_z\\) matrix per root"):
             f_map(A, D, bad)
+
+
+def test_naturality_residual_refuses_a_map_off_the_roots_of_delta(deltas):
+    D = deltas["fibonacci"]
+    for bad in ({z: np.eye(n + 1) for z, n in D.obj.stacked().dims.items()},
+                {z: np.eye(n) for z, n in D.obj.stacked().dims.items() if z}):
+        with pytest.raises(ShapeError, match="one \\(n_z, n_z\\) matrix per root"):
+            naturality_residual(D, bad)
+
 
 def test_gram_form_positive(algebras, deltas):
     for name in ("vec_z2", "ising"):
