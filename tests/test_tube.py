@@ -269,9 +269,8 @@ def test_build_names_nan_residual(catalog, monkeypatch):
 
 
 def test_selfcheck_holds_one_direction_pair_at_a_time():
-    # the Z/6 build peaked at 10.4 MiB while the assoc check held every
-    # direction pair's dim⁴ blocks at once; the sparse check holds only the
-    # nonzero product terms, and the build peaks near 2.2 MiB
+    # the self-check holds only the nonzero product terms, never a dim⁴
+    # block; the Z/6 build peaks near 2.2 MiB
     import tracemalloc
     spec = load_spec(pointed_category(6, k=1))
     lam = LambdaObject.all_simples(spec)
