@@ -45,6 +45,8 @@ __all__ = [
 
 # largest allowed distance from an integer when rounding block sizes
 SIZE_SLACK = 1e-6
+# worst residual an extracted simple's half-braiding may show
+EXTRACTION_TOL = 1e-8
 
 
 # ---- coefficient-vector arithmetic (dense tables) -----------------------------
@@ -253,17 +255,16 @@ def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
 
 
 def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
-                           dec: BlockDecomposition,
-                           tol: float = 1e-8) -> list:
+                           dec: BlockDecomposition) -> list:
     """One CenterSimple per block, each verified as a unitary half-braiding.
 
     The braiding compressed onto each simple (compress_halfbraiding) is
     checked for unitarity (both compositions), trivial unit component, and
     the hexagon on all simple pairs, by one verify_halfbraiding on the
     direct sum of the simples with one part per simple; any defect at
-    ``tol`` raises ToleranceError naming the lowest failing block, since it
-    means the block structure and the braiding disagree — a bug, not a bad
-    seed.
+    EXTRACTION_TOL raises ToleranceError naming the lowest failing block,
+    since it means the block structure and the braiding disagree — a bug,
+    not a bad seed.
     """
     eng = A.engine
     ring = eng.ring
@@ -307,7 +308,7 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
                                 total.stacked((), (a,)), total.stacked((a,)))
                 for a in range(ring.rank)}
     try:
-        res = verify_halfbraiding(total, braiding, tol, parts=parts)
+        res = verify_halfbraiding(total, braiding, EXTRACTION_TOL, parts=parts)
     except ToleranceError as exc:
         raise ToleranceError(f"block {exc.part}: {exc} on the extracted simple") from exc
     for s, r in zip(out, res):

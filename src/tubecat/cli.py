@@ -150,8 +150,9 @@ def _as_text(cfg: CliConfig, doc: dict) -> str:
             lines.append(f"  size {b['size']}  underlying {under:20s} "
                          f"twist {tw.real:+.6f}{tw.imag:+.6f}i  "
                          f"hexagon {b['hexagon_residual']:.2e}")
-        lines.append("twist column is a ribbon-closure extra; it is checked "
-                     "only for |twist| = 1, unlike the braiding data above")
+        lines.append("twist column closes the verified braiding into a loop; "
+                     "checked for |twist| = 1 and, when lambda holds every simple, "
+                     "by the Gauss sum")
         lines.append("PASS" if doc["pass"] else "FAIL")
     return "\n".join(lines) + "\n"
 

@@ -40,9 +40,6 @@ __all__ = [
     "trace_left", "trace_right", "weighted_trace",
 ]
 
-_ZIGZAG_TOL = 1e-10
-
-
 def _dual_data(engine: Engine, x: int):
     key = ("cupcap", x)
     hit = engine.cache.get(key)

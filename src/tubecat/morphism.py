@@ -101,6 +101,8 @@ class Morphism(Linear):
         return Morphism(self.engine, self.src, self.dst, blocks)
 
     def _check_parallel(self, other: "Morphism"):
+        if other.engine is not self.engine:
+            raise ShapeError("morphisms of different categories")
         if self.src != other.src or self.dst != other.dst:
             raise ShapeError(f"shape mismatch: {self.src}->{self.dst} vs "
                              f"{other.src}->{other.dst}")
@@ -180,15 +182,8 @@ class Engine:
     def hom_basis(self, src: Word, dst: Word) -> list:
         """Elementary morphisms in coeffs order: roots ascending, then target
         tree, then source tree."""
-        src, dst = tuple(src), tuple(dst)
-        out = []
-        for z, dd, sd in self.common_roots(src, dst):
-            for i in range(dd):
-                for j in range(sd):
-                    blk = np.zeros((dd, sd), dtype=complex)
-                    blk[i, j] = 1.0
-                    out.append(self.make(src, dst, {z: blk}))
-        return out
+        eye = np.eye(self.hom_dim(src, dst), dtype=complex)
+        return [self.from_coeffs(src, dst, row) for row in eye]
 
     # ---- construction ------------------------------------------------------
     def make(self, src: Word, dst: Word, blocks: dict,
@@ -211,6 +206,18 @@ class Engine:
                     raise ShapeError(f"block {z} has shape {blk.shape}, want {(dd, sd)}")
             out[z] = blk
         return Morphism(self, src, dst, out)
+
+    def from_coeffs(self, src: Word, dst: Word, vec) -> Morphism:
+        """The morphism src -> dst whose Morphism.coeffs() is ``vec``."""
+        roots = self.common_roots(src, dst)
+        blocks, pos = {}, 0
+        for z, dd, sd in roots:
+            n = dd * sd
+            blocks[z] = np.asarray(vec[pos:pos + n], dtype=complex).reshape(dd, sd)
+            pos += n
+        if pos != len(vec):
+            raise ShapeError("coefficient segment does not match the hom space")
+        return self.make(src, dst, blocks, roots)
 
     def zero(self, src: Word, dst: Word) -> Morphism:
         return self.make(src, dst, {})

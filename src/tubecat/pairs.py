@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import EmptySpace, worst
-from .morphism import Engine, Morphism, engine_for
+from .morphism import Engine, engine_for
 
 __all__ = ["VertexPair", "canonical_pair"]
 
@@ -40,17 +38,10 @@ class VertexPair:
         self.x, self.y, self.z, self.n = x, y, z, n
         d = engine.d
         self.scalar = math.sqrt(d[x] * d[y] * d[z])
-        tb = engine.basis((x, y))
-        dim = tb.dim(z)
-        self.splits = []
-        self.fuses = []
+        # the trees of (x, y) at z are its n vertices, one column each
+        self.splits = engine.hom_basis((z,), (x, y))
         inv = 1.0 / d[z]
-        for i in range(n):
-            col = np.zeros((dim, 1), dtype=complex)
-            col[tb.index[z][((z, i),)], 0] = 1.0
-            s = engine.make((z,), (x, y), {z: col})
-            self.splits.append(s)
-            self.fuses.append(s.dag() * inv)
+        self.fuses = [s.dag() * inv for s in self.splits]
 
     def defect(self) -> float:
         """max_ij | fuse_j . split_i - delta_ij id_z / d_z |."""

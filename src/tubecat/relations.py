@@ -225,21 +225,25 @@ def check_global_dim(spec, tol: float = 1e-9) -> VerificationReport:
 
 # ---- closed-loop traces ----------------------------------------------------
 
-def check_spherical(spec, trials: int = 3, tol: float = 1e-9,
-                    seed: int = 1) -> VerificationReport:
-    """Left and right closures of random endomorphisms agree, and both hit
-    the weighted block-trace value."""
+# random endomorphisms per word, and the seed they are drawn from
+SPHERICAL_TRIALS = 3
+SPHERICAL_SEED = 1
+
+
+def check_spherical(spec, tol: float = 1e-9) -> VerificationReport:
+    """Left and right closures of SPHERICAL_TRIALS random endomorphisms per
+    word agree, and both hit the weighted block-trace value."""
     eng = engine_for(spec)
     labs = eng.spec.labels
     rep = VerificationReport(suite="spherical", tol=tol)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SPHERICAL_SEED)
     rank = eng.ring.rank
     words = [(a,) for a in range(rank)]
     words += [(a, b) for a in range(rank) for b in range(rank)]
     for word in words:
         wl = "*".join(labs[i] for i in word)
         cases = [("id", eng.identity(word))]
-        cases += [(f"r{t}", eng.random(word, word, rng)) for t in range(trials)]
+        cases += [(f"r{t}", eng.random(word, word, rng)) for t in range(SPHERICAL_TRIALS)]
         for tag, f in cases:
             lt, rt, wt = trace_left(f), trace_right(f), weighted_trace(f)
             scale = worst([1.0, abs(wt)])

@@ -31,7 +31,6 @@ from .morphism import Engine, Linear, Morphism, engine_for
 from .pairs import canonical_pair
 from .sums import (StackedBasis, SumObject, cut_block, left_blocks, right_blocks,
                    stack_blocks)
-from .trees import Word
 
 __all__ = [
     "LambdaObject", "DeltaObject", "TubeElement",
@@ -84,7 +83,8 @@ class DeltaObject:
 
     ``obj`` tags summands by (x, slot); ``braiding[a]`` maps Δ⊗a → a⊗Δ,
     one matrix per root from the stacked trees of obj + (a,) to those of
-    (a,) + obj (_draw_braiding).  ``residuals`` holds the worst unitarity /
+    (a,) + obj: the hexagon's leg id_1 ⊗ e_a (_vertex_leg), drawn from
+    three-letter vertex pieces.  ``residuals`` holds the worst unitarity /
     unit / hexagon defects of the build, ``actions`` tube_action's matrices
     per tube algebra, ``kernel`` what naturality and compression read.
     """
@@ -153,61 +153,12 @@ def _pad(eng: Engine, pieces: dict, b: int, y: int, x: int, t: int, u: int) -> M
         u, _rotated_fuses(eng, b, y, x)[t]))
 
 
-def _fill(obj: SumObject, b: int, c: int, pieces: dict, src: StackedBasis,
-          cols: dict, factor: Callable) -> dict:
-    """One matrix per root z, from the stacked trees src to those of
-    (c,) + Δ: Σ_t √(d_x d_y)·factor(y, x, t)[h] ⊗ pad_{t,u}[z] (_pad) from
-    column group (j, h, (u, ν), z) of j = (x, s) to row group (i, h, (u, ν),
-    z) (_vertex_groups) of i = (y, s), t over the (b, y; x) vertices."""
-    eng = obj.engine
-    ring, d = eng.ring, eng.d
-    dst = obj.stacked((c,))
-    rows = _cached(pieces, ("rows", c), lambda: _vertex_groups(dst))
-    out = {z: np.zeros((n, src.dims[z]), dtype=complex)
-           for z, n in dst.dims.items() if z in src.dims}
-    ys = _cached(pieces, ("ys", b), lambda: [
-        [(y, int(n), math.sqrt(d[x] * d[y])) for y, n in enumerate(ring.N[b, :, x]) if n]
-        for x in range(ring.rank)])
-    for (j, h, un, z), C in cols.items():
-        x, s = obj.tags[j]
-        for y, n, w in ys[x]:
-            R = rows.get((obj.index((y, s)), h, un, z))
-            if R is not None:
-                acc = 0
-                for t in range(n):
-                    acc = acc + _kron(factor(y, x, t).blocks[h],
-                                      _pad(eng, pieces, b, y, x, t, un[0]).blocks[z])
-                out[z][R[:, None], C] = acc * w
-    return out
-
-
-def _draw_braiding(obj: SumObject, b: int, pieces: dict) -> dict:
-    """e_b on Δ as one matrix per root z, from the stacked trees of Δ + (b,)
-    to those of (b,) + Δ.
-
-    Block (i, j), from j = (x, l, x̄) to i = (y, l, ȳ) of the same slot, is
-    Σ_t √(d_x d_y)·(split_t ⊗ id_(l,ȳ)) ∘ (id_(x,l) ⊗ rot_t) over the
-    (b, y; x) vertices: split x into (b, y) on the left line, absorb b into
-    the conjugate line with rot_t on the right (√(d_b⁻¹)·√(d_b d_y d_x)).
-    A comb of (x, l, x̄, b) is (x, l) → w in slot ν, then a comb of
-    (w, x̄, b); one of (b, y, l, ȳ) is (b, y) → x, the same (x, l) → w, then
-    (w, ȳ) → z.  So on the trees that share (w, ν) the block is
-    Σ_t √(d_x d_y)·split_t[x] ⊗ pad_{t,w}[z] (_fill).
-    """
-    eng, src, cols = obj.engine, obj.stacked((), (b,)), {}
-    for z, trees in src.by_root.items():
-        for pos, (j, tree) in enumerate(trees):
-            cols.setdefault((j, obj.tags[j][0], tree[0], z), []).append(pos)
-    return _fill(obj, b, b, pieces, src, cols,
-                 lambda y, x, t: canonical_pair(eng, b, y, x).splits[t])
-
-
 def _vertex_pad(eng: Engine, u: int, a: int, b: int, c: int, mu: int) -> Morphism:
     """id_u ⊗ ι† : (u, a, b) → (u, c) for the μ-th vertex ι : c → a ⊗ b
-    (hom_basis((c,), (a, b))[mu]); every hexagon check on the category
-    shares it."""
+    (hom_basis((c,), (a, b))[mu], the pair's split); every hexagon check on
+    the category shares it."""
     return _cached(eng.cache, ("vertexpad", u, a, b, c, mu), lambda: eng._tensor_one_left(
-        u, eng.hom_basis((c,), (a, b))[mu].dag()))
+        u, canonical_pair(eng, a, b, c).splits[mu].dag()))
 
 
 def _vertex_groups(sb: StackedBasis) -> dict:
@@ -222,14 +173,29 @@ def _vertex_groups(sb: StackedBasis) -> dict:
 
 def _vertex_leg(obj: SumObject, a: int, b: int, pieces: dict,
                 c: int, mu: int, src: StackedBasis) -> dict:
-    """Channel (c, μ) of id_a ⊗ e_b on Δ, drawn on e_b's vertices as in
-    _draw_braiding, per root from src, the stacked trees of (a,) + Δ + (b,),
-    to those of (c,) + Δ: Σ_t √(d_x d_y)·(top_t ⊗ id_(l,ȳ)) ∘
-    (id_(a,x,l) ⊗ rot_t) on block (i, j), top_t = (ι† ⊗ id_y) ∘
-    (id_a ⊗ split_t).  Both combs begin with a vertex into w, then
-    (w, l) → u in slot ν, so it is top_t[w] ⊗ pad_{t,u}[z] (_fill).
+    """Channel (c, μ) of id_a ⊗ e_b on Δ, one matrix per root z from src,
+    the stacked trees of (a,) + Δ + (b,), to those of (c,) + Δ.  At a = 1
+    (channel (b, 0)) it is e_b itself, and build_delta draws it so.
+
+    Block (i, j), from j = (x, l, x̄) to i = (y, l, ȳ) of the same slot, is
+    Σ_t √(d_x d_y)·(top_t ⊗ id_(l,ȳ)) ∘ (id_(a,x,l) ⊗ rot_t) over the
+    (b, y; x) vertices, top_t = (ι† ⊗ id_y) ∘ (id_a ⊗ split_t): split x
+    into (b, y) on the left line, absorb b into the conjugate line with
+    rot_t on the right (√(d_b⁻¹)·√(d_b d_y d_x)).  Both combs begin with a
+    vertex into w, then (w, l) → u in slot ν, and go on as combs of
+    (u, x̄, b) and (u, ȳ).  So on the trees that share (w, u, ν) the block
+    is Σ_t √(d_x d_y)·top_t[w] ⊗ pad_{t,u}[z] (_pad), from column group
+    (j, w, (u, ν), z) to row group (i, w, (u, ν), z) (_vertex_groups).
     """
     eng = obj.engine
+    ring, d = eng.ring, eng.d
+    dst = obj.stacked((c,))
+    rows = _cached(pieces, ("rows", c), lambda: _vertex_groups(dst))
+    out = {z: np.zeros((n, src.dims[z]), dtype=complex)
+           for z, n in dst.dims.items() if z in src.dims}
+    ys = _cached(pieces, ("ys", b), lambda: [
+        [(y, int(n), math.sqrt(d[x] * d[y])) for y, n in enumerate(ring.N[b, :, x]) if n]
+        for x in range(ring.rank)])
 
     def top(y, x, t):
         full = _cached(pieces, ("split", a, b, y, x, t), lambda: eng.tensor_id_left(
@@ -237,7 +203,17 @@ def _vertex_leg(obj: SumObject, a: int, b: int, pieces: dict,
         return _cached(pieces, ("top", a, b, y, x, t, c, mu),
                        lambda: eng.channel_rows(full, c, mu))
 
-    return _fill(obj, b, c, pieces, src, _vertex_groups(src), top)
+    for (j, w, un, z), C in _vertex_groups(src).items():
+        x, s = obj.tags[j]
+        for y, n, wt in ys[x]:
+            R = rows.get((obj.index((y, s)), w, un, z))
+            if R is not None:
+                acc = 0
+                for t in range(n):
+                    acc = acc + _kron(top(y, x, t).blocks[w],
+                                      _pad(eng, pieces, b, y, x, t, un[0]).blocks[z])
+                out[z][R[:, None], C] = acc * wt
+    return out
 
 
 class _Stacked:
@@ -306,8 +282,10 @@ def hexagon_residual(obj: SumObject, braiding, a: int, b: int,
     entry per part).
     ``left(c, mu, mid)`` is (ι† ⊗ id) ∘ (id_a ⊗ e_b) per root, from mid, the
     trees of (a,) + W + (b,); by default _stacked_leg, from the stored e_b.
-    build_delta hands in the leg drawn on e_b's vertices (_vertex_leg); the
-    stored e_b still enters through e_c and e_b ⊗ id on the pairs (b, ·).
+    build_delta hands in _vertex_leg, which drew every stored e_b as its
+    leg at a = 1, so the leg at a ≠ 1 is drawn afresh from the same vertex
+    pieces; the stored e_b still enters through e_c and e_b ⊗ id on the
+    pairs (b, ·).
     """
     eng = obj.engine
     hb = braiding if isinstance(braiding, _Stacked) else _Stacked(obj, braiding)
@@ -403,11 +381,15 @@ def verify_halfbraiding(obj: SumObject, braiding, tol: float,
     return out
 
 
-def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
-    """Assemble Δ(Λ) with its braiding drawn on stacked trees, and verify
-    it (verify_halfbraiding, the hexagon's leg drawn on the same vertices).
-    Raises ToleranceError when a residual reaches ``tol``: an engine or
-    data bug, not bad user input."""
+# worst residual Δ's drawn half-braiding may show
+DELTA_TOL = 1e-9
+
+
+def build_delta(spec, lam: LambdaObject) -> DeltaObject:
+    """Assemble Δ(Λ), draw each e_b as the leg id_1 ⊗ e_b (_vertex_leg), and
+    verify it (verify_halfbraiding, its hexagon legs id_a ⊗ e_b drawn by the
+    same routine).  Raises ToleranceError when a residual reaches DELTA_TOL:
+    an engine or data bug, not bad user input."""
     eng = engine_for(spec)
     ring = eng.ring
     if len(lam.mult) != ring.rank:
@@ -421,9 +403,12 @@ def build_delta(spec, lam: LambdaObject, tol: float = 1e-9) -> DeltaObject:
     obj = SumObject(eng, words, tags)
 
     pieces: dict = {}  # label-only vertex pieces, shared by the drawing and every (a, b)
-    braiding = {a: _draw_braiding(obj, a, pieces) for a in range(ring.rank)}
+    u = ring.unit
+    braiding = {b: _vertex_leg(obj, u, b, pieces, b, 0, obj.stacked((u,), (b,)))
+                for b in range(ring.rank)}
     residuals = verify_halfbraiding(
-        obj, braiding, tol, lambda a, b: functools.partial(_vertex_leg, obj, a, b, pieces))[0]
+        obj, braiding, DELTA_TOL,
+        lambda a, b: functools.partial(_vertex_leg, obj, a, b, pieces))[0]
     return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding, residuals=residuals)
 
 
@@ -501,8 +486,8 @@ class TubeAlgebra:
         blocks = {}
         for (a, m, l), span in self.spans.items():
             if span.start < span.stop and vec[span].any():
-                blocks[(a, m, l)] = _morphism_from_coeffs(
-                    self.engine, (slots[l][0], a), (a, slots[m][0]), vec[span])
+                blocks[(a, m, l)] = self.engine.from_coeffs(
+                    (slots[l][0], a), (a, slots[m][0]), vec[span])
         return TubeElement(self, blocks)
 
     def basis_element(self, k: int) -> TubeElement:
@@ -513,18 +498,6 @@ class TubeAlgebra:
     def random_element(self, rng: np.random.Generator) -> TubeElement:
         return self.element(rng.standard_normal(self.dim)
                             + 1j * rng.standard_normal(self.dim))
-
-
-def _morphism_from_coeffs(eng: Engine, src: Word, dst: Word, vec) -> Morphism:
-    blocks = {}
-    pos = 0
-    for z, dd, sd in eng.common_roots(src, dst):
-        n = dd * sd
-        blocks[z] = np.asarray(vec[pos:pos + n], dtype=complex).reshape(dd, sd)
-        pos += n
-    if pos != len(vec):
-        raise ShapeError("coefficient segment does not match the hom space")
-    return eng.make(src, dst, blocks)
 
 
 def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebra:
@@ -794,8 +767,11 @@ def naturality_residual(delta: DeltaObject, T: dict) -> float:
     return worst(defects())
 
 
-def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict,
-          tol: float = 1e-7) -> TubeElement:
+# worst naturality defect f_map accepts: T must lie in the commutant
+NATURALITY_TOL = 1e-7
+
+
+def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
     """Invert t_map: close each summand block of T with a cup on the left
     strand and a cap on the right one, then fuse the freed legs into the
     direction line with a dual pair.  Prefactor 1/dim(C).  T is one
@@ -805,14 +781,14 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict,
 
     Raises ShapeError for a T of other roots or shapes (naturality_residual),
     and NotInCommutant when T fails to commute with the half-braiding
-    (residual >= ``tol``); the closure formula is only inverse to t_map on
+    (residual >= NATURALITY_TOL); the closure formula is only inverse to t_map on
     the commutant.
     """
     if delta.lam != A.lam:
         raise ShapeError("Δ and the tube algebra were built over different Λ")
     nat = naturality_residual(delta, T)
-    if not nat < tol:
-        raise NotInCommutant(f"naturality defect {nat:.3e} >= {tol:g}")
+    if not nat < NATURALITY_TOL:
+        raise NotInCommutant(f"naturality defect {nat:.3e} >= {NATURALITY_TOL:g}")
 
     eng = A.engine
     ring, d = eng.ring, eng.d

@@ -47,8 +47,7 @@ def machines(catalog):
     deltas = {}
     t0 = time.perf_counter()
     for name, spec in catalog.items():
-        deltas[name] = build_delta(spec, LambdaObject.all_simples(spec),
-                                   tol=1e-9)
+        deltas[name] = build_delta(spec, LambdaObject.all_simples(spec))
     delta_secs = time.perf_counter() - t0
     algebras = {name: build_tube_algebra(spec, LambdaObject.all_simples(spec))
                 for name, spec in catalog.items()}
@@ -144,7 +143,7 @@ def test_criterion_7_center_quality(machines):
     twisted_rank = 0
     for name, A in algebras.items():
         dec = decompose_blocks(A, seed=1)
-        simples = extract_center_simples(A, deltas[name], dec, tol=1e-8)
+        simples = extract_center_simples(A, deltas[name], dec)
         compute_twists(simples)
         for s in simples:
             worst = max(worst, s.unitarity_defect, s.hexagon_defect)

@@ -1,6 +1,9 @@
 """Category file loading, validation errors, serialization round trips."""
 import copy
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +20,22 @@ def test_catalog_complete(catalog):
     names = {spec.name for spec in catalog.values()}
     assert {"Vec", "Vec[Z/2]", "Vec[Z/2] twisted", "Vec[Z/3]",
             "Fibonacci", "Ising", "Rep(S3)"} == names
+
+
+def test_catalog_files_match_their_generators(tmp_path):
+    # the shipped data are exactly what the two scripts write
+    root = Path(__file__).resolve().parent.parent
+    for script, out in (("make_catalog.py", tmp_path),
+                        ("derive_rep_s3.py", tmp_path / "rep_s3.json")):
+        proc = subprocess.run([sys.executable, str(root / "scripts" / script), str(out)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    data = root / "src" / "tubecat" / "data"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}.json" for name in BUILTIN_NAMES)
+    for name in BUILTIN_NAMES:
+        got = (tmp_path / f"{name}.json").read_bytes()
+        assert got == (data / f"{name}.json").read_bytes(), name
 
 
 def test_alias_fib():

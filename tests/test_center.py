@@ -20,7 +20,7 @@ from tubecat.center import (center_report, decompose_blocks,
                             extract_center_simples)
 from tubecat.errors import DegenerateSpectrum, ToleranceError
 from tubecat.jsonutil import dumps_canonical
-from tubecat.tube import LambdaObject, build_delta, build_tube_algebra
+from tubecat.tube import LambdaObject, TubeElement, build_delta, build_tube_algebra
 from oracles import braiding_blocks
 
 BLOCK_SIZES = {
@@ -398,6 +398,46 @@ def test_pointed_blocks_split_on_other_seeds(z6_algebra, seed):
     assert dec.rank == 36
     assert dec.sizes == (1,) * 36
     assert np.max(np.abs(sum(dec.vectors) - A.vector_of(A.unit))) < 1e-8
+
+
+# ---- a second route to the twists: the Dehn twist τ of the annulus -------------
+
+def _dehn_twist(A, power):
+    """Σ_l d_{x_l}^power·e_l, with e_l the strand x_l wound once around the
+    annulus: the tube element whose one block (x_l, l, l) is id_(x_l, x_l)."""
+    eng = A.engine
+    return A.vector_of(TubeElement(A, {(x, l, l): eng.identity((x, x)) * eng.d[x] ** power
+                                       for l, (x, _c) in enumerate(A.slots)}))
+
+
+@pytest.mark.parametrize("name, mapping", [
+    *((name, None) for name in ("vec", "vec_z2", "vec_z2_twisted", "vec_z3",
+                                "fibonacci", "ising", "rep_s3")),
+    ("Z/4", None), ("Z/5", None), ("Z/6", None),
+    ("fibonacci", {"tau": 1}), ("fibonacci", {"tau": 2}), ("ising", {"sigma": 1})])
+def test_dehn_twist_is_the_twists_on_the_blocks(catalog, name, mapping):
+    # τ = Σ_l d^(−1/2)·e_l is central, and on block X it is conj(θ_X): a
+    # route to the twists that reads neither Δ, t_map nor extraction (Izumi,
+    # CMP 213, 2000).  With the weight d^(−1) the twists of non-integral
+    # dimensions miss by 0.13–0.21, so the check can fail
+    from conftest import pointed_category
+    from tubecat.catspec import load_spec
+    spec = (load_spec(pointed_category(int(name[2:]), k=1)) if name.startswith("Z/")
+            else catalog[name])
+    lam = (LambdaObject.all_simples(spec) if mapping is None
+           else LambdaObject.from_mapping(spec, mapping))
+    A = build_tube_algebra(spec, lam)
+    dec = decompose_blocks(A, seed=1)
+    thetas = tubecat.center.compute_twists(
+        extract_center_simples(A, build_delta(spec, lam), dec))
+    want = sum(np.conj(t) * p for t, p in zip(thetas, dec.vectors))
+    c = A.mult_table
+    tau = _dehn_twist(A, -0.5)
+    assert np.max(np.abs(np.einsum("i,ijk->jk", tau, c)
+                         - np.einsum("j,ijk->ik", tau, c))) <= 1e-12
+    assert np.max(np.abs(tau - want)) <= 1e-12
+    if mapping is None and name in ("fibonacci", "ising", "rep_s3"):
+        assert np.max(np.abs(_dehn_twist(A, -1.0) - want)) >= 0.1
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import pointed_category
 from oracles import lift_id_left
 from tubecat.catspec import load_spec
+from tubecat.errors import ShapeError
 from tubecat.morphism import Engine, engine_for
 from tubecat.trees import TreeBasis
 from tubecat.tube import LambdaObject, build_tube_algebra
@@ -115,6 +116,15 @@ def test_zero_and_linearity(engine):
     assert (f + z - f).norm() == 0
     assert (f - f).norm() == 0
     assert (2 * f - f - f).norm() < 1e-14
+
+
+def test_morphisms_of_different_categories_do_not_add(catalog):
+    # the same word (1,) over two categories of rank 2: equal words, equal
+    # block shapes, and still no sum
+    f, g = (engine_for(catalog[name]).identity((1,)) for name in ("fibonacci", "vec_z2"))
+    for op in (lambda: f - g, lambda: f + g, lambda: f.close_to(g)):
+        with pytest.raises(ShapeError, match="different categories"):
+            op()
 
 
 def test_random_seed_determinism(engine):

@@ -465,22 +465,27 @@ def test_build_delta_sees_phase_on_one_stored_block(monkeypatch):
     # alone; the hexagon must still see it, although the staged leg
     # id_a ⊗ e_b is drawn from the vertices and not from the stored e_b.
     # The block is (0, j), from summand (2, slot 0) to (0, slot 0), the
-    # lowest key of e_2
+    # lowest key of e_2.  build_delta draws every stored e_b as the leg
+    # id_1 ⊗ e_b before it checks a hexagon, so the first call at a = 1,
+    # b = 2 draws the stored e_2, and only its matrices move
     spec = load_spec(pointed_category(4, k=1))
-    real = tubecat.tube._draw_braiding
+    real = tubecat.tube._vertex_leg
+    drawn = []
 
-    def nudged(obj, b, pieces):
-        mats = real(obj, b, pieces)
-        if b == 2:
+    def nudged(obj, a, b, pieces, c, mu, src):
+        mats = real(obj, a, b, pieces, c, mu, src)
+        if (a, b) == (spec.ring.unit, 2) and not drawn:
+            drawn.append(b)
             i, j = 0, obj.index((2, 0))
             rows, cols = obj.stacked((b,)).starts, obj.stacked((), (b,)).starts
             for z, m in mats.items():
                 m[rows[z][i]:rows[z][i + 1], cols[z][j]:cols[z][j + 1]] *= np.exp(1e-6j)
         return mats
 
-    monkeypatch.setattr(tubecat.tube, "_draw_braiding", nudged)
+    monkeypatch.setattr(tubecat.tube, "_vertex_leg", nudged)
     with pytest.raises(ToleranceError, match=r"hexagon defect (1\.00\de-06|9\.99\de-07)"):
         build_delta(spec, LambdaObject.all_simples(spec))
+    assert drawn == [2]
 
 
 @pytest.mark.parametrize("name, mapping", [
