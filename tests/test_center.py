@@ -418,8 +418,8 @@ def _dehn_twist(A, power):
 def test_dehn_twist_is_the_twists_on_the_blocks(catalog, name, mapping):
     # τ = Σ_l d^(−1/2)·e_l is central, and on block X it is conj(θ_X): a
     # route to the twists that reads neither Δ, t_map nor extraction (Izumi,
-    # CMP 213, 2000).  With the weight d^(−1) the twists of non-integral
-    # dimensions miss by 0.13–0.21, so the check can fail
+    # CMP 213, 2000).  With the weight d^(−1), a category with a label of
+    # d ≠ 1 misses by 0.13–0.21, so the check can fail
     from conftest import pointed_category
     from tubecat.catspec import load_spec
     spec = (load_spec(pointed_category(int(name[2:]), k=1)) if name.startswith("Z/")
