@@ -208,12 +208,13 @@ class Engine:
         return Morphism(self, src, dst, out)
 
     def from_coeffs(self, src: Word, dst: Word, vec) -> Morphism:
-        """The morphism src -> dst whose Morphism.coeffs() is ``vec``."""
+        """The morphism src -> dst whose Morphism.coeffs() is ``vec``, on a
+        copy of ``vec``'s entries."""
         roots = self.common_roots(src, dst)
         blocks, pos = {}, 0
         for z, dd, sd in roots:
             n = dd * sd
-            blocks[z] = np.asarray(vec[pos:pos + n], dtype=complex).reshape(dd, sd)
+            blocks[z] = np.array(vec[pos:pos + n], dtype=complex).reshape(dd, sd)
             pos += n
         if pos != len(vec):
             raise ShapeError("coefficient segment does not match the hom space")

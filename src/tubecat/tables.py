@@ -1,0 +1,174 @@
+"""Structure constants of the tube algebra A(Λ) from F entries.
+
+The product of two basis tubes is a fixed contraction of three F entries
+and √d weights, and the star one of two F entries and the zig-zag scalar
+that duality's cup and cap are calibrated by; no diagram is drawn.  Both
+are evaluated once over Λ = all simples (LabelBasis), as joins over
+FSymbolTable.table (fsymbols.join), and each term is then copied to every
+choice of slots of Λ that carry its labels.  tests/oracles.py keeps the
+diagrams as the reference.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from .fsymbols import group, join
+from .morphism import Engine
+
+__all__ = ["fill"]
+
+
+def fill(eng: Engine, slots: tuple) -> tuple:
+    """(spans, mult_table, star_table) of A(Λ) over ``slots``, Λ's (label,
+    copy) pairs: spans[(a, m, l)] is the index range of the block
+    Hom((x_l, a), (a, x_m)), in the order a, then l, then m, and the
+    tables are as TubeAlgebra holds them."""
+    ring = eng.ring
+    lb = LabelBasis(ring)
+    spans, dim = {}, 0
+    start = np.zeros((ring.rank, len(slots), len(slots)), dtype=np.int64)
+    for a in range(ring.rank):
+        for l, (x, _cx) in enumerate(slots):
+            for m, (y, _cy) in enumerate(slots):
+                n = int(lb.size[a, x, y])
+                spans[(a, m, l)] = slice(dim, dim + n)
+                start[a, m, l] = dim
+                dim += n
+
+    def at(k, m, l):  # label-level basis k, from slot l to slot m
+        return start[lb.a[k], m, l] + lb.loc[k]
+
+    labels = np.array([x for x, _c in slots])
+    mult = np.zeros((dim, dim, dim), dtype=complex)
+    (f, g, e), val = product_terms(eng, lb)
+    t, (l, p, m) = slot_copies(labels, lb.src[g], lb.dst[g], lb.dst[f])
+    mult[at(f[t], m, p), at(g[t], p, l), at(e[t], m, l)] = val[t]
+    star = np.zeros((dim, dim), dtype=complex)
+    (f, e), val = star_terms(eng, lb)
+    t, (l, m) = slot_copies(labels, lb.src[f], lb.dst[f])
+    star[at(f[t], m, l), at(e[t], l, m)] = val[t]
+    return spans, mult, star
+
+
+class LabelBasis:
+    """The tube basis over Λ = all simples, one slot per label: basis k is
+    (a, src → dst; z, ν, μ), the (ν, μ) entry at root z of the block
+    Hom((src, a), (a, dst)), numbered as spans and Morphism.coeffs number
+    them.  ``size[a, src, dst]`` is dim Hom((src, a), (a, dst)), ``key``
+    numbers label tuples, and ``a``, ``src``, ``dst`` and ``loc`` (k less
+    its block's first index) read them back."""
+
+    __slots__ = ("N", "size", "first", "off", "dim", "a", "src", "dst", "loc")
+
+    def __init__(self, ring):
+        N = self.N = ring.N
+        r = ring.rank
+        per_root = np.einsum("ayz,xaz->axyz", N, N)  # block (a, x → y) at root z
+        self.off = np.cumsum(per_root, axis=3) - per_root
+        self.size = per_root.sum(axis=3)
+        n = self.size.ravel()
+        self.first = (np.cumsum(n) - n).reshape(r, r, r)
+        self.dim = int(n.sum())
+        self.a, self.src, self.dst = (np.repeat(i.ravel(), n)
+                                      for i in np.indices((r, r, r)))
+        self.loc = np.arange(self.dim) - np.repeat(self.first.ravel(), n)
+
+    def key(self, a, src, dst, z, nu, mu):
+        """Basis index of (a, src → dst; z, ν, μ): ν the vertex of (a, dst)
+        at z, μ that of (src, a)."""
+        return self.first[a, src, dst] + self.off[a, src, dst, z] + nu * self.N[src, a, z] + mu
+
+
+def _f_entries(F) -> tuple:
+    """F.table with each entry's vertices split out: the vertex labels x,
+    y, z and multiplicity index μ, then per entry its row (rv, rw), column
+    (cv, cw) and value."""
+    x, y, z, row, col, val = F.table
+    n, r = len(x), F.ring.rank
+    new = np.diff((x * r + y) * r + z, prepend=-1) != 0
+    mu = np.arange(n) - np.maximum.accumulate(np.where(new, np.arange(n), 0))
+    return (x, y, z, mu), *np.divmod(row, n), *np.divmod(col, n), val
+
+
+def _summed(lb: LabelBasis, keys: tuple, val: np.ndarray) -> tuple:
+    """The terms summed per tuple of label-level basis indices."""
+    slot, uniq = group(np.ravel_multi_index(keys, (lb.dim,) * len(keys)))
+    size = len(uniq)
+    return (np.unravel_index(uniq, (lb.dim,) * len(keys)),
+            np.bincount(slot, val.real, size) + 1j * np.bincount(slot, val.imag, size))
+
+
+def _sorted_join(keys: np.ndarray, queries: np.ndarray) -> tuple:
+    """join against unsorted keys: (query, position of the key)."""
+    order = np.argsort(keys, kind="stable")
+    q, p = join(keys[order], queries)
+    return q, order[p]
+
+
+def product_terms(eng: Engine, lb: LabelBasis) -> tuple:
+    """Structure constants over Λ = all simples, as ((f, g, e), value):
+    the coefficient of e in f·g for label-level basis indices.
+
+    f = (b, x_p → x_m; z₂, ν₂, μ₂) stacks over g = (c, x_l → x_p; z₁, ν₁,
+    μ₁), and the product has e = (a, x_l → x_m; z, ν, μ) with coefficient
+    √(d_c d_b / d_a)·Σ_{t,β,σ} conj(F₁)·F₂·conj(F₃), where
+    F₁ = F^{x_l c b}_z[(z₁,μ₁,β),(a,t,μ)], F₂ = F^{c x_p b}_z[(z₁,ν₁,β),
+    (z₂,μ₂,σ)] and F₃ = F^{c b x_m}_z[(a,t,ν),(z₂,ν₂,σ)].  With the
+    direction line split into (c, b) and fused back, F₁ rebrackets
+    x_l⊗c⊗b below g, F₂ passes from g's top vertex to f's bottom one, and
+    F₃ rebrackets c⊗b⊗x_m above f.  F₁ and F₂ meet on their row vertex
+    (z₁, b, z, β) with the same letter c, then F₃ on (F₂'s column vertex
+    (c, z₂, z, σ), F₁'s (c, b, a, t)), which would also drop a pair of
+    unequal c.
+    """
+    (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
+    r, n = eng.ring.rank, len(x)
+    e2, e1 = _sorted_join(rw * r + y[rv], rw * r + x[rv])
+    q, e3 = _sorted_join(cw * n + rv, cw[e2] * n + cv[e1])
+    e1, e2 = e1[q], e2[q]
+    b, c, a, xl, xp, xm = y[rw[e1]], y[rv[e1]], z[cv[e1]], x[rv[e1]], y[rv[e2]], y[rw[e3]]
+    d = np.asarray(eng.d)
+    keys = (lb.key(b, xp, xm, z[cv[e2]], mu[cv[e3]], mu[cv[e2]]),
+            lb.key(c, xl, xp, z[rv[e1]], mu[rv[e2]], mu[rv[e1]]),
+            lb.key(a, xl, xm, z[rw[e1]], mu[rw[e3]], mu[cw[e1]]))
+    return _summed(lb, keys, np.sqrt(d[c] * d[b] / d[a])
+                   * np.conj(val[e1]) * val[e2] * np.conj(val[e3]))
+
+
+def star_terms(eng: Engine, lb: LabelBasis) -> tuple:
+    """The star over Λ = all simples, as ((f, e), value): the coefficient of
+    e in f* for label-level basis indices.
+
+    f = (b, x → y; z, ν, μ) has f* in direction a = b̄, e = (a, y → x; z′,
+    ν′, μ′), with coefficient ζ_a⁻¹·Σ_{i,λ} S₁·conj(S₂)·S₃, where
+    S₁ = F^{z′ b a}_{z′}[(y,i,μ′),(1,0,0)], S₂ = F^{a x b}_y[(z′,ν′,i),
+    (z,μ,λ)], S₃ = F^{a b y}_y[(1,0,0),(z,ν,λ)], and ζ_a =
+    F^{a ā a}_a[(1,0,0),(1,0,0)] is the raw zig-zag scalar that
+    duality's cup and cap are calibrated by: the adjoint of f bent back
+    with that cup and cap.  S₂ meets S₁ on its row vertex (z′, b, y, i)
+    with the same letter a, then S₃ on its column vertex (a, z, y, λ),
+    whose b is ā as S₁'s a is b̄.
+    """
+    (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
+    r, u = eng.ring.rank, eng.ring.unit
+    zeta = np.zeros(r, dtype=complex)
+    one = (z[rv] == u) & (z[cv] == u)
+    zeta[x[rv[one]]] = val[one]
+    s1, s3 = np.flatnonzero(z[cv] == u), np.flatnonzero(z[rv] == u)
+    e2, e1 = _sorted_join(rv[s1] * r + y[rw[s1]], rw * r + x[rv])
+    q, e3 = _sorted_join(cw[s3], cw[e2])
+    e1, e2, e3 = s1[e1[q]], e2[q], s3[e3]
+    a, xs, b, ys = x[rv[e2]], y[rv[e2]], y[rw[e2]], z[rw[e2]]
+    keys = (lb.key(b, xs, ys, z[cv[e2]], mu[cv[e3]], mu[cv[e2]]),
+            lb.key(a, ys, xs, z[rv[e2]], mu[rv[e2]], mu[rw[e1]]))
+    return _summed(lb, keys, val[e1] * np.conj(val[e2]) * val[e3] / zeta[a])
+
+
+def slot_copies(labels: np.ndarray, *per_term) -> tuple:
+    """(terms, slots): each term once per choice of a slot for each of its
+    labels, with those slots; ``labels`` is the slots' labels, ascending."""
+    t, picks = np.arange(len(per_term[0])), []
+    for lab in per_term:
+        q, s = join(labels, lab[t])
+        t, picks = t[q], [p[q] for p in picks] + [s]
+    return t, picks

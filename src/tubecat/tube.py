@@ -8,11 +8,14 @@ and the endomorphisms of Δ that commute with it.  Maps on Δ, the
 half-braiding and those endomorphisms alike, are one matrix per root on
 the stacked trees of its summands (sums.StackedBasis).
 
-Every operation is a closed formula in the word engine: vertices enter
-through canonical_pair (dual bases with the √(d·d·d) weight), rotated ones
-by exact bends (rotate_clockwise).  Each √d prefactor is written once, next
-to its diagram, and nothing re-normalizes, so a convention slip shows up as
-a failed unitarity or round-trip check.
+The structure constants are fixed contractions of F entries (tables.fill),
+and tube_product and tube_star read them; the diagrams they contract are
+kept as the tests' oracle.  Everything on Δ is a closed formula in the
+word engine: vertices enter through canonical_pair (dual bases with the
+√(d·d·d) weight), rotated ones by exact bends (rotate_clockwise).  Each √d
+prefactor is written once, next to its formula, and nothing re-normalizes,
+so a convention slip shows up as a failed unitarity, round-trip or table
+check.
 """
 from __future__ import annotations
 
@@ -24,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import coev, ev, rotate_clockwise
+from . import tables
+from .duality import ev, rotate_clockwise
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
 from .fsymbols import group, join
 from .morphism import Engine, Linear, Morphism, engine_for
@@ -457,7 +461,9 @@ class TubeAlgebra:
     Hom(x⊗a, a⊗y).  ``mult_table[i,j,k]`` is the coefficient of basis k in
     (basis i)·(basis j), ``star_table[i,j]`` that of j in (basis i)*, and
     ``spans[(a, m, l)]`` the index range of the block from slot l to slot m
-    in the a-component, in basis order.
+    in the a-component, in basis order.  The tables are filled from F
+    entries (build_tube_algebra), and the product and star of elements
+    read them (tube_product, tube_star).
     """
 
     spec: object
@@ -501,29 +507,20 @@ class TubeAlgebra:
 
 
 def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebra:
-    """Tabulate structure constants and star, then verify associativity,
-    star involutivity and anti-multiplicativity, and the unit law with the
-    unit recomputed through the product (_table_residuals).  Positivity of
-    the trace form needs Δ and lives with the tests.
+    """Tabulate structure constants and star from joins over the F entries
+    (tables.fill), then verify associativity, star
+    involutivity and anti-multiplicativity, and the unit law with the unit
+    recomputed through the product (_table_residuals).  Positivity of the
+    trace form needs Δ and lives with the tests.
     """
     eng = engine_for(spec)
     ring = eng.ring
     if len(lam.mult) != ring.rank:
         raise ShapeError("multiplicity vector length does not match the label set")
     slots = lam.slots()
-
-    spans, dim = {}, 0
-    for a in range(ring.rank):
-        for l, (x, _cx) in enumerate(slots):
-            for m, (y, _cy) in enumerate(slots):
-                n = eng.hom_dim((x, a), (a, y))
-                spans[(a, m, l)] = slice(dim, dim + n)
-                dim += n
-
-    alg = TubeAlgebra(spec=spec, lam=lam, engine=eng, slots=slots, dim=dim, spans=spans,
-                      mult_table=np.zeros((dim, dim, dim), dtype=complex),
-                      star_table=np.zeros((dim, dim), dtype=complex),
-                      unit=None, residuals={})
+    spans, mult, star = tables.fill(eng, slots)
+    alg = TubeAlgebra(spec=spec, lam=lam, engine=eng, slots=slots, dim=len(star),
+                      spans=spans, mult_table=mult, star_table=star, unit=None, residuals={})
 
     unit_blocks = {}
     u = ring.unit
@@ -532,18 +529,6 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
         unit_blocks[(u, l, l)] = eng.make((x, u), (u, x), {
             z: np.eye(tb.dim(z), dtype=complex) for z in tb.roots()})
     alg.unit = TubeElement(alg, unit_blocks)
-
-    # (source slot, target slot) of each basis element; the product e_i e_j
-    # stacks e_i over e_j and is empty unless e_j ends where e_i starts
-    ends = []
-    for (_a, m, l), span in spans.items():
-        ends += [(l, m)] * (span.stop - span.start)
-    basis_elems = [alg.basis_element(k) for k in range(dim)]
-    for i, ei in enumerate(basis_elems):
-        alg.star_table[i] = alg.vector_of(tube_star(alg, ei))
-        for j, ej in enumerate(basis_elems):
-            if ends[j][1] == ends[i][0]:
-                alg.mult_table[i, j] = alg.vector_of(tube_product(alg, ei, ej))
 
     alg.residuals = _table_residuals(alg.mult_table, alg.star_table,
                                      alg.vector_of(alg.unit))
@@ -612,66 +597,15 @@ def _table_residuals(c: np.ndarray, s: np.ndarray, uvec: np.ndarray) -> dict:
 # ---- product, star ----------------------------------------------------------
 
 def tube_product(A: TubeAlgebra, f: TubeElement, g: TubeElement) -> TubeElement:
-    """Stack f over g: split the direction line into (c, b) with a dual pair,
-    run g along c below f along b, and fuse back.  Coefficient per (b, c):
-    √(d_c d_b d_a)."""
-    eng = A.engine
-    ring, d = eng.ring, eng.d
-    slots = A.slots
-    acc: dict = {}
-    for b, fb in _by_direction(f).items():
-        for c, gc in _by_direction(g).items():
-            for a in ring.fusion_outcomes(c, b):
-                pair = canonical_pair(eng, c, b, a)
-                coeff = math.sqrt(d[c] * d[b] * d[a])
-                for mp, l, gblk in gc:
-                    xl = slots[l][0]
-                    for m, mp2, fblk in fb:
-                        if mp2 != mp:
-                            continue
-                        xm = slots[m][0]
-                        term = None
-                        for t in range(pair.n):
-                            lo = _cached(eng.cache, ("prod_lo", xl, c, b, a, t),
-                                         lambda: eng.tensor_id_left((xl,), pair.splits[t]))
-                            mid = eng.tensor_id_left((c,), fblk) \
-                                @ eng.tensor_id_right(gblk, (b,))
-                            hi = _cached(eng.cache, ("prod_hi", c, b, a, t, xm),
-                                         lambda: eng.tensor_id_right(pair.fuses[t], (xm,)))
-                            piece = hi @ mid @ lo
-                            term = piece if term is None else term + piece
-                        key = (a, m, l)
-                        add = term * coeff
-                        acc[key] = acc[key] + add if key in acc else add
-    return TubeElement(A, acc)
-
-
-def _by_direction(f: TubeElement) -> dict:
-    """Direction a -> [(m, l, block)] of f, in the order of f's blocks."""
-    out: dict = {}
-    for (a, m, l), blk in f.blocks.items():
-        out.setdefault(a, []).append((m, l, blk))
-    return out
+    """f·g, read off mult_table over the nonzero coordinates of f and g."""
+    v, w = f.vector(), g.vector()
+    i, j = np.flatnonzero(v), np.flatnonzero(w)
+    return A.element(np.einsum("i,j,ijk->k", v[i], w[j], A.mult_table[np.ix_(i, j)]))
 
 
 def tube_star(A: TubeAlgebra, f: TubeElement) -> TubeElement:
-    """Adjoint of the opposite-direction component, bent back into shape with
-    one calibrated cup and cap; no vertex weights enter."""
-    eng = A.engine
-    slots = A.slots
-    blocks = {}
-    for (b, lkey, mkey), blk in f.blocks.items():
-        a = eng.ring.dual[b]
-        xl, xm = slots[lkey][0], slots[mkey][0]
-        dagblk = blk.dag()  # (abar, x_l) -> (x_m, abar)
-        # cup: () -> (a, abar), cap: (abar, a) -> ()
-        h1 = _cached(eng.cache, ("star_h1", a, xl),
-                     lambda: eng.tensor_id_right(coev(eng, a), (xl, a)))
-        h2 = eng.tensor_id_left((a,), eng.tensor_id_right(dagblk, (a,)))
-        h3 = _cached(eng.cache, ("star_h3", a, xm),
-                     lambda: eng.tensor_id_left((a, xm), ev(eng, a)))
-        blocks[(a, mkey, lkey)] = h3 @ h2 @ h1
-    return TubeElement(A, blocks)
+    """f*, read off star_table: the star is antilinear."""
+    return A.element(np.conj(f.vector()) @ A.star_table)
 
 
 # ---- tube elements as endomorphisms of Δ -------------------------------------

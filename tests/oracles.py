@@ -7,6 +7,11 @@ BlockMap form below), where the library reads the same identity on stacked
 per-root matrices.  They are slow and independent of the stacked kernel in
 tubecat.tube, which is what makes them worth comparing against.
 
+The tube algebra's product and star are here as the diagrams they are
+(diagram_product, diagram_star, and the tables filled from them pair by
+pair),
+where tubecat.tube fills its tables from joins over the F entries.
+
 The pentagon's two routes are here too, one word and one root at a time, as
 loops over block rows and columns (trees_T1 … pentagon_residual), where
 tubecat.pentagon runs them as joins on the flat F entry table.
@@ -16,12 +21,13 @@ import math
 
 import numpy as np
 
+from tubecat.duality import coev, ev
 from tubecat.errors import worst
 from tubecat.morphism import Linear
 from tubecat.pairs import canonical_pair
 from tubecat.sums import SumObject, cut_block, stack_blocks
 from tubecat.trees import tree_root
-from tubecat.tube import _rotated_fuses, t_map
+from tubecat.tube import TubeElement, _rotated_fuses, t_map
 
 
 class BlockMap(Linear):
@@ -117,6 +123,72 @@ def delta_braiding_component(eng, obj, a):
             if acc is not None:
                 blocks[(obj.index((y, s)), j)] = acc * math.sqrt(d[x] * d[y])
     return BlockMap(obj.tensor_right((a,)), obj.tensor_left((a,)), blocks)
+
+
+def diagram_product(A, f, g):
+    """f·g as a diagram: split the direction line into (c, b) with a dual
+    pair, run g along c below f along b, and fuse back.  Coefficient per
+    (b, c): √(d_c d_b d_a)."""
+    eng = A.engine
+    ring, d = eng.ring, eng.d
+    slots = A.slots
+    acc = {}
+    for (b, m, p), fblk in f.blocks.items():
+        xm = slots[m][0]
+        for (c, p2, l), gblk in g.blocks.items():
+            if p2 != p:
+                continue
+            xl = slots[l][0]
+            mid = eng.tensor_id_left((c,), fblk) @ eng.tensor_id_right(gblk, (b,))
+            for a in ring.fusion_outcomes(c, b):
+                pair = canonical_pair(eng, c, b, a)
+                term = None
+                for t in range(pair.n):
+                    piece = (eng.tensor_id_right(pair.fuses[t], (xm,)) @ mid
+                             @ eng.tensor_id_left((xl,), pair.splits[t]))
+                    term = piece if term is None else term + piece
+                add = term * math.sqrt(d[c] * d[b] * d[a])
+                key = (a, m, l)
+                acc[key] = acc[key] + add if key in acc else add
+    return TubeElement(A, acc)
+
+
+def diagram_star(A, f):
+    """f* as a diagram: the adjoint of the opposite-direction component,
+    bent back into shape with one calibrated cup and cap; no vertex
+    weights enter."""
+    eng = A.engine
+    slots = A.slots
+    blocks = {}
+    for (b, m, l), blk in f.blocks.items():
+        a = eng.ring.dual[b]
+        xl, xm = slots[l][0], slots[m][0]
+        # cup: () -> (a, abar), cap: (abar, a) -> (); blk† : (b, x_m) -> (x_l, b)
+        h1 = eng.tensor_id_right(coev(eng, a), (xm, a))
+        h2 = eng.tensor_id_left((a,), eng.tensor_id_right(blk.dag(), (a,)))
+        h3 = eng.tensor_id_left((a, xl), ev(eng, a))
+        blocks[(a, l, m)] = h3 @ h2 @ h1
+    return TubeElement(A, blocks)
+
+
+def diagram_mult_table(A):
+    """A's mult_table filled basis pair by basis pair from diagram_product;
+    a pair whose slots do not meet is an empty product and stays zero."""
+    ends = []  # (source slot, target slot) per basis element
+    for (_a, m, l), span in A.spans.items():
+        ends += [(l, m)] * (span.stop - span.start)
+    basis = [A.basis_element(k) for k in range(A.dim)]
+    mult = np.zeros_like(A.mult_table)
+    for i, ei in enumerate(basis):
+        for j, ej in enumerate(basis):
+            if ends[j][1] == ends[i][0]:
+                mult[i, j] = A.vector_of(diagram_product(A, ei, ej))
+    return mult
+
+
+def diagram_star_table(A):
+    """A's star_table filled row by row from diagram_star."""
+    return np.array([A.vector_of(diagram_star(A, A.basis_element(k))) for k in range(A.dim)])
 
 
 def sparse_rows(table, threshold):

@@ -631,11 +631,14 @@ def test_extraction_names_a_conjugated_block(catalog, monkeypatch):
         return _conjugate_one_block(X, out, tau) if len(X) == 2 else out
 
     monkeypatch.setattr(tubecat.center, "compress_halfbraiding", conjugated)
-    with pytest.raises(ToleranceError, match=r"^block 0: half-braiding unitarity "
+    k = dec.sizes.index(2)  # the two-summand simple's block
+    with pytest.raises(ToleranceError, match=rf"^block {k}: half-braiding unitarity "
                        r"defect \S+ >= 1e-08 on the extracted simple$") as err:
         extract_center_simples(A, D, dec)
-    # every block is compressed once, before the one check on their sum
-    assert [len(X) for X in made] == [2, 1, 1, 1] == sorted(dec.sizes, reverse=True), err.value
+    # every block is compressed once, in block order, before the one check
+    # on their sum
+    assert [len(X) for X in made] == list(dec.sizes), err.value
+    assert sorted(dec.sizes, reverse=True) == [2, 1, 1, 1]
 
 
 def test_extraction_and_round_trips_tensor_no_block_map(catalog):

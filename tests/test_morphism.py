@@ -18,7 +18,7 @@ from tubecat.catspec import load_spec
 from tubecat.errors import ShapeError
 from tubecat.morphism import Engine, engine_for
 from tubecat.trees import TreeBasis
-from tubecat.tube import LambdaObject, build_tube_algebra
+from tubecat.tube import LambdaObject, build_delta
 
 ENGINES = {}
 
@@ -155,7 +155,7 @@ def test_engine_shared_per_spec_and_freed_with_it():
     eng = engine_for(spec)
     assert engine_for(spec) is eng
     assert engine_for(copy.copy(spec)) is not eng
-    build_tube_algebra(spec, LambdaObject.all_simples(spec))  # fill its caches
+    build_delta(spec, LambdaObject.all_simples(spec))  # fill its caches
     assert eng.cache
     ref = weakref.ref(eng)
     del eng, spec

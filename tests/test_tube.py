@@ -7,22 +7,29 @@ here independently from the group multiplication table.  Everything about
 t and f is an exact identity, so those tests draw random elements and
 demand machine-precision agreement at a loose 1e-9 gate.
 """
+import cmath
+import math
+
 import numpy as np
 import pytest
 
+import tubecat.tables
 import tubecat.tube
-from conftest import pointed_category, root_gap, root_norm
-from tubecat.catspec import load_spec
+from conftest import pointed_category, rep_a4_random_table, root_gap, root_norm
+from tubecat.catspec import FusionCategorySpec, load_spec
 from tubecat.errors import NotInCommutant, ShapeError, ToleranceError
-from tubecat.morphism import engine_for
+from tubecat.morphism import Engine, engine_for
+from tubecat.ring import compute_fp_dims
 from tubecat.center import decompose_blocks, extract_center_simples
 from tubecat.tube import (LambdaObject, TubeElement, build_delta, build_tube_algebra,
                           f_map, hexagon_residual, naturality_residual, t_map,
                           tube_json, tube_product, tube_star)
 from tubecat.tube import _t_diagram, _table_residuals, _vertex_leg, tube_action
 from oracles import (BlockMap, braiding_blocks, delta_braiding_component,
-                     extend_halfbraiding, generic_leg, gram, sparse_rows, tensor_id_left,
-                     tensor_id_right, whole_map_naturality)
+                     diagram_mult_table, diagram_product, diagram_star,
+                     diagram_star_table, extend_halfbraiding, generic_leg, gram,
+                     sparse_rows, tensor_id_left, tensor_id_right,
+                     whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -558,31 +565,32 @@ def test_unit_corner_is_the_fusion_algebra(catalog, name):
     assert decompose_blocks(A, seed=1).sizes == (1,) * spec.rank
 
 
-def test_build_rejects_corrupted_product(catalog, algebras, monkeypatch):
+def test_build_rejects_corrupted_product(catalog, monkeypatch):
     spec = catalog["fibonacci"]
-    A = algebras["fibonacci"]
-    # a basis pair away from the unit direction with a nonzero product, so
-    # the unit law cannot catch it and the self-check has to
-    tau = direction(A, spec.index("tau"))
-    i, j = next((i, j) for i in range(tau.start, tau.stop)
-                for j in range(tau.start, tau.stop) if np.any(A.mult_table[i, j]))
-    real = tubecat.tube.tube_product
+    tau = spec.index("tau")
+    real = tubecat.tables.product_terms
+    scaled = []
 
-    def scaled(alg, f, g):
-        out = real(alg, f, g)
-        if (np.flatnonzero(f.vector()).tolist() == [i]
-                and np.flatnonzero(g.vector()).tolist() == [j]):
-            out = out * 2.0
-        return out
+    def corrupted(eng, lb):
+        # one structure constant of a basis pair away from the unit
+        # direction, so the unit law cannot catch it and the self-check has to
+        (f, g, e), val = real(eng, lb)
+        k = next(k for k in range(len(val))
+                 if lb.a[f[k]] == lb.a[g[k]] == tau and abs(val[k]) > 0.1)
+        scaled.append(k)
+        val = val.copy()
+        val[k] *= 2.0
+        return (f, g, e), val
 
-    monkeypatch.setattr(tubecat.tube, "tube_product", scaled)
+    monkeypatch.setattr(tubecat.tables, "product_terms", corrupted)
     with pytest.raises(ToleranceError, match=r"tube algebra (assoc|star_anti) defect"):
         build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    assert len(scaled) == 1
 
 
 def test_fill_skips_only_empty_products(algebras):
-    # the table fill computes e_i e_j only when e_j ends in the slot where
-    # e_i starts; every other pair must be an empty product
+    # the product e_i e_j is empty unless e_j ends in the slot where e_i
+    # starts: the diagram draws no block there, and the table holds zeros
     for name in ("ising", "rep_s3"):
         A = algebras[name]
         ends = {}  # basis index -> (source slot, target slot)
@@ -593,17 +601,18 @@ def test_fill_skips_only_empty_products(algebras):
         for i, ei in enumerate(elems):
             for j, ej in enumerate(elems):
                 if ends[j][1] != ends[i][0]:
-                    assert not tube_product(A, ei, ej).blocks, (name, i, j)
+                    assert not diagram_product(A, ei, ej).blocks, (name, i, j)
                     assert not np.any(A.mult_table[i, j]), (name, i, j)
 
 
 def test_product_associative_on_random_triples(algebras):
+    # the diagram product, on whole elements
     A = algebras["rep_s3"]
     rng = np.random.default_rng(3)
     for _ in range(20):
         f, g, h = (A.random_element(rng) for _ in range(3))
-        lhs = tube_product(A, tube_product(A, f, g), h)
-        rhs = tube_product(A, f, tube_product(A, g, h))
+        lhs = diagram_product(A, diagram_product(A, f, g), h)
+        rhs = diagram_product(A, f, diagram_product(A, g, h))
         assert (lhs - rhs).norm() < 1e-9 * max(1.0, lhs.norm())
 
 
@@ -612,8 +621,8 @@ def test_star_antimultiplicative_on_random_pairs(algebras):
     rng = np.random.default_rng(4)
     for _ in range(20):
         f, g = A.random_element(rng), A.random_element(rng)
-        lhs = tube_star(A, tube_product(A, f, g))
-        rhs = tube_product(A, tube_star(A, g), tube_star(A, f))
+        lhs = diagram_star(A, diagram_product(A, f, g))
+        rhs = diagram_product(A, diagram_star(A, g), diagram_star(A, f))
         assert (lhs - rhs).norm() < 1e-9 * max(1.0, lhs.norm())
 
 
@@ -621,9 +630,111 @@ def test_star_is_antilinear_involution(algebras):
     A = algebras["fibonacci"]
     rng = np.random.default_rng(5)
     f = A.random_element(rng)
-    assert (tube_star(A, tube_star(A, f)) - f).norm() < 1e-10
-    zf = tube_star(A, f * (2.0 + 1.0j))
-    assert (zf - tube_star(A, f) * (2.0 - 1.0j)).norm() < 1e-10
+    assert (diagram_star(A, diagram_star(A, f)) - f).norm() < 1e-10
+    zf = diagram_star(A, f * (2.0 + 1.0j))
+    assert (zf - diagram_star(A, f) * (2.0 - 1.0j)).norm() < 1e-10
+
+
+def test_product_and_star_read_the_tables(algebras):
+    # the library product and star are the tables applied to coordinates,
+    # and agree with the diagrams on whole elements
+    for name in ("fibonacci", "rep_s3"):
+        A = algebras[name]
+        rng = np.random.default_rng(15)
+        f, g = A.random_element(rng), A.random_element(rng)
+        v, w = f.vector(), g.vector()
+        assert np.max(np.abs(tube_product(A, f, g).vector()
+                             - np.einsum("i,j,ijk->k", v, w, A.mult_table))) < 1e-12, name
+        assert np.max(np.abs(tube_star(A, f).vector() - np.conj(v) @ A.star_table)) < 1e-12, name
+        assert (tube_product(A, f, g) - diagram_product(A, f, g)).norm() < 1e-12, name
+        assert (tube_star(A, f) - diagram_star(A, f)).norm() < 1e-12, name
+
+
+TABLE_CASES = [(name, None) for name in TUBE_DIM] + [
+    (f"Z/{n} k={k}", None) for n in (4, 5, 6, 7) for k in (1, 2)] + [
+    ("fibonacci", {"tau": 1}), ("fibonacci", {"tau": 2}), ("ising", {"sigma": 1}),
+    ("rep_s3", {"std": 2, "sgn": 1})]  # repeated slots, of two labels
+
+
+@pytest.mark.parametrize("name,mapping", TABLE_CASES,
+                         ids=[f"{n}-{m}" if m else n for n, m in TABLE_CASES])
+def test_tables_equal_the_diagrams(catalog, name, mapping):
+    # the F-entry joins against the diagrams, entry by entry, over every
+    # slot copy of the labels
+    if name.startswith("Z/"):
+        spec = load_spec(pointed_category(int(name[2:name.index(" ")]), k=int(name[-1])))
+    else:
+        spec = catalog[name]
+    lam = (LambdaObject.all_simples(spec) if mapping is None
+           else LambdaObject.from_mapping(spec, mapping))
+    A = build_tube_algebra(spec, lam)
+    assert np.max(np.abs(A.mult_table - diagram_mult_table(A))) <= 1e-14, name
+    assert np.max(np.abs(A.star_table - diagram_star_table(A))) <= 1e-14, name
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_product_table_with_multiplicity(seed, monkeypatch):
+    # Rep(A4)'s ring, 3⊗3 ∋ 2·3, with random unitary F blocks: the product
+    # takes F-moves only, not the pentagon, so the joins must meet the
+    # diagram on every vertex index ν, μ, t, β, σ < 2 and every slot copy.
+    # No pentagon holds, so the build's self-check is set aside, and the
+    # star, whose cup and cap need the zig-zag, is not compared
+    F = rep_a4_random_table(seed)
+    spec = FusionCategorySpec(name="Rep(A4) random F", ring=F.ring,
+                              dims=compute_fp_dims(F.ring), fsymbols=F)
+    monkeypatch.setattr(tubecat.tube, "_table_residuals", lambda *tables: {})
+    for mult in ((1, 1, 1, 1), (0, 1, 0, 2)):
+        A = build_tube_algebra(spec, LambdaObject(mult))
+        assert np.max(np.abs(A.mult_table)) > 1.0
+        assert np.max(np.abs(A.mult_table - diagram_mult_table(A))) <= 1e-14, mult
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", [1, 2])
+def test_pointed_product_is_the_twisted_double(n, k):
+    # Vec[Z/n]^ω with ω(a,b,c) = exp(2πi·k·a·⌊(b+c)/n⌋/n): the tube algebra
+    # is the twisted double D^ω(Z/n) (Dijkgraaf–Pasquier–Roche), so the only
+    # nonzero constant of (b at slot x)·(c at slot x) is
+    # ω(b,c,x) / (ω(b,x,c)·ω(x,b,c)) at (b+c at slot x); the expected
+    # table is made from ω and the block spans alone
+    spec = load_spec(pointed_category(n, k))
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+
+    def omega(a, b, c):
+        return cmath.exp(2j * math.pi * k * a * ((b + c) // n) / n)
+
+    at = {}  # (direction, slot) -> basis index; hom(x⊗a, a⊗y) is 0 unless y = x
+    for (a, m, l), span in A.spans.items():
+        assert span.stop - span.start == (m == l)
+        if m == l:
+            at[(a, l)] = span.start
+    want = np.zeros_like(A.mult_table)
+    for b in range(n):
+        for c in range(n):
+            for x in range(n):
+                want[at[(b, x)], at[(c, x)], at[((b + c) % n, x)]] = (
+                    omega(b, c, x) / (omega(b, x, c) * omega(x, b, c)))
+    assert np.max(np.abs(A.mult_table - want)) <= 1e-15
+
+
+def test_fill_draws_no_diagram(monkeypatch):
+    # a Vec[Z/7]^ω build fills its tables from F entries alone: no call to
+    # the element product or star, and no morphism is left-tensored
+    spec = load_spec(pointed_category(7, k=1))
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Engine, "_tensor_one_left",
+                        counted("_tensor_one_left", Engine._tensor_one_left))
+    for name in ("tube_product", "tube_star"):
+        monkeypatch.setattr(tubecat.tube, name, counted(name, getattr(tubecat.tube, name)))
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    assert A.dim == 49 and calls == []
 
 
 def test_unit_acts_trivially(algebras):
@@ -643,6 +754,18 @@ def test_vector_element_round_trip(algebras):
         e = A.basis_element(int(k))
         w = e.vector()
         assert w[k] == 1.0 and np.count_nonzero(w) == 1, name
+
+
+def test_element_copies_its_vector(algebras):
+    # an element keeps its own coefficients: changing the vector it was
+    # built from afterwards leaves it as it was
+    A = algebras["fibonacci"]
+    v = np.zeros(A.dim, dtype=complex)
+    v[0] = 1.0
+    f = A.element(v)
+    v[0] = 5.0
+    assert f.norm() == 1.0
+    assert f.vector()[0] == 1.0
 
 
 def test_tube_element_refuses_a_block_off_its_words(catalog):
