@@ -7,10 +7,9 @@ BlockMap form below), where the library reads the same identity on stacked
 per-root matrices.  They are slow and independent of the stacked kernel in
 tubecat.tube, which is what makes them worth comparing against.
 
-The tube algebra's product and star are here as the diagrams they are
-(diagram_product, diagram_star, and the tables filled from them pair by
-pair),
-where tubecat.tube fills its tables from joins over the F entries.
+The tube algebra's product and star are here as diagrams (diagram_product,
+diagram_star, and the tables filled from them pair by pair), where
+tubecat.tables fills the tables from joins over the F entries.
 
 The pentagon's two routes are here too, one word and one root at a time, as
 loops over block rows and columns (trees_T1 … pentagon_residual), where
