@@ -8,6 +8,7 @@ t and f is an exact identity, so those tests draw random elements and
 demand machine-precision agreement at a loose 1e-9 gate.
 """
 import cmath
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 import tubecat.tables
 import tubecat.tube
 from conftest import pointed_category, rep_a4_random_table, root_gap, root_norm
-from tubecat.catspec import FusionCategorySpec, load_spec
+from tubecat.catspec import FusionCategorySpec, load_spec, serialize
 from tubecat.errors import NotInCommutant, ShapeError, ToleranceError
 from tubecat.morphism import Engine, engine_for
 from tubecat.ring import compute_fp_dims
@@ -653,7 +654,8 @@ def test_product_and_star_read_the_tables(algebras):
 TABLE_CASES = [(name, None) for name in TUBE_DIM] + [
     (f"Z/{n} k={k}", None) for n in (4, 5, 6, 7) for k in (1, 2)] + [
     ("fibonacci", {"tau": 1}), ("fibonacci", {"tau": 2}), ("ising", {"sigma": 1}),
-    ("rep_s3", {"std": 2, "sgn": 1})]  # repeated slots, of two labels
+    ("rep_s3", {"std": 2, "sgn": 1}),  # repeated slots, of two labels
+    ("ising unit last", None), ("rep_s3 unit last", None)]
 
 
 @pytest.mark.parametrize("name,mapping", TABLE_CASES,
@@ -663,6 +665,11 @@ def test_tables_equal_the_diagrams(catalog, name, mapping):
     # slot copy of the labels
     if name.startswith("Z/"):
         spec = load_spec(pointed_category(int(name[2:name.index(" ")]), k=int(name[-1])))
+    elif name.endswith(" unit last"):  # the labels reversed: the unit is no longer label 0
+        doc = json.loads(serialize(catalog[name.split()[0]]))
+        doc["labels"] = doc["labels"][::-1]
+        spec = load_spec(doc)
+        assert spec.ring.unit == spec.rank - 1
     else:
         spec = catalog[name]
     lam = (LambdaObject.all_simples(spec) if mapping is None
