@@ -462,8 +462,8 @@ class TubeAlgebra:
     (basis i)·(basis j), ``star_table[i,j]`` that of j in (basis i)*, and
     ``spans[(a, m, l)]`` the index range of the block from slot l to slot m
     in the a-component, in basis order.  The tables are filled from F
-    entries (build_tube_algebra), and the product and star of elements
-    read them (tube_product, tube_star).
+    entries (tables.fill), and the product and star of elements read them
+    (tube_product, tube_star).
     """
 
     spec: object
@@ -508,10 +508,10 @@ class TubeAlgebra:
 
 def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebra:
     """Tabulate structure constants and star from joins over the F entries
-    (tables.fill), then verify associativity, star
-    involutivity and anti-multiplicativity, and the unit law with the unit
-    recomputed through the product (_table_residuals).  Positivity of the
-    trace form needs Δ and lives with the tests.
+    (tables.fill), then verify associativity, star involutivity and
+    anti-multiplicativity, and the unit law with the unit recomputed
+    through the product (_table_residuals).  Positivity of the trace form
+    needs Δ and lives with the tests.
     """
     eng = engine_for(spec)
     ring = eng.ring
