@@ -1,5 +1,10 @@
 """Matrix-block structure of the tube algebra and the center objects in it.
 
+Every element of the tube algebra here (the random draws, the idempotents)
+is a coefficient vector in the basis of TubeAlgebra.spans, multiplied and
+starred through mult_table and star_table, as TubeElement holds it; no
+other form of an element is built.
+
 The tube algebra is a finite-dimensional C*-algebra, so it splits as a sum
 of matrix blocks whose units p_k span its center.  We find them from one
 seeded random self-adjoint central element z = Σ λ_k·p_k: each eigenvector
@@ -25,17 +30,16 @@ ToleranceError, and no seed will.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, ToleranceError, worst
-from .sums import SumObject, left_blocks, right_blocks, stack_blocks
-from .tube import (DeltaObject, LambdaObject, TubeAlgebra, TubeElement,
-                   build_delta, build_tube_algebra, tube_action,
-                   verify_halfbraiding)
+from .duality import weighted_trace
+from .sums import SumObject, cut_block, left_blocks, right_blocks, stack_blocks
+from .tube import (DeltaObject, LambdaObject, TubeAlgebra, build_delta,
+                   build_tube_algebra, tube_action, verify_halfbraiding)
 
 __all__ = [
     "BlockDecomposition", "CenterSimple", "decompose_blocks",
@@ -91,13 +95,9 @@ def _check_defect(defect: float, stage: str, what: str) -> None:
 
 @dataclass(eq=False)
 class BlockDecomposition:
-    """Minimal central idempotents of the tube algebra and their block sizes.
+    """Minimal central idempotents of the tube algebra, as coefficient
+    vectors, and their block sizes."""
 
-    ``vectors`` holds the idempotents as coefficient vectors, which is all
-    the pipeline reads; ``idempotents`` builds them as tube elements on
-    first use."""
-
-    algebra: TubeAlgebra
     seed: int
     sizes: tuple
     vectors: list = field(repr=False, default_factory=list)
@@ -105,10 +105,6 @@ class BlockDecomposition:
     @property
     def rank(self) -> int:
         return len(self.sizes)
-
-    @functools.cached_property
-    def idempotents(self) -> list:
-        return [self.algebra.element(p) for p in self.vectors]
 
 
 def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
@@ -160,8 +156,7 @@ def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
         raise DegenerateSpectrum(
             f"block sizes {sizes} do not exhaust dim {dim}")
 
-    return BlockDecomposition(algebra=A, seed=seed, sizes=tuple(sizes),
-                              vectors=vectors)
+    return BlockDecomposition(seed=seed, sizes=tuple(sizes), vectors=vectors)
 
 
 def _refine_minimal(A: TubeAlgebra, p: np.ndarray, n: int,
@@ -200,12 +195,9 @@ class CenterSimple:
     """One simple object of the center: underlying multiplicities in C,
     an isometric copy inside Δ, and the compressed unitary half-braiding,
     ``braiding[a]`` one matrix per root from the stacked trees of obj + (a,)
-    to those of (a,) + obj, as DeltaObject's.
+    to those of (a,) + obj, as DeltaObject's.  ``vector`` is the minimal
+    idempotent of its block, as a coefficient vector."""
 
-    ``vector`` holds the minimal idempotent of its block as a coefficient
-    vector; ``idempotent`` builds it as a tube element on first use."""
-
-    algebra: TubeAlgebra = field(repr=False)
     vector: np.ndarray = field(repr=False)
     underlying: dict
     obj: SumObject
@@ -213,10 +205,6 @@ class CenterSimple:
     hexagon_defect: float
     unitarity_defect: float
     twist: complex | None = None
-
-    @functools.cached_property
-    def idempotent(self) -> TubeElement:
-        return self.algebra.element(self.vector)
 
     def dim(self) -> float:
         d = self.obj.engine.d
@@ -293,7 +281,7 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
 
         X = SumObject(eng, [(z,) for z, _c in tags], tags)
         out.append(CenterSimple(
-            algebra=A, vector=qv,
+            vector=qv,
             underlying={labs[z]: m for z, m in sorted(mults.items())},
             obj=X, braiding=compress_halfbraiding(delta, X, V),
             hexagon_defect=math.nan, unitarity_defect=math.nan))
@@ -318,17 +306,15 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
 
 def compute_twists(simples: list) -> list:
     """Close each half-braiding into a ribbon loop: θ·d_X is the weighted
-    trace Σ_r d_r·tr of the self-crossing, summed over the object's simple
-    summands z: the diagonal block of e_z at summand i, roots ascending."""
+    trace Σ_r d_r·tr (duality.weighted_trace) of the self-crossing, summed
+    over the object's simple summands z: the diagonal block (i, i) of e_z
+    at summand i, cut out with sums.cut_block."""
     out = []
     for s in simples:
-        num, d = 0.0 + 0.0j, s.obj.engine.d
-        for i, (z, _c) in enumerate(s.obj.tags):
-            e = s.braiding[z]
-            rows, cols = s.obj.stacked((z,)).starts, s.obj.stacked((), (z,)).starts
-            num += sum(d[r] * np.trace(e[r][rows[r][i]:rows[r][i + 1],
-                                             cols[r][i]:cols[r][i + 1]])
-                       for r in sorted(e))
+        num, X = 0.0 + 0.0j, s.obj
+        for i, (z, _c) in enumerate(X.tags):
+            num += weighted_trace(cut_block(X.engine, s.braiding[z], X.stacked((), (z,)),
+                                            X.stacked((z,)), i, i))
         theta = num / s.dim()
         s.twist = theta
         out.append(theta)

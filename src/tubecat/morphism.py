@@ -27,14 +27,15 @@ __all__ = ["Linear", "Morphism", "Engine", "engine_for"]
 
 class Linear:
     """The vector-space operations of Morphism and TubeElement, done once
-    over a dict of parts: each class names that dict (``_parts``: arrays per
-    root, or Morphism blocks), rebuilds itself from one (``_like``) and
-    checks that two are parallel (``_check_parallel``)."""
+    over keyed arrays: each class lists them (``_items``: by default its
+    ``blocks``, arrays per root; TubeElement's one coefficient vector),
+    rebuilds itself from a dict of them (``_like``) and checks that two are
+    parallel (``_check_parallel``)."""
 
     __slots__ = ()
 
     def _items(self):
-        return getattr(self, self._parts).items()
+        return self.blocks.items()
 
     def __add__(self, other):
         """Sparse union of the parts, in this operand's key order."""
@@ -51,8 +52,7 @@ class Linear:
     def norm(self) -> float:
         """Max-abs coefficient, NaN if any part holds one; residuals
         throughout are stated in this norm."""
-        return worst(p.norm() if isinstance(p, Linear) else float(np.max(np.abs(p), initial=0.0))
-                     for _k, p in self._items())
+        return worst(float(np.max(np.abs(p), initial=0.0)) for _k, p in self._items())
 
     def __sub__(self, other):
         return self + other * (-1.0)
@@ -69,7 +69,6 @@ class Linear:
 
 class Morphism(Linear):
     __slots__ = ("engine", "src", "dst", "blocks")
-    _parts = "blocks"
 
     def __init__(self, engine: "Engine", src: Word, dst: Word, blocks: dict):
         self.engine = engine

@@ -1,12 +1,14 @@
 """Tube algebra of a fusion category over a chosen object Λ.
 
 Λ is a multiplicity vector over the simple labels.  The algebra lives on
-A(Λ) = ⊕_a Hom(Λ⊗a, a⊗Λ), and a tube element keeps one Morphism per
-direction a and pair of slots of Λ.  Alongside it: Δ(Λ) = ⊕_x x⊗Λ⊗x̄ with
-its unitary half-braiding, and the two inverse maps between tube elements
-and the endomorphisms of Δ that commute with it.  Maps on Δ, the
-half-braiding and those endomorphisms alike, are one matrix per root on
-the stacked trees of its summands (sums.StackedBasis).
+A(Λ) = ⊕_a Hom(Λ⊗a, a⊗Λ), and a tube element is its coefficient vector in
+the basis of TubeAlgebra.spans: per direction a and pair of slots of Λ, the
+hom basis of that block.  Morphism blocks are drawn only where a diagram
+needs one (_t_diagram on basis elements, f_map's closures).  Alongside it:
+Δ(Λ) = ⊕_x x⊗Λ⊗x̄ with its unitary half-braiding, and the two inverse maps
+between tube elements and the endomorphisms of Δ that commute with it.
+Maps on Δ, the half-braiding and those endomorphisms alike, are one matrix
+per root on the stacked trees of its summands (sums.StackedBasis).
 
 The structure constants are fixed contractions of F entries (tables.fill),
 and tube_product and tube_star read them; the diagrams they contract are
@@ -419,24 +421,22 @@ def build_delta(spec, lam: LambdaObject) -> DeltaObject:
 # ---- tube algebra -----------------------------------------------------------
 
 class TubeElement(Linear):
-    """Finitely supported family of blocks f_(a, m, l): x_l⊗a → a⊗x_m, one
-    Morphism per direction a, source slot l and target slot m of Λ; absent
-    blocks are zero."""
+    """An element of A(Λ): a copy of its coefficient vector in the basis of
+    TubeAlgebra.spans, and nothing else; Linear's one part."""
 
-    __slots__ = ("algebra", "blocks")
-    _parts = "blocks"
+    __slots__ = ("algebra", "vector")
 
-    def __init__(self, algebra: "TubeAlgebra", blocks: dict):
-        slots = algebra.slots
-        for (a, m, l), blk in blocks.items():
-            if blk.src != (slots[l][0], a) or blk.dst != (a, slots[m][0]):
-                raise ShapeError(f"block {(a, m, l)} is {blk.src}->{blk.dst}, "
-                                 "not (x_l, a) -> (a, x_m)")
-        self.algebra = algebra
-        self.blocks = dict(blocks)
+    def __init__(self, algebra: "TubeAlgebra", vector):
+        vector = np.array(vector, dtype=complex)
+        if vector.shape != (algebra.dim,):
+            raise ShapeError(f"coefficient vector must have length {algebra.dim}")
+        self.algebra, self.vector = algebra, vector
 
-    def _like(self, blocks: dict) -> "TubeElement":
-        return TubeElement(self.algebra, blocks)
+    def _items(self):
+        return ((None, self.vector),)
+
+    def _like(self, parts: dict) -> "TubeElement":
+        return TubeElement(self.algebra, parts[None])
 
     def _check_parallel(self, other: "TubeElement"):
         if other.algebra.lam != self.algebra.lam:
@@ -444,13 +444,10 @@ class TubeElement(Linear):
         if other.algebra.engine is not self.algebra.engine:
             raise ShapeError("tube elements over different categories")
 
-    def vector(self) -> np.ndarray:
-        return self.algebra.vector_of(self)
-
     def __repr__(self):
         labs = self.algebra.spec.labels
-        sup = ",".join(labs[a] for a in sorted({a for (a, _m, _l), blk in self.blocks.items()
-                                                if blk.norm() > 0}))
+        sup = ",".join(labs[a] for a in sorted({a for (a, _m, _l), span in self.algebra.spans.items()
+                                                if self.vector[span].any()}))
         return f"<TubeElement support=({sup}) norm={self.norm():.3g}>"
 
 
@@ -461,9 +458,10 @@ class TubeAlgebra:
     Hom(x⊗a, a⊗y).  ``mult_table[i,j,k]`` is the coefficient of basis k in
     (basis i)·(basis j), ``star_table[i,j]`` that of j in (basis i)*, and
     ``spans[(a, m, l)]`` the index range of the block from slot l to slot m
-    in the a-component, in basis order.  The tables are filled from F
-    entries (tables.fill), and the product and star of elements read them
-    (tube_product, tube_star).
+    in the a-component, in basis order: the coordinates of Hom(x_l⊗a,
+    a⊗x_m) in Engine.hom_basis order.  The tables are filled from F entries
+    (tables.fill); a TubeElement is a coefficient vector, and its product
+    and star read the tables (tube_product, tube_star).
     """
 
     spec: object
@@ -479,31 +477,19 @@ class TubeAlgebra:
 
     # ---- coordinates ---------------------------------------------------------
     def vector_of(self, f: TubeElement) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        for key, blk in f.blocks.items():
-            out[self.spans[key]] = blk.coeffs()
-        return out
+        return f.vector
 
     def element(self, vec) -> TubeElement:
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (self.dim,):
-            raise ShapeError(f"coefficient vector must have length {self.dim}")
-        slots = self.slots
-        blocks = {}
-        for (a, m, l), span in self.spans.items():
-            if span.start < span.stop and vec[span].any():
-                blocks[(a, m, l)] = self.engine.from_coeffs(
-                    (slots[l][0], a), (a, slots[m][0]), vec[span])
-        return TubeElement(self, blocks)
+        return TubeElement(self, vec)
 
     def basis_element(self, k: int) -> TubeElement:
         vec = np.zeros(self.dim, dtype=complex)
         vec[k] = 1.0
-        return self.element(vec)
+        return TubeElement(self, vec)
 
     def random_element(self, rng: np.random.Generator) -> TubeElement:
-        return self.element(rng.standard_normal(self.dim)
-                            + 1j * rng.standard_normal(self.dim))
+        return TubeElement(self, rng.standard_normal(self.dim)
+                           + 1j * rng.standard_normal(self.dim))
 
 
 def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebra:
@@ -522,16 +508,12 @@ def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebr
     alg = TubeAlgebra(spec=spec, lam=lam, engine=eng, slots=slots, dim=len(star),
                       spans=spans, mult_table=mult, star_table=star, unit=None, residuals={})
 
-    unit_blocks = {}
-    u = ring.unit
-    for l, (x, _c) in enumerate(slots):
-        tb = eng.basis((x, u))
-        unit_blocks[(u, l, l)] = eng.make((x, u), (u, x), {
-            z: np.eye(tb.dim(z), dtype=complex) for z in tb.roots()})
-    alg.unit = TubeElement(alg, unit_blocks)
+    unit = np.zeros(alg.dim, dtype=complex)
+    for l in range(len(slots)):
+        unit[spans[(ring.unit, l, l)]] = 1.0
+    alg.unit = TubeElement(alg, unit)
 
-    alg.residuals = _table_residuals(alg.mult_table, alg.star_table,
-                                     alg.vector_of(alg.unit))
+    alg.residuals = _table_residuals(mult, star, unit)
     top = worst(alg.residuals.values())
     if not top < tol:
         bad = next(k for k, v in alg.residuals.items() if v == top or v != v)
@@ -598,60 +580,56 @@ def _table_residuals(c: np.ndarray, s: np.ndarray, uvec: np.ndarray) -> dict:
 
 def tube_product(A: TubeAlgebra, f: TubeElement, g: TubeElement) -> TubeElement:
     """f·g, read off mult_table over the nonzero coordinates of f and g."""
-    v, w = f.vector(), g.vector()
+    v, w = f.vector, g.vector
     i, j = np.flatnonzero(v), np.flatnonzero(w)
-    return A.element(np.einsum("i,j,ijk->k", v[i], w[j], A.mult_table[np.ix_(i, j)]))
+    return TubeElement(A, np.einsum("i,j,ijk->k", v[i], w[j], A.mult_table[np.ix_(i, j)]))
 
 
 def tube_star(A: TubeAlgebra, f: TubeElement) -> TubeElement:
     """f*, read off star_table: the star is antilinear."""
-    return A.element(np.conj(f.vector()) @ A.star_table)
+    return TubeElement(A, np.conj(f.vector) @ A.star_table)
 
 
 # ---- tube elements as endomorphisms of Δ -------------------------------------
 
-def _t_diagram(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> dict:
-    """Thread every direction line of f through the conjugate sandwich:
-    the (x, a; y) dual pair crosses the a-line over the summand boundary,
-    one half transported to the conjugate strand.  Output is an
-    endomorphism of Δ, one matrix per root on Δ.obj.stacked(), each block
-    summed whole before it is placed (stack_blocks).  The one definition of
-    t_map, which reads it through tube_action's basis images."""
-    if delta.lam != A.lam:
-        raise ShapeError("Δ and the tube algebra were built over different Λ")
+def _t_diagram(A: TubeAlgebra, delta: DeltaObject, a: int, m: int, l: int,
+               blk: Morphism) -> dict:
+    """Thread the direction line of blk : x_l⊗a → a⊗x_m through the
+    conjugate sandwich: the (x, a; y) dual pair crosses the a-line over the
+    summand boundary, one half transported to the conjugate strand.  Output
+    is an endomorphism of Δ, one matrix per root on Δ.obj.stacked(), each
+    block summed whole before it is placed (stack_blocks).  The one
+    definition of t_map, which reads it through tube_action's basis images."""
     eng = A.engine
     ring, d = eng.ring, eng.d
-    slots = A.slots
+    xl, xm = A.slots[l][0], A.slots[m][0]
     obj = delta.obj
     out: dict = {}
-    for (a, m, l), blk in f.blocks.items():
-        xl, xm = slots[l][0], slots[m][0]
-        for x in range(ring.rank):
-            for y in ring.fusion_outcomes(x, a):
-                n = int(ring.N[x, a, y])
-                yd = ring.dual[y]
-                pair = canonical_pair(eng, x, a, y)
-                rots = _rotated_splits(eng, x, a, y)  # (xbar,) -> (a, ybar)
-                coeff = math.sqrt(d[x] * d[a] * d[y])
-                mid = eng.tensor_id_left((x,), eng.tensor_id_right(blk, (yd,)))
-                term = None
-                for t in range(n):
-                    lo = _cached(eng.cache, ("t_lo", x, xl, a, y, t),
-                                 lambda: eng.tensor_id_left((x, xl), rots[t]))
-                    hi = _cached(eng.cache, ("t_hi", x, a, y, t, xm),
-                                 lambda: eng.tensor_id_right(pair.fuses[t], (xm, yd)))
-                    piece = hi @ mid @ lo
-                    term = piece if term is None else term + piece
-                key = (obj.index((y, m)), obj.index((x, l)))
-                add = term * coeff
-                out[key] = out[key] + add if key in out else add
+    for x in range(ring.rank):
+        for y in ring.fusion_outcomes(x, a):
+            n = int(ring.N[x, a, y])
+            yd = ring.dual[y]
+            pair = canonical_pair(eng, x, a, y)
+            rots = _rotated_splits(eng, x, a, y)  # (xbar,) -> (a, ybar)
+            coeff = math.sqrt(d[x] * d[a] * d[y])
+            mid = eng.tensor_id_left((x,), eng.tensor_id_right(blk, (yd,)))
+            term = None
+            for t in range(n):
+                lo = _cached(eng.cache, ("t_lo", x, xl, a, y, t),
+                             lambda: eng.tensor_id_left((x, xl), rots[t]))
+                hi = _cached(eng.cache, ("t_hi", x, a, y, t, xm),
+                             lambda: eng.tensor_id_right(pair.fuses[t], (xm, yd)))
+                piece = hi @ mid @ lo
+                term = piece if term is None else term + piece
+            out[(obj.index((y, m)), obj.index((x, l)))] = (term * coeff).blocks
     sb = obj.stacked()
-    return stack_blocks({key: m.blocks for key, m in out.items()}, sb, sb)
+    return stack_blocks(out, sb, sb)
 
 
 def tube_action(A: TubeAlgebra, delta: DeltaObject) -> dict:
     """The linear map t compiled from its basis images: root z -> R_z with
-    R_z[k] the matrix of _t_diagram(e_k) on the stacked coordinates of
+    R_z[k] the matrix of _t_diagram on basis element k, the k-th
+    Engine.hom_basis morphism of its span, on the stacked coordinates of
     Hom(z, Δ) (Δ.obj.stacked()).  Made once per (A, Δ), on first use, and
     kept on Δ keyed by A."""
     if delta.lam != A.lam:
@@ -660,9 +638,12 @@ def tube_action(A: TubeAlgebra, delta: DeltaObject) -> dict:
     if R is None:
         R = {z: np.zeros((A.dim, n, n), dtype=complex)
              for z, n in delta.obj.stacked().dims.items()}
-        for k in range(A.dim):
-            for z, m in _t_diagram(A, delta, A.basis_element(k)).items():
-                R[z][k] = m
+        slots = A.slots
+        for (a, m, l), span in A.spans.items():
+            basis = A.engine.hom_basis((slots[l][0], a), (a, slots[m][0]))
+            for k, blk in zip(range(span.start, span.stop), basis):
+                for z, mat in _t_diagram(A, delta, a, m, l, blk).items():
+                    R[z][k] = mat
         delta.actions[A] = R
     return R
 
@@ -672,8 +653,7 @@ def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> dict:
     Δ.obj.stacked() like DeltaObject.braiding: Σ_k f_k·R_z[k], from the
     basis images tube_action compiles out of _t_diagram."""
     R = tube_action(A, delta)
-    v = A.vector_of(f)
-    return {z: np.tensordot(v, Rz, 1) for z, Rz in R.items()}
+    return {z: np.tensordot(f.vector, Rz, 1) for z, Rz in R.items()}
 
 
 def naturality_residual(delta: DeltaObject, T: dict) -> float:
@@ -708,7 +688,8 @@ NATURALITY_TOL = 1e-7
 def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
     """Invert t_map: close each summand block of T with a cup on the left
     strand and a cap on the right one, then fuse the freed legs into the
-    direction line with a dual pair.  Prefactor 1/dim(C).  T is one
+    direction line with a dual pair, and write the closed block's
+    coefficients into its span.  Prefactor 1/dim(C).  T is one
     (n_z, n_z) matrix per root z of Δ.obj.stacked(), as t_map gives it; a
     block is cut out of it once, when the formula first reads it, and one
     that is exactly zero at every root is skipped.
@@ -738,7 +719,7 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
             cut[(i, j)] = m if any(b.any() for b in m.blocks.values()) else None
         return cut[(i, j)]
 
-    blocks = {}
+    vec = np.zeros(A.dim, dtype=complex)
     for a in range(ring.rank):
         for l, (xl_lab, _cl) in enumerate(slots):
             for m, (xm_lab, _cm) in enumerate(slots):
@@ -773,8 +754,8 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
                             piece = (g5 @ g43 @ g21) * coeff
                             acc = piece if acc is None else acc + piece
                 if acc is not None:
-                    blocks[(a, m, l)] = acc * pref
-    return TubeElement(A, blocks)
+                    vec[A.spans[(a, m, l)]] = (acc * pref).coeffs()
+    return TubeElement(A, vec)
 
 
 # ---- serialization ------------------------------------------------------------

@@ -9,7 +9,9 @@ tubecat.tube, which is what makes them worth comparing against.
 
 The tube algebra's product and star are here as diagrams (diagram_product,
 diagram_star, and the tables filled from them pair by pair), where
-tubecat.tables fills the tables from joins over the F entries.
+tubecat.tables fills the tables from joins over the F entries.  The
+diagrams read a tube element as Morphism blocks (element_blocks), where
+the library keeps only its coefficient vector.
 
 The pentagon's two routes are here too, one word and one root at a time, as
 loops over block rows and columns (trees_T1 … pentagon_residual), where
@@ -26,7 +28,7 @@ from tubecat.morphism import Linear
 from tubecat.pairs import canonical_pair
 from tubecat.sums import SumObject, cut_block, stack_blocks
 from tubecat.trees import tree_root
-from tubecat.tube import TubeElement, _rotated_fuses, t_map
+from tubecat.tube import _rotated_fuses, _t_diagram, t_map
 
 
 class BlockMap(Linear):
@@ -35,10 +37,13 @@ class BlockMap(Linear):
     dst.summands[i], and absent blocks are zero."""
 
     __slots__ = ("src", "dst", "blocks")
-    _parts = "blocks"
 
     def __init__(self, src, dst, blocks):
         self.src, self.dst, self.blocks = src, dst, dict(blocks)
+
+    def norm(self):
+        """Linear's norm over the Morphism blocks: NaN in any one is kept."""
+        return worst(m.norm() for m in self.blocks.values())
 
     @property
     def engine(self):
@@ -124,6 +129,36 @@ def delta_braiding_component(eng, obj, a):
     return BlockMap(obj.tensor_right((a,)), obj.tensor_left((a,)), blocks)
 
 
+def element_blocks(A, f):
+    """The tube element f as Morphism blocks, ``(a, m, l)`` -> the block
+    x_l⊗a → a⊗x_m read off its span of f's coefficient vector; a span that
+    is all zero gives no block."""
+    slots = A.slots
+    return {(a, m, l): A.engine.from_coeffs((slots[l][0], a), (a, slots[m][0]), f.vector[span])
+            for (a, m, l), span in A.spans.items() if f.vector[span].any()}
+
+
+def blocks_element(A, blocks):
+    """The tube element with these Morphism blocks (element_blocks' form),
+    each block's coeffs() written into its span."""
+    vec = np.zeros(A.dim, dtype=complex)
+    for (a, m, l), blk in blocks.items():
+        assert (blk.src, blk.dst) == ((A.slots[l][0], a), (a, A.slots[m][0])), (a, m, l)
+        vec[A.spans[(a, m, l)]] = blk.coeffs()
+    return A.element(vec)
+
+
+def t_diagram(A, delta, f):
+    """The endomorphism of Δ that f acts as, drawn block by block
+    (tubecat.tube._t_diagram on each of f's blocks) and summed per root,
+    where t_map reads it through the basis images of tube_action."""
+    out = {}
+    for (a, m, l), blk in element_blocks(A, f).items():
+        for z, mat in _t_diagram(A, delta, a, m, l, blk).items():
+            out[z] = out[z] + mat if z in out else mat
+    return out
+
+
 def diagram_product(A, f, g):
     """f·g as a diagram: split the direction line into (c, b) with a dual
     pair, run g along c below f along b, and fuse back.  Coefficient per
@@ -132,9 +167,10 @@ def diagram_product(A, f, g):
     ring, d = eng.ring, eng.d
     slots = A.slots
     acc = {}
-    for (b, m, p), fblk in f.blocks.items():
+    gblocks = element_blocks(A, g)
+    for (b, m, p), fblk in element_blocks(A, f).items():
         xm = slots[m][0]
-        for (c, p2, l), gblk in g.blocks.items():
+        for (c, p2, l), gblk in gblocks.items():
             if p2 != p:
                 continue
             xl = slots[l][0]
@@ -149,7 +185,7 @@ def diagram_product(A, f, g):
                 add = term * math.sqrt(d[c] * d[b] * d[a])
                 key = (a, m, l)
                 acc[key] = acc[key] + add if key in acc else add
-    return TubeElement(A, acc)
+    return blocks_element(A, acc)
 
 
 def diagram_star(A, f):
@@ -159,7 +195,7 @@ def diagram_star(A, f):
     eng = A.engine
     slots = A.slots
     blocks = {}
-    for (b, m, l), blk in f.blocks.items():
+    for (b, m, l), blk in element_blocks(A, f).items():
         a = eng.ring.dual[b]
         xl, xm = slots[l][0], slots[m][0]
         # cup: () -> (a, abar), cap: (abar, a) -> (); blk† : (b, x_m) -> (x_l, b)
@@ -167,7 +203,7 @@ def diagram_star(A, f):
         h2 = eng.tensor_id_left((a,), eng.tensor_id_right(blk.dag(), (a,)))
         h3 = eng.tensor_id_left((a, xl), ev(eng, a))
         blocks[(a, l, m)] = h3 @ h2 @ h1
-    return TubeElement(A, blocks)
+    return blocks_element(A, blocks)
 
 
 def diagram_mult_table(A):

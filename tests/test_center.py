@@ -20,8 +20,8 @@ from tubecat.center import (center_report, decompose_blocks,
                             extract_center_simples)
 from tubecat.errors import DegenerateSpectrum, ToleranceError
 from tubecat.jsonutil import dumps_canonical
-from tubecat.tube import LambdaObject, TubeElement, build_delta, build_tube_algebra
-from oracles import braiding_blocks
+from tubecat.tube import LambdaObject, build_delta, build_tube_algebra
+from oracles import blocks_element, braiding_blocks
 
 BLOCK_SIZES = {
     "vec": (1,),
@@ -147,11 +147,12 @@ def test_idempotents_orthogonal_resolution(catalog):
     A = build_tube_algebra(spec, lam)
     dec = decompose_blocks(A, seed=1)
     from tubecat.tube import tube_product, tube_star
+    idempotents = [A.element(v) for v in dec.vectors]
     total = None
-    for i, p in enumerate(dec.idempotents):
+    for i, p in enumerate(idempotents):
         assert (tube_product(A, p, p) - p).norm() < 1e-10
         assert (tube_star(A, p) - p).norm() < 1e-10
-        for q in dec.idempotents[i + 1:]:
+        for q in idempotents[i + 1:]:
             assert tube_product(A, p, q).norm() < 1e-8
         total = p if total is None else total + p
     assert (total - A.unit).norm() < 1e-8
@@ -220,7 +221,7 @@ def test_refined_idempotent_is_subordinate(catalog):
         dec = decompose_blocks(A, seed=1)
         simples = extract_center_simples(A, D, dec)
         for k, (n, s) in enumerate(zip(dec.sizes, simples)):
-            p, q = dec.idempotents[k], s.idempotent
+            p, q = A.element(dec.vectors[k]), A.element(s.vector)
             assert (tube_product(A, p, q) - q).norm() < 1e-9, (name, k)
             assert (tube_product(A, q, p) - q).norm() < 1e-9, (name, k)
             if n == 1:
@@ -229,7 +230,7 @@ def test_refined_idempotent_is_subordinate(catalog):
             refined += 1
             assert (tube_product(A, q, q) - q).norm() < 1e-9, (name, k)
             assert (tube_star(A, q) - q).norm() < 1e-9, (name, k)
-            weight = np.einsum("m,mjj->", A.vector_of(q), A.mult_table)
+            weight = np.einsum("m,mjj->", q.vector, A.mult_table)
             assert abs(weight - n) < 1e-9, (name, k, weight)
     assert refined == 5
 
@@ -406,8 +407,8 @@ def _dehn_twist(A, power):
     """Σ_l d_{x_l}^power·e_l, with e_l the strand x_l wound once around the
     annulus: the tube element whose one block (x_l, l, l) is id_(x_l, x_l)."""
     eng = A.engine
-    return A.vector_of(TubeElement(A, {(x, l, l): eng.identity((x, x)) * eng.d[x] ** power
-                                       for l, (x, _c) in enumerate(A.slots)}))
+    return blocks_element(A, {(x, l, l): eng.identity((x, x)) * eng.d[x] ** power
+                              for l, (x, _c) in enumerate(A.slots)}).vector
 
 
 @pytest.mark.parametrize("name, mapping", [
@@ -499,23 +500,6 @@ def test_partial_lambda_skips_the_sums_over_all_simples(catalog):
     assert tubecat.center._soft_checks(spec, lam, simples) == {"unit twists": True}
 
 
-def test_idempotents_are_built_on_first_use(monkeypatch):
-    from conftest import pointed_category
-    from tubecat.catspec import load_spec
-    spec = load_spec(pointed_category(3, k=1))
-    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
-    calls = []
-    real = type(A).element
-    monkeypatch.setattr(type(A), "element",
-                        lambda self, vec: calls.append(1) or real(self, vec))
-    dec = decompose_blocks(A, seed=1)
-    assert not calls
-    elems = dec.idempotents
-    assert len(calls) == dec.rank and dec.idempotents is elems
-    for p, v in zip(elems, dec.vectors):
-        assert np.array_equal(p.vector(), v)
-
-
 def test_extraction_builds_no_hom_basis_into_delta(monkeypatch):
     # the isometries are read off the stacked coordinates of Hom(z, Δ), so
     # no basis of Hom(z, w) is built for a summand w of Δ, on any block
@@ -534,26 +518,6 @@ def test_extraction_builds_no_hom_basis_into_delta(monkeypatch):
     simples = extract_center_simples(A, D, dec)
     assert len(simples) == 36
     assert not set(built) & set(D.obj.summands)
-
-
-def test_center_idempotent_is_built_on_first_use(catalog, monkeypatch):
-    from tubecat.tube import tube_action
-    spec = catalog["fibonacci"]
-    lam = LambdaObject.all_simples(spec)
-    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
-    dec = decompose_blocks(A, seed=1)
-    tube_action(A, D)  # the compile reads basis elements
-    calls = []
-    real = type(A).element
-    monkeypatch.setattr(type(A), "element",
-                        lambda self, vec: calls.append(1) or real(self, vec))
-    simples = extract_center_simples(A, D, dec)
-    assert not calls
-    for s in simples:
-        q = s.idempotent
-        assert s.idempotent is q
-        assert np.array_equal(q.vector(), s.vector)
-    assert len(calls) == len(simples)
 
 
 def _extract_with_isometries(spec, monkeypatch):

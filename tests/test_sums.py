@@ -102,22 +102,22 @@ def test_from_stacked_inverts_stacked(catalog):
 
 
 def test_block_difference_is_blockwise(catalog):
-    # a tube element's blocks, keyed (a, m, l), subtract block by block over
-    # the union of their keys, and a NaN in any block reaches the norm
+    # a tube element is its coefficient vector, so two subtract span by
+    # span, entry by entry, zero spans included, and a NaN in any block
+    # reaches the norm
     from tubecat.tube import LambdaObject, build_tube_algebra
     spec = catalog["ising"]
     A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
     rng = np.random.default_rng(12)
     f, g = A.random_element(rng), A.random_element(rng)
-    keys = sorted(f.blocks)
-    f.blocks.pop(keys[0])
-    g.blocks.pop(keys[-1])
+    spans = [span for span in A.spans.values() if span.stop > span.start]
+    f.vector[spans[0]] = 0
+    g.vector[spans[-1]] = 0
     got, want = f - g, f + g * (-1.0)
-    assert sorted(got.blocks) == sorted(want.blocks) == keys
-    for key, m in want.blocks.items():
-        for z, blk in m.blocks.items():
-            assert np.array_equal(got.blocks[key].blocks[z], blk)
-    assert np.array_equal((f - g).vector(), f.vector() - g.vector())
-    g.blocks[keys[0]].blocks[max(g.blocks[keys[0]].blocks)][0, 0] = np.nan
+    assert np.array_equal(got.vector, want.vector)
+    assert np.array_equal(got.vector, f.vector - g.vector)
+    assert np.array_equal(got.vector[spans[0]], -g.vector[spans[0]])
+    assert np.array_equal(got.vector[spans[-1]], f.vector[spans[-1]])
+    g.vector[spans[0].stop - 1] = np.nan
     assert np.isnan((f - g).norm())
 
