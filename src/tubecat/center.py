@@ -96,7 +96,7 @@ def _check_defect(defect: float, stage: str, what: str) -> None:
 @dataclass(eq=False)
 class BlockDecomposition:
     """Minimal central idempotents of the tube algebra, as coefficient
-    vectors, and their block sizes."""
+    vectors, and their block sizes, in canonical order (decompose_blocks)."""
 
     seed: int
     sizes: tuple
@@ -112,9 +112,12 @@ def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
 
     The minimal central idempotents are multiples of V·e_k, for V an
     orthonormal basis of the center and e_k the eigenvectors of the r×r
-    matrix M = V†·L_z·V.  Deterministic given the seed.  Verified:
-    idempotency, self-adjointness, orthogonality, unit partition, and
-    integer sizes with Σn² = dim.  A finite draw that fails them raises
+    matrix M = V†·L_z·V.  Verified: idempotency, self-adjointness,
+    orthogonality, unit partition, and integer sizes with Σn² = dim.  The
+    blocks come in a canonical order, not the eigensolver's: by size, then
+    by the idempotent's vector rounded to 1e-9, real parts then imaginary
+    parts, compared lexicographically; so every seed that splits A numbers
+    its blocks alike, up to rounding.  A finite draw that fails them raises
     DegenerateSpectrum (retry with another seed); a non-finite defect or
     an empty center raises ToleranceError.
     """
@@ -156,7 +159,10 @@ def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
         raise DegenerateSpectrum(
             f"block sizes {sizes} do not exhaust dim {dim}")
 
-    return BlockDecomposition(seed=seed, sizes=tuple(sizes), vectors=vectors)
+    order = sorted(range(r), key=lambda k: (sizes[k], *np.round(vectors[k].real, 9),
+                                            *np.round(vectors[k].imag, 9)))
+    return BlockDecomposition(seed=seed, sizes=tuple(sizes[k] for k in order),
+                              vectors=[vectors[k] for k in order])
 
 
 def _refine_minimal(A: TubeAlgebra, p: np.ndarray, n: int,
