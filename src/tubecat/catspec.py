@@ -129,26 +129,19 @@ def load_spec(source) -> FusionCategorySpec:
     ring = FusionRing(labels=tuple(labels), unit=unit, dual=dual, N=N)
     ring.validate()
 
+    # a unitary fusion category's positive dimensions are its
+    # Perron-Frobenius ones; supplied dims are only checked against them
     dims = compute_fp_dims(ring)
-    override = bool(data.get("dims_override", False))
     if "dims" in data and data["dims"] is not None:
         given_map = _need(data, "dims", dict)
         if set(given_map) != set(labels):
             raise SchemaError("dims must cover every label exactly once")
         given = np.array([_as_number(given_map[lab], f"dims[{lab}]") for lab in labels])
-        if override:
-            if np.any(given <= 0):
-                raise ConsistencyError("overriding dims must be positive")
-            dims = QuantumDimensions(d=given, global_dim=float(np.sum(given ** 2)))
-        else:
-            gap = np.abs(given - dims.d)
-            if not np.max(gap) <= DIM_TOL:
-                bad = labels[int(np.argmax(gap))]
-                raise ConsistencyError(
-                    f"supplied dim for {bad!r} is off by {np.max(gap):.3e} "
-                    "from the Perron-Frobenius value (set dims_override to force)")
-    elif override:
-        raise SchemaError("dims_override set without dims")
+        gap = np.abs(given - dims.d)
+        if not np.max(gap) <= DIM_TOL:
+            bad = labels[int(np.argmax(gap))]
+            raise ConsistencyError(f"supplied dim for {bad!r} is off by {np.max(gap):.3e} "
+                                   "from the Perron-Frobenius value")
 
     convention = _need(data, "convention", str)
     if convention != "isometry":
@@ -187,8 +180,6 @@ def load_spec(source) -> FusionCategorySpec:
     fsymbols.check_unitary(UNITARITY_TOL)
 
     metadata = dict(data.get("metadata", {}) or {})
-    if override:
-        metadata["dims_override"] = True
     return FusionCategorySpec(name=name, ring=ring, dims=dims,
                               fsymbols=fsymbols, metadata=metadata)
 
@@ -212,9 +203,6 @@ def serialize(spec: FusionCategorySpec) -> str:
         "F": f_rows,
         "convention": "isometry",
     }
-    if spec.metadata.get("dims_override"):
-        doc["dims_override"] = True
-    meta = {k: v for k, v in spec.metadata.items() if k != "dims_override"}
-    if meta:
-        doc["metadata"] = meta
+    if spec.metadata:
+        doc["metadata"] = dict(spec.metadata)
     return dumps_canonical(doc)

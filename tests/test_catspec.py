@@ -96,16 +96,6 @@ def test_wrong_dims_rejected():
         load_spec(doc)
 
 
-def test_dims_override_wins():
-    doc = pointed_category(2)
-    doc["dims"] = {"0": 1.0, "1": 1.5}
-    doc["dims_override"] = True
-    spec = load_spec(doc)
-    assert spec.dims.d[1] == 1.5
-    # and the flag survives a round trip
-    assert load_spec(serialize(spec)).dims.d[1] == 1.5
-
-
 def test_schema_errors():
     with pytest.raises(SchemaError):
         load_spec(b"{ not json")
@@ -119,7 +109,6 @@ def test_schema_errors():
         lambda d: d["N"].append(d["N"][0]),               # duplicate
         lambda d: d["N"].append(["0", "0", "bogus", 1]),  # unknown label
         lambda d: d.update(dual={"0": "0"}),              # incomplete dual
-        lambda d: d.update(dims_override=True),           # override w/o dims
         lambda d: d["F"].append({"abcd": ["1", "1", "1", "1"],
                                  "e": "1", "f": "1", "re": 1.0}),
     ):

@@ -187,8 +187,7 @@ def test_main_parses_alias(capsys):
 @pytest.mark.parametrize("field, mangle", [
     ("F.re", lambda d: d["F"][0].update(re=float("nan"))),
     ("F.im", lambda d: d["F"][0].update(im=float("inf"))),
-    ("dims[1]", lambda d: d.update(dims={"0": 1.0, "1": float("nan"), "2": 1.0},
-                                   dims_override=True)),
+    ("dims[1]", lambda d: d.update(dims={"0": 1.0, "1": float("nan"), "2": 1.0})),
 ])
 def test_non_finite_numbers_are_input_errors(field, mangle, tmp_path, capsys):
     # Python's json writes and reads NaN and Infinity; the loader must
