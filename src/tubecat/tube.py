@@ -445,9 +445,9 @@ class TubeElement(Linear):
             raise ShapeError("tube elements over different categories")
 
     def __repr__(self):
-        labs = self.algebra.spec.labels
-        sup = ",".join(labs[a] for a in sorted({a for (a, _m, _l), span in self.algebra.spans.items()
-                                                if self.vector[span].any()}))
+        A = self.algebra
+        sup = ",".join(A.spec.labels[a] for a in sorted(
+            {a for (a, _m, _l), span in A.spans.items() if self.vector[span].any()}))
         return f"<TubeElement support=({sup}) norm={self.norm():.3g}>"
 
 
@@ -477,6 +477,7 @@ class TubeAlgebra:
 
     # ---- coordinates ---------------------------------------------------------
     def vector_of(self, f: TubeElement) -> np.ndarray:
+        """f's coefficient vector: the array f holds, not a copy."""
         return f.vector
 
     def element(self, vec) -> TubeElement:
