@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -53,6 +54,58 @@ def pointed_category(n: int, k: int = 0, name: str | None = None) -> dict:
                     "e": str((a + b) % n), "f": str((b + c) % n),
                     "re": w.real, "im": w.imag,
                 })
+    return doc
+
+
+def su2k_category(k: int) -> dict:
+    """Category-JSON dict for SU(2)_k, labels 2j = 0..k, with the F-symbols
+    of the quantum 6j-symbols in the unitary gauge (Kirillov–Reshetikhin,
+    1989): F^{abc}_d[e,f] = (−1)^{(a+b+c+d)/2}·√([e+1][f+1])·{a b e; c d f}_q,
+    [n] = sin(nπ/(k+2))/sin(π/(k+2)), the 6j-symbol by the q-Racah formula.
+    Its dimensions [2j+1] are not integers past k = 2."""
+    q = math.pi / (k + 2)
+
+    def qint(n):  # [n]
+        return math.sin(n * q) / math.sin(q)
+
+    def fact(n):  # [n]!
+        return math.prod(qint(i) for i in range(1, n + 1))
+
+    def ok(a, b, c):
+        return (a + b + c) % 2 == 0 and abs(a - b) <= c <= min(a + b, 2 * k - a - b)
+
+    def tri(a, b, c):
+        return math.sqrt(fact((a + b - c) // 2) * fact((a - b + c) // 2)
+                         * fact((b + c - a) // 2) / fact((a + b + c) // 2 + 1))
+
+    def sixj(a, b, e, c, d, f):
+        sides = ((a + b + e) // 2, (e + c + d) // 2, (b + c + f) // 2, (a + f + d) // 2)
+        quads = ((a + b + c + d) // 2, (a + e + c + f) // 2, (b + e + d + f) // 2)
+        total = sum((-1) ** z * fact(z + 1)
+                    / math.prod([fact(z - s) for s in sides] + [fact(t - z) for t in quads])
+                    for z in range(max(sides), min(quads) + 1))
+        return tri(a, b, e) * tri(e, c, d) * tri(b, c, f) * tri(a, f, d) * total
+
+    labels = [str(a) for a in range(k + 1)]
+    doc = {
+        "name": f"SU(2)_{k}",
+        "labels": labels,
+        "unit": "0",
+        "dual": {lab: lab for lab in labels},
+        "N": [[str(a), str(b), str(c), 1] for a in range(k + 1) for b in range(k + 1)
+              for c in range(k + 1) if ok(a, b, c)],
+        "convention": "isometry",
+        "F": [],
+    }
+    for a, b, c, d in itertools.product(range(1, k + 1), range(1, k + 1), range(1, k + 1),
+                                        range(k + 1)):
+        for e in range(k + 1):
+            for f in range(k + 1):
+                if ok(a, b, e) and ok(e, c, d) and ok(b, c, f) and ok(a, f, d):
+                    val = ((-1) ** ((a + b + c + d) // 2) * math.sqrt(qint(e + 1) * qint(f + 1))
+                           * sixj(a, b, e, c, d, f))
+                    doc["F"].append({"abcd": [str(a), str(b), str(c), str(d)],
+                                     "e": str(e), "f": str(f), "re": val, "im": 0.0})
     return doc
 
 

@@ -320,6 +320,23 @@ def test_vec_s3_is_morita_equivalent_to_rep_s3(catalog, reports):
                                                               reports["rep_s3"])
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_su2k_center_is_the_doubled_theory(k):
+    # Z(SU(2)_k) ≃ SU(2)_k ⊠ its reverse: (k+1)² simples with twists
+    # θ_i·conj(θ_j), θ_j = exp(2πi·j(j+2)/(4(k+2))) on labels j = 2·spin; the
+    # first non-pointed family that grows, with non-integer dimensions
+    from conftest import su2k_category
+    from tubecat.catspec import load_spec
+    rep = center_report(load_spec(su2k_category(k)))
+    assert rep["pass"] and rep["rank"] == (k + 1) ** 2
+    theta = [cmath.exp(2j * math.pi * j * (j + 2) / (4 * (k + 2))) for j in range(k + 1)]
+    want = [a * b.conjugate() for a in theta for b in theta]
+    for b in rep["blocks"]:
+        got = complex(*b["twist"])
+        at = min(range(len(want)), key=lambda i: abs(want[i] - got))
+        assert abs(want.pop(at) - got) < 1e-9, (k, got)
+
+
 def test_trivial_category_center(catalog, reports):
     rep = reports["vec"]
     assert rep["rank"] == 1
