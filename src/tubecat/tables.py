@@ -1,21 +1,30 @@
-"""Structure constants of the tube algebra A(Λ) from F entries.
+"""Structure constants of the tube algebra A(Λ), and the vertex pieces of
+Δ's half-braiding, from F entries.
 
 The product of two basis tubes is a fixed contraction of three F entries
 and √d weights, and the star one of two F entries and the zig-zag scalar
 that duality's cup and cap are calibrated by; no diagram is drawn.  Both
 are evaluated once over Λ = all simples (LabelBasis), as joins over
 FSymbolTable.table (fsymbols.join), and each term is then copied to every
-choice of slots of Λ that carry its labels.  tests/oracles.py keeps the
-diagrams as the reference.
+choice of slots of Λ that carry its labels.
+
+The three-letter pieces that tube._vertex_leg draws Δ's half-braiding
+from, and that every hexagon check reads, are one F entry per coefficient
+(vertex_pieces): id_u ⊗ ι† and the split tops are F entries gathered into
+one dense array per label tuple and root, and the pads contract the first
+with the rotated fusion halves.  tests/oracles.py keeps the diagrams and
+the engine's left tensorings as the reference.
 """
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
 from .fsymbols import group, join
 from .morphism import Engine
 
-__all__ = ["fill"]
+__all__ = ["fill", "vertex_pieces"]
 
 
 def fill(eng: Engine, slots: tuple) -> tuple:
@@ -162,6 +171,58 @@ def star_terms(eng: Engine, lb: LabelBasis) -> tuple:
     keys = (lb.key(b, xs, ys, z[cv[e2]], mu[cv[e3]], mu[cv[e2]]),
             lb.key(a, ys, xs, z[rv[e2]], mu[rv[e2]], mu[rw[e1]]))
     return _summed(lb, keys, val[e1] * np.conj(val[e2]) * val[e3] / zeta[a])
+
+
+def _stacks(fields: tuple, order: tuple, val: np.ndarray, lead: tuple) -> dict:
+    """The entries as dense arrays, one per distinct tuple of ``fields``,
+    the last field a root: {fields[:-1]: {root: array}}.  Sorted by fields,
+    then by ``order``, the values of each tuple fill its array in C order,
+    of shape (*lead, -1) with ``lead`` read at its first entry."""
+    at = np.lexsort((fields + order)[::-1])
+    keys = np.array([f[at] for f in fields])
+    first = np.flatnonzero(np.diff(keys, prepend=-1).any(axis=0))
+    ends, shapes = first[1:].tolist() + [len(at)], zip(*(n[at[first]].tolist() for n in lead))
+    val, out = val[at], {}
+    for s, e, key, shape in zip(first.tolist(), ends, keys[:, first].T.tolist(), shapes):
+        out.setdefault(tuple(key[:-1]), {})[key[-1]] = val[s:e].reshape(*shape, -1)
+    return out
+
+
+def vertex_pieces(eng: Engine, rot: Callable[[int, int, int], np.ndarray]) -> tuple:
+    """(vertex_pads, tops, pads): the three-letter pieces that Δ's
+    half-braiding is drawn from and its hexagon is checked with, for every
+    label tuple, each a dense array per root (the matrix of Morphism.blocks)
+    stacked over one vertex index:
+
+    - vertex_pads[(u, a, b, c)][z][μ] = id_u ⊗ ι† : (u, a, b) → (u, c) for
+      the μ-th vertex ι : c → a⊗b, with [ρ, ((w,ν₁),(z,ν₂))] =
+      F^{u a b}_z[(w,ν₁,ν₂),(c,μ,ρ)];
+    - tops[(a, b, c, μ, y, x)][w][t] = (ι† ⊗ id_y) ∘ (id_a ⊗ split_t) :
+      (a, x) → (c, y) for the t-th vertex split_t : x → b⊗y, with [ν₂, ν] =
+      conj F^{a b y}_w[(c,μ,ν₂),(x,t,ν)];
+    - pads[(u, b, y, x)][z][t] = id_u ⊗ g_t : (u, x̄, b) → (u, ȳ) for
+      g_t = Σ_σ R[t, σ]·ι_σ†, ι_σ the σ-th vertex ȳ → x̄⊗b and R = rot(b,
+      y, x): Σ_σ R[t, σ]·vertex_pads[(u, x̄, b, ȳ)][z][σ].
+
+    The first two are gathers of F entries, as Engine._tensor_one_left
+    reads them through its basis change, so they are the same numbers; the
+    third contracts the first with R, in one product per root.
+    """
+    (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
+    N, dual = eng.ring.N, eng.ring.dual
+    vpads = _stacks((x[rv], y[rv], y[rw], z[cv], z[rw]),
+                    (mu[cv], mu[cw], z[rv], mu[rv], mu[rw]), val,
+                    (N[y[rv], y[rw], z[cv]], N[x[rv], z[cv], z[rw]]))
+    tops = _stacks((x[rv], y[rv], z[rv], mu[rv], y[rw], z[cv], z[rw]),
+                   (mu[cv], mu[rw], mu[cw]), np.conj(val),
+                   (N[y[rv], y[rw], z[cv]], N[z[rv], y[rw], z[rw]]))
+    pads = {}
+    for (u, xd, b, yd), per_root in vpads.items():
+        R = rot(b, dual[yd], dual[xd])
+        pads[(u, b, dual[yd], dual[xd])] = {
+            r: (R @ S.reshape(len(S), -1)).reshape(len(R), *S.shape[1:])
+            for r, S in per_root.items()}
+    return vpads, tops, pads
 
 
 def slot_copies(labels: np.ndarray, *per_term) -> tuple:

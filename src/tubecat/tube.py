@@ -12,12 +12,12 @@ per root on the stacked trees of its summands (sums.StackedBasis).
 
 The structure constants are fixed contractions of F entries (tables.fill),
 and tube_product and tube_star read them; the diagrams they contract are
-kept as the tests' oracle.  Everything on Δ is a closed formula in the
-word engine: vertices enter through canonical_pair (dual bases with the
-√(d·d·d) weight), rotated ones by exact bends (rotate_clockwise).  Each √d
-prefactor is written once, next to its formula, and nothing re-normalizes,
-so a convention slip shows up as a failed unitarity, round-trip or table
-check.
+kept as the tests' oracle.  Δ's vertex pieces are F entries as well
+(tables.vertex_pieces); the rest on Δ is closed formulas in the word
+engine: vertices through canonical_pair (dual bases with the √(d·d·d)
+weight), rotated ones by exact bends (rotate_clockwise).  Each √d prefactor
+is written once, next to its formula, and nothing re-normalizes, so a
+convention slip shows up as a failed unitarity, round-trip or table check.
 """
 from __future__ import annotations
 
@@ -90,9 +90,10 @@ class DeltaObject:
     ``obj`` tags summands by (x, slot); ``braiding[a]`` maps Δ⊗a → a⊗Δ,
     one matrix per root from the stacked trees of obj + (a,) to those of
     (a,) + obj: the hexagon's leg id_1 ⊗ e_a (_vertex_leg), drawn from
-    three-letter vertex pieces.  ``residuals`` holds the worst unitarity /
-    unit / hexagon defects of the build, ``actions`` tube_action's matrices
-    per tube algebra, ``kernel`` what naturality and compression read.
+    F-entry vertex pieces (tables.vertex_pieces).  ``residuals`` holds the
+    worst unitarity / unit / hexagon defects of the build, ``actions``
+    tube_action's matrices per tube algebra, ``kernel`` what naturality and
+    compression read.
     """
 
     spec: object
@@ -152,19 +153,11 @@ def _kron(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         len(p) * len(q), p.shape[1] * q.shape[1])
 
 
-def _pad(eng: Engine, pieces: dict, b: int, y: int, x: int, t: int, u: int) -> Morphism:
-    """id_u ⊗ rot_t : (u, x̄, b) → (u, ȳ), with rot_t the t-th (b, y; x)
-    fusion half rotated onto the conjugate strand; memoized in ``pieces``."""
-    return _cached(pieces, ("rot", b, y, x, t, u), lambda: eng._tensor_one_left(
-        u, _rotated_fuses(eng, b, y, x)[t]))
-
-
-def _vertex_pad(eng: Engine, u: int, a: int, b: int, c: int, mu: int) -> Morphism:
-    """id_u ⊗ ι† : (u, a, b) → (u, c) for the μ-th vertex ι : c → a ⊗ b
-    (hom_basis((c,), (a, b))[mu], the pair's split); every hexagon check on
-    the category shares it."""
-    return _cached(eng.cache, ("vertexpad", u, a, b, c, mu), lambda: eng._tensor_one_left(
-        u, canonical_pair(eng, a, b, c).splits[mu].dag()))
+def _pieces(eng: Engine) -> tuple:
+    """tables.vertex_pieces, rot_t from _rotated_fuses, kept in the engine's cache."""
+    def rot(b, y, x):
+        return np.array([f.blocks[eng.ring.dual[y]][0] for f in _rotated_fuses(eng, b, y, x)])
+    return _cached(eng.cache, ("vertex pieces",), lambda: tables.vertex_pieces(eng, rot))
 
 
 def _vertex_groups(sb: StackedBasis) -> dict:
@@ -177,7 +170,7 @@ def _vertex_groups(sb: StackedBasis) -> dict:
     return {key: np.array(pos) for key, pos in groups.items()}
 
 
-def _vertex_leg(obj: SumObject, a: int, b: int, pieces: dict,
+def _vertex_leg(obj: SumObject, a: int, b: int, memo: dict,
                 c: int, mu: int, src: StackedBasis) -> dict:
     """Channel (c, μ) of id_a ⊗ e_b on Δ, one matrix per root z from src,
     the stacked trees of (a,) + Δ + (b,), to those of (c,) + Δ.  At a = 1
@@ -190,35 +183,27 @@ def _vertex_leg(obj: SumObject, a: int, b: int, pieces: dict,
     rot_t on the right (√(d_b⁻¹)·√(d_b d_y d_x)).  Both combs begin with a
     vertex into w, then (w, l) → u in slot ν, and go on as combs of
     (u, x̄, b) and (u, ȳ).  So on the trees that share (w, u, ν) the block
-    is Σ_t √(d_x d_y)·top_t[w] ⊗ pad_{t,u}[z] (_pad), from column group
-    (j, w, (u, ν), z) to row group (i, w, (u, ν), z) (_vertex_groups).
+    is Σ_t √(d_x d_y)·top_t[w] ⊗ pad_{t,u}[z] (pad = id_u ⊗ rot_t; both
+    from _pieces), from column group (j, w, (u, ν), z) to row group
+    (i, w, (u, ν), z) (_vertex_groups), memoized in ``memo``.
     """
     eng = obj.engine
     ring, d = eng.ring, eng.d
+    _vpads, tops, pads = _pieces(eng)
     dst = obj.stacked((c,))
-    rows = _cached(pieces, ("rows", c), lambda: _vertex_groups(dst))
+    rows = _cached(memo, ("rows", c), lambda: _vertex_groups(dst))
     out = {z: np.zeros((n, src.dims[z]), dtype=complex)
            for z, n in dst.dims.items() if z in src.dims}
-    ys = _cached(pieces, ("ys", b), lambda: [
-        [(y, int(n), math.sqrt(d[x] * d[y])) for y, n in enumerate(ring.N[b, :, x]) if n]
+    ys = _cached(memo, ("ys", b), lambda: [
+        [(y, math.sqrt(d[x] * d[y])) for y, n in enumerate(ring.N[b, :, x]) if n]
         for x in range(ring.rank)])
-
-    def top(y, x, t):
-        full = _cached(pieces, ("split", a, b, y, x, t), lambda: eng.tensor_id_left(
-            (a,), canonical_pair(eng, b, y, x).splits[t]))
-        return _cached(pieces, ("top", a, b, y, x, t, c, mu),
-                       lambda: eng.channel_rows(full, c, mu))
-
     for (j, w, un, z), C in _vertex_groups(src).items():
         x, s = obj.tags[j]
-        for y, n, wt in ys[x]:
+        for y, wt in ys[x]:
             R = rows.get((obj.index((y, s)), w, un, z))
             if R is not None:
-                acc = 0
-                for t in range(n):
-                    acc = acc + _kron(top(y, x, t).blocks[w],
-                                      _pad(eng, pieces, b, y, x, t, un[0]).blocks[z])
-                out[z][R[:, None], C] = acc * wt
+                per_t = zip(tops[(a, b, c, mu, y, x)][w], pads[(un[0], b, y, x)][z])
+                out[z][R[:, None], C] = sum(_kron(p, q) for p, q in per_t) * wt
     return out
 
 
@@ -281,7 +266,7 @@ def hexagon_residual(obj: SumObject, braiding, a: int, b: int,
     is the max over (c, μ) of ‖e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S‖, one matrix
     per root z from the stacked trees of W + (a, b) to those of (c,) + W,
     with no factor built as a map: e_a ⊗ id_b is e_a on the lifts (v, ν),
-    and id_W ⊗ ι† the pad id_u ⊗ ι† on the trees of W at u.
+    and id_W ⊗ ι† the vertex pad id_u ⊗ ι† (_pieces) on the trees of W at u.
 
     ``braiding`` is the half-braiding, letter -> root -> matrix (the defect
     is a float), or the _Stacked reading verify_halfbraiding shares (one
@@ -315,11 +300,11 @@ def hexagon_residual(obj: SumObject, braiding, a: int, b: int,
             lhs = {z: np.zeros((m.shape[0], src.dims[z]), dtype=complex)
                    for z, m in e_c.items() if z in src.dims}
             for u in base.dims:
-                for z, blk in _vertex_pad(eng, u, a, b, c, mu).blocks.items():
+                for z, pad in _pieces(eng)[0][(u, a, b, c)].items():
                     if z in lhs:
                         heads = _cached(hb.memo, ("heads", c, u, z), lambda: np.array(
-                            [joined.lifts[z][(u, nu)] for nu in range(blk.shape[0])]).T)
-                        lhs[z][:, tails[u][z]] = e_c[z][:, heads] @ blk
+                            [joined.lifts[z][(u, nu)] for nu in range(pad.shape[1])]).T)
+                        lhs[z][:, tails[u][z]] = e_c[z][:, heads] @ pad[mu]
             for z, m in lhs.items():
                 rhs = (right_blocks(leg[z], e_a, mid.lifts[z], src.lifts[z], src.dims[z])
                        if z in leg else 0)
@@ -408,13 +393,13 @@ def build_delta(spec, lam: LambdaObject) -> DeltaObject:
             tags.append((x, s))
     obj = SumObject(eng, words, tags)
 
-    pieces: dict = {}  # label-only vertex pieces, shared by the drawing and every (a, b)
+    memo: dict = {}  # shared by the drawing and every (a, b)
     u = ring.unit
-    braiding = {b: _vertex_leg(obj, u, b, pieces, b, 0, obj.stacked((u,), (b,)))
+    braiding = {b: _vertex_leg(obj, u, b, memo, b, 0, obj.stacked((u,), (b,)))
                 for b in range(ring.rank)}
     residuals = verify_halfbraiding(
         obj, braiding, DELTA_TOL,
-        lambda a, b: functools.partial(_vertex_leg, obj, a, b, pieces))[0]
+        lambda a, b: functools.partial(_vertex_leg, obj, a, b, memo))[0]
     return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding, residuals=residuals)
 
 

@@ -13,6 +13,10 @@ tubecat.tables fills the tables from joins over the F entries.  The
 diagrams read a tube element as Morphism blocks (element_blocks), where
 the library keeps only its coefficient vector.
 
+The three-letter pieces of Δ's half-braiding are here as the engine
+draws them (engine_vertex_pad, engine_top, engine_pad), where
+tubecat.tables.vertex_pieces gathers them from the F entries.
+
 The pentagon's two routes are here too, one word and one root at a time, as
 loops over block rows and columns (trees_T1 … pentagon_residual), where
 tubecat.pentagon runs them as joins on the flat F entry table.
@@ -127,6 +131,27 @@ def delta_braiding_component(eng, obj, a):
             if acc is not None:
                 blocks[(obj.index((y, s)), j)] = acc * math.sqrt(d[x] * d[y])
     return BlockMap(obj.tensor_right((a,)), obj.tensor_left((a,)), blocks)
+
+
+def engine_vertex_pad(eng, u, a, b, c, mu):
+    """id_u ⊗ ι† : (u, a, b) → (u, c) for the μ-th vertex ι : c → a⊗b, by
+    the engine's left tensoring, where tubecat.tables.vertex_pieces gathers
+    it from F entries."""
+    return eng._tensor_one_left(u, canonical_pair(eng, a, b, c).splits[mu].dag())
+
+
+def engine_top(eng, a, b, y, x, t, c, mu):
+    """(ι† ⊗ id_y) ∘ (id_a ⊗ split_t) : (a, x) → (c, y), split_t the t-th
+    vertex x → b⊗y and ι the μ-th vertex c → a⊗b: the channel rows of the
+    engine's id_a ⊗ split_t."""
+    full = eng.tensor_id_left((a,), canonical_pair(eng, b, y, x).splits[t])
+    return eng.channel_rows(full, c, mu)
+
+
+def engine_pad(eng, b, y, x, t, u):
+    """id_u ⊗ rot_t : (u, x̄, b) → (u, ȳ), rot_t the t-th (b, y; x) fusion
+    half rotated onto the conjugate strand, by the engine's left tensoring."""
+    return eng._tensor_one_left(u, _rotated_fuses(eng, b, y, x)[t])
 
 
 def element_blocks(A, f):

@@ -16,7 +16,8 @@ import pytest
 
 import tubecat.tables
 import tubecat.tube
-from conftest import pointed_category, rep_a4_random_table, root_gap, root_norm
+from conftest import (pointed_category, rep_a4_random_table, root_gap, root_norm,
+                      su2k_category)
 from tubecat.catspec import FusionCategorySpec, load_spec, serialize
 from tubecat.errors import NotInCommutant, ShapeError, ToleranceError
 from tubecat.morphism import Engine, engine_for
@@ -28,9 +29,9 @@ from tubecat.tube import (LambdaObject, TubeElement, build_delta, build_tube_alg
 from tubecat.tube import _t_diagram, _table_residuals, _vertex_leg, tube_action
 from oracles import (BlockMap, braiding_blocks, delta_braiding_component,
                      diagram_mult_table, diagram_product, diagram_star,
-                     diagram_star_table, extend_halfbraiding, generic_leg, gram,
-                     sparse_rows, t_diagram, tensor_id_left, tensor_id_right,
-                     whole_map_naturality)
+                     diagram_star_table, engine_pad, engine_top, engine_vertex_pad,
+                     extend_halfbraiding, generic_leg, gram, sparse_rows, t_diagram,
+                     tensor_id_left, tensor_id_right, whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -318,9 +319,16 @@ def test_build_delta_rejects_nan_in_a_later_hexagon(catalog, monkeypatch):
         build_delta(spec, LambdaObject.all_simples(spec))
 
 
+# SU(2)_k from the q-Racah formula (conftest.su2k_category): the first
+# non-pointed family that grows, with dimensions that are not integers
+SU2K = ["SU(2)_2", "SU(2)_3", "SU(2)_4"]
+
+
 def _spec(catalog, name):
     if name.startswith("Z/"):  # "Z/n k=1"
-        return load_spec(pointed_category(int(name[2:name.index(" ")]), k=1))
+        return load_spec(pointed_category(int(name[2:name.index(" ")]), k=int(name[-1])))
+    if name.startswith("SU(2)_"):
+        return load_spec(su2k_category(int(name[6:])))
     return catalog[name]
 
 
@@ -330,7 +338,7 @@ def _channels(eng, a, b):
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3",
-                                  "vec_z2_twisted", "Z/4 k=1"])
+                                  "vec_z2_twisted", "Z/4 k=1", *SU2K])
 def test_delta_left_leg_matches_generic(catalog, name):
     # channel (c, μ) of the staged hexagon leg id_a ⊗ e_b, drawn on e_b's
     # own vertices, against the stacked channel rows of the generic route,
@@ -338,14 +346,14 @@ def test_delta_left_leg_matches_generic(catalog, name):
     spec = _spec(catalog, name)
     D = build_delta(spec, LambdaObject.all_simples(spec))
     eng = engine_for(spec)
-    pieces = {}  # shared by every (a, b), as in build_delta
+    memo = {}  # shared by every (a, b), as in build_delta
     blocks = braiding_blocks(D.obj, D.braiding)
     for a in range(spec.rank):
         for b in range(spec.rank):
             generic = generic_leg(D.obj, blocks, a, b)
             mid = D.obj.stacked((a,), (b,))
             for c, mu in _channels(eng, a, b):
-                got = _vertex_leg(D.obj, a, b, pieces, c, mu, mid)
+                got = _vertex_leg(D.obj, a, b, memo, c, mu, mid)
                 want = generic(c, mu, mid)
                 assert sorted(got) == sorted(want), (name, a, b, c)
                 assert all(got[z].shape == want[z].shape for z in got), (name, a, b, c)
@@ -478,8 +486,8 @@ def test_build_delta_sees_phase_on_one_stored_block(monkeypatch):
     real = tubecat.tube._vertex_leg
     drawn = []
 
-    def nudged(obj, a, b, pieces, c, mu, src):
-        mats = real(obj, a, b, pieces, c, mu, src)
+    def nudged(obj, a, b, memo, c, mu, src):
+        mats = real(obj, a, b, memo, c, mu, src)
         if (a, b) == (spec.ring.unit, 2) and not drawn:
             drawn.append(b)
             i, j = 0, obj.index((2, 0))
@@ -497,7 +505,7 @@ def test_build_delta_sees_phase_on_one_stored_block(monkeypatch):
 @pytest.mark.parametrize("name, mapping", [
     *((name, None) for name in TUBE_DIM),
     ("fibonacci", {"tau": 2}), ("ising", {"sigma": 1}),
-    ("Z/4 k=1", None), ("Z/5 k=1", None)])
+    ("Z/4 k=1", None), ("Z/5 k=1", None), *((name, None) for name in SU2K)])
 def test_drawn_braiding_matches_whole_blocks(catalog, name, mapping):
     # e_b drawn on stacked trees from the three-letter vertex pieces against
     # the blocks built whole on four-letter words, stacked: the same roots,
@@ -517,17 +525,21 @@ def test_drawn_braiding_matches_whole_blocks(catalog, name, mapping):
 
 
 def test_drawing_tensors_no_four_letter_word(monkeypatch):
-    # a Vec[Z/7]^ω build_delta draws e_b from pieces on at most three
+    # a cold Vec[Z/7]^ω build_delta draws e_b from pieces on at most three
     # letters: no morphism is left-tensored into a four-letter word and no
     # two-letter word is tensored on the left.  Drawing each block whole
-    # took 343 of each, and 455 tensor_id_right calls against 112 here
+    # took 343 of each, and 455 tensor_id_right calls against 112 here.
+    # The pieces are read off the F entries, so only the 49 rotated fusion
+    # halves left-tensor: 112 calls, against 1,141 when every top, pad and
+    # vertex pad was a left-tensoring of its own
     from tubecat.morphism import Engine
     spec = load_spec(pointed_category(7, k=1))
-    calls = {"one_left_into_4": 0, "left_by_2": 0, "right": 0}
+    calls = {"one_left": 0, "one_left_into_4": 0, "left_by_2": 0, "right": 0}
     one, left, right = Engine._tensor_one_left, Engine.tensor_id_left, Engine.tensor_id_right
 
     def counted_one(self, c, f):
         out = one(self, c, f)
+        calls["one_left"] += 1
         calls["one_left_into_4"] += max(len(out.src), len(out.dst)) >= 4
         return out
 
@@ -545,6 +557,94 @@ def test_drawing_tensors_no_four_letter_word(monkeypatch):
     build_delta(spec, LambdaObject.all_simples(spec))
     assert calls["one_left_into_4"] == calls["left_by_2"] == 0, calls
     assert calls["right"] <= 112, calls
+    assert calls["one_left"] <= 112, calls
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "vec_z2_twisted",
+                                  "Z/4 k=2", "SU(2)_3"])
+def test_vertex_pieces_are_the_engine_pieces(catalog, name):
+    # every vertex pad, top and pad that Δ's drawing and hexagon read,
+    # gathered from F entries, against the engine's left tensoring of the
+    # same vertex: one per label tuple, the same roots and shapes, and the
+    # same entries
+    spec = _spec(catalog, name)
+    eng = engine_for(spec)
+    N = eng.ring.N
+    vpads, tops, pads = tubecat.tube._pieces(eng)
+    assert len(vpads) == len(pads) == spec.rank * np.count_nonzero(N)
+    pairs = []  # (gathered, engine's) per vertex index
+    for (u, a, b, c), per_root in vpads.items():
+        pairs += [({z: S[mu] for z, S in per_root.items()},
+                   engine_vertex_pad(eng, u, a, b, c, mu)) for mu in range(N[a, b, c])]
+    for (a, b, c, mu, y, x), per_root in tops.items():
+        pairs += [({w: S[t] for w, S in per_root.items()},
+                   engine_top(eng, a, b, y, x, t, c, mu)) for t in range(N[b, y, x])]
+    for (u, b, y, x), per_root in pads.items():
+        pairs += [({z: S[t] for z, S in per_root.items()},
+                   engine_pad(eng, b, y, x, t, u)) for t in range(N[b, y, x])]
+    for got, want in pairs:
+        assert sorted(got) == sorted(want.blocks), (want.src, want.dst)
+        assert all(m.shape == want.blocks[z].shape for z, m in got.items())
+    assert max(float(np.max(np.abs(m - want.blocks[z])))
+               for got, want in pairs for z, m in got.items()) <= 1e-15
+
+
+def test_vertex_pieces_are_gathered_once_per_category(monkeypatch):
+    # Δ's drawing, its hexagon check and the extracted simples' hexagon
+    # check read one set of vertex pieces, kept on the engine
+    spec = load_spec(pointed_category(3, k=1))
+    real, calls = tubecat.tables.vertex_pieces, []
+    monkeypatch.setattr(tubecat.tables, "vertex_pieces",
+                        lambda *args: calls.append(args) or real(*args))
+    lam = LambdaObject.all_simples(spec)
+    A = build_tube_algebra(spec, lam)
+    extract_center_simples(A, build_delta(spec, lam), decompose_blocks(A, seed=1))
+    build_delta(spec, LambdaObject.from_mapping(spec, {"1": 2}))
+    assert len(calls) == 1 and calls[0][0] is engine_for(spec)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_vertex_pieces_with_multiplicity(seed):
+    # Rep(A4)'s ring, 3⊗3 ∋ 2·3, with random unitary F blocks: the gathered
+    # id_u ⊗ g equals the engine's for a random one-vertex g in both
+    # directions, on every vertex index.  Random F has no zig-zag, so the
+    # pads contract random fusion vertices g_t : (x̄, b) → (ȳ,), one per t,
+    # in place of the rotated ones, and id_a ⊗ g for a random splitting
+    # vertex g : (x,) → (b, y) is Σ_t g_t·top_t, placed on the rows of each
+    # channel (c, μ) of a⊗b (TreeBasis.lead_runs)
+    F = rep_a4_random_table(seed)
+    spec = FusionCategorySpec(name="Rep(A4) random F", ring=F.ring,
+                              dims=compute_fp_dims(F.ring), fsymbols=F)
+    eng = engine_for(spec)
+    ring, dual = eng.ring, eng.ring.dual
+    rng = np.random.default_rng(seed)
+    fuse = {}  # (b, y, x) -> [g_t : (x̄, b) → (ȳ,) per t]
+
+    def rot(b, y, x):
+        if (b, y, x) not in fuse:
+            fuse[(b, y, x)] = [eng.random((dual[x], b), (dual[y],), rng)
+                               for _t in range(ring.N[b, y, x])]
+        return np.array([g.blocks[dual[y]][0] for g in fuse[(b, y, x)]])
+
+    vpads, tops, pads = tubecat.tables.vertex_pieces(eng, rot)
+    assert max(len(S) for per_root in vpads.values() for S in per_root.values()) == 2
+    assert max(len(S) for per_root in tops.values() for S in per_root.values()) == 2
+    gaps = []
+    for (u, b, y, x), per_root in pads.items():
+        for t, g in enumerate(fuse[(b, y, x)]):
+            want = eng._tensor_one_left(u, g).blocks
+            assert sorted(per_root) == sorted(want), (u, b, y, x)
+            gaps += [np.max(np.abs(S[t] - want[z])) for z, S in per_root.items()]
+    for a in range(ring.rank):
+        for b, y, x in np.argwhere(ring.N).tolist():
+            g = eng.random((x,), (b, y), rng)
+            want = eng._tensor_one_left(a, g).blocks
+            got = {w: np.zeros_like(m) for w, m in want.items()}
+            for (c, mu), runs in eng.basis((a, b, y)).lead_runs().items():
+                for w, top in tops.get((a, b, c, mu, y, x), {}).items():
+                    got[w][runs[w]] = np.tensordot(g.blocks[x][:, 0], top, 1)
+            gaps += [np.max(np.abs(got[w] - m)) for w, m in want.items()]
+    assert max(gaps) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "vec_z3",
@@ -653,7 +753,8 @@ TABLE_CASES = [(name, None) for name in TUBE_DIM] + [
     (f"Z/{n} k={k}", None) for n in (4, 5, 6, 7) for k in (1, 2)] + [
     ("fibonacci", {"tau": 1}), ("fibonacci", {"tau": 2}), ("ising", {"sigma": 1}),
     ("rep_s3", {"std": 2, "sgn": 1}),  # repeated slots, of two labels
-    ("ising unit last", None), ("rep_s3 unit last", None)]
+    ("ising unit last", None), ("rep_s3 unit last", None),
+    *((name, None) for name in SU2K)]
 
 
 @pytest.mark.parametrize("name,mapping", TABLE_CASES,
@@ -661,15 +762,13 @@ TABLE_CASES = [(name, None) for name in TUBE_DIM] + [
 def test_tables_equal_the_diagrams(catalog, name, mapping):
     # the F-entry joins against the diagrams, entry by entry, over every
     # slot copy of the labels
-    if name.startswith("Z/"):
-        spec = load_spec(pointed_category(int(name[2:name.index(" ")]), k=int(name[-1])))
-    elif name.endswith(" unit last"):  # the labels reversed: the unit is no longer label 0
+    if name.endswith(" unit last"):  # the labels reversed: the unit is no longer label 0
         doc = json.loads(serialize(catalog[name.split()[0]]))
         doc["labels"] = doc["labels"][::-1]
         spec = load_spec(doc)
         assert spec.ring.unit == spec.rank - 1
     else:
-        spec = catalog[name]
+        spec = _spec(catalog, name)
     lam = (LambdaObject.all_simples(spec) if mapping is None
            else LambdaObject.from_mapping(spec, mapping))
     A = build_tube_algebra(spec, lam)
