@@ -24,8 +24,7 @@ from .tube import LambdaObject, build_tube_algebra, tube_json
 
 __all__ = ["CliConfig", "run", "main"]
 
-_INPUT_ERRORS = (SchemaError, ShapeError, FileNotFoundError, IsADirectoryError,
-                 PermissionError)
+_INPUT_ERRORS = (SchemaError, ShapeError, OSError)  # OSError: an unwritable --output too
 _CHECK_ERRORS = (ToleranceError, ConsistencyError, DegenerateSpectrum,
                  NotInCommutant, EmptySpace)
 
@@ -172,8 +171,8 @@ def run(cfg: CliConfig) -> int:
     if cfg.command not in _COMMANDS:
         print(f"unknown command {cfg.command!r}", file=sys.stderr)
         return 2
-    if cfg.command in ("verify", "tube") and not cfg.tol > 0:
-        print(f"tolerance must be positive, got {cfg.tol!r}", file=sys.stderr)
+    if cfg.command in ("verify", "tube") and not 0 < cfg.tol < math.inf:
+        print(f"tolerance must be positive and finite, got {cfg.tol!r}", file=sys.stderr)
         return 2
     if cfg.seed < 0:
         print(f"seed must be nonnegative, got {cfg.seed!r}", file=sys.stderr)
@@ -183,13 +182,13 @@ def run(cfg: CliConfig) -> int:
         return 2
     try:
         doc, ok = _COMMANDS[cfg.command](cfg)
+        _emit(cfg, doc)
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except _CHECK_ERRORS as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    _emit(cfg, doc)
     return 0 if ok else 1
 
 

@@ -87,6 +87,26 @@ def test_tol_is_checked_only_where_it_is_read(capsys):
                            tol=0.0)[0] == 0, command
 
 
+@pytest.mark.parametrize("command", ["verify", "tube"])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_non_finite_tol_is_input_error(command, tol, capsys):
+    # an infinite tolerance would pass every check whatever its residual,
+    # and a NaN one none; both are refused before any check runs
+    code, out, err = run_capture(capsys, command=command, category="fibonacci", tol=tol)
+    assert code == 2 and out == ""
+    assert f"tolerance must be positive and finite, got {tol!r}" in err
+
+
+def test_unwritable_output_is_input_error(tmp_path, capsys):
+    # a directory, or a file in a directory that does not exist: exit 2
+    # naming the path, not a traceback with the exit code of a failed check
+    for target in (tmp_path, tmp_path / "missing" / "out.json"):
+        code, out, err = run_capture(capsys, command="verify", category="fibonacci",
+                                     output=str(target))
+        assert code == 2 and out == "", target
+        assert err.startswith("input error: ") and str(target) in err
+
+
 def test_center_takes_no_tol(capsys):
     # --tol sets the checks of verify and tube; center has none to set, so
     # passing it there is a usage error, not an option that does nothing
