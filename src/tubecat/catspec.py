@@ -80,8 +80,10 @@ def load_spec(source) -> FusionCategorySpec:
     if isinstance(source, (bytes, bytearray, str)):
         try:
             data = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"not valid JSON: {exc}") from None
+        except RecursionError:
+            raise SchemaError("not valid JSON: nested too deeply") from None
     elif isinstance(source, dict):
         data = source
     else:
@@ -101,6 +103,8 @@ def load_spec(source) -> FusionCategorySpec:
     idx = {lab: i for i, lab in enumerate(labels)}
 
     def look(lab, where):
+        if not isinstance(lab, str):
+            raise SchemaError(f"label {lab!r} in {where} is not a string")
         if lab not in idx:
             raise SchemaError(f"unknown label {lab!r} in {where}")
         return idx[lab]
@@ -147,7 +151,7 @@ def load_spec(source) -> FusionCategorySpec:
     if convention != "isometry":
         raise SchemaError(f"unsupported vertex convention {convention!r}")
 
-    entries = []
+    entries, seen = [], set()
     for ent in _need(data, "F", list):
         if not isinstance(ent, dict):
             raise SchemaError(f"F entry {ent!r} is not an object")
@@ -164,9 +168,14 @@ def load_spec(source) -> FusionCategorySpec:
                     and all(isinstance(k, int) and not isinstance(k, bool)
                             and k >= 0 for k in pair)):
                 raise SchemaError(f"F entry {nm} {pair!r} must be two ints >= 0")
+        key = ((a, b, c, d), e, f, tuple(mu), tuple(nu))
+        if key in seen:
+            raise SchemaError(f"duplicate F entry for abcd {tuple(abcd)} e={ent['e']!r} "
+                              f"f={ent['f']!r} mu={mu} nu={nu}")
+        seen.add(key)
         val = complex(_as_number(ent.get("re", 0.0), "F.re"),
                       _as_number(ent.get("im", 0.0), "F.im"))
-        entries.append(((a, b, c, d), e, f, (mu[0], mu[1]), (nu[0], nu[1]), val))
+        entries.append((*key, val))
 
     fsymbols = FSymbolTable.from_entries(ring, entries)
 
@@ -179,7 +188,9 @@ def load_spec(source) -> FusionCategorySpec:
             f"pentagon residual {res:.3e} at word {named} exceeds {PENTAGON_LOAD_TOL:g}")
     fsymbols.check_unitary(UNITARITY_TOL)
 
-    metadata = dict(data.get("metadata", {}) or {})
+    metadata = {}
+    if data.get("metadata") is not None:
+        metadata = dict(_need(data, "metadata", dict))
     return FusionCategorySpec(name=name, ring=ring, dims=dims,
                               fsymbols=fsymbols, metadata=metadata)
 

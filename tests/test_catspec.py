@@ -96,9 +96,18 @@ def test_wrong_dims_rejected():
         load_spec(doc)
 
 
+# malformed category input that is not a category file's shape at all
+BAD_BYTES = [
+    b"{ not json",
+    b'{"name": "\xff"}',                 # not UTF-8
+    b"[" * 100_000 + b"]" * 100_000,     # nested past the recursion limit
+]
+
+
 def test_schema_errors():
-    with pytest.raises(SchemaError):
-        load_spec(b"{ not json")
+    for raw in BAD_BYTES:
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_spec(raw)
     with pytest.raises(SchemaError):
         load_spec({"name": "x", "labels": [], "unit": "0", "dual": {},
                    "N": [], "F": [], "convention": "isometry"})
@@ -116,6 +125,34 @@ def test_schema_errors():
         mangle(bad)
         with pytest.raises(SchemaError):
             load_spec(bad)
+    # a label that is a list or an object, and a metadata that is not an
+    # object, each named in the error
+    for where, mangle in (
+        ("N", lambda d: d["N"].append([["0"], "0", "0", 1])),
+        ("N", lambda d: d["N"].append(["0", {"x": 1}, "0", 1])),
+        ("dual", lambda d: d["dual"].update({"1": ["1"]})),
+        ("F.abcd", lambda d: d["F"].append({"abcd": [["1"], "1", "1", "1"],
+                                            "e": "0", "f": "0", "re": 1.0})),
+        ("metadata", lambda d: d.update(metadata=[["source", "x"]])),
+        ("metadata", lambda d: d.update(metadata="x")),
+        ("metadata", lambda d: d.update(metadata=3)),
+    ):
+        bad = copy.deepcopy(doc)
+        mangle(bad)
+        with pytest.raises(SchemaError, match=where):
+            load_spec(json.dumps(bad).encode())
+
+
+@pytest.mark.parametrize("value", [1.0, 0.5])
+def test_repeated_f_entry_is_refused(value):
+    # a repeat is refused whether it agrees with the first entry or not;
+    # one that disagrees must not overwrite it and fail as a pentagon
+    doc = json.loads(serialize(find("fibonacci")))
+    ent = next(e for e in doc["F"] if e["abcd"] == ["tau"] * 4 and e["e"] == e["f"] == "tau")
+    doc["F"].append({**ent, "re": ent["re"] * value})
+    with pytest.raises(SchemaError, match=r"duplicate F entry for abcd \('tau', 'tau', "
+                       r"'tau', 'tau'\) e='tau' f='tau' mu=\[0, 0\] nu=\[0, 0\]"):
+        load_spec(doc)
 
 
 def test_unit_block_must_be_identity():

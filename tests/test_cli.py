@@ -5,9 +5,11 @@ the real entry point honest.  The broken-category fixture perturbs a single
 associator phase so the pentagon fails while the schema stays valid: that
 must come back as a verification failure (1), not a usage error (2).
 """
+import io
 import json
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -55,6 +57,34 @@ def test_tube_partial_lambda(capsys):
 def test_unknown_category_is_input_error(capsys):
     code, _, err = run_capture(capsys, command="verify", category="nope")
     assert code == 2 and "nope" in err
+
+
+def _mangled(**changes) -> bytes:
+    doc = pointed_category(2)
+    doc.update(changes)
+    return json.dumps(doc).encode()
+
+
+MALFORMED = {
+    "not-utf8": b'{"name": "\xff"}',
+    "too-deep": b"[" * 100_000 + b"]" * 100_000,
+    "list-label": _mangled(dual={"0": "0", "1": ["1"]}),
+    "object-label": _mangled(N=[["0", "0", "0", 1], [{"x": 1}, "1", "1", 1]]),
+    "list-metadata": _mangled(metadata=[["source", "x"]]),
+    "repeated-F": _mangled(F=[{"abcd": ["1"] * 4, "e": "0", "f": "0", "re": 1.0}] * 2),
+}
+
+
+@pytest.mark.parametrize("raw", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_category_is_input_error(capsys, monkeypatch, tmp_path, raw):
+    # from a file and from stdin alike: exit 2 and a message, no traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=io.BytesIO(raw)))
+    for category in (str(path), "-"):
+        code, out, err = run_capture(capsys, command="verify", category=category)
+        assert code == 2 and out == "", category
+        assert err.startswith("input error: ") and "Traceback" not in err, category
 
 
 def test_unknown_label_is_input_error(capsys):
