@@ -13,12 +13,12 @@ coordinates) is a multiple w of one p_k, and w·w = α·w gives p_k = w/α.
 
 Each block then yields one simple object of the center of the category:
 a minimal idempotent q inside the block acts on each hom space Hom(z, Δ)
-as the projection M_z = Σ_k q_k·R_z[k], read from the basis images of
-t_map that tube_action compiles once per (A, Δ); the range of M_z is split
-off as an isometry, and the half-braiding of Δ is compressed onto it.  The
-central idempotent itself would give n copies of the same simple (its
-range is X^n for a block of size n), so for n > 1 we first refine to a
-rank-one idempotent, found the same way from a seeded positive element.
+as the projection M_z = t_map(q)[z], summed from the tube algebra's own
+product terms; the range of M_z is split off as an isometry, and the
+half-braiding of Δ is compressed onto it.  The central idempotent itself
+would give n copies of the same simple (its range is X^n for a block of
+size n), so for n > 1 we first refine to a rank-one idempotent, found the
+same way from a seeded positive element.
 
 Everything downstream of the random draws is verified: idempotency,
 self-adjointness, orthogonality, unit partition, integer block sizes,
@@ -39,7 +39,7 @@ from .errors import DegenerateSpectrum, ToleranceError, worst
 from .duality import weighted_trace
 from .sums import SumObject, cut_block, left_blocks, right_blocks, stack_blocks
 from .tube import (DeltaObject, LambdaObject, TubeAlgebra, build_delta,
-                   build_tube_algebra, tube_action, verify_halfbraiding)
+                   build_tube_algebra, t_map, verify_halfbraiding)
 
 __all__ = [
     "BlockDecomposition", "CenterSimple", "decompose_blocks",
@@ -263,7 +263,6 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
     eng = A.engine
     ring = eng.ring
     labs = A.spec.labels
-    action = tube_action(A, delta)
     out = []
     for k, n in enumerate(dec.sizes):
         qv = dec.vectors[k] if n == 1 else _refine_minimal(
@@ -272,8 +271,7 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
         # range of t(q) on each Hom(z, Δ): an isometry V_z onto it from the
         # stacked copies (z, 0), (z, 1), ... of z in X
         V, tags = {}, []
-        for z, Rz in action.items():
-            M = np.tensordot(qv, Rz, 1)
+        for z, M in t_map(A, delta, A.element(qv)).items():
             evals, U = np.linalg.eigh(0.5 * (M + M.conj().T))
             keep = evals > 0.5
             if np.any(keep):

@@ -264,25 +264,6 @@ class Engine:
             blocks[z] = blk
         return self.make(src2, dst2, blocks, roots)
 
-    def channel_rows(self, f: Morphism, c: int, mu: int) -> Morphism:
-        """(ι† ⊗ id_W) ∘ f for f into (a, b) + W, where ι: (c,) -> (a, b) is
-        the μ-th vertex of a ⊗ b at c (``hom_basis((c,), (a, b))[mu]``).
-
-        A comb of (a, b) + W begins with a vertex (c', μ') of a ⊗ b and goes
-        on as a comb of (c',) + W.  So ι ⊗ id_W embeds the comb basis of
-        (c,) + W as the rows of (a, b) + W that begin with (c, μ)
-        (TreeBasis.lead_runs), and its adjoint picks those rows out.  The
-        blocks are exact copies of f's entries; summed over (c, μ),
-        tensor_id_right(ι, W) ∘ channel_rows(f, c, μ) gives f back.
-        """
-        if len(f.dst) < 2 or not mu < self.ring.N[f.dst[0], f.dst[1], c]:
-            raise ShapeError(f"no vertex ({c}, {mu}) at the front of {f.dst}")
-        dst2 = (c,) + f.dst[2:]
-        runs = self.basis(f.dst).lead_runs()[(c, mu)]
-        roots = self.common_roots(f.src, dst2)
-        return self.make(f.src, dst2, {z: f.blocks[z][runs[z]] for z, _, _ in roots
-                                       if z in f.blocks}, roots)
-
     # ---- left tensoring ------------------------------------------------------
     def right_basis(self, c: int, word: Word) -> dict:
         """root -> [(z, tree of word rooted z, nu in N[c,z,root])], the

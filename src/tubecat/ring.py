@@ -54,9 +54,6 @@ class FusionRing:
         return tuple(tuple({z: n for z, n in enumerate(row) if n} for row in plane)
                      for plane in N)
 
-    def fusion_outcomes(self, x: int, y: int) -> list[int]:
-        return list(self.channels[x][y])
-
     def validate(self) -> None:
         """Check the ring axioms exactly; raise ConsistencyError on failure."""
         r = self.rank

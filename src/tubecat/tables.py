@@ -1,12 +1,13 @@
-"""Structure constants of the tube algebra A(Λ), and the vertex pieces of
-Δ's half-braiding, from F entries.
+"""Structure constants of the tube algebra A(Λ), its action on Δ(Λ), and
+the vertex pieces of Δ's half-braiding, from F entries.
 
 The product of two basis tubes is a fixed contraction of three F entries
 and √d weights, and the star one of two F entries and the zig-zag scalar
 that duality's cup and cap are calibrated by; no diagram is drawn.  Both
 are evaluated once over Λ = all simples (LabelBasis), as joins over
 FSymbolTable.table (fsymbols.join), and each term is then copied to every
-choice of slots of Λ that carry its labels.
+choice of slots of Λ that carry its labels.  A(Λ) acts on Δ(Λ) by the
+same product terms, read with the right factor's source a label (action).
 
 The three-letter pieces that tube._vertex_leg draws Δ's half-braiding
 from, and that every hexagon check reads, are one F entry per coefficient
@@ -24,30 +25,37 @@ import numpy as np
 from .fsymbols import group, join
 from .morphism import Engine
 
-__all__ = ["fill", "vertex_pieces"]
+__all__ = ["fill", "action", "vertex_pieces"]
 
 
-def fill(eng: Engine, slots: tuple) -> tuple:
-    """(spans, mult_table, star_table) of A(Λ) over ``slots``, Λ's (label,
-    copy) pairs: spans[(a, m, l)] is the index range of the block
-    Hom((x_l, a), (a, x_m)), in the order a, then l, then m, and the
-    tables are as TubeAlgebra holds them."""
-    ring = eng.ring
-    lb = LabelBasis(ring)
+def _spans(lb: "LabelBasis", labels: np.ndarray) -> tuple:
+    """(spans, start) of A(Λ) over slots with these labels: spans[(a, m, l)]
+    is the index range of the block Hom((x_l, a), (a, x_m)), in the order
+    a, then l, then m, and start[a, m, l] its first index."""
     spans, dim = {}, 0
-    start = np.zeros((ring.rank, len(slots), len(slots)), dtype=np.int64)
-    for a in range(ring.rank):
-        for l, (x, _cx) in enumerate(slots):
-            for m, (y, _cy) in enumerate(slots):
+    start = np.zeros((len(lb.N), len(labels), len(labels)), dtype=np.int64)
+    for a in range(len(lb.N)):
+        for l, x in enumerate(labels.tolist()):
+            for m, y in enumerate(labels.tolist()):
                 n = int(lb.size[a, x, y])
                 spans[(a, m, l)] = slice(dim, dim + n)
                 start[a, m, l] = dim
                 dim += n
+    return spans, start
+
+
+def fill(eng: Engine, slots: tuple) -> tuple:
+    """(spans, mult_table, star_table) of A(Λ) over ``slots``, Λ's (label,
+    copy) pairs: spans as _spans gives them, and the tables as TubeAlgebra
+    holds them."""
+    lb = LabelBasis(eng.ring)
+    labels = np.array([x for x, _c in slots])
+    spans, start = _spans(lb, labels)
+    dim = sum(span.stop - span.start for span in spans.values())
 
     def at(k, m, l):  # label-level basis k, from slot l to slot m
         return start[lb.a[k], m, l] + lb.loc[k]
 
-    labels = np.array([x for x, _c in slots])
     mult = np.zeros((dim, dim, dim), dtype=complex)
     (f, g, e), val = product_terms(eng, lb)
     t, (l, p, m) = slot_copies(labels, lb.src[g], lb.dst[g], lb.dst[f])
@@ -57,6 +65,64 @@ def fill(eng: Engine, slots: tuple) -> tuple:
     t, (l, m) = slot_copies(labels, lb.src[f], lb.dst[f])
     star[at(f[t], m, l), at(e[t], l, m)] = val[t]
     return spans, mult, star
+
+
+def action(eng: Engine, slots: tuple) -> tuple:
+    """((k, at, val), G, G_inv): A(Λ) over ``slots`` acting on Δ(Λ) =
+    ⊕_{x,s} x⊗x_s⊗x̄ by its own product, per root z on the stacked trees
+    of Δ's summands, in Δ's order (x, then slot s).
+
+    Bending x̄ down identifies Hom(z, x⊗x_s⊗x̄) with Hom(z⊗x, x⊗x_s), a
+    block of tube elements from the label z to the slot s, and these form
+    a left ideal: the tree ((w, ν), (z, μ₁)) of summand (x, s) corresponds
+    to the label-level basis (x, z → x_s; w, ν, μ₂), so summand (x, s)
+    holds lb.size[x, z, x_s] coordinates at z, in the same order.  The
+    basis element e_k acts there as L_z[k], whose entry [i, j] is the
+    coefficient of coordinate i in e_k·(coordinate j): the product terms
+    with g's source a label, copied over the slots of g's and f's targets.
+    The bend is G_z, block-diagonal over (x, s, w, ν) with
+    G[(…, μ₁), (…, μ₂)] = d_w·d_x^{3/2}·ζ_x·conj F^{w x̄ x}_w[(z,μ₁,μ₂),
+    (1,0,0)] (ζ_x as in star_terms), so e_k acts on Δ as G_z·L_z[k]·G_z⁻¹.
+
+    G and G_inv map each root of Δ, ascending, to an n_z × n_z matrix, n_z
+    its number of trees; the term of value val[i] adds f[k[i]]·val[i] at
+    flat position at[i] of the L_z(f), laid end to end in root order.
+    """
+    ring, d = eng.ring, np.asarray(eng.d)
+    r, n_slots = ring.rank, len(slots)
+    lb = LabelBasis(ring)
+    labels = np.array([x for x, _c in slots])
+    _, start = _spans(lb, labels)
+    per = lb.size[:, :, labels].transpose(1, 0, 2).reshape(r, r * n_slots)  # [z, (x, s)]
+    first = (np.cumsum(per, axis=1) - per).reshape(r, r, n_slots)
+    n = per.sum(axis=1)
+    corner = np.cumsum(n * n) - n * n
+
+    def pos(k, s):  # Δ coordinate of label-level basis k in summand (lb.a[k], s)
+        return first[lb.src[k], lb.a[k], s] + lb.loc[k]
+
+    (f, g, e), val = product_terms(eng, lb)
+    t, (p, m) = slot_copies(labels, lb.dst[g], lb.dst[f])
+    f, g, e, z = f[t], g[t], e[t], lb.src[g[t]]
+    terms = (start[lb.a[f], m, p] + lb.loc[f],
+             corner[z] + pos(e, m) * n[z] + pos(g, p), val[t])
+
+    (x, y, z, mu), rv, rw, cv, cw, fv = _f_entries(eng.F)
+    zeta = _zeta(eng)
+    h = np.flatnonzero(z[cv] == ring.unit)  # F^{w x̄ x}_w[(z, μ₁, μ₂), (1,0,0)]
+    q, v = _sorted_join(x * r + z, y[rw[h]] * r + x[rv[h]])  # vertices (x, x_s; w, ν)
+    h = h[q]
+    bx, bz, bw = y[rw[h]], z[rv[h]], x[rv[h]]
+    row, col = (lb.key(bx, bz, y[v], bw, mu[v], mu[side[h]]) for side in (rv, rw))
+    gv = d[bw] * d[bx] ** 1.5 * zeta[bx] * np.conj(fv[h])
+    t, (s,) = slot_copies(labels, y[v])
+    row, col, gv, bz = pos(row[t], s), pos(col[t], s), gv[t], bz[t]
+    G = {}
+    for root in np.flatnonzero(n).tolist():
+        on = bz == root
+        G[root] = np.zeros((n[root], n[root]), dtype=complex)
+        G[root][row[on], col[on]] = gv[on]
+    return terms, G, {root: np.linalg.inv(m) for root, m in G.items()}
 
 
 class LabelBasis:
@@ -144,6 +210,16 @@ def product_terms(eng: Engine, lb: LabelBasis) -> tuple:
                    * np.conj(val[e1]) * val[e2] * np.conj(val[e3]))
 
 
+def _zeta(eng: Engine) -> np.ndarray:
+    """ζ_a = F^{a ā a}_a[(1,0,0),(1,0,0)] per label a: the raw zig-zag
+    scalar that duality's cup and cap are calibrated by."""
+    (x, _y, z, _mu), rv, _rw, cv, _cw, val = _f_entries(eng.F)
+    zeta = np.zeros(eng.ring.rank, dtype=complex)
+    one = (z[rv] == eng.ring.unit) & (z[cv] == eng.ring.unit)
+    zeta[x[rv[one]]] = val[one]
+    return zeta
+
+
 def star_terms(eng: Engine, lb: LabelBasis) -> tuple:
     """The star over Λ = all simples, as ((f, e), value): the coefficient of
     e in f* for label-level basis indices.
@@ -160,9 +236,7 @@ def star_terms(eng: Engine, lb: LabelBasis) -> tuple:
     """
     (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
     r, u = eng.ring.rank, eng.ring.unit
-    zeta = np.zeros(r, dtype=complex)
-    one = (z[rv] == u) & (z[cv] == u)
-    zeta[x[rv[one]]] = val[one]
+    zeta = _zeta(eng)
     s1, s3 = np.flatnonzero(z[cv] == u), np.flatnonzero(z[rv] == u)
     e2, e1 = _sorted_join(rv[s1] * r + y[rw[s1]], rw * r + x[rv])
     q, e3 = _sorted_join(cw[s3], cw[e2])

@@ -51,8 +51,7 @@ class TreeBasis:
     far more often than it builds bases.  ``index`` (root -> tree ->
     position) is built on first use: most bases are only ever counted."""
 
-    __slots__ = ("word", "states", "by_root", "dims", "_roots", "_index",
-                 "_leads")
+    __slots__ = ("word", "states", "by_root", "dims", "_roots", "_index")
 
     def __init__(self, word: Word, states: list):
         self.word = word
@@ -61,7 +60,6 @@ class TreeBasis:
         self.dims = {z: len(self.by_root[z]) for z in sorted(self.by_root)}
         self._roots = tuple(self.dims)
         self._index = None
-        self._leads = None
 
     @classmethod
     def of(cls, ring, word: Word) -> "TreeBasis":
@@ -82,24 +80,6 @@ class TreeBasis:
             self._index = {z: {t: i for i, t in enumerate(ts)}
                            for z, ts in self.by_root.items()}
         return self._index
-
-    def lead_runs(self) -> dict:
-        """(c, μ) -> {root: slice} over the trees whose first vertex is
-        (c, μ), i.e. whose first two letters fuse to c in slot μ.
-
-        Generation order expands the first vertex before any later one, so
-        each run is contiguous, and it lists its trees in the order of the
-        trees of (c,) + word[2:] with that first pair dropped."""
-        if self._leads is None:
-            leads: dict = {}
-            for z, ts in self.by_root.items():
-                start = 0
-                for i in range(1, len(ts) + 1):
-                    if i == len(ts) or ts[i][0] != ts[start][0]:
-                        leads.setdefault(ts[start][0], {})[z] = slice(start, i)
-                        start = i
-            self._leads = leads
-        return self._leads
 
     def roots(self) -> tuple[int, ...]:
         return self._roots

@@ -3,10 +3,11 @@
 Λ is a multiplicity vector over the simple labels.  The algebra lives on
 A(Λ) = ⊕_a Hom(Λ⊗a, a⊗Λ), and a tube element is its coefficient vector in
 the basis of TubeAlgebra.spans: per direction a and pair of slots of Λ, the
-hom basis of that block.  Morphism blocks are drawn only where a diagram
-needs one (_t_diagram on basis elements, f_map's closures).  Alongside it:
-Δ(Λ) = ⊕_x x⊗Λ⊗x̄ with its unitary half-braiding, and the two inverse maps
-between tube elements and the endomorphisms of Δ that commute with it.
+hom basis of that block.  Morphism blocks are drawn only for f_map's
+closures.  Alongside it: Δ(Λ) = ⊕_x x⊗Λ⊗x̄ with its unitary
+half-braiding, and the two inverse maps between tube elements and the
+endomorphisms of Δ that commute with it: t_map, A(Λ) acting on Δ by its
+own product (tables.action), and f_map, which closes a diagram.
 Maps on Δ, the half-braiding and those endomorphisms alike, are one matrix
 per root on the stacked trees of its summands (sums.StackedBasis).
 
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -33,15 +33,14 @@ from . import tables
 from .duality import ev, rotate_clockwise
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
 from .fsymbols import group, join
-from .morphism import Engine, Linear, Morphism, engine_for
+from .morphism import Engine, Linear, engine_for
 from .pairs import canonical_pair
-from .sums import (StackedBasis, SumObject, cut_block, left_blocks, right_blocks,
-                   stack_blocks)
+from .sums import StackedBasis, SumObject, cut_block, left_blocks, right_blocks
 
 __all__ = [
     "LambdaObject", "DeltaObject", "TubeElement",
     "TubeAlgebra", "build_delta", "build_tube_algebra",
-    "tube_product", "tube_star", "tube_action", "t_map", "f_map",
+    "tube_product", "tube_star", "t_map", "f_map",
     "naturality_residual", "hexagon_residual", "verify_halfbraiding",
     "tube_json",
 ]
@@ -91,9 +90,8 @@ class DeltaObject:
     one matrix per root from the stacked trees of obj + (a,) to those of
     (a,) + obj: the hexagon's leg id_1 ⊗ e_a (_vertex_leg), drawn from
     F-entry vertex pieces (tables.vertex_pieces).  ``residuals`` holds the
-    worst unitarity / unit / hexagon defects of the build, ``actions``
-    tube_action's matrices per tube algebra, ``kernel`` what naturality and
-    compression read.
+    worst unitarity / unit / hexagon defects of the build, ``kernel`` what
+    naturality and compression read.
     """
 
     spec: object
@@ -101,8 +99,6 @@ class DeltaObject:
     obj: SumObject
     braiding: dict = field(repr=False)
     residuals: dict
-    actions: weakref.WeakKeyDictionary = field(
-        default_factory=weakref.WeakKeyDictionary, repr=False)
 
     @property
     def engine(self) -> Engine:
@@ -138,13 +134,6 @@ def _rotated_fuses(eng: Engine, a: int, y: int, x: int) -> tuple:
     strand: each maps (x̄, a) → (ȳ,)."""
     return _cached(eng.cache, ("rotfuse", a, y, x), lambda: tuple(
         rotate_clockwise(f) for f in canonical_pair(eng, a, y, x).fuses))
-
-
-def _rotated_splits(eng: Engine, x: int, a: int, y: int) -> tuple:
-    """Splitting halves of the (x,a;y) dual pair rotated likewise: each maps
-    (x̄,) → (a, ȳ)."""
-    return _cached(eng.cache, ("rotsplit", x, a, y), lambda: tuple(
-        rotate_clockwise(s) for s in canonical_pair(eng, x, a, y).splits))
 
 
 def _kron(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -262,9 +251,9 @@ def hexagon_residual(obj: SumObject, braiding, a: int, b: int,
 
     With ι = ι_{c,μ} : c → a⊗b (hom_basis((c,), (a, b))), e_{a⊗b} =
     Σ (ι ⊗ id) ∘ e_c ∘ (id ⊗ ι†), and ι ⊗ id_W embeds the combs of
-    (a, b) + W that begin with (c, μ) (Engine.channel_rows).  So the defect
-    is the max over (c, μ) of ‖e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S‖, one matrix
-    per root z from the stacked trees of W + (a, b) to those of (c,) + W,
+    (a, b) + W that begin with (c, μ).  So the defect is the max over
+    (c, μ) of ‖e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S‖, one matrix per root z
+    from the stacked trees of W + (a, b) to those of (c,) + W,
     with no factor built as a map: e_a ⊗ id_b is e_a on the lifts (v, ν),
     and id_W ⊗ ι† the vertex pad id_u ⊗ ι† (_pieces) on the trees of W at u.
 
@@ -578,68 +567,27 @@ def tube_star(A: TubeAlgebra, f: TubeElement) -> TubeElement:
 
 # ---- tube elements as endomorphisms of Δ -------------------------------------
 
-def _t_diagram(A: TubeAlgebra, delta: DeltaObject, a: int, m: int, l: int,
-               blk: Morphism) -> dict:
-    """Thread the direction line of blk : x_l⊗a → a⊗x_m through the
-    conjugate sandwich: the (x, a; y) dual pair crosses the a-line over the
-    summand boundary, one half transported to the conjugate strand.  Output
-    is an endomorphism of Δ, one matrix per root on Δ.obj.stacked(), each
-    block summed whole before it is placed (stack_blocks).  The one
-    definition of t_map, which reads it through tube_action's basis images."""
-    eng = A.engine
-    ring, d = eng.ring, eng.d
-    xl, xm = A.slots[l][0], A.slots[m][0]
-    obj = delta.obj
-    out: dict = {}
-    for x in range(ring.rank):
-        for y in ring.fusion_outcomes(x, a):
-            n = int(ring.N[x, a, y])
-            yd = ring.dual[y]
-            pair = canonical_pair(eng, x, a, y)
-            rots = _rotated_splits(eng, x, a, y)  # (xbar,) -> (a, ybar)
-            coeff = math.sqrt(d[x] * d[a] * d[y])
-            mid = eng.tensor_id_left((x,), eng.tensor_id_right(blk, (yd,)))
-            term = None
-            for t in range(n):
-                lo = _cached(eng.cache, ("t_lo", x, xl, a, y, t),
-                             lambda: eng.tensor_id_left((x, xl), rots[t]))
-                hi = _cached(eng.cache, ("t_hi", x, a, y, t, xm),
-                             lambda: eng.tensor_id_right(pair.fuses[t], (xm, yd)))
-                piece = hi @ mid @ lo
-                term = piece if term is None else term + piece
-            out[(obj.index((y, m)), obj.index((x, l)))] = (term * coeff).blocks
-    sb = obj.stacked()
-    return stack_blocks(out, sb, sb)
-
-
-def tube_action(A: TubeAlgebra, delta: DeltaObject) -> dict:
-    """The linear map t compiled from its basis images: root z -> R_z with
-    R_z[k] the matrix of _t_diagram on basis element k, the k-th
-    Engine.hom_basis morphism of its span, on the stacked coordinates of
-    Hom(z, Δ) (Δ.obj.stacked()).  Made once per (A, Δ), on first use, and
-    kept on Δ keyed by A."""
-    if delta.lam != A.lam:
-        raise ShapeError("Δ and the tube algebra were built over different Λ")
-    R = delta.actions.get(A)
-    if R is None:
-        R = {z: np.zeros((A.dim, n, n), dtype=complex)
-             for z, n in delta.obj.stacked().dims.items()}
-        slots = A.slots
-        for (a, m, l), span in A.spans.items():
-            basis = A.engine.hom_basis((slots[l][0], a), (a, slots[m][0]))
-            for k, blk in zip(range(span.start, span.stop), basis):
-                for z, mat in _t_diagram(A, delta, a, m, l, blk).items():
-                    R[z][k] = mat
-        delta.actions[A] = R
-    return R
-
-
 def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> dict:
     """The endomorphism of Δ that f acts as, one matrix per root z on
-    Δ.obj.stacked() like DeltaObject.braiding: Σ_k f_k·R_z[k], from the
-    basis images tube_action compiles out of _t_diagram."""
-    R = tube_action(A, delta)
-    return {z: np.tensordot(f.vector, Rz, 1) for z, Rz in R.items()}
+    Δ.obj.stacked() like DeltaObject.braiding: G_z·L_z(f)·G_z⁻¹, with
+    L_z(f) = Σ_k f_k·L_z[k] summed from A(Λ)'s own product terms
+    (tables.action, made once per category and slots and kept in the
+    engine's cache).  Raises ShapeError for a Δ or an f over another Λ, or
+    an f over another category."""
+    if delta.lam != A.lam:
+        raise ShapeError("Δ and the tube algebra were built over different Λ")
+    A.unit._check_parallel(f)
+    eng = A.engine
+    (k, at, val), G, G_inv = _cached(
+        eng.cache, ("action", A.slots), lambda: tables.action(eng, A.slots))
+    w = f.vector[k] * val
+    size = sum(g.size for g in G.values())
+    L = np.bincount(at, w.real, size) + 1j * np.bincount(at, w.imag, size)
+    out, first = {}, 0
+    for z, g in G.items():
+        out[z] = g @ L[first:first + g.size].reshape(g.shape) @ G_inv[z]
+        first += g.size
+    return out
 
 
 def naturality_residual(delta: DeltaObject, T: dict) -> float:

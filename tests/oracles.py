@@ -26,13 +26,13 @@ import math
 
 import numpy as np
 
-from tubecat.duality import coev, ev
+from tubecat.duality import coev, ev, rotate_clockwise
 from tubecat.errors import worst
 from tubecat.morphism import Linear
 from tubecat.pairs import canonical_pair
 from tubecat.sums import SumObject, cut_block, stack_blocks
 from tubecat.trees import tree_root
-from tubecat.tube import _rotated_fuses, _t_diagram, t_map
+from tubecat.tube import _cached, _rotated_fuses, t_map
 
 
 class BlockMap(Linear):
@@ -140,12 +140,48 @@ def engine_vertex_pad(eng, u, a, b, c, mu):
     return eng._tensor_one_left(u, canonical_pair(eng, a, b, c).splits[mu].dag())
 
 
+def lead_runs(basis):
+    """(c, μ) -> {root: slice} over the trees of a TreeBasis whose first
+    vertex is (c, μ), i.e. whose first two letters fuse to c in slot μ.
+
+    Generation order expands the first vertex before any later one, so
+    each run is contiguous, and it lists its trees in the order of the
+    trees of (c,) + word[2:] with that first pair dropped."""
+    leads = {}
+    for z, ts in basis.by_root.items():
+        start = 0
+        for i in range(1, len(ts) + 1):
+            if i == len(ts) or ts[i][0] != ts[start][0]:
+                leads.setdefault(ts[start][0], {})[z] = slice(start, i)
+                start = i
+    return leads
+
+
+def engine_channel_rows(eng, f, c, mu):
+    """(ι† ⊗ id_W) ∘ f for a Morphism f into (a, b) + W, where ι: (c,) ->
+    (a, b) is the μ-th vertex of a ⊗ b at c (``hom_basis((c,), (a, b))[mu]``).
+
+    A comb of (a, b) + W begins with a vertex (c', μ') of a ⊗ b and goes
+    on as a comb of (c',) + W.  So ι ⊗ id_W embeds the comb basis of
+    (c,) + W as the rows of (a, b) + W that begin with (c, μ) (lead_runs),
+    and its adjoint picks those rows out.  The blocks are exact copies of
+    f's entries; summed over (c, μ), tensor_id_right(ι, W) ∘
+    engine_channel_rows(eng, f, c, μ) gives f back.
+    """
+    assert len(f.dst) >= 2 and mu < eng.ring.N[f.dst[0], f.dst[1], c], (f.dst, c, mu)
+    dst2 = (c,) + f.dst[2:]
+    runs = lead_runs(eng.basis(f.dst))[(c, mu)]
+    roots = eng.common_roots(f.src, dst2)
+    return eng.make(f.src, dst2, {z: f.blocks[z][runs[z]] for z, _, _ in roots
+                                  if z in f.blocks}, roots)
+
+
 def engine_top(eng, a, b, y, x, t, c, mu):
     """(ι† ⊗ id_y) ∘ (id_a ⊗ split_t) : (a, x) → (c, y), split_t the t-th
     vertex x → b⊗y and ι the μ-th vertex c → a⊗b: the channel rows of the
     engine's id_a ⊗ split_t."""
     full = eng.tensor_id_left((a,), canonical_pair(eng, b, y, x).splits[t])
-    return eng.channel_rows(full, c, mu)
+    return engine_channel_rows(eng, full, c, mu)
 
 
 def engine_pad(eng, b, y, x, t, u):
@@ -173,13 +209,47 @@ def blocks_element(A, blocks):
     return A.element(vec)
 
 
+def t_diagram_block(A, delta, a, m, l, blk):
+    """The endomorphism of Δ that the block blk : x_l⊗a → a⊗x_m acts as,
+    drawn: thread its direction line through the conjugate sandwich, the
+    (x, a; y) dual pair crossing the a-line over the summand boundary, one
+    half transported to the conjugate strand.  One matrix per root on
+    Δ.obj.stacked(), each block summed whole before it is placed
+    (stack_blocks), where tubecat.tube.t_map reads the action off the tube
+    algebra's product terms."""
+    eng = A.engine
+    ring, d = eng.ring, eng.d
+    xl, xm = A.slots[l][0], A.slots[m][0]
+    obj = delta.obj
+    out = {}
+    for x in range(ring.rank):
+        for y, n in ring.channels[x][a].items():
+            yd = ring.dual[y]
+            pair = canonical_pair(eng, x, a, y)
+            # splitting halves rotated onto the conjugate strand: (xbar,) -> (a, ybar)
+            rots = _cached(eng.cache, ("oracle rotsplit", x, a, y), lambda: [
+                rotate_clockwise(s) for s in pair.splits])
+            coeff = math.sqrt(d[x] * d[a] * d[y])
+            mid = eng.tensor_id_left((x,), eng.tensor_id_right(blk, (yd,)))
+            term = None
+            for t in range(n):
+                lo = _cached(eng.cache, ("oracle t_lo", x, xl, a, y, t),
+                             lambda: eng.tensor_id_left((x, xl), rots[t]))
+                hi = _cached(eng.cache, ("oracle t_hi", x, a, y, t, xm),
+                             lambda: eng.tensor_id_right(pair.fuses[t], (xm, yd)))
+                piece = hi @ mid @ lo
+                term = piece if term is None else term + piece
+            out[(obj.index((y, m)), obj.index((x, l)))] = (term * coeff).blocks
+    sb = obj.stacked()
+    return stack_blocks(out, sb, sb)
+
+
 def t_diagram(A, delta, f):
     """The endomorphism of Δ that f acts as, drawn block by block
-    (tubecat.tube._t_diagram on each of f's blocks) and summed per root,
-    where t_map reads it through the basis images of tube_action."""
+    (t_diagram_block on each of f's blocks) and summed per root."""
     out = {}
     for (a, m, l), blk in element_blocks(A, f).items():
-        for z, mat in _t_diagram(A, delta, a, m, l, blk).items():
+        for z, mat in t_diagram_block(A, delta, a, m, l, blk).items():
             out[z] = out[z] + mat if z in out else mat
     return out
 
@@ -200,7 +270,7 @@ def diagram_product(A, f, g):
                 continue
             xl = slots[l][0]
             mid = eng.tensor_id_left((c,), fblk) @ eng.tensor_id_right(gblk, (b,))
-            for a in ring.fusion_outcomes(c, b):
+            for a in ring.channels[c][b]:
                 pair = canonical_pair(eng, c, b, a)
                 term = None
                 for t in range(pair.n):
@@ -326,12 +396,12 @@ def extend_halfbraiding(obj, braiding, word):
 
 
 def channel_rows(f, c, mu):
-    """(ι† ⊗ id) ∘ f block by block (Engine.channel_rows), for a block map
+    """(ι† ⊗ id) ∘ f block by block (engine_channel_rows), for a block map
     into summands that all begin with the same pair (a, b): each target
     summand (a, b) + W becomes (c,) + W."""
     eng = f.engine
     dst = SumObject(eng, [(c,) + w[2:] for w in f.dst.summands], f.dst.tags)
-    return BlockMap(f.src, dst, {k: eng.channel_rows(m, c, mu)
+    return BlockMap(f.src, dst, {k: engine_channel_rows(eng, m, c, mu)
                                  for k, m in f.blocks.items()})
 
 

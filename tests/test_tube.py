@@ -18,6 +18,7 @@ import tubecat.tables
 import tubecat.tube
 from conftest import (pointed_category, rep_a4_random_table, root_gap, root_norm,
                       su2k_category)
+from tubecat.catalog import find
 from tubecat.catspec import FusionCategorySpec, load_spec, serialize
 from tubecat.errors import NotInCommutant, ShapeError, ToleranceError
 from tubecat.morphism import Engine, engine_for
@@ -26,12 +27,13 @@ from tubecat.center import decompose_blocks, extract_center_simples
 from tubecat.tube import (LambdaObject, TubeElement, build_delta, build_tube_algebra,
                           f_map, hexagon_residual, naturality_residual, t_map,
                           tube_json, tube_product, tube_star)
-from tubecat.tube import _t_diagram, _table_residuals, _vertex_leg, tube_action
+from tubecat.tube import _table_residuals, _vertex_leg
 from oracles import (BlockMap, braiding_blocks, delta_braiding_component,
                      diagram_mult_table, diagram_product, diagram_star,
-                     diagram_star_table, engine_pad, engine_top, engine_vertex_pad,
-                     extend_halfbraiding, generic_leg, gram, sparse_rows, t_diagram,
-                     tensor_id_left, tensor_id_right, whole_map_naturality)
+                     diagram_star_table, engine_channel_rows, engine_pad, engine_top,
+                     engine_vertex_pad, extend_halfbraiding, generic_leg, gram,
+                     lead_runs, sparse_rows, t_diagram, tensor_id_left,
+                     tensor_id_right, whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -377,7 +379,7 @@ def test_channel_rows_resolve_the_identity(catalog, name):
                 total = None
                 for c, mu in _channels(eng, a, b):
                     iota = eng.hom_basis((c,), (a, b))[mu]
-                    rows = eng.channel_rows(f, c, mu)
+                    rows = engine_channel_rows(eng, f, c, mu)
                     assert rows.dst == (c,) + W
                     back = eng.tensor_id_right(iota, W) @ rows
                     total = back if total is None else total + back
@@ -611,7 +613,7 @@ def test_vertex_pieces_with_multiplicity(seed):
     # pads contract random fusion vertices g_t : (x̄, b) → (ȳ,), one per t,
     # in place of the rotated ones, and id_a ⊗ g for a random splitting
     # vertex g : (x,) → (b, y) is Σ_t g_t·top_t, placed on the rows of each
-    # channel (c, μ) of a⊗b (TreeBasis.lead_runs)
+    # channel (c, μ) of a⊗b (oracles.lead_runs)
     F = rep_a4_random_table(seed)
     spec = FusionCategorySpec(name="Rep(A4) random F", ring=F.ring,
                               dims=compute_fp_dims(F.ring), fsymbols=F)
@@ -640,7 +642,7 @@ def test_vertex_pieces_with_multiplicity(seed):
             g = eng.random((x,), (b, y), rng)
             want = eng._tensor_one_left(a, g).blocks
             got = {w: np.zeros_like(m) for w, m in want.items()}
-            for (c, mu), runs in eng.basis((a, b, y)).lead_runs().items():
+            for (c, mu), runs in lead_runs(eng.basis((a, b, y))).items():
                 for w, top in tops.get((a, b, c, mu, y, x), {}).items():
                     got[w][runs[w]] = np.tensordot(g.blocks[x][:, 0], top, 1)
             gaps += [np.max(np.abs(got[w] - m)) for w, m in want.items()]
@@ -1054,12 +1056,18 @@ def test_f_map_sees_one_bumped_entry(catalog, name):
             f_map(A, D, BlockMap(D.obj, D.obj, blocks).stacked(sb, sb))
 
 
-@pytest.mark.parametrize("name,mapping", ACTION_CASES,
-                         ids=[f"{n}-{m}" if m else n for n, m in ACTION_CASES])
+DIAGRAM_CASES = ACTION_CASES + [(name, None) for name in SU2K] + [
+    (f"Z/{n} k={k}", None) for n in range(4, 8) for k in (1, 2)] + [
+    ("rep_s3", {"std": 2, "sgn": 1}),  # repeated and partial
+]
+
+
+@pytest.mark.parametrize("name,mapping", DIAGRAM_CASES,
+                         ids=[f"{n}-{m}" if m else n for n, m in DIAGRAM_CASES])
 def test_compiled_t_map_matches_diagram(catalog, name, mapping):
-    # t_map reads the basis images of _t_diagram; on random elements the
+    # t_map reads the action off the product terms; on random elements the
     # diagram drawn block by block agrees to rounding
-    spec = catalog[name]
+    spec = _spec(catalog, name)
     lam = (LambdaObject.all_simples(spec) if mapping is None
            else LambdaObject.from_mapping(spec, mapping))
     A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
@@ -1069,26 +1077,46 @@ def test_compiled_t_map_matches_diagram(catalog, name, mapping):
         assert root_gap(t_map(A, D, f), t_diagram(A, D, f)) < 1e-12, name
 
 
-def test_tube_action_is_compiled_once_per_algebra(catalog, monkeypatch):
-    # one extraction and two round trips evaluate the diagram once per basis
-    # element; a second algebra over the same Λ gets its own matrices
-    spec = catalog["ising"]
+def test_t_map_draws_no_diagram_and_makes_its_terms_once(monkeypatch):
+    # extraction and t_map tensor no word: the action terms are made on the
+    # first call, once per engine and slots, and a second algebra over the
+    # same Λ reads the same ones; f_map still closes its diagram
+    spec = find("ising")  # a fresh engine
     lam = LambdaObject.all_simples(spec)
     A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
-    calls = []
-    monkeypatch.setattr(tubecat.tube, "_t_diagram",
-                        lambda *args: calls.append(1) or _t_diagram(*args))
-    extract_center_simples(A, D, decompose_blocks(A, seed=1))
+    dec, other = decompose_blocks(A, seed=1), build_tube_algebra(spec, lam)
+    made, tensored = [], []
+    real_action, real_tensor = tubecat.tables.action, Engine._tensor_one_left
+    monkeypatch.setattr(tubecat.tables, "action",
+                        lambda *args: made.append(args) or real_action(*args))
+    monkeypatch.setattr(Engine, "_tensor_one_left",
+                        lambda *args: tensored.append(args) or real_tensor(*args))
+    extract_center_simples(A, D, dec)
     rng = np.random.default_rng(17)
-    for _ in range(2):
-        f = A.random_element(rng)
-        assert (f_map(A, D, t_map(A, D, f)) - f).norm() < 1e-9 * f.norm()
-    assert len(calls) == A.dim
-    other = build_tube_algebra(spec, lam)
-    f = other.random_element(rng)
-    assert (f_map(other, D, t_map(other, D, f)) - f).norm() < 1e-9 * f.norm()
-    assert len(calls) == 2 * A.dim
-    assert tube_action(other, D) is not tube_action(A, D)
+    fs = [A.random_element(rng), other.random_element(rng)]
+    Ts = [t_map(A, D, fs[0]), t_map(other, D, fs[1])]
+    assert tensored == []
+    assert len(made) == 1 and made[0] == (engine_for(spec), A.slots)
+    for B, f, T in zip((A, other), fs, Ts):
+        assert (f_map(B, D, T) - f).norm() < 1e-9 * f.norm()
+    assert tensored
+
+
+def test_t_map_refuses_an_element_of_another_algebra(catalog):
+    # same Λ over another category, and another Λ over the same category
+    spec = catalog["vec_z2"]
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    twisted = catalog["vec_z2_twisted"]
+    f = build_tube_algebra(twisted, LambdaObject.all_simples(twisted)).unit
+    with pytest.raises(ShapeError, match="different categories"):
+        t_map(A, D, f)
+    fib = catalog["fibonacci"]
+    A, D = (build_tube_algebra(fib, LambdaObject.all_simples(fib)),
+            build_delta(fib, LambdaObject.all_simples(fib)))
+    f = build_tube_algebra(fib, LambdaObject.from_mapping(fib, {"tau": 1})).unit
+    with pytest.raises(ShapeError, match="different Λ"):
+        t_map(A, D, f)
 
 
 def test_maps_refuse_a_delta_over_another_lambda(catalog):
