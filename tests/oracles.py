@@ -9,12 +9,15 @@ tubecat.tube, which is what makes them worth comparing against.
 
 The tube algebra's product and star are here as diagrams (diagram_product,
 diagram_star, and the tables filled from them pair by pair), where
-tubecat.tables fills the tables from joins over the F entries.  The
-diagrams read a tube element as Morphism blocks (element_blocks), where
-the library keeps only its coefficient vector.
+tubecat.tables fills the tables from joins over the F entries; so is its
+action on Δ (t_diagram_block, t_diagram), where tubecat.tube.t_map reads
+it off the same product terms.  The diagrams read a tube element as
+Morphism blocks (element_blocks), where the library keeps only its
+coefficient vector.
 
 The three-letter pieces of Δ's half-braiding are here as the engine
-draws them (engine_vertex_pad, engine_top, engine_pad), where
+draws them (engine_vertex_pad, engine_top, engine_pad, with the channel
+rows of a comb, engine_channel_rows and lead_runs), where
 tubecat.tables.vertex_pieces gathers them from the F entries.
 
 The pentagon's two routes are here too, one word and one root at a time, as
