@@ -39,7 +39,7 @@ from .errors import DegenerateSpectrum, ToleranceError, worst
 from .duality import weighted_trace
 from .sums import SumObject, cut_block, left_blocks, right_blocks, stack_blocks
 from .tube import (DeltaObject, LambdaObject, TubeAlgebra, build_delta,
-                   build_tube_algebra, t_map, verify_halfbraiding)
+                   build_tube_algebra, check_delta, t_map, verify_halfbraiding)
 
 __all__ = [
     "BlockDecomposition", "CenterSimple", "decompose_blocks",
@@ -258,8 +258,10 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
     direct sum of the simples with one part per simple; any defect at
     EXTRACTION_TOL raises ToleranceError naming the lowest failing block,
     since it means the block structure and the braiding disagree — a bug,
-    not a bad seed.
+    not a bad seed.  Raises ShapeError, before any work, for a Δ over
+    another category or Λ than A (check_delta).
     """
+    check_delta(A, delta)
     eng = A.engine
     ring = eng.ring
     labs = A.spec.labels

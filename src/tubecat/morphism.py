@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConsistencyError, ShapeError, worst
-from .trees import Tree, TreeBasis, Word, tree_root
+from .trees import TreeBasis, Word, tree_root
 
 __all__ = ["Linear", "Morphism", "Engine", "engine_for"]
 

@@ -13,19 +13,18 @@ The three-letter pieces that tube._vertex_leg draws Δ's half-braiding
 from, and that every hexagon check reads, are one F entry per coefficient
 (vertex_pieces): id_u ⊗ ι† and the split tops are F entries gathered into
 one dense array per label tuple and root, and the pads contract the first
-with the rotated fusion halves.  tests/oracles.py keeps the diagrams and
-the engine's left tensorings as the reference.
+with the rotated fusion halves, which are one weighted F entry each
+(rotations).  tests/oracles.py keeps the diagrams, the bent fusion halves
+and the engine's left tensorings as the reference.
 """
 from __future__ import annotations
-
-from collections.abc import Callable
 
 import numpy as np
 
 from .fsymbols import group, join
 from .morphism import Engine
 
-__all__ = ["fill", "action", "vertex_pieces"]
+__all__ = ["fill", "action", "rotations", "vertex_pieces"]
 
 
 def _spans(lb: "LabelBasis", labels: np.ndarray) -> tuple:
@@ -262,7 +261,25 @@ def _stacks(fields: tuple, order: tuple, val: np.ndarray, lead: tuple) -> dict:
     return out
 
 
-def vertex_pieces(eng: Engine, rot: Callable[[int, int, int], np.ndarray]) -> tuple:
+def rotations(eng: Engine) -> dict:
+    """(b, y, x) -> R, the fusion halves of the (b, y; x) dual pair rotated
+    onto the conjugate strand, each (x̄, b) → (ȳ,), as rows over the
+    vertices ι_σ : ȳ → x̄⊗b: the t-th is Σ_σ R[t, σ]·ι_σ†, with
+
+        R[t, σ] = ζ_y/ζ_x·√d_y·d_x^(−3/2)·F^{x̄ b y}_1[(ȳ,σ,0),(x,t,0)]
+
+    (ζ as in _zeta): one F entry each, where duality.rotate_clockwise bends
+    the fusion half of pairs.canonical_pair with a cup and a cap."""
+    (x, y, z, mu), rv, rw, cv, _cw, val = _f_entries(eng.F)
+    d, zeta = np.asarray(eng.d), _zeta(eng)
+    h = np.flatnonzero(z[rw] == eng.ring.unit)
+    b, yy, xx = y[rv[h]], y[rw[h]], z[cv[h]]
+    w = zeta[yy] / zeta[xx] * np.sqrt(d[yy]) * d[xx] ** -1.5 * val[h]
+    out = _stacks((b, yy, xx), (mu[cv[h]], mu[rv[h]]), w, (eng.ring.N[b, yy, xx],))
+    return {(b, y, x): R for (b, y), per_x in out.items() for x, R in per_x.items()}
+
+
+def vertex_pieces(eng: Engine, rot: dict) -> tuple:
     """(vertex_pads, tops, pads): the three-letter pieces that Δ's
     half-braiding is drawn from and its hexagon is checked with, for every
     label tuple, each a dense array per root (the matrix of Morphism.blocks)
@@ -275,12 +292,14 @@ def vertex_pieces(eng: Engine, rot: Callable[[int, int, int], np.ndarray]) -> tu
       (a, x) → (c, y) for the t-th vertex split_t : x → b⊗y, with [ν₂, ν] =
       conj F^{a b y}_w[(c,μ,ν₂),(x,t,ν)];
     - pads[(u, b, y, x)][z][t] = id_u ⊗ g_t : (u, x̄, b) → (u, ȳ) for
-      g_t = Σ_σ R[t, σ]·ι_σ†, ι_σ the σ-th vertex ȳ → x̄⊗b and R = rot(b,
-      y, x): Σ_σ R[t, σ]·vertex_pads[(u, x̄, b, ȳ)][z][σ].
+      g_t = Σ_σ R[t, σ]·ι_σ†, ι_σ the σ-th vertex ȳ → x̄⊗b and R =
+      rot[(b, y, x)]: Σ_σ R[t, σ]·vertex_pads[(u, x̄, b, ȳ)][z][σ].
 
     The first two are gathers of F entries, as Engine._tensor_one_left
     reads them through its basis change, so they are the same numbers; the
-    third contracts the first with R, in one product per root.
+    third contracts the first with R, in one product per root.  Δ's R are
+    the rotated fusion halves (rotations); a caller may pass any R of those
+    shapes, one (N[b,y,x], N[x̄,b,ȳ]) array per admissible (b, y, x).
     """
     (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
     N, dual = eng.ring.N, eng.ring.dual
@@ -292,7 +311,7 @@ def vertex_pieces(eng: Engine, rot: Callable[[int, int, int], np.ndarray]) -> tu
                    (N[y[rv], y[rw], z[cv]], N[z[rv], y[rw], z[rw]]))
     pads = {}
     for (u, xd, b, yd), per_root in vpads.items():
-        R = rot(b, dual[yd], dual[xd])
+        R = rot[(b, dual[yd], dual[xd])]
         pads[(u, b, dual[yd], dual[xd])] = {
             r: (R @ S.reshape(len(S), -1)).reshape(len(R), *S.shape[1:])
             for r, S in per_root.items()}

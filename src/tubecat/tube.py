@@ -13,12 +13,13 @@ per root on the stacked trees of its summands (sums.StackedBasis).
 
 The structure constants are fixed contractions of F entries (tables.fill),
 and tube_product and tube_star read them; the diagrams they contract are
-kept as the tests' oracle.  Δ's vertex pieces are F entries as well
-(tables.vertex_pieces); the rest on Δ is closed formulas in the word
-engine: vertices through canonical_pair (dual bases with the √(d·d·d)
-weight), rotated ones by exact bends (rotate_clockwise).  Each √d prefactor
-is written once, next to its formula, and nothing re-normalizes, so a
-convention slip shows up as a failed unitarity, round-trip or table check.
+kept as the tests' oracle.  Δ's vertex pieces, the rotated fusion halves
+included, are F entries as well (tables.vertex_pieces, tables.rotations),
+so Δ is drawn and checked with no diagram; only f_map's closures are
+drawn in the word engine, with vertices through canonical_pair (dual bases
+with the √(d·d·d) weight).  Each √d prefactor is written once, next to its
+formula, and nothing re-normalizes, so a convention slip shows up as a
+failed unitarity, round-trip or table check.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tables
-from .duality import ev, rotate_clockwise
+from .duality import ev
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
 from .fsymbols import group, join
 from .morphism import Engine, Linear, engine_for
@@ -42,7 +43,7 @@ __all__ = [
     "TubeAlgebra", "build_delta", "build_tube_algebra",
     "tube_product", "tube_star", "t_map", "f_map",
     "naturality_residual", "hexagon_residual", "verify_halfbraiding",
-    "tube_json",
+    "check_delta", "tube_json",
 ]
 
 
@@ -55,7 +56,11 @@ class LambdaObject:
     mult: tuple
 
     def __post_init__(self):
-        if not self.mult or any(int(m) != m or m < 0 for m in self.mult):
+        try:
+            whole = all(int(m) == m >= 0 for m in self.mult)
+        except (TypeError, ValueError, OverflowError):  # None, NaN, ±inf
+            whole = False
+        if not self.mult or not whole:
             raise ShapeError("multiplicities must be nonnegative integers")
         if not any(self.mult):
             raise ShapeError("at least one positive multiplicity required")
@@ -67,10 +72,22 @@ class LambdaObject:
 
     @classmethod
     def from_mapping(cls, spec, mapping) -> "LambdaObject":
-        mult = [0] * len(spec.labels)
+        """Λ from {label or label index: multiplicity}, absent labels 0.
+        Raises ShapeError for an unknown label, an index outside the
+        labels, a label given twice (by name and by index), or a
+        multiplicity that is not a nonnegative integer."""
+        mult: dict = {}
         for key, m in mapping.items():
-            mult[spec.index(key) if isinstance(key, str) else int(key)] = int(m)
-        return cls(tuple(mult))
+            if isinstance(key, str):
+                if key not in spec.labels:
+                    raise ShapeError(f"unknown label {key!r}")
+                key = spec.index(key)
+            elif int(key) != key or not 0 <= key < len(spec.labels):
+                raise ShapeError(f"label index {key!r} outside 0..{len(spec.labels) - 1}")
+            if int(key) in mult:
+                raise ShapeError(f"label {spec.labels[int(key)]!r} given twice")
+            mult[int(key)] = m
+        return cls(tuple(mult.get(x, 0) for x in range(len(spec.labels))))
 
     def slots(self) -> tuple:
         """Ordered (label, copy) pairs, one per simple summand of Λ."""
@@ -129,34 +146,22 @@ def _cached(store: dict, key: tuple, make):
     return out
 
 
-def _rotated_fuses(eng: Engine, a: int, y: int, x: int) -> tuple:
-    """Fusion halves of the (a,y;x) dual pair, rotated to sit on a downward
-    strand: each maps (x̄, a) → (ȳ,)."""
-    return _cached(eng.cache, ("rotfuse", a, y, x), lambda: tuple(
-        rotate_clockwise(f) for f in canonical_pair(eng, a, y, x).fuses))
-
-
-def _kron(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, with less overhead."""
-    return (p[:, None, :, None] * q[None, :, None, :]).reshape(
-        len(p) * len(q), p.shape[1] * q.shape[1])
-
-
 def _pieces(eng: Engine) -> tuple:
-    """tables.vertex_pieces, rot_t from _rotated_fuses, kept in the engine's cache."""
-    def rot(b, y, x):
-        return np.array([f.blocks[eng.ring.dual[y]][0] for f in _rotated_fuses(eng, b, y, x)])
-    return _cached(eng.cache, ("vertex pieces",), lambda: tables.vertex_pieces(eng, rot))
+    """tables.vertex_pieces with Δ's rotations (tables.rotations), kept in
+    the engine's cache."""
+    return _cached(eng.cache, ("vertex pieces",),
+                   lambda: tables.vertex_pieces(eng, tables.rotations(eng)))
 
 
 def _vertex_groups(sb: StackedBasis) -> dict:
     """Positions of sb's trees at each root z, grouped by (summand, channel
-    w of the first vertex, second vertex (u, ν), z), in generation order."""
+    w of the first vertex, second vertex (u, ν), z), in generation order:
+    one list per group."""
     groups: dict = {}
     for z, trees in sb.by_root.items():
         for pos, (j, tree) in enumerate(trees):
             groups.setdefault((j, tree[0][0], tree[1], z), []).append(pos)
-    return {key: np.array(pos) for key, pos in groups.items()}
+    return groups
 
 
 def _vertex_leg(obj: SumObject, a: int, b: int, memo: dict,
@@ -174,7 +179,9 @@ def _vertex_leg(obj: SumObject, a: int, b: int, memo: dict,
     (u, x̄, b) and (u, ȳ).  So on the trees that share (w, u, ν) the block
     is Σ_t √(d_x d_y)·top_t[w] ⊗ pad_{t,u}[z] (pad = id_u ⊗ rot_t; both
     from _pieces), from column group (j, w, (u, ν), z) to row group
-    (i, w, (u, ν), z) (_vertex_groups), memoized in ``memo``.
+    (i, w, (u, ν), z) (_vertex_groups), memoized in ``memo``.  The blocks
+    that share a root and the shapes of top and pad are formed as one
+    broadcast product, summed over t in order, and written at once.
     """
     eng = obj.engine
     ring, d = eng.ring, eng.d
@@ -186,13 +193,21 @@ def _vertex_leg(obj: SumObject, a: int, b: int, memo: dict,
     ys = _cached(memo, ("ys", b), lambda: [
         [(y, math.sqrt(d[x] * d[y])) for y, n in enumerate(ring.N[b, :, x]) if n]
         for x in range(ring.rank)])
+    buckets: dict = {}  # (z, top shape, pad shape) -> [(top, pad, rows, cols, weight)]
     for (j, w, un, z), C in _vertex_groups(src).items():
         x, s = obj.tags[j]
         for y, wt in ys[x]:
             R = rows.get((obj.index((y, s)), w, un, z))
             if R is not None:
-                per_t = zip(tops[(a, b, c, mu, y, x)][w], pads[(un[0], b, y, x)][z])
-                out[z][R[:, None], C] = sum(_kron(p, q) for p, q in per_t) * wt
+                p, q = tops[(a, b, c, mu, y, x)][w], pads[(un[0], b, y, x)][z]
+                buckets.setdefault((z, p.shape, q.shape), []).append((p, q, R, C, wt))
+    for (z, (n_t, m, n), (_, k, l)), blocks in buckets.items():
+        p, q, R, C, wt = map(np.array, zip(*blocks))  # p, q: (block, t, ...)
+        blk = p[:, 0, :, None, :, None] * q[:, 0, None, :, None, :]
+        for t in range(1, n_t):
+            blk = blk + p[:, t, :, None, :, None] * q[:, t, None, :, None, :]
+        out[z][R[:, :, None], C[:, None, :]] = (
+            blk.reshape(len(p), m * k, n * l) * wt[:, None, None])
     return out
 
 
@@ -263,9 +278,9 @@ def hexagon_residual(obj: SumObject, braiding, a: int, b: int,
     ``left(c, mu, mid)`` is (ι† ⊗ id) ∘ (id_a ⊗ e_b) per root, from mid, the
     trees of (a,) + W + (b,); by default _stacked_leg, from the stored e_b.
     build_delta hands in _vertex_leg, which drew every stored e_b as its
-    leg at a = 1, so the leg at a ≠ 1 is drawn afresh from the same vertex
-    pieces; the stored e_b still enters through e_c and e_b ⊗ id on the
-    pairs (b, ·).
+    leg at a = 1: there it reads the stored e_b, and the leg at a ≠ 1 is
+    drawn afresh from the same vertex pieces; the stored e_b still enters
+    through e_c and e_b ⊗ id on the pairs (b, ·).
     """
     eng = obj.engine
     hb = braiding if isinstance(braiding, _Stacked) else _Stacked(obj, braiding)
@@ -367,9 +382,10 @@ DELTA_TOL = 1e-9
 
 def build_delta(spec, lam: LambdaObject) -> DeltaObject:
     """Assemble Δ(Λ), draw each e_b as the leg id_1 ⊗ e_b (_vertex_leg), and
-    verify it (verify_halfbraiding, its hexagon legs id_a ⊗ e_b drawn by the
-    same routine).  Raises ToleranceError when a residual reaches DELTA_TOL:
-    an engine or data bug, not bad user input."""
+    verify it (verify_halfbraiding on every pair (a, b), its hexagon legs
+    id_a ⊗ e_b the stored e_b at a = 1 and drawn by the same routine at
+    a ≠ 1).  Raises ToleranceError when a residual reaches DELTA_TOL: an
+    engine or data bug, not bad user input."""
     eng = engine_for(spec)
     ring = eng.ring
     if len(lam.mult) != ring.rank:
@@ -386,9 +402,13 @@ def build_delta(spec, lam: LambdaObject) -> DeltaObject:
     u = ring.unit
     braiding = {b: _vertex_leg(obj, u, b, memo, b, 0, obj.stacked((u,), (b,)))
                 for b in range(ring.rank)}
-    residuals = verify_halfbraiding(
-        obj, braiding, DELTA_TOL,
-        lambda a, b: functools.partial(_vertex_leg, obj, a, b, memo))[0]
+
+    def left(a, b):  # at a = 1 the leg is the drawn e_b: same call, same inputs
+        if a == u:
+            return lambda _c, _mu, _src: braiding[b]
+        return functools.partial(_vertex_leg, obj, a, b, memo)
+
+    residuals = verify_halfbraiding(obj, braiding, DELTA_TOL, left)[0]
     return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding, residuals=residuals)
 
 
@@ -567,15 +587,23 @@ def tube_star(A: TubeAlgebra, f: TubeElement) -> TubeElement:
 
 # ---- tube elements as endomorphisms of Δ -------------------------------------
 
+def check_delta(A: TubeAlgebra, delta: DeltaObject):
+    """Raise ShapeError unless Δ and A were built over one category (one
+    engine) and one Λ."""
+    if delta.engine is not A.engine:
+        raise ShapeError("Δ and the tube algebra were built over different categories")
+    if delta.lam != A.lam:
+        raise ShapeError("Δ and the tube algebra were built over different Λ")
+
+
 def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> dict:
     """The endomorphism of Δ that f acts as, one matrix per root z on
     Δ.obj.stacked() like DeltaObject.braiding: G_z·L_z(f)·G_z⁻¹, with
     L_z(f) = Σ_k f_k·L_z[k] summed from A(Λ)'s own product terms
     (tables.action, made once per category and slots and kept in the
-    engine's cache).  Raises ShapeError for a Δ or an f over another Λ, or
-    an f over another category."""
-    if delta.lam != A.lam:
-        raise ShapeError("Δ and the tube algebra were built over different Λ")
+    engine's cache).  Raises ShapeError for a Δ or an f over another
+    category or Λ (check_delta)."""
+    check_delta(A, delta)
     A.unit._check_parallel(f)
     eng = A.engine
     (k, at, val), G, G_inv = _cached(
@@ -628,13 +656,13 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
     block is cut out of it once, when the formula first reads it, and one
     that is exactly zero at every root is skipped.
 
-    Raises ShapeError for a T of other roots or shapes (naturality_residual),
-    and NotInCommutant when T fails to commute with the half-braiding
-    (residual >= NATURALITY_TOL); the closure formula is only inverse to t_map on
-    the commutant.
+    Raises ShapeError for a Δ over another category or Λ (check_delta) or a
+    T of other roots or shapes (naturality_residual), and NotInCommutant
+    when T fails to commute with the half-braiding (residual >=
+    NATURALITY_TOL); the closure formula is only inverse to t_map on the
+    commutant.
     """
-    if delta.lam != A.lam:
-        raise ShapeError("Δ and the tube algebra were built over different Λ")
+    check_delta(A, delta)
     nat = naturality_residual(delta, T)
     if not nat < NATURALITY_TOL:
         raise NotInCommutant(f"naturality defect {nat:.3e} >= {NATURALITY_TOL:g}")

@@ -18,7 +18,11 @@ coefficient vector.
 The three-letter pieces of Δ's half-braiding are here as the engine
 draws them (engine_vertex_pad, engine_top, engine_pad, with the channel
 rows of a comb, engine_channel_rows and lead_runs), where
-tubecat.tables.vertex_pieces gathers them from the F entries.
+tubecat.tables.vertex_pieces gathers them from the F entries, and so are
+the fusion halves bent onto the conjugate strand (rotated_fuses), where
+tubecat.tables.rotations reads each off one F entry.  The hexagon leg is
+here as one Kronecker sum and one scatter per tree group (vertex_leg_loop),
+where tubecat.tube._vertex_leg forms the blocks of a root and shape at once.
 
 The pentagon's two routes are here too, one word and one root at a time, as
 loops over block rows and columns (trees_T1 … pentagon_residual), where
@@ -35,7 +39,7 @@ from tubecat.morphism import Linear
 from tubecat.pairs import canonical_pair
 from tubecat.sums import SumObject, cut_block, stack_blocks
 from tubecat.trees import tree_root
-from tubecat.tube import _cached, _rotated_fuses, t_map
+from tubecat.tube import _cached, _pieces, _vertex_groups, t_map
 
 
 class BlockMap(Linear):
@@ -113,6 +117,37 @@ def braiding_blocks(obj, braiding):
             for a, m in braiding.items()}
 
 
+def rotated_fuses(eng, a, y, x):
+    """Fusion halves of the (a, y; x) dual pair, rotated by exact bends to
+    sit on a downward strand: each maps (x̄, a) → (ȳ,), where
+    tubecat.tables.rotations reads them off one F entry each."""
+    return _cached(eng.cache, ("oracle rotfuse", a, y, x), lambda: tuple(
+        rotate_clockwise(f) for f in canonical_pair(eng, a, y, x).fuses))
+
+
+def vertex_leg_loop(obj, a, b, memo, c, mu, src):
+    """Channel (c, μ) of id_a ⊗ e_b on Δ from the same vertex pieces as
+    tubecat.tube._vertex_leg, one tree group at a time: per column group
+    (j, w, (u, ν), z) and y, one Kronecker sum over t and one scatter, where
+    the library forms the blocks of a root and shape at once."""
+    eng = obj.engine
+    ring, d = eng.ring, eng.d
+    _vpads, tops, pads = _pieces(eng)
+    dst = obj.stacked((c,))
+    rows = _cached(memo, ("rows", c), lambda: _vertex_groups(dst))
+    out = {z: np.zeros((n, src.dims[z]), dtype=complex)
+           for z, n in dst.dims.items() if z in src.dims}
+    for (j, w, un, z), C in _vertex_groups(src).items():
+        x, s = obj.tags[j]
+        for y in range(ring.rank):
+            R = rows.get((obj.index((y, s)), w, un, z))
+            if ring.N[b, y, x] and R is not None:
+                per_t = zip(tops[(a, b, c, mu, y, x)][w], pads[(un[0], b, y, x)][z])
+                out[z][np.ix_(R, C)] = (sum(np.kron(p, q) for p, q in per_t)
+                                         * math.sqrt(d[x] * d[y]))
+    return out
+
+
 def delta_braiding_component(eng, obj, a):
     """Blocks (i, j) of Δ's e_a, one per summand j = (x, l, x̄) of Δ and y
     with N[a, y, x] > 0, where i is summand (y, l, ȳ) of the same slot: on
@@ -129,7 +164,7 @@ def delta_braiding_component(eng, obj, a):
             for t in range(int(ring.N[a, y, x])):
                 split = canonical_pair(eng, a, y, x).splits[t]
                 term = (eng.tensor_id_right(split, (l, ring.dual[y]))
-                        @ eng.tensor_id_left((x, l), _rotated_fuses(eng, a, y, x)[t]))
+                        @ eng.tensor_id_left((x, l), rotated_fuses(eng, a, y, x)[t]))
                 acc = term if acc is None else acc + term
             if acc is not None:
                 blocks[(obj.index((y, s)), j)] = acc * math.sqrt(d[x] * d[y])
@@ -187,10 +222,12 @@ def engine_top(eng, a, b, y, x, t, c, mu):
     return engine_channel_rows(eng, full, c, mu)
 
 
-def engine_pad(eng, b, y, x, t, u):
-    """id_u ⊗ rot_t : (u, x̄, b) → (u, ȳ), rot_t the t-th (b, y; x) fusion
-    half rotated onto the conjugate strand, by the engine's left tensoring."""
-    return eng._tensor_one_left(u, _rotated_fuses(eng, b, y, x)[t])
+def engine_pad(eng, b, y, x, row, u):
+    """id_u ⊗ g : (u, x̄, b) → (u, ȳ) by the engine's left tensoring, g the
+    fusion vertex Σ_σ row[σ]·ι_σ† over the vertices ι_σ : ȳ → x̄⊗b (a row
+    of tubecat.tables.rotations for Δ's pads)."""
+    dual = eng.ring.dual
+    return eng._tensor_one_left(u, eng.from_coeffs((dual[x], b), (dual[y],), row))
 
 
 def element_blocks(A, f):

@@ -1,0 +1,77 @@
+"""Every module-level import in src/tubecat is used.
+
+A stdlib stand-in for a linter's unused-import rule: each module is parsed
+with ast, and a name bound by a module-level import must be read somewhere
+in that module (string annotations included), be listed in its __all__, or
+be re-exported by the package __init__.  The package __init__ re-exports
+everything it imports.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tubecat"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _bound(node):
+    """(name, line) for each name a module-level import statement binds."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+
+
+def _read_names(tree):
+    """Every name read in tree, also inside string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= _read_names(ast.parse(note.value, mode="eval"))
+    return names
+
+
+def _all(tree):
+    """The strings listed in a module-level __all__."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {e.value for e in node.value.elts}
+    return set()
+
+
+def _reexported():
+    """module stem -> names the package __init__ imports from it."""
+    out = {}
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            out.setdefault(node.module, set()).update(a.name for a in node.names)
+    return out
+
+
+def unused_imports(path):
+    """(name, line) of each module-level import in path that nothing uses."""
+    tree = ast.parse(path.read_text())
+    if path.name == "__init__.py":
+        return []
+    used = _read_names(tree) | _all(tree) | _reexported().get(path.stem, set())
+    return [(name, line) for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for name, line in _bound(node) if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_module_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from __future__ import annotations\n"
+                   "import math\nimport numpy as np\nfrom os import path, sep\n"
+                   "__all__ = ['sep']\n\n"
+                   "def f(x: 'np.ndarray') -> int:\n    return 1\n")
+    assert unused_imports(src) == [("math", 2), ("path", 4)]

@@ -23,6 +23,7 @@ from tubecat.catspec import FusionCategorySpec, load_spec, serialize
 from tubecat.errors import NotInCommutant, ShapeError, ToleranceError
 from tubecat.morphism import Engine, engine_for
 from tubecat.ring import compute_fp_dims
+from tubecat.sums import SumObject
 from tubecat.center import decompose_blocks, extract_center_simples
 from tubecat.tube import (LambdaObject, TubeElement, build_delta, build_tube_algebra,
                           f_map, hexagon_residual, naturality_residual, t_map,
@@ -32,8 +33,8 @@ from oracles import (BlockMap, braiding_blocks, delta_braiding_component,
                      diagram_mult_table, diagram_product, diagram_star,
                      diagram_star_table, engine_channel_rows, engine_pad, engine_top,
                      engine_vertex_pad, extend_halfbraiding, generic_leg, gram,
-                     lead_runs, sparse_rows, t_diagram, tensor_id_left,
-                     tensor_id_right, whole_map_naturality)
+                     lead_runs, rotated_fuses, sparse_rows, t_diagram, tensor_id_left,
+                     tensor_id_right, vertex_leg_loop, whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -72,6 +73,17 @@ def deltas(catalog):
 
 
 # ---- Λ ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("mapping, message", [
+    ({"tau": 1.5}, "nonnegative integers"), ({"tau": math.nan}, "nonnegative integers"),
+    ({"tau": None}, "nonnegative integers"), ({"phi": 1}, "unknown label 'phi'"),
+    ({2: 1}, "label index 2 outside 0..1"), ({-1: 1}, "label index -1 outside"),
+    ({"tau": 1, 1: 2}, "label 'tau' given twice")])
+def test_lambda_from_mapping_refuses_bad_input(catalog, mapping, message):
+    # fibonacci has rank 2; as LambdaObject itself, a ShapeError
+    with pytest.raises(ShapeError, match=message):
+        LambdaObject.from_mapping(catalog["fibonacci"], mapping)
+
 
 def test_lambda_validation(catalog):
     spec = catalog["fibonacci"]
@@ -530,14 +542,21 @@ def test_drawing_tensors_no_four_letter_word(monkeypatch):
     # a cold Vec[Z/7]^ω build_delta draws e_b from pieces on at most three
     # letters: no morphism is left-tensored into a four-letter word and no
     # two-letter word is tensored on the left.  Drawing each block whole
-    # took 343 of each, and 455 tensor_id_right calls against 112 here.
-    # The pieces are read off the F entries, so only the 49 rotated fusion
-    # halves left-tensor: 112 calls, against 1,141 when every top, pad and
-    # vertex pad was a left-tensoring of its own
+    # took 343 of each, and 455 tensor_id_right calls.  Every piece, the
+    # rotated fusion halves included, is read off the F entries, so no
+    # diagram is rotated and nothing is tensored at all: 112 left and 112
+    # right tensorings when the 49 halves were bent, 1,141 left ones when
+    # every top, pad and vertex pad was a left-tensoring of its own
+    import tubecat.duality
     from tubecat.morphism import Engine
     spec = load_spec(pointed_category(7, k=1))
-    calls = {"one_left": 0, "one_left_into_4": 0, "left_by_2": 0, "right": 0}
+    calls = {"one_left": 0, "one_left_into_4": 0, "left_by_2": 0, "right": 0, "rotate": 0}
     one, left, right = Engine._tensor_one_left, Engine.tensor_id_left, Engine.tensor_id_right
+    rotate = tubecat.duality.rotate_clockwise
+
+    def counted_rotate(f):
+        calls["rotate"] += 1
+        return rotate(f)
 
     def counted_one(self, c, f):
         out = one(self, c, f)
@@ -556,10 +575,9 @@ def test_drawing_tensors_no_four_letter_word(monkeypatch):
     monkeypatch.setattr(Engine, "_tensor_one_left", counted_one)
     monkeypatch.setattr(Engine, "tensor_id_left", counted_left)
     monkeypatch.setattr(Engine, "tensor_id_right", counted_right)
+    monkeypatch.setattr(tubecat.duality, "rotate_clockwise", counted_rotate)
     build_delta(spec, LambdaObject.all_simples(spec))
-    assert calls["one_left_into_4"] == calls["left_by_2"] == 0, calls
-    assert calls["right"] <= 112, calls
-    assert calls["one_left"] <= 112, calls
+    assert calls == dict.fromkeys(calls, 0), calls
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "vec_z2_twisted",
@@ -567,12 +585,14 @@ def test_drawing_tensors_no_four_letter_word(monkeypatch):
 def test_vertex_pieces_are_the_engine_pieces(catalog, name):
     # every vertex pad, top and pad that Δ's drawing and hexagon read,
     # gathered from F entries, against the engine's left tensoring of the
-    # same vertex: one per label tuple, the same roots and shapes, and the
-    # same entries
+    # same vertex (for a pad, the rotated fusion half that tables.rotations
+    # reads off F, itself checked against the bent diagram below): one per
+    # label tuple, the same roots and shapes, and the same entries
     spec = _spec(catalog, name)
     eng = engine_for(spec)
     N = eng.ring.N
     vpads, tops, pads = tubecat.tube._pieces(eng)
+    rot = tubecat.tables.rotations(eng)
     assert len(vpads) == len(pads) == spec.rank * np.count_nonzero(N)
     pairs = []  # (gathered, engine's) per vertex index
     for (u, a, b, c), per_root in vpads.items():
@@ -583,7 +603,8 @@ def test_vertex_pieces_are_the_engine_pieces(catalog, name):
                    engine_top(eng, a, b, y, x, t, c, mu)) for t in range(N[b, y, x])]
     for (u, b, y, x), per_root in pads.items():
         pairs += [({z: S[t] for z, S in per_root.items()},
-                   engine_pad(eng, b, y, x, t, u)) for t in range(N[b, y, x])]
+                   engine_pad(eng, b, y, x, rot[(b, y, x)][t], u))
+                  for t in range(N[b, y, x])]
     for got, want in pairs:
         assert sorted(got) == sorted(want.blocks), (want.src, want.dst)
         assert all(m.shape == want.blocks[z].shape for z, m in got.items())
@@ -605,6 +626,23 @@ def test_vertex_pieces_are_gathered_once_per_category(monkeypatch):
     assert len(calls) == 1 and calls[0][0] is engine_for(spec)
 
 
+def _rep_a4_engine(seed):
+    """(engine, rng) of Rep(A4)'s ring with seeded random unitary F blocks."""
+    F = rep_a4_random_table(seed)
+    spec = FusionCategorySpec(name="Rep(A4) random F", ring=F.ring,
+                              dims=compute_fp_dims(F.ring), fsymbols=F)
+    return engine_for(spec), np.random.default_rng(seed)
+
+
+def _random_fusion_halves(eng, rng):
+    """(b, y, x) -> [g_t : (x̄, b) → (ȳ,) per t], random, for every
+    admissible (b, y, x) in ascending order."""
+    ring, dual = eng.ring, eng.ring.dual
+    return {(b, y, x): [eng.random((dual[x], b), (dual[y],), rng)
+                        for _t in range(ring.N[b, y, x])]
+            for b, y, x in np.argwhere(ring.N).tolist()}
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_vertex_pieces_with_multiplicity(seed):
     # Rep(A4)'s ring, 3⊗3 ∋ 2·3, with random unitary F blocks: the gathered
@@ -614,20 +652,10 @@ def test_vertex_pieces_with_multiplicity(seed):
     # in place of the rotated ones, and id_a ⊗ g for a random splitting
     # vertex g : (x,) → (b, y) is Σ_t g_t·top_t, placed on the rows of each
     # channel (c, μ) of a⊗b (oracles.lead_runs)
-    F = rep_a4_random_table(seed)
-    spec = FusionCategorySpec(name="Rep(A4) random F", ring=F.ring,
-                              dims=compute_fp_dims(F.ring), fsymbols=F)
-    eng = engine_for(spec)
+    eng, rng = _rep_a4_engine(seed)
     ring, dual = eng.ring, eng.ring.dual
-    rng = np.random.default_rng(seed)
-    fuse = {}  # (b, y, x) -> [g_t : (x̄, b) → (ȳ,) per t]
-
-    def rot(b, y, x):
-        if (b, y, x) not in fuse:
-            fuse[(b, y, x)] = [eng.random((dual[x], b), (dual[y],), rng)
-                               for _t in range(ring.N[b, y, x])]
-        return np.array([g.blocks[dual[y]][0] for g in fuse[(b, y, x)]])
-
+    fuse = _random_fusion_halves(eng, rng)
+    rot = {key: np.array([g.blocks[dual[key[1]]][0] for g in gs]) for key, gs in fuse.items()}
     vpads, tops, pads = tubecat.tables.vertex_pieces(eng, rot)
     assert max(len(S) for per_root in vpads.values() for S in per_root.values()) == 2
     assert max(len(S) for per_root in tops.values() for S in per_root.values()) == 2
@@ -647,6 +675,84 @@ def test_vertex_pieces_with_multiplicity(seed):
                     got[w][runs[w]] = np.tensordot(g.blocks[x][:, 0], top, 1)
             gaps += [np.max(np.abs(got[w] - m)) for w, m in want.items()]
     assert max(gaps) <= 1e-14
+
+
+ROTATION_CASES = [*TUBE_DIM, *(f"Z/{n} k={k}" for n in range(4, 8) for k in (1, 2)), *SU2K]
+
+
+@pytest.mark.parametrize("name", ROTATION_CASES)
+def test_rotations_are_the_bent_fusion_halves(catalog, name):
+    # R read off one F entry per coefficient against the fusion halves of
+    # canonical_pair bent onto the conjugate strand with a cup and a cap:
+    # one array per admissible (b, y, x), of shape (N[b,y,x], N[x̄,b,ȳ])
+    spec = _spec(catalog, name)
+    eng = engine_for(spec)
+    rot = tubecat.tables.rotations(eng)
+    assert sorted(rot) == sorted(map(tuple, np.argwhere(eng.ring.N).tolist()))
+    gaps = []
+    for (b, y, x), R in rot.items():
+        want = np.array([f.blocks[eng.ring.dual[y]][0] for f in rotated_fuses(eng, b, y, x)])
+        assert R.shape == want.shape, (name, b, y, x)
+        gaps.append(np.max(np.abs(R - want)))
+    assert max(gaps) <= 1e-14, name
+
+
+def _legs_agree(obj, a, b, memo, loop_memo):
+    """(c, μ) -> whether the batched leg and the per-group loop agree
+    exactly, roots and entries, over every channel of a⊗b."""
+    mid = obj.stacked((a,), (b,))
+    out = {}
+    for c, mu in _channels(obj.engine, a, b):
+        got = _vertex_leg(obj, a, b, memo, c, mu, mid)
+        want = vertex_leg_loop(obj, a, b, loop_memo, c, mu, mid)
+        out[(c, mu)] = (sorted(got) == sorted(want)
+                        and all(np.array_equal(got[z], want[z]) for z in want))
+    return out
+
+
+@pytest.mark.parametrize("name, mapping", [
+    *((name, None) for name in TUBE_DIM),
+    *((f"Z/{n} k=1", None) for n in range(4, 8)), *((name, None) for name in SU2K),
+    ("fibonacci", {"tau": 2}), ("rep_s3", {"std": 2, "sgn": 1})])
+def test_vertex_leg_matches_the_loop(catalog, name, mapping):
+    # every channel (c, μ) of every leg id_a ⊗ e_b, the drawing's a = 1
+    # included, formed bucket by bucket against one Kronecker sum and one
+    # scatter per tree group: the same arrays, bit for bit
+    spec = _spec(catalog, name)
+    lam = (LambdaObject.all_simples(spec) if mapping is None
+           else LambdaObject.from_mapping(spec, mapping))
+    D = build_delta(spec, lam)
+    memo, loop_memo = {}, {}
+    for a in range(spec.rank):
+        for b in range(spec.rank):
+            same = _legs_agree(D.obj, a, b, memo, loop_memo)
+            assert all(same.values()), (name, a, b, same)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_vertex_leg_matches_the_loop_with_multiplicity(seed):
+    # Rep(A4)'s ring with random F and random rotations, set as the
+    # engine's vertex pieces: 3⊗3 ∋ 2·3 sends two vertices (t = 0, 1) and
+    # blocks larger than 1×1 through the leg.  Random F satisfies no
+    # pentagon, so Δ is assembled here, as build_delta assembles it, and
+    # never verified
+    eng, rng = _rep_a4_engine(seed)
+    ring, dual = eng.ring, eng.ring.dual
+    rot = {key: np.array([g.blocks[dual[key[1]]][0] for g in gs])
+           for key, gs in _random_fusion_halves(eng, rng).items()}
+    eng.cache[("vertex pieces",)] = tubecat.tables.vertex_pieces(eng, rot)
+    lam = LambdaObject((1, 0, 1, 2))
+    slots = lam.slots()
+    obj = SumObject(eng, [(x, l, dual[x]) for x in range(ring.rank) for l, _c in slots],
+                    [(x, s) for x in range(ring.rank) for s in range(len(slots))])
+    memo, loop_memo = {}, {}
+    for a in range(ring.rank):
+        for b in range(ring.rank):
+            same = _legs_agree(obj, a, b, memo, loop_memo)
+            assert all(same.values()), (seed, a, b, same)
+    tops, pads = eng.cache[("vertex pieces",)][1:]
+    assert max(len(S) for per_w in tops.values() for S in per_w.values()) == 2
+    assert any(S.shape[1:] != (1, 1) for per_z in pads.values() for S in per_z.values())
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "vec_z3",
@@ -1117,6 +1223,33 @@ def test_t_map_refuses_an_element_of_another_algebra(catalog):
     f = build_tube_algebra(fib, LambdaObject.from_mapping(fib, {"tau": 1})).unit
     with pytest.raises(ShapeError, match="different Λ"):
         t_map(A, D, f)
+
+
+@pytest.fixture(scope="module")
+def mixed_categories(catalog):
+    """(A over vec_z2, Δ over vec_z2_twisted), both over all simples: the
+    same Λ and ranks, other categories."""
+    plain, twisted = catalog["vec_z2"], catalog["vec_z2_twisted"]
+    return (build_tube_algebra(plain, LambdaObject.all_simples(plain)),
+            build_delta(twisted, LambdaObject.all_simples(twisted)))
+
+
+def test_t_map_refuses_a_delta_over_another_category(mixed_categories):
+    A, D = mixed_categories
+    with pytest.raises(ShapeError, match="different categories"):
+        t_map(A, D, A.unit)
+
+
+def test_f_map_refuses_a_delta_over_another_category(mixed_categories):
+    A, D = mixed_categories
+    with pytest.raises(ShapeError, match="different categories"):
+        f_map(A, D, {z: np.eye(n) for z, n in D.obj.stacked().dims.items()})
+
+
+def test_extraction_refuses_a_delta_over_another_category(mixed_categories):
+    A, D = mixed_categories
+    with pytest.raises(ShapeError, match="different categories"):
+        extract_center_simples(A, D, decompose_blocks(A, seed=1))
 
 
 def test_maps_refuse_a_delta_over_another_lambda(catalog):
