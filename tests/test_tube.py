@@ -539,14 +539,9 @@ def test_drawn_braiding_matches_whole_blocks(catalog, name, mapping):
 
 
 def test_drawing_tensors_no_four_letter_word(monkeypatch):
-    # a cold Vec[Z/7]^ω build_delta draws e_b from pieces on at most three
-    # letters: no morphism is left-tensored into a four-letter word and no
-    # two-letter word is tensored on the left.  Drawing each block whole
-    # took 343 of each, and 455 tensor_id_right calls.  Every piece, the
-    # rotated fusion halves included, is read off the F entries, so no
-    # diagram is rotated and nothing is tensored at all: 112 left and 112
-    # right tensorings when the 49 halves were bent, 1,141 left ones when
-    # every top, pad and vertex pad was a left-tensoring of its own
+    # a cold Vec[Z/7]^ω build_delta reads every piece it draws e_b from,
+    # the rotated fusion halves included, off the F entries: it rotates no
+    # diagram and tensors no morphism, on the left or on the right
     import tubecat.duality
     from tubecat.morphism import Engine
     spec = load_spec(pointed_category(7, k=1))
