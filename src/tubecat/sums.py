@@ -36,10 +36,11 @@ class StackedBasis:
     of w at some v followed by the vertex (v, x; z) in slot ν, so f ⊗ id_x
     is block-diagonal over (v, ν) with block f at root v; ``lifts[z][(v, ν)]``
     holds the child positions at z of the parent coordinates at v, in their
-    order.  A basis made by ``of`` has no lifts.
+    order.  A basis made by ``of`` has no lifts.  ``flat`` reads the states
+    as arrays.
     """
 
-    __slots__ = ("words", "states", "by_root", "dims", "lifts", "_starts")
+    __slots__ = ("words", "states", "by_root", "dims", "lifts", "_starts", "_flat")
 
     def __init__(self, words: tuple, states: list, lifts: dict | None = None):
         self.words = words
@@ -50,7 +51,7 @@ class StackedBasis:
         self.by_root = by_root
         self.dims = {z: len(by_root[z]) for z in sorted(by_root)}
         self.lifts = lifts if lifts is not None else {}
-        self._starts = None
+        self._starts = self._flat = None
 
     @classmethod
     def of(cls, engine: Engine, words) -> "StackedBasis":
@@ -72,6 +73,20 @@ class StackedBasis:
         lifts = {z: {key: np.array(p) for key, p in by_key.items()}
                  for z, by_key in lifts.items()}
         return StackedBasis(tuple(w + (letter,) for w in self.words), states, lifts)
+
+    @property
+    def flat(self) -> tuple:
+        """(summand, root, position at the root) of every state, as integer
+        arrays in state order."""
+        if self._flat is None:
+            j = np.array([s[0] for s in self.states], dtype=np.int64)
+            z = np.array([s[1] for s in self.states], dtype=np.int64)
+            order = np.argsort(z, kind="stable")
+            n = np.bincount(z)
+            pos = np.empty_like(z)
+            pos[order] = np.arange(len(z)) - np.repeat(np.cumsum(n) - n, n)
+            self._flat = j, z, pos
+        return self._flat
 
     @property
     def starts(self) -> dict:
@@ -158,8 +173,8 @@ class SumObject:
         """Stacked comb basis of the words left + w + right over the summands
         w.  The letters of ``right`` are grown one at a time, and left + w
         takes the engine's basis of that word.  Those with at most one letter
-        added are kept, since every pair of letters a hexagon check visits
-        shares them; longer ones are grown afresh on each call."""
+        added are kept, since every check on a half-braiding reads them;
+        longer ones are grown afresh on each call."""
         key = (left, right)
         sb = self._stacks.get(key)
         if sb is None:

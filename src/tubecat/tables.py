@@ -9,13 +9,14 @@ FSymbolTable.table (fsymbols.join), and each term is then copied to every
 choice of slots of Λ that carry its labels.  A(Λ) acts on Δ(Λ) by the
 same product terms, read with the right factor's source a label (action).
 
-The three-letter pieces that tube._vertex_leg draws Δ's half-braiding
-from, and that every hexagon check reads, are one F entry per coefficient
-(vertex_pieces): id_u ⊗ ι† and the split tops are F entries gathered into
-one dense array per label tuple and root, and the pads contract the first
-with the rotated fusion halves, which are one weighted F entry each
-(rotations).  tests/oracles.py keeps the diagrams, the bent fusion halves
-and the engine's left tensorings as the reference.
+The three-letter pieces that Δ's half-braiding is drawn from, and that
+every hexagon check reads, are one F entry per coefficient
+(vertex_pieces): id_u ⊗ ι† and the split tops are F entries, and the pads
+weight the first with the rotated fusion halves, which are one weighted F
+entry each (rotations).  All three are born flat, one entry per F entry,
+for tube's joins to read.  tests/oracles.py keeps the diagrams, the bent
+fusion halves and the engine's left tensorings as the reference, and
+gathers the flat pieces into dense arrays per label tuple for its loops.
 """
 from __future__ import annotations
 
@@ -246,75 +247,60 @@ def star_terms(eng: Engine, lb: LabelBasis) -> tuple:
     return _summed(lb, keys, val[e1] * np.conj(val[e2]) * val[e3] / zeta[a])
 
 
-def _stacks(fields: tuple, order: tuple, val: np.ndarray, lead: tuple) -> dict:
-    """The entries as dense arrays, one per distinct tuple of ``fields``,
-    the last field a root: {fields[:-1]: {root: array}}.  Sorted by fields,
-    then by ``order``, the values of each tuple fill its array in C order,
-    of shape (*lead, -1) with ``lead`` read at its first entry."""
-    at = np.lexsort((fields + order)[::-1])
-    keys = np.array([f[at] for f in fields])
-    first = np.flatnonzero(np.diff(keys, prepend=-1).any(axis=0))
-    ends, shapes = first[1:].tolist() + [len(at)], zip(*(n[at[first]].tolist() for n in lead))
-    val, out = val[at], {}
-    for s, e, key, shape in zip(first.tolist(), ends, keys[:, first].T.tolist(), shapes):
-        out.setdefault(tuple(key[:-1]), {})[key[-1]] = val[s:e].reshape(*shape, -1)
-    return out
-
-
 def rotations(eng: Engine) -> dict:
-    """(b, y, x) -> R, the fusion halves of the (b, y; x) dual pair rotated
-    onto the conjugate strand, each (x̄, b) → (ȳ,), as rows over the
+    """The fusion halves of the (b, y; x) dual pairs rotated onto the
+    conjugate strand, each (x̄, b) → (ȳ,), as flat entries over the
     vertices ι_σ : ȳ → x̄⊗b: the t-th is Σ_σ R[t, σ]·ι_σ†, with
 
         R[t, σ] = ζ_y/ζ_x·√d_y·d_x^(−3/2)·F^{x̄ b y}_1[(ȳ,σ,0),(x,t,0)]
 
-    (ζ as in _zeta): one F entry each, where duality.rotate_clockwise bends
-    the fusion half of pairs.canonical_pair with a cup and a cap."""
+    (ζ as in _zeta), one F entry each, where duality.rotate_clockwise bends
+    the fusion half of pairs.canonical_pair with a cup and a cap.  Fields
+    b, y, x, t, sigma and val, one entry per R[t, σ] of every admissible
+    (b, y, x)."""
     (x, y, z, mu), rv, rw, cv, _cw, val = _f_entries(eng.F)
     d, zeta = np.asarray(eng.d), _zeta(eng)
     h = np.flatnonzero(z[rw] == eng.ring.unit)
     b, yy, xx = y[rv[h]], y[rw[h]], z[cv[h]]
     w = zeta[yy] / zeta[xx] * np.sqrt(d[yy]) * d[xx] ** -1.5 * val[h]
-    out = _stacks((b, yy, xx), (mu[cv[h]], mu[rv[h]]), w, (eng.ring.N[b, yy, xx],))
-    return {(b, y, x): R for (b, y), per_x in out.items() for x, R in per_x.items()}
+    return {"b": b, "y": yy, "x": xx, "t": mu[cv[h]], "sigma": mu[rv[h]], "val": w}
 
 
 def vertex_pieces(eng: Engine, rot: dict) -> tuple:
     """(vertex_pads, tops, pads): the three-letter pieces that Δ's
-    half-braiding is drawn from and its hexagon is checked with, for every
-    label tuple, each a dense array per root (the matrix of Morphism.blocks)
-    stacked over one vertex index:
+    half-braiding is drawn from and every hexagon check reads, for every
+    label tuple at once, as flat entries: a dict of equal-length arrays,
+    one per field, the coefficient in ``val``.
 
-    - vertex_pads[(u, a, b, c)][z][μ] = id_u ⊗ ι† : (u, a, b) → (u, c) for
-      the μ-th vertex ι : c → a⊗b, with [ρ, ((w,ν₁),(z,ν₂))] =
-      F^{u a b}_z[(w,ν₁,ν₂),(c,μ,ρ)];
-    - tops[(a, b, c, μ, y, x)][w][t] = (ι† ⊗ id_y) ∘ (id_a ⊗ split_t) :
-      (a, x) → (c, y) for the t-th vertex split_t : x → b⊗y, with [ν₂, ν] =
-      conj F^{a b y}_w[(c,μ,ν₂),(x,t,ν)];
-    - pads[(u, b, y, x)][z][t] = id_u ⊗ g_t : (u, x̄, b) → (u, ȳ) for
-      g_t = Σ_σ R[t, σ]·ι_σ†, ι_σ the σ-th vertex ȳ → x̄⊗b and R =
-      rot[(b, y, x)]: Σ_σ R[t, σ]·vertex_pads[(u, x̄, b, ȳ)][z][σ].
+    - vertex_pads, fields u, a, b, c, mu, z, rho, v, nu1, nu2: the entry
+      [ρ, ((v,ν₁),(z,ν₂))] at root z of id_u ⊗ ι† : (u, a, b) → (u, c) for
+      the μ-th vertex ι : c → a⊗b, F^{u a b}_z[(v,ν₁,ν₂),(c,μ,ρ)];
+    - tops, fields a, b, c, mu, y, x, w, t, nu2, nu: the entry [ν₂, ν] at
+      root w of (ι† ⊗ id_y) ∘ (id_a ⊗ split_t) : (a, x) → (c, y) for the
+      t-th vertex split_t : x → b⊗y, conj F^{a b y}_w[(c,μ,ν₂),(x,t,ν)];
+    - pads, fields u, b, y, x, t, z, rho, v, nu1, nu2: a term of the entry
+      [ρ, ((v,ν₁),(z,ν₂))] of id_u ⊗ g_t : (u, x̄, b) → (u, ȳ) for
+      g_t = Σ_σ R[t, σ]·ι_σ†, ι_σ the σ-th vertex ȳ → x̄⊗b: R[t, σ] times
+      the vertex pad of (u, x̄, b, ȳ) at μ = σ, one term per σ.
 
-    The first two are gathers of F entries, as Engine._tensor_one_left
-    reads them through its basis change, so they are the same numbers; the
-    third contracts the first with R, in one product per root.  Δ's R are
-    the rotated fusion halves (rotations); a caller may pass any R of those
-    shapes, one (N[b,y,x], N[x̄,b,ȳ]) array per admissible (b, y, x).
+    Each vertex pad and top is one F entry, in FSymbolTable.table order,
+    as Engine._tensor_one_left reads them through its basis change, so
+    they are the same numbers.  Δ's R are the rotated fusion halves
+    (rotations); a caller may pass any R in that form.
     """
     (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
-    N, dual = eng.ring.N, eng.ring.dual
-    vpads = _stacks((x[rv], y[rv], y[rw], z[cv], z[rw]),
-                    (mu[cv], mu[cw], z[rv], mu[rv], mu[rw]), val,
-                    (N[y[rv], y[rw], z[cv]], N[x[rv], z[cv], z[rw]]))
-    tops = _stacks((x[rv], y[rv], z[rv], mu[rv], y[rw], z[cv], z[rw]),
-                   (mu[cv], mu[rw], mu[cw]), np.conj(val),
-                   (N[y[rv], y[rw], z[cv]], N[z[rv], y[rw], z[rw]]))
-    pads = {}
-    for (u, xd, b, yd), per_root in vpads.items():
-        R = rot[(b, dual[yd], dual[xd])]
-        pads[(u, b, dual[yd], dual[xd])] = {
-            r: (R @ S.reshape(len(S), -1)).reshape(len(R), *S.shape[1:])
-            for r, S in per_root.items()}
+    dual = np.asarray(eng.ring.dual)
+    vpads = {"u": x[rv], "a": y[rv], "b": y[rw], "c": z[cv], "mu": mu[cv], "z": z[rw],
+             "rho": mu[cw], "v": z[rv], "nu1": mu[rv], "nu2": mu[rw], "val": val}
+    tops = {"a": x[rv], "b": y[rv], "c": z[rv], "mu": mu[rv], "y": y[rw], "x": z[cv],
+            "w": z[rw], "t": mu[cv], "nu2": mu[rw], "nu": mu[cw], "val": np.conj(val)}
+    # R[t, σ] meets the vertex pads of (u, x̄, b, ȳ) on (b, y, x, σ)
+    r, n = eng.ring.rank, int(eng.ring.N.max())
+    key = lambda b, y, x, s: ((b * r + y) * r + x) * n + s
+    p, q = _sorted_join(key(rot["b"], rot["y"], rot["x"], rot["sigma"]),
+                        key(vpads["b"], dual[vpads["c"]], dual[vpads["a"]], vpads["mu"]))
+    pads = {f: vpads[f][p] for f in ("u", "b", "z", "rho", "v", "nu1", "nu2")}
+    pads.update(y=rot["y"][q], x=rot["x"][q], t=rot["t"][q], val=rot["val"][q] * vpads["val"][p])
     return vpads, tops, pads
 
 

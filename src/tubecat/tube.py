@@ -14,12 +14,16 @@ per root on the stacked trees of its summands (sums.StackedBasis).
 The structure constants are fixed contractions of F entries (tables.fill),
 and tube_product and tube_star read them; the diagrams they contract are
 kept as the tests' oracle.  Δ's vertex pieces, the rotated fusion halves
-included, are F entries as well (tables.vertex_pieces, tables.rotations),
-so Δ is drawn and checked with no diagram; only f_map's closures are
-drawn in the word engine, with vertices through canonical_pair (dual bases
-with the √(d·d·d) weight).  Each √d prefactor is written once, next to its
-formula, and nothing re-normalizes, so a convention slip shows up as a
-failed unitarity, round-trip or table check.
+included, are flat F entries as well (tables.vertex_pieces,
+tables.rotations), so Δ is drawn and checked with no diagram: every leg
+id_a ⊗ e_b of Δ is one join of those entries (_delta_legs), the stored
+braiding is its a = 1 slice, and every hexagon of every pair is one more
+join (_hexagons), its two-letter tree positions counted off the
+one-letter stacks.  Only f_map's closures are drawn in the word engine,
+with vertices through canonical_pair (dual bases with the √(d·d·d)
+weight).  Each √d prefactor is written once, next to its formula, and
+nothing re-normalizes, so a convention slip shows up as a failed
+unitarity, round-trip or table check.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ __all__ = [
     "LambdaObject", "DeltaObject", "TubeElement",
     "TubeAlgebra", "build_delta", "build_tube_algebra",
     "tube_product", "tube_star", "t_map", "f_map",
-    "naturality_residual", "hexagon_residual", "verify_halfbraiding",
+    "naturality_residual", "verify_halfbraiding",
     "check_delta", "tube_json",
 ]
 
@@ -105,10 +109,11 @@ class DeltaObject:
 
     ``obj`` tags summands by (x, slot); ``braiding[a]`` maps Δ⊗a → a⊗Δ,
     one matrix per root from the stacked trees of obj + (a,) to those of
-    (a,) + obj: the hexagon's leg id_1 ⊗ e_a (_vertex_leg), drawn from
-    F-entry vertex pieces (tables.vertex_pieces).  ``residuals`` holds the
-    worst unitarity / unit / hexagon defects of the build, ``kernel`` what
-    naturality and compression read.
+    (a,) + obj: the hexagon's leg id_1 ⊗ e_a, the a = 1 slice of the legs
+    that build_delta joins from flat F-entry vertex pieces (_delta_legs,
+    tables.vertex_pieces).  ``residuals`` holds the worst unitarity / unit
+    / hexagon defects of the build, ``kernel`` what naturality and
+    compression read.
     """
 
     spec: object
@@ -146,87 +151,160 @@ def _cached(store: dict, key: tuple, make):
     return out
 
 
+def _keyed_pieces(eng: Engine, pieces: tuple) -> tuple:
+    """tables.vertex_pieces as the joins read them: each family sorted by
+    the fields it is looked up on, with that key (_radix): the vertex pads
+    by (u, c, z, ρ), the tops by (a, x, w, ν), the pads by (u, b, y, x, t,
+    v, ν₁)."""
+    out = []
+    for family, fields in zip(pieces, (("u", "c", "z", "rho"), ("a", "x", "w", "nu"),
+                                       ("u", "b", "y", "x", "t", "v", "nu1"))):
+        key = _radix(eng.ring, *(family[f] for f in fields))
+        order = np.argsort(key, kind="stable")
+        out.append((key[order], {f: v[order] for f, v in family.items()}))
+    return tuple(out)
+
+
 def _pieces(eng: Engine) -> tuple:
-    """tables.vertex_pieces with Δ's rotations (tables.rotations), kept in
-    the engine's cache."""
-    return _cached(eng.cache, ("vertex pieces",),
-                   lambda: tables.vertex_pieces(eng, tables.rotations(eng)))
+    """tables.vertex_pieces with Δ's rotations (tables.rotations), keyed
+    for the joins (_keyed_pieces) and kept in the engine's cache."""
+    return _cached(eng.cache, ("vertex pieces",), lambda: _keyed_pieces(
+        eng, tables.vertex_pieces(eng, tables.rotations(eng))))
 
 
-def _vertex_groups(sb: StackedBasis) -> dict:
-    """Positions of sb's trees at each root z, grouped by (summand, channel
-    w of the first vertex, second vertex (u, ν), z), in generation order:
-    one list per group."""
-    groups: dict = {}
-    for z, trees in sb.by_root.items():
-        for pos, (j, tree) in enumerate(trees):
-            groups.setdefault((j, tree[0][0], tree[1], z), []).append(pos)
-    return groups
+def _radix(ring, *cols) -> np.ndarray:
+    """Each tuple of the columns, labels and vertex slots of ring, as one
+    integer, the first column most significant: ascending keys sort the
+    tuples."""
+    base, key = max(ring.rank, int(ring.N.max())), np.zeros(len(cols[0]), dtype=np.int64)
+    for col in cols:
+        key = key * base + col
+    return key
 
 
-def _vertex_leg(obj: SumObject, a: int, b: int, memo: dict,
-                c: int, mu: int, src: StackedBasis) -> dict:
-    """Channel (c, μ) of id_a ⊗ e_b on Δ, one matrix per root z from src,
-    the stacked trees of (a,) + Δ + (b,), to those of (c,) + Δ.  At a = 1
-    (channel (b, 0)) it is e_b itself, and build_delta draws it so.
+def _firsts(N: np.ndarray, roots: np.ndarray, runs: np.ndarray | None = None) -> np.ndarray:
+    """first[s, b, z]: the position at root z of the first child (z, 0) of
+    state s when the states, in order, are grown by the letter b
+    (StackedBasis.extended): the children at z of the states before s,
+    counted afresh at each run of equal ``runs`` (sorted) if given."""
+    per = N[roots]
+    first = np.cumsum(per, axis=0) - per
+    if runs is not None and len(runs):
+        start = np.flatnonzero(np.diff(runs, prepend=-1))
+        first -= np.repeat(first[start], np.diff(start, append=len(runs)), axis=0)
+    return first
 
-    Block (i, j), from j = (x, l, x̄) to i = (y, l, ȳ) of the same slot, is
-    Σ_t √(d_x d_y)·(top_t ⊗ id_(l,ȳ)) ∘ (id_(a,x,l) ⊗ rot_t) over the
-    (b, y; x) vertices, top_t = (ι† ⊗ id_y) ∘ (id_a ⊗ split_t): split x
-    into (b, y) on the left line, absorb b into the conjugate line with
-    rot_t on the right (√(d_b⁻¹)·√(d_b d_y d_x)).  Both combs begin with a
-    vertex into w, then (w, l) → u in slot ν, and go on as combs of
-    (u, x̄, b) and (u, ȳ).  So on the trees that share (w, u, ν) the block
-    is Σ_t √(d_x d_y)·top_t[w] ⊗ pad_{t,u}[z] (pad = id_u ⊗ rot_t; both
-    from _pieces), from column group (j, w, (u, ν), z) to row group
-    (i, w, (u, ν), z) (_vertex_groups), memoized in ``memo``.  The blocks
-    that share a root and the shapes of top and pad are formed as one
-    broadcast product, summed over t in order, and written at once.
+
+def _vertices(counts: np.ndarray) -> tuple:
+    """(*index, slot): every index of the count array, in C order, once per
+    slot below its count, as vertices (x, y, z) of N come with their μ."""
+    idx = np.nonzero(counts)
+    n = counts[idx]
+    return (*(np.repeat(i, n) for i in idx), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+
+
+def _locator(group: np.ndarray, pos: np.ndarray, size: int) -> Callable:
+    """(g, p) -> the state at position p of group g, for states numbered in
+    order whose positions run 0, 1, … within each group g < size."""
+    n = np.bincount(group, minlength=size)
+    off = np.cumsum(n) - n
+    at = np.empty(len(group), dtype=np.int64)
+    at[off[group] + pos] = np.arange(len(group))
+    return lambda g, p: at[off[g] + p]
+
+
+def _lefts(obj: SumObject) -> tuple:
+    """The states of (a,) + obj for every letter a, in letter and then
+    state order: (letter, summand, root, position at the root, first), with
+    first[s, b, z] the position at z of the first child of s in (a,) + obj
+    + (b,) (_firsts), so no two-letter stack is grown."""
+    stacks = [obj.stacked((a,)).flat for a in range(obj.engine.ring.rank)]
+    letter = np.repeat(np.arange(len(stacks)), [len(j) for j, _z, _p in stacks])
+    j, z, pos = (np.concatenate(f) for f in zip(*stacks))
+    return letter, j, z, pos, _firsts(obj.engine.ring.N, z, letter)
+
+
+def _delta_legs(obj: SumObject) -> dict:
+    """Every channel (c, μ) of every leg id_a ⊗ e_b of Δ, as one join over
+    flat vertex pieces: fields a, b, c, mu, z, row, col and val, a term of
+    the entry [row, col] at root z of the map from the stacked trees of
+    (a,) + Δ + (b,) to those of (c,) + Δ (terms of one entry add).  At
+    a = 1, channel (b, 0), the leg is e_b itself (build_delta).
+
+    On the summand j = (x, l, x̄) of Δ a tree of (a,) + Δ + (b,) is the
+    vertex (a, x) → w in slot ν, then (w, l) → u in slot ν′, then a tree
+    ((v, ν₁), (z, ν₂)) of (u, x̄, b): a state q of (a,) + Δ at v, grown by
+    (z, ν₂).  For each (b, y; x) vertex t the leg splits x into (b, y) on
+    the left line and absorbs b into the conjugate line with the rotated
+    fusion half on the right (√(d_b⁻¹)·√(d_b d_y d_x)), onto the tree
+    ((w, ν₂′), (u, ν′), (z, ρ)) of (c,) + Δ on the summand i = (y, l, ȳ) of
+    the same slot, with √(d_x d_y)·top_t[ν₂′, ν]·pad_t[ρ, ((v,ν₁),(z,ν₂))]
+    (tables.vertex_pieces).  So the terms are the states q joined with the
+    tops on (a, x, w, ν), then with the pads on (u, b, y, x, t, v, ν₁).
     """
     eng = obj.engine
-    ring, d = eng.ring, eng.d
-    _vpads, tops, pads = _pieces(eng)
-    dst = obj.stacked((c,))
-    rows = _cached(memo, ("rows", c), lambda: _vertex_groups(dst))
-    out = {z: np.zeros((n, src.dims[z]), dtype=complex)
-           for z, n in dst.dims.items() if z in src.dims}
-    ys = _cached(memo, ("ys", b), lambda: [
-        [(y, math.sqrt(d[x] * d[y])) for y, n in enumerate(ring.N[b, :, x]) if n]
-        for x in range(ring.rank)])
-    buckets: dict = {}  # (z, top shape, pad shape) -> [(top, pad, rows, cols, weight)]
-    for (j, w, un, z), C in _vertex_groups(src).items():
-        x, s = obj.tags[j]
-        for y, wt in ys[x]:
-            R = rows.get((obj.index((y, s)), w, un, z))
-            if R is not None:
-                p, q = tops[(a, b, c, mu, y, x)][w], pads[(un[0], b, y, x)][z]
-                buckets.setdefault((z, p.shape, q.shape), []).append((p, q, R, C, wt))
-    for (z, (n_t, m, n), (_, k, l)), blocks in buckets.items():
-        p, q, R, C, wt = map(np.array, zip(*blocks))  # p, q: (block, t, ...)
-        blk = p[:, 0, :, None, :, None] * q[:, 0, None, :, None, :]
-        for t in range(1, n_t):
-            blk = blk + p[:, t, :, None, :, None] * q[:, t, None, :, None, :]
-        out[z][R[:, :, None], C[:, None, :]] = (
-            blk.reshape(len(p), m * k, n * l) * wt[:, None, None])
+    ring, d = eng.ring, np.asarray(eng.d)
+    r, M = ring.rank, int(ring.N.max())
+    (tkey, top), (pkey, pad) = _pieces(eng)[1:]
+    a, j, v, pos, first = _lefts(obj)
+    trees = np.array([t for b in range(r) for _j, _z, t in obj.stacked((b,)).states],
+                     dtype=np.int64).reshape(len(a), 3, 2)
+    (w, nu), (u, nu_u), nu1 = trees[:, 0].T, trees[:, 1].T, trees[:, 2, 1]
+    tag_x, tag_s = np.array(obj.tags).T
+    summand = np.zeros((r, tag_s.max() + 1), dtype=np.int64)
+    summand[tag_x, tag_s] = np.arange(len(obj))
+    x = tag_x[j]
+    q, t = join(tkey, _radix(ring, a, x, w, nu))
+    b, y = top["b"][t], top["y"][t]
+    k, p = join(pkey, _radix(ring, u[q], b, y, x[q], top["t"][t], v[q], nu1[q]))
+    q, t, b, y = q[k], t[k], b[k], y[k]
+    z = pad["z"][p]
+    # rows: the states of (c,) + Δ, found by summand and tree
+    dims = (r, len(obj), r, M, r, M, r, M)
+    keys = np.ravel_multi_index((a, j, w, nu, u, nu_u, v, nu1), dims)
+    order = np.argsort(keys)
+    row = pos[order[np.searchsorted(keys[order], np.ravel_multi_index(
+        (top["c"][t], summand[y, tag_s[j[q]]], w[q], top["nu2"][t], u[q], nu_u[q],
+         z, pad["rho"][p]), dims))]]
+    return {"a": a[q], "b": b, "c": top["c"][t], "mu": top["mu"][t], "z": z, "row": row,
+            "col": first[q, b, z] + pad["nu2"][p],
+            "val": top["val"][t] * pad["val"][p] * np.sqrt(d[x[q]] * d[y])}
+
+
+def _at_unit(obj: SumObject, legs: dict) -> dict:
+    """The legs at a = 1 as the stored braiding: b -> root -> matrix from
+    the stacked trees of obj + (b,) to those of (b,) + obj, the terms of an
+    entry added in order."""
+    ring = obj.engine.ring
+    one = {f: legs[f][legs["a"] == ring.unit] for f in ("b", "z", "row", "col", "val")}
+    out = {}
+    for b in range(ring.rank):
+        src = obj.stacked((), (b,)).dims
+        out[b] = {}
+        for z, n in obj.stacked((b,)).dims.items():
+            if z in src:
+                m = out[b][z] = np.zeros((n, src[z]), dtype=complex)
+                at = (one["b"] == b) & (one["z"] == z)
+                np.add.at(m, (one["row"][at], one["col"][at]), one["val"][at])
     return out
 
 
 class _Stacked:
     """A half-braiding on obj, letter a -> root -> matrix from the stacked
-    trees of obj + (a,) to those of (a,) + obj, read through e(a), with the
-    index arrays shared by every identity (``memo``).  ``parts`` are the
-    first summands of runs that the braiding keeps apart (verify_halfbraiding)."""
+    trees of obj + (a,) to those of (a,) + obj, read through e(a).
+    ``parts`` are the first summands of runs that the braiding keeps apart
+    (verify_halfbraiding)."""
 
-    __slots__ = ("obj", "braiding", "memo", "part_of", "nparts")
+    __slots__ = ("obj", "braiding", "zeroed", "part_of", "nparts")
 
     def __init__(self, obj: SumObject, braiding: dict, parts=(0,)):
-        self.obj, self.braiding, self.memo = obj, braiding, {}
+        self.obj, self.braiding, self.zeroed = obj, braiding, {}
         self.part_of = np.searchsorted(parts, np.arange(len(obj)), side="right") - 1
         self.nparts = len(parts)
 
     def e(self, a: int) -> dict:
         """braiding[a], or the copy verify_halfbraiding zeroed for it."""
-        return self.memo.get(("e", a), self.braiding[a])
+        return self.zeroed.get(a, self.braiding[a])
 
     def ids(self, sb: StackedBasis, z: int) -> np.ndarray:
         """The part of each of sb's coordinates at z."""
@@ -243,90 +321,123 @@ class _Stacked:
         return out
 
 
-def _stacked_leg(hb: _Stacked, a: int, b: int) -> Callable:
-    """(c, μ, src) -> channel (c, μ) of id_a ⊗ e_b, as _vertex_leg gives
-    it, for any half-braided sum, from the stored e_b once per (a, b):
-    id_a ⊗ e_b at r is Ω′·B·Ω† (SumObject.omega of the sums of (b,) + w and
-    w + (b,), B = e_b at u on group (u, ν)); channel (c, μ) keeps the rows
-    of the trees of (a, b) + w that begin with (c, μ)."""
-    obj, e_b = hb.obj, hb.e(b)
-    src, dst = obj.tensor_right((b,)).omega(a), obj.tensor_left((b,)).omega(a)
-    full = {r: om @ left_blocks(e_b, src[r][0].conj().T, rows, src[r][1], len(om))
-            for r, (om, rows) in dst.items() if r in src}
-    firsts: dict = {}  # (c, μ) -> root -> rows
-    for r, trees in obj.stacked((a, b)).by_root.items():
-        for pos, (_j, tree) in enumerate(trees):
-            firsts.setdefault(tree[0], {}).setdefault(r, []).append(pos)
-    return lambda c, mu, src: {r: m[firsts[(c, mu)].get(r, [])] for r, m in full.items()}
+def _stacked_legs(hb: _Stacked) -> dict:
+    """Every channel (c, μ) of every leg id_a ⊗ e_b of any half-braided sum,
+    from its stored e_b, in _delta_legs' fields: id_a ⊗ e_b at r is Ω′·B·Ω†
+    (SumObject.omega of the sums of (b,) + w and w + (b,), B = e_b at u on
+    group (u, ν)), from the trees of (a,) + obj + (b,); its rows are the
+    trees of (a, b) + obj, and those that begin with (c, μ) are the trees
+    of (c,) + obj in order."""
+    obj = hb.obj
+    out = []
+    for b in range(obj.engine.ring.rank):
+        e_b, right, left = hb.e(b), obj.tensor_right((b,)), obj.tensor_left((b,))
+        for a in range(obj.engine.ring.rank):
+            src, dst = right.omega(a), left.omega(a)
+            for z, trees in obj.stacked((a, b)).by_root.items():
+                if z not in src:
+                    continue
+                om, rows = dst[z]
+                m = om @ left_blocks(e_b, src[z][0].conj().T, rows, src[z][1], len(om))
+                lead, seen = [], {}
+                for _j, tree in trees:  # (c, μ, position among the trees that begin so)
+                    n = seen[tree[0]] = seen.get(tree[0], -1) + 1
+                    lead.append((*tree[0], n))
+                i, k = np.nonzero(m)
+                c, mu, row = np.array(lead, dtype=np.int64).reshape(-1, 3)[i].T
+                out.append((np.full(len(i), a), np.full(len(i), b), c, mu,
+                            np.full(len(i), z), row, k, m[i, k]))
+    return dict(zip(("a", "b", "c", "mu", "z", "row", "col", "val"), _concat(out, 8)))
 
 
-def hexagon_residual(obj: SumObject, braiding, a: int, b: int,
-                     left: Callable[[int, int, StackedBasis], dict] | None = None):
-    """Max-abs defect of e_{a⊗b} against S = (id_a ⊗ e_b) ∘ (e_a ⊗ id_b).
+def _concat(rows, width: int) -> tuple:
+    """Tuples of ``width`` equal-length arrays, concatenated field by field."""
+    cols = tuple(zip(*rows)) or ((np.zeros(0, dtype=np.int64),),) * width
+    return tuple(np.concatenate(c) for c in cols)
 
-    With ι = ι_{c,μ} : c → a⊗b (hom_basis((c,), (a, b))), e_{a⊗b} =
-    Σ (ι ⊗ id) ∘ e_c ∘ (id ⊗ ι†), and ι ⊗ id_W embeds the combs of
-    (a, b) + W that begin with (c, μ).  So the defect is the max over
-    (c, μ) of ‖e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S‖, one matrix per root z
-    from the stacked trees of W + (a, b) to those of (c,) + W,
-    with no factor built as a map: e_a ⊗ id_b is e_a on the lifts (v, ν),
-    and id_W ⊗ ι† the vertex pad id_u ⊗ ι† (_pieces) on the trees of W at u.
 
-    ``braiding`` is the half-braiding, letter -> root -> matrix (the defect
-    is a float), or the _Stacked reading verify_halfbraiding shares (one
-    entry per part).
-    ``left(c, mu, mid)`` is (ι† ⊗ id) ∘ (id_a ⊗ e_b) per root, from mid, the
-    trees of (a,) + W + (b,); by default _stacked_leg, from the stored e_b.
-    build_delta hands in _vertex_leg, which drew every stored e_b as its
-    leg at a = 1: there it reads the stored e_b, and the leg at a ≠ 1 is
-    drawn afresh from the same vertex pieces; the stored e_b still enters
-    through e_c and e_b ⊗ id on the pairs (b, ·).
+def _hexagons(hb: _Stacked, legs: dict | None = None) -> np.ndarray:
+    """The worst hexagon defect of each part at each pair (a, b), an array
+    (part, a, b): max-abs over the channels (c, μ) and roots z of
+    e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ (id_a ⊗ e_b) ∘ (e_a ⊗ id_b), with
+    ι = ι_{c,μ} : c → a⊗b, from the stacked trees of W + (a, b) to those of
+    (c,) + W, read on the rows of the part.  ``legs`` are the channels of
+    id_a ⊗ e_b in _delta_legs' fields; by default _stacked_legs.
+
+    Both sides are flat joins over every pair, channel and root at once,
+    summed per (a, b, μ, row, column); no factor is built as a map and no
+    two-letter stack is grown.  The braiding's entries e_a[v][q, p] are
+    read by state: q one of (a,) + W (_lefts), p one of W + (a,), grown
+    from W's state t by (v, ν₁).  e_c ∘ (id_W ⊗ ι†) joins e_c's entries,
+    at the child (z, ρ) of t, with the vertex pads id_u ⊗ ι† of t's root u
+    (tables.vertex_pieces).  e_a ⊗ id_b grows each entry of e_a by every
+    vertex (v, b) → z on both sides, and the leg's entries join it on its
+    column.  A two-letter position is the first child of a state plus the
+    vertex slot (_firsts).
     """
-    eng = obj.engine
-    hb = braiding if isinstance(braiding, _Stacked) else _Stacked(obj, braiding)
-    if left is None:
-        left = _stacked_leg(hb, a, b)
-    base, lower = obj.stacked(), obj.stacked((), (a,))
-    src, mid = obj.stacked((), (a, b)), obj.stacked((a,), (b,))
-    e_a = hb.e(a)
-    # columns at z that continue the trees of W at u: one row per tree of W
-    # at u, one column per tree ((v, ν1), (z, ν2)) of (u, a, b) at z
-    tails = {u: {z: np.array([src.lifts[z][(v, nu2)][lower.lifts[v][(u, nu1)]]
-                              for (v, nu1), (_z, nu2) in trees]).T
-                 for z, trees in eng.basis((u, a, b)).by_root.items()}
-             for u in base.dims}
-    out = np.zeros(hb.nparts)
-    for c, n in eng.ring.channels[a][b].items():
-        joined, rows = obj.stacked((), (c,)), obj.stacked((c,))
-        e_c = hb.e(c)
-        for mu in range(n):
-            leg = left(c, mu, mid)
-            lhs = {z: np.zeros((m.shape[0], src.dims[z]), dtype=complex)
-                   for z, m in e_c.items() if z in src.dims}
-            for u in base.dims:
-                for z, pad in _pieces(eng)[0][(u, a, b, c)].items():
-                    if z in lhs:
-                        heads = _cached(hb.memo, ("heads", c, u, z), lambda: np.array(
-                            [joined.lifts[z][(u, nu)] for nu in range(pad.shape[1])]).T)
-                        lhs[z][:, tails[u][z]] = e_c[z][:, heads] @ pad[mu]
-            for z, m in lhs.items():
-                rhs = (right_blocks(leg[z], e_a, mid.lifts[z], src.lifts[z], src.dims[z])
-                       if z in leg else 0)
-                out = np.maximum(out, hb.defects(m - rhs, rows, z))
-    return out if hb is braiding else float(out[0])
+    obj, ring = hb.obj, hb.obj.engine.ring
+    N, r, M = ring.N, ring.rank, int(ring.N.max())
+    vkey, vp = _pieces(obj.engine)[0]
+    if legs is None:
+        legs = _stacked_legs(hb)
+    # W's states t at u, and the states (a, t, v, ν₁) of every W + (a,)
+    _j, uw, _pos = obj.stacked().flat
+    ra, rt, rv, rnu = _vertices(N[uw].transpose(1, 0, 2))
+    rdims = (r, len(uw), r, M)
+    rkey = np.ravel_multi_index((ra, rt, rv, rnu), rdims)  # ascending
+    r_at = _locator(ra * r + rv, _firsts(N, uw)[rt, ra, rv] + rnu, r * r)
+    r_first = _firsts(N, rv, ra)
+    la, lj, lv, lpos, l_first = _lefts(obj)
+    l_at = _locator(la * r + lv, lpos, r * r)
+    # the braiding's entries e_a[v][row, col], by state
+    ea, ev, er, ec, e_val = _concat(
+        ((np.full(len(i), a), np.full(len(i), z), i, k, m[i, k])
+         for a in range(r) for z, m in hb.e(a).items() for i, k in (np.nonzero(m),)), 5)
+    q, p = l_at(ea * r + ev, er), r_at(ea * r + ev, ec)
+
+    # e_c ∘ (id_W ⊗ ι†)
+    k, s = join(vkey, _radix(ring, uw[rt[p]], ea, ev, rnu[p]))
+    a, b = vp["a"][s], vp["b"][s]
+    grown = np.searchsorted(rkey, np.ravel_multi_index(
+        (a, rt[p[k]], vp["v"][s], vp["nu1"][s]), rdims))
+    lhs = (a, b, vp["mu"][s], q[k], r_first[grown, b, ev[k]] + vp["nu2"][s],
+           e_val[k] * vp["val"][s])
+
+    # (ι† ⊗ id) ∘ (id_a ⊗ e_b) ∘ (e_a ⊗ id_b)
+    cv, cb, cz, cnu = _vertices(N)
+    k, h = join(cv, ev)
+    b, z, nu2 = cb[h], cz[h], cnu[h]
+    mid = l_first[q[k], b, z] + nu2
+    ldims = (r, r, r, int(max(legs["col"].max(initial=0), mid.max(initial=0))) + 1)
+    lkey = np.ravel_multi_index((legs["a"], legs["b"], legs["z"], legs["col"]), ldims)
+    order = np.argsort(lkey, kind="stable")
+    g, l = join(lkey[order], np.ravel_multi_index((ea[k], b, z, mid), ldims))
+    l, k = order[l], k[g]
+    rhs = (ea[k], b[g], legs["mu"][l], l_at(legs["c"][l] * r + z[g], legs["row"][l]),
+           r_first[p[k], b[g], z[g]] + nu2[g], legs["val"][l] * e_val[k])
+
+    dims = (r, r, M, len(la), int(max(lhs[4].max(initial=0), rhs[4].max(initial=0))) + 1)
+    slot, keys = group(np.concatenate([np.ravel_multi_index(side[:5], dims)
+                                       for side in (lhs, rhs)]))
+    val = np.concatenate([lhs[5], -rhs[5]])
+    gap = np.hypot(np.bincount(slot, val.real, len(keys)),
+                   np.bincount(slot, val.imag, len(keys)))
+    a, b, _mu, row, _col = np.unravel_index(keys, dims)
+    out = np.zeros((hb.nparts, r, r))
+    np.maximum.at(out, (hb.part_of[lj[row]], a, b), gap)
+    return out
 
 
 _IDENTITIES = {"unitarity": "half-braiding unitarity",
                "unit": "unit braiding component", "hexagon": "hexagon"}
 
 
-def verify_halfbraiding(obj: SumObject, braiding, tol: float,
-                        left: Callable[[int, int], Callable] | None = None,
+def verify_halfbraiding(obj: SumObject, braiding, tol: float, legs: dict | None = None,
                         parts=(0,)) -> list:
     """Check that ``braiding`` (letter a -> root -> e_a : obj⊗a → a⊗obj on
     stacked trees) is a unitary half-braiding, per root and letter:
-    e_a†·e_a = 1 = e_a·e_a†, e_1 = 1, and the hexagon of every pair
-    (hexagon_residual, with ``left(a, b)`` as its leg).
+    e_a†·e_a = 1 = e_a·e_a†, e_1 = 1, and the hexagon of every pair (a, b)
+    (_hexagons, with ``legs`` as its legs id_a ⊗ e_b).
 
     ``parts`` are the first summands of runs that the braiding keeps apart,
     as the simples of a direct sum: each is read on its own rows, as if
@@ -334,8 +445,9 @@ def verify_halfbraiding(obj: SumObject, braiding, tol: float,
     non-finite entries are zeroed in copies, never in ``braiding``.  Returns
     the worst residual of each identity by name, one dict per part.  Raises
     ToleranceError when one reaches ``tol``, naming the lowest failing part
-    (the error's ``part``; the list is its ``residuals``) and its first
-    failing identity (unitarity, unit, hexagon): an engine or data bug.
+    (the error's ``part``; the list is its ``residuals``), its first
+    failing identity (unitarity, unit, hexagon) and, for the hexagon, the
+    pair (a, b) with that part's worst defect: an engine or data bug.
     """
     ring = obj.engine.ring
     hb = _Stacked(obj, braiding, parts)
@@ -350,7 +462,7 @@ def verify_halfbraiding(obj: SumObject, braiding, tol: float,
                 lost[a, hb.ids(obj.stacked((a,)), z)[bad.any(axis=1)]] = True
                 zeroed[z] = np.where(bad, 0.0, m)
         if zeroed:
-            e = hb.memo[("e", a)] = {**e, **zeroed}
+            e = hb.zeroed[a] = {**e, **zeroed}
         for sb, gram in ((obj.stacked((), (a,)), lambda m: m.conj().T @ m),
                          (obj.stacked((a,)), lambda m: m @ m.conj().T)):
             for z, n in sb.dims.items():
@@ -360,17 +472,21 @@ def verify_halfbraiding(obj: SumObject, braiding, tol: float,
     rows = obj.stacked((ring.unit,))
     for z, m in hb.e(ring.unit).items():
         res["unit"] = np.maximum(res["unit"], hb.defects(m - np.eye(len(m)), rows, z))
-    for a in range(ring.rank):
-        for b in range(ring.rank):
-            res["hexagon"] = np.maximum(res["hexagon"], hexagon_residual(
-                obj, hb, a, b, None if left is None else left(a, b)))
+    pairs = _hexagons(hb, legs)
+    res["hexagon"] = pairs.max(axis=(1, 2))
     res["unitarity"][lost.any(axis=0)] = res["hexagon"][lost.any(axis=0)] = np.nan
     res["unit"][lost[ring.unit]] = np.nan
     out = [{name: float(v[k]) for name, v in res.items()} for k in range(hb.nparts)]
+    labels = obj.engine.spec.labels
     for k, per_part in enumerate(out):
         for name, text in _IDENTITIES.items():
             if not per_part[name] < tol:
-                exc = ToleranceError(f"{text} defect {per_part[name]:.3e} >= {tol:g}")
+                msg = f"{text} defect {per_part[name]:.3e} >= {tol:g}"
+                if name == "hexagon":  # the first pair at the worst, NaN first
+                    worst_pair = np.where(np.isnan(pairs[k]), np.inf, pairs[k])
+                    a, b = divmod(int(np.argmax(worst_pair)), ring.rank)
+                    msg += f" at (a, b) = ({labels[a]}, {labels[b]})"
+                exc = ToleranceError(msg)
                 exc.part, exc.residuals = k, out
                 raise exc
     return out
@@ -381,11 +497,11 @@ DELTA_TOL = 1e-9
 
 
 def build_delta(spec, lam: LambdaObject) -> DeltaObject:
-    """Assemble Δ(Λ), draw each e_b as the leg id_1 ⊗ e_b (_vertex_leg), and
-    verify it (verify_halfbraiding on every pair (a, b), its hexagon legs
-    id_a ⊗ e_b the stored e_b at a = 1 and drawn by the same routine at
-    a ≠ 1).  Raises ToleranceError when a residual reaches DELTA_TOL: an
-    engine or data bug, not bad user input."""
+    """Assemble Δ(Λ), draw every leg id_a ⊗ e_b as one join over the flat
+    vertex pieces (_delta_legs), keep its a = 1 slice as the braiding
+    (_at_unit), and verify it (verify_halfbraiding on every pair (a, b),
+    with those legs).  Raises ToleranceError when a residual reaches
+    DELTA_TOL: an engine or data bug, not bad user input."""
     eng = engine_for(spec)
     ring = eng.ring
     if len(lam.mult) != ring.rank:
@@ -397,18 +513,9 @@ def build_delta(spec, lam: LambdaObject) -> DeltaObject:
             words.append((x, l, ring.dual[x]))
             tags.append((x, s))
     obj = SumObject(eng, words, tags)
-
-    memo: dict = {}  # shared by the drawing and every (a, b)
-    u = ring.unit
-    braiding = {b: _vertex_leg(obj, u, b, memo, b, 0, obj.stacked((u,), (b,)))
-                for b in range(ring.rank)}
-
-    def left(a, b):  # at a = 1 the leg is the drawn e_b: same call, same inputs
-        if a == u:
-            return lambda _c, _mu, _src: braiding[b]
-        return functools.partial(_vertex_leg, obj, a, b, memo)
-
-    residuals = verify_halfbraiding(obj, braiding, DELTA_TOL, left)[0]
+    legs = _delta_legs(obj)
+    braiding = _at_unit(obj, legs)
+    residuals = verify_halfbraiding(obj, braiding, DELTA_TOL, legs)[0]
     return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding, residuals=residuals)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -31,8 +32,10 @@ def root_gap(S: dict, T: dict) -> float:
 def pointed_category(n: int, k: int = 0, name: str | None = None) -> dict:
     """Category-JSON dict for Vec[Z/n] with the standard 3-cocycle at level k.
 
-    omega(a,b,c) = exp(2 pi i k a floor((b+c)/n) / n); k = 0 is the trivial
-    class.  Handy for tests that need complex F data without a data file.
+    omega(a,b,c) = exp(2 pi i m / n) with m = k a floor((b+c)/n) mod n; k = 0
+    is the trivial class.  The exponent is reduced before the exponential,
+    so each entry is the root of unity to rounding.  Handy for tests that
+    need complex F data without a data file.
     """
     labels = [str(x) for x in range(n)]
     doc = {
@@ -48,7 +51,7 @@ def pointed_category(n: int, k: int = 0, name: str | None = None) -> dict:
     for a in range(1, n):
         for b in range(1, n):
             for c in range(1, n):
-                w = math.e ** (2j * math.pi * k * a * ((b + c) // n) / n)
+                w = cmath.exp(2j * math.pi * (k * a * ((b + c) // n) % n) / n)
                 doc["F"].append({
                     "abcd": [str(a), str(b), str(c), str((a + b + c) % n)],
                     "e": str((a + b) % n), "f": str((b + c) % n),

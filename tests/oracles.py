@@ -18,11 +18,17 @@ coefficient vector.
 The three-letter pieces of Δ's half-braiding are here as the engine
 draws them (engine_vertex_pad, engine_top, engine_pad, with the channel
 rows of a comb, engine_channel_rows and lead_runs), where
-tubecat.tables.vertex_pieces gathers them from the F entries, and so are
-the fusion halves bent onto the conjugate strand (rotated_fuses), where
-tubecat.tables.rotations reads each off one F entry.  The hexagon leg is
-here as one Kronecker sum and one scatter per tree group (vertex_leg_loop),
-where tubecat.tube._vertex_leg forms the blocks of a root and shape at once.
+tubecat.tables.vertex_pieces reads them off the F entries as flat
+entries, and so are the fusion halves bent onto the conjugate strand
+(rotated_fuses), where tubecat.tables.rotations reads each off one F
+entry.  dense_pieces gathers the flat entries into one array per label
+tuple and root.  Δ's hexagon legs are here as one Kronecker sum and one
+scatter per tree group of a grown two-letter stack (vertex_leg_loop), and
+the hexagon itself one pair, channel and root at a time, with the pads
+drawn by the engine (hexagon_residual), where tubecat.tube forms every
+leg as one join (_delta_legs) and every pair's defect as another
+(_hexagons); leg_matrices reads one channel of the joined legs back as
+matrices.
 
 The pentagon's two routes are here too, one word and one root at a time, as
 loops over block rows and columns (trees_T1 … pentagon_residual), where
@@ -37,9 +43,9 @@ from tubecat.duality import coev, ev, rotate_clockwise
 from tubecat.errors import worst
 from tubecat.morphism import Linear
 from tubecat.pairs import canonical_pair
-from tubecat.sums import SumObject, cut_block, stack_blocks
+from tubecat.sums import SumObject, cut_block, right_blocks, stack_blocks
 from tubecat.trees import tree_root
-from tubecat.tube import _cached, _pieces, _vertex_groups, t_map
+from tubecat.tube import _cached, _pieces, t_map
 
 
 class BlockMap(Linear):
@@ -125,19 +131,74 @@ def rotated_fuses(eng, a, y, x):
         rotate_clockwise(f) for f in canonical_pair(eng, a, y, x).fuses))
 
 
+def dense_pieces(eng, pieces):
+    """(vertex_pads, tops, pads) of tubecat.tables.vertex_pieces, flat,
+    gathered into dense arrays per label tuple and root, stacked over one
+    vertex index, tree columns in the engine's basis order:
+    vertex_pads[(u, a, b, c)][z][μ] is id_u ⊗ ι_μ† at z, tops[(a, b, c, μ,
+    y, x)][w][t] the top of the t-th (b, y; x) vertex at w, and
+    pads[(u, b, y, x)][z][t] the pad id_u ⊗ g_t at z, its terms added."""
+    N, dual = eng.ring.N, eng.ring.dual
+    vp, top, pad = pieces
+    vpads, tops, pads = {}, {}, {}
+
+    def cols(word, z, v, n1, n2):
+        basis = eng.basis(word)
+        return basis.dims[z], basis.index[z][((v, n1), (z, n2))]
+
+    for i in range(len(vp["val"])):
+        u, a, b, c, mu, z, rho, v, n1, n2 = (int(vp[f][i]) for f in (
+            "u", "a", "b", "c", "mu", "z", "rho", "v", "nu1", "nu2"))
+        n, col = cols((u, a, b), z, v, n1, n2)
+        arr = vpads.setdefault((u, a, b, c), {}).setdefault(
+            z, np.zeros((N[a, b, c], N[u, c, z], n), dtype=complex))
+        arr[mu, rho, col] = vp["val"][i]
+    for i in range(len(top["val"])):
+        a, b, c, mu, y, x, w, t, n2, nu = (int(top[f][i]) for f in (
+            "a", "b", "c", "mu", "y", "x", "w", "t", "nu2", "nu"))
+        arr = tops.setdefault((a, b, c, mu, y, x), {}).setdefault(
+            w, np.zeros((N[b, y, x], N[c, y, w], N[a, x, w]), dtype=complex))
+        arr[t, n2, nu] = top["val"][i]
+    for i in range(len(pad["val"])):
+        u, b, y, x, t, z, rho, v, n1, n2 = (int(pad[f][i]) for f in (
+            "u", "b", "y", "x", "t", "z", "rho", "v", "nu1", "nu2"))
+        n, col = cols((u, dual[x], b), z, v, n1, n2)
+        arr = pads.setdefault((u, b, y, x), {}).setdefault(
+            z, np.zeros((N[b, y, x], N[u, dual[y], z], n), dtype=complex))
+        arr[t, rho, col] += pad["val"][i]
+    return vpads, tops, pads
+
+
+def vertex_groups(sb):
+    """Positions of sb's trees at each root z, grouped by (summand, channel
+    w of the first vertex, second vertex (u, ν), z), in generation order:
+    one list per group."""
+    groups = {}
+    for z, trees in sb.by_root.items():
+        for pos, (j, tree) in enumerate(trees):
+            groups.setdefault((j, tree[0][0], tree[1], z), []).append(pos)
+    return groups
+
+
 def vertex_leg_loop(obj, a, b, memo, c, mu, src):
-    """Channel (c, μ) of id_a ⊗ e_b on Δ from the same vertex pieces as
-    tubecat.tube._vertex_leg, one tree group at a time: per column group
-    (j, w, (u, ν), z) and y, one Kronecker sum over t and one scatter, where
-    the library forms the blocks of a root and shape at once."""
+    """Channel (c, μ) of id_a ⊗ e_b on Δ, one matrix per root z from src,
+    the grown stack of (a,) + Δ + (b,), to the trees of (c,) + Δ, from the
+    engine's vertex pieces (tubecat.tube._pieces, dense_pieces), one tree
+    group at a time.  Block (i, j), from j = (x, l, x̄) to i = (y, l, ȳ)
+    of the same slot, is Σ_t √(d_x d_y)·top_t[w] ⊗ pad_{t,u}[z] on the
+    trees that share (w, u, ν): per column group (j, w, (u, ν), z)
+    (vertex_groups) and y, one Kronecker sum over t and one scatter, where
+    tubecat.tube._delta_legs joins every leg at once.  ``memo`` keeps the
+    dense pieces and row groups between calls."""
     eng = obj.engine
     ring, d = eng.ring, eng.d
-    _vpads, tops, pads = _pieces(eng)
+    _vpads, tops, pads = _cached(memo, ("dense",), lambda: dense_pieces(
+        eng, [family for _key, family in _pieces(eng)]))
     dst = obj.stacked((c,))
-    rows = _cached(memo, ("rows", c), lambda: _vertex_groups(dst))
+    rows = _cached(memo, ("rows", c), lambda: vertex_groups(dst))
     out = {z: np.zeros((n, src.dims[z]), dtype=complex)
            for z, n in dst.dims.items() if z in src.dims}
-    for (j, w, un, z), C in _vertex_groups(src).items():
+    for (j, w, un, z), C in vertex_groups(src).items():
         x, s = obj.tags[j]
         for y in range(ring.rank):
             R = rows.get((obj.index((y, s)), w, un, z))
@@ -145,6 +206,68 @@ def vertex_leg_loop(obj, a, b, memo, c, mu, src):
                 per_t = zip(tops[(a, b, c, mu, y, x)][w], pads[(un[0], b, y, x)][z])
                 out[z][np.ix_(R, C)] = (sum(np.kron(p, q) for p, q in per_t)
                                          * math.sqrt(d[x] * d[y]))
+    return out
+
+
+def leg_matrices(obj, legs, a, b, c, mu):
+    """Channel (c, μ) of the leg id_a ⊗ e_b from flat legs
+    (tubecat.tube._delta_legs' fields), one matrix per root z from the
+    grown stack of (a,) + obj + (b,) to the trees of (c,) + obj, its terms
+    added in order."""
+    src, dst = obj.stacked((a,), (b,)).dims, obj.stacked((c,)).dims
+    out = {z: np.zeros((n, src[z]), dtype=complex) for z, n in dst.items() if z in src}
+    on = (legs["a"] == a) & (legs["b"] == b) & (legs["c"] == c) & (legs["mu"] == mu)
+    for z, row, col, val in zip(*(legs[f][on] for f in ("z", "row", "col", "val"))):
+        out[int(z)][row, col] += val
+    return out
+
+
+def hexagon_residual(obj, braiding, a, b, left=None):
+    """Max-abs defect of e_{a⊗b} against S = (id_a ⊗ e_b) ∘ (e_a ⊗ id_b) at
+    one pair, for a half-braiding letter -> root -> matrix on stacked
+    trees, one channel and root at a time, where tubecat.tube._hexagons
+    joins every pair, channel and root at once.
+
+    With ι = ι_{c,μ} : c → a⊗b, e_{a⊗b} = Σ (ι ⊗ id) ∘ e_c ∘ (id ⊗ ι†), and
+    ι ⊗ id_W embeds the combs of (a, b) + W that begin with (c, μ).  So the
+    defect is the max over (c, μ) of ‖e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ S‖, one
+    matrix per root z from the grown stack of W + (a, b) to the trees of
+    (c,) + W: e_a ⊗ id_b is e_a on the lifts (v, ν), and id_W ⊗ ι† the
+    engine's id_u ⊗ ι† (engine_vertex_pad) on the trees of W at u.
+    ``left(c, mu, mid)`` is (ι† ⊗ id) ∘ (id_a ⊗ e_b) per root from mid, the
+    grown stack of (a,) + W + (b,); by default the channel rows of the
+    whole map id_a ⊗ e_b (generic_leg).
+    """
+    eng = obj.engine
+    if left is None:
+        left = generic_leg(obj, braiding_blocks(obj, {b: braiding[b]}), a, b)
+    base, lower = obj.stacked(), obj.stacked((), (a,))
+    src, mid = obj.stacked((), (a, b)), obj.stacked((a,), (b,))
+    # columns at z that continue the trees of W at u: one row per tree of W
+    # at u, one column per tree ((v, ν1), (z, ν2)) of (u, a, b) at z
+    tails = {u: {z: np.array([src.lifts[z][(v, nu2)][lower.lifts[v][(u, nu1)]]
+                              for (v, nu1), (_z, nu2) in trees]).T
+                 for z, trees in eng.basis((u, a, b)).by_root.items()}
+             for u in base.dims}
+    out = 0.0
+    for c, n in eng.ring.channels[a][b].items():
+        joined, e_c = obj.stacked((), (c,)), braiding[c]
+        for mu in range(n):
+            leg = left(c, mu, mid)
+            lhs = {z: np.zeros((m.shape[0], src.dims[z]), dtype=complex)
+                   for z, m in e_c.items() if z in src.dims}
+            for u in base.dims:
+                pad = _cached(eng.cache, ("oracle vertex pad", u, a, b, c, mu),
+                              lambda: engine_vertex_pad(eng, u, a, b, c, mu).blocks)
+                for z, m in pad.items():
+                    if z in lhs:
+                        heads = np.array([joined.lifts[z][(u, nu)]
+                                          for nu in range(m.shape[0])]).T
+                        lhs[z][:, tails[u][z]] = e_c[z][:, heads] @ m
+            for z, m in lhs.items():
+                rhs = (right_blocks(leg[z], braiding[a], mid.lifts[z], src.lifts[z],
+                                    src.dims[z]) if z in leg else 0)
+                out = worst((out, float(np.max(np.abs(m - rhs), initial=0.0))))
     return out
 
 
@@ -447,8 +570,9 @@ def channel_rows(f, c, mu):
 
 def generic_leg(obj, braiding, a, b):
     """(c, μ, src) -> the channel rows of tensor_id_left(braiding[b], (a,)),
-    stacked like tubecat.tube._vertex_leg: the hexagon's left leg for any
-    half-braided sum, from the whole map id_a ⊗ e_b."""
+    stacked as leg_matrices reads tubecat.tube's joined legs: the
+    hexagon's left leg for any half-braided sum, from the whole map
+    id_a ⊗ e_b."""
     full = tensor_id_left(braiding[b], (a,))
     return lambda c, mu, src: channel_rows(full, c, mu).stacked(src, obj.stacked((c,)))
 

@@ -1,6 +1,8 @@
 """Category file loading, validation errors, serialization round trips."""
 import copy
+import itertools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -175,3 +177,19 @@ def test_f_unitarity_gate():
                 ent["re"] *= 0.5
     with pytest.raises(ConsistencyError, match="unitar"):
         load_spec(doc)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pointed_cocycle_entries_are_reduced_roots_of_unity(k):
+    # the test data's Vec[Z/n]^ω cocycle reduces k·a·⌊(b+c)/n⌋ mod n before
+    # the exponential, so each F entry is cos + i·sin of the reduced
+    # fraction m/n (unreduced, through math.e ** (2πi·k·a·⌊(b+c)/n⌋/n), the
+    # entries were up to 7.1e-16 off it at n ≤ 7 and 1.1e-15 at n ≤ 12)
+    gaps = []
+    for n in range(2, 13):
+        F = load_spec(pointed_category(n, k=k)).fsymbols
+        for a, b, c in itertools.product(range(1, n), repeat=3):
+            m = k * a * ((b + c) // n) % n
+            want = complex(math.cos(2 * math.pi * m / n), math.sin(2 * math.pi * m / n))
+            gaps.append(abs(F.block(a, b, c, (a + b + c) % n)[0, 0] - want))
+    assert max(gaps) <= 2.3e-16
