@@ -54,6 +54,18 @@ def group(keys):
     return slot, keys[order][new]
 
 
+def join_unsorted(keys, queries):
+    """join against unsorted keys: (query, position of the key)."""
+    order = np.argsort(keys, kind="stable")
+    q, p = join(keys[order], queries)
+    return q, order[p]
+
+
+def add_per(slot, val, size: int):
+    """The complex values val added per slot, each slot's in their order."""
+    return np.bincount(slot, val.real, size) + 1j * np.bincount(slot, val.imag, size)
+
+
 def _entry_table(ring: FusionRing, blocks: dict):
     N, r = ring.N, ring.rank
     x, y, z = np.nonzero(N)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fsymbols import group, join
+from .fsymbols import add_per, group, join, join_unsorted
 from .morphism import Engine
 
 __all__ = ["fill", "action", "rotations", "vertex_pieces"]
@@ -110,7 +110,7 @@ def action(eng: Engine, slots: tuple) -> tuple:
     (x, y, z, mu), rv, rw, cv, cw, fv = _f_entries(eng.F)
     zeta = _zeta(eng)
     h = np.flatnonzero(z[cv] == ring.unit)  # F^{w x̄ x}_w[(z, μ₁, μ₂), (1,0,0)]
-    q, v = _sorted_join(x * r + z, y[rw[h]] * r + x[rv[h]])  # vertices (x, x_s; w, ν)
+    q, v = join_unsorted(x * r + z, y[rw[h]] * r + x[rv[h]])  # vertices (x, x_s; w, ν)
     h = h[q]
     bx, bz, bw = y[rw[h]], z[rv[h]], x[rv[h]]
     row, col = (lb.key(bx, bz, y[v], bw, mu[v], mu[side[h]]) for side in (rv, rw))
@@ -168,16 +168,7 @@ def _f_entries(F) -> tuple:
 def _summed(lb: LabelBasis, keys: tuple, val: np.ndarray) -> tuple:
     """The terms summed per tuple of label-level basis indices."""
     slot, uniq = group(np.ravel_multi_index(keys, (lb.dim,) * len(keys)))
-    size = len(uniq)
-    return (np.unravel_index(uniq, (lb.dim,) * len(keys)),
-            np.bincount(slot, val.real, size) + 1j * np.bincount(slot, val.imag, size))
-
-
-def _sorted_join(keys: np.ndarray, queries: np.ndarray) -> tuple:
-    """join against unsorted keys: (query, position of the key)."""
-    order = np.argsort(keys, kind="stable")
-    q, p = join(keys[order], queries)
-    return q, order[p]
+    return np.unravel_index(uniq, (lb.dim,) * len(keys)), add_per(slot, val, len(uniq))
 
 
 def product_terms(eng: Engine, lb: LabelBasis) -> tuple:
@@ -198,8 +189,8 @@ def product_terms(eng: Engine, lb: LabelBasis) -> tuple:
     """
     (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
     r, n = eng.ring.rank, len(x)
-    e2, e1 = _sorted_join(rw * r + y[rv], rw * r + x[rv])
-    q, e3 = _sorted_join(cw * n + rv, cw[e2] * n + cv[e1])
+    e2, e1 = join_unsorted(rw * r + y[rv], rw * r + x[rv])
+    q, e3 = join_unsorted(cw * n + rv, cw[e2] * n + cv[e1])
     e1, e2 = e1[q], e2[q]
     b, c, a, xl, xp, xm = y[rw[e1]], y[rv[e1]], z[cv[e1]], x[rv[e1]], y[rv[e2]], y[rw[e3]]
     d = np.asarray(eng.d)
@@ -238,8 +229,8 @@ def star_terms(eng: Engine, lb: LabelBasis) -> tuple:
     r, u = eng.ring.rank, eng.ring.unit
     zeta = _zeta(eng)
     s1, s3 = np.flatnonzero(z[cv] == u), np.flatnonzero(z[rv] == u)
-    e2, e1 = _sorted_join(rv[s1] * r + y[rw[s1]], rw * r + x[rv])
-    q, e3 = _sorted_join(cw[s3], cw[e2])
+    e2, e1 = join_unsorted(rv[s1] * r + y[rw[s1]], rw * r + x[rv])
+    q, e3 = join_unsorted(cw[s3], cw[e2])
     e1, e2, e3 = s1[e1[q]], e2[q], s3[e3]
     a, xs, b, ys = x[rv[e2]], y[rv[e2]], y[rw[e2]], z[rw[e2]]
     keys = (lb.key(b, xs, ys, z[cv[e2]], mu[cv[e3]], mu[cv[e2]]),
@@ -267,41 +258,64 @@ def rotations(eng: Engine) -> dict:
 
 
 def vertex_pieces(eng: Engine, rot: dict) -> tuple:
-    """(vertex_pads, tops, pads): the three-letter pieces that Δ's
-    half-braiding is drawn from and every hexagon check reads, for every
-    label tuple at once, as flat entries: a dict of equal-length arrays,
-    one per field, the coefficient in ``val``.
+    """((vertex_pads, find), (tops, find), (pads, find)): the three-letter
+    pieces that Δ's half-braiding is drawn from and every hexagon check
+    reads, for every label tuple at once, as flat entries: a dict of
+    equal-length arrays, one per field, the coefficient in ``val``, sorted
+    by the fields it is looked up on; ``find(*cols)`` joins query columns of
+    those fields against it (_keyed).
 
-    - vertex_pads, fields u, a, b, c, mu, z, rho, v, nu1, nu2: the entry
-      [ρ, ((v,ν₁),(z,ν₂))] at root z of id_u ⊗ ι† : (u, a, b) → (u, c) for
-      the μ-th vertex ι : c → a⊗b, F^{u a b}_z[(v,ν₁,ν₂),(c,μ,ρ)];
-    - tops, fields a, b, c, mu, y, x, w, t, nu2, nu: the entry [ν₂, ν] at
-      root w of (ι† ⊗ id_y) ∘ (id_a ⊗ split_t) : (a, x) → (c, y) for the
-      t-th vertex split_t : x → b⊗y, conj F^{a b y}_w[(c,μ,ν₂),(x,t,ν)];
-    - pads, fields u, b, y, x, t, z, rho, v, nu1, nu2: a term of the entry
-      [ρ, ((v,ν₁),(z,ν₂))] of id_u ⊗ g_t : (u, x̄, b) → (u, ȳ) for
-      g_t = Σ_σ R[t, σ]·ι_σ†, ι_σ the σ-th vertex ȳ → x̄⊗b: R[t, σ] times
-      the vertex pad of (u, x̄, b, ȳ) at μ = σ, one term per σ.
+    - vertex_pads, fields u, a, b, c, mu, z, rho, v, nu1, nu2, found by (a,
+      u, c, z, ρ): the entry [ρ, ((v,ν₁),(z,ν₂))] at root z of
+      id_u ⊗ ι† : (u, a, b) → (u, c) for the μ-th vertex ι : c → a⊗b,
+      F^{u a b}_z[(v,ν₁,ν₂),(c,μ,ρ)];
+    - tops, fields a, b, c, mu, y, x, w, t, nu2, nu, found by (a, x, w, ν):
+      the entry [ν₂, ν] at root w of (ι† ⊗ id_y) ∘ (id_a ⊗ split_t) :
+      (a, x) → (c, y) for the t-th vertex split_t : x → b⊗y,
+      conj F^{a b y}_w[(c,μ,ν₂),(x,t,ν)];
+    - pads, fields u, b, y, x, t, v, nu1, z, rho, nu2, found by their first
+      seven: the entry [ρ, ((v,ν₁),(z,ν₂))] of id_u ⊗ g_t : (u, x̄, b) →
+      (u, ȳ) for g_t = Σ_σ R[t, σ]·ι_σ†, ι_σ the σ-th vertex ȳ → x̄⊗b:
+      R[t, σ] times the vertex pad of (u, x̄, b, ȳ) at μ = σ, added over σ.
 
-    Each vertex pad and top is one F entry, in FSymbolTable.table order,
-    as Engine._tensor_one_left reads them through its basis change, so
-    they are the same numbers.  Δ's R are the rotated fusion halves
-    (rotations); a caller may pass any R in that form.
+    Each vertex pad and top is one F entry, as Engine._tensor_one_left
+    reads them through its basis change, so they are the same numbers.
+    Δ's R are the rotated fusion halves (rotations); a caller may pass any
+    R in that form.
     """
     (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
     dual = np.asarray(eng.ring.dual)
+    r, n = eng.ring.rank, int(eng.ring.N.max())
     vpads = {"u": x[rv], "a": y[rv], "b": y[rw], "c": z[cv], "mu": mu[cv], "z": z[rw],
              "rho": mu[cw], "v": z[rv], "nu1": mu[rv], "nu2": mu[rw], "val": val}
     tops = {"a": x[rv], "b": y[rv], "c": z[rv], "mu": mu[rv], "y": y[rw], "x": z[cv],
             "w": z[rw], "t": mu[cv], "nu2": mu[rw], "nu": mu[cw], "val": np.conj(val)}
     # R[t, σ] meets the vertex pads of (u, x̄, b, ȳ) on (b, y, x, σ)
-    r, n = eng.ring.rank, int(eng.ring.N.max())
-    key = lambda b, y, x, s: ((b * r + y) * r + x) * n + s
-    p, q = _sorted_join(key(rot["b"], rot["y"], rot["x"], rot["sigma"]),
-                        key(vpads["b"], dual[vpads["c"]], dual[vpads["a"]], vpads["mu"]))
-    pads = {f: vpads[f][p] for f in ("u", "b", "z", "rho", "v", "nu1", "nu2")}
-    pads.update(y=rot["y"][q], x=rot["x"][q], t=rot["t"][q], val=rot["val"][q] * vpads["val"][p])
-    return vpads, tops, pads
+    p, q = join_unsorted(
+        np.ravel_multi_index((rot["b"], rot["y"], rot["x"], rot["sigma"]), (r, r, r, n)),
+        np.ravel_multi_index((vpads["b"], dual[vpads["c"]], dual[vpads["a"]], vpads["mu"]),
+                             (r, r, r, n)))
+    fields = ("u", "b", "y", "x", "t", "v", "nu1", "z", "rho", "nu2")
+    dims = (r, r, r, r, n, r, n, r, n, n)
+    slot, keys = group(np.ravel_multi_index(
+        (*(vpads[f][p] for f in ("u", "b")), *(rot[f][q] for f in ("y", "x", "t")),
+         *(vpads[f][p] for f in fields[5:])), dims))
+    pads = dict(zip(fields, np.unravel_index(keys, dims)))
+    pads["val"] = add_per(slot, rot["val"][q] * vpads["val"][p], len(keys))
+    return (_keyed(vpads, ("a", "u", "c", "z", "rho"), (r, r, r, r, n)),
+            _keyed(tops, ("a", "x", "w", "nu"), (r, r, r, n)),
+            _keyed(pads, fields[:7], dims[:7]))
+
+
+def _keyed(family: dict, fields: tuple, dims: tuple) -> tuple:
+    """(family sorted by ``fields``, find): find(*cols) is the join
+    (fsymbols.join: query, entry) of columns of those fields, each below
+    its entry of ``dims``, against the sorted family."""
+    key = np.ravel_multi_index(tuple(family[f] for f in fields), dims)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    return ({f: v[order] for f, v in family.items()},
+            lambda *cols: join(key, np.ravel_multi_index(cols, dims)))
 
 
 def slot_copies(labels: np.ndarray, *per_term) -> tuple:

@@ -15,15 +15,17 @@ The structure constants are fixed contractions of F entries (tables.fill),
 and tube_product and tube_star read them; the diagrams they contract are
 kept as the tests' oracle.  Δ's vertex pieces, the rotated fusion halves
 included, are flat F entries as well (tables.vertex_pieces,
-tables.rotations), so Δ is drawn and checked with no diagram: every leg
-id_a ⊗ e_b of Δ is one join of those entries (_delta_legs), the stored
-braiding is its a = 1 slice, and every hexagon of every pair is one more
-join (_hexagons), its two-letter tree positions counted off the
-one-letter stacks.  Only f_map's closures are drawn in the word engine,
-with vertices through canonical_pair (dual bases with the √(d·d·d)
-weight).  Each √d prefactor is written once, next to its formula, and
-nothing re-normalizes, so a convention slip shows up as a failed
-unitarity, round-trip or table check.
+tables.rotations), so Δ is drawn and checked with no diagram: the legs
+id_a ⊗ e_b of Δ at each letter a are one join of those entries
+(_delta_legs), the stored braiding is the a = 1 slice, and the hexagons of
+the pairs (a, b) at each a are one more join (_hexagons), its two-letter
+tree positions counted off the one-letter stacks.  Joining one letter at
+a time keeps the working set to one letter's terms.  Only f_map's
+closures are drawn in the word engine, with vertices through
+canonical_pair (dual bases with the √(d·d·d) weight).  Each √d prefactor
+is written once, next to its formula, and nothing re-normalizes, so a
+convention slip shows up as a failed unitarity, round-trip or table
+check.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ import numpy as np
 from . import tables
 from .duality import ev
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
-from .fsymbols import group, join
+from .fsymbols import add_per, group, join, join_unsorted
 from .morphism import Engine, Linear, engine_for
 from .pairs import canonical_pair
 from .sums import StackedBasis, SumObject, cut_block, left_blocks, right_blocks
@@ -151,48 +153,28 @@ def _cached(store: dict, key: tuple, make):
     return out
 
 
-def _keyed_pieces(eng: Engine, pieces: tuple) -> tuple:
-    """tables.vertex_pieces as the joins read them: each family sorted by
-    the fields it is looked up on, with that key (_radix): the vertex pads
-    by (u, c, z, ρ), the tops by (a, x, w, ν), the pads by (u, b, y, x, t,
-    v, ν₁)."""
-    out = []
-    for family, fields in zip(pieces, (("u", "c", "z", "rho"), ("a", "x", "w", "nu"),
-                                       ("u", "b", "y", "x", "t", "v", "nu1"))):
-        key = _radix(eng.ring, *(family[f] for f in fields))
-        order = np.argsort(key, kind="stable")
-        out.append((key[order], {f: v[order] for f, v in family.items()}))
-    return tuple(out)
-
-
 def _pieces(eng: Engine) -> tuple:
-    """tables.vertex_pieces with Δ's rotations (tables.rotations), keyed
-    for the joins (_keyed_pieces) and kept in the engine's cache."""
-    return _cached(eng.cache, ("vertex pieces",), lambda: _keyed_pieces(
-        eng, tables.vertex_pieces(eng, tables.rotations(eng))))
+    """tables.vertex_pieces with Δ's rotations (tables.rotations), each
+    family with its find, kept in the engine's cache."""
+    return _cached(eng.cache, ("vertex pieces",),
+                   lambda: tables.vertex_pieces(eng, tables.rotations(eng)))
 
 
-def _radix(ring, *cols) -> np.ndarray:
-    """Each tuple of the columns, labels and vertex slots of ring, as one
-    integer, the first column most significant: ascending keys sort the
-    tuples."""
-    base, key = max(ring.rank, int(ring.N.max())), np.zeros(len(cols[0]), dtype=np.int64)
-    for col in cols:
-        key = key * base + col
-    return key
-
-
-def _firsts(N: np.ndarray, roots: np.ndarray, runs: np.ndarray | None = None) -> np.ndarray:
-    """first[s, b, z]: the position at root z of the first child (z, 0) of
+def _firsts(N: np.ndarray, roots: np.ndarray, runs: np.ndarray | None = None) -> Callable:
+    """(s, b, z) -> the position at root z of the first child (z, 0) of
     state s when the states, in order, are grown by the letter b
     (StackedBasis.extended): the children at z of the states before s,
-    counted afresh at each run of equal ``runs`` (sorted) if given."""
-    per = N[roots]
-    first = np.cumsum(per, axis=0) - per
+    counted afresh at each run of equal ``runs`` (sorted) if given.  That
+    is Σ_v C[s, v]·N[v, b, z], C[s, v] the states before s at root v, so
+    only C is kept, one row per state."""
+    C = np.zeros((len(roots), len(N)), dtype=np.int64)
+    C[np.arange(len(roots)), roots] = 1
+    C = np.cumsum(C, axis=0) - C
     if runs is not None and len(runs):
         start = np.flatnonzero(np.diff(runs, prepend=-1))
-        first -= np.repeat(first[start], np.diff(start, append=len(runs)), axis=0)
-    return first
+        C -= np.repeat(C[start], np.diff(start, append=len(runs)), axis=0)
+    per = N.transpose(1, 2, 0)  # [b, z, v]
+    return lambda s, b, z: (C[s] * per[b, z]).sum(axis=1)
 
 
 def _vertices(counts: np.ndarray) -> tuple:
@@ -216,7 +198,7 @@ def _locator(group: np.ndarray, pos: np.ndarray, size: int) -> Callable:
 def _lefts(obj: SumObject) -> tuple:
     """The states of (a,) + obj for every letter a, in letter and then
     state order: (letter, summand, root, position at the root, first), with
-    first[s, b, z] the position at z of the first child of s in (a,) + obj
+    first(s, b, z) the position at z of the first child of s in (a,) + obj
     + (b,) (_firsts), so no two-letter stack is grown."""
     stacks = [obj.stacked((a,)).flat for a in range(obj.engine.ring.rank)]
     letter = np.repeat(np.arange(len(stacks)), [len(j) for j, _z, _p in stacks])
@@ -224,12 +206,12 @@ def _lefts(obj: SumObject) -> tuple:
     return letter, j, z, pos, _firsts(obj.engine.ring.N, z, letter)
 
 
-def _delta_legs(obj: SumObject) -> dict:
-    """Every channel (c, μ) of every leg id_a ⊗ e_b of Δ, as one join over
-    flat vertex pieces: fields a, b, c, mu, z, row, col and val, a term of
-    the entry [row, col] at root z of the map from the stacked trees of
-    (a,) + Δ + (b,) to those of (c,) + Δ (terms of one entry add).  At
-    a = 1, channel (b, 0), the leg is e_b itself (build_delta).
+def _delta_legs(obj: SumObject) -> Callable:
+    """a -> every channel (c, μ) of every leg id_a ⊗ e_b of Δ, as one join
+    over flat vertex pieces: fields b, c, mu, z, row, col and val, the entry
+    [row, col] at root z of the map from the stacked trees of (a,) + Δ +
+    (b,) to those of (c,) + Δ, one entry each.  At a = 1, channel (b, 0),
+    the leg is e_b itself (build_delta).
 
     On the summand j = (x, l, x̄) of Δ a tree of (a,) + Δ + (b,) is the
     vertex (a, x) → w in slot ν, then (w, l) → u in slot ν′, then a tree
@@ -238,54 +220,66 @@ def _delta_legs(obj: SumObject) -> dict:
     the left line and absorbs b into the conjugate line with the rotated
     fusion half on the right (√(d_b⁻¹)·√(d_b d_y d_x)), onto the tree
     ((w, ν₂′), (u, ν′), (z, ρ)) of (c,) + Δ on the summand i = (y, l, ȳ) of
-    the same slot, with √(d_x d_y)·top_t[ν₂′, ν]·pad_t[ρ, ((v,ν₁),(z,ν₂))]
+    the same slot, with √(d_x d_y)·Σ_t top_t[ν₂′, ν]·pad_t[ρ, ((v,ν₁),(z,ν₂))]
     (tables.vertex_pieces).  So the terms are the states q joined with the
-    tops on (a, x, w, ν), then with the pads on (u, b, y, x, t, v, ν₁).
+    tops on (a, x, w, ν), then with the pads on (u, b, y, x, t, v, ν₁); an
+    entry adds its terms in t order before the weight, as a Kronecker sum
+    over t does.  The states of every (c,) + Δ, where the rows are looked
+    up, are read once; the terms are joined one letter a at a time.
     """
     eng = obj.engine
     ring, d = eng.ring, np.asarray(eng.d)
     r, M = ring.rank, int(ring.N.max())
-    (tkey, top), (pkey, pad) = _pieces(eng)[1:]
-    a, j, v, pos, first = _lefts(obj)
+    (top, find_top), (pad, find_pad) = _pieces(eng)[1:]
+    letter, j, v, pos, first = _lefts(obj)
     trees = np.array([t for b in range(r) for _j, _z, t in obj.stacked((b,)).states],
-                     dtype=np.int64).reshape(len(a), 3, 2)
+                     dtype=np.int64).reshape(len(letter), 3, 2)
     (w, nu), (u, nu_u), nu1 = trees[:, 0].T, trees[:, 1].T, trees[:, 2, 1]
     tag_x, tag_s = np.array(obj.tags).T
     summand = np.zeros((r, tag_s.max() + 1), dtype=np.int64)
     summand[tag_x, tag_s] = np.arange(len(obj))
-    x = tag_x[j]
-    q, t = join(tkey, _radix(ring, a, x, w, nu))
-    b, y = top["b"][t], top["y"][t]
-    k, p = join(pkey, _radix(ring, u[q], b, y, x[q], top["t"][t], v[q], nu1[q]))
-    q, t, b, y = q[k], t[k], b[k], y[k]
-    z = pad["z"][p]
-    # rows: the states of (c,) + Δ, found by summand and tree
-    dims = (r, len(obj), r, M, r, M, r, M)
-    keys = np.ravel_multi_index((a, j, w, nu, u, nu_u, v, nu1), dims)
-    order = np.argsort(keys)
-    row = pos[order[np.searchsorted(keys[order], np.ravel_multi_index(
-        (top["c"][t], summand[y, tag_s[j[q]]], w[q], top["nu2"][t], u[q], nu_u[q],
-         z, pad["rho"][p]), dims))]]
-    return {"a": a[q], "b": b, "c": top["c"][t], "mu": top["mu"][t], "z": z, "row": row,
-            "col": first[q, b, z] + pad["nu2"][p],
-            "val": top["val"][t] * pad["val"][p] * np.sqrt(d[x[q]] * d[y])}
+    # the rows: the states of every (c,) + Δ, by summand and tree
+    sdims = (r, len(obj), r, M, r, M, r, M)
+    skey = np.ravel_multi_index((letter, j, w, nu, u, nu_u, v, nu1), sdims)
+    by_key = np.argsort(skey)
+    skey = skey[by_key]
+
+    def legs(a: int) -> dict:
+        s = np.arange(*np.searchsorted(letter, [a, a + 1]))
+        q, t = find_top(a, tag_x[j[s]], w[s], nu[s])
+        q = s[q]
+        x, b, y = tag_x[j[q]], top["b"][t], top["y"][t]
+        k, p = find_pad(u[q], b, y, x, top["t"][t], v[q], nu1[q])
+        q, t, x, b, y = q[k], t[k], x[k], b[k], y[k]
+        z = pad["z"][p]
+        row = pos[by_key[np.searchsorted(skey, np.ravel_multi_index(
+            (top["c"][t], summand[y, tag_s[j[q]]], w[q], top["nu2"][t], u[q], nu_u[q],
+             z, pad["rho"][p]), sdims))]]
+        col = first(q, b, z) + pad["nu2"][p]
+        dims = (r, r, M, r, int(row.max(initial=0)) + 1, int(col.max(initial=0)) + 1)
+        slot, keys = group(np.ravel_multi_index((b, top["c"][t], top["mu"][t], z, row, col),
+                                                dims))
+        weight = np.empty(len(keys))
+        weight[slot] = np.sqrt(d[x] * d[y])
+        out = dict(zip(("b", "c", "mu", "z", "row", "col"), np.unravel_index(keys, dims)))
+        out["val"] = add_per(slot, top["val"][t] * pad["val"][p], len(keys)) * weight
+        return out
+
+    return legs
 
 
 def _at_unit(obj: SumObject, legs: dict) -> dict:
     """The legs at a = 1 as the stored braiding: b -> root -> matrix from
-    the stacked trees of obj + (b,) to those of (b,) + obj, the terms of an
-    entry added in order."""
-    ring = obj.engine.ring
-    one = {f: legs[f][legs["a"] == ring.unit] for f in ("b", "z", "row", "col", "val")}
+    the stacked trees of obj + (b,) to those of (b,) + obj."""
     out = {}
-    for b in range(ring.rank):
+    for b in range(obj.engine.ring.rank):
         src = obj.stacked((), (b,)).dims
         out[b] = {}
         for z, n in obj.stacked((b,)).dims.items():
             if z in src:
                 m = out[b][z] = np.zeros((n, src[z]), dtype=complex)
-                at = (one["b"] == b) & (one["z"] == z)
-                np.add.at(m, (one["row"][at], one["col"][at]), one["val"][at])
+                at = (legs["b"] == b) & (legs["z"] == z)
+                m[legs["row"][at], legs["col"][at]] = legs["val"][at]
     return out
 
 
@@ -321,7 +315,7 @@ class _Stacked:
         return out
 
 
-def _stacked_legs(hb: _Stacked) -> dict:
+def _stacked_legs(hb: _Stacked, a: int) -> dict:
     """Every channel (c, μ) of every leg id_a ⊗ e_b of any half-braided sum,
     from its stored e_b, in _delta_legs' fields: id_a ⊗ e_b at r is Ω′·B·Ω†
     (SumObject.omega of the sums of (b,) + w and w + (b,), B = e_b at u on
@@ -331,23 +325,21 @@ def _stacked_legs(hb: _Stacked) -> dict:
     obj = hb.obj
     out = []
     for b in range(obj.engine.ring.rank):
-        e_b, right, left = hb.e(b), obj.tensor_right((b,)), obj.tensor_left((b,))
-        for a in range(obj.engine.ring.rank):
-            src, dst = right.omega(a), left.omega(a)
-            for z, trees in obj.stacked((a, b)).by_root.items():
-                if z not in src:
-                    continue
-                om, rows = dst[z]
-                m = om @ left_blocks(e_b, src[z][0].conj().T, rows, src[z][1], len(om))
-                lead, seen = [], {}
-                for _j, tree in trees:  # (c, μ, position among the trees that begin so)
-                    n = seen[tree[0]] = seen.get(tree[0], -1) + 1
-                    lead.append((*tree[0], n))
-                i, k = np.nonzero(m)
-                c, mu, row = np.array(lead, dtype=np.int64).reshape(-1, 3)[i].T
-                out.append((np.full(len(i), a), np.full(len(i), b), c, mu,
-                            np.full(len(i), z), row, k, m[i, k]))
-    return dict(zip(("a", "b", "c", "mu", "z", "row", "col", "val"), _concat(out, 8)))
+        e_b = hb.e(b)
+        src, dst = obj.tensor_right((b,)).omega(a), obj.tensor_left((b,)).omega(a)
+        for z, trees in obj.stacked((a, b)).by_root.items():
+            if z not in src:
+                continue
+            om, rows = dst[z]
+            m = om @ left_blocks(e_b, src[z][0].conj().T, rows, src[z][1], len(om))
+            lead, seen = [], {}
+            for _j, tree in trees:  # (c, μ, position among the trees that begin so)
+                n = seen[tree[0]] = seen.get(tree[0], -1) + 1
+                lead.append((*tree[0], n))
+            i, k = np.nonzero(m)
+            c, mu, row = np.array(lead, dtype=np.int64).reshape(-1, 3)[i].T
+            out.append((np.full(len(i), b), c, mu, np.full(len(i), z), row, k, m[i, k]))
+    return dict(zip(("b", "c", "mu", "z", "row", "col", "val"), _concat(out, 7)))
 
 
 def _concat(rows, width: int) -> tuple:
@@ -356,75 +348,84 @@ def _concat(rows, width: int) -> tuple:
     return tuple(np.concatenate(c) for c in cols)
 
 
-def _hexagons(hb: _Stacked, legs: dict | None = None) -> np.ndarray:
+def _hexagons(hb: _Stacked, legs: Callable | None = None) -> np.ndarray:
     """The worst hexagon defect of each part at each pair (a, b), an array
     (part, a, b): max-abs over the channels (c, μ) and roots z of
     e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ (id_a ⊗ e_b) ∘ (e_a ⊗ id_b), with
     ι = ι_{c,μ} : c → a⊗b, from the stacked trees of W + (a, b) to those of
-    (c,) + W, read on the rows of the part.  ``legs`` are the channels of
-    id_a ⊗ e_b in _delta_legs' fields; by default _stacked_legs.
+    (c,) + W, read on the rows of the part.  ``legs(a)`` are the channels of
+    id_a ⊗ e_b for every b, in _delta_legs' fields; by default
+    _stacked_legs.
 
-    Both sides are flat joins over every pair, channel and root at once,
-    summed per (a, b, μ, row, column); no factor is built as a map and no
-    two-letter stack is grown.  The braiding's entries e_a[v][q, p] are
-    read by state: q one of (a,) + W (_lefts), p one of W + (a,), grown
-    from W's state t by (v, ν₁).  e_c ∘ (id_W ⊗ ι†) joins e_c's entries,
-    at the child (z, ρ) of t, with the vertex pads id_u ⊗ ι† of t's root u
-    (tables.vertex_pieces).  e_a ⊗ id_b grows each entry of e_a by every
-    vertex (v, b) → z on both sides, and the leg's entries join it on its
-    column.  A two-letter position is the first child of a state plus the
-    vertex slot (_firsts).
+    Both sides are flat joins over every b, channel and root at once, one
+    letter a at a time, summed per (b, μ, row, column); no factor is built
+    as a map and no two-letter stack is grown.  The braiding's entries
+    e_c[v][q, p] are read by state: q one of (c,) + W (_lefts), p one of
+    W + (c,), grown from W's state t by (v, ν₁).  e_c ∘ (id_W ⊗ ι†) joins
+    e_c's entries, at the child (z, ρ) of t, with the vertex pads
+    id_u ⊗ ι† of t's root u and the letter a (tables.vertex_pieces).
+    e_a ⊗ id_b grows each entry of e_a by every vertex (v, b) → z on both
+    sides, and the leg's entries join it on its column, a position on
+    (a,) + W + (b,): the first child of a state plus the vertex slot
+    (_firsts).  A column of W + (a, b) is named by the state of W + (a,)
+    and the vertex it is grown by, which both sides know.
     """
     obj, ring = hb.obj, hb.obj.engine.ring
     N, r, M = ring.N, ring.rank, int(ring.N.max())
-    vkey, vp = _pieces(obj.engine)[0]
+    vp, find_vpad = _pieces(obj.engine)[0]
     if legs is None:
-        legs = _stacked_legs(hb)
-    # W's states t at u, and the states (a, t, v, ν₁) of every W + (a,)
+        legs = functools.partial(_stacked_legs, hb)
+    # W's states t at u, and the states (c, t, v, ν₁) of every W + (c,)
     _j, uw, _pos = obj.stacked().flat
     ra, rt, rv, rnu = _vertices(N[uw].transpose(1, 0, 2))
     rdims = (r, len(uw), r, M)
     rkey = np.ravel_multi_index((ra, rt, rv, rnu), rdims)  # ascending
-    r_at = _locator(ra * r + rv, _firsts(N, uw)[rt, ra, rv] + rnu, r * r)
-    r_first = _firsts(N, rv, ra)
+    r_at = _locator(ra * r + rv, _firsts(N, uw)(rt, ra, rv) + rnu, r * r)
     la, lj, lv, lpos, l_first = _lefts(obj)
     l_at = _locator(la * r + lv, lpos, r * r)
-    # the braiding's entries e_a[v][row, col], by state
-    ea, ev, er, ec, e_val = _concat(
-        ((np.full(len(i), a), np.full(len(i), z), i, k, m[i, k])
-         for a in range(r) for z, m in hb.e(a).items() for i, k in (np.nonzero(m),)), 5)
-    q, p = l_at(ea * r + ev, er), r_at(ea * r + ev, ec)
-
-    # e_c ∘ (id_W ⊗ ι†)
-    k, s = join(vkey, _radix(ring, uw[rt[p]], ea, ev, rnu[p]))
-    a, b = vp["a"][s], vp["b"][s]
-    grown = np.searchsorted(rkey, np.ravel_multi_index(
-        (a, rt[p[k]], vp["v"][s], vp["nu1"][s]), rdims))
-    lhs = (a, b, vp["mu"][s], q[k], r_first[grown, b, ev[k]] + vp["nu2"][s],
-           e_val[k] * vp["val"][s])
-
-    # (ι† ⊗ id) ∘ (id_a ⊗ e_b) ∘ (e_a ⊗ id_b)
+    # the braiding's entries e_c[v][row, col], by state, letter c ascending
+    ec, ev, er, ecol, e_val = _concat(
+        ((np.full(len(i), c), np.full(len(i), z), i, k, m[i, k])
+         for c in range(r) for z, m in hb.e(c).items() for i, k in (np.nonzero(m),)), 5)
+    q, p = l_at(ec * r + ev, er), r_at(ec * r + ev, ecol)
+    u_of, t_of, rho = uw[rt[p]], rt[p], rnu[p]
     cv, cb, cz, cnu = _vertices(N)
-    k, h = join(cv, ev)
-    b, z, nu2 = cb[h], cz[h], cnu[h]
-    mid = l_first[q[k], b, z] + nu2
-    ldims = (r, r, r, int(max(legs["col"].max(initial=0), mid.max(initial=0))) + 1)
-    lkey = np.ravel_multi_index((legs["a"], legs["b"], legs["z"], legs["col"]), ldims)
-    order = np.argsort(lkey, kind="stable")
-    g, l = join(lkey[order], np.ravel_multi_index((ea[k], b, z, mid), ldims))
-    l, k = order[l], k[g]
-    rhs = (ea[k], b[g], legs["mu"][l], l_at(legs["c"][l] * r + z[g], legs["row"][l]),
-           r_first[p[k], b[g], z[g]] + nu2[g], legs["val"][l] * e_val[k])
+    # keys (b, μ, row, column) with the column (state, z, ν₂), and the legs'
+    # columns below any count of children
+    dims = (r, M, len(la), len(ra), r, M)
+    ldims = (r, r, len(la) * int(N.sum(axis=2).max()))
 
-    dims = (r, r, M, len(la), int(max(lhs[4].max(initial=0), rhs[4].max(initial=0))) + 1)
-    slot, keys = group(np.concatenate([np.ravel_multi_index(side[:5], dims)
-                                       for side in (lhs, rhs)]))
-    val = np.concatenate([lhs[5], -rhs[5]])
-    gap = np.hypot(np.bincount(slot, val.real, len(keys)),
-                   np.bincount(slot, val.imag, len(keys)))
-    a, b, _mu, row, _col = np.unravel_index(keys, dims)
+    def gaps(a: int) -> tuple:  # (b, row, |lhs − rhs|) per entry at the letter a
+        # e_c ∘ (id_W ⊗ ι†)
+        k, s = find_vpad(a, u_of, ec, ev, rho)
+        b = vp["b"][s]
+        grown = np.searchsorted(rkey, np.ravel_multi_index(
+            (a, t_of[k], vp["v"][s], vp["nu1"][s]), rdims))
+        lhs = np.ravel_multi_index((b, vp["mu"][s], q[k], grown, ev[k], vp["nu2"][s]), dims)
+        lhs_val = e_val[k] * vp["val"][s]
+
+        # (ι† ⊗ id) ∘ (id_a ⊗ e_b) ∘ (e_a ⊗ id_b)
+        lo, hi = np.searchsorted(ec, [a, a + 1])
+        k, h = join(cv, ev[lo:hi])
+        k += lo
+        leg = legs(a)
+        g, l = join_unsorted(np.ravel_multi_index((leg["b"], leg["z"], leg["col"]), ldims),
+                             np.ravel_multi_index(
+                                 (cb[h], cz[h], l_first(q[k], cb[h], cz[h]) + cnu[h]), ldims))
+        k, b, z, nu2 = k[g], cb[h[g]], cz[h[g]], cnu[h[g]]
+        rhs = np.ravel_multi_index((b, leg["mu"][l], l_at(leg["c"][l] * r + z, leg["row"][l]),
+                                    p[k], z, nu2), dims)
+        rhs_val = leg["val"][l] * e_val[k]
+
+        slot, keys = group(np.concatenate([lhs, rhs]))
+        b, _mu, row = np.unravel_index(keys, dims)[:3]
+        gap = add_per(slot, np.concatenate([lhs_val, -rhs_val]), len(keys))
+        return b, row, np.hypot(gap.real, gap.imag)
+
     out = np.zeros((hb.nparts, r, r))
-    np.maximum.at(out, (hb.part_of[lj[row]], a, b), gap)
+    for a in range(r):
+        b, row, gap = gaps(a)
+        np.maximum.at(out, (hb.part_of[lj[row]], a, b), gap)
     return out
 
 
@@ -432,12 +433,12 @@ _IDENTITIES = {"unitarity": "half-braiding unitarity",
                "unit": "unit braiding component", "hexagon": "hexagon"}
 
 
-def verify_halfbraiding(obj: SumObject, braiding, tol: float, legs: dict | None = None,
+def verify_halfbraiding(obj: SumObject, braiding, tol: float, legs: Callable | None = None,
                         parts=(0,)) -> list:
     """Check that ``braiding`` (letter a -> root -> e_a : obj⊗a → a⊗obj on
     stacked trees) is a unitary half-braiding, per root and letter:
     e_a†·e_a = 1 = e_a·e_a†, e_1 = 1, and the hexagon of every pair (a, b)
-    (_hexagons, with ``legs`` as its legs id_a ⊗ e_b).
+    (_hexagons, with ``legs(a)`` as its legs id_a ⊗ e_b).
 
     ``parts`` are the first summands of runs that the braiding keeps apart,
     as the simples of a direct sum: each is read on its own rows, as if
@@ -497,11 +498,12 @@ DELTA_TOL = 1e-9
 
 
 def build_delta(spec, lam: LambdaObject) -> DeltaObject:
-    """Assemble Δ(Λ), draw every leg id_a ⊗ e_b as one join over the flat
-    vertex pieces (_delta_legs), keep its a = 1 slice as the braiding
-    (_at_unit), and verify it (verify_halfbraiding on every pair (a, b),
-    with those legs).  Raises ToleranceError when a residual reaches
-    DELTA_TOL: an engine or data bug, not bad user input."""
+    """Assemble Δ(Λ), draw the legs id_1 ⊗ e_b as one join over the flat
+    vertex pieces (_delta_legs), keep them as the braiding (_at_unit), and
+    verify it (verify_halfbraiding on every pair (a, b), with the legs
+    id_a ⊗ e_b joined one letter a at a time, the a = 1 ones reused).
+    Raises ToleranceError when a residual reaches DELTA_TOL: an engine or
+    data bug, not bad user input."""
     eng = engine_for(spec)
     ring = eng.ring
     if len(lam.mult) != ring.rank:
@@ -514,8 +516,10 @@ def build_delta(spec, lam: LambdaObject) -> DeltaObject:
             tags.append((x, s))
     obj = SumObject(eng, words, tags)
     legs = _delta_legs(obj)
-    braiding = _at_unit(obj, legs)
-    residuals = verify_halfbraiding(obj, braiding, DELTA_TOL, legs)[0]
+    unit = legs(ring.unit)
+    braiding = _at_unit(obj, unit)
+    residuals = verify_halfbraiding(
+        obj, braiding, DELTA_TOL, lambda a: unit if a == ring.unit else legs(a))[0]
     return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding, residuals=residuals)
 
 

@@ -25,10 +25,10 @@ entry.  dense_pieces gathers the flat entries into one array per label
 tuple and root.  Δ's hexagon legs are here as one Kronecker sum and one
 scatter per tree group of a grown two-letter stack (vertex_leg_loop), and
 the hexagon itself one pair, channel and root at a time, with the pads
-drawn by the engine (hexagon_residual), where tubecat.tube forms every
-leg as one join (_delta_legs) and every pair's defect as another
-(_hexagons); leg_matrices reads one channel of the joined legs back as
-matrices.
+drawn by the engine (hexagon_residual), where tubecat.tube forms the legs
+of each letter a as one join (_delta_legs) and the defects of its pairs
+(a, b) as another (_hexagons); leg_matrices reads one channel of the
+joined legs back as matrices.
 
 The pentagon's two routes are here too, one word and one root at a time, as
 loops over block rows and columns (trees_T1 … pentagon_residual), where
@@ -137,9 +137,9 @@ def dense_pieces(eng, pieces):
     vertex index, tree columns in the engine's basis order:
     vertex_pads[(u, a, b, c)][z][μ] is id_u ⊗ ι_μ† at z, tops[(a, b, c, μ,
     y, x)][w][t] the top of the t-th (b, y; x) vertex at w, and
-    pads[(u, b, y, x)][z][t] the pad id_u ⊗ g_t at z, its terms added."""
+    pads[(u, b, y, x)][z][t] the pad id_u ⊗ g_t at z."""
     N, dual = eng.ring.N, eng.ring.dual
-    vp, top, pad = pieces
+    (vp, _), (top, _), (pad, _) = pieces
     vpads, tops, pads = {}, {}, {}
 
     def cols(word, z, v, n1, n2):
@@ -193,7 +193,7 @@ def vertex_leg_loop(obj, a, b, memo, c, mu, src):
     eng = obj.engine
     ring, d = eng.ring, eng.d
     _vpads, tops, pads = _cached(memo, ("dense",), lambda: dense_pieces(
-        eng, [family for _key, family in _pieces(eng)]))
+        eng, _pieces(eng)))
     dst = obj.stacked((c,))
     rows = _cached(memo, ("rows", c), lambda: vertex_groups(dst))
     out = {z: np.zeros((n, src.dims[z]), dtype=complex)
@@ -210,13 +210,14 @@ def vertex_leg_loop(obj, a, b, memo, c, mu, src):
 
 
 def leg_matrices(obj, legs, a, b, c, mu):
-    """Channel (c, μ) of the leg id_a ⊗ e_b from flat legs
-    (tubecat.tube._delta_legs' fields), one matrix per root z from the
-    grown stack of (a,) + obj + (b,) to the trees of (c,) + obj, its terms
-    added in order."""
+    """Channel (c, μ) of the leg id_a ⊗ e_b from flat legs, ``legs(a)`` in
+    tubecat.tube._delta_legs' fields, one matrix per root z from the grown
+    stack of (a,) + obj + (b,) to the trees of (c,) + obj, its terms added
+    in order."""
     src, dst = obj.stacked((a,), (b,)).dims, obj.stacked((c,)).dims
     out = {z: np.zeros((n, src[z]), dtype=complex) for z, n in dst.items() if z in src}
-    on = (legs["a"] == a) & (legs["b"] == b) & (legs["c"] == c) & (legs["mu"] == mu)
+    legs = legs(a)
+    on = (legs["b"] == b) & (legs["c"] == c) & (legs["mu"] == mu)
     for z, row, col, val in zip(*(legs[f][on] for f in ("z", "row", "col", "val"))):
         out[int(z)][row, col] += val
     return out

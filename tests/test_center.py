@@ -722,7 +722,7 @@ def test_extraction_names_the_last_simple(monkeypatch):
     _corrupt_simple(monkeypatch, lambda made: r - 1,
                     lambda X, e: _negate_one_block(X, e, 1))
     with pytest.raises(ToleranceError, match=rf"^block {r - 1}: \S+ .*defect \S+ >= 1e-08 "
-                       r"(at \(a, b\) = \(\d, \d\) )?on the extracted simple$") as err:
+                       r"at \(a, b\) = \(\S+, \S+\) on the extracted simple$") as err:
         extract_center_simples(A, D, dec)
     per_part = err.value.__cause__.residuals
     assert all(max(p.values()) < 1e-12 for p in per_part[:-1])

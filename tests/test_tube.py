@@ -337,9 +337,13 @@ def test_build_delta_rejects_nan_in_a_later_hexagon(catalog, monkeypatch):
 
     def nan_at_last(obj):
         legs = real(obj)
-        at = np.flatnonzero((legs["a"] == last) & (legs["b"] == last))
-        legs["val"][at[-1]] = np.nan
-        return legs
+
+        def at(a):
+            out = legs(a)
+            if a == last:
+                out["val"][np.flatnonzero(out["b"] == last)[-1]] = np.nan
+            return out
+        return at
 
     monkeypatch.setattr(tubecat.tube, "_delta_legs", nan_at_last)
     with pytest.raises(ToleranceError, match=r"hexagon defect nan >= 1e-09 at \(a, b\) = "
@@ -504,11 +508,11 @@ def test_hexagon_stage_builds_no_long_tree_basis(monkeypatch):
 
 
 def _phase_on_block(obj, legs, b, i, j, phase):
-    """The legs with the terms of the stored e_b (a = 1) in block (i, j),
+    """The legs at a = 1 with the entries of the stored e_b in block (i, j),
     from summand j to summand i, times the phase."""
     rows, cols = obj.stacked((b,)).starts, obj.stacked((), (b,)).starts
     z, row, col = legs["z"], legs["row"], legs["col"]
-    at = np.flatnonzero((legs["a"] == obj.engine.ring.unit) & (legs["b"] == b))
+    at = np.flatnonzero(legs["b"] == b)
     for k in at:
         if (rows[z[k]][i] <= row[k] < rows[z[k]][i + 1]
                 and cols[z[k]][j] <= col[k] < cols[z[k]][j + 1]):
@@ -523,15 +527,21 @@ def test_build_delta_sees_phase_on_one_stored_block(monkeypatch):
     # a ≠ 1 are drawn from the vertices and not from the stored e_b.  The
     # block is (0, j), from summand (2, slot 0) to (0, slot 0), the lowest
     # key of e_2.  build_delta keeps the legs at a = 1 as the stored e_b, so
-    # a phase on those terms moves the stored e_2 and its leg id_1 ⊗ e_2
+    # a phase on those entries moves the stored e_2 and its leg id_1 ⊗ e_2
     # together
     spec = load_spec(pointed_category(4, k=1))
     real = tubecat.tube._delta_legs
     drawn = []
 
     def nudged(obj):
-        drawn.append(2)
-        return _phase_on_block(obj, real(obj), 2, 0, obj.index((2, 0)), np.exp(1e-6j))
+        legs, unit = real(obj), obj.engine.ring.unit
+
+        def at(a):
+            if a != unit:
+                return legs(a)
+            drawn.append(2)
+            return _phase_on_block(obj, legs(a), 2, 0, obj.index((2, 0)), np.exp(1e-6j))
+        return at
 
     monkeypatch.setattr(tubecat.tube, "_delta_legs", nudged)
     with pytest.raises(ToleranceError, match=r"hexagon defect (1\.00\de-06|9\.99\de-07)"):
@@ -547,7 +557,7 @@ def test_phase_on_one_stored_block_names_its_pair():
     spec = load_spec(pointed_category(4, k=1))
     D = build_delta(spec, LambdaObject.all_simples(spec))
     legs = _delta_legs(D.obj)
-    moved = _phase_on_block(D.obj, _delta_legs(D.obj), 2, 0, D.obj.index((2, 0)),
+    moved = _phase_on_block(D.obj, legs(spec.ring.unit), 2, 0, D.obj.index((2, 0)),
                             np.exp(1e-6j))
     nudged = {**D.braiding, 2: tubecat.tube._at_unit(D.obj, moved)[2]}
     pairs = pair_residuals(D.obj, nudged, legs)
@@ -632,7 +642,7 @@ def test_vertex_pieces_are_the_engine_pieces(catalog, name):
     spec = _spec(catalog, name)
     eng = engine_for(spec)
     N = eng.ring.N
-    vpads, tops, pads = dense_pieces(eng, [family for _key, family in tubecat.tube._pieces(eng)])
+    vpads, tops, pads = dense_pieces(eng, tubecat.tube._pieces(eng))
     rot = _dense_rotations(eng, tubecat.tables.rotations(eng))
     assert len(vpads) == len(pads) == spec.rank * np.count_nonzero(N)
     pairs = []  # (gathered, engine's) per vertex index
@@ -758,17 +768,16 @@ def test_rotations_are_the_bent_fusion_halves(catalog, name):
     assert max(gaps) <= 1e-14, name
 
 
-def _legs_agree(obj, legs, a, b, loop_memo, tol=0.0):
+def _legs_agree(obj, legs, a, b, loop_memo):
     """(c, μ) -> whether the joined legs and the per-group loop agree,
-    roots and entries (within tol), over every channel of a⊗b."""
+    roots and entries, over every channel of a⊗b."""
     mid = obj.stacked((a,), (b,))
     out = {}
     for c, mu in _channels(obj.engine, a, b):
         got = leg_matrices(obj, legs, a, b, c, mu)
         want = vertex_leg_loop(obj, a, b, loop_memo, c, mu, mid)
         out[(c, mu)] = (sorted(got) == sorted(want)
-                        and all(np.max(np.abs(got[z] - want[z]), initial=0.0) <= tol
-                                for z in want))
+                        and all(np.array_equal(got[z], want[z]) for z in want))
     return out
 
 
@@ -797,14 +806,12 @@ def test_vertex_leg_matches_the_loop_with_multiplicity(seed):
     # engine's vertex pieces: 3⊗3 ∋ 2·3 sends two vertices (t = 0, 1) and
     # blocks larger than 1×1 through the leg.  Random F satisfies no
     # pentagon, so Δ is assembled here, as build_delta assembles it, and
-    # never verified.  The loop adds the pad's σ terms and then the t terms
-    # before it weights them, the join weights each term, so they agree to
-    # rounding (1.8e-15 seen on entries of size up to a few)
+    # never verified.  Both add the pad's σ terms, then the t terms, then
+    # weight: the same arrays, bit for bit
     eng, rng = _rep_a4_engine(seed)
     ring, dual = eng.ring, eng.ring.dual
     rot = _flat_rotations(_random_fusion_halves(eng, rng))
-    eng.cache[("vertex pieces",)] = tubecat.tube._keyed_pieces(
-        eng, tubecat.tables.vertex_pieces(eng, rot))
+    eng.cache[("vertex pieces",)] = tubecat.tables.vertex_pieces(eng, rot)
     lam = LambdaObject((1, 0, 1, 2))
     slots = lam.slots()
     obj = SumObject(eng, [(x, l, dual[x]) for x in range(ring.rank) for l, _c in slots],
@@ -812,7 +819,7 @@ def test_vertex_leg_matches_the_loop_with_multiplicity(seed):
     legs, loop_memo = _delta_legs(obj), {}
     for a in range(ring.rank):
         for b in range(ring.rank):
-            same = _legs_agree(obj, legs, a, b, loop_memo, tol=1e-14)
+            same = _legs_agree(obj, legs, a, b, loop_memo)
             assert all(same.values()), (seed, a, b, same)
     tops, pads = loop_memo[("dense",)][1:]
     assert max(len(S) for per_w in tops.values() for S in per_w.values()) == 2
@@ -882,6 +889,27 @@ def test_build_delta_grows_no_two_letter_stack(monkeypatch):
     monkeypatch.setattr(StackedBasis, "extended", counted)
     build_delta(spec, LambdaObject.all_simples(spec))
     assert added.count(2) == 0 and added == [1] * 7, added
+
+
+def test_build_delta_memory_is_bounded_by_one_letter():
+    # a cold SU(2)_5 build_delta joins the legs and the hexagons one letter
+    # a at a time, so its traced peak stays near the pair-by-pair check's
+    # (3.9 MiB) and well below joining every pair at once (13.1 MiB); 5.2
+    # MiB here
+    import tracemalloc
+    spec = load_spec(su2k_category(5))
+    was = tracemalloc.is_tracing()
+    if not was:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        build_delta(spec, LambdaObject.all_simples(spec))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was:
+            tracemalloc.stop()
+    assert peak < 7 * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "vec_z3",
