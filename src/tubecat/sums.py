@@ -7,8 +7,8 @@ SumObject is an ordered tuple of summand words with hashable tags, and a
 StackedBasis lines up the comb trees of all summands at each root.  A
 linear map between two sums is then one matrix per root; its block between
 two summands is placed there and cut back out by stack_blocks and
-cut_block, and f ⊗ id and id ⊗ f act as block-diagonal products
-(left_blocks, right_blocks, SumObject.omega).
+cut_block; f ⊗ id and id ⊗ f act as block-diagonal products (left_blocks,
+right_blocks, SumObject.omega), and no sum is tensored into a new one.
 """
 from __future__ import annotations
 
@@ -129,14 +129,6 @@ class SumObject:
     def index(self, tag) -> int:
         return self._pos[tag]
 
-    def tensor_right(self, word: Word) -> "SumObject":
-        word = tuple(word)
-        return SumObject(self.engine, [w + word for w in self.summands], self.tags)
-
-    def tensor_left(self, word: Word) -> "SumObject":
-        word = tuple(word)
-        return SumObject(self.engine, [word + w for w in self.summands], self.tags)
-
     def omega(self, c: int) -> dict:
         """id_c ⊗ − on the stacked comb trees of the summands: root r ->
         (Ω, groups).
@@ -155,26 +147,24 @@ class SumObject:
             om = eng.omega(c, w)
             for r, ents in eng.right_basis(c, w).items():
                 off = size.get(r, 0)
-                mats.setdefault(r, []).append(om[r])
+                mats.setdefault(r, []).append((off, om[r]))
                 g = groups.setdefault(r, {})
                 for k, (u, _tree, nu) in enumerate(ents):
                     g.setdefault((u, nu), []).append(off + k)
                 size[r] = off + len(ents)
         out = {}
         for r, blocks in mats.items():
-            om, pos = np.zeros((size[r], size[r]), dtype=complex), 0
-            for m in blocks:
-                om[pos:pos + len(m), pos:pos + len(m)] = m
-                pos += len(m)
+            om = np.zeros((size[r], size[r]), dtype=complex)
+            for off, m in blocks:
+                om[off:off + len(m), off:off + len(m)] = m
             out[r] = om, {key: np.array(p) for key, p in groups[r].items()}
         return out
 
     def stacked(self, left: Word = (), right: Word = ()) -> StackedBasis:
         """Stacked comb basis of the words left + w + right over the summands
-        w.  The letters of ``right`` are grown one at a time, and left + w
-        takes the engine's basis of that word.  Those with at most one letter
-        added are kept, since every check on a half-braiding reads them;
-        longer ones are grown afresh on each call."""
+        w, kept.  The letters of ``right`` are grown one at a time, and left
+        + w takes the engine's basis of that word.  The library adds at most
+        one letter and counts positions on longer words off those stacks."""
         key = (left, right)
         sb = self._stacks.get(key)
         if sb is None:
@@ -182,8 +172,7 @@ class SumObject:
                 sb = self.stacked(left, right[:-1]).extended(self.engine.ring, right[-1])
             else:
                 sb = StackedBasis.of(self.engine, [left + w for w in self.summands])
-            if len(left) + len(right) <= 1:
-                self._stacks[key] = sb
+            self._stacks[key] = sb
         return sb
 
     def __repr__(self):

@@ -17,15 +17,15 @@ kept as the tests' oracle.  Δ's vertex pieces, the rotated fusion halves
 included, are flat F entries as well (tables.vertex_pieces,
 tables.rotations), so Δ is drawn and checked with no diagram: the legs
 id_a ⊗ e_b of Δ at each letter a are one join of those entries
-(_delta_legs), the stored braiding is the a = 1 slice, and the hexagons of
-the pairs (a, b) at each a are one more join (_hexagons), its two-letter
-tree positions counted off the one-letter stacks.  Joining one letter at
-a time keeps the working set to one letter's terms.  Only f_map's
-closures are drawn in the word engine, with vertices through
-canonical_pair (dual bases with the √(d·d·d) weight).  Each √d prefactor
-is written once, next to its formula, and nothing re-normalizes, so a
-convention slip shows up as a failed unitarity, round-trip or table
-check.
+(_delta_legs), and the stored braiding is the a = 1 slice; an extracted
+simple, a sum of one-letter words, has its legs joined from its stored e_b
+between two F entries (_word_legs).  The hexagons of the pairs (a, b) at
+each a are one more join over those legs (_hexagons), one letter at a time
+to keep the working set small.  Only f_map's closures are drawn in the
+word engine, with vertices through canonical_pair (dual bases with the
+√(d·d·d) weight).  Each √d prefactor is written once, next to its formula,
+and nothing re-normalizes, so a convention slip shows up as a failed
+unitarity, round-trip or table check.
 """
 from __future__ import annotations
 
@@ -197,13 +197,15 @@ def _locator(group: np.ndarray, pos: np.ndarray, size: int) -> Callable:
 
 def _lefts(obj: SumObject) -> tuple:
     """The states of (a,) + obj for every letter a, in letter and then
-    state order: (letter, summand, root, position at the root, first), with
-    first(s, b, z) the position at z of the first child of s in (a,) + obj
-    + (b,) (_firsts), so no two-letter stack is grown."""
-    stacks = [obj.stacked((a,)).flat for a in range(obj.engine.ring.rank)]
-    letter = np.repeat(np.arange(len(stacks)), [len(j) for j, _z, _p in stacks])
+    state order: (letter, summand, root, position at the root, first, at),
+    with first(s, b, z) the position at z of the first child of s in (a,) +
+    obj + (b,) (_firsts) and at(a·rank + z, position) the state there."""
+    r = obj.engine.ring.rank
+    stacks = [obj.stacked((a,)).flat for a in range(r)]
+    letter = np.repeat(np.arange(r), [len(j) for j, _z, _p in stacks])
     j, z, pos = (np.concatenate(f) for f in zip(*stacks))
-    return letter, j, z, pos, _firsts(obj.engine.ring.N, z, letter)
+    return letter, j, z, pos, _firsts(obj.engine.ring.N, z, letter), _locator(
+        letter * r + z, pos, r * r)
 
 
 def _delta_legs(obj: SumObject) -> Callable:
@@ -231,7 +233,7 @@ def _delta_legs(obj: SumObject) -> Callable:
     ring, d = eng.ring, np.asarray(eng.d)
     r, M = ring.rank, int(ring.N.max())
     (top, find_top), (pad, find_pad) = _pieces(eng)[1:]
-    letter, j, v, pos, first = _lefts(obj)
+    letter, j, v, pos, first, _at = _lefts(obj)
     trees = np.array([t for b in range(r) for _j, _z, t in obj.stacked((b,)).states],
                      dtype=np.int64).reshape(len(letter), 3, 2)
     (w, nu), (u, nu_u), nu1 = trees[:, 0].T, trees[:, 1].T, trees[:, 2, 1]
@@ -315,37 +317,60 @@ class _Stacked:
         return out
 
 
-def _stacked_legs(hb: _Stacked, a: int) -> dict:
-    """Every channel (c, μ) of every leg id_a ⊗ e_b of any half-braided sum,
-    from its stored e_b, in _delta_legs' fields: id_a ⊗ e_b at r is Ω′·B·Ω†
-    (SumObject.omega of the sums of (b,) + w and w + (b,), B = e_b at u on
-    group (u, ν)), from the trees of (a,) + obj + (b,); its rows are the
-    trees of (a, b) + obj, and those that begin with (c, μ) are the trees
-    of (c,) + obj in order."""
+def _entries(hb: _Stacked) -> tuple:
+    """(lefts, rights, entries): the states of every (c,) + W (_lefts) and
+    (c, t, v, ν₁) of every W + (c,), W's state t grown by (t's root, c) → v
+    in slot ν₁, and e_c[v][row, col] ≠ 0, letter c ascending, by state:
+    (c, v, q, p, value), q the row's and p the column's."""
     obj = hb.obj
-    out = []
-    for b in range(obj.engine.ring.rank):
-        e_b = hb.e(b)
-        src, dst = obj.tensor_right((b,)).omega(a), obj.tensor_left((b,)).omega(a)
-        for z, trees in obj.stacked((a, b)).by_root.items():
-            if z not in src:
-                continue
-            om, rows = dst[z]
-            m = om @ left_blocks(e_b, src[z][0].conj().T, rows, src[z][1], len(om))
-            lead, seen = [], {}
-            for _j, tree in trees:  # (c, μ, position among the trees that begin so)
-                n = seen[tree[0]] = seen.get(tree[0], -1) + 1
-                lead.append((*tree[0], n))
-            i, k = np.nonzero(m)
-            c, mu, row = np.array(lead, dtype=np.int64).reshape(-1, 3)[i].T
-            out.append((np.full(len(i), b), c, mu, np.full(len(i), z), row, k, m[i, k]))
-    return dict(zip(("b", "c", "mu", "z", "row", "col", "val"), _concat(out, 7)))
+    N, r = obj.engine.ring.N, obj.engine.ring.rank
+    uw = obj.stacked().flat[1]
+    lefts = _lefts(obj)
+    c, t, v, nu = rights = _vertices(N[uw].transpose(1, 0, 2))
+    r_at = _locator(c * r + v, _firsts(N, uw)(t, c, v) + nu, r * r)
+    rows = [(np.full(len(i), c), np.full(len(i), z), i, k, m[i, k])
+            for c in range(r) for z, m in hb.e(c).items() for i, k in (np.nonzero(m),)]
+    c, v, row, col, val = (np.concatenate(f) for f in zip(*rows))
+    return lefts, rights, (c, v, lefts[5](c * r + v, row), r_at(c * r + v, col), val)
 
 
-def _concat(rows, width: int) -> tuple:
-    """Tuples of ``width`` equal-length arrays, concatenated field by field."""
-    cols = tuple(zip(*rows)) or ((np.zeros(0, dtype=np.int64),),) * width
-    return tuple(np.concatenate(c) for c in cols)
+def _word_legs(hb: _Stacked) -> Callable:
+    """a -> every channel (c, μ) of every leg id_a ⊗ e_b of a sum X of
+    one-letter words, in _delta_legs' fields: the stored e_b (hb.e) joined
+    between two F entries, one letter a at a time, F unitary,
+
+        leg[(c,μ,ρ), (v,ν₁,ν₂)] = Σ conj F^{a b x_j}_r[(c,μ,ρ),(u,σ′,τ)]
+                                  · e_b[u][(j,σ′),(i,σ)] · F^{a x_i b}_r[(v,ν₁,ν₂),(u,σ,τ)],
+
+    from the tree ((a, x_i) → v, ν₁), ((v, b) → r, ν₂) of (a,) + X + (b,)
+    to ((c, x_j) → r, ρ) of (c,) + X.  Raises ShapeError for a longer word."""
+    obj = hb.obj
+    if any(len(w) != 1 for w in obj.summands):
+        raise ShapeError("legs from the stored braiding need one-letter words; pass legs")
+    N, r, M = obj.engine.ring.N, obj.engine.ring.rank, int(obj.engine.ring.N.max())
+    (_letter, j, _z, pos, first, at), (_c, i, _v, sigma), (b, u, q, p, e_val) = _entries(hb)
+    label, i, j = np.array(obj.summands)[:, 0], i[p], j[q]
+    before = np.cumsum(N[:, label], axis=1) - N[:, label]  # [c, j, z]: summand j's first at z
+    (x, _y, z, mu), rv, rw, cv, cw, val = tables._f_entries(obj.engine.F)
+    vertex, V = (np.cumsum(N) - N.ravel()).reshape(N.shape), len(x)  # as tables._f_entries
+    # e_b's column (i, σ) and row (j, σ′) as the vertices (x_i, b) → u and (b, x_j) → u
+    col_v = vertex[label[i], b, u] + sigma[p]
+    row_v = vertex[b, label[j], u] + pos[q] - before[b, j, u]
+
+    def legs(a: int) -> dict:
+        k, g = join_unsorted(x[rv] * V + cv, a * V + col_v)
+        h, l = join_unsorted(cv * V + cw, row_v[k] * V + cw[g])
+        k, g = k[h], g[h]
+        v, c, root = z[rv[g]], z[rv[l]], z[rw[l]]
+        row = before[c, j[k], root] + mu[rw[l]]
+        col = first(at(a * r + v, before[a, i[k], v] + mu[rv[g]]), b[k], root) + mu[rw[g]]
+        dims = (r, r, M, r, row.max(initial=0) + 1, col.max(initial=0) + 1)
+        slot, keys = group(np.ravel_multi_index((b[k], c, mu[rv[l]], root, row, col), dims))
+        out = dict(zip(("b", "c", "mu", "z", "row", "col"), np.unravel_index(keys, dims)))
+        out["val"] = add_per(slot, np.conj(val[l]) * e_val[k] * val[g], len(keys))
+        return out
+
+    return legs
 
 
 def _hexagons(hb: _Stacked, legs: Callable | None = None) -> np.ndarray:
@@ -354,40 +379,26 @@ def _hexagons(hb: _Stacked, legs: Callable | None = None) -> np.ndarray:
     e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ (id_a ⊗ e_b) ∘ (e_a ⊗ id_b), with
     ι = ι_{c,μ} : c → a⊗b, from the stacked trees of W + (a, b) to those of
     (c,) + W, read on the rows of the part.  ``legs(a)`` are the channels of
-    id_a ⊗ e_b for every b, in _delta_legs' fields; by default
-    _stacked_legs.
+    id_a ⊗ e_b for every b, in _delta_legs' fields; by default _word_legs.
 
-    Both sides are flat joins over every b, channel and root at once, one
-    letter a at a time, summed per (b, μ, row, column); no factor is built
-    as a map and no two-letter stack is grown.  The braiding's entries
-    e_c[v][q, p] are read by state: q one of (c,) + W (_lefts), p one of
-    W + (c,), grown from W's state t by (v, ν₁).  e_c ∘ (id_W ⊗ ι†) joins
-    e_c's entries, at the child (z, ρ) of t, with the vertex pads
-    id_u ⊗ ι† of t's root u and the letter a (tables.vertex_pieces).
+    Both sides join the braiding's entries by state (_entries), every b,
+    channel and root at once, one letter a at a time, summed per (b, μ, row,
+    column).  e_c ∘ (id_W ⊗ ι†) joins e_c's entries, at the child (z, ρ) of
+    W's state t, with the vertex pads id_u ⊗ ι† of t's root u (tables).
     e_a ⊗ id_b grows each entry of e_a by every vertex (v, b) → z on both
-    sides, and the leg's entries join it on its column, a position on
-    (a,) + W + (b,): the first child of a state plus the vertex slot
-    (_firsts).  A column of W + (a, b) is named by the state of W + (a,)
-    and the vertex it is grown by, which both sides know.
+    sides, and the legs meet it on their column, the first child of a state
+    of (a,) + W plus the vertex slot (_firsts): no two-letter stack is grown.
     """
     obj, ring = hb.obj, hb.obj.engine.ring
     N, r, M = ring.N, ring.rank, int(ring.N.max())
     vp, find_vpad = _pieces(obj.engine)[0]
     if legs is None:
-        legs = functools.partial(_stacked_legs, hb)
-    # W's states t at u, and the states (c, t, v, ν₁) of every W + (c,)
-    _j, uw, _pos = obj.stacked().flat
-    ra, rt, rv, rnu = _vertices(N[uw].transpose(1, 0, 2))
-    rdims = (r, len(uw), r, M)
-    rkey = np.ravel_multi_index((ra, rt, rv, rnu), rdims)  # ascending
-    r_at = _locator(ra * r + rv, _firsts(N, uw)(rt, ra, rv) + rnu, r * r)
-    la, lj, lv, lpos, l_first = _lefts(obj)
-    l_at = _locator(la * r + lv, lpos, r * r)
-    # the braiding's entries e_c[v][row, col], by state, letter c ascending
-    ec, ev, er, ecol, e_val = _concat(
-        ((np.full(len(i), c), np.full(len(i), z), i, k, m[i, k])
-         for c in range(r) for z, m in hb.e(c).items() for i, k in (np.nonzero(m),)), 5)
-    q, p = l_at(ec * r + ev, er), r_at(ec * r + ev, ecol)
+        legs = _word_legs(hb)
+    lefts, (ra, rt, rv, rnu), (ec, ev, q, p, e_val) = _entries(hb)
+    la, lj, _lv, _lpos, l_first, l_at = lefts
+    uw = obj.stacked().flat[1]
+    count = N[uw].transpose(1, 0, 2)  # the states (c, t, v, ν₁) of every W + (c,) at (c, t, v)
+    grow = (np.cumsum(count) - count.ravel()).reshape(count.shape)  # the first of them
     u_of, t_of, rho = uw[rt[p]], rt[p], rnu[p]
     cv, cb, cz, cnu = _vertices(N)
     # keys (b, μ, row, column) with the column (state, z, ν₂), and the legs'
@@ -399,8 +410,7 @@ def _hexagons(hb: _Stacked, legs: Callable | None = None) -> np.ndarray:
         # e_c ∘ (id_W ⊗ ι†)
         k, s = find_vpad(a, u_of, ec, ev, rho)
         b = vp["b"][s]
-        grown = np.searchsorted(rkey, np.ravel_multi_index(
-            (a, t_of[k], vp["v"][s], vp["nu1"][s]), rdims))
+        grown = grow[a, t_of[k], vp["v"][s]] + vp["nu1"][s]
         lhs = np.ravel_multi_index((b, vp["mu"][s], q[k], grown, ev[k], vp["nu2"][s]), dims)
         lhs_val = e_val[k] * vp["val"][s]
 
@@ -438,7 +448,7 @@ def verify_halfbraiding(obj: SumObject, braiding, tol: float, legs: Callable | N
     """Check that ``braiding`` (letter a -> root -> e_a : obj⊗a → a⊗obj on
     stacked trees) is a unitary half-braiding, per root and letter:
     e_a†·e_a = 1 = e_a·e_a†, e_1 = 1, and the hexagon of every pair (a, b)
-    (_hexagons, with ``legs(a)`` as its legs id_a ⊗ e_b).
+    (_hexagons, with ``legs(a)`` as its legs id_a ⊗ e_b, by default _word_legs).
 
     ``parts`` are the first summands of runs that the braiding keeps apart,
     as the simples of a direct sum: each is read on its own rows, as if

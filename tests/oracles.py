@@ -23,12 +23,16 @@ entries, and so are the fusion halves bent onto the conjugate strand
 (rotated_fuses), where tubecat.tables.rotations reads each off one F
 entry.  dense_pieces gathers the flat entries into one array per label
 tuple and root.  Δ's hexagon legs are here as one Kronecker sum and one
-scatter per tree group of a grown two-letter stack (vertex_leg_loop), and
-the hexagon itself one pair, channel and root at a time, with the pads
-drawn by the engine (hexagon_residual), where tubecat.tube forms the legs
-of each letter a as one join (_delta_legs) and the defects of its pairs
-(a, b) as another (_hexagons); leg_matrices reads one channel of the
-joined legs back as matrices.
+scatter per tree group of a grown two-letter stack (vertex_leg_loop), the
+legs of any half-braided sum as the channel rows of the whole map
+id_a ⊗ e_b (generic_leg), and the hexagon itself one pair, channel and root
+at a time, with the pads drawn by the engine (hexagon_residual), where
+tubecat.tube forms the legs of each letter a as one join, from Δ's vertex
+pieces (_delta_legs) or from a stored e_b between two F entries
+(_word_legs), and the defects of its pairs (a, b) as another (_hexagons);
+leg_matrices reads one channel of the joined legs back as matrices.  The
+block maps live between sums whose words are shifted by a letter
+(shifted), a SumObject the library itself never forms.
 
 The pentagon's two routes are here too, one word and one root at a time, as
 loops over block rows and columns (trees_T1 … pentagon_residual), where
@@ -102,24 +106,31 @@ class BlockMap(Linear):
         return cls(src, dst, blocks)
 
 
+def shifted(obj, left=(), right=()):
+    """The sum of the words left + w + right over the summands w of obj,
+    with obj's tags: the source and target of f ⊗ id and id ⊗ f."""
+    return SumObject(obj.engine, [tuple(left) + w + tuple(right) for w in obj.summands],
+                     obj.tags)
+
+
 def tensor_id_right(f, word):
     """f ⊗ id_word for a block map f, block by block."""
     eng = f.engine
-    return BlockMap(f.src.tensor_right(word), f.dst.tensor_right(word),
+    return BlockMap(shifted(f.src, right=word), shifted(f.dst, right=word),
                     {k: eng.tensor_id_right(m, word) for k, m in f.blocks.items()})
 
 
 def tensor_id_left(f, word):
     """id_word ⊗ f for a block map f, block by block."""
     eng = f.engine
-    return BlockMap(f.src.tensor_left(word), f.dst.tensor_left(word),
+    return BlockMap(shifted(f.src, left=word), shifted(f.dst, left=word),
                     {k: eng.tensor_id_left(word, m) for k, m in f.blocks.items()})
 
 
 def braiding_blocks(obj, braiding):
     """A half-braiding on obj as the library stores it, letter a -> root
     -> matrix on stacked trees, cut into block maps obj + (a,) → (a,) + obj."""
-    return {a: BlockMap.cut(obj.tensor_right((a,)), obj.tensor_left((a,)), m)
+    return {a: BlockMap.cut(shifted(obj, right=(a,)), shifted(obj, left=(a,)), m)
             for a, m in braiding.items()}
 
 
@@ -292,7 +303,7 @@ def delta_braiding_component(eng, obj, a):
                 acc = term if acc is None else acc + term
             if acc is not None:
                 blocks[(obj.index((y, s)), j)] = acc * math.sqrt(d[x] * d[y])
-    return BlockMap(obj.tensor_right((a,)), obj.tensor_left((a,)), blocks)
+    return BlockMap(shifted(obj, right=(a,)), shifted(obj, left=(a,)), blocks)
 
 
 def engine_vertex_pad(eng, u, a, b, c, mu):
@@ -544,7 +555,7 @@ def extend_halfbraiding(obj, braiding, word):
     eng = obj.engine
     if len(word) == 1:
         return braiding[word[0]]
-    src, dst = obj.tensor_right(word), obj.tensor_left(word)
+    src, dst = shifted(obj, right=word), shifted(obj, left=word)
     out: dict = {}
     for c in eng.basis(word).roots():
         for iota in eng.hom_basis((c,), word):
@@ -604,7 +615,7 @@ def per_summand_compression(delta, X, iso, a):
                     acc = term if acc is None else acc + term
             if acc is not None and acc.norm() > 1e-14:
                 blocks[(i, j)] = acc
-    return BlockMap(X.tensor_right((a,)), X.tensor_left((a,)), blocks)
+    return BlockMap(shifted(X, right=(a,)), shifted(X, left=(a,)), blocks)
 
 
 def gram(A, delta, f, g):

@@ -450,16 +450,19 @@ def _dehn_twist(A, power):
 @pytest.mark.parametrize("name, mapping", [
     *((name, None) for name in ("vec", "vec_z2", "vec_z2_twisted", "vec_z3",
                                 "fibonacci", "ising", "rep_s3")),
-    ("Z/4", None), ("Z/5", None), ("Z/6", None),
+    ("Z/4", None), ("Z/5", None), ("Z/6", None), ("SU(2)_2", None), ("SU(2)_3", None),
     ("fibonacci", {"tau": 1}), ("fibonacci", {"tau": 2}), ("ising", {"sigma": 1})])
 def test_dehn_twist_is_the_twists_on_the_blocks(catalog, name, mapping):
     # τ = Σ_l d^(−1/2)·e_l is central, and on block X it is conj(θ_X): a
     # route to the twists that reads neither Δ, t_map nor extraction (Izumi,
     # CMP 213, 2000).  With the weight d^(−1), a category with a label of
-    # d ≠ 1 misses by 0.13–0.21, so the check can fail
-    from conftest import pointed_category
+    # d ≠ 1 misses by 0.13–0.21, so the check can fail.  SU(2)_k brings
+    # dimensions that are not integers and blocks of size > 1 through the
+    # extracted simples' hexagon legs
+    from conftest import pointed_category, su2k_category
     from tubecat.catspec import load_spec
     spec = (load_spec(pointed_category(int(name[2:]), k=1)) if name.startswith("Z/")
+            else load_spec(su2k_category(int(name[6:]))) if name.startswith("SU(2)_")
             else catalog[name])
     lam = (LambdaObject.all_simples(spec) if mapping is None
            else LambdaObject.from_mapping(spec, mapping))

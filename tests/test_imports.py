@@ -1,10 +1,15 @@
-"""Every module-level import in src/tubecat is used.
+"""Every module-level import and private definition in src/tubecat is used.
 
 A stdlib stand-in for a linter's unused-import rule: each module is parsed
 with ast, and a name bound by a module-level import must be read somewhere
 in that module (string annotations included), be listed in its __all__, or
 be re-exported by the package __init__.  The package __init__ re-exports
 everything it imports.
+
+Likewise for dead code: a module-level private function or class (a name
+with a leading underscore) must be read somewhere in the package, as a
+name or an attribute, outside its own body; one that only tests read has
+no place in src.
 """
 import ast
 from pathlib import Path
@@ -61,6 +66,44 @@ def unused_imports(path):
     return [(name, line) for node in tree.body
             if isinstance(node, (ast.Import, ast.ImportFrom))
             for name, line in _bound(node) if name not in used]
+
+
+def unused_privates(paths):
+    """(file name, name, line) of each module-level private function or
+    class in paths that no code in paths reads outside its own body."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    reads: dict = {}  # name -> the nodes that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    out = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                own = set(map(id, ast.walk(node)))
+                if all(id(n) in own for n in reads.get(node.name, [])):
+                    out.append((path.name, node.name, node.lineno))
+    return out
+
+
+def test_no_unused_private_definitions():
+    assert unused_privates(MODULES) == []
+
+
+def test_the_check_sees_an_unused_private_definition(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n    return 1\n\n"
+        "def _only_itself(n):\n    return _only_itself(n - 1) if n else 0\n\n"
+        "def _unused():\n    return _used()\n\n"
+        "class _Kept:\n    pass\n\n"
+        "class _Dropped:\n    def _method(self):\n        return 0\n")
+    (tmp_path / "b.py").write_text("import a\n\nX = a._Kept\n")
+    assert unused_privates(sorted(tmp_path.glob("*.py"))) == [
+        ("a.py", "_only_itself", 4), ("a.py", "_unused", 7), ("a.py", "_Dropped", 13)]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

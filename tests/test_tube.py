@@ -30,13 +30,13 @@ from tubecat.center import decompose_blocks, extract_center_simples
 from tubecat.tube import (DELTA_TOL, LambdaObject, TubeElement, build_delta,
                           build_tube_algebra, f_map, naturality_residual, t_map,
                           tube_json, tube_product, tube_star, verify_halfbraiding)
-from tubecat.tube import _Stacked, _delta_legs, _hexagons, _table_residuals
+from tubecat.tube import _Stacked, _delta_legs, _hexagons, _table_residuals, _word_legs
 from oracles import (BlockMap, braiding_blocks, delta_braiding_component, dense_pieces,
                      diagram_mult_table, diagram_product, diagram_star,
                      diagram_star_table, engine_channel_rows, engine_pad, engine_top,
                      engine_vertex_pad, extend_halfbraiding, generic_leg, gram,
                      hexagon_residual, lead_runs, leg_matrices, rotated_fuses,
-                     sparse_rows, t_diagram, tensor_id_left, tensor_id_right,
+                     shifted, sparse_rows, t_diagram, tensor_id_left, tensor_id_right,
                      vertex_leg_loop, whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
@@ -324,7 +324,8 @@ def test_norms_keep_nan_in_any_block(catalog, algebras):
 
 def pair_residuals(obj, braiding, legs=None):
     """The hexagon kernel's worst defect per pair (a, b), for a braiding
-    checked as one part; legs by default from the stored e_b."""
+    checked as one part; legs by default joined from the stored e_b, which
+    needs a sum of one-letter words (tube._word_legs)."""
     return _hexagons(_Stacked(obj, braiding), legs)[0]
 
 
@@ -430,12 +431,13 @@ def _full_leg_residual(obj, braiding, a, b):
 def test_channel_hexagon_matches_full_leg(catalog, name):
     spec = _spec(catalog, name)
     D = build_delta(spec, LambdaObject.all_simples(spec))
+    # channel by channel, each leg the channel rows of the whole map
+    # id_a ⊗ e_b of the stored e_b, as the kernel reads an extracted simple
     blocks = braiding_blocks(D.obj, D.braiding)
-    got = pair_residuals(D.obj, D.braiding)
     for a in range(spec.rank):
         for b in range(spec.rank):
             want = _full_leg_residual(D.obj, blocks, a, b)
-            got_ab = got[a, b]
+            got_ab = hexagon_residual(D.obj, D.braiding, a, b)
             assert abs(got_ab - want) <= 1e-15, (name, a, b, got_ab, want)
 
 
@@ -463,7 +465,8 @@ def test_hexagon_sees_phase_in_a_later_channel(catalog):
     D = build_delta(spec, LambdaObject.all_simples(spec))
     std, sgn = spec.index("std"), spec.index("sgn")
     assert [c for c, _ in _channels(D.engine, std, std)] == [0, sgn, std]
-    assert pair_residuals(D.obj, D.braiding)[std, std] < 1e-13
+    legs = _delta_legs(D.obj)
+    assert pair_residuals(D.obj, D.braiding, legs)[std, std] < 1e-13
     e = braiding_blocks(D.obj, D.braiding)[sgn]
     blocks = dict(e.blocks)
     key = max(blocks, key=lambda k: blocks[k].norm())
@@ -471,7 +474,7 @@ def test_hexagon_sees_phase_in_a_later_channel(catalog):
     nudged = dict(D.braiding)
     nudged[sgn] = BlockMap(e.src, e.dst, blocks).stacked(
         D.obj.stacked((), (sgn,)), D.obj.stacked((sgn,)))
-    res = pair_residuals(D.obj, nudged)[std, std]
+    res = pair_residuals(D.obj, nudged, legs)[std, std]
     assert 1e-7 <= res < 1e-5
 
 
@@ -826,6 +829,44 @@ def test_vertex_leg_matches_the_loop_with_multiplicity(seed):
     assert any(S.shape[1:] != (1, 1) for per_z in pads.values() for S in per_z.values())
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_word_legs_match_the_whole_map_with_multiplicity(seed):
+    # Rep(A4)'s ring with random unitary F, and a random matrix at every
+    # root for each e_b on the one-letter sum 3 + 1′ + 3: at a = b = 3,
+    # 3⊗3 ∋ 2·3 sends σ, σ′, τ, μ and ρ through 0 and 1.  Random F satisfies
+    # no pentagon and e_b no hexagon, but a leg is linear in e_b and reads F
+    # on three letters only: the flat legs against the channel rows of the
+    # whole map id_a ⊗ e_b that the engine left-tensors, per (a, b, c, μ)
+    eng, rng = _rep_a4_engine(seed)
+    ring, three = eng.ring, 3
+    assert ring.N[three, three, three] == 2
+    X = SumObject(eng, [(three,), (1,), (three,)])
+    braiding = {}
+    for b in range(ring.rank):
+        src = X.stacked((), (b,)).dims
+        braiding[b] = {z: rng.normal(size=(n, src[z])) + 1j * rng.normal(size=(n, src[z]))
+                       for z, n in X.stacked((b,)).dims.items() if z in src}
+    legs, blocks = _word_legs(_Stacked(X, braiding)), braiding_blocks(X, braiding)
+    for a, b in np.ndindex(ring.rank, ring.rank):
+        generic = generic_leg(X, blocks, a, b)
+        mid = X.stacked((a,), (b,))
+        for c, mu in _channels(eng, a, b):
+            got = leg_matrices(X, legs, a, b, c, mu)
+            want = generic(c, mu, mid)
+            assert sorted(got) == sorted(want), (seed, a, b, c, mu)
+            assert all(got[z].shape == want[z].shape for z in got), (seed, a, b, c, mu)
+            gap = max(float(np.max(np.abs(got[z] - want[z]), initial=0.0)) for z in got)
+            assert gap <= 1e-14, (seed, a, b, c, mu, gap)
+    # the second vertex of 3⊗3 at 3 on every index: μ of the channel, ρ and
+    # σ′ on the rows, ν₁ and ν₂ on the columns, σ and τ inside the sum
+    at = legs(three)
+    on = (at["b"] == three) & (at["c"] == three) & (at["mu"] == 1)
+    rows = X.stacked((three,)).by_root[three]
+    cols = X.stacked((three,), (three,)).by_root[three]
+    assert {rows[k][1][0][1] for k in at["row"][on & (at["z"] == three)]} == {0, 1}
+    assert {t[0][1] for _j, t in cols} == {t[1][1] for _j, t in cols} == {0, 1}
+
+
 @pytest.mark.parametrize("name, mapping", [
     *((name, None) for name in ROTATION_CASES),
     ("fibonacci", {"tau": 2}), ("rep_s3", {"std": 2, "sgn": 1})])
@@ -869,6 +910,42 @@ def test_hexagon_kernel_matches_the_pair_loop_on_extracted_simples(catalog, monk
         for a, b in np.ndindex(spec.rank, spec.rank):
             want = hexagon_residual(s.obj, s.braiding, a, b)
             assert abs(got[k, a, b] - want) <= 1e-15, (s.underlying, a, b, got[k, a, b], want)
+
+
+def test_extraction_check_builds_no_omega_and_no_two_letter_stack(monkeypatch):
+    # extraction's one verify_halfbraiding on a cold rep_s3 joins its legs
+    # from the stored e_b and flat F entries (tube._word_legs): no
+    # SumObject.omega and no stack of two added letters (18 and 9 when each
+    # pair's leg id_a ⊗ e_b was Ω′·B·Ω† on the sums (b,) + X and X + (b,))
+    import tubecat.center
+    spec = find("rep_s3")
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    dec = decompose_blocks(A, seed=1)
+    omega, stacked, real = SumObject.omega, SumObject.stacked, tubecat.center.verify_halfbraiding
+    counts, inside = {"omega": 0, "two letters": 0}, []
+
+    def counted_omega(obj, c):
+        counts["omega"] += bool(inside)
+        return omega(obj, c)
+
+    def counted_stacked(obj, left=(), right=()):
+        counts["two letters"] += bool(inside) and len(left) + len(right) >= 2
+        return stacked(obj, left, right)
+
+    def check(*args, **kw):
+        inside.append(True)
+        try:
+            return real(*args, **kw)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(SumObject, "omega", counted_omega)
+    monkeypatch.setattr(SumObject, "stacked", counted_stacked)
+    monkeypatch.setattr(tubecat.center, "verify_halfbraiding", check)
+    simples = extract_center_simples(A, D, dec)
+    assert len(simples) == 8
+    assert counts == {"omega": 0, "two letters": 0}
 
 
 def test_build_delta_grows_no_two_letter_stack(monkeypatch):
@@ -1180,7 +1257,7 @@ def test_delta_braiding_unitary_recheck(deltas):
     # residuals are recorded at build time; recompute one case from scratch
     D = deltas["vec_z2_twisted"]
     for a, e in braiding_blocks(D.obj, D.braiding).items():
-        src = D.obj.tensor_right((a,))
+        src = shifted(D.obj, right=(a,))
         one = BlockMap(src, src, {(i, i): D.engine.identity(w)
                                   for i, w in enumerate(src.summands)})
         assert (e.dag() @ e - one).norm() < 1e-12
@@ -1190,7 +1267,18 @@ def test_hexagon_recheck_partial_lambda(catalog):
     spec = catalog["ising"]
     lam = LambdaObject.from_mapping(spec, {"sigma": 1})
     D = build_delta(spec, lam)
-    assert pair_residuals(D.obj, D.braiding).max() < 1e-10
+    assert pair_residuals(D.obj, D.braiding, _delta_legs(D.obj)).max() < 1e-10
+
+
+def test_default_legs_need_one_letter_words(deltas):
+    # Δ's summands are three-letter words, whose legs the stored e_b alone
+    # does not give: the default legs refuse them, and build_delta passes
+    # its own
+    D = deltas["fibonacci"]
+    with pytest.raises(ShapeError, match="one-letter words"):
+        pair_residuals(D.obj, D.braiding)
+    with pytest.raises(ShapeError, match="one-letter words"):
+        verify_halfbraiding(D.obj, D.braiding, DELTA_TOL)
 
 
 # ---- t and f -------------------------------------------------------------------
