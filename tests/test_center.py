@@ -450,8 +450,9 @@ def _dehn_twist(A, power):
 @pytest.mark.parametrize("name, mapping", [
     *((name, None) for name in ("vec", "vec_z2", "vec_z2_twisted", "vec_z3",
                                 "fibonacci", "ising", "rep_s3")),
-    ("Z/4", None), ("Z/5", None), ("Z/6", None), ("SU(2)_2", None), ("SU(2)_3", None),
-    ("fibonacci", {"tau": 1}), ("fibonacci", {"tau": 2}), ("ising", {"sigma": 1})])
+    ("Z/4", None), ("Z/5", None), ("Z/6", None),
+    ("fibonacci", {"tau": 1}), ("fibonacci", {"tau": 2}), ("ising", {"sigma": 1}),
+    ("SU(2)_2", None), ("SU(2)_3", None)])
 def test_dehn_twist_is_the_twists_on_the_blocks(catalog, name, mapping):
     # τ = Σ_l d^(−1/2)·e_l is central, and on block X it is conj(θ_X): a
     # route to the twists that reads neither Δ, t_map nor extraction (Izumi,
