@@ -35,9 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, ToleranceError, worst
+from .errors import DegenerateSpectrum, ShapeError, ToleranceError, worst
 from .duality import weighted_trace
-from .sums import SumObject, cut_block, left_blocks, right_blocks, stack_blocks
+from .fsymbols import vertices
+from .sums import SumObject, grouped, left_blocks, right_blocks, stack_blocks
 from .tube import (DeltaObject, LambdaObject, TubeAlgebra, build_delta,
                    build_tube_algebra, check_delta, t_map, verify_halfbraiding)
 
@@ -224,27 +225,58 @@ def _polar(V: np.ndarray) -> np.ndarray:
     return V @ (U * (w ** -0.5)) @ U.conj().T
 
 
+def _one_letter(X: SumObject) -> tuple:
+    """(label, (count, first) of (a,) + X, (count, first) of X + (a,)) for
+    X a sum of one-letter words (x_j,), label[j] = x_j: count[a, j, r]
+    trees of (a, x_j) resp. (x_j, a) at root r, one per slot ν, and
+    first[a, j, r] the position of the first of them at r, as the stacks
+    (StackedBasis) number them, summand-major.  Raises ShapeError for a
+    longer word."""
+    if any(len(w) != 1 for w in X.summands):
+        raise ShapeError("needs a sum of one-letter words")
+    N = X.engine.ring.N
+    label = np.array([w[0] for w in X.summands])
+    return label, *((count, np.cumsum(count, axis=1) - count)
+                    for count in (N[:, label], N[label].transpose(1, 0, 2)))
+
+
+def _slots(label: np.ndarray, count: np.ndarray, first: np.ndarray) -> dict:
+    """a -> r -> (x_j, ν) -> the positions at r of the trees of summand j in
+    slot ν, for one side of _one_letter."""
+    a, j, r, nu = vertices(count)
+    return grouped((a, r, label[j], nu), first[a, j, r] + nu)
+
+
 def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
     """The half-braiding of Δ pulled back along an isometry V : X → Δ,
-    given as V_z from X.stacked() to Δ.obj.stacked() at every root z of X:
-    e_X = (id_a ⊗ V†) ∘ e_a ∘ (V ⊗ id_a) for every letter a.
+    given as V_z from X.stacked() to Δ.obj.stacked() at every root z of X,
+    for X a sum of one-letter words: e_X = (id_a ⊗ V†) ∘ e_a ∘ (V ⊗ id_a)
+    for every letter a.
 
     On the stacked trees at r, V ⊗ id_a is block-diagonal over the lifts
-    (v, ν) with block V_v, and id_a ⊗ V† is Ω_X·B·Ω† with B = V_u† from
-    group (u, ν) of Δ to the same group of X (SumObject.omega), so e_X at r
-    is Ω_X·Y with Y = V_u†·(Ω†·e_a)·V_v on group (u, ν) and lift (v, ν′);
+    (v, ν) with block V_v.  id_a ⊗ V† is Ω_X·B·Ω† with B = V_u† from group
+    (u, ν) of Δ to the same group of X (SumObject.omega), and on one-letter
+    words Ω_X is the identity: group (u, ν) of X is its trees of (a, u) at
+    r in slot ν of the vertex (a, u; r).  Both are read off the positions
+    of the trees of (a,) + X and X + (a,) at every letter at once
+    (_one_letter, _slots).
+    So e_X at r is Y = V_u†·(Ω†·e_a)·V_v on group (u, ν) and lift (v, ν′);
     the factor Ω†·e_a is DeltaObject.kernel's.  Returns e_X per letter, one
-    matrix per root r of X.omega(a).
+    matrix per root r of the trees of (a,) + X.  Raises ShapeError for a
+    longer word.
     """
+    label, dst, src = _one_letter(X)
+    groups, lifts = _slots(label, *dst), _slots(label, *src)
+    ddims, sdims = dst[0].sum(axis=1).tolist(), src[0].sum(axis=1).tolist()
     Vt = {z: v.conj().T for z, v in V.items()}
     out = {}
     for a, per_root in delta.kernel.items():
-        src = X.stacked((), (a,))
         out[a] = mats = {}
-        for r, (om, groups) in X.omega(a).items():
-            _om, dgroups, _e, e1, dlifts = per_root[r]
-            C = right_blocks(e1, V, dlifts, src.lifts.get(r, {}), src.dims.get(r, 0))
-            mats[r] = om @ left_blocks(Vt, C, groups, dgroups, len(om))
+        for r, n in enumerate(ddims[a]):
+            if n:
+                _om, dgroups, _e, e1, dlifts = per_root[r]
+                C = right_blocks(e1, V, dlifts, lifts.get(a, {}).get(r, {}), sdims[a][r])
+                mats[r] = left_blocks(Vt, C, groups[a][r], dgroups, n)
     return out
 
 
@@ -314,13 +346,16 @@ def compute_twists(simples: list) -> list:
     """Close each half-braiding into a ribbon loop: θ·d_X is the weighted
     trace Σ_r d_r·tr (duality.weighted_trace) of the self-crossing, summed
     over the object's simple summands z: the diagonal block (i, i) of e_z
-    at summand i, cut out with sums.cut_block."""
+    at summand i, from (z, z) to (z, z), on summand i's trees of both sides
+    (_one_letter)."""
     out = []
     for s in simples:
         num, X = 0.0 + 0.0j, s.obj
-        for i, (z, _c) in enumerate(X.tags):
-            num += weighted_trace(cut_block(X.engine, s.braiding[z], X.stacked((), (z,)),
-                                            X.stacked((z,)), i, i))
+        label, (rows, row0), (cols, col0) = _one_letter(X)
+        for i, z in enumerate(label.tolist()):
+            r0, r1, c0, c1 = (f[z, i] for f in (row0, row0 + rows, col0, col0 + cols))
+            num += weighted_trace(X.engine.make(
+                (z, z), (z, z), {r: m[r0[r]:r1[r], c0[r]:c1[r]] for r, m in s.braiding[z].items()}))
         theta = num / s.dim()
         s.twist = theta
         out.append(theta)

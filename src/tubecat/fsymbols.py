@@ -66,6 +66,14 @@ def add_per(slot, val, size: int):
     return np.bincount(slot, val.real, size) + 1j * np.bincount(slot, val.imag, size)
 
 
+def vertices(counts):
+    """(*index, slot): every index of the count array, in C order, once per
+    slot below its count, as vertices (x, y, z) of N come with their μ."""
+    idx = np.nonzero(counts)
+    n = counts[idx]
+    return (*(np.repeat(i, n) for i in idx), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
+
+
 def _entry_table(ring: FusionRing, blocks: dict):
     N, r = ring.N, ring.rank
     x, y, z = np.nonzero(N)

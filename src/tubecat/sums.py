@@ -4,7 +4,8 @@ The core engine only speaks single tensor words.  Everything downstream
 (the conjugation-closure object Δ, extracted center objects) lives on
 finite direct sums of words, so this module adds the bookkeeping layer: a
 SumObject is an ordered tuple of summand words with hashable tags, and a
-StackedBasis lines up the comb trees of all summands at each root.  A
+StackedBasis lines up the comb trees of all summands at each root, as
+integer arrays grown vertex by vertex (no per-word TreeBasis is made).  A
 linear map between two sums is then one matrix per root; its block between
 two summands is placed there and cut back out by stack_blocks and
 cut_block; f ⊗ id and id ⊗ f act as block-diagonal products (left_blocks,
@@ -15,91 +16,135 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
+from .fsymbols import vertices
 from .morphism import Engine, Morphism
 from .trees import Word
 
-__all__ = ["SumObject", "StackedBasis", "stack_blocks", "cut_block",
+__all__ = ["SumObject", "StackedBasis", "grouped", "stack_blocks", "cut_block",
            "left_blocks", "right_blocks"]
 
 
+def _grown(N: np.ndarray, summand, root, trees, letter) -> tuple:
+    """Every state's children through the vertex (root, letter; z), z
+    ascending, then the slot μ, in state order, each tree grown by (z, μ)
+    in a new last column.  Returns (parent state, summand, root, trees, μ)
+    of the children."""
+    par, z, mu = vertices(N[root, letter])
+    trees = np.concatenate([trees[par], np.stack([z, mu], axis=-1)[:, None]], axis=1)
+    return par, summand[par], z, trees, mu
+
+
+def grouped(keys: tuple, pos: np.ndarray) -> dict:
+    """Positions by their keys, each key an integer array as long as pos:
+    keys[0] -> … -> keys[-3] -> (keys[-2], keys[-1]) -> the positions with
+    those keys, in their order."""
+    if not len(pos):
+        return {}
+    dims = [int(k.max()) + 1 for k in keys]
+    key = np.ravel_multi_index(keys, dims)
+    order = np.argsort(key, kind="stable")
+    key, pos = key[order], pos[order]
+    cut = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    out: dict = {}
+    for *outer, u, m, lo, hi in zip(*(k.tolist() for k in np.unravel_index(key[cut[:-1]], dims)),
+                                    cut, cut[1:]):
+        at = out
+        for k in outer:
+            at = at.setdefault(k, {})
+        at[(u, m)] = pos[lo:hi]
+    return out
+
+
 class StackedBasis:
-    """Left-comb trees of a list of nonempty words, stacked.
+    """Left-comb trees of a list of nonempty words, stacked, as arrays.
 
-    ``states`` lists (summand, root, tree) word by word, each word's trees
-    in TreeBasis generation order.  At root z the stacked coordinates are
-    those states in that order, ``by_root[z]`` = [(summand, tree)], and
-    summand j occupies ``starts[z][j]:starts[z][j + 1]``; so a map between
-    two sums of words is one matrix per root (stack_blocks).
+    State k is the tree ``trees[k]`` of the word ``words[summand[k]]`` at
+    root ``root[k]``, at position ``pos[k]`` among the states at that root.
+    The states run word by word, each word's trees in TreeBasis generation
+    order.  ``trees`` is (states, L − 1, 2): the (channel, μ) after each
+    vertex, L the longest word's length, a shorter word's padded with −1.
+    At root z summand j holds positions ``starts[z][j]:starts[z][j + 1]``,
+    so a map between two sums of words is one matrix per root
+    (stack_blocks); ``dims`` maps each root, ascending, to its count.
 
-    ``extended`` grows every word by one letter from these states, as
-    TreeBasis.extended grows one word.  A comb of w + (x,) at z is a comb
-    of w at some v followed by the vertex (v, x; z) in slot ν, so f ⊗ id_x
-    is block-diagonal over (v, ν) with block f at root v; ``lifts[z][(v, ν)]``
-    holds the child positions at z of the parent coordinates at v, in their
-    order.  A basis made by ``of`` has no lifts.  ``flat`` reads the states
-    as arrays.
+    ``of`` and ``extended`` grow the states vertex by vertex (_grown): each
+    is replaced by its children (z, μ) through the next vertex, z
+    ascending, then μ, which is the generation order.  A comb of w + (x,)
+    at z is a comb of w at some v followed by the vertex (v, x; z) in slot
+    ν, so f ⊗ id_x is block-diagonal over (v, ν) with block f at root v;
+    ``lifts[z][(v, ν)]`` holds the child positions at z of the parent
+    coordinates at v, in their order (grouped over each child's (parent
+    root, ν), kept as arrays by ``extended``).  A basis made by ``of`` has
+    no lifts.
     """
 
-    __slots__ = ("words", "states", "by_root", "dims", "lifts", "_starts", "_flat")
+    __slots__ = ("words", "summand", "root", "trees", "dims",
+                 "_lift", "_pos", "_lifts", "_starts")
 
-    def __init__(self, words: tuple, states: list, lifts: dict | None = None):
-        self.words = words
-        self.states = states
-        by_root: dict = {}
-        for j, z, tree in states:
-            by_root.setdefault(z, []).append((j, tree))
-        self.by_root = by_root
-        self.dims = {z: len(by_root[z]) for z in sorted(by_root)}
-        self.lifts = lifts if lifts is not None else {}
-        self._starts = self._flat = None
+    def __init__(self, words: tuple, summand, root, trees, lift: tuple | None = None):
+        self.words, self.summand, self.root, self.trees = words, summand, root, trees
+        self.dims = {z: n for z, n in enumerate(np.bincount(root).tolist()) if n}
+        self._lift, self._pos, self._lifts, self._starts = lift, None, None, None
 
     @classmethod
-    def of(cls, engine: Engine, words) -> "StackedBasis":
+    def of(cls, ring, words) -> "StackedBasis":
+        """The words' states, grown from their first letters; a shorter
+        word is grown by the unit (one child, the same root) and its tree
+        padded with −1 after."""
         words = tuple(tuple(w) for w in words)
-        return cls(words, [(j, z, tree) for j, w in enumerate(words)
-                           for z, tree in engine.basis(w).states])
+        if not all(words):
+            raise ShapeError("stacked words must be nonempty")
+        L = max(map(len, words), default=1)
+        letters = np.array([w + (ring.unit,) * (L - len(w)) for w in words],
+                           dtype=np.int64).reshape(len(words), L)
+        summand, root = np.arange(len(words)), letters[:, 0]
+        trees = np.zeros((len(words), 0, 2), dtype=np.int64)
+        for k in range(1, L):
+            _par, summand, root, trees, _mu = _grown(ring.N, summand, root, trees,
+                                                     letters[summand, k])
+        if any(len(w) < L for w in words):
+            size = np.array([len(w) for w in words])
+            trees[(np.arange(1, L) >= size[:, None])[summand]] = -1
+        return cls(words, summand, root, trees)
 
     def extended(self, ring, letter: int) -> "StackedBasis":
-        channels = ring.channels
-        states, lifts = [], {}
-        count: dict = {}  # child root -> coordinates made so far
-        for j, v, tree in self.states:
-            for z, n in channels[v][letter].items():
-                for mu in range(n):
-                    pos = count.get(z, 0)
-                    count[z] = pos + 1
-                    lifts.setdefault(z, {}).setdefault((v, mu), []).append(pos)
-                    states.append((j, z, tree + ((z, mu),)))
-        lifts = {z: {key: np.array(p) for key, p in by_key.items()}
-                 for z, by_key in lifts.items()}
-        return StackedBasis(tuple(w + (letter,) for w in self.words), states, lifts)
+        """Every word grown by the letter, and the lifts of the old states;
+        a shorter word's new vertex moves from the last column to its own."""
+        par, summand, root, trees, mu = _grown(ring.N, self.summand, self.root,
+                                               self.trees, letter)
+        L = trees.shape[1]
+        if any(len(w) < L for w in self.words):
+            col = np.array([len(w) - 1 for w in self.words])[summand]
+            short = np.flatnonzero(col < L - 1)
+            trees[short, col[short]] = trees[short, -1]
+            trees[short, -1] = -1
+        return StackedBasis(tuple(w + (letter,) for w in self.words), summand, root,
+                            trees, (self.root[par], mu))
 
     @property
-    def flat(self) -> tuple:
-        """(summand, root, position at the root) of every state, as integer
-        arrays in state order."""
-        if self._flat is None:
-            j = np.array([s[0] for s in self.states], dtype=np.int64)
-            z = np.array([s[1] for s in self.states], dtype=np.int64)
-            order = np.argsort(z, kind="stable")
-            n = np.bincount(z)
-            pos = np.empty_like(z)
-            pos[order] = np.arange(len(z)) - np.repeat(np.cumsum(n) - n, n)
-            self._flat = j, z, pos
-        return self._flat
+    def pos(self) -> np.ndarray:
+        if self._pos is None:
+            n = np.bincount(self.root)
+            order = np.argsort(self.root, kind="stable")
+            self._pos = np.empty_like(self.root)
+            self._pos[order] = np.arange(len(order)) - np.repeat(np.cumsum(n) - n, n)
+        return self._pos
+
+    @property
+    def lifts(self) -> dict:
+        if self._lifts is None:
+            self._lifts = {} if self._lift is None else grouped((self.root, *self._lift),
+                                                                self.pos)
+        return self._lifts
 
     @property
     def starts(self) -> dict:
         if self._starts is None:
-            starts = {}
-            for z, trees in self.by_root.items():
-                first = [0] * (len(self.words) + 1)
-                for j, _tree in trees:
-                    first[j + 1] += 1
-                for j in range(len(self.words)):
-                    first[j + 1] += first[j]
-                starts[z] = first
-            self._starts = starts
+            n, r = len(self.words), max(self.dims, default=-1) + 1
+            first = np.zeros((r, n + 1), dtype=np.int64)
+            first[:, 1:] = np.cumsum(np.bincount(self.root * n + self.summand,
+                                                 minlength=r * n).reshape(r, n), axis=1)
+            self._starts = {z: first[z].tolist() for z in self.dims}
         return self._starts
 
 
@@ -110,7 +155,7 @@ class SumObject:
     callers can address blocks without tracking positions by hand.
     """
 
-    __slots__ = ("engine", "summands", "tags", "_pos", "_stacks")
+    __slots__ = ("engine", "summands", "tags", "_pos", "cache")
 
     def __init__(self, engine: Engine, summands, tags=None):
         self.engine = engine
@@ -121,7 +166,8 @@ class SumObject:
         self._pos = {t: i for i, t in enumerate(self.tags)}
         if len(self._pos) != len(self.tags):
             raise ShapeError("summand tags must be distinct")
-        self._stacks: dict = {}
+        # stacks, and pieces other modules derive from the summands alone
+        self.cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.summands)
@@ -162,17 +208,17 @@ class SumObject:
 
     def stacked(self, left: Word = (), right: Word = ()) -> StackedBasis:
         """Stacked comb basis of the words left + w + right over the summands
-        w, kept.  The letters of ``right`` are grown one at a time, and left
-        + w takes the engine's basis of that word.  The library adds at most
-        one letter and counts positions on longer words off those stacks."""
+        w, kept.  The letters of ``right`` are grown one at a time, with
+        lifts, and left + w is grown from its letters.  The library adds at
+        most one letter and counts positions on longer words off those
+        stacks."""
         key = (left, right)
-        sb = self._stacks.get(key)
+        sb = self.cache.get(key)
         if sb is None:
-            if right:
-                sb = self.stacked(left, right[:-1]).extended(self.engine.ring, right[-1])
-            else:
-                sb = StackedBasis.of(self.engine, [left + w for w in self.summands])
-            self._stacks[key] = sb
+            ring = self.engine.ring
+            sb = (self.stacked(left, right[:-1]).extended(ring, right[-1]) if right
+                  else StackedBasis.of(ring, [left + w for w in self.summands]))
+            self.cache[key] = sb
         return sb
 
     def __repr__(self):

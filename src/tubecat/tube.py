@@ -39,7 +39,7 @@ import numpy as np
 from . import tables
 from .duality import ev
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
-from .fsymbols import add_per, group, join, join_unsorted
+from .fsymbols import add_per, group, join, join_unsorted, vertices
 from .morphism import Engine, Linear, engine_for
 from .pairs import canonical_pair
 from .sums import StackedBasis, SumObject, cut_block, left_blocks, right_blocks
@@ -177,14 +177,6 @@ def _firsts(N: np.ndarray, roots: np.ndarray, runs: np.ndarray | None = None) ->
     return lambda s, b, z: (C[s] * per[b, z]).sum(axis=1)
 
 
-def _vertices(counts: np.ndarray) -> tuple:
-    """(*index, slot): every index of the count array, in C order, once per
-    slot below its count, as vertices (x, y, z) of N come with their μ."""
-    idx = np.nonzero(counts)
-    n = counts[idx]
-    return (*(np.repeat(i, n) for i in idx), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n))
-
-
 def _locator(group: np.ndarray, pos: np.ndarray, size: int) -> Callable:
     """(g, p) -> the state at position p of group g, for states numbered in
     order whose positions run 0, 1, … within each group g < size."""
@@ -195,25 +187,47 @@ def _locator(group: np.ndarray, pos: np.ndarray, size: int) -> Callable:
     return lambda g, p: at[off[g] + p]
 
 
-def _lefts(obj: SumObject) -> tuple:
-    """The states of (a,) + obj for every letter a, in letter and then
-    state order: (letter, summand, root, position at the root, first, at),
-    with first(s, b, z) the position at z of the first child of s in (a,) +
-    obj + (b,) (_firsts) and at(a·rank + z, position) the state there."""
-    r = obj.engine.ring.rank
-    stacks = [obj.stacked((a,)).flat for a in range(r)]
-    letter = np.repeat(np.arange(r), [len(j) for j, _z, _p in stacks])
-    j, z, pos = (np.concatenate(f) for f in zip(*stacks))
-    return letter, j, z, pos, _firsts(obj.engine.ring.N, z, letter), _locator(
-        letter * r + z, pos, r * r)
+class _Sides:
+    """The states on both sides of a half-braiding on obj at every letter
+    c, as arrays, made once per obj (_sides).
+
+    Left, the states of (c,) + obj from one growth of the words (c,) + w
+    (StackedBasis.of), letter-major: ``letter``, ``summand``, ``root``,
+    ``pos`` at the root in c's own stack and ``trees``; ``first(s, b, z)``
+    is the position at z of the first child of s in (c,) + obj + (b,)
+    (_firsts) and ``at(c·rank + z, position)`` the state there.  Right,
+    ``rights`` = (c, t, v, ν₁) of every obj + (c,), obj's state t grown by
+    (t's root, c) → v in slot ν₁, and ``r_at`` as ``at``.  ``dims[c, z]``
+    and ``rdims[c, z]`` count the trees of (c,) + obj and obj + (c,) at z;
+    ``uw`` are the roots of obj's own states."""
+
+    def __init__(self, obj: SumObject):
+        ring = obj.engine.ring
+        N, r = ring.N, ring.rank
+        sb = StackedBasis.of(ring, [(c,) + w for c in range(r) for w in obj.summands])
+        self.letter, self.summand = np.divmod(sb.summand, len(obj))
+        self.root, self.trees = sb.root, sb.trees
+        group = self.letter * r + self.root
+        self.dims = np.bincount(group, minlength=r * r).reshape(r, r)
+        self.pos = sb.pos - (np.cumsum(self.dims, axis=0) - self.dims)[self.letter, self.root]
+        self.first = _firsts(N, self.root, self.letter)
+        self.at = _locator(group, self.pos, r * r)
+        self.uw = obj.stacked().root
+        c, t, v, nu = self.rights = vertices(N[self.uw].transpose(1, 0, 2))
+        self.rdims = np.bincount(c * r + v, minlength=r * r).reshape(r, r)
+        self.r_at = _locator(c * r + v, _firsts(N, self.uw)(t, c, v) + nu, r * r)
+
+
+def _sides(obj: SumObject) -> _Sides:
+    return _cached(obj.cache, ("sides",), lambda: _Sides(obj))
 
 
 def _delta_legs(obj: SumObject) -> Callable:
-    """a -> every channel (c, μ) of every leg id_a ⊗ e_b of Δ, as one join
-    over flat vertex pieces: fields b, c, mu, z, row, col and val, the entry
-    [row, col] at root z of the map from the stacked trees of (a,) + Δ +
-    (b,) to those of (c,) + Δ, one entry each.  At a = 1, channel (b, 0),
-    the leg is e_b itself (build_delta).
+    """letters -> every channel (c, μ) of every leg id_a ⊗ e_b of Δ at
+    those letters a, as one join over flat vertex pieces: fields a, b, c,
+    mu, z, row, col and val, the entry [row, col] at root z of the map from
+    the stacked trees of (a,) + Δ + (b,) to those of (c,) + Δ, one entry
+    each.  At a = 1, channel (b, 0), the leg is e_b itself (build_delta).
 
     On the summand j = (x, l, x̄) of Δ a tree of (a,) + Δ + (b,) is the
     vertex (a, x) → w in slot ν, then (w, l) → u in slot ν′, then a tree
@@ -227,16 +241,15 @@ def _delta_legs(obj: SumObject) -> Callable:
     tops on (a, x, w, ν), then with the pads on (u, b, y, x, t, v, ν₁); an
     entry adds its terms in t order before the weight, as a Kronecker sum
     over t does.  The states of every (c,) + Δ, where the rows are looked
-    up, are read once; the terms are joined one letter a at a time.
+    up, and their trees are read once (_sides).
     """
     eng = obj.engine
     ring, d = eng.ring, np.asarray(eng.d)
     r, M = ring.rank, int(ring.N.max())
     (top, find_top), (pad, find_pad) = _pieces(eng)[1:]
-    letter, j, v, pos, first, _at = _lefts(obj)
-    trees = np.array([t for b in range(r) for _j, _z, t in obj.stacked((b,)).states],
-                     dtype=np.int64).reshape(len(letter), 3, 2)
-    (w, nu), (u, nu_u), nu1 = trees[:, 0].T, trees[:, 1].T, trees[:, 2, 1]
+    S = _sides(obj)
+    letter, j, v, pos, first = S.letter, S.summand, S.root, S.pos, S.first
+    (w, nu), (u, nu_u), nu1 = S.trees[:, 0].T, S.trees[:, 1].T, S.trees[:, 2, 1]
     tag_x, tag_s = np.array(obj.tags).T
     summand = np.zeros((r, tag_s.max() + 1), dtype=np.int64)
     summand[tag_x, tag_s] = np.arange(len(obj))
@@ -246,9 +259,11 @@ def _delta_legs(obj: SumObject) -> Callable:
     by_key = np.argsort(skey)
     skey = skey[by_key]
 
-    def legs(a: int) -> dict:
-        s = np.arange(*np.searchsorted(letter, [a, a + 1]))
-        q, t = find_top(a, tag_x[j[s]], w[s], nu[s])
+    def legs(letters) -> dict:
+        want = np.zeros(r, dtype=bool)
+        want[letters] = True
+        s = np.flatnonzero(want[letter])
+        q, t = find_top(letter[s], tag_x[j[s]], w[s], nu[s])
         q = s[q]
         x, b, y = tag_x[j[q]], top["b"][t], top["y"][t]
         k, p = find_pad(u[q], b, y, x, top["t"][t], v[q], nu1[q])
@@ -258,12 +273,12 @@ def _delta_legs(obj: SumObject) -> Callable:
             (top["c"][t], summand[y, tag_s[j[q]]], w[q], top["nu2"][t], u[q], nu_u[q],
              z, pad["rho"][p]), sdims))]]
         col = first(q, b, z) + pad["nu2"][p]
-        dims = (r, r, M, r, int(row.max(initial=0)) + 1, int(col.max(initial=0)) + 1)
-        slot, keys = group(np.ravel_multi_index((b, top["c"][t], top["mu"][t], z, row, col),
-                                                dims))
+        dims = (r, r, r, M, r, int(row.max(initial=0)) + 1, int(col.max(initial=0)) + 1)
+        slot, keys = group(np.ravel_multi_index(
+            (letter[q], b, top["c"][t], top["mu"][t], z, row, col), dims))
         weight = np.empty(len(keys))
         weight[slot] = np.sqrt(d[x] * d[y])
-        out = dict(zip(("b", "c", "mu", "z", "row", "col"), np.unravel_index(keys, dims)))
+        out = dict(zip(("a", "b", "c", "mu", "z", "row", "col"), np.unravel_index(keys, dims)))
         out["val"] = add_per(slot, top["val"][t] * pad["val"][p], len(keys)) * weight
         return out
 
@@ -273,15 +288,18 @@ def _delta_legs(obj: SumObject) -> Callable:
 def _at_unit(obj: SumObject, legs: dict) -> dict:
     """The legs at a = 1 as the stored braiding: b -> root -> matrix from
     the stacked trees of obj + (b,) to those of (b,) + obj."""
+    S = _sides(obj)
+    r = len(S.dims)
+    key = legs["b"] * r + legs["z"]
+    order = np.argsort(key, kind="stable")
+    cut = np.searchsorted(key[order], np.arange(r * r + 1))
     out = {}
-    for b in range(obj.engine.ring.rank):
-        src = obj.stacked((), (b,)).dims
+    for b in range(r):
         out[b] = {}
-        for z, n in obj.stacked((b,)).dims.items():
-            if z in src:
-                m = out[b][z] = np.zeros((n, src[z]), dtype=complex)
-                at = (legs["b"] == b) & (legs["z"] == z)
-                m[legs["row"][at], legs["col"][at]] = legs["val"][at]
+        for z in np.flatnonzero(S.dims[b] * S.rdims[b]).tolist():
+            k = order[cut[b * r + z]:cut[b * r + z + 1]]
+            m = out[b][z] = np.zeros((S.dims[b, z], S.rdims[b, z]), dtype=complex)
+            m[legs["row"][k], legs["col"][k]] = legs["val"][k]
     return out
 
 
@@ -302,42 +320,39 @@ class _Stacked:
         """braiding[a], or the copy verify_halfbraiding zeroed for it."""
         return self.zeroed.get(a, self.braiding[a])
 
-    def ids(self, sb: StackedBasis, z: int) -> np.ndarray:
-        """The part of each of sb's coordinates at z."""
-        return np.repeat(self.part_of, np.diff(sb.starts[z]))
+    def ids(self, side: tuple, z: int) -> np.ndarray:
+        """The part of each coordinate at z of obj.stacked(*side)."""
+        return np.repeat(self.part_of, np.diff(self.obj.stacked(*side).starts[z]))
 
-    def defects(self, D: np.ndarray, rows: StackedBasis, z: int) -> np.ndarray:
-        """Max-abs entry of D, a matrix at root z onto the trees of rows, on
-        each part's rows; off its own columns they are exact zeros, as long
-        as every entry is finite (verify_halfbraiding)."""
+    def defects(self, D: np.ndarray, side: tuple, z: int) -> np.ndarray:
+        """Max-abs entry of D, a matrix at root z onto the trees of
+        obj.stacked(*side), on each part's rows; off its own columns they
+        are exact zeros, as long as every entry is finite
+        (verify_halfbraiding).  One part reads no stack."""
         if self.nparts == 1:
             return np.array([np.max(np.abs(D), initial=0.0)])
         out = np.zeros(self.nparts)
-        np.maximum.at(out, self.ids(rows, z), np.max(np.abs(D), axis=1, initial=0.0))
+        np.maximum.at(out, self.ids(side, z), np.max(np.abs(D), axis=1, initial=0.0))
         return out
 
 
 def _entries(hb: _Stacked) -> tuple:
-    """(lefts, rights, entries): the states of every (c,) + W (_lefts) and
-    (c, t, v, ν₁) of every W + (c,), W's state t grown by (t's root, c) → v
-    in slot ν₁, and e_c[v][row, col] ≠ 0, letter c ascending, by state:
-    (c, v, q, p, value), q the row's and p the column's."""
-    obj = hb.obj
-    N, r = obj.engine.ring.N, obj.engine.ring.rank
-    uw = obj.stacked().flat[1]
-    lefts = _lefts(obj)
-    c, t, v, nu = rights = _vertices(N[uw].transpose(1, 0, 2))
-    r_at = _locator(c * r + v, _firsts(N, uw)(t, c, v) + nu, r * r)
+    """The braiding's entries e_c[v][row, col] ≠ 0, letter c ascending, by
+    state: (c, v, q, p, value), q the row's state of (c,) + W and p the
+    column's of W + (c,) in _sides' numbering."""
+    S = _sides(hb.obj)
+    r = len(S.dims)
     rows = [(np.full(len(i), c), np.full(len(i), z), i, k, m[i, k])
             for c in range(r) for z, m in hb.e(c).items() for i, k in (np.nonzero(m),)]
     c, v, row, col, val = (np.concatenate(f) for f in zip(*rows))
-    return lefts, rights, (c, v, lefts[5](c * r + v, row), r_at(c * r + v, col), val)
+    return c, v, S.at(c * r + v, row), S.r_at(c * r + v, col), val
 
 
-def _word_legs(hb: _Stacked) -> Callable:
-    """a -> every channel (c, μ) of every leg id_a ⊗ e_b of a sum X of
-    one-letter words, in _delta_legs' fields: the stored e_b (hb.e) joined
-    between two F entries, one letter a at a time, F unitary,
+def _word_legs(hb: _Stacked, entries: tuple | None = None) -> Callable:
+    """letters -> every channel (c, μ) of every leg id_a ⊗ e_b at those
+    letters a of a sum X of one-letter words, in _delta_legs' fields: the
+    stored e_b (hb.e, decoded by _entries unless ``entries`` are given)
+    joined between two F entries, F unitary,
 
         leg[(c,μ,ρ), (v,ν₁,ν₂)] = Σ conj F^{a b x_j}_r[(c,μ,ρ),(u,σ′,τ)]
                                   · e_b[u][(j,σ′),(i,σ)] · F^{a x_i b}_r[(v,ν₁,ν₂),(u,σ,τ)],
@@ -348,29 +363,50 @@ def _word_legs(hb: _Stacked) -> Callable:
     if any(len(w) != 1 for w in obj.summands):
         raise ShapeError("legs from the stored braiding need one-letter words; pass legs")
     N, r, M = obj.engine.ring.N, obj.engine.ring.rank, int(obj.engine.ring.N.max())
-    (_letter, j, _z, pos, first, at), (_c, i, _v, sigma), (b, u, q, p, e_val) = _entries(hb)
-    label, i, j = np.array(obj.summands)[:, 0], i[p], j[q]
+    S = _sides(obj)
+    b, u, q, p, e_val = _entries(hb) if entries is None else entries
+    label, i, j = np.array(obj.summands)[:, 0], S.rights[1][p], S.summand[q]
     before = np.cumsum(N[:, label], axis=1) - N[:, label]  # [c, j, z]: summand j's first at z
     (x, _y, z, mu), rv, rw, cv, cw, val = tables._f_entries(obj.engine.F)
     vertex, V = (np.cumsum(N) - N.ravel()).reshape(N.shape), len(x)  # as tables._f_entries
     # e_b's column (i, σ) and row (j, σ′) as the vertices (x_i, b) → u and (b, x_j) → u
-    col_v = vertex[label[i], b, u] + sigma[p]
-    row_v = vertex[b, label[j], u] + pos[q] - before[b, j, u]
+    col_v = vertex[label[i], b, u] + S.rights[3][p]
+    row_v = vertex[b, label[j], u] + S.pos[q] - before[b, j, u]
 
-    def legs(a: int) -> dict:
-        k, g = join_unsorted(x[rv] * V + cv, a * V + col_v)
+    def legs(letters) -> dict:
+        letters = np.atleast_1d(letters)
+        a, k = np.repeat(letters, len(col_v)), np.tile(np.arange(len(col_v)), len(letters))
+        h, g = join_unsorted(x[rv] * V + cv, a * V + col_v[k])
+        a, k = a[h], k[h]
         h, l = join_unsorted(cv * V + cw, row_v[k] * V + cw[g])
-        k, g = k[h], g[h]
+        a, k, g = a[h], k[h], g[h]
         v, c, root = z[rv[g]], z[rv[l]], z[rw[l]]
         row = before[c, j[k], root] + mu[rw[l]]
-        col = first(at(a * r + v, before[a, i[k], v] + mu[rv[g]]), b[k], root) + mu[rw[g]]
-        dims = (r, r, M, r, row.max(initial=0) + 1, col.max(initial=0) + 1)
-        slot, keys = group(np.ravel_multi_index((b[k], c, mu[rv[l]], root, row, col), dims))
-        out = dict(zip(("b", "c", "mu", "z", "row", "col"), np.unravel_index(keys, dims)))
+        col = S.first(S.at(a * r + v, before[a, i[k], v] + mu[rv[g]]), b[k], root) + mu[rw[g]]
+        dims = (r, r, r, M, r, row.max(initial=0) + 1, col.max(initial=0) + 1)
+        slot, keys = group(np.ravel_multi_index((a, b[k], c, mu[rv[l]], root, row, col), dims))
+        out = dict(zip(("a", "b", "c", "mu", "z", "row", "col"), np.unravel_index(keys, dims)))
         out["val"] = add_per(slot, np.conj(val[l]) * e_val[k] * val[g], len(keys))
         return out
 
     return legs
+
+
+# a run of letters whose hexagons _hexagons joins at once has legs with at
+# most this many columns in all, unless it is one letter: the memory bound
+CHUNK_COLUMNS = 4096
+
+
+def _chunks(cost: np.ndarray):
+    """Runs [lo, hi) of consecutive letters, each as long as its costs add
+    up to at most CHUNK_COLUMNS, and at least one letter."""
+    lo = 0
+    while lo < len(cost):
+        hi, total = lo + 1, cost[lo]
+        while hi < len(cost) and total + cost[hi] <= CHUNK_COLUMNS:
+            total, hi = total + cost[hi], hi + 1
+        yield lo, hi
+        lo = hi
 
 
 def _hexagons(hb: _Stacked, legs: Callable | None = None) -> np.ndarray:
@@ -378,13 +414,16 @@ def _hexagons(hb: _Stacked, legs: Callable | None = None) -> np.ndarray:
     (part, a, b): max-abs over the channels (c, μ) and roots z of
     e_c ∘ (id ⊗ ι†) − (ι† ⊗ id) ∘ (id_a ⊗ e_b) ∘ (e_a ⊗ id_b), with
     ι = ι_{c,μ} : c → a⊗b, from the stacked trees of W + (a, b) to those of
-    (c,) + W, read on the rows of the part.  ``legs(a)`` are the channels of
-    id_a ⊗ e_b for every b, in _delta_legs' fields; by default _word_legs.
+    (c,) + W, read on the rows of the part.  ``legs(letters)`` are the
+    channels of id_a ⊗ e_b at those letters a for every b, in _delta_legs'
+    fields; by default _word_legs, on the same decoding of the braiding.
 
-    Both sides join the braiding's entries by state (_entries), every b,
-    channel and root at once, one letter a at a time, summed per (b, μ, row,
-    column).  e_c ∘ (id_W ⊗ ι†) joins e_c's entries, at the child (z, ρ) of
-    W's state t, with the vertex pads id_u ⊗ ι† of t's root u (tables).
+    Both sides join the braiding's entries by state (_entries, decoded
+    once), every b, channel and root at once, over runs of letters a whose
+    legs have at most CHUNK_COLUMNS columns (_chunks), summed per (b, μ,
+    row, column); a column is a state of W + (a,) grown, so it names its
+    a.  e_c ∘ (id_W ⊗ ι†) joins e_c's entries, at the child (z, ρ) of W's
+    state t, with the vertex pads id_u ⊗ ι† of t's root u (tables).
     e_a ⊗ id_b grows each entry of e_a by every vertex (v, b) → z on both
     sides, and the legs meet it on their column, the first child of a state
     of (a,) + W plus the vertex slot (_firsts): no two-letter stack is grown.
@@ -392,50 +431,53 @@ def _hexagons(hb: _Stacked, legs: Callable | None = None) -> np.ndarray:
     obj, ring = hb.obj, hb.obj.engine.ring
     N, r, M = ring.N, ring.rank, int(ring.N.max())
     vp, find_vpad = _pieces(obj.engine)[0]
+    S = _sides(obj)
+    entries = ec, ev, q, p, e_val = _entries(hb)
     if legs is None:
-        legs = _word_legs(hb)
-    lefts, (ra, rt, rv, rnu), (ec, ev, q, p, e_val) = _entries(hb)
-    la, lj, _lv, _lpos, l_first, l_at = lefts
-    uw = obj.stacked().flat[1]
-    count = N[uw].transpose(1, 0, 2)  # the states (c, t, v, ν₁) of every W + (c,) at (c, t, v)
+        legs = _word_legs(hb, entries)
+    ra, rt, _rv, rnu = S.rights
+    count = N[S.uw].transpose(1, 0, 2)  # the states (c, t, v, ν₁) of every W + (c,) at (c, t, v)
     grow = (np.cumsum(count) - count.ravel()).reshape(count.shape)  # the first of them
-    u_of, t_of, rho = uw[rt[p]], rt[p], rnu[p]
-    cv, cb, cz, cnu = _vertices(N)
+    u_of, t_of, rho = S.uw[rt[p]], rt[p], rnu[p]
+    cv, cb, cz, cnu = vertices(N)
     # keys (b, μ, row, column) with the column (state, z, ν₂), and the legs'
     # columns below any count of children
-    dims = (r, M, len(la), len(ra), r, M)
-    ldims = (r, r, len(la) * int(N.sum(axis=2).max()))
+    dims = (r, M, len(S.letter), len(ra), r, M)
+    ldims = (r, r, r, len(S.letter) * int(N.sum(axis=2).max()))
 
-    def gaps(a: int) -> tuple:  # (b, row, |lhs − rhs|) per entry at the letter a
+    def gaps(lo: int, hi: int) -> tuple:  # (a, b, row, |lhs − rhs|) per entry
+        letters = np.arange(lo, hi)
         # e_c ∘ (id_W ⊗ ι†)
-        k, s = find_vpad(a, u_of, ec, ev, rho)
-        b = vp["b"][s]
+        a, k = np.repeat(letters, len(ec)), np.tile(np.arange(len(ec)), hi - lo)
+        h, s = find_vpad(a, u_of[k], ec[k], ev[k], rho[k])
+        a, k, b = a[h], k[h], vp["b"][s]
         grown = grow[a, t_of[k], vp["v"][s]] + vp["nu1"][s]
         lhs = np.ravel_multi_index((b, vp["mu"][s], q[k], grown, ev[k], vp["nu2"][s]), dims)
         lhs_val = e_val[k] * vp["val"][s]
 
         # (ι† ⊗ id) ∘ (id_a ⊗ e_b) ∘ (e_a ⊗ id_b)
-        lo, hi = np.searchsorted(ec, [a, a + 1])
-        k, h = join(cv, ev[lo:hi])
-        k += lo
-        leg = legs(a)
-        g, l = join_unsorted(np.ravel_multi_index((leg["b"], leg["z"], leg["col"]), ldims),
-                             np.ravel_multi_index(
-                                 (cb[h], cz[h], l_first(q[k], cb[h], cz[h]) + cnu[h]), ldims))
+        first, last = np.searchsorted(ec, [lo, hi])
+        k, h = join(cv, ev[first:last])
+        k += first
+        leg = legs(letters)
+        g, l = join_unsorted(
+            np.ravel_multi_index((leg["a"], leg["b"], leg["z"], leg["col"]), ldims),
+            np.ravel_multi_index((ec[k], cb[h], cz[h], S.first(q[k], cb[h], cz[h]) + cnu[h]),
+                                 ldims))
         k, b, z, nu2 = k[g], cb[h[g]], cz[h[g]], cnu[h[g]]
-        rhs = np.ravel_multi_index((b, leg["mu"][l], l_at(leg["c"][l] * r + z, leg["row"][l]),
+        rhs = np.ravel_multi_index((b, leg["mu"][l], S.at(leg["c"][l] * r + z, leg["row"][l]),
                                     p[k], z, nu2), dims)
         rhs_val = leg["val"][l] * e_val[k]
 
         slot, keys = group(np.concatenate([lhs, rhs]))
-        b, _mu, row = np.unravel_index(keys, dims)[:3]
+        b, _mu, row, col = np.unravel_index(keys, dims)[:4]
         gap = add_per(slot, np.concatenate([lhs_val, -rhs_val]), len(keys))
-        return b, row, np.hypot(gap.real, gap.imag)
+        return ra[col], b, row, np.hypot(gap.real, gap.imag)
 
     out = np.zeros((hb.nparts, r, r))
-    for a in range(r):
-        b, row, gap = gaps(a)
-        np.maximum.at(out, (hb.part_of[lj[row]], a, b), gap)
+    for lo, hi in _chunks(S.dims @ N.sum(axis=(1, 2))):
+        a, b, row, gap = gaps(lo, hi)
+        np.maximum.at(out, (hb.part_of[S.summand[row]], a, b), gap)
     return out
 
 
@@ -448,7 +490,9 @@ def verify_halfbraiding(obj: SumObject, braiding, tol: float, legs: Callable | N
     """Check that ``braiding`` (letter a -> root -> e_a : obj⊗a → a⊗obj on
     stacked trees) is a unitary half-braiding, per root and letter:
     e_a†·e_a = 1 = e_a·e_a†, e_1 = 1, and the hexagon of every pair (a, b)
-    (_hexagons, with ``legs(a)`` as its legs id_a ⊗ e_b, by default _word_legs).
+    (_hexagons, with ``legs(letters)`` as its legs id_a ⊗ e_b, by default
+    _word_legs).  The sizes come from the states of obj's both sides
+    (_sides).
 
     ``parts`` are the first summands of runs that the braiding keeps apart,
     as the simples of a direct sum: each is read on its own rows, as if
@@ -462,6 +506,7 @@ def verify_halfbraiding(obj: SumObject, braiding, tol: float, legs: Callable | N
     """
     ring = obj.engine.ring
     hb = _Stacked(obj, braiding, parts)
+    S = _sides(obj)
     res = {name: np.zeros(hb.nparts) for name in _IDENTITIES}
     lost = np.zeros((ring.rank, hb.nparts), dtype=bool)
     for a in range(ring.rank):
@@ -470,19 +515,19 @@ def verify_halfbraiding(obj: SumObject, braiding, tol: float, legs: Callable | N
             # 0·NaN would carry one part's NaN into the others' rows
             bad = ~np.isfinite(m)
             if bad.any():
-                lost[a, hb.ids(obj.stacked((a,)), z)[bad.any(axis=1)]] = True
+                lost[a, hb.ids(((a,), ()), z)[bad.any(axis=1)]] = True
                 zeroed[z] = np.where(bad, 0.0, m)
         if zeroed:
             e = hb.zeroed[a] = {**e, **zeroed}
-        for sb, gram in ((obj.stacked((), (a,)), lambda m: m.conj().T @ m),
-                         (obj.stacked((a,)), lambda m: m @ m.conj().T)):
-            for z, n in sb.dims.items():
+        for side, dims, gram in ((((), (a,)), S.rdims[a], lambda m: m.conj().T @ m),
+                                 (((a,), ()), S.dims[a], lambda m: m @ m.conj().T)):
+            for z in np.flatnonzero(dims).tolist():
                 m = e.get(z)
-                D = (0 if m is None else gram(m)) - np.eye(n)
-                res["unitarity"] = np.maximum(res["unitarity"], hb.defects(D, sb, z))
-    rows = obj.stacked((ring.unit,))
+                D = (0 if m is None else gram(m)) - np.eye(dims[z])
+                res["unitarity"] = np.maximum(res["unitarity"], hb.defects(D, side, z))
     for z, m in hb.e(ring.unit).items():
-        res["unit"] = np.maximum(res["unit"], hb.defects(m - np.eye(len(m)), rows, z))
+        res["unit"] = np.maximum(res["unit"], hb.defects(m - np.eye(len(m)),
+                                                         ((ring.unit,), ()), z))
     pairs = _hexagons(hb, legs)
     res["hexagon"] = pairs.max(axis=(1, 2))
     res["unitarity"][lost.any(axis=0)] = res["hexagon"][lost.any(axis=0)] = np.nan
@@ -511,7 +556,7 @@ def build_delta(spec, lam: LambdaObject) -> DeltaObject:
     """Assemble Δ(Λ), draw the legs id_1 ⊗ e_b as one join over the flat
     vertex pieces (_delta_legs), keep them as the braiding (_at_unit), and
     verify it (verify_halfbraiding on every pair (a, b), with the legs
-    id_a ⊗ e_b joined one letter a at a time, the a = 1 ones reused).
+    id_a ⊗ e_b joined over runs of letters a, the a = 1 ones reused).
     Raises ToleranceError when a residual reaches DELTA_TOL: an engine or
     data bug, not bad user input."""
     eng = engine_for(spec)
@@ -528,8 +573,15 @@ def build_delta(spec, lam: LambdaObject) -> DeltaObject:
     legs = _delta_legs(obj)
     unit = legs(ring.unit)
     braiding = _at_unit(obj, unit)
-    residuals = verify_halfbraiding(
-        obj, braiding, DELTA_TOL, lambda a: unit if a == ring.unit else legs(a))[0]
+
+    def reused(letters: np.ndarray) -> dict:  # a run's legs, those at a = 1 kept
+        rest = letters[letters != ring.unit]
+        if len(rest) == len(letters):
+            return legs(letters)
+        return unit if not len(rest) else {f: np.concatenate([unit[f], v])
+                                           for f, v in legs(rest).items()}
+
+    residuals = verify_halfbraiding(obj, braiding, DELTA_TOL, reused)[0]
     return DeltaObject(spec=spec, lam=lam, obj=obj, braiding=braiding, residuals=residuals)
 
 

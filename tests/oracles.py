@@ -27,10 +27,12 @@ scatter per tree group of a grown two-letter stack (vertex_leg_loop), the
 legs of any half-braided sum as the channel rows of the whole map
 id_a ⊗ e_b (generic_leg), and the hexagon itself one pair, channel and root
 at a time, with the pads drawn by the engine (hexagon_residual), where
-tubecat.tube forms the legs of each letter a as one join, from Δ's vertex
-pieces (_delta_legs) or from a stored e_b between two F entries
+tubecat.tube forms the legs of a run of letters a as one join, from Δ's
+vertex pieces (_delta_legs) or from a stored e_b between two F entries
 (_word_legs), and the defects of its pairs (a, b) as another (_hexagons);
-leg_matrices reads one channel of the joined legs back as matrices.  The
+leg_matrices reads one channel of the joined legs back as matrices.  A
+StackedBasis keeps its trees as integer arrays, and stacked_trees reads
+them back as the tuples TreeBasis lists, root by root.  The
 block maps live between sums whose words are shifted by a letter
 (shifted), a SumObject the library itself never forms.
 
@@ -180,12 +182,22 @@ def dense_pieces(eng, pieces):
     return vpads, tops, pads
 
 
+def stacked_trees(sb):
+    """root z -> [(summand, tree)] of a StackedBasis, each tree a tuple of
+    (channel, μ) pairs as TreeBasis lists it, at its position at z."""
+    out = {z: [None] * n for z, n in sb.dims.items()}
+    for j, z, p, tree in zip(sb.summand.tolist(), sb.root.tolist(), sb.pos.tolist(),
+                             sb.trees.tolist()):
+        out[z][p] = (j, tuple(map(tuple, tree[:len(sb.words[j]) - 1])))
+    return out
+
+
 def vertex_groups(sb):
     """Positions of sb's trees at each root z, grouped by (summand, channel
     w of the first vertex, second vertex (u, ν), z), in generation order:
     one list per group."""
     groups = {}
-    for z, trees in sb.by_root.items():
+    for z, trees in stacked_trees(sb).items():
         for pos, (j, tree) in enumerate(trees):
             groups.setdefault((j, tree[0][0], tree[1], z), []).append(pos)
     return groups
@@ -221,14 +233,14 @@ def vertex_leg_loop(obj, a, b, memo, c, mu, src):
 
 
 def leg_matrices(obj, legs, a, b, c, mu):
-    """Channel (c, μ) of the leg id_a ⊗ e_b from flat legs, ``legs(a)`` in
+    """Channel (c, μ) of the leg id_a ⊗ e_b from flat legs, ``legs([a])`` in
     tubecat.tube._delta_legs' fields, one matrix per root z from the grown
     stack of (a,) + obj + (b,) to the trees of (c,) + obj, its terms added
     in order."""
     src, dst = obj.stacked((a,), (b,)).dims, obj.stacked((c,)).dims
     out = {z: np.zeros((n, src[z]), dtype=complex) for z, n in dst.items() if z in src}
-    legs = legs(a)
-    on = (legs["b"] == b) & (legs["c"] == c) & (legs["mu"] == mu)
+    legs = legs([a])
+    on = (legs["a"] == a) & (legs["b"] == b) & (legs["c"] == c) & (legs["mu"] == mu)
     for z, row, col, val in zip(*(legs[f][on] for f in ("z", "row", "col", "val"))):
         out[int(z)][row, col] += val
     return out

@@ -328,8 +328,8 @@ def test_ih_suite_keeps_nan_in_one_case(catalog, monkeypatch):
     real = tubecat.relations.ih_sides
     calls = []
 
-    def nan_third(eng, x, w, y, z):
-        side_i, side_h = real(eng, x, w, y, z)
+    def nan_third(eng, x, w, y, z, memo=None):
+        side_i, side_h = real(eng, x, w, y, z, memo)
         calls.append((x, w, y, z))
         if len(calls) == 3:
             side_i = side_i.copy()

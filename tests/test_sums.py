@@ -1,17 +1,20 @@
 """Direct sums of words: stacked comb bases and block placement.
 
-A StackedBasis grown letter by letter must list, summand by summand, the
-same trees in the same order as the engine's TreeBasis of each longer word,
-and its lifts must point every parent coordinate at its own children; the
-hexagon check reads both.
+A StackedBasis, grown as arrays from the words' letters and then letter by
+letter, must list, summand by summand, the same trees in the same order as
+TreeBasis.of on each longer word, and its lifts must point every parent
+coordinate at its own children; the hexagon check reads both.
 """
 import numpy as np
 import pytest
 
-from conftest import pointed_category
+from conftest import pointed_category, rep_a4_random_table
+from oracles import stacked_trees
 from tubecat.catspec import load_spec
+from tubecat.errors import ShapeError
 from tubecat.morphism import engine_for
 from tubecat.sums import StackedBasis, SumObject, cut_block, stack_blocks
+from tubecat.trees import TreeBasis
 
 
 def _spec(catalog, name):
@@ -19,28 +22,56 @@ def _spec(catalog, name):
             else catalog[name])
 
 
-@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "Z/4 k=1"])
+def _ring(catalog, name):
+    # Rep(A4)'s ring has N[3, 3, 3] = 2: two slots μ on one vertex
+    return rep_a4_random_table(0).ring if name == "rep_a4" else _spec(catalog, name).ring
+
+
+def _same_trees(ring, sb):
+    """sb's trees at every root, summand by summand, are TreeBasis.of's,
+    and each summand's run at a root starts where ``starts`` says."""
+    trees = stacked_trees(sb)
+    assert sorted(trees) == sorted(sb.dims) == list(sb.dims)
+    for z, at in trees.items():
+        for j, w in enumerate(sb.words):
+            mine = [t for (k, t) in at if k == j]
+            assert mine == TreeBasis.of(ring, w).by_root.get(z, []), (w, z)
+            start, stop = sb.starts[z][j], sb.starts[z][j + 1]
+            assert [k for k, _ in at[start:stop]] == [j] * len(mine)
+    return trees
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3", "Z/4 k=1", "rep_a4"])
 def test_grown_stack_matches_tree_bases(catalog, name):
-    spec = _spec(catalog, name)
-    eng = engine_for(spec)
-    rank = spec.rank
-    words = [(x, l, spec.ring.dual[x]) for x in range(rank) for l in range(rank)]
-    for letters in [(0,), (rank - 1, 1 % rank), (1 % rank, rank - 1, rank - 1)]:
-        sb = StackedBasis.of(eng, words)
-        for letter in letters:
-            parent, sb = sb, sb.extended(spec.ring, letter)
-        assert sb.words == tuple(w + letters for w in words)
-        for z, trees in sb.by_root.items():
-            for j, w in enumerate(sb.words):
-                mine = [t for (k, t) in trees if k == j]
-                assert mine == eng.basis(w).by_root.get(z, []), (name, w, z)
-                start, stop = sb.starts[z][j], sb.starts[z][j + 1]
-                assert [k for k, _ in trees[start:stop]] == [j] * len(mine)
-            # every parent coordinate at v has one child per slot ν at z
-            for (v, nu), pos in sb.lifts[z].items():
-                assert len(pos) == parent.dims[v]
-                for (j, tree), p in zip(parent.by_root[v], pos):
-                    assert trees[p] == (j, tree + ((z, nu),)), (name, z, v, nu)
+    # Δ's words, the left-prefixed words (a,) + w of every letter a, and a
+    # sum of words of mixed lengths, each grown by up to three letters
+    ring = _ring(catalog, name)
+    rank = ring.rank
+    delta = [(x, l, ring.dual[x]) for x in range(rank) for l in range(rank)]
+    mixed = [(1 % rank, rank - 1), (rank - 1, rank - 1, 0), (rank - 1,)]
+    for words in (delta, [(a,) + w for a in range(rank) for w in delta], mixed):
+        for letters in [(0,), (rank - 1, 1 % rank), (1 % rank, rank - 1, rank - 1)]:
+            sb = StackedBasis.of(ring, words)
+            assert sb.lifts == {}
+            trees = _same_trees(ring, sb)
+            for letter in letters:
+                parent, parent_trees = sb, trees
+                sb = sb.extended(ring, letter)
+                trees = _same_trees(ring, sb)
+            assert sb.words == tuple(tuple(w) + letters for w in words)
+            for z, at in trees.items():
+                # every parent coordinate at v has one child per slot ν at z,
+                # and every child is some parent's
+                for (v, nu), pos in sb.lifts[z].items():
+                    assert len(pos) == parent.dims[v]
+                    for (j, tree), p in zip(parent_trees[v], pos):
+                        assert at[p] == (j, tree + ((z, nu),)), (name, z, v, nu)
+                assert sorted(np.concatenate(list(sb.lifts[z].values()))) == list(range(len(at)))
+
+
+def test_stacked_words_must_be_nonempty(catalog):
+    with pytest.raises(ShapeError, match="nonempty"):
+        StackedBasis.of(catalog["fibonacci"].ring, [(1,), ()])
 
 
 def _random_blocks(eng, rng, src, dst):

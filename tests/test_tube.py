@@ -36,8 +36,8 @@ from oracles import (BlockMap, braiding_blocks, delta_braiding_component, dense_
                      diagram_star_table, engine_channel_rows, engine_pad, engine_top,
                      engine_vertex_pad, extend_halfbraiding, generic_leg, gram,
                      hexagon_residual, lead_runs, leg_matrices, rotated_fuses,
-                     shifted, sparse_rows, t_diagram, tensor_id_left, tensor_id_right,
-                     vertex_leg_loop, whole_map_naturality)
+                     shifted, sparse_rows, stacked_trees, t_diagram, tensor_id_left,
+                     tensor_id_right, vertex_leg_loop, whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -339,10 +339,10 @@ def test_build_delta_rejects_nan_in_a_later_hexagon(catalog, monkeypatch):
     def nan_at_last(obj):
         legs = real(obj)
 
-        def at(a):
-            out = legs(a)
-            if a == last:
-                out["val"][np.flatnonzero(out["b"] == last)[-1]] = np.nan
+        def at(letters):
+            out = legs(letters)
+            if last in np.atleast_1d(letters):
+                out["val"][np.flatnonzero((out["a"] == last) & (out["b"] == last))[-1]] = np.nan
             return out
         return at
 
@@ -479,19 +479,20 @@ def test_hexagon_sees_phase_in_a_later_channel(catalog):
 
 
 def test_build_delta_builds_fewer_tree_bases():
-    # channel by channel, no map into (a, b) + Δ is built; 933 bases at the
-    # full-leg check
+    # Δ's stacks are grown as arrays from their words' letters, so a cold
+    # build makes no TreeBasis at all; 933 bases at the full-leg check, 80
+    # when the stacks of Δ and (a,) + Δ were the engine's bases of each word
     spec = load_spec(pointed_category(4, k=1))
     eng = engine_for(spec)
     before = len(eng._bases)
     build_delta(spec, LambdaObject.all_simples(spec))
-    assert len(eng._bases) - before < 933
+    assert len(eng._bases) - before == 0
 
 
 def test_hexagon_stage_builds_no_long_tree_basis(monkeypatch):
-    # the hexagon check reads stacked bases grown from the summands' own and
-    # draws its left leg from pieces on at most three letters, so it makes
-    # no basis of four or more letters; 789 bases at the per-summand check
+    # the hexagon check reads the states of (a,) + Δ grown as arrays and
+    # draws its left leg from flat F-entry pieces, so it makes no basis at
+    # all; 789 bases at the per-summand check
     spec = load_spec(pointed_category(4, k=1))
     eng = engine_for(spec)
     real = tubecat.tube._hexagons
@@ -506,8 +507,8 @@ def test_hexagon_stage_builds_no_long_tree_basis(monkeypatch):
     monkeypatch.setattr(tubecat.tube, "_hexagons", counted)
     before = len(eng._bases)
     build_delta(spec, LambdaObject.all_simples(spec))
-    assert [w for w in made if len(w) >= 4] == []
-    assert len(eng._bases) - before < 789
+    assert made == []
+    assert len(eng._bases) - before == 0
 
 
 def _phase_on_block(obj, legs, b, i, j, phase):
@@ -539,11 +540,11 @@ def test_build_delta_sees_phase_on_one_stored_block(monkeypatch):
     def nudged(obj):
         legs, unit = real(obj), obj.engine.ring.unit
 
-        def at(a):
-            if a != unit:
-                return legs(a)
+        def at(letters):
+            if unit not in np.atleast_1d(letters):
+                return legs(letters)
             drawn.append(2)
-            return _phase_on_block(obj, legs(a), 2, 0, obj.index((2, 0)), np.exp(1e-6j))
+            return _phase_on_block(obj, legs(letters), 2, 0, obj.index((2, 0)), np.exp(1e-6j))
         return at
 
     monkeypatch.setattr(tubecat.tube, "_delta_legs", nudged)
@@ -861,8 +862,8 @@ def test_word_legs_match_the_whole_map_with_multiplicity(seed):
     # σ′ on the rows, ν₁ and ν₂ on the columns, σ and τ inside the sum
     at = legs(three)
     on = (at["b"] == three) & (at["c"] == three) & (at["mu"] == 1)
-    rows = X.stacked((three,)).by_root[three]
-    cols = X.stacked((three,), (three,)).by_root[three]
+    rows = stacked_trees(X.stacked((three,)))[three]
+    cols = stacked_trees(X.stacked((three,), (three,)))[three]
     assert {rows[k][1][0][1] for k in at["row"][on & (at["z"] == three)]} == {0, 1}
     assert {t[0][1] for _j, t in cols} == {t[1][1] for _j, t in cols} == {0, 1}
 
@@ -950,22 +951,90 @@ def test_extraction_check_builds_no_omega_and_no_two_letter_stack(monkeypatch):
 
 def test_build_delta_grows_no_two_letter_stack(monkeypatch):
     # a cold Vec[Z/7]^ω build_delta reads every position on (a,) + Δ + (b,)
-    # and Δ + (a, b) off the one-letter stacks (tube._firsts): it grows one
-    # letter onto Δ once per letter, for the stored e_b's columns, and never
-    # a second (296 StackedBasis.extended calls per pointed-scaling pass
-    # when the hexagon was checked pair by pair)
+    # and Δ + (a, b), and the sizes of Δ + (b,), off the states of (a,) + Δ
+    # and Δ (tube._sides, _firsts): it grows no letter onto Δ's stack (7
+    # StackedBasis.extended calls when the stored e_b's columns were counted
+    # on Δ + (b,), 296 per pointed-scaling pass when the hexagon was checked
+    # pair by pair), and makes no TreeBasis of a word (a,) + Δ
     from tubecat.sums import StackedBasis
     spec = load_spec(pointed_category(7, k=1))
+    eng = engine_for(spec)
     real, added = StackedBasis.extended, []
 
     def counted(self, ring, letter):
-        out = real(self, ring, letter)
-        added.append(len(out.words[0]) - 3)  # letters past Δ's own three
-        return out
+        added.append(letter)
+        return real(self, ring, letter)
 
     monkeypatch.setattr(StackedBasis, "extended", counted)
+    before = set(eng._bases)
     build_delta(spec, LambdaObject.all_simples(spec))
-    assert added.count(2) == 0 and added == [1] * 7, added
+    assert added == [], added
+    assert [w for w in eng._bases if w not in before and len(w) == 4] == []
+
+
+def test_verify_decodes_the_braiding_once(monkeypatch):
+    # the hexagon check and its default legs (tube._word_legs) share one
+    # decoding of the braiding's entries: one _entries call per
+    # verify_halfbraiding, in build_delta and in extraction's check (two
+    # when the legs decoded it again)
+    import tubecat.center
+    spec = find("rep_s3")
+    lam = LambdaObject.all_simples(spec)
+    real, calls = tubecat.tube._entries, []
+    monkeypatch.setattr(tubecat.tube, "_entries",
+                        lambda hb: calls.append(hb.obj) or real(hb))
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    assert calls == [D.obj]
+    extract_center_simples(A, D, decompose_blocks(A, seed=1))
+    assert len(calls) == 2 and all(len(w) == 1 for w in calls[1].summands)
+
+
+def test_extraction_makes_no_omega_on_one_letter_sums(monkeypatch):
+    # compression reads the groups of id_a ⊗ V† off the positions of the
+    # trees of (a,) + X, since Ω is the identity on one-letter words: no
+    # SumObject.omega on an extracted simple or their sum (103 calls in one
+    # catalog extraction round when compression multiplied by X.omega(a)),
+    # and Δ's own (DeltaObject.kernel) is made once per letter
+    spec = find("rep_s3")
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    real, calls = SumObject.omega, []
+    monkeypatch.setattr(SumObject, "omega",
+                        lambda obj, c: calls.append((obj, c)) or real(obj, c))
+    simples = extract_center_simples(A, D, decompose_blocks(A, seed=1))
+    assert len(simples) == 8
+    assert [c for obj, c in calls if all(len(w) == 1 for w in obj.summands)] == []
+    assert sorted(c for obj, c in calls if obj is D.obj) == list(range(spec.rank))
+    with pytest.raises(ShapeError, match="one-letter words"):
+        tubecat.center.compress_halfbraiding(D, D.obj, {})
+
+
+@pytest.mark.parametrize("name", ["Z/5 k=1", "SU(2)_3"])
+def test_hexagon_chunks_do_not_move_the_braiding(catalog, name, monkeypatch):
+    # one letter per run of the hexagon join against every letter in one:
+    # the same stored braiding and residuals, bit for bit, since each entry
+    # adds the same terms in the same order
+    spec = _spec(catalog, name)
+    runs = []
+    real = tubecat.tube._chunks
+
+    def counted(cost):
+        out = list(real(cost))
+        runs.append(len(out))
+        return out
+
+    monkeypatch.setattr(tubecat.tube, "_chunks", counted)
+    built = {}
+    for budget in (1, 10**12):
+        monkeypatch.setattr(tubecat.tube, "CHUNK_COLUMNS", budget)
+        built[budget] = build_delta(load_spec(serialize(spec)), LambdaObject.all_simples(spec))
+    assert runs == [spec.rank, 1]
+    one, all_ = built[1], built[10**12]
+    assert one.residuals == all_.residuals
+    assert one.braiding.keys() == all_.braiding.keys()
+    for b, e in one.braiding.items():
+        assert e.keys() == all_.braiding[b].keys()
+        assert all(e[z].tobytes() == all_.braiding[b][z].tobytes() for z in e), (name, b)
 
 
 def test_build_delta_memory_is_bounded_by_one_letter():
