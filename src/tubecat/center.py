@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, ShapeError, ToleranceError, worst
+from .errors import DegenerateSpectrum, ToleranceError, worst
 from .duality import weighted_trace
 from .fsymbols import vertices
 from .sums import SumObject, grouped, left_blocks, right_blocks, stack_blocks
@@ -225,24 +225,9 @@ def _polar(V: np.ndarray) -> np.ndarray:
     return V @ (U * (w ** -0.5)) @ U.conj().T
 
 
-def _one_letter(X: SumObject) -> tuple:
-    """(label, (count, first) of (a,) + X, (count, first) of X + (a,)) for
-    X a sum of one-letter words (x_j,), label[j] = x_j: count[a, j, r]
-    trees of (a, x_j) resp. (x_j, a) at root r, one per slot ν, and
-    first[a, j, r] the position of the first of them at r, as the stacks
-    (StackedBasis) number them, summand-major.  Raises ShapeError for a
-    longer word."""
-    if any(len(w) != 1 for w in X.summands):
-        raise ShapeError("needs a sum of one-letter words")
-    N = X.engine.ring.N
-    label = np.array([w[0] for w in X.summands])
-    return label, *((count, np.cumsum(count, axis=1) - count)
-                    for count in (N[:, label], N[label].transpose(1, 0, 2)))
-
-
 def _slots(label: np.ndarray, count: np.ndarray, first: np.ndarray) -> dict:
     """a -> r -> (x_j, ν) -> the positions at r of the trees of summand j in
-    slot ν, for one side of _one_letter."""
+    slot ν, for one side of SumObject.one_letter."""
     a, j, r, nu = vertices(count)
     return grouped((a, r, label[j], nu), first[a, j, r] + nu)
 
@@ -259,13 +244,12 @@ def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
     words Ω_X is the identity: group (u, ν) of X is its trees of (a, u) at
     r in slot ν of the vertex (a, u; r).  Both are read off the positions
     of the trees of (a,) + X and X + (a,) at every letter at once
-    (_one_letter, _slots).
-    So e_X at r is Y = V_u†·(Ω†·e_a)·V_v on group (u, ν) and lift (v, ν′);
-    the factor Ω†·e_a is DeltaObject.kernel's.  Returns e_X per letter, one
-    matrix per root r of the trees of (a,) + X.  Raises ShapeError for a
-    longer word.
+    (SumObject.one_letter, _slots).  So e_X at r is Y = V_u†·(Ω†·e_a)·V_v on
+    group (u, ν) and lift (v, ν′); the factor Ω†·e_a is DeltaObject.kernel's.
+    Returns e_X per letter, one matrix per root r of the trees of (a,) + X.
+    Raises ShapeError for a longer word.
     """
-    label, dst, src = _one_letter(X)
+    label, dst, src = X.one_letter()
     groups, lifts = _slots(label, *dst), _slots(label, *src)
     ddims, sdims = dst[0].sum(axis=1).tolist(), src[0].sum(axis=1).tolist()
     Vt = {z: v.conj().T for z, v in V.items()}
@@ -347,11 +331,11 @@ def compute_twists(simples: list) -> list:
     trace Σ_r d_r·tr (duality.weighted_trace) of the self-crossing, summed
     over the object's simple summands z: the diagonal block (i, i) of e_z
     at summand i, from (z, z) to (z, z), on summand i's trees of both sides
-    (_one_letter)."""
+    (SumObject.one_letter)."""
     out = []
     for s in simples:
         num, X = 0.0 + 0.0j, s.obj
-        label, (rows, row0), (cols, col0) = _one_letter(X)
+        label, (rows, row0), (cols, col0) = X.one_letter()
         for i, z in enumerate(label.tolist()):
             r0, r1, c0, c1 = (f[z, i] for f in (row0, row0 + rows, col0, col0 + cols))
             num += weighted_trace(X.engine.make(

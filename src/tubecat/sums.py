@@ -4,9 +4,13 @@ The core engine only speaks single tensor words.  Everything downstream
 (the conjugation-closure object Δ, extracted center objects) lives on
 finite direct sums of words, so this module adds the bookkeeping layer: a
 SumObject is an ordered tuple of summand words with hashable tags, and a
-StackedBasis lines up the comb trees of all summands at each root, as
-integer arrays grown vertex by vertex (no per-word TreeBasis is made).  A
-linear map between two sums is then one matrix per root; its block between
+StackedBasis lines up the comb trees of all summands at each root.  It
+holds them as integer arrays (summand, root, position at the root, and
+the trees as (states, L − 1, 2)), grown vertex by vertex from the words'
+letters by repeating each state over its counts N[root, letter, :], with
+no per-word TreeBasis; the position groups a block-diagonal product reads
+come off those arrays (grouped).  A linear map between two sums is then
+one matrix per root; its block between
 two summands is placed there and cut back out by stack_blocks and
 cut_block; f ⊗ id and id ⊗ f act as block-diagonal products (left_blocks,
 right_blocks, SumObject.omega), and no sum is tensored into a new one.
@@ -205,6 +209,19 @@ class SumObject:
                 om[off:off + len(m), off:off + len(m)] = m
             out[r] = om, {key: np.array(p) for key, p in groups[r].items()}
         return out
+
+    def one_letter(self) -> tuple:
+        """(label, (count, first) of (a,) + w, (count, first) of w + (a,))
+        for a sum of one-letter words w = (x_j,), label[j] = x_j:
+        count[a, j, r] trees of (a, x_j) resp. (x_j, a) at root r, one per
+        slot ν, and first[a, j, r] the position of the first of them at r,
+        summand-major as stacked.  Raises ShapeError for a longer word."""
+        if any(len(w) != 1 for w in self.summands):
+            raise ShapeError("needs a sum of one-letter words")
+        N = self.engine.ring.N
+        label = np.array([w[0] for w in self.summands])
+        return label, *((count, np.cumsum(count, axis=1) - count)
+                        for count in (N[:, label], N[label].transpose(1, 0, 2)))
 
     def stacked(self, left: Word = (), right: Word = ()) -> StackedBasis:
         """Stacked comb basis of the words left + w + right over the summands

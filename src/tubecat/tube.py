@@ -15,13 +15,15 @@ The structure constants are fixed contractions of F entries (tables.fill),
 and tube_product and tube_star read them; the diagrams they contract are
 kept as the tests' oracle.  Δ's vertex pieces, the rotated fusion halves
 included, are flat F entries as well (tables.vertex_pieces,
-tables.rotations), so Δ is drawn and checked with no diagram: the legs
-id_a ⊗ e_b of Δ at each letter a are one join of those entries
-(_delta_legs), and the stored braiding is the a = 1 slice; an extracted
-simple, a sum of one-letter words, has its legs joined from its stored e_b
-between two F entries (_word_legs).  The hexagons of the pairs (a, b) at
-each a are one more join over those legs (_hexagons), one letter at a time
-to keep the working set small.  Only f_map's closures are drawn in the
+tables.rotations), so Δ is drawn and checked with no diagram and no
+TreeBasis: the states on both sides of a half-braiding at every letter
+are integer arrays from one growth (_Sides), the legs id_a ⊗ e_b of Δ
+are one join of those entries (_delta_legs), and the stored braiding is
+the a = 1 slice; an extracted simple, a sum of one-letter words, has its
+legs joined from its stored e_b between two F entries (_word_legs).  The
+hexagons of the pairs (a, b) are one more join over those legs
+(_hexagons), over runs of letters a up to a fixed size (CHUNK_COLUMNS)
+to keep the working set bounded.  Only f_map's closures are drawn in the
 word engine, with vertices through canonical_pair (dual bases with the
 √(d·d·d) weight).  Each √d prefactor is written once, next to its formula,
 and nothing re-normalizes, so a convention slip shows up as a failed
@@ -358,15 +360,14 @@ def _word_legs(hb: _Stacked, entries: tuple | None = None) -> Callable:
                                   · e_b[u][(j,σ′),(i,σ)] · F^{a x_i b}_r[(v,ν₁,ν₂),(u,σ,τ)],
 
     from the tree ((a, x_i) → v, ν₁), ((v, b) → r, ν₂) of (a,) + X + (b,)
-    to ((c, x_j) → r, ρ) of (c,) + X.  Raises ShapeError for a longer word."""
+    to ((c, x_j) → r, ρ) of (c,) + X.  Raises ShapeError for a longer word
+    (SumObject.one_letter)."""
     obj = hb.obj
-    if any(len(w) != 1 for w in obj.summands):
-        raise ShapeError("legs from the stored braiding need one-letter words; pass legs")
+    label, (_count, before), _right = obj.one_letter()  # before[c, j, z]: j's first at z
     N, r, M = obj.engine.ring.N, obj.engine.ring.rank, int(obj.engine.ring.N.max())
     S = _sides(obj)
     b, u, q, p, e_val = _entries(hb) if entries is None else entries
-    label, i, j = np.array(obj.summands)[:, 0], S.rights[1][p], S.summand[q]
-    before = np.cumsum(N[:, label], axis=1) - N[:, label]  # [c, j, z]: summand j's first at z
+    i, j = S.rights[1][p], S.summand[q]
     (x, _y, z, mu), rv, rw, cv, cw, val = tables._f_entries(obj.engine.F)
     vertex, V = (np.cumsum(N) - N.ravel()).reshape(N.shape), len(x)  # as tables._f_entries
     # e_b's column (i, σ) and row (j, σ′) as the vertices (x_i, b) → u and (b, x_j) → u
