@@ -39,7 +39,7 @@ from .errors import DegenerateSpectrum, ToleranceError, worst
 from .duality import weighted_trace
 from .fsymbols import vertices
 from .sums import SumObject, grouped, left_blocks, right_blocks, stack_blocks
-from .tube import (DeltaObject, LambdaObject, TubeAlgebra, build_delta,
+from .tube import (DeltaObject, LambdaObject, TubeAlgebra, _cached, build_delta,
                    build_tube_algebra, check_delta, t_map, verify_halfbraiding)
 
 __all__ = [
@@ -225,11 +225,15 @@ def _polar(V: np.ndarray) -> np.ndarray:
     return V @ (U * (w ** -0.5)) @ U.conj().T
 
 
-def _slots(label: np.ndarray, count: np.ndarray, first: np.ndarray) -> dict:
-    """a -> r -> (x_j, ν) -> the positions at r of the trees of summand j in
-    slot ν, for one side of SumObject.one_letter."""
-    a, j, r, nu = vertices(count)
-    return grouped((a, r, label[j], nu), first[a, j, r] + nu)
+def _one_letter_groups(X: SumObject) -> tuple:
+    """(groups, lifts, dims of (a,) + X, dims of X + (a,)) of a sum X of
+    one-letter words (SumObject.one_letter), for every letter a at once:
+    a -> r -> (x_j, ν) -> the positions at r of the trees of summand j in
+    slot ν, on each side, and [a][r] -> the count of trees at r."""
+    label, *sides = X.one_letter()
+    groups = [grouped((a, r, label[j], nu), first[a, j, r] + nu)
+              for count, first in sides for a, j, r, nu in (vertices(count),)]
+    return (*groups, *(count.sum(axis=1).tolist() for count, _first in sides))
 
 
 def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
@@ -244,14 +248,14 @@ def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
     words Ω_X is the identity: group (u, ν) of X is its trees of (a, u) at
     r in slot ν of the vertex (a, u; r).  Both are read off the positions
     of the trees of (a,) + X and X + (a,) at every letter at once
-    (SumObject.one_letter, _slots).  So e_X at r is Y = V_u†·(Ω†·e_a)·V_v on
+    (_one_letter_groups).  So e_X at r is Y = V_u†·(Ω†·e_a)·V_v on
     group (u, ν) and lift (v, ν′); the factor Ω†·e_a is DeltaObject.kernel's.
     Returns e_X per letter, one matrix per root r of the trees of (a,) + X.
     Raises ShapeError for a longer word.
     """
-    label, dst, src = X.one_letter()
-    groups, lifts = _slots(label, *dst), _slots(label, *src)
-    ddims, sdims = dst[0].sum(axis=1).tolist(), src[0].sum(axis=1).tolist()
+    # they depend on X's words alone, so simples over the same words share them
+    groups, lifts, ddims, sdims = _cached(X.engine.cache, ("one-letter groups", X.summands),
+                                          lambda: _one_letter_groups(X))
     Vt = {z: v.conj().T for z, v in V.items()}
     out = {}
     for a, per_root in delta.kernel.items():

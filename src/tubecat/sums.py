@@ -215,13 +215,19 @@ class SumObject:
         for a sum of one-letter words w = (x_j,), label[j] = x_j:
         count[a, j, r] trees of (a, x_j) resp. (x_j, a) at root r, one per
         slot ν, and first[a, j, r] the position of the first of them at r,
-        summand-major as stacked.  Raises ShapeError for a longer word."""
+        summand-major as stacked; kept in the engine's cache, since they
+        depend on the words alone.  Raises ShapeError for a longer word."""
         if any(len(w) != 1 for w in self.summands):
             raise ShapeError("needs a sum of one-letter words")
-        N = self.engine.ring.N
-        label = np.array([w[0] for w in self.summands])
-        return label, *((count, np.cumsum(count, axis=1) - count)
-                        for count in (N[:, label], N[label].transpose(1, 0, 2)))
+        key = ("one letter", self.summands)
+        out = self.engine.cache.get(key)
+        if out is None:
+            N = self.engine.ring.N
+            label = np.array([w[0] for w in self.summands])
+            out = self.engine.cache[key] = (label, *(
+                (count, np.cumsum(count, axis=1) - count)
+                for count in (N[:, label], N[label].transpose(1, 0, 2))))
+        return out
 
     def stacked(self, left: Word = (), right: Word = ()) -> StackedBasis:
         """Stacked comb basis of the words left + w + right over the summands

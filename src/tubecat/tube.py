@@ -44,7 +44,7 @@ from .errors import NotInCommutant, ShapeError, ToleranceError, worst
 from .fsymbols import add_per, group, join, join_unsorted, vertices
 from .morphism import Engine, Linear, engine_for
 from .pairs import canonical_pair
-from .sums import StackedBasis, SumObject, cut_block, left_blocks, right_blocks
+from .sums import StackedBasis, SumObject, cut_block, grouped, left_blocks, right_blocks
 
 __all__ = [
     "LambdaObject", "DeltaObject", "TubeElement",
@@ -134,12 +134,14 @@ class DeltaObject:
     def kernel(self) -> dict:
         """Letter b -> root r -> (Ω, groups, e, Ω†·e, lifts), made on first
         use: e = braiding[b][r], (Ω, groups) = obj.omega(b)[r], and the
-        lifts of obj.stacked((), (b,)) at r."""
-        obj = self.obj
+        lifts of obj.stacked((), (b,)) at r, all letters grouped at once
+        from the states of every obj + (b,) (_sides)."""
+        obj, S = self.obj, _sides(self.obj)
+        c, t, v, nu = S.rights
+        lifts = grouped((c, v, S.uw[t], nu), S.r_pos)
         out = {}
         for b, e in self.braiding.items():
-            lifts = obj.stacked((), (b,)).lifts
-            out[b] = {r: (om, groups, e[r], om.conj().T @ e[r], lifts[r])
+            out[b] = {r: (om, groups, e[r], om.conj().T @ e[r], lifts[b][r])
                       for r, (om, groups) in obj.omega(b).items()
                       if r in e}
         return out
@@ -199,9 +201,9 @@ class _Sides:
     is the position at z of the first child of s in (c,) + obj + (b,)
     (_firsts) and ``at(c·rank + z, position)`` the state there.  Right,
     ``rights`` = (c, t, v, ν₁) of every obj + (c,), obj's state t grown by
-    (t's root, c) → v in slot ν₁, and ``r_at`` as ``at``.  ``dims[c, z]``
-    and ``rdims[c, z]`` count the trees of (c,) + obj and obj + (c,) at z;
-    ``uw`` are the roots of obj's own states."""
+    (t's root, c) → v in slot ν₁, at ``r_pos`` at v, and ``r_at`` as
+    ``at``.  ``dims[c, z]`` and ``rdims[c, z]`` count the trees of (c,) +
+    obj and obj + (c,) at z; ``uw`` are the roots of obj's own states."""
 
     def __init__(self, obj: SumObject):
         ring = obj.engine.ring
@@ -217,7 +219,8 @@ class _Sides:
         self.uw = obj.stacked().root
         c, t, v, nu = self.rights = vertices(N[self.uw].transpose(1, 0, 2))
         self.rdims = np.bincount(c * r + v, minlength=r * r).reshape(r, r)
-        self.r_at = _locator(c * r + v, _firsts(N, self.uw)(t, c, v) + nu, r * r)
+        self.r_pos = _firsts(N, self.uw)(t, c, v) + nu
+        self.r_at = _locator(c * r + v, self.r_pos, r * r)
 
 
 def _sides(obj: SumObject) -> _Sides:
