@@ -10,10 +10,10 @@ the trees as (states, L − 1, 2)), grown vertex by vertex from the words'
 letters by repeating each state over its counts N[root, letter, :], with
 no per-word TreeBasis; the position groups a block-diagonal product reads
 come off those arrays (grouped).  A linear map between two sums is then
-one matrix per root; its block between
-two summands is placed there and cut back out by stack_blocks and
-cut_block; f ⊗ id and id ⊗ f act as block-diagonal products (left_blocks,
-right_blocks, SumObject.omega), and no sum is tensored into a new one.
+one matrix per root; its block between two summands is placed there and
+cut back out by stack_blocks and cut_block; f ⊗ id and id ⊗ f act as
+block-diagonal products (left_blocks, right_blocks, SumObject.omega), and
+no sum is tensored into a new one.
 """
 from __future__ import annotations
 
