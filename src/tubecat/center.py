@@ -37,9 +37,8 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, ToleranceError, worst
 from .duality import weighted_trace
-from .fsymbols import vertices
-from .sums import SumObject, grouped, left_blocks, right_blocks, stack_blocks
-from .tube import (DeltaObject, LambdaObject, TubeAlgebra, _cached, build_delta,
+from .sums import SumObject, left_blocks, right_blocks, stack_blocks
+from .tube import (DeltaObject, LambdaObject, TubeAlgebra, build_delta,
                    build_tube_algebra, check_delta, t_map, verify_halfbraiding)
 
 __all__ = [
@@ -225,17 +224,6 @@ def _polar(V: np.ndarray) -> np.ndarray:
     return V @ (U * (w ** -0.5)) @ U.conj().T
 
 
-def _one_letter_groups(X: SumObject) -> tuple:
-    """(groups, lifts, dims of (a,) + X, dims of X + (a,)) of a sum X of
-    one-letter words (SumObject.one_letter), for every letter a at once:
-    a -> r -> (x_j, ν) -> the positions at r of the trees of summand j in
-    slot ν, on each side, and [a][r] -> the count of trees at r."""
-    label, *sides = X.one_letter()
-    groups = [grouped((a, r, label[j], nu), first[a, j, r] + nu)
-              for count, first in sides for a, j, r, nu in (vertices(count),)]
-    return (*groups, *(count.sum(axis=1).tolist() for count, _first in sides))
-
-
 def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
     """The half-braiding of Δ pulled back along an isometry V : X → Δ,
     given as V_z from X.stacked() to Δ.obj.stacked() at every root z of X,
@@ -248,14 +236,14 @@ def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
     words Ω_X is the identity: group (u, ν) of X is its trees of (a, u) at
     r in slot ν of the vertex (a, u; r).  Both are read off the positions
     of the trees of (a,) + X and X + (a,) at every letter at once
-    (_one_letter_groups).  So e_X at r is Y = V_u†·(Ω†·e_a)·V_v on
+    (OneLetter.groups).  So e_X at r is Y = V_u†·(Ω†·e_a)·V_v on
     group (u, ν) and lift (v, ν′); the factor Ω†·e_a is DeltaObject.kernel's.
     Returns e_X per letter, one matrix per root r of the trees of (a,) + X.
     Raises ShapeError for a longer word.
     """
-    # they depend on X's words alone, so simples over the same words share them
-    groups, lifts, ddims, sdims = _cached(X.engine.cache, ("one-letter groups", X.summands),
-                                          lambda: _one_letter_groups(X))
+    one = X.one_letter()  # shared by every simple over the same words
+    groups, lifts = one.groups
+    ddims, sdims = (count.sum(axis=1).tolist() for count, _first in (one.left, one.right))
     Vt = {z: v.conj().T for z, v in V.items()}
     out = {}
     for a, per_root in delta.kernel.items():
@@ -339,8 +327,9 @@ def compute_twists(simples: list) -> list:
     out = []
     for s in simples:
         num, X = 0.0 + 0.0j, s.obj
-        label, (rows, row0), (cols, col0) = X.one_letter()
-        for i, z in enumerate(label.tolist()):
+        one = X.one_letter()
+        (rows, row0), (cols, col0) = one.left, one.right
+        for i, z in enumerate(one.label.tolist()):
             r0, r1, c0, c1 = (f[z, i] for f in (row0, row0 + rows, col0, col0 + cols))
             num += weighted_trace(X.engine.make(
                 (z, z), (z, z), {r: m[r0[r]:r1[r], c0[r]:c1[r]] for r, m in s.braiding[z].items()}))

@@ -22,7 +22,17 @@ import numpy as np
 from .errors import ConsistencyError, ShapeError, worst
 from .trees import TreeBasis, Word, tree_root
 
-__all__ = ["Linear", "Morphism", "Engine", "engine_for"]
+__all__ = ["Linear", "Morphism", "Engine", "engine_for", "cached"]
+
+
+def cached(store: dict, key: tuple, make):
+    """store[key], made on first use.  With an engine's cache as the store:
+    pieces that depend only on labels, shared by every call on the
+    engine's category."""
+    out = store.get(key)
+    if out is None:
+        out = store[key] = make()
+    return out
 
 
 class Linear:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .errors import EmptySpace, worst
-from .morphism import Engine, engine_for
+from .morphism import Engine, cached, engine_for
 
 __all__ = ["VertexPair", "canonical_pair"]
 
@@ -62,8 +62,4 @@ def canonical_pair(spec_or_engine, x, y, z) -> VertexPair:
     eng = engine_for(spec_or_engine)
     x, y, z = (eng.spec.index(i) if isinstance(i, str) else int(i)
                for i in (x, y, z))
-    key = ("pair", x, y, z)
-    hit = eng.cache.get(key)
-    if hit is None:
-        hit = eng.cache[key] = VertexPair(eng, x, y, z)
-    return hit
+    return cached(eng.cache, ("pair", x, y, z), lambda: VertexPair(eng, x, y, z))

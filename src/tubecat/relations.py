@@ -22,7 +22,7 @@ import numpy as np
 from .duality import (bend_in_left, bend_out_right, dual_morphism,
                       trace_left, trace_right, weighted_trace)
 from .errors import worst
-from .morphism import Engine, engine_for
+from .morphism import Engine, cached, engine_for
 from .pairs import canonical_pair
 from .pentagon import verify_pentagon
 from .report import VerificationReport
@@ -105,23 +105,15 @@ def check_fusion(spec, tol: float = 1e-9) -> VerificationReport:
 
 # ---- the sideways rewrite -------------------------------------------------
 
-def ih_sides(eng: Engine, x: int, w: int, y: int, z: int, memo: dict | None = None):
+def ih_sides(eng: Engine, x: int, w: int, y: int, z: int):
     """Both evaluations of the vertical/horizontal rewrite as coefficient
     outer-product matrices over Hom(xw, yz) (x) Hom(wbar xbar, zbar ybar).
 
-    ``memo`` keeps, across the cases of one suite run, the diagram pieces
-    that depend on three labels only: the duals of the vertices per (x, w,
-    v) and (y, z, v), and the half-turned vertices per (u, w, z) and (y, u,
-    x), each still drawn by the engine.
+    The diagram pieces that depend on three labels only, the duals of the
+    vertices per (x, w, v) and (y, z, v) and the half-turned vertices per
+    (u, w, z) and (y, u, x), are drawn by the engine once and kept in its
+    cache, as canonical_pair keeps the vertices.
     """
-    memo = {} if memo is None else memo
-
-    def kept(key, make):
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = make()
-        return out
-
     ring, d = eng.ring, eng.d
     xd, wd, yd, zd = (ring.dual[i] for i in (x, w, y, z))
     dim1 = eng.hom_dim((x, w), (y, z))
@@ -135,10 +127,10 @@ def ih_sides(eng: Engine, x: int, w: int, y: int, z: int, memo: dict | None = No
         bot = canonical_pair(eng, x, w, v)
         top = canonical_pair(eng, y, z, v)
         pref = bot.scalar * top.scalar
-        duals_bot = kept(("split duals", x, w, v),    # (wd,xd) -> vd
-                         lambda: [dual_morphism(s) for s in bot.splits])
-        duals_top = kept(("fuse duals", y, z, v),     # vd -> (zd,yd)
-                         lambda: [dual_morphism(f) for f in top.fuses])
+        duals_bot = cached(eng.cache, ("split duals", x, w, v),  # (wd,xd) -> vd
+                           lambda: [dual_morphism(s) for s in bot.splits])
+        duals_top = cached(eng.cache, ("fuse duals", y, z, v),   # vd -> (zd,yd)
+                           lambda: [dual_morphism(f) for f in top.fuses])
         for i, j in itertools.product(range(bot.n), range(top.n)):
             f1 = top.splits[j] @ bot.fuses[i]
             f2 = duals_top[j] @ duals_bot[i]
@@ -151,10 +143,10 @@ def ih_sides(eng: Engine, x: int, w: int, y: int, z: int, memo: dict | None = No
         right = canonical_pair(eng, u, w, z)   # fuse_l : (u,w) -> z
         pref = left.scalar * right.scalar
         # half-turn placements carrying the rung label u across the mirror
-        rot_r = kept(("rot_r", u, w, z),
-                     lambda: [bend_in_left(bend_out_right(s)) for s in right.splits])
-        rot_l = kept(("rot_l", y, u, x),
-                     lambda: [bend_out_right(bend_in_left(f)) for f in left.fuses])
+        rot_r = cached(eng.cache, ("rot_r", u, w, z),
+                       lambda: [bend_in_left(bend_out_right(s)) for s in right.splits])
+        rot_l = cached(eng.cache, ("rot_l", y, u, x),
+                       lambda: [bend_out_right(bend_in_left(f)) for f in left.fuses])
         for k, l in itertools.product(range(left.n), range(right.n)):
             f1 = (eng.tensor_id_left((y,), right.fuses[l])
                   @ eng.tensor_id_right(left.splits[k], (w,)))
@@ -166,16 +158,15 @@ def ih_sides(eng: Engine, x: int, w: int, y: int, z: int, memo: dict | None = No
 
 
 def check_ih(spec, tol: float = 1e-9) -> VerificationReport:
-    """Vertical channel sum equals the horizontal one, slot by slot, with
-    one memo of ih_sides' pieces for the run."""
+    """Vertical channel sum equals the horizontal one, slot by slot."""
     eng = engine_for(spec)
     labs = eng.spec.labels
     rep = VerificationReport(suite="ih", tol=tol)
-    rank, memo = eng.ring.rank, {}
+    rank = eng.ring.rank
     for x, w, y, z in itertools.product(range(rank), repeat=4):
         if eng.hom_dim((x, w), (y, z)) == 0:
             continue
-        side_i, side_h = ih_sides(eng, x, w, y, z, memo)
+        side_i, side_h = ih_sides(eng, x, w, y, z)
         res = float(np.abs(side_i - side_h).max()) if side_i.size else 0.0
         rep.add((labs[x], labs[w], labs[y], labs[z]), res)
     return rep

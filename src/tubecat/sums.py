@@ -8,34 +8,28 @@ StackedBasis lines up the comb trees of all summands at each root.  It
 holds them as integer arrays (summand, root, position at the root, and
 the trees as (states, L − 1, 2)), grown vertex by vertex from the words'
 letters by repeating each state over its counts N[root, letter, :], with
-no per-word TreeBasis; the position groups a block-diagonal product reads
-come off those arrays (grouped).  A linear map between two sums is then
-one matrix per root; its block between two summands is placed there and
-cut back out by stack_blocks and cut_block; f ⊗ id and id ⊗ f act as
+no per-word TreeBasis; a stack of longer words is grown the same way from
+their own letters.  The position groups a block-diagonal product reads
+come off those arrays (grouped), and on a sum of one-letter words off the
+counts N alone (SumObject.one_letter).  A linear map between two sums is
+then one matrix per root; its block between two summands is placed there
+and cut back out by stack_blocks and cut_block; f ⊗ id and id ⊗ f act as
 block-diagonal products (left_blocks, right_blocks, SumObject.omega), and
 no sum is tensored into a new one.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeError
 from .fsymbols import vertices
-from .morphism import Engine, Morphism
+from .morphism import Engine, Morphism, cached
 from .trees import Word
 
-__all__ = ["SumObject", "StackedBasis", "grouped", "stack_blocks", "cut_block",
-           "left_blocks", "right_blocks"]
-
-
-def _grown(N: np.ndarray, summand, root, trees, letter) -> tuple:
-    """Every state's children through the vertex (root, letter; z), z
-    ascending, then the slot μ, in state order, each tree grown by (z, μ)
-    in a new last column.  Returns (parent state, summand, root, trees, μ)
-    of the children."""
-    par, z, mu = vertices(N[root, letter])
-    trees = np.concatenate([trees[par], np.stack([z, mu], axis=-1)[:, None]], axis=1)
-    return par, summand[par], z, trees, mu
+__all__ = ["SumObject", "StackedBasis", "OneLetter", "grouped", "stack_blocks",
+           "cut_block", "left_blocks", "right_blocks"]
 
 
 def grouped(keys: tuple, pos: np.ndarray) -> dict:
@@ -71,30 +65,29 @@ class StackedBasis:
     so a map between two sums of words is one matrix per root
     (stack_blocks); ``dims`` maps each root, ascending, to its count.
 
-    ``of`` and ``extended`` grow the states vertex by vertex (_grown): each
-    is replaced by its children (z, μ) through the next vertex, z
-    ascending, then μ, which is the generation order.  A comb of w + (x,)
+    ``of`` grows the states vertex by vertex: each is replaced by its
+    children (z, μ) through the next vertex (root, letter; z), z
+    ascending, then μ, which is the generation order.  So the children of
+    the states in order come in their parents' order: a comb of w + (x,)
     at z is a comb of w at some v followed by the vertex (v, x; z) in slot
-    ν, so f ⊗ id_x is block-diagonal over (v, ν) with block f at root v;
-    ``lifts[z][(v, ν)]`` holds the child positions at z of the parent
-    coordinates at v, in their order (grouped over each child's (parent
-    root, ν), kept as arrays by ``extended``).  A basis made by ``of`` has
-    no lifts.
+    ν, and the children at z in slot ν of the parents at v keep the
+    parents' order, which f ⊗ id_x, block-diagonal over (v, ν), reads
+    (DeltaObject.kernel, SumObject.one_letter).
     """
 
-    __slots__ = ("words", "summand", "root", "trees", "dims",
-                 "_lift", "_pos", "_lifts", "_starts")
+    __slots__ = ("words", "summand", "root", "trees", "dims", "_pos", "_starts")
 
-    def __init__(self, words: tuple, summand, root, trees, lift: tuple | None = None):
+    def __init__(self, words: tuple, summand, root, trees):
         self.words, self.summand, self.root, self.trees = words, summand, root, trees
         self.dims = {z: n for z, n in enumerate(np.bincount(root).tolist()) if n}
-        self._lift, self._pos, self._lifts, self._starts = lift, None, None, None
+        self._pos, self._starts = None, None
 
     @classmethod
     def of(cls, ring, words) -> "StackedBasis":
-        """The words' states, grown from their first letters; a shorter
-        word is grown by the unit (one child, the same root) and its tree
-        padded with −1 after."""
+        """The words' states, grown from their first letters, each tree by
+        its (z, μ) in a new last column; a shorter word is grown by the
+        unit (one child, the same root) and its tree padded with −1
+        after."""
         words = tuple(tuple(w) for w in words)
         if not all(words):
             raise ShapeError("stacked words must be nonempty")
@@ -104,26 +97,14 @@ class StackedBasis:
         summand, root = np.arange(len(words)), letters[:, 0]
         trees = np.zeros((len(words), 0, 2), dtype=np.int64)
         for k in range(1, L):
-            _par, summand, root, trees, _mu = _grown(ring.N, summand, root, trees,
-                                                     letters[summand, k])
+            par, root, mu = vertices(ring.N[root, letters[summand, k]])
+            summand = summand[par]
+            trees = np.concatenate([trees[par], np.stack([root, mu], axis=-1)[:, None]],
+                                   axis=1)
         if any(len(w) < L for w in words):
             size = np.array([len(w) for w in words])
             trees[(np.arange(1, L) >= size[:, None])[summand]] = -1
         return cls(words, summand, root, trees)
-
-    def extended(self, ring, letter: int) -> "StackedBasis":
-        """Every word grown by the letter, and the lifts of the old states;
-        a shorter word's new vertex moves from the last column to its own."""
-        par, summand, root, trees, mu = _grown(ring.N, self.summand, self.root,
-                                               self.trees, letter)
-        L = trees.shape[1]
-        if any(len(w) < L for w in self.words):
-            col = np.array([len(w) - 1 for w in self.words])[summand]
-            short = np.flatnonzero(col < L - 1)
-            trees[short, col[short]] = trees[short, -1]
-            trees[short, -1] = -1
-        return StackedBasis(tuple(w + (letter,) for w in self.words), summand, root,
-                            trees, (self.root[par], mu))
 
     @property
     def pos(self) -> np.ndarray:
@@ -133,13 +114,6 @@ class StackedBasis:
             self._pos = np.empty_like(self.root)
             self._pos[order] = np.arange(len(order)) - np.repeat(np.cumsum(n) - n, n)
         return self._pos
-
-    @property
-    def lifts(self) -> dict:
-        if self._lifts is None:
-            self._lifts = {} if self._lift is None else grouped((self.root, *self._lift),
-                                                                self.pos)
-        return self._lifts
 
     @property
     def starts(self) -> dict:
@@ -152,6 +126,30 @@ class StackedBasis:
         return self._starts
 
 
+class OneLetter:
+    """A sum of one-letter words w = (x_j,) grown by a letter a on either
+    side, for every a at once (SumObject.one_letter): ``label[j]`` = x_j,
+    and ``left`` = (count, first) of the words (a,) + w, ``right`` of
+    w + (a,): count[a, j, r] trees at root r, one per slot ν of the vertex,
+    and first[a, j, r] the position at r of the first of them, summand-major
+    as stacked."""
+
+    def __init__(self, N: np.ndarray, label: np.ndarray):
+        self.label = label
+        self.left, self.right = ((count, np.cumsum(count, axis=1) - count)
+                                 for count in (N[:, label], N[label].transpose(1, 0, 2)))
+
+    @functools.cached_property
+    def groups(self) -> tuple:
+        """(left, right), each a -> r -> (x_j, ν) -> the positions at r of
+        the trees of summand j in slot ν on that side: id_a ⊗ f and f ⊗ id_a
+        are block-diagonal over them, with block f at x_j.  Made on first
+        use."""
+        return tuple(grouped((a, r, self.label[j], nu), first[a, j, r] + nu)
+                     for count, first in (self.left, self.right)
+                     for a, j, r, nu in (vertices(count),))
+
+
 class SumObject:
     """Ordered direct sum of tensor words.
 
@@ -159,7 +157,7 @@ class SumObject:
     callers can address blocks without tracking positions by hand.
     """
 
-    __slots__ = ("engine", "summands", "tags", "_pos", "cache")
+    __slots__ = ("engine", "summands", "tags", "_pos", "_kept")
 
     def __init__(self, engine: Engine, summands, tags=None):
         self.engine = engine
@@ -170,14 +168,18 @@ class SumObject:
         self._pos = {t: i for i, t in enumerate(self.tags)}
         if len(self._pos) != len(self.tags):
             raise ShapeError("summand tags must be distinct")
-        # stacks, and pieces other modules derive from the summands alone
-        self.cache: dict = {}
+        self._kept: dict = {}
 
     def __len__(self) -> int:
         return len(self.summands)
 
     def index(self, tag) -> int:
         return self._pos[tag]
+
+    def kept(self, key: tuple, make):
+        """A piece made from the summands alone, such as a stack: made on
+        first use and kept with the sum (morphism.cached)."""
+        return cached(self._kept, key, make)
 
     def omega(self, c: int) -> dict:
         """id_c ⊗ − on the stacked comb trees of the summands: root r ->
@@ -210,39 +212,21 @@ class SumObject:
             out[r] = om, {key: np.array(p) for key, p in groups[r].items()}
         return out
 
-    def one_letter(self) -> tuple:
-        """(label, (count, first) of (a,) + w, (count, first) of w + (a,))
-        for a sum of one-letter words w = (x_j,), label[j] = x_j:
-        count[a, j, r] trees of (a, x_j) resp. (x_j, a) at root r, one per
-        slot ν, and first[a, j, r] the position of the first of them at r,
-        summand-major as stacked; kept in the engine's cache, since they
-        depend on the words alone.  Raises ShapeError for a longer word."""
+    def one_letter(self) -> OneLetter:
+        """The trees of (a,) + w and w + (a,) for this sum of one-letter
+        words w, every letter a at once, counted off N, kept in the
+        engine's cache, since they depend on the words alone.  Raises
+        ShapeError for a longer word."""
         if any(len(w) != 1 for w in self.summands):
             raise ShapeError("needs a sum of one-letter words")
-        key = ("one letter", self.summands)
-        out = self.engine.cache.get(key)
-        if out is None:
-            N = self.engine.ring.N
-            label = np.array([w[0] for w in self.summands])
-            out = self.engine.cache[key] = (label, *(
-                (count, np.cumsum(count, axis=1) - count)
-                for count in (N[:, label], N[label].transpose(1, 0, 2))))
-        return out
+        return cached(self.engine.cache, ("one letter", self.summands), lambda: OneLetter(
+            self.engine.ring.N, np.array([w[0] for w in self.summands])))
 
     def stacked(self, left: Word = (), right: Word = ()) -> StackedBasis:
         """Stacked comb basis of the words left + w + right over the summands
-        w, kept.  The letters of ``right`` are grown one at a time, with
-        lifts, and left + w is grown from its letters.  The library adds at
-        most one letter and counts positions on longer words off those
-        stacks."""
-        key = (left, right)
-        sb = self.cache.get(key)
-        if sb is None:
-            ring = self.engine.ring
-            sb = (self.stacked(left, right[:-1]).extended(ring, right[-1]) if right
-                  else StackedBasis.of(ring, [left + w for w in self.summands]))
-            self.cache[key] = sb
-        return sb
+        w, grown from their letters (StackedBasis.of) and kept."""
+        return self.kept(("stacked", left, right), lambda: StackedBasis.of(
+            self.engine.ring, [left + w + right for w in self.summands]))
 
     def __repr__(self):
         labs = self.engine.spec.labels
@@ -293,7 +277,7 @@ def left_blocks(F: dict, M: np.ndarray, dst: dict, src: dict, n: int) -> np.ndar
 def right_blocks(M: np.ndarray, F: dict, dst: dict, src: dict, n: int) -> np.ndarray:
     """M·B with B block-diagonal over the keys (v, ν) of src: block F_v from
     the columns src[key] of an n-column result to M's columns dst[key]
-    (StackedBasis.lifts gives such keys for f ⊗ id_x)."""
+    (DeltaObject.kernel and OneLetter.groups give such keys for f ⊗ id_x)."""
     out = np.zeros((M.shape[0], n), dtype=complex)
     for key, C in src.items():
         if key in dst and key[0] in F:

@@ -42,7 +42,7 @@ from . import tables
 from .duality import ev
 from .errors import NotInCommutant, ShapeError, ToleranceError, worst
 from .fsymbols import add_per, group, join, join_unsorted, vertices
-from .morphism import Engine, Linear, engine_for
+from .morphism import Engine, Linear, cached, engine_for
 from .pairs import canonical_pair
 from .sums import StackedBasis, SumObject, cut_block, grouped, left_blocks, right_blocks
 
@@ -147,27 +147,17 @@ class DeltaObject:
         return out
 
 
-def _cached(store: dict, key: tuple, make):
-    """store[key], made on first use.  With an engine's cache as the store:
-    diagram pieces that depend only on labels, shared by every call on the
-    engine's category."""
-    out = store.get(key)
-    if out is None:
-        out = store[key] = make()
-    return out
-
-
 def _pieces(eng: Engine) -> tuple:
     """tables.vertex_pieces with Δ's rotations (tables.rotations), each
     family with its find, kept in the engine's cache."""
-    return _cached(eng.cache, ("vertex pieces",),
-                   lambda: tables.vertex_pieces(eng, tables.rotations(eng)))
+    return cached(eng.cache, ("vertex pieces",),
+                  lambda: tables.vertex_pieces(eng, tables.rotations(eng)))
 
 
 def _firsts(N: np.ndarray, roots: np.ndarray, runs: np.ndarray | None = None) -> Callable:
     """(s, b, z) -> the position at root z of the first child (z, 0) of
     state s when the states, in order, are grown by the letter b
-    (StackedBasis.extended): the children at z of the states before s,
+    (StackedBasis.of): the children at z of the states before s,
     counted afresh at each run of equal ``runs`` (sorted) if given.  That
     is Σ_v C[s, v]·N[v, b, z], C[s, v] the states before s at root v, so
     only C is kept, one row per state."""
@@ -224,7 +214,7 @@ class _Sides:
 
 
 def _sides(obj: SumObject) -> _Sides:
-    return _cached(obj.cache, ("sides",), lambda: _Sides(obj))
+    return obj.kept(("sides",), lambda: _Sides(obj))
 
 
 def _delta_legs(obj: SumObject) -> Callable:
@@ -366,7 +356,8 @@ def _word_legs(hb: _Stacked, entries: tuple | None = None) -> Callable:
     to ((c, x_j) → r, ρ) of (c,) + X.  Raises ShapeError for a longer word
     (SumObject.one_letter)."""
     obj = hb.obj
-    label, (_count, before), _right = obj.one_letter()  # before[c, j, z]: j's first at z
+    one = obj.one_letter()
+    label, (_count, before) = one.label, one.left  # before[c, j, z]: j's first at z
     N, r, M = obj.engine.ring.N, obj.engine.ring.rank, int(obj.engine.ring.N.max())
     S = _sides(obj)
     b, u, q, p, e_val = _entries(hb) if entries is None else entries
@@ -783,7 +774,7 @@ def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> dict:
     check_delta(A, delta)
     A.unit._check_parallel(f)
     eng = A.engine
-    (k, at, val), G, G_inv = _cached(
+    (k, at, val), G, G_inv = cached(
         eng.cache, ("action", A.slots), lambda: tables.action(eng, A.slots))
     w = f.vector[k] * val
     size = sum(g.size for g in G.values())
@@ -876,8 +867,8 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
                         coeff = math.sqrt(d[x] * d[y] * d[a])
                         g3 = eng.tensor_id_left((xd,), eng.tensor_id_right(Tblk, (y,)))
                         # ev(y): (ybar, y) -> ()
-                        g4 = _cached(eng.cache, ("f_g4", xd, y, xm_lab),
-                                     lambda: eng.tensor_id_left((xd, y, xm_lab), ev(eng, y)))
+                        g4 = cached(eng.cache, ("f_g4", xd, y, xm_lab),
+                                    lambda: eng.tensor_id_left((xd, y, xm_lab), ev(eng, y)))
                         g43 = g4 @ g3
                         for t in range(pair.n):
                             # g2 ∘ g1: split the direction line, then open the
@@ -885,11 +876,11 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
                             # that caps it, ev(x) with its own dagger; coev(xbar)
                             # is off by the dual-twist sign on self-conjugate
                             # labels.
-                            g21 = _cached(eng.cache, ("f_g21", x, y, a, t, xl_lab), lambda: (
+                            g21 = cached(eng.cache, ("f_g21", x, y, a, t, xl_lab), lambda: (
                                 eng.tensor_id_right(ev(eng, x).dag(), (xl_lab, xd, y))
                                 @ eng.tensor_id_left((xl_lab,), pair.splits[t])))
-                            g5 = _cached(eng.cache, ("f_g5", xd, y, a, t, xm_lab),
-                                         lambda: eng.tensor_id_right(pair.fuses[t], (xm_lab,)))
+                            g5 = cached(eng.cache, ("f_g5", xd, y, a, t, xm_lab),
+                                        lambda: eng.tensor_id_right(pair.fuses[t], (xm_lab,)))
                             piece = (g5 @ g43 @ g21) * coeff
                             acc = piece if acc is None else acc + piece
                 if acc is not None:

@@ -32,7 +32,10 @@ vertex pieces (_delta_legs) or from a stored e_b between two F entries
 (_word_legs), and the defects of its pairs (a, b) as another (_hexagons);
 leg_matrices reads one channel of the joined legs back as matrices.  A
 StackedBasis keeps its trees as integer arrays, and stacked_trees reads
-them back as the tuples TreeBasis lists, root by root.  The
+them back as the tuples TreeBasis lists, root by root; stacked_lifts
+groups a grown stack's trees by their parent's root and last slot, where
+the library reads those groups off the counts N (DeltaObject.kernel,
+OneLetter.groups).  The
 block maps live between sums whose words are shifted by a letter
 (shifted), a SumObject the library itself never forms.
 
@@ -47,11 +50,11 @@ import numpy as np
 
 from tubecat.duality import coev, ev, rotate_clockwise
 from tubecat.errors import worst
-from tubecat.morphism import Linear
+from tubecat.morphism import Linear, cached
 from tubecat.pairs import canonical_pair
 from tubecat.sums import SumObject, cut_block, right_blocks, stack_blocks
 from tubecat.trees import tree_root
-from tubecat.tube import _cached, _pieces, t_map
+from tubecat.tube import _pieces, t_map
 
 
 class BlockMap(Linear):
@@ -140,7 +143,7 @@ def rotated_fuses(eng, a, y, x):
     """Fusion halves of the (a, y; x) dual pair, rotated by exact bends to
     sit on a downward strand: each maps (x̄, a) → (ȳ,), where
     tubecat.tables.rotations reads them off one F entry each."""
-    return _cached(eng.cache, ("oracle rotfuse", a, y, x), lambda: tuple(
+    return cached(eng.cache, ("oracle rotfuse", a, y, x), lambda: tuple(
         rotate_clockwise(f) for f in canonical_pair(eng, a, y, x).fuses))
 
 
@@ -192,6 +195,20 @@ def stacked_trees(sb):
     return out
 
 
+def stacked_lifts(sb):
+    """root z -> (v, ν) -> the positions at z, in order, of the trees of a
+    stack of words of two letters or more whose last vertex is (v, x; z)
+    in slot ν: the children of the trees at v of the words one letter
+    shorter, in their order (StackedBasis.of), so f ⊗ id_x is
+    block-diagonal over them with block f at v."""
+    out = {}
+    for z, trees in stacked_trees(sb).items():
+        for p, (j, tree) in enumerate(trees):
+            v = tree[-2][0] if len(tree) > 1 else sb.words[j][0]
+            out.setdefault(z, {}).setdefault((v, tree[-1][1]), []).append(p)
+    return {z: {key: np.array(p) for key, p in at.items()} for z, at in out.items()}
+
+
 def vertex_groups(sb):
     """Positions of sb's trees at each root z, grouped by (summand, channel
     w of the first vertex, second vertex (u, ν), z), in generation order:
@@ -215,10 +232,10 @@ def vertex_leg_loop(obj, a, b, memo, c, mu, src):
     dense pieces and row groups between calls."""
     eng = obj.engine
     ring, d = eng.ring, eng.d
-    _vpads, tops, pads = _cached(memo, ("dense",), lambda: dense_pieces(
+    _vpads, tops, pads = cached(memo, ("dense",), lambda: dense_pieces(
         eng, _pieces(eng)))
     dst = obj.stacked((c,))
-    rows = _cached(memo, ("rows", c), lambda: vertex_groups(dst))
+    rows = cached(memo, ("rows", c), lambda: vertex_groups(dst))
     out = {z: np.zeros((n, src.dims[z]), dtype=complex)
            for z, n in dst.dims.items() if z in src.dims}
     for (j, w, un, z), C in vertex_groups(src).items():
@@ -265,31 +282,32 @@ def hexagon_residual(obj, braiding, a, b, left=None):
     eng = obj.engine
     if left is None:
         left = generic_leg(obj, braiding_blocks(obj, {b: braiding[b]}), a, b)
-    base, lower = obj.stacked(), obj.stacked((), (a,))
+    base, lower = obj.stacked(), stacked_lifts(obj.stacked((), (a,)))
     src, mid = obj.stacked((), (a, b)), obj.stacked((a,), (b,))
+    src_lifts, mid_lifts = stacked_lifts(src), stacked_lifts(mid)
     # columns at z that continue the trees of W at u: one row per tree of W
     # at u, one column per tree ((v, ν1), (z, ν2)) of (u, a, b) at z
-    tails = {u: {z: np.array([src.lifts[z][(v, nu2)][lower.lifts[v][(u, nu1)]]
+    tails = {u: {z: np.array([src_lifts[z][(v, nu2)][lower[v][(u, nu1)]]
                               for (v, nu1), (_z, nu2) in trees]).T
                  for z, trees in eng.basis((u, a, b)).by_root.items()}
              for u in base.dims}
     out = 0.0
     for c, n in eng.ring.channels[a][b].items():
-        joined, e_c = obj.stacked((), (c,)), braiding[c]
+        joined, e_c = stacked_lifts(obj.stacked((), (c,))), braiding[c]
         for mu in range(n):
             leg = left(c, mu, mid)
             lhs = {z: np.zeros((m.shape[0], src.dims[z]), dtype=complex)
                    for z, m in e_c.items() if z in src.dims}
             for u in base.dims:
-                pad = _cached(eng.cache, ("oracle vertex pad", u, a, b, c, mu),
-                              lambda: engine_vertex_pad(eng, u, a, b, c, mu).blocks)
+                pad = cached(eng.cache, ("oracle vertex pad", u, a, b, c, mu),
+                             lambda: engine_vertex_pad(eng, u, a, b, c, mu).blocks)
                 for z, m in pad.items():
                     if z in lhs:
-                        heads = np.array([joined.lifts[z][(u, nu)]
+                        heads = np.array([joined[z][(u, nu)]
                                           for nu in range(m.shape[0])]).T
                         lhs[z][:, tails[u][z]] = e_c[z][:, heads] @ m
             for z, m in lhs.items():
-                rhs = (right_blocks(leg[z], braiding[a], mid.lifts[z], src.lifts[z],
+                rhs = (right_blocks(leg[z], braiding[a], mid_lifts[z], src_lifts[z],
                                     src.dims[z]) if z in leg else 0)
                 out = worst((out, float(np.max(np.abs(m - rhs), initial=0.0))))
     return out
@@ -414,16 +432,16 @@ def t_diagram_block(A, delta, a, m, l, blk):
             yd = ring.dual[y]
             pair = canonical_pair(eng, x, a, y)
             # splitting halves rotated onto the conjugate strand: (xbar,) -> (a, ybar)
-            rots = _cached(eng.cache, ("oracle rotsplit", x, a, y), lambda: [
+            rots = cached(eng.cache, ("oracle rotsplit", x, a, y), lambda: [
                 rotate_clockwise(s) for s in pair.splits])
             coeff = math.sqrt(d[x] * d[a] * d[y])
             mid = eng.tensor_id_left((x,), eng.tensor_id_right(blk, (yd,)))
             term = None
             for t in range(n):
-                lo = _cached(eng.cache, ("oracle t_lo", x, xl, a, y, t),
-                             lambda: eng.tensor_id_left((x, xl), rots[t]))
-                hi = _cached(eng.cache, ("oracle t_hi", x, a, y, t, xm),
-                             lambda: eng.tensor_id_right(pair.fuses[t], (xm, yd)))
+                lo = cached(eng.cache, ("oracle t_lo", x, xl, a, y, t),
+                            lambda: eng.tensor_id_left((x, xl), rots[t]))
+                hi = cached(eng.cache, ("oracle t_hi", x, a, y, t, xm),
+                            lambda: eng.tensor_id_right(pair.fuses[t], (xm, yd)))
                 piece = hi @ mid @ lo
                 term = piece if term is None else term + piece
             out[(obj.index((y, m)), obj.index((x, l)))] = (term * coeff).blocks

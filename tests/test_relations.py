@@ -324,29 +324,12 @@ def test_global_dim_suite_keeps_nan_in_the_loop_route(catalog, monkeypatch):
     assert not rep.ok
 
 
-@pytest.mark.parametrize("name", ["ising", "rep_s3"])
-def test_ih_memo_gives_each_case_its_own_sides(catalog, name):
-    # the suite keeps the duals and half-turned vertices in one memo per
-    # run; every case's residual equals that of both sides drawn afresh
-    spec = catalog[name]
-    eng = engine_for(spec)
-    rep = check_ih(spec)
-    labs = eng.spec.labels
-    fresh = []
-    for x, w, y, z in itertools.product(range(spec.rank), repeat=4):
-        if eng.hom_dim((x, w), (y, z)):
-            side_i, side_h = ih_sides(eng, x, w, y, z)
-            fresh.append(((labs[x], labs[w], labs[y], labs[z]),
-                          float(np.abs(side_i - side_h).max()) if side_i.size else 0.0))
-    assert [(c.labels, c.residual) for c in rep.cases] == fresh
-
-
 def test_ih_suite_keeps_nan_in_one_case(catalog, monkeypatch):
     real = tubecat.relations.ih_sides
     calls = []
 
-    def nan_third(eng, x, w, y, z, memo=None):
-        side_i, side_h = real(eng, x, w, y, z, memo)
+    def nan_third(eng, x, w, y, z):
+        side_i, side_h = real(eng, x, w, y, z)
         calls.append((x, w, y, z))
         if len(calls) == 3:
             side_i = side_i.copy()

@@ -1,15 +1,17 @@
 """Direct sums of words: stacked comb bases and block placement.
 
-A StackedBasis, grown as arrays from the words' letters and then letter by
-letter, must list, summand by summand, the same trees in the same order as
-TreeBasis.of on each longer word, and its lifts must point every parent
-coordinate at its own children; the hexagon check reads both.
+A StackedBasis, grown as arrays from the words' letters, must list,
+summand by summand, the same trees in the same order as TreeBasis.of on
+each word, and the trees of the words grown by one more letter must keep
+their parents' order in each group (v, ν) of their last vertex (the
+oracle's stacked_lifts), since f ⊗ id_x reads those groups as the parent
+coordinates in order; the hexagon check reads both.
 """
 import numpy as np
 import pytest
 
 from conftest import pointed_category, rep_a4_random_table
-from oracles import stacked_trees
+from oracles import stacked_lifts, stacked_trees
 from tubecat.catspec import load_spec
 from tubecat.errors import ShapeError
 from tubecat.morphism import engine_for
@@ -52,21 +54,22 @@ def test_grown_stack_matches_tree_bases(catalog, name):
     for words in (delta, [(a,) + w for a in range(rank) for w in delta], mixed):
         for letters in [(0,), (rank - 1, 1 % rank), (1 % rank, rank - 1, rank - 1)]:
             sb = StackedBasis.of(ring, words)
-            assert sb.lifts == {}
             trees = _same_trees(ring, sb)
-            for letter in letters:
+            for k in range(1, len(letters) + 1):
                 parent, parent_trees = sb, trees
-                sb = sb.extended(ring, letter)
+                sb = StackedBasis.of(ring, [tuple(w) + letters[:k] for w in words])
                 trees = _same_trees(ring, sb)
+                lifts = stacked_lifts(sb)
+                for z, at in trees.items():
+                    # every parent coordinate at v has one child per slot ν
+                    # at z, in the parents' order, and every child is some
+                    # parent's
+                    for (v, nu), pos in lifts[z].items():
+                        assert len(pos) == parent.dims[v]
+                        for (j, tree), p in zip(parent_trees[v], pos):
+                            assert at[p] == (j, tree + ((z, nu),)), (name, z, v, nu)
+                    assert sorted(np.concatenate(list(lifts[z].values()))) == list(range(len(at)))
             assert sb.words == tuple(tuple(w) + letters for w in words)
-            for z, at in trees.items():
-                # every parent coordinate at v has one child per slot ν at z,
-                # and every child is some parent's
-                for (v, nu), pos in sb.lifts[z].items():
-                    assert len(pos) == parent.dims[v]
-                    for (j, tree), p in zip(parent_trees[v], pos):
-                        assert at[p] == (j, tree + ((z, nu),)), (name, z, v, nu)
-                assert sorted(np.concatenate(list(sb.lifts[z].values()))) == list(range(len(at)))
 
 
 def test_stacked_words_must_be_nonempty(catalog):

@@ -36,8 +36,8 @@ from oracles import (BlockMap, braiding_blocks, delta_braiding_component, dense_
                      diagram_star_table, engine_channel_rows, engine_pad, engine_top,
                      engine_vertex_pad, extend_halfbraiding, generic_leg, gram,
                      hexagon_residual, lead_runs, leg_matrices, rotated_fuses,
-                     shifted, sparse_rows, stacked_trees, t_diagram, tensor_id_left,
-                     tensor_id_right, vertex_leg_loop, whole_map_naturality)
+                     shifted, sparse_rows, stacked_lifts, stacked_trees, t_diagram,
+                     tensor_id_left, tensor_id_right, vertex_leg_loop, whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -952,23 +952,26 @@ def test_extraction_check_builds_no_omega_and_no_two_letter_stack(monkeypatch):
 def test_build_delta_grows_no_two_letter_stack(monkeypatch):
     # a cold Vec[Z/7]^ω build_delta reads every position on (a,) + Δ + (b,)
     # and Δ + (a, b), and the sizes of Δ + (b,), off the states of (a,) + Δ
-    # and Δ (tube._sides, _firsts): it grows no letter onto Δ's stack (7
-    # StackedBasis.extended calls when the stored e_b's columns were counted
-    # on Δ + (b,), 296 per pointed-scaling pass when the hexagon was checked
-    # pair by pair), and makes no TreeBasis of a word (a,) + Δ
+    # and Δ (tube._sides, _firsts): it grows two stacks, Δ's own words and
+    # every (a,) + w at once, and no word with a letter after Δ's (7 grown
+    # stacks of Δ + (b,) when the stored e_b's columns were counted there,
+    # 296 per pointed-scaling pass when the hexagon was checked pair by
+    # pair), and makes no TreeBasis of a word (a,) + Δ
     from tubecat.sums import StackedBasis
     spec = load_spec(pointed_category(7, k=1))
     eng = engine_for(spec)
-    real, added = StackedBasis.extended, []
+    real, grown = StackedBasis.of.__func__, []
 
-    def counted(self, ring, letter):
-        added.append(letter)
-        return real(self, ring, letter)
+    def counted(cls, ring, words):
+        out = real(cls, ring, words)
+        grown.append(out.words)
+        return out
 
-    monkeypatch.setattr(StackedBasis, "extended", counted)
+    monkeypatch.setattr(StackedBasis, "of", classmethod(counted))
     before = set(eng._bases)
-    build_delta(spec, LambdaObject.all_simples(spec))
-    assert added == [], added
+    D = build_delta(spec, LambdaObject.all_simples(spec))
+    delta = D.obj.summands
+    assert sorted(grown, key=len) == [delta, tuple((a,) + w for a in range(7) for w in delta)]
     assert [w for w in eng._bases if w not in before and len(w) == 4] == []
 
 
@@ -1009,32 +1012,72 @@ def test_extraction_makes_no_omega_on_one_letter_sums(monkeypatch):
         tubecat.center.compress_halfbraiding(D, D.obj, {})
 
 
-@pytest.mark.parametrize("name", ["Z/5 k=1", "SU(2)_3"])
-def test_hexagon_chunks_do_not_move_the_braiding(catalog, name, monkeypatch):
-    # one letter per run of the hexagon join against every letter in one:
-    # the same stored braiding and residuals, bit for bit, since each entry
-    # adds the same terms in the same order
+def _lists(groups: dict) -> dict:
+    return {r: {key: list(pos) for key, pos in at.items()} for r, at in groups.items()}
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "rep_s3", "Z/4 k=1"])
+def test_kernel_lifts_group_the_grown_stack(catalog, name):
+    # Δ's kernel reads the lifts of Δ + (b,) off the states of every
+    # Δ + (b,) at once (tube._sides): at each root r, the positions of the
+    # children in slot ν of Δ's trees at v, in their order, as the oracle
+    # groups the stack grown from the words of Δ + (b,)
     spec = _spec(catalog, name)
-    runs = []
-    real = tubecat.tube._chunks
+    D = build_delta(spec, LambdaObject.all_simples(spec))
+    for b, per_root in D.kernel.items():
+        want = _lists(stacked_lifts(D.obj.stacked((), (b,))))
+        assert _lists({r: lifts for r, (*_rest, lifts) in per_root.items()}) == want, (name, b)
 
-    def counted(cost):
-        out = list(real(cost))
-        runs.append(len(out))
-        return out
 
-    monkeypatch.setattr(tubecat.tube, "_chunks", counted)
-    built = {}
+def test_one_letter_groups_match_the_grown_stacks():
+    # compression reads id_a ⊗ V† and V ⊗ id_a on a sum of one-letter words
+    # off the counts N (OneLetter.groups): on Rep(A4)'s 3 + 1′ + 3 + 3, with
+    # two slots ν on (3, 3; 3), the trees of (a, x_j) and of (x_j, a) at r by
+    # (x_j, ν), as the stacks grown from those words list them; one entry,
+    # shared by every sum of the same words
+    eng, _rng = _rep_a4_engine(0)
+    X = SumObject(eng, [(3,), (1,), (3,), (3,)])
+    one = X.one_letter()
+    assert SumObject(eng, X.summands).one_letter() is one
+    left, right = one.groups
+    for a in range(eng.ring.rank):
+        sb = X.stacked((a,))
+        want = {}
+        for r, trees in stacked_trees(sb).items():
+            for p, (j, ((_r, nu),)) in enumerate(trees):
+                want.setdefault(r, {}).setdefault((X.summands[j][0], nu), []).append(p)
+        assert _lists(left.get(a, {})) == want, a
+        assert _lists(right.get(a, {})) == _lists(stacked_lifts(X.stacked((), (a,)))), a
+        for (count, first), side in ((one.left, sb), (one.right, X.stacked((), (a,)))):
+            assert {r: n for r, n in enumerate(count[a].sum(axis=0).tolist()) if n} == side.dims
+            assert all(first[a, :, r].tolist() == side.starts[r][:-1] for r in side.dims)
+    assert any(nu for at in left[3].values() for _x, nu in at)
+
+
+@pytest.mark.parametrize("name", ["Z/5 k=1", "SU(2)_3"])
+def test_hexagon_chunks_do_not_move_the_pair_defects(catalog, name, monkeypatch):
+    # one letter per run of the hexagon join against every letter in one:
+    # the same defect at every part and pair (a, b), bit for bit, since each
+    # entry adds the same terms in the same order; on Δ with its legs from
+    # the vertex pieces (tube._delta_legs), and on every extracted simple
+    # with its legs joined from the stored e_b (tube._word_legs)
+    spec = _spec(catalog, name)
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    simples = extract_center_simples(A, D, decompose_blocks(A, seed=1))
+    checks = [(_Stacked(D.obj, D.braiding), _delta_legs(D.obj))]
+    checks += [(_Stacked(s.obj, s.braiding), None) for s in simples]
+    runs, real = [], tubecat.tube._chunks
+    monkeypatch.setattr(tubecat.tube, "_chunks", lambda cost: runs.append(list(real(cost))) or runs[-1])
+    got = {}
     for budget in (1, 10**12):
         monkeypatch.setattr(tubecat.tube, "CHUNK_COLUMNS", budget)
-        built[budget] = build_delta(load_spec(serialize(spec)), LambdaObject.all_simples(spec))
-    assert runs == [spec.rank, 1]
-    one, all_ = built[1], built[10**12]
-    assert one.residuals == all_.residuals
-    assert one.braiding.keys() == all_.braiding.keys()
-    for b, e in one.braiding.items():
-        assert e.keys() == all_.braiding[b].keys()
-        assert all(e[z].tobytes() == all_.braiding[b][z].tobytes() for z in e), (name, b)
+        got[budget] = [_hexagons(hb, legs) for hb, legs in checks]
+    assert [len(r) for r in runs] == [spec.rank] * len(checks) + [1] * len(checks)
+    for k, (one, whole) in enumerate(zip(got[1], got[10**12])):
+        assert one.shape == whole.shape == (1, spec.rank, spec.rank)
+        assert one.tobytes() == whole.tobytes(), (name, k)
+        assert one.max() < DELTA_TOL, (name, k)
 
 
 def test_build_delta_memory_is_bounded_by_one_letter():
