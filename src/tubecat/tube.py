@@ -319,15 +319,18 @@ class _Stacked:
         """The part of each coordinate at z of obj.stacked(*side)."""
         return np.repeat(self.part_of, np.diff(self.obj.stacked(*side).starts[z]))
 
-    def defects(self, D: np.ndarray, side: tuple, z: int) -> np.ndarray:
-        """Max-abs entry of D, a matrix at root z onto the trees of
-        obj.stacked(*side), on each part's rows; off its own columns they
-        are exact zeros, as long as every entry is finite
-        (verify_halfbraiding).  One part reads no stack."""
+    def defects(self, mats: list, side: tuple, roots: list) -> np.ndarray:
+        """Max-abs entry on each part's rows of the matrices ``mats``, one
+        per root in ``roots`` onto the trees of obj.stacked(*side), in one
+        fold; off a part's own columns the rows are exact zeros, as long as
+        every entry is finite (verify_halfbraiding).  One part reads no
+        stack."""
         if self.nparts == 1:
-            return np.array([np.max(np.abs(D), initial=0.0)])
+            return np.array([np.max(np.abs(np.concatenate([D.ravel() for D in mats])),
+                                    initial=0.0)])
         out = np.zeros(self.nparts)
-        np.maximum.at(out, self.ids(side, z), np.max(np.abs(D), axis=1, initial=0.0))
+        np.maximum.at(out, np.concatenate([self.ids(side, z) for z in roots]),
+                      np.concatenate([np.max(np.abs(D), axis=1, initial=0.0) for D in mats]))
         return out
 
 
@@ -516,13 +519,14 @@ def verify_halfbraiding(obj: SumObject, braiding, tol: float, legs: Callable | N
             e = hb.zeroed[a] = {**e, **zeroed}
         for side, dims, gram in ((((), (a,)), S.rdims[a], lambda m: m.conj().T @ m),
                                  (((a,), ()), S.dims[a], lambda m: m @ m.conj().T)):
-            for z in np.flatnonzero(dims).tolist():
-                m = e.get(z)
-                D = (0 if m is None else gram(m)) - np.eye(dims[z])
-                res["unitarity"] = np.maximum(res["unitarity"], hb.defects(D, side, z))
-    for z, m in hb.e(ring.unit).items():
-        res["unit"] = np.maximum(res["unit"], hb.defects(m - np.eye(len(m)),
-                                                         ((ring.unit,), ()), z))
+            roots = np.flatnonzero(dims).tolist()
+            grams = [gram(e[z]) if z in e else np.zeros((dims[z], dims[z])) for z in roots]
+            for D in grams:
+                D.flat[::len(D) + 1] -= 1.0
+            res["unitarity"] = np.maximum(res["unitarity"], hb.defects(grams, side, roots))
+    unit = hb.e(ring.unit)
+    res["unit"] = hb.defects([m - np.eye(len(m)) for m in unit.values()],
+                             ((ring.unit,), ()), list(unit))
     pairs = _hexagons(hb, legs)
     res["hexagon"] = pairs.max(axis=(1, 2))
     res["unitarity"][lost.any(axis=0)] = res["hexagon"][lost.any(axis=0)] = np.nan
@@ -820,9 +824,15 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
     strand and a cap on the right one, then fuse the freed legs into the
     direction line with a dual pair, and write the closed block's
     coefficients into its span.  Prefactor 1/dim(C).  T is one
-    (n_z, n_z) matrix per root z of Δ.obj.stacked(), as t_map gives it; a
-    block is cut out of it once, when the formula first reads it, and one
-    that is exactly zero at every root is skipped.
+    (n_z, n_z) matrix per root z of Δ.obj.stacked(), as t_map gives it.
+
+    Each block T_blk : (x, x_l, x̄) → (y, x_m, ȳ) is cut once, skipped when
+    it is exactly zero at every root, and capped before the x̄ strand joins
+    it: G = id_x̄ ⊗ [(id_(y,x_m) ⊗ ev(y)) ∘ (T_blk ⊗ id_y)], one left
+    tensoring per block whatever its channels a ∈ x̄⊗y.  The piece of a
+    channel and vertex slot t is then g5 ∘ G ∘ g21, with the cap, g21 and g5
+    drawn once per engine; the pieces of each span (a, m, l) add up in the
+    order x, y, t.  Nothing that depends on T is kept.
 
     Raises ShapeError for a Δ over another category or Λ (check_delta) or a
     T of other roots or shapes (naturality_residual), and NotInCommutant
@@ -837,39 +847,27 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
 
     eng = A.engine
     ring, d = eng.ring, eng.d
-    slots = A.slots
     obj = delta.obj
     pref = 1.0 / A.spec.dims.global_dim
     sb = obj.stacked()
-    cut: dict = {}
-
-    def block(i, j):
-        if (i, j) not in cut:
-            m = cut_block(eng, T, sb, sb, i, j)
-            cut[(i, j)] = m if any(b.any() for b in m.blocks.values()) else None
-        return cut[(i, j)]
-
     vec = np.zeros(A.dim, dtype=complex)
-    for a in range(ring.rank):
-        for l, (xl_lab, _cl) in enumerate(slots):
-            for m, (xm_lab, _cm) in enumerate(slots):
-                acc = None
-                for x in range(ring.rank):
-                    xd = ring.dual[x]
-                    for y in range(ring.rank):
-                        # the freed legs fuse into a only when a sits in xbar*y
-                        if int(ring.N[xd, y, a]) == 0:
-                            continue
-                        Tblk = block(obj.index((y, m)), obj.index((x, l)))
-                        if Tblk is None:
-                            continue
+    for l, (xl_lab, _cl) in enumerate(A.slots):
+        for m, (xm_lab, _cm) in enumerate(A.slots):
+            acc: dict = {}  # a -> the pieces of span (a, m, l) so far
+            for x in range(ring.rank):
+                xd = ring.dual[x]
+                for y in range(ring.rank):
+                    Tblk = cut_block(eng, T, sb, sb, obj.index((y, m)), obj.index((x, l)))
+                    if not any(b.any() for b in Tblk.blocks.values()):
+                        continue
+                    # ev(y): (ybar, y) -> (), on the right strand
+                    cap = cached(eng.cache, ("f_cap", y, xm_lab),
+                                 lambda: eng.tensor_id_left((y, xm_lab), ev(eng, y)))
+                    G = eng.tensor_id_left((xd,), cap @ eng.tensor_id_right(Tblk, (y,)))
+                    # the freed legs fuse into a only when a sits in xbar*y
+                    for a in np.flatnonzero(ring.N[xd, y]).tolist():
                         pair = canonical_pair(eng, xd, y, a)
                         coeff = math.sqrt(d[x] * d[y] * d[a])
-                        g3 = eng.tensor_id_left((xd,), eng.tensor_id_right(Tblk, (y,)))
-                        # ev(y): (ybar, y) -> ()
-                        g4 = cached(eng.cache, ("f_g4", xd, y, xm_lab),
-                                    lambda: eng.tensor_id_left((xd, y, xm_lab), ev(eng, y)))
-                        g43 = g4 @ g3
                         for t in range(pair.n):
                             # g2 ∘ g1: split the direction line, then open the
                             # x loop.  It must close against the same pairing
@@ -881,10 +879,10 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
                                 @ eng.tensor_id_left((xl_lab,), pair.splits[t])))
                             g5 = cached(eng.cache, ("f_g5", xd, y, a, t, xm_lab),
                                         lambda: eng.tensor_id_right(pair.fuses[t], (xm_lab,)))
-                            piece = (g5 @ g43 @ g21) * coeff
-                            acc = piece if acc is None else acc + piece
-                if acc is not None:
-                    vec[A.spans[(a, m, l)]] = (acc * pref).coeffs()
+                            piece = (g5 @ G @ g21) * coeff
+                            acc[a] = acc[a] + piece if a in acc else piece
+            for a, closed in acc.items():
+                vec[A.spans[(a, m, l)]] = (closed * pref).coeffs()
     return TubeElement(A, vec)
 
 

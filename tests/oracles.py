@@ -13,7 +13,13 @@ tubecat.tables fills the tables from joins over the F entries; so is its
 action on Δ (t_diagram_block, t_diagram), where tubecat.tube.t_map reads
 it off the same product terms.  The diagrams read a tube element as
 Morphism blocks (element_blocks), where the library keeps only its
-coefficient vector.
+coefficient vector.  The inverse map's closure is here drawn once per
+channel a on the full five-letter words (closure_per_channel), where
+tubecat.tube.f_map caps each block once for all its channels.  The
+unitarity residual of a half-braiding is here one Gram, identity and fold
+per letter, root and side (unitarity_loop), where
+tubecat.tube.verify_halfbraiding folds all roots of a letter and side at
+once.
 
 The three-letter pieces of Δ's half-braiding are here as the engine
 draws them (engine_vertex_pad, engine_top, engine_pad, with the channel
@@ -54,7 +60,7 @@ from tubecat.morphism import Linear, cached
 from tubecat.pairs import canonical_pair
 from tubecat.sums import SumObject, cut_block, right_blocks, stack_blocks
 from tubecat.trees import tree_root
-from tubecat.tube import _pieces, t_map
+from tubecat.tube import TubeElement, _pieces, _sides, _Stacked, t_map
 
 
 class BlockMap(Linear):
@@ -625,6 +631,75 @@ def whole_map_naturality(delta, T):
     T = BlockMap.cut(delta.obj, delta.obj, T)
     return max((tensor_id_left(T, (b,)) @ e - e @ tensor_id_right(T, (b,))).norm()
                for b, e in braiding_blocks(delta.obj, delta.braiding).items())
+
+
+def closure_per_channel(A, delta, T):
+    """f_map's closure as a tube element, drawn once per channel a: for
+    every a, (x, y) with a ∈ x̄⊗y and vertex slot t, the piece
+    g5 ∘ g4 ∘ g3 ∘ g21 · √(d_x d_y d_a) on the full five-letter words,
+    g3 = id_x̄ ⊗ T_blk ⊗ id_y and g4 = id_(x̄,y,x_m) ⊗ ev(y), so every
+    channel tensors its block again; prefactor 1/dim(C).  No naturality
+    check."""
+    eng = A.engine
+    ring, d = eng.ring, eng.d
+    sb = delta.obj.stacked()
+    vec = np.zeros(A.dim, dtype=complex)
+    for a in range(ring.rank):
+        for l, (xl_lab, _cl) in enumerate(A.slots):
+            for m, (xm_lab, _cm) in enumerate(A.slots):
+                acc = None
+                for x in range(ring.rank):
+                    xd = ring.dual[x]
+                    for y in range(ring.rank):
+                        if int(ring.N[xd, y, a]) == 0:
+                            continue
+                        blk = cut_block(eng, T, sb, sb, delta.obj.index((y, m)),
+                                        delta.obj.index((x, l)))
+                        pair = canonical_pair(eng, xd, y, a)
+                        g3 = eng.tensor_id_left((xd,), eng.tensor_id_right(blk, (y,)))
+                        g4 = eng.tensor_id_left((xd, y, xm_lab), ev(eng, y))
+                        for t in range(pair.n):
+                            g21 = (eng.tensor_id_right(ev(eng, x).dag(), (xl_lab, xd, y))
+                                   @ eng.tensor_id_left((xl_lab,), pair.splits[t]))
+                            g5 = eng.tensor_id_right(pair.fuses[t], (xm_lab,))
+                            piece = (g5 @ (g4 @ g3) @ g21) * math.sqrt(d[x] * d[y] * d[a])
+                            acc = piece if acc is None else acc + piece
+                if acc is not None:
+                    vec[A.spans[(a, m, l)]] = (acc * (1.0 / A.spec.dims.global_dim)).coeffs()
+    return TubeElement(A, vec)
+
+
+def unitarity_loop(obj, braiding, parts=(0,)):
+    """verify_halfbraiding's unitarity residual of each part, an array, as
+    one Gram product, identity, abs-max fold and running maximum per
+    (letter, root, side); a part that an e_a non-finite on its rows enters
+    reads NaN, and those entries are zeroed in copies first, so they reach
+    no other part."""
+    hb, S = _Stacked(obj, braiding, parts), _sides(obj)
+    res, lost = np.zeros(hb.nparts), np.zeros(hb.nparts, dtype=bool)
+
+    def defects(D, side, z):
+        if hb.nparts == 1:
+            return np.array([np.max(np.abs(D), initial=0.0)])
+        out = np.zeros(hb.nparts)
+        np.maximum.at(out, hb.ids(side, z), np.max(np.abs(D), axis=1, initial=0.0))
+        return out
+
+    for a in range(obj.engine.ring.rank):
+        e = dict(braiding[a])
+        for z, m in e.items() if hb.nparts > 1 else ():
+            bad = ~np.isfinite(m)
+            if bad.any():
+                lost[hb.ids(((a,), ()), z)[bad.any(axis=1)]] = True
+                e[z] = np.where(bad, 0.0, m)
+        for side, dims, gram in ((((), (a,)), S.rdims[a], lambda m: m.conj().T @ m),
+                                 (((a,), ()), S.dims[a], lambda m: m @ m.conj().T)):
+            for z in np.flatnonzero(dims).tolist():
+                m = e.get(z)
+                D = (0 if m is None else gram(m)) - np.eye(dims[z])
+                res = np.maximum(res, defects(D, side, z))
+    res[lost] = np.nan
+    return res
 
 
 def per_summand_compression(delta, X, iso, a):

@@ -792,6 +792,35 @@ def test_verifier_leaves_the_checked_braiding_unchanged(catalog, monkeypatch):
                    for r, m in e.items()), a
 
 
+@pytest.mark.parametrize("name", ["fibonacci", "rep_s3"])
+def test_unitarity_folds_keep_a_nan_part_as_the_loop(catalog, name, monkeypatch):
+    # the sum of the extracted simples with a NaN on one entry of the second
+    # simple's e_a: the batched unitarity folds read NaN on that part alone
+    # and, on every other part, bit for bit the per-root loop's residual
+    from oracles import unitarity_loop
+    from tubecat.tube import verify_halfbraiding
+    spec = catalog[name]
+    A, D, dec = _extraction(spec)
+    seen = []
+    monkeypatch.setattr(tubecat.center, "verify_halfbraiding",
+                        lambda obj, braiding, tol, parts: seen.append((obj, braiding, parts))
+                        or verify_halfbraiding(obj, braiding, tol, parts=parts))
+    extract_center_simples(A, D, dec)
+    (obj, braiding, parts), = seen
+    a, p = spec.rank - 1, parts[1]
+    rows, cols = obj.stacked((a,)).starts, obj.stacked((), (a,)).starts
+    r = next(r for r in braiding[a] if rows[r][p] < rows[r][-1] and cols[r][p] < cols[r][-1])
+    braiding = {**braiding, a: {**braiding[a], r: braiding[a][r].copy()}}
+    braiding[a][r][rows[r][p], cols[r][p]] = np.nan
+    with pytest.raises(ToleranceError, match="^half-braiding unitarity defect nan") as err:
+        verify_halfbraiding(obj, braiding, 1e-8, parts=parts)
+    got = [part["unitarity"] for part in err.value.residuals]
+    want = unitarity_loop(obj, braiding, parts)
+    assert np.isnan(got[1]) and np.isnan(want[1])
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    assert max(got[:1] + got[2:]) < 1e-12
+
+
 @pytest.mark.parametrize("name", ["fibonacci", "rep_s3", "Z/4 k=1"])
 def test_one_check_per_extraction(catalog, name, monkeypatch):
     # every simple of an extraction is checked by one verify_halfbraiding

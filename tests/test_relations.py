@@ -14,6 +14,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import su2k_category
+from tubecat.catalog import find
+from tubecat.catspec import load_spec
 from tubecat.duality import coev_word, trace_right
 from tubecat.errors import EmptySpace, ShapeError
 from tubecat.morphism import engine_for
@@ -287,6 +290,28 @@ def test_global_dim_suite_all_catalog(catalog):
     for name, spec in catalog.items():
         rep = check_global_dim(spec, tol=1e-9)
         assert rep.ok, (name, rep.worst())
+
+
+CATALOG = ["vec", "vec_z2", "vec_z2_twisted", "vec_z3", "fibonacci", "ising", "rep_s3"]
+
+
+@pytest.mark.parametrize("name", CATALOG + ["SU(2)_2", "SU(2)_3", "SU(2)_4"])
+def test_global_dim_reads_the_ih_duals(name, monkeypatch):
+    # globaldim after ih draws no dual of its own, and its residuals are bit
+    # for bit those of globaldim run alone on a fresh spec
+    def fresh():
+        return (load_spec(su2k_category(int(name[-1]))) if name.startswith("SU")
+                else find(name))
+
+    alone = [c.residual for c in check_global_dim(fresh()).cases]
+    spec = fresh()
+    check_ih(spec)
+    real, calls = tubecat.relations.dual_morphism, []
+    monkeypatch.setattr(tubecat.relations, "dual_morphism",
+                        lambda f: calls.append(f) or real(f))
+    after = [c.residual for c in check_global_dim(spec).cases]
+    assert calls == [], name
+    assert after == alone, name
 
 
 # ---- sphericality -----------------------------------------------------------

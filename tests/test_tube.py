@@ -25,19 +25,21 @@ from tubecat.catspec import FusionCategorySpec, load_spec, serialize
 from tubecat.errors import NotInCommutant, ShapeError, ToleranceError
 from tubecat.morphism import Engine, engine_for
 from tubecat.ring import compute_fp_dims
-from tubecat.sums import SumObject
+from tubecat.sums import SumObject, cut_block
 from tubecat.center import decompose_blocks, extract_center_simples
 from tubecat.tube import (DELTA_TOL, LambdaObject, TubeElement, build_delta,
                           build_tube_algebra, f_map, naturality_residual, t_map,
                           tube_json, tube_product, tube_star, verify_halfbraiding)
 from tubecat.tube import _Stacked, _delta_legs, _hexagons, _table_residuals, _word_legs
-from oracles import (BlockMap, braiding_blocks, delta_braiding_component, dense_pieces,
+from oracles import (BlockMap, braiding_blocks, closure_per_channel,
+                     delta_braiding_component, dense_pieces,
                      diagram_mult_table, diagram_product, diagram_star,
                      diagram_star_table, engine_channel_rows, engine_pad, engine_top,
                      engine_vertex_pad, extend_halfbraiding, generic_leg, gram,
                      hexagon_residual, lead_runs, leg_matrices, rotated_fuses,
                      shifted, sparse_rows, stacked_lifts, stacked_trees, t_diagram,
-                     tensor_id_left, tensor_id_right, vertex_leg_loop, whole_map_naturality)
+                     tensor_id_left, tensor_id_right, unitarity_loop, vertex_leg_loop,
+                     whole_map_naturality)
 
 # dim A(Λ) with Λ = sum of all simples, counted by hand from the N tables
 TUBE_DIM = {
@@ -1536,6 +1538,79 @@ def test_compiled_t_map_matches_diagram(catalog, name, mapping):
     for _ in range(5):
         f = A.random_element(rng)
         assert root_gap(t_map(A, D, f), t_diagram(A, D, f)) < 1e-12, name
+
+
+@pytest.mark.parametrize("name,mapping", DIAGRAM_CASES,
+                         ids=[f"{n}-{m}" if m else n for n, m in DIAGRAM_CASES])
+def test_f_map_matches_the_closure_per_channel(catalog, name, mapping):
+    # f_map caps each block once for all its channels; the closure drawn
+    # again per channel a, on the five-letter words, agrees to rounding
+    spec = _spec(catalog, name)
+    lam = (LambdaObject.all_simples(spec) if mapping is None
+           else LambdaObject.from_mapping(spec, mapping))
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    T = t_map(A, D, A.random_element(np.random.default_rng(23)))
+    assert (f_map(A, D, T) - closure_per_channel(A, D, T)).norm() < 1e-14, name
+
+
+def _left_steps(monkeypatch):
+    """The (letter, morphism) of every Engine._tensor_one_left step from now on."""
+    steps, real = [], Engine._tensor_one_left
+    monkeypatch.setattr(Engine, "_tensor_one_left",
+                        lambda eng, c, f: steps.append((c, f)) or real(eng, c, f))
+    return steps
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "ising", "rep_s3"])
+def test_f_map_tensors_each_block_once(name, monkeypatch):
+    # no step reaches a five-letter word (tensoring id_x̄ onto T_blk ⊗ id_y
+    # once per channel, as closure_per_channel does, makes 18, 38 and 75 such
+    # steps per call), and once the caps and vertices are drawn a call makes
+    # one left step per nonzero block (x, y, l, m), not one per channel
+    # a ∈ x̄⊗y
+    spec = find(name)  # a fresh engine
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    T = t_map(A, D, A.random_element(np.random.default_rng(24)))
+    steps = _left_steps(monkeypatch)
+    f_map(A, D, T)
+    cold = len(steps)
+    assert all(len(f.dst) < 4 for _c, f in steps), name
+    if name == "rep_s3":
+        assert cold <= 114
+    eng, sb, rank = A.engine, D.obj.stacked(), spec.rank
+    blocks = sum(1 for l in range(len(A.slots)) for m in range(len(A.slots))
+                 for x in range(rank) for y in range(rank)
+                 if any(b.any() for b in cut_block(eng, T, sb, sb, D.obj.index((y, m)),
+                                                   D.obj.index((x, l))).blocks.values()))
+    steps.clear()
+    f_map(A, D, T)
+    assert len(steps) == blocks < cold, name
+    assert all(len(f.dst) == 2 for _c, f in steps), name
+
+
+UNITARITY_CASES = list(TUBE_DIM) + [f"Z/{n} k=1" for n in range(4, 8)]
+
+
+@pytest.mark.parametrize("name", UNITARITY_CASES)
+def test_unitarity_folds_match_the_per_root_loop(catalog, name, monkeypatch):
+    # verify_halfbraiding folds the Grams of every root of a (letter, side)
+    # at once; the per-root loop gives bit for bit the same residual, on Δ
+    # (one part) and on the sum of the extracted simples (one part each)
+    spec = _spec(catalog, name)
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    got = verify_halfbraiding(D.obj, D.braiding, DELTA_TOL, _delta_legs(D.obj))
+    assert [p["unitarity"] for p in got] == unitarity_loop(D.obj, D.braiding).tolist()
+    seen, real = [], tubecat.center.verify_halfbraiding
+    monkeypatch.setattr(tubecat.center, "verify_halfbraiding",
+                        lambda obj, braiding, tol, parts: seen.append(
+                            (obj, braiding, parts, real(obj, braiding, tol, parts=parts)))
+                        or seen[-1][-1])
+    extract_center_simples(A, D, decompose_blocks(A, seed=1))
+    (obj, braiding, parts, per_part), = seen
+    assert len(parts) > 1 or spec.rank == 1, name
+    assert [p["unitarity"] for p in per_part] == unitarity_loop(obj, braiding, parts).tolist()
 
 
 def test_t_map_draws_no_diagram_and_makes_its_terms_once(monkeypatch):
