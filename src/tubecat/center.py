@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, ToleranceError, worst
+from .errors import DegenerateSpectrum, ShapeError, ToleranceError, worst
 from .duality import weighted_trace
-from .sums import SumObject, left_blocks, right_blocks, stack_blocks
-from .tube import (DeltaObject, LambdaObject, TubeAlgebra, build_delta,
+from .sums import SumObject, block_diagonal, lift, stack_blocks
+from .tube import (DeltaObject, LambdaObject, TubeAlgebra, _omega, build_delta,
                    build_tube_algebra, check_delta, t_map, verify_halfbraiding)
 
 __all__ = [
@@ -230,29 +230,31 @@ def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
     for X a sum of one-letter words: e_X = (id_a ⊗ V†) ∘ e_a ∘ (V ⊗ id_a)
     for every letter a.
 
-    On the stacked trees at r, V ⊗ id_a is block-diagonal over the lifts
-    (v, ν) with block V_v.  id_a ⊗ V† is Ω_X·B·Ω† with B = V_u† from group
-    (u, ν) of Δ to the same group of X (SumObject.omega), and on one-letter
-    words Ω_X is the identity: group (u, ν) of X is its trees of (a, u) at
-    r in slot ν of the vertex (a, u; r).  Both are read off the positions
-    of the trees of (a,) + X and X + (a,) at every letter at once
-    (OneLetter.groups).  So e_X at r is Y = V_u†·(Ω†·e_a)·V_v on
-    group (u, ν) and lift (v, ν′); the factor Ω†·e_a is DeltaObject.kernel's.
-    Returns e_X per letter, one matrix per root r of the trees of (a,) + X.
-    Raises ShapeError for a longer word.
+    With V one block-diagonal matrix from X's states to Δ's, V ⊗ id_a at r
+    is its lift onto the trees of X + (a,) and Δ + (a,), and id_a ⊗ V† is
+    Ω_X·lift(V)†·Ω† with the lift onto Ω's columns (_Omega, sums.lift); Ω_X
+    is the identity on one-letter words, whose trees on both sides are
+    counted off N (SumObject.one_letter).  So e_X at r is
+    lift(V)†·(Ω†·e_a)·lift(V), one matrix per root r of the trees of
+    (a,) + X.  Raises ShapeError for a longer word, an X over another
+    category than Δ, or a V other than one (n_z, m_z) matrix per root z of
+    X, n_z Δ's trees and m_z X's copies of z.
     """
-    one = X.one_letter()  # shared by every simple over the same words
-    groups, lifts = one.groups
-    ddims, sdims = (count.sum(axis=1).tolist() for count, _first in (one.left, one.right))
-    Vt = {z: v.conj().T for z, v in V.items()}
+    one, sb = X.one_letter(), delta.obj.stacked()  # one: shared by every simple over X's words
+    copies = {z: m for z, m in enumerate(np.bincount(one.label).tolist()) if m}
+    if X.engine is not delta.engine or V.keys() != copies.keys() or any(
+            np.shape(v) != (sb.dims.get(z, 0), copies[z]) for z, v in V.items()):
+        raise ShapeError("needs an isometry X → Δ over Δ's category: one "
+                         "(n_z, m_z) matrix per root z of X")
+    full, om, (left, right) = block_diagonal(V, sb.root, one.label), _omega(delta.obj), one.lifts
     out = {}
-    for a, per_root in delta.kernel.items():
+    for a, per_root in delta.braiding.items():
         out[a] = mats = {}
-        for r, n in enumerate(ddims[a]):
+        for r, n in enumerate(one.left[0][a].sum(axis=0).tolist()):
             if n:
-                _om, dgroups, _e, e1, dlifts = per_root[r]
-                C = right_blocks(e1, V, dlifts, lifts.get(a, {}).get(r, {}), sdims[a][r])
-                mats[r] = left_blocks(Vt, C, groups[a][r], dgroups, n)
+                o = om.mats[a][r]
+                C = (o.conj().T @ per_root[r]) @ lift(full, om.right[a, r], right[a, r])
+                mats[r] = lift(full, om.left[a, r], left[a, r]).conj().T @ C
     return out
 
 

@@ -9,17 +9,17 @@ holds them as integer arrays (summand, root, position at the root, and
 the trees as (states, L − 1, 2)), grown vertex by vertex from the words'
 letters by repeating each state over its counts N[root, letter, :], with
 no per-word TreeBasis; a stack of longer words is grown the same way from
-their own letters.  The position groups a block-diagonal product reads
-come off those arrays (grouped), and on a sum of one-letter words off the
-counts N alone (SumObject.one_letter).  A linear map between two sums is
-then one matrix per root; its block between two summands is placed there
-and cut back out by stack_blocks and cut_block; f ⊗ id and id ⊗ f act as
-block-diagonal products (left_blocks, right_blocks, SumObject.omega), and
-no sum is tensored into a new one.
+their own letters.  A linear map between two sums is then one matrix per
+root; its block between two summands is placed there and cut back out by
+stack_blocks and cut_block, and block_diagonal spreads it over all the
+states at once.  The states of a sum grown by a letter c, on either side,
+each name their parent state and vertex slot (lifts_of, off the counts
+N), so f ⊗ id_c and id_c ⊗ f at a root are one masked gather of f's
+block-diagonal matrix (lift), and no sum is tensored into a new one.
 """
 from __future__ import annotations
 
-import functools
+import itertools
 
 import numpy as np
 
@@ -28,29 +28,8 @@ from .fsymbols import vertices
 from .morphism import Engine, Morphism, cached
 from .trees import Word
 
-__all__ = ["SumObject", "StackedBasis", "OneLetter", "grouped", "stack_blocks",
-           "cut_block", "left_blocks", "right_blocks"]
-
-
-def grouped(keys: tuple, pos: np.ndarray) -> dict:
-    """Positions by their keys, each key an integer array as long as pos:
-    keys[0] -> … -> keys[-3] -> (keys[-2], keys[-1]) -> the positions with
-    those keys, in their order."""
-    if not len(pos):
-        return {}
-    dims = [int(k.max()) + 1 for k in keys]
-    key = np.ravel_multi_index(keys, dims)
-    order = np.argsort(key, kind="stable")
-    key, pos = key[order], pos[order]
-    cut = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
-    out: dict = {}
-    for *outer, u, m, lo, hi in zip(*(k.tolist() for k in np.unravel_index(key[cut[:-1]], dims)),
-                                    cut, cut[1:]):
-        at = out
-        for k in outer:
-            at = at.setdefault(k, {})
-        at[(u, m)] = pos[lo:hi]
-    return out
+__all__ = ["SumObject", "StackedBasis", "OneLetter", "stack_blocks", "cut_block",
+           "block_diagonal", "lifts_of", "lift"]
 
 
 class StackedBasis:
@@ -70,9 +49,8 @@ class StackedBasis:
     ascending, then μ, which is the generation order.  So the children of
     the states in order come in their parents' order: a comb of w + (x,)
     at z is a comb of w at some v followed by the vertex (v, x; z) in slot
-    ν, and the children at z in slot ν of the parents at v keep the
-    parents' order, which f ⊗ id_x, block-diagonal over (v, ν), reads
-    (DeltaObject.kernel, SumObject.one_letter).
+    ν, and the children at z come parent by parent, each parent's by slot,
+    which f ⊗ id_x reads (lifts_of).
     """
 
     __slots__ = ("words", "summand", "root", "trees", "dims", "_pos", "_starts")
@@ -132,22 +110,14 @@ class OneLetter:
     and ``left`` = (count, first) of the words (a,) + w, ``right`` of
     w + (a,): count[a, j, r] trees at root r, one per slot ν of the vertex,
     and first[a, j, r] the position at r of the first of them, summand-major
-    as stacked."""
+    as stacked; ``lifts`` = (left, right) reads each tree at (a, r) as its
+    summand j and slot ν (lifts_of)."""
 
     def __init__(self, N: np.ndarray, label: np.ndarray):
         self.label = label
         self.left, self.right = ((count, np.cumsum(count, axis=1) - count)
                                  for count in (N[:, label], N[label].transpose(1, 0, 2)))
-
-    @functools.cached_property
-    def groups(self) -> tuple:
-        """(left, right), each a -> r -> (x_j, ν) -> the positions at r of
-        the trees of summand j in slot ν on that side: id_a ⊗ f and f ⊗ id_a
-        are block-diagonal over them, with block f at x_j.  Made on first
-        use."""
-        return tuple(grouped((a, r, self.label[j], nu), first[a, j, r] + nu)
-                     for count, first in (self.left, self.right)
-                     for a, j, r, nu in (vertices(count),))
+        self.lifts = tuple(lifts_of(count) for count, _first in (self.left, self.right))
 
 
 class SumObject:
@@ -180,37 +150,6 @@ class SumObject:
         """A piece made from the summands alone, such as a stack: made on
         first use and kept with the sum (morphism.cached)."""
         return cached(self._kept, key, make)
-
-    def omega(self, c: int) -> dict:
-        """id_c ⊗ − on the stacked comb trees of the summands: root r ->
-        (Ω, groups).
-
-        Ω = ⊕_j Engine.omega(c, w_j)[r] maps the 'id_c ⊗ comb' coordinates
-        (Engine.right_basis) onto the stacked combs of (c,) + w_j at r, and
-        groups[(u, ν)] lists the right-basis positions that continue the
-        trees at u in slot ν of c ⊗ u, in their stacked order.  So for a map
-        F: S → D read as F_u at every root u, id_c ⊗ F at r is
-        D.omega(c)[r][0] · B · S.omega(c)[r][0]†, with B = F_u from group
-        (u, ν) of S to the same group of D (left_blocks).
-        """
-        eng = self.engine
-        mats, groups, size = {}, {}, {}
-        for w in self.summands:
-            om = eng.omega(c, w)
-            for r, ents in eng.right_basis(c, w).items():
-                off = size.get(r, 0)
-                mats.setdefault(r, []).append((off, om[r]))
-                g = groups.setdefault(r, {})
-                for k, (u, _tree, nu) in enumerate(ents):
-                    g.setdefault((u, nu), []).append(off + k)
-                size[r] = off + len(ents)
-        out = {}
-        for r, blocks in mats.items():
-            om = np.zeros((size[r], size[r]), dtype=complex)
-            for off, m in blocks:
-                om[off:off + len(m), off:off + len(m)] = m
-            out[r] = om, {key: np.array(p) for key, p in groups[r].items()}
-        return out
 
     def one_letter(self) -> OneLetter:
         """The trees of (a,) + w and w + (a,) for this sum of one-letter
@@ -264,22 +203,35 @@ def cut_block(engine: Engine, mats: dict, src: StackedBasis, dst: StackedBasis,
                               for z, dd, sd in roots if z in mats}, roots)
 
 
-def left_blocks(F: dict, M: np.ndarray, dst: dict, src: dict, n: int) -> np.ndarray:
-    """B·M with B block-diagonal over the keys (u, ν) of dst: block F_u from
-    M's rows src[key] to the rows dst[key] of an n-row result."""
-    out = np.zeros((n, M.shape[1]), dtype=complex)
-    for key, P in dst.items():
-        if key in src and key[0] in F:
-            out[P] = F[key[0]] @ M[src[key]]
+def block_diagonal(mats: dict, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """A map given as one matrix per root z, mats[z], as one matrix over all
+    states: ``src`` and ``dst`` are the roots of the states of both sums in
+    order (StackedBasis.root), the states at z take mats[z]'s rows and
+    columns in order, and every entry between two roots is zero."""
+    out = np.zeros((len(dst), len(src)), dtype=complex)
+    for z, m in mats.items():
+        out[np.flatnonzero(dst == z)[:, None], np.flatnonzero(src == z)] = m
     return out
 
 
-def right_blocks(M: np.ndarray, F: dict, dst: dict, src: dict, n: int) -> np.ndarray:
-    """M·B with B block-diagonal over the keys (v, ν) of src: block F_v from
-    the columns src[key] of an n-column result to M's columns dst[key]
-    (DeltaObject.kernel and OneLetter.groups give such keys for f ⊗ id_x)."""
-    out = np.zeros((M.shape[0], n), dtype=complex)
-    for key, C in src.items():
-        if key in dst and key[0] in F:
-            out[:, C] = M[:, dst[key]] @ F[key[0]]
-    return out
+def lifts_of(count: np.ndarray) -> dict:
+    """(c, r) -> (parents, slots) of the states of a sum grown by the letter
+    c, at root r in their order, for count[c, s, r] children at r of the
+    sum's state s: parent by parent, one per slot ν of the new vertex, as
+    StackedBasis.of grows them on the right (count[c, s, r] = N[z_s, c, r])
+    and Ω numbers its columns on the left (N[c, z_s, r]).  Every (c, r) is
+    present."""
+    rank, n = count.shape[0], count.shape[2]
+    c, root, parent, slot = vertices(count.transpose(0, 2, 1))
+    cut = np.searchsorted(c * n + root, np.arange(1, rank * n))
+    return dict(zip(itertools.product(range(rank), range(n)),
+                    zip(np.split(parent, cut), np.split(slot, cut))))
+
+
+def lift(full: np.ndarray, rows: tuple, cols: tuple) -> np.ndarray:
+    """f ⊗ id_c or id_c ⊗ f at one root, between grown states given as
+    (parents, slots) (lifts_of), with f as one block-diagonal matrix over
+    the states of its sums (block_diagonal): full's entry at the parents of
+    the row and the column where their slots agree, and zero elsewhere
+    (np.where, so a non-finite entry of f stays on its own entries)."""
+    return np.where(rows[1][:, None] == cols[1], full[rows[0][:, None], cols[0]], 0j)

@@ -3,11 +3,10 @@
 Λ is a multiplicity vector over the simple labels.  The algebra lives on
 A(Λ) = ⊕_a Hom(Λ⊗a, a⊗Λ), and a tube element is its coefficient vector in
 the basis of TubeAlgebra.spans: per direction a and pair of slots of Λ, the
-hom basis of that block.  Morphism blocks are drawn only for f_map's
-closures.  Alongside it: Δ(Λ) = ⊕_x x⊗Λ⊗x̄ with its unitary
-half-braiding, and the two inverse maps between tube elements and the
-endomorphisms of Δ that commute with it: t_map, A(Λ) acting on Δ by its
-own product (tables.action), and f_map, which closes a diagram.
+hom basis of that block.  Alongside it: Δ(Λ) = ⊕_x x⊗Λ⊗x̄ with its
+unitary half-braiding, and the two inverse maps between tube elements and
+the endomorphisms of Δ that commute with it: t_map, A(Λ) acting on Δ by
+its own product (tables.action), and f_map, which closes a diagram.
 Maps on Δ, the half-braiding and those endomorphisms alike, are one matrix
 per root on the stacked trees of its summands (sums.StackedBasis).
 
@@ -23,8 +22,10 @@ the a = 1 slice; an extracted simple, a sum of one-letter words, has its
 legs joined from its stored e_b between two F entries (_word_legs).  The
 hexagons of the pairs (a, b) are one more join over those legs
 (_hexagons), over runs of letters a up to a fixed size (CHUNK_COLUMNS)
-to keep the working set bounded.  Only f_map's closures are drawn in the
-word engine, with vertices through canonical_pair (dual bases with the
+to keep the working set bounded.  Naturality and compression read
+id_b ⊗ − on Δ as Ω, joined from F entries (_Omega), and f ⊗ id_b as
+one masked gather of f (sums.lift).  Only f_map's closures are drawn in
+the word engine, with vertices through canonical_pair (dual bases with the
 √(d·d·d) weight).  Each √d prefactor is written once, next to its formula,
 and nothing re-normalizes, so a convention slip shows up as a failed
 unitarity, round-trip or table check.
@@ -44,7 +45,7 @@ from .errors import NotInCommutant, ShapeError, ToleranceError, worst
 from .fsymbols import add_per, group, join, join_unsorted, vertices
 from .morphism import Engine, Linear, cached, engine_for
 from .pairs import canonical_pair
-from .sums import StackedBasis, SumObject, cut_block, grouped, left_blocks, right_blocks
+from .sums import StackedBasis, SumObject, block_diagonal, cut_block, lift, lifts_of
 
 __all__ = [
     "LambdaObject", "DeltaObject", "TubeElement",
@@ -116,8 +117,8 @@ class DeltaObject:
     (a,) + obj: the hexagon's leg id_1 ⊗ e_a, the a = 1 slice of the legs
     that build_delta joins from flat F-entry vertex pieces (_delta_legs,
     tables.vertex_pieces).  ``residuals`` holds the worst unitarity / unit
-    / hexagon defects of the build, ``kernel`` what naturality and
-    compression read.
+    / hexagon defects of the build.  Naturality and compression read
+    id_b ⊗ − on obj through Ω, joined from F entries once per obj (_omega).
     """
 
     spec: object
@@ -129,22 +130,6 @@ class DeltaObject:
     @property
     def engine(self) -> Engine:
         return self.obj.engine
-
-    @functools.cached_property
-    def kernel(self) -> dict:
-        """Letter b -> root r -> (Ω, groups, e, Ω†·e, lifts), made on first
-        use: e = braiding[b][r], (Ω, groups) = obj.omega(b)[r], and the
-        lifts of obj.stacked((), (b,)) at r, all letters grouped at once
-        from the states of every obj + (b,) (_sides)."""
-        obj, S = self.obj, _sides(self.obj)
-        c, t, v, nu = S.rights
-        lifts = grouped((c, v, S.uw[t], nu), S.r_pos)
-        out = {}
-        for b, e in self.braiding.items():
-            out[b] = {r: (om, groups, e[r], om.conj().T @ e[r], lifts[b][r])
-                      for r, (om, groups) in obj.omega(b).items()
-                      if r in e}
-        return out
 
 
 def _pieces(eng: Engine) -> tuple:
@@ -189,7 +174,8 @@ class _Sides:
     (StackedBasis.of), letter-major: ``letter``, ``summand``, ``root``,
     ``pos`` at the root in c's own stack and ``trees``; ``first(s, b, z)``
     is the position at z of the first child of s in (c,) + obj + (b,)
-    (_firsts) and ``at(c·rank + z, position)`` the state there.  Right,
+    (_firsts), ``at(c·rank + z, position)`` the state there and ``find(c,
+    summand, w, μ, u, μ′, …)`` the state with that tree.  Right,
     ``rights`` = (c, t, v, ν₁) of every obj + (c,), obj's state t grown by
     (t's root, c) → v in slot ν₁, at ``r_pos`` at v, and ``r_at`` as
     ``at``.  ``dims[c, z]`` and ``rdims[c, z]`` count the trees of (c,) +
@@ -212,9 +198,66 @@ class _Sides:
         self.r_pos = _firsts(N, self.uw)(t, c, v) + nu
         self.r_at = _locator(c * r + v, self.r_pos, r * r)
 
+    @functools.cached_property
+    def find(self) -> Callable:
+        keys = (self.letter, self.summand, *self.trees.reshape(len(self.root), -1).T)
+        dims = tuple(int(k.max()) + 1 for k in keys)
+        key = np.ravel_multi_index(keys, dims)
+        order = np.argsort(key)
+        key = key[order]
+        return lambda *labels: order[np.searchsorted(key, np.ravel_multi_index(labels, dims))]
+
 
 def _sides(obj: SumObject) -> _Sides:
     return obj.kept(("sides",), lambda: _Sides(obj))
+
+
+class _Omega:
+    """id_c ⊗ − on a sum of three-letter words (Δ's), every letter c at
+    once, from flat F entries: made once per obj (_omega).
+
+    ``mats[c][r]`` is the unitary Ω from the pairs (p, ν), obj's state p at
+    z and slot ν of (c, z; r), onto the states of (c,) + obj at r (_Sides'
+    positions): on a summand (x, l, m), for p the tree ((u, σ₁), (z, σ₂))
+    and the state ((w₁, μ₁), (w₂, μ₂), (r, μ₃)),
+
+        Ω[state, (p, ν)] = Σ_μ conj F^{c x l}_{w₂}[(w₁,μ₁,μ₂),(u,σ₁,μ)]
+                               · conj F^{c u m}_r[(w₂,μ,μ₃),(z,σ₂,ν)],
+
+    each column's F^{c u m} entries joined with the F^{c x l} entries on
+    the vertex (c, u; w₂)_μ, the rows looked up by tree (_Sides.find), and
+    added in μ order, as Engine.omega recurses a letter at a time.
+    ``left[c, r]`` lists Ω's columns, p by p and each p's by ν, and
+    ``right[c, r]`` the states of obj + (c,) at r, as (parents, slots)
+    (sums.lifts_of): f ⊗ id_c at r is lift(f, right, right), and id_c ⊗ f
+    is Ω·lift(f, left, left)·Ω†.
+    """
+
+    def __init__(self, obj: SumObject):
+        N, r = obj.engine.ring.N, obj.engine.ring.rank
+        S, sb, word = _sides(obj), obj.stacked(), np.array(obj.summands)
+        (_x, _y, z, mu), rv, rw, cv, cw, val = tables._f_entries(obj.engine.F)
+        V, vertex = len(z), (np.cumsum(N) - N.ravel()).reshape(N.shape)  # as _f_entries
+        # Ω's columns (p, ν) at (c, r) in order, p the tree ((u, σ₁), (z, σ₂)) of (x, l, m)
+        c, rt, p, nu = vertices(N[:, sb.root].transpose(0, 2, 1))
+        col = np.arange(len(c)) - np.searchsorted(c * r + rt, c * r + rt)
+        j, (u, s1), (zp, s2) = sb.summand[p], *sb.trees[p].transpose(1, 2, 0)
+        x, l, m = word[j].T
+        # each column's F^{c u m} entries, then the F^{c x l} entries they meet
+        k, g = join_unsorted(cv * V + cw, (vertex[u, m, zp] + s2) * V + vertex[c, zp, rt] + nu)
+        h, f = join_unsorted(cv * V + cw, (vertex[x, l, u] + s1)[k] * V + rv[g])
+        k, g = k[h], g[h]
+        row = S.pos[S.find(c[k], j[k], z[rv[f]], mu[rv[f]], z[rw[f]], mu[rw[f]], rt[k], mu[rw[g]])]
+        dims = (r, r) + (int(S.dims.max()),) * 2
+        slot, keys = group(np.ravel_multi_index((c[k], rt[k], row, col[k]), dims))
+        self.mats = _matrices(dict(zip(("b", "z", "row", "col"), np.unravel_index(keys, dims)),
+                                   val=add_per(slot, np.conj(val[f]) * np.conj(val[g]), len(keys))),
+                              S.dims, S.dims)
+        self.left, self.right = lifts_of(N[:, sb.root]), lifts_of(N[sb.root].transpose(1, 0, 2))
+
+
+def _omega(obj: SumObject) -> _Omega:
+    return obj.kept(("omega",), lambda: _Omega(obj))
 
 
 def _delta_legs(obj: SumObject) -> Callable:
@@ -236,7 +279,7 @@ def _delta_legs(obj: SumObject) -> Callable:
     tops on (a, x, w, ν), then with the pads on (u, b, y, x, t, v, ν₁); an
     entry adds its terms in t order before the weight, as a Kronecker sum
     over t does.  The states of every (c,) + Δ, where the rows are looked
-    up, and their trees are read once (_sides).
+    up (_Sides.find), and their trees are read once (_sides).
     """
     eng = obj.engine
     ring, d = eng.ring, np.asarray(eng.d)
@@ -248,11 +291,6 @@ def _delta_legs(obj: SumObject) -> Callable:
     tag_x, tag_s = np.array(obj.tags).T
     summand = np.zeros((r, tag_s.max() + 1), dtype=np.int64)
     summand[tag_x, tag_s] = np.arange(len(obj))
-    # the rows: the states of every (c,) + Δ, by summand and tree
-    sdims = (r, len(obj), r, M, r, M, r, M)
-    skey = np.ravel_multi_index((letter, j, w, nu, u, nu_u, v, nu1), sdims)
-    by_key = np.argsort(skey)
-    skey = skey[by_key]
 
     def legs(letters) -> dict:
         want = np.zeros(r, dtype=bool)
@@ -264,9 +302,8 @@ def _delta_legs(obj: SumObject) -> Callable:
         k, p = find_pad(u[q], b, y, x, top["t"][t], v[q], nu1[q])
         q, t, x, b, y = q[k], t[k], x[k], b[k], y[k]
         z = pad["z"][p]
-        row = pos[by_key[np.searchsorted(skey, np.ravel_multi_index(
-            (top["c"][t], summand[y, tag_s[j[q]]], w[q], top["nu2"][t], u[q], nu_u[q],
-             z, pad["rho"][p]), sdims))]]
+        row = pos[S.find(top["c"][t], summand[y, tag_s[j[q]]], w[q], top["nu2"][t],
+                         u[q], nu_u[q], z, pad["rho"][p])]
         col = first(q, b, z) + pad["nu2"][p]
         dims = (r, r, r, M, r, int(row.max(initial=0)) + 1, int(col.max(initial=0)) + 1)
         slot, keys = group(np.ravel_multi_index(
@@ -280,21 +317,20 @@ def _delta_legs(obj: SumObject) -> Callable:
     return legs
 
 
-def _at_unit(obj: SumObject, legs: dict) -> dict:
-    """The legs at a = 1 as the stored braiding: b -> root -> matrix from
-    the stacked trees of obj + (b,) to those of (b,) + obj."""
-    S = _sides(obj)
-    r = len(S.dims)
-    key = legs["b"] * r + legs["z"]
+def _matrices(entries: dict, rows: np.ndarray, cols: np.ndarray) -> dict:
+    """Entries with fields b, z, row, col and val as b -> root z -> matrix
+    of rows[b, z] × cols[b, z], at every (b, z) where both are nonzero."""
+    r = len(rows)
+    key = entries["b"] * r + entries["z"]
     order = np.argsort(key, kind="stable")
     cut = np.searchsorted(key[order], np.arange(r * r + 1))
     out = {}
     for b in range(r):
         out[b] = {}
-        for z in np.flatnonzero(S.dims[b] * S.rdims[b]).tolist():
+        for z in np.flatnonzero(rows[b] * cols[b]).tolist():
             k = order[cut[b * r + z]:cut[b * r + z + 1]]
-            m = out[b][z] = np.zeros((S.dims[b, z], S.rdims[b, z]), dtype=complex)
-            m[legs["row"][k], legs["col"][k]] = legs["val"][k]
+            m = out[b][z] = np.zeros((rows[b, z], cols[b, z]), dtype=complex)
+            m[entries["row"][k], entries["col"][k]] = entries["val"][k]
     return out
 
 
@@ -553,7 +589,7 @@ DELTA_TOL = 1e-9
 
 def build_delta(spec, lam: LambdaObject) -> DeltaObject:
     """Assemble Δ(Λ), draw the legs id_1 ⊗ e_b as one join over the flat
-    vertex pieces (_delta_legs), keep them as the braiding (_at_unit), and
+    vertex pieces (_delta_legs), keep them as the braiding (_matrices), and
     verify it (verify_halfbraiding on every pair (a, b), with the legs
     id_a ⊗ e_b joined over runs of letters a, the a = 1 ones reused).
     Raises ToleranceError when a residual reaches DELTA_TOL: an engine or
@@ -571,7 +607,8 @@ def build_delta(spec, lam: LambdaObject) -> DeltaObject:
     obj = SumObject(eng, words, tags)
     legs = _delta_legs(obj)
     unit = legs(ring.unit)
-    braiding = _at_unit(obj, unit)
+    S = _sides(obj)
+    braiding = _matrices(unit, S.dims, S.rdims)  # the legs at a = 1
 
     def reused(letters: np.ndarray) -> dict:  # a run's legs, those at a = 1 kept
         rest = letters[letters != ring.unit]
@@ -792,25 +829,28 @@ def t_map(A: TubeAlgebra, delta: DeltaObject, f: TubeElement) -> dict:
 
 def naturality_residual(delta: DeltaObject, T: dict) -> float:
     """Worst max-abs entry of (id_b ⊗ T) ∘ e_b − e_b ∘ (T ⊗ id_b) over the
-    letters b, per root r of the stacked trees (DeltaObject.kernel), for T
-    given as t_map gives it.  Raises ShapeError unless T is an endomorphism
-    of Δ: one (n_z, n_z) matrix per root z of Δ.obj.stacked().
+    letters b, per root r of the stacked trees, for T given as t_map gives
+    it.  Raises ShapeError unless T is an endomorphism of Δ: one (n_z, n_z)
+    matrix per root z of Δ.obj.stacked().
 
-    T ⊗ id_b is T_v on the lifts (v, ν), so the right side is e[:, cols]·T_v;
-    id_b ⊗ T is Ω·B·Ω† with B = T_u on group (u, ν) (SumObject.omega), so
-    the left side is Ω·(T_u·(Ω†·e)) by groups.  Only T is new per call.
+    With T as one block-diagonal matrix over Δ's states, T ⊗ id_b at r is
+    its lift onto the states of Δ + (b,), and id_b ⊗ T is Ω·B·Ω† with B its
+    lift onto Ω's columns (_Omega, sums.lift), so the left side is read in
+    left-comb coordinates as Ω·(B·(Ω†·e)).  Ω and the lifts are made once
+    per Δ; nothing made from T or e is kept.
     """
-    dims = delta.obj.stacked().dims
-    if T.keys() != dims.keys() or any(np.shape(T[z]) != (n, n) for z, n in dims.items()):
+    sb = delta.obj.stacked()
+    if T.keys() != sb.dims.keys() or any(np.shape(T[z]) != (n, n) for z, n in sb.dims.items()):
         raise ShapeError("needs an endomorphism of Δ: one (n_z, n_z) "
                          "matrix per root z of Δ")
+    full, om = block_diagonal(T, sb.root, sb.root), _omega(delta.obj)
 
     def defects():
-        for per_root in delta.kernel.values():
-            for om, groups, e, e1, lifts in per_root.values():
-                lhs = om @ left_blocks(T, e1, groups, groups, len(e1))
-                rhs = right_blocks(e, T, lifts, lifts, e.shape[1])
-                yield float(np.max(np.abs(lhs - rhs)))
+        for b, per_root in delta.braiding.items():
+            for r, e in per_root.items():
+                o, left, right = om.mats[b][r], om.left[b, r], om.right[b, r]
+                lhs = o @ (lift(full, left, left) @ (o.conj().T @ e))
+                yield float(np.max(np.abs(lhs - e @ lift(full, right, right))))
 
     return worst(defects())
 

@@ -39,10 +39,14 @@ vertex pieces (_delta_legs) or from a stored e_b between two F entries
 leg_matrices reads one channel of the joined legs back as matrices.  A
 StackedBasis keeps its trees as integer arrays, and stacked_trees reads
 them back as the tuples TreeBasis lists, root by root; stacked_lifts
-groups a grown stack's trees by their parent's root and last slot, where
-the library reads those groups off the counts N (DeltaObject.kernel,
-OneLetter.groups).  The
-block maps live between sums whose words are shifted by a letter
+groups a grown stack's trees by their parent's root and last slot, and
+right_blocks multiplies by f ⊗ id_x group by group, where the library
+reads each grown state's parent and slot off the counts N
+(tubecat.sums.lifts_of) and lifts f by one masked gather.  Ω, the basis
+change from id_c ⊗ comb to the combs of (c,) + w, is here the engine's,
+recursed a letter at a time and summed over the summands (sum_omega),
+where tubecat.tube._Omega joins the F entries of every state at once.
+The block maps live between sums whose words are shifted by a letter
 (shifted), a SumObject the library itself never forms.
 
 The pentagon's two routes are here too, one word and one root at a time, as
@@ -58,7 +62,7 @@ from tubecat.duality import coev, ev, rotate_clockwise
 from tubecat.errors import worst
 from tubecat.morphism import Linear, cached
 from tubecat.pairs import canonical_pair
-from tubecat.sums import SumObject, cut_block, right_blocks, stack_blocks
+from tubecat.sums import SumObject, cut_block, stack_blocks
 from tubecat.trees import tree_root
 from tubecat.tube import TubeElement, _pieces, _sides, _Stacked, t_map
 
@@ -213,6 +217,40 @@ def stacked_lifts(sb):
             v = tree[-2][0] if len(tree) > 1 else sb.words[j][0]
             out.setdefault(z, {}).setdefault((v, tree[-1][1]), []).append(p)
     return {z: {key: np.array(p) for key, p in at.items()} for z, at in out.items()}
+
+
+def right_blocks(M, F, dst, src, n):
+    """M·B with B block-diagonal over the keys (v, ν) of src: block F_v from
+    the columns src[key] of an n-column result to M's columns dst[key], as
+    stacked_lifts groups them for f ⊗ id_x."""
+    out = np.zeros((M.shape[0], n), dtype=complex)
+    for key, C in src.items():
+        if key in dst and key[0] in F:
+            out[:, C] = M[:, dst[key]] @ F[key[0]]
+    return out
+
+
+def sum_omega(obj, c):
+    """id_c ⊗ − on the stacked comb trees of a sum of words: root r -> Ω,
+    the direct sum over the summands w_j of Engine.omega(c, w_j)[r], from
+    the 'id_c ⊗ comb' coordinates (Engine.right_basis: by the root z of
+    w_j's tree, then the tree, then the slot ν of (c, z; r)) onto the
+    stacked combs of (c,) + w_j at r, where tubecat.tube._Omega joins the
+    same entries from F at once."""
+    eng = obj.engine
+    mats, size = {}, {}
+    for w in obj.summands:
+        om = eng.omega(c, w)
+        for r, ents in eng.right_basis(c, w).items():
+            off = size.get(r, 0)
+            mats.setdefault(r, []).append((off, om[r]))
+            size[r] = off + len(ents)
+    out = {}
+    for r, blocks in mats.items():
+        out[r] = np.zeros((size[r], size[r]), dtype=complex)
+        for off, m in blocks:
+            out[r][off:off + len(m), off:off + len(m)] = m
+    return out
 
 
 def vertex_groups(sb):

@@ -599,6 +599,28 @@ def test_compressed_braiding_matches_per_summand(catalog, name, monkeypatch):
     assert next(isometries, None) is None
 
 
+def test_compression_refuses_a_mismatched_isometry(catalog):
+    # compress_halfbraiding checks V as naturality_residual checks T: a V_z
+    # of the wrong shape, a V that lacks a root of X, and an X over another
+    # category than Δ each raise ShapeError (numpy's ValueError, a braiding
+    # read as if V were zero there, and ValueError before)
+    from tubecat.errors import ShapeError
+    from tubecat.sums import SumObject
+    spec = catalog["fibonacci"]
+    lam = LambdaObject.all_simples(spec)
+    D = build_delta(spec, lam)
+    unit, tau = spec.ring.unit, spec.index("tau")
+    X = SumObject(D.engine, [(unit,), (tau,)], [(unit, 0), (tau, 0)])
+    n = D.obj.stacked().dims
+    V = {z: np.eye(n[z], 1) for z in (unit, tau)}
+    assert sorted(tubecat.center.compress_halfbraiding(D, X, V)) == list(range(spec.rank))
+    other = build_delta(catalog["vec_z2"], LambdaObject.all_simples(catalog["vec_z2"]))
+    for delta, iso in ((D, {**V, tau: np.eye(n[tau], 2)}), (D, {unit: V[unit]}),
+                       (D, {**V, unit: V[unit][:-1]}), (other, V)):
+        with pytest.raises(ShapeError):
+            tubecat.center.compress_halfbraiding(delta, X, iso)
+
+
 def spec_rank(D):
     return D.spec.rank
 

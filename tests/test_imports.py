@@ -48,6 +48,28 @@ def _all(tree):
     return set()
 
 
+def _module_names(tree):
+    """The names a module binds at its top level: its definitions, the
+    targets of its assignments and the names of its imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(name for name, _line in _bound(node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def stale_exports(path):
+    """The strings in path's __all__ that the module does not bind at its
+    top level, sorted."""
+    tree = ast.parse(path.read_text())
+    return sorted(_all(tree) - _module_names(tree))
+
+
 def _reexported():
     """module stem -> names the package __init__ imports from it."""
     out = {}
@@ -118,3 +140,18 @@ def test_the_check_sees_an_unused_import(tmp_path):
                    "__all__ = ['sep']\n\n"
                    "def f(x: 'np.ndarray') -> int:\n    return 1\n")
     assert unused_imports(src) == [("math", 2), ("path", 4)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_stale_exports(path):
+    assert stale_exports(path) == []
+
+
+def test_the_check_sees_a_stale_export(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from os import sep\nimport os.path\n"
+                   "__all__ = ['sep', 'os', 'f', 'K', 'N', 'M', 'P', 'gone', 'g']\n\n"
+                   "def f():\n    g = 1\n    return g\n\n"
+                   "class K:\n    pass\n\n"
+                   "N: int = 1\nM, P = 1, 2\n")
+    assert stale_exports(src) == ["g", "gone"]

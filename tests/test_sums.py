@@ -5,7 +5,9 @@ summand by summand, the same trees in the same order as TreeBasis.of on
 each word, and the trees of the words grown by one more letter must keep
 their parents' order in each group (v, ν) of their last vertex (the
 oracle's stacked_lifts), since f ⊗ id_x reads those groups as the parent
-coordinates in order; the hexagon check reads both.
+coordinates in order; the hexagon check reads both.  A map lifted onto
+grown states by one masked gather (sums.lift) keeps a non-finite entry on
+its own entries.
 """
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from oracles import stacked_lifts, stacked_trees
 from tubecat.catspec import load_spec
 from tubecat.errors import ShapeError
 from tubecat.morphism import engine_for
-from tubecat.sums import StackedBasis, SumObject, cut_block, stack_blocks
+from tubecat.sums import (StackedBasis, SumObject, block_diagonal, cut_block, lift,
+                          lifts_of, stack_blocks)
 from tubecat.trees import TreeBasis
 
 
@@ -155,3 +158,22 @@ def test_block_difference_is_blockwise(catalog):
     g.vector[spans[0].stop - 1] = np.nan
     assert np.isnan((f - g).norm())
 
+
+def test_lift_keeps_a_nan_on_its_own_entries():
+    # f ⊗ id_a on Rep(A4)'s 3 + 3 (two slots ν on (3, 3; 3)), as one masked
+    # gather of f's block-diagonal matrix: a NaN in f at root 3 reaches only
+    # the entries whose parents it joins and whose slots agree, and the
+    # finite entries are f's, zero across slots (a product with the mask
+    # would carry the NaN onto every entry of its rows and columns)
+    ring = rep_a4_random_table(0).ring
+    words, three = [(3,), (3,)], 3
+    root = StackedBasis.of(ring, words).root
+    f = {three: np.arange(4.0).reshape(2, 2) + 1j}
+    f[three][0, 1] = np.nan
+    full = block_diagonal(f, root, root)
+    lifts = lifts_of(ring.N[np.array([w[0] for w in words])].transpose(1, 0, 2))
+    parents, slots = rows = lifts[three, three]
+    assert parents.tolist() == [0, 0, 1, 1] and slots.tolist() == [0, 1, 0, 1]
+    (a, _nan), (c, d) = f[three]
+    np.testing.assert_array_equal(lift(full, rows, rows), [[a, 0, np.nan, 0], [0, a, 0, np.nan],
+                                                           [c, 0, d, 0], [0, c, 0, d]])

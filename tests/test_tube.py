@@ -37,7 +37,7 @@ from oracles import (BlockMap, braiding_blocks, closure_per_channel,
                      diagram_star_table, engine_channel_rows, engine_pad, engine_top,
                      engine_vertex_pad, extend_halfbraiding, generic_leg, gram,
                      hexagon_residual, lead_runs, leg_matrices, rotated_fuses,
-                     shifted, sparse_rows, stacked_lifts, stacked_trees, t_diagram,
+                     shifted, sparse_rows, stacked_lifts, stacked_trees, sum_omega, t_diagram,
                      tensor_id_left, tensor_id_right, unitarity_loop, vertex_leg_loop,
                      whole_map_naturality)
 
@@ -565,7 +565,8 @@ def test_phase_on_one_stored_block_names_its_pair():
     legs = _delta_legs(D.obj)
     moved = _phase_on_block(D.obj, legs(spec.ring.unit), 2, 0, D.obj.index((2, 0)),
                             np.exp(1e-6j))
-    nudged = {**D.braiding, 2: tubecat.tube._at_unit(D.obj, moved)[2]}
+    S = tubecat.tube._sides(D.obj)
+    nudged = {**D.braiding, 2: tubecat.tube._matrices(moved, S.dims, S.rdims)[2]}
     pairs = pair_residuals(D.obj, nudged, legs)
     reads = {(a, b) for a in range(4) for b in range(4)
              if ((a + b) % 4 == 2 and a != 2) or (a == 2 and b != 0)}
@@ -918,19 +919,20 @@ def test_hexagon_kernel_matches_the_pair_loop_on_extracted_simples(catalog, monk
 def test_extraction_check_builds_no_omega_and_no_two_letter_stack(monkeypatch):
     # extraction's one verify_halfbraiding on a cold rep_s3 joins its legs
     # from the stored e_b and flat F entries (tube._word_legs): no
-    # SumObject.omega and no stack of two added letters (18 and 9 when each
-    # pair's leg id_a ⊗ e_b was Ω′·B·Ω† on the sums (b,) + X and X + (b,))
+    # Engine.omega and no stack of two added letters (18 SumObject.omega
+    # calls and 9 stacks when each pair's leg id_a ⊗ e_b was Ω′·B·Ω† on the
+    # sums (b,) + X and X + (b,))
     import tubecat.center
     spec = find("rep_s3")
     lam = LambdaObject.all_simples(spec)
     A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
     dec = decompose_blocks(A, seed=1)
-    omega, stacked, real = SumObject.omega, SumObject.stacked, tubecat.center.verify_halfbraiding
+    omega, stacked, real = Engine.omega, SumObject.stacked, tubecat.center.verify_halfbraiding
     counts, inside = {"omega": 0, "two letters": 0}, []
 
-    def counted_omega(obj, c):
+    def counted_omega(eng, c, word):
         counts["omega"] += bool(inside)
-        return omega(obj, c)
+        return omega(eng, c, word)
 
     def counted_stacked(obj, left=(), right=()):
         counts["two letters"] += bool(inside) and len(left) + len(right) >= 2
@@ -943,7 +945,7 @@ def test_extraction_check_builds_no_omega_and_no_two_letter_stack(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(SumObject, "omega", counted_omega)
+    monkeypatch.setattr(Engine, "omega", counted_omega)
     monkeypatch.setattr(SumObject, "stacked", counted_stacked)
     monkeypatch.setattr(tubecat.center, "verify_halfbraiding", check)
     simples = extract_center_simples(A, D, dec)
@@ -995,21 +997,36 @@ def test_verify_decodes_the_braiding_once(monkeypatch):
 
 
 def test_extraction_makes_no_omega_on_one_letter_sums(monkeypatch):
-    # compression reads the groups of id_a ⊗ V† off the positions of the
-    # trees of (a,) + X, since Ω is the identity on one-letter words: no
-    # SumObject.omega on an extracted simple or their sum (103 calls in one
-    # catalog extraction round when compression multiplied by X.omega(a)),
-    # and Δ's own (DeltaObject.kernel) is made once per letter
-    spec = find("rep_s3")
-    lam = LambdaObject.all_simples(spec)
-    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
-    real, calls = SumObject.omega, []
-    monkeypatch.setattr(SumObject, "omega",
-                        lambda obj, c: calls.append((obj, c)) or real(obj, c))
-    simples = extract_center_simples(A, D, decompose_blocks(A, seed=1))
-    assert len(simples) == 8
-    assert [c for obj, c in calls if all(len(w) == 1 for w in obj.summands)] == []
-    assert sorted(c for obj, c in calls if obj is D.obj) == list(range(spec.rank))
+    # compression and naturality read Δ's Ω off flat F entries
+    # (tube._Omega), and Ω is the identity on an extracted simple's
+    # one-letter words: extraction, then naturality on a fresh Δ, call no
+    # Engine.omega and build no TreeBasis on fibonacci, ising and rep_s3
+    # (186 Engine.omega calls and 154 bases, 81 of them TreeBasis.of, in
+    # extraction when Δ's kernel read SumObject.omega; 62 more calls in
+    # naturality)
+    from tubecat.trees import TreeBasis
+    omega, init, calls = Engine.omega, TreeBasis.__init__, {"omega": 0, "bases": 0}
+
+    def counted_omega(eng, c, word):
+        calls["omega"] += 1
+        return omega(eng, c, word)
+
+    def counted_init(tb, *args):
+        calls["bases"] += 1
+        init(tb, *args)
+
+    for name in ("fibonacci", "ising", "rep_s3"):
+        spec = find(name)
+        lam = LambdaObject.all_simples(spec)
+        A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+        dec, fresh = decompose_blocks(A, seed=1), build_delta(spec, lam)
+        with monkeypatch.context() as m:
+            m.setattr(Engine, "omega", counted_omega)
+            m.setattr(TreeBasis, "__init__", counted_init)
+            assert len(extract_center_simples(A, D, dec)) == len(dec.sizes)
+            T = t_map(A, fresh, A.random_element(np.random.default_rng(3)))
+            assert naturality_residual(fresh, T) < 1e-12, name
+        assert calls == {"omega": 0, "bases": 0}, name
     with pytest.raises(ShapeError, match="one-letter words"):
         tubecat.center.compress_halfbraiding(D, D.obj, {})
 
@@ -1020,40 +1037,107 @@ def _lists(groups: dict) -> dict:
 
 @pytest.mark.parametrize("name", ["fibonacci", "rep_s3", "Z/4 k=1"])
 def test_kernel_lifts_group_the_grown_stack(catalog, name):
-    # Δ's kernel reads the lifts of Δ + (b,) off the states of every
-    # Δ + (b,) at once (tube._sides): at each root r, the positions of the
-    # children in slot ν of Δ's trees at v, in their order, as the oracle
-    # groups the stack grown from the words of Δ + (b,)
+    # Δ's lifts onto Δ + (b,) (tube._Omega.right, sums.lifts_of off N): at
+    # each root r, the state at every position is the child, in its slot ν,
+    # of its parent, as the oracle reads the stack grown from the words of
+    # Δ + (b,) (stacked_trees), and the positions group by (v, ν) as
+    # stacked_lifts groups them
+    from tubecat.tube import _omega
     spec = _spec(catalog, name)
     D = build_delta(spec, LambdaObject.all_simples(spec))
-    for b, per_root in D.kernel.items():
-        want = _lists(stacked_lifts(D.obj.stacked((), (b,))))
-        assert _lists({r: lifts for r, (*_rest, lifts) in per_root.items()}) == want, (name, b)
+    sb, om = D.obj.stacked(), _omega(D.obj)
+    base = stacked_trees(sb)
+    for b in range(spec.rank):
+        grown = D.obj.stacked((), (b,))
+        got = {}
+        for r, trees in stacked_trees(grown).items():
+            parents, slots = om.right[b, r]
+            assert [(sb.summand[p], base[sb.root[p]][sb.pos[p]][1] + ((r, nu),))
+                    for p, nu in zip(parents.tolist(), slots.tolist())] == trees, (name, b, r)
+            for k, (p, nu) in enumerate(zip(parents.tolist(), slots.tolist())):
+                got.setdefault(r, {}).setdefault((int(sb.root[p]), nu), []).append(k)
+        assert got == _lists(stacked_lifts(grown)), (name, b)
+        assert all(om.right[b, r][0].size == 0 for r in range(spec.rank)
+                   if r not in grown.dims), (name, b)
 
 
 def test_one_letter_groups_match_the_grown_stacks():
     # compression reads id_a ⊗ V† and V ⊗ id_a on a sum of one-letter words
-    # off the counts N (OneLetter.groups): on Rep(A4)'s 3 + 1′ + 3 + 3, with
-    # two slots ν on (3, 3; 3), the trees of (a, x_j) and of (x_j, a) at r by
-    # (x_j, ν), as the stacks grown from those words list them; one entry,
-    # shared by every sum of the same words
+    # off the counts N (OneLetter.lifts): on Rep(A4)'s 3 + 1′ + 3 + 3, with
+    # two slots ν on (3, 3; 3), the summand j and slot ν of the tree of
+    # (a, x_j) and of (x_j, a) at every position at r, as the stacks grown
+    # from those words list them; one entry, shared by every sum of the
+    # same words
     eng, _rng = _rep_a4_engine(0)
     X = SumObject(eng, [(3,), (1,), (3,), (3,)])
     one = X.one_letter()
     assert SumObject(eng, X.summands).one_letter() is one
-    left, right = one.groups
+    left, right = one.lifts
     for a in range(eng.ring.rank):
-        sb = X.stacked((a,))
-        want = {}
-        for r, trees in stacked_trees(sb).items():
-            for p, (j, ((_r, nu),)) in enumerate(trees):
-                want.setdefault(r, {}).setdefault((X.summands[j][0], nu), []).append(p)
-        assert _lists(left.get(a, {})) == want, a
-        assert _lists(right.get(a, {})) == _lists(stacked_lifts(X.stacked((), (a,)))), a
-        for (count, first), side in ((one.left, sb), (one.right, X.stacked((), (a,)))):
+        for lifts, sb in ((left, X.stacked((a,))), (right, X.stacked((), (a,)))):
+            trees = stacked_trees(sb)
+            for r in range(eng.ring.rank):
+                j, nu = lifts[a, r]
+                assert [(k, ((r, n),)) for k, n in zip(j.tolist(), nu.tolist())] == trees.get(r, []), (a, r)
+        for (count, first), side in ((one.left, X.stacked((a,))), (one.right, X.stacked((), (a,)))):
             assert {r: n for r, n in enumerate(count[a].sum(axis=0).tolist()) if n} == side.dims
             assert all(first[a, :, r].tolist() == side.starts[r][:-1] for r in side.dims)
-    assert any(nu for at in left[3].values() for _x, nu in at)
+    assert any(nu.any() for _j, nu in left.values())
+    assert right[3, 3][1].tolist() == [0, 1, 0, 0, 1, 0, 1]
+
+
+OMEGA_CASES = ["vec", "vec_z2", "vec_z2_twisted", "vec_z3", "fibonacci", "ising", "rep_s3",
+               *(f"Z/{n} k={k}" for n in range(4, 8) for k in (1, 2)), *SU2K]
+
+
+def _omega_gap(obj) -> tuple:
+    """The worst gap between tube._Omega's mats and oracles.sum_omega (the
+    direct sum of Engine.omega over the summands) with Ω's columns (p, ν)
+    matched to the engine's (summand, tree, ν) (Engine.right_basis), over
+    every letter and root; and whether some column has ν > 0."""
+    from tubecat.tube import _omega
+    eng, sb = obj.engine, obj.stacked()
+    om, trees = _omega(obj), stacked_trees(sb)
+    gap, slot = 0.0, False
+    for c in range(eng.ring.rank):
+        want = sum_omega(obj, c)
+        labels = {}
+        for j, w in enumerate(obj.summands):
+            for r, ents in eng.right_basis(c, w).items():
+                for u, tree, nu in ents:
+                    labels.setdefault(r, []).append((j, u, tree, nu))
+        assert sorted(want) == sorted(om.mats[c]), c
+        for r, m in want.items():
+            parents, slots = om.left[c, r]
+            mine = [(int(sb.summand[p]), int(sb.root[p]), trees[sb.root[p]][sb.pos[p]][1], nu)
+                    for p, nu in zip(parents.tolist(), slots.tolist())]
+            assert sorted(mine) == sorted(labels[r]), (c, r)
+            perm = [mine.index(key) for key in labels[r]]
+            gap = max(gap, float(np.max(np.abs(om.mats[c][r][:, perm] - m))))
+            slot |= bool(slots.any())
+    return gap, slot
+
+
+@pytest.mark.parametrize("name", OMEGA_CASES)
+def test_flat_omega_matches_the_engine(catalog, name):
+    # Δ's Ω, one self-join of F entries per letter (tube._Omega), against
+    # the engine's Ω of every word (c,) + w, recursed one letter at a time:
+    # equal up to column order within 1e-15
+    spec = _spec(catalog, name)
+    gap, _slot = _omega_gap(build_delta(spec, LambdaObject.all_simples(spec)).obj)
+    assert gap <= 1e-15, (name, gap)
+
+
+def test_flat_omega_matches_the_engine_with_multiplicity():
+    # on Rep(A4)'s ring with random F, Δ's words (x, l, x̄) as a plain sum
+    # (no braiding is drawn): the F entries' multiplicity indices are
+    # reached, a column in slot ν > 0 among them
+    eng, _rng = _rep_a4_engine(1)
+    dual, rank = eng.ring.dual, eng.ring.rank
+    obj = SumObject(eng, [(x, l, dual[x]) for x in range(rank) for l in range(rank)],
+                    [(x, l) for x in range(rank) for l in range(rank)])
+    gap, slot = _omega_gap(obj)
+    assert gap <= 1e-15 and slot, gap
 
 
 @pytest.mark.parametrize("name", ["Z/5 k=1", "SU(2)_3"])
