@@ -2,28 +2,37 @@
 
 Every element of the tube algebra here (the random draws, the idempotents)
 is a coefficient vector in the basis of TubeAlgebra.spans, multiplied and
-starred through mult_table and star_table, as TubeElement holds it; no
-other form of an element is built.
+starred as sums over the algebra's sorted product and star entries
+(TubeAlgebra.mult, TubeAlgebra.star), as TubeElement holds it; no other
+form of an element is built, and no dense dim³ table is read.  Left and
+right multiplication by an element are dim×dim matrices summed from the
+entries (_left, _right).
 
 The tube algebra is a finite-dimensional C*-algebra, so it splits as a sum
-of matrix blocks whose units p_k span its center.  We find them from one
-seeded random self-adjoint central element z = Σ λ_k·p_k: each eigenvector
-of left multiplication by z on the center (an r×r eigenproblem in center
-coordinates) is a multiple w of one p_k, and w·w = α·w gives p_k = w/α.
+of matrix blocks whose units p_k span its center.  Two seeded random
+elements generate the algebra for almost every draw, so the elements that
+commute with both are the center; every vector found is checked against
+every basis element, and a draw whose commutant is larger fails that
+check.  From one seeded random self-adjoint central element z = Σ λ_k·p_k,
+each eigenvector of left multiplication by z on the center (an r×r
+eigenproblem in center coordinates) is a multiple w of one p_k, and
+w·w = α·w gives p_k = w/α.
 
 Each block then yields one simple object of the center of the category:
 a minimal idempotent q inside the block acts on each hom space Hom(z, Δ)
 as the projection M_z = t_map(q)[z], summed from the tube algebra's own
-product terms; the range of M_z is split off as an isometry, and the
-half-braiding of Δ is compressed onto it.  The central idempotent itself
-would give n copies of the same simple (its range is X^n for a block of
-size n), so for n > 1 we first refine to a rank-one idempotent, found the
-same way from a seeded positive element.
+product terms; the range of M_z is split off as an isometry.  The
+half-braiding of Δ is compressed once onto the direct sum of all the
+simples, and each simple's is its diagonal block.  The central idempotent
+itself would give n copies of the same simple (its range is X^n for a
+block of size n), so for n > 1 we first refine to a rank-one idempotent,
+found the same way from a seeded positive element.
 
-Everything downstream of the random draws is verified: idempotency,
-self-adjointness, orthogonality, unit partition, integer block sizes,
-refined weights, unitarity of the compressed braiding, and the hexagon.
-A finite draw that fails the idempotent checks (eigenvalues too close to
+Everything downstream of the random draws is verified: centrality,
+idempotency, self-adjointness, orthogonality, unit partition, integer
+block sizes, refined weights, unitarity of the compressed braiding, and
+the hexagon.  A finite draw that fails the centrality or idempotent
+checks (a commutant larger than the center, or eigenvalues too close to
 split) raises DegenerateSpectrum, and another seed will fix it; a
 non-finite defect, or a failed check on an extracted simple, raises
 ToleranceError, and no seed will.
@@ -37,9 +46,11 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, ShapeError, ToleranceError, worst
 from .duality import weighted_trace
-from .sums import SumObject, block_diagonal, lift, stack_blocks
+from .fsymbols import add_per, group
+from .sums import SumObject, block_diagonal, lift
 from .tube import (DeltaObject, LambdaObject, TubeAlgebra, _omega, build_delta,
-                   build_tube_algebra, check_delta, t_map, verify_halfbraiding)
+                   build_tube_algebra, check_delta, t_map, tube_product, tube_star,
+                   verify_halfbraiding)
 
 __all__ = [
     "BlockDecomposition", "CenterSimple", "decompose_blocks",
@@ -53,24 +64,41 @@ SIZE_SLACK = 1e-6
 EXTRACTION_TOL = 1e-8
 
 
-# ---- coefficient-vector arithmetic (dense tables) -----------------------------
+# ---- coefficient-vector arithmetic (sorted entries) ---------------------------
+
+def _matrix(n: int, rows: np.ndarray, cols: np.ndarray, val: np.ndarray) -> np.ndarray:
+    """The n×n matrix of the terms val at (rows, cols), added per entry."""
+    return add_per(rows * n + cols, val, n * n).reshape(n, n)
+
 
 def _left(A: TubeAlgebra, v: np.ndarray) -> np.ndarray:
-    """Matrix of left multiplication by v on the coefficient space."""
-    return np.tensordot(v, A.mult_table, 1).T
+    """Matrix of left multiplication by v on the coefficient space:
+    L[k, j] = Σ_i v_i·c[i, j, k] over the product entries."""
+    (i, j, k), c = A.mult
+    return _matrix(A.dim, k, j, v[i] * c)
 
 
 def _right(A: TubeAlgebra, v: np.ndarray) -> np.ndarray:
-    """Matrix of right multiplication by v on the coefficient space."""
-    return np.tensordot(A.mult_table, v, (1, 0)).T
+    """Matrix of right multiplication by v on the coefficient space:
+    R[k, i] = Σ_j c[i, j, k]·v_j over the product entries."""
+    (i, j, k), c = A.mult
+    return _matrix(A.dim, k, i, v[j] * c)
 
 
 def _mult(A: TubeAlgebra, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return _left(A, u) @ v
+    return tube_product(A, A.element(u), A.element(v)).vector
 
 
 def _star(A: TubeAlgebra, v: np.ndarray) -> np.ndarray:
-    return np.conj(v) @ A.star_table
+    return tube_star(A, A.element(v)).vector
+
+
+def _weight(A: TubeAlgebra, p: np.ndarray) -> np.ndarray:
+    """trace(L_p) = Σ p_i·c[i, j, j], over the product entries with j = k;
+    p one vector or a stack of them."""
+    (i, j, k), c = A.mult
+    on = j == k
+    return p[..., i[on]] @ c[on]
 
 
 def _projection_from(A: TubeAlgebra, w: np.ndarray) -> np.ndarray:
@@ -107,49 +135,75 @@ class BlockDecomposition:
         return len(self.sizes)
 
 
-def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
-    """Split A into matrix blocks via a seeded random central element z.
+def _commutant(A: TubeAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the elements that commute with x and y:
+    the null space of the 2·dim × dim stack [L_x − R_x; L_y − R_y], read
+    off a thin SVD with singular values below 1e-10 of the largest (or of
+    1) counted as zero."""
+    comm = np.vstack([_left(A, v) - _right(A, v) for v in (x, y)])
+    _, svals, vh = np.linalg.svd(comm, full_matrices=False)
+    cutoff = 1e-10 * max(1.0, float(svals[0]) if svals.size else 0.0)
+    return vh[int(np.sum(svals > cutoff)):].conj().T
 
-    The minimal central idempotents are multiples of V·e_k, for V an
-    orthonormal basis of the center and e_k the eigenvectors of the r×r
-    matrix M = V†·L_z·V.  Verified: idempotency, self-adjointness,
+
+def _centrality(A: TubeAlgebra, V: np.ndarray) -> float:
+    """Worst max-abs coefficient of v·e_j − e_j·v over the columns v of V
+    and every basis element e_j, one pass over the product entries per
+    column: the entry c[i, j, k] adds v_i·c to (v·e_j)_k and v_j·c to
+    (e_i·v)_k.  NaN propagates."""
+    (i, j, k), c = A.mult
+    slot, keys = group(np.concatenate((j * A.dim + k, i * A.dim + k)))
+    gaps = (add_per(slot, np.concatenate((v[i] * c, -v[j] * c)), len(keys)) for v in V.T)
+    return worst(float(np.max(np.abs(g), initial=0.0)) for g in gaps)
+
+
+def decompose_blocks(A: TubeAlgebra, seed: int = 1) -> BlockDecomposition:
+    """Split A into matrix blocks via seeded random elements.
+
+    Two random elements x and y generate A (a finite-dimensional semisimple
+    algebra) for almost every draw, so the elements commuting with both
+    (_commutant) are the center; every vector of that basis is checked
+    against every basis element (_centrality), so a draw whose commutant is
+    larger fails here.  The minimal central idempotents are multiples of
+    V·e_k, for V that orthonormal basis of the center and e_k the
+    eigenvectors of the r×r matrix M = V†·L_z·V, z a random self-adjoint
+    central element.  Verified: idempotency, self-adjointness,
     orthogonality, unit partition, and integer sizes with Σn² = dim.  The
     blocks come in a canonical order, not the eigensolver's: by size, then
     by the idempotent's vector rounded to 1e-9, real parts then imaginary
     parts, compared lexicographically; so every seed that splits A numbers
     its blocks alike, up to rounding.  A finite draw that fails them raises
     DegenerateSpectrum (retry with another seed); a non-finite defect or
-    an empty center raises ToleranceError.
+    an empty center raises ToleranceError.  Every product is a sum over
+    the sorted entries; no dense dim³ table or dim²×dim commutator is made.
     """
-    c, dim = A.mult_table, A.dim
-    # center = nullspace of all commutators [e_i, -]
-    comm = (np.transpose(c, (1, 2, 0)) - np.transpose(c, (0, 2, 1)))
-    # thin: the dim²×dim² U of the full SVD is never used
-    _, svals, vh = np.linalg.svd(comm.reshape(dim * dim, dim), full_matrices=False)
-    cutoff = 1e-10 * max(1.0, float(svals[0]) if svals.size else 0.0)
-    nkeep = int(np.sum(svals > cutoff))
-    V = vh[nkeep:].conj().T
+    dim = A.dim
+    rng = np.random.default_rng(seed)
+    x, y = (A.random_element(rng).vector for _ in range(2))
+    V = _commutant(A, x, y)
     r = V.shape[1]
     if r == 0:
         raise ToleranceError("center collapsed to zero; structure tables corrupt")
+    _check_defect(_centrality(A, V), "decompose_blocks", "centrality")
 
-    rng = np.random.default_rng(seed)
     z0 = V @ (rng.standard_normal(r) + 1j * rng.standard_normal(r))
     z = z0 + _star(A, z0)
     _, E = np.linalg.eig(V.conj().T @ _left(A, z) @ V)
     vectors = [_projection_from(A, V @ e) for e in E.T]
 
-    # p_i·p_j = δ_ij·p_i for all pairs at once, p* = p, and Σ p = 1
+    # p_m·p_n = δ_mn·p_m for all pairs, one L_(p_m) at a time, p* = p, and Σ p = 1
     P = np.array(vectors)
-    products = np.matmul(P, np.tensordot(P, c, (1, 0)))
-    products[np.arange(r), np.arange(r)] -= P
-    defects = [float(np.max(np.abs(products)))]
+    defects = []
+    for m, p in enumerate(P):
+        products = P @ _left(A, p).T
+        products[m] -= p
+        defects.append(float(np.max(np.abs(products))))
     defects += [float(np.max(np.abs(_star(A, p) - p))) for p in vectors]
     defects.append(float(np.max(np.abs(P.sum(axis=0) - A.vector_of(A.unit)))))
     _check_defect(worst(defects), "decompose_blocks", "idempotent system")
 
     sizes = []
-    for weight in P @ np.einsum("mjj->m", c):  # trace(L_p) = n²
+    for weight in _weight(A, P):  # trace(L_p) = n²
         root = math.sqrt(max(weight.real, 0.0))
         n = round(root)
         if abs(root - n) > SIZE_SLACK or n < 1:
@@ -169,25 +223,29 @@ def _refine_minimal(A: TubeAlgebra, p: np.ndarray, n: int,
                     seed: int, k: int) -> np.ndarray:
     """Rank-one idempotent inside the size-n block cut out by central p.
 
-    A random element of the block, made positive as h = b·b*, generically
-    has n distinct eigenvalues there.  For the top one μ, the nullspace of
-    [L_h − μ; R_h − μ] is the line ℂ·q through the minimal projector onto
-    that eigenvector.
+    The block p·A is n²-dimensional, the range of L_p, and W, orthonormal
+    columns spanning it, come from L_p applied to n² random vectors.  A
+    random element of the block, made positive as h = b·b*, generically has
+    n distinct eigenvalues there; L_h keeps the block, and W†·L_h·W has
+    each of them n times.  For the top one μ, the null space of
+    [L_h − μ; R_h − μ]·W is the line ℂ·q through the minimal projector onto
+    that eigenvector.  No dim×dim eigenproblem or SVD is solved.
     """
     rng = np.random.default_rng([seed, 17, k])
     v = rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
     b = _mult(A, _mult(A, p, v), p)
     h = _mult(A, b, _star(A, b))
-    L, R = _left(A, h), _right(A, h)
-    mu = float(np.max(np.linalg.eigvals(L).real))
-    shift = mu * np.eye(A.dim)
-    _, _, vh = np.linalg.svd(np.vstack((L - shift, R - shift)))
-    q = _projection_from(A, vh[-1].conj())
+    G = rng.standard_normal((A.dim, n * n)) + 1j * rng.standard_normal((A.dim, n * n))
+    W = np.linalg.qr(_left(A, p) @ G)[0]
+    L, R = _left(A, h) @ W, _right(A, h) @ W
+    mu = float(np.max(np.linalg.eigvals(W.conj().T @ L).real))
+    _, _, vh = np.linalg.svd(np.vstack((L - mu * W, R - mu * W)), full_matrices=False)
+    q = _projection_from(A, W @ vh[-1].conj())
     stage = f"block {k} refinement"
     _check_defect(worst((float(np.max(np.abs(_mult(A, q, q) - q))),
                          float(np.max(np.abs(_star(A, q) - q))))),
                   stage, "refined idempotent")
-    tr = float(np.einsum("m,mjj->", q, A.mult_table).real)
+    tr = float(_weight(A, q).real)
     if abs(tr - n) > 1e-6:
         raise DegenerateSpectrum(
             f"{stage}: refined idempotent has weight {tr:.6f}, wanted {n}")
@@ -240,7 +298,7 @@ def compress_halfbraiding(delta: DeltaObject, X: SumObject, V: dict) -> dict:
     category than Δ, or a V other than one (n_z, m_z) matrix per root z of
     X, n_z Δ's trees and m_z X's copies of z.
     """
-    one, sb = X.one_letter(), delta.obj.stacked()  # one: shared by every simple over X's words
+    one, sb = X.one_letter(), delta.obj.stacked()
     copies = {z: m for z, m in enumerate(np.bincount(one.label).tolist()) if m}
     if X.engine is not delta.engine or V.keys() != copies.keys() or any(
             np.shape(v) != (sb.dims.get(z, 0), copies[z]) for z, v in V.items()):
@@ -262,20 +320,25 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
                            dec: BlockDecomposition) -> list:
     """One CenterSimple per block, each verified as a unitary half-braiding.
 
-    The braiding compressed onto each simple (compress_halfbraiding) is
-    checked for unitarity (both compositions), trivial unit component, and
-    the hexagon on all simple pairs, by one verify_halfbraiding on the
-    direct sum of the simples with one part per simple; any defect at
-    EXTRACTION_TOL raises ToleranceError naming the lowest failing block,
-    since it means the block structure and the braiding disagree — a bug,
-    not a bad seed.  Raises ShapeError, before any work, for a Δ over
-    another category or Λ than A (check_delta).
+    Each block's minimal idempotent q acts on every Hom(z, Δ) as t_map(q)[z],
+    whose range is split off as an isometry V_z.  The simples are stacked
+    into their direct sum ⊕X, and Δ's braiding is compressed onto it once
+    (compress_halfbraiding, with the V_z of every simple side by side); the
+    blocks between two different simples are set to exact zeros, and each
+    simple's braiding is cut from its diagonal block.  That stacked braiding
+    is checked for unitarity (both compositions), trivial unit component,
+    and the hexagon on all simple pairs, by one verify_halfbraiding with one
+    part per simple; any defect at EXTRACTION_TOL raises ToleranceError
+    naming the lowest failing block, since it means the block structure and
+    the braiding disagree — a bug, not a bad seed.  Raises ShapeError,
+    before any work, for a Δ over another category or Λ than A
+    (check_delta).
     """
     check_delta(A, delta)
     eng = A.engine
     ring = eng.ring
     labs = A.spec.labels
-    out = []
+    out, isometries = [], {}
     for k, n in enumerate(dec.sizes):
         qv = dec.vectors[k] if n == 1 else _refine_minimal(
             A, dec.vectors[k], n, dec.seed, k)
@@ -288,6 +351,7 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
             keep = evals > 0.5
             if np.any(keep):
                 V[z] = _polar(M @ U[:, keep])
+                isometries.setdefault(z, []).append(V[z])
                 tags += [(z, cpy) for cpy in range(V[z].shape[1])]
         mults = {z: v.shape[1] for z, v in V.items()}
 
@@ -295,22 +359,33 @@ def extract_center_simples(A: TubeAlgebra, delta: DeltaObject,
             raise ToleranceError(
                 f"block {k}: summand bookkeeping does not match size {n}")
 
-        X = SumObject(eng, [(z,) for z, _c in tags], tags)
         out.append(CenterSimple(
             vector=qv,
             underlying={labs[z]: m for z, m in sorted(mults.items())},
-            obj=X, braiding=compress_halfbraiding(delta, X, V),
+            obj=SumObject(eng, [(z,) for z, _c in tags], tags), braiding={},
             hexagon_defect=math.nan, unitarity_defect=math.nan))
 
     # ⊕X: its stacked trees are summand-major, so each simple's are
-    # contiguous at every root and its stored e_X sits there as one block,
-    # keyed by its first summand
+    # contiguous at every root, and its copies of z are the columns of its
+    # V_z in simple order
     total = SumObject(eng, [w for s in out for w in s.obj.summands],
                       [(k, t) for k, s in enumerate(out) for t in s.obj.tags])
     parts = np.cumsum([0] + [len(s.obj) for s in out[:-1]])
-    braiding = {a: stack_blocks({(p, p): s.braiding[a] for p, s in zip(parts, out)},
-                                total.stacked((), (a,)), total.stacked((a,)))
-                for a in range(ring.rank)}
+    ends = list(zip(parts.tolist(), [*parts[1:].tolist(), len(total)]))
+    braiding = {}
+    for a, per_root in compress_halfbraiding(
+            delta, total, {z: np.hstack(v) for z, v in isometries.items()}).items():
+        rows, cols = total.stacked((a,)).starts, total.stacked((), (a,)).starts
+        braiding[a] = {}
+        for s in out:
+            s.braiding[a] = {}
+        for r, m in per_root.items():
+            braiding[a][r] = kept = np.zeros_like(m)  # exact zeros between two simples
+            for s, (p, q) in zip(out, ends):
+                blk = slice(rows[r][p], rows[r][q]), slice(cols[r][p], cols[r][q])
+                kept[blk] = m[blk]
+                if rows[r][q] > rows[r][p]:
+                    s.braiding[a][r] = m[blk].copy()
     try:
         res = verify_halfbraiding(total, braiding, EXTRACTION_TOL, parts=parts)
     except ToleranceError as exc:

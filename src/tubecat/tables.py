@@ -6,8 +6,10 @@ and √d weights, and the star one of two F entries and the zig-zag scalar
 that duality's cup and cap are calibrated by; no diagram is drawn.  Both
 are evaluated once over Λ = all simples (LabelBasis), as joins over
 FSymbolTable.table (fsymbols.join), and each term is then copied to every
-choice of slots of Λ that carry its labels.  A(Λ) acts on Δ(Λ) by the
-same product terms, read with the right factor's source a label (action).
+choice of slots of Λ that carry its labels (fill).  A(Λ) keeps them as
+they come, sorted nonzero entries (Entries), never as a dense table.
+A(Λ) acts on Δ(Λ) by the same product terms, read with the right factor's
+source a label (action).
 
 The three-letter pieces that Δ's half-braiding is drawn from, and that
 every hexagon check reads, are one F entry per coefficient
@@ -20,12 +22,14 @@ gathers the flat pieces into dense arrays per label tuple for its loops.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .fsymbols import add_per, group, join, join_unsorted
 from .morphism import Engine
 
-__all__ = ["fill", "action", "rotations", "vertex_pieces"]
+__all__ = ["Entries", "fill", "action", "rotations", "vertex_pieces"]
 
 
 def _spans(lb: "LabelBasis", labels: np.ndarray) -> tuple:
@@ -44,10 +48,38 @@ def _spans(lb: "LabelBasis", labels: np.ndarray) -> tuple:
     return spans, start
 
 
+class Entries(NamedTuple):
+    """The nonzero entries of a table over A(Λ)'s basis, sorted in C order:
+    ``index`` one integer array per axis, ``val`` the values.  An exact
+    zero is no entry; a NaN is one."""
+
+    index: tuple
+    val: np.ndarray
+
+    def dense(self, dim: int) -> np.ndarray:
+        """The table as a dense read-only array, one axis of length dim per
+        index array, made afresh on each call."""
+        out = np.zeros((dim,) * len(self.index), dtype=complex)
+        out[self.index] = self.val
+        out.flags.writeable = False
+        return out
+
+
+def _entries(index: tuple, val: np.ndarray, dim: int) -> Entries:
+    """Terms at distinct positions as Entries: exact zeros dropped, the rest
+    in C order."""
+    keep = np.flatnonzero(val != 0)
+    order = keep[np.argsort(np.ravel_multi_index(tuple(i[keep] for i in index),
+                                                 (dim,) * len(index)))]
+    return Entries(tuple(i[order] for i in index), val[order])
+
+
 def fill(eng: Engine, slots: tuple) -> tuple:
-    """(spans, mult_table, star_table) of A(Λ) over ``slots``, Λ's (label,
-    copy) pairs: spans as _spans gives them, and the tables as TubeAlgebra
-    holds them."""
+    """(spans, dim, mult, star) of A(Λ) over ``slots``, Λ's (label, copy)
+    pairs: spans as _spans gives them, and the product and the star as
+    Entries, every term of product_terms and star_terms copied to each
+    choice of slots that carry its labels.  mult holds (i, j, k) with the
+    coefficient of e_k in e_i·e_j, star (p, q) with that of e_q in e_p*."""
     lb = LabelBasis(eng.ring)
     labels = np.array([x for x, _c in slots])
     spans, start = _spans(lb, labels)
@@ -56,15 +88,12 @@ def fill(eng: Engine, slots: tuple) -> tuple:
     def at(k, m, l):  # label-level basis k, from slot l to slot m
         return start[lb.a[k], m, l] + lb.loc[k]
 
-    mult = np.zeros((dim, dim, dim), dtype=complex)
     (f, g, e), val = product_terms(eng, lb)
     t, (l, p, m) = slot_copies(labels, lb.src[g], lb.dst[g], lb.dst[f])
-    mult[at(f[t], m, p), at(g[t], p, l), at(e[t], m, l)] = val[t]
-    star = np.zeros((dim, dim), dtype=complex)
+    mult = _entries((at(f[t], m, p), at(g[t], p, l), at(e[t], m, l)), val[t], dim)
     (f, e), val = star_terms(eng, lb)
     t, (l, m) = slot_copies(labels, lb.src[f], lb.dst[f])
-    star[at(f[t], m, l), at(e[t], l, m)] = val[t]
-    return spans, mult, star
+    return spans, dim, mult, _entries((at(f[t], m, l), at(e[t], l, m)), val[t], dim)
 
 
 def action(eng: Engine, slots: tuple) -> tuple:

@@ -11,15 +11,16 @@ Maps on Δ, the half-braiding and those endomorphisms alike, are one matrix
 per root on the stacked trees of its summands (sums.StackedBasis).
 
 The structure constants are fixed contractions of F entries (tables.fill),
-and tube_product and tube_star read them; the diagrams they contract are
-kept as the tests' oracle.  Δ's vertex pieces, the rotated fusion halves
-included, are flat F entries as well (tables.vertex_pieces,
-tables.rotations), so Δ is drawn and checked with no diagram and no
-TreeBasis: the states on both sides of a half-braiding at every letter
-are integer arrays from one growth (_Sides), the legs id_a ⊗ e_b of Δ
-are one join of those entries (_delta_legs), and the stored braiding is
-the a = 1 slice; an extracted simple, a sum of one-letter words, has its
-legs joined from its stored e_b between two F entries (_word_legs).  The
+kept as sorted entries (tables.Entries), and tube_product and tube_star
+are sums over them; the diagrams they contract are kept as the tests'
+oracle.  Δ's vertex pieces, the rotated fusion halves included, are flat
+F entries as well (tables.vertex_pieces, tables.rotations), so Δ is drawn
+and checked with no diagram and no TreeBasis: the states on both sides
+of a half-braiding at every letter are integer arrays from one growth
+(_Sides), the legs id_a ⊗ e_b of Δ are one join of those entries
+(_delta_legs), and the stored braiding is the a = 1 slice; an extracted
+simple, a sum of one-letter words, has its legs joined from its stored
+e_b between two F entries (_word_legs).  The
 hexagons of the pairs (a, b) are one more join over those legs
 (_hexagons), over runs of letters a up to a fixed size (CHUNK_COLUMNS)
 to keep the working set bounded.  Naturality and compression read
@@ -431,13 +432,15 @@ def _word_legs(hb: _Stacked, entries: tuple | None = None) -> Callable:
 CHUNK_COLUMNS = 4096
 
 
-def _chunks(cost: np.ndarray):
-    """Runs [lo, hi) of consecutive letters, each as long as its costs add
-    up to at most CHUNK_COLUMNS, and at least one letter."""
+def _chunks(cost: np.ndarray, limit: int | None = None):
+    """Runs [lo, hi) of consecutive letters (or indices), each as long as
+    its costs add up to at most ``limit`` (by default CHUNK_COLUMNS, read
+    at the call), and at least one."""
+    limit = CHUNK_COLUMNS if limit is None else limit
     lo = 0
     while lo < len(cost):
         hi, total = lo + 1, cost[lo]
-        while hi < len(cost) and total + cost[hi] <= CHUNK_COLUMNS:
+        while hi < len(cost) and total + cost[hi] <= limit:
             total, hi = total + cost[hi], hi + 1
         yield lo, hi
         lo = hi
@@ -658,13 +661,17 @@ class TubeElement(Linear):
 class TubeAlgebra:
     """Structure constants of A(Λ) in a fixed slot-ordered basis: in the
     a-component, source slot, then target slot, then the tree pair of
-    Hom(x⊗a, a⊗y).  ``mult_table[i,j,k]`` is the coefficient of basis k in
-    (basis i)·(basis j), ``star_table[i,j]`` that of j in (basis i)*, and
-    ``spans[(a, m, l)]`` the index range of the block from slot l to slot m
-    in the a-component, in basis order: the coordinates of Hom(x_l⊗a,
-    a⊗x_m) in Engine.hom_basis order.  The tables are filled from F entries
-    (tables.fill); a TubeElement is a coefficient vector, and its product
-    and star read the tables (tube_product, tube_star).
+    Hom(x⊗a, a⊗y).  ``mult`` holds the product as sorted entries
+    (tables.Entries) (i, j, k, value), value the coefficient of basis k in
+    (basis i)·(basis j), and ``star`` the star as (p, q, value), value that
+    of q in (basis p)*; ``spans[(a, m, l)]`` is the index range of the
+    block from slot l to slot m in the a-component, in basis order: the
+    coordinates of Hom(x_l⊗a, a⊗x_m) in Engine.hom_basis order.  The
+    entries are joined from F entries (tables.fill); a TubeElement is a
+    coefficient vector, and its product and star are sums over the entries
+    (tube_product, tube_star).  No dense table is kept: ``mult_table`` and
+    ``star_table`` are dense read-only views, made afresh on each access,
+    for tests and benchmarks, and nothing in the package reads them.
     """
 
     spec: object
@@ -673,10 +680,20 @@ class TubeAlgebra:
     slots: tuple
     dim: int
     spans: dict = field(repr=False)
-    mult_table: np.ndarray
-    star_table: np.ndarray
+    mult: tables.Entries = field(repr=False)
+    star: tables.Entries = field(repr=False)
     unit: TubeElement
     residuals: dict
+
+    @property
+    def mult_table(self) -> np.ndarray:
+        """mult as a dense dim³ array: ``mult_table[i, j, k]``."""
+        return self.mult.dense(self.dim)
+
+    @property
+    def star_table(self) -> np.ndarray:
+        """star as a dense dim² array: ``star_table[p, q]``."""
+        return self.star.dense(self.dim)
 
     # ---- coordinates ---------------------------------------------------------
     def vector_of(self, f: TubeElement) -> np.ndarray:
@@ -697,20 +714,20 @@ class TubeAlgebra:
 
 
 def build_tube_algebra(spec, lam: LambdaObject, tol: float = 1e-9) -> TubeAlgebra:
-    """Tabulate structure constants and star from joins over the F entries
-    (tables.fill), then verify associativity, star involutivity and
-    anti-multiplicativity, and the unit law with the unit recomputed
-    through the product (_table_residuals).  Positivity of the trace form
-    needs Δ and lives with the tests.
+    """Join the product and star entries from the F entries (tables.fill),
+    then verify associativity, star involutivity and anti-multiplicativity,
+    and the unit law with the unit recomputed through the product
+    (_table_residuals).  Positivity of the trace form needs Δ and lives
+    with the tests.
     """
     eng = engine_for(spec)
     ring = eng.ring
     if len(lam.mult) != ring.rank:
         raise ShapeError("multiplicity vector length does not match the label set")
     slots = lam.slots()
-    spans, mult, star = tables.fill(eng, slots)
-    alg = TubeAlgebra(spec=spec, lam=lam, engine=eng, slots=slots, dim=len(star),
-                      spans=spans, mult_table=mult, star_table=star, unit=None, residuals={})
+    spans, dim, mult, star = tables.fill(eng, slots)
+    alg = TubeAlgebra(spec=spec, lam=lam, engine=eng, slots=slots, dim=dim,
+                      spans=spans, mult=mult, star=star, unit=None, residuals={})
 
     unit = np.zeros(alg.dim, dtype=complex)
     for l in range(len(slots)):
@@ -737,29 +754,48 @@ def _key_gap(n: int, lhs: tuple, rhs: tuple) -> float:
     return float(np.max(np.hypot(lr - rr, li - ri), initial=0.0))
 
 
-def _table_residuals(c: np.ndarray, s: np.ndarray, uvec: np.ndarray) -> dict:
-    """Worst defects of the algebra axioms on the structure-constant tables.
+# the associativity check joins the product terms of runs of first indices
+# with at most this many terms on its two sides together, unless the run is
+# one index: the memory bound of the self-check
+SELFCHECK_TERMS = 1 << 16
+
+
+def _table_residuals(mult: tables.Entries, star: tables.Entries, uvec: np.ndarray) -> dict:
+    """Worst defects of the algebra axioms, read off the product and star
+    entries (tables.Entries, sorted in C order).
 
     ``assoc`` ((e_i e_j) e_k against e_i (e_j e_k)) and ``star_anti``
-    ((e_i e_j)* against e_j* e_i*) are sparse joins over the nonzero
-    entries of c and s (fsymbols.join): the dense dim⁵ residual at the cost
-    of its nonzero terms.  A stray entry where the fusion rules say zero is
-    an entry like any other, and a NaN one is nonzero.
+    ((e_i e_j)* against e_j* e_i*) are joins over the entries
+    (fsymbols.join): the dense dim⁵ residual at the cost of its nonzero
+    terms.  ``unit`` reads the unit's rows of the product (u·e_j and
+    e_i·u against the identity).  ``star_inv`` and ``star_unit`` read the
+    star as a dense dim² matrix, whose BLAS products fix their rounding.
+    A stray entry where the fusion rules say zero is an entry like any
+    other, and a NaN one is nonzero.
     """
     n = len(uvec)
-    i, j, k = np.nonzero(c)  # C order: sorted by i
-    cv = c[i, j, k]
-    by_j = np.argsort(j, kind="stable")
-    p, q = np.nonzero(s)  # sorted by p
-    sv = s[p, q]
+    (i, j, k), cv = mult
+    (p, q), sv = star
     by_q = np.argsort(q, kind="stable")
 
-    # (e_i e_j) e_k = Σ_m c[i,j,m] c[m,k,l]  vs  e_i (e_j e_k) = Σ_m c[j,k,m] c[i,m,l]
-    a, b = join(i, k)
-    e, f = join(j[by_j], k)
-    f = by_j[f]
-    r_assoc = _key_gap(n, ((i[a], j[a], j[b], k[b]), cv[a] * cv[b]),
-                       ((i[f], i[e], j[e], k[f]), cv[e] * cv[f]))
+    # (e_i e_j) e_k = Σ_m c[i,j,m] c[m,k,l]  vs  e_i (e_j e_k) = Σ_m c[j,k,m] c[i,m,l],
+    # over runs of i: every index tuple leads with i, so each run's tuples
+    # are its own, and each is summed from the same terms in the same order
+    rows = np.bincount(i, minlength=n)
+    first = np.cumsum(rows) - rows
+    cost = np.bincount(i, rows[k] + np.bincount(k, minlength=n)[j], n).astype(np.int64)
+
+    def assoc(lo: int, hi: int) -> float:
+        run = slice(first[lo], first[hi - 1] + rows[hi - 1])
+        a, b = join(i, k[run])
+        a += run.start
+        by_j = run.start + np.argsort(j[run], kind="stable")
+        e, f = join(j[by_j], k)
+        f = by_j[f]
+        return _key_gap(n, ((i[a], j[a], j[b], k[b]), cv[a] * cv[b]),
+                        ((i[f], i[e], j[e], k[f]), cv[e] * cv[f]))
+
+    r_assoc = worst(assoc(lo, hi) for lo, hi in _chunks(cost, SELFCHECK_TERMS))
 
     # (e_i e_j)* = Σ_m conj(c[i,j,m]) s[m,l]  vs  e_j* e_i* = Σ_pq s[j,p] s[i,q] c[p,q,l]
     a, b = join(p, k)  # conj(c[i,j,m]) s[m,l]
@@ -770,11 +806,14 @@ def _table_residuals(c: np.ndarray, s: np.ndarray, uvec: np.ndarray) -> dict:
     r_anti = _key_gap(n, ((i[a], j[a], q[b]), np.conj(cv[a]) * sv[b]),
                       ((p[f[g]], p[h], k[e[g]]), sv[h] * (sv[f] * cv[e])[g]))
 
-    eye = np.eye(n)
-    r_unit = worst([
-        float(np.max(np.abs(np.einsum("i,ijk->jk", uvec, c) - eye))),
-        float(np.max(np.abs(np.einsum("j,ijk->ik", uvec, c) - eye)))])
-    r_inv = float(np.max(np.abs(np.conj(s) @ s - eye)))
+    eye = (np.arange(n),) * 2, np.ones(n)
+    on = np.flatnonzero(uvec)
+    left = join(i, on)[1]  # the unit's rows: u·e_j = Σ_i u_i c[i,j,k]
+    right = np.flatnonzero(uvec[j])  # e_i·u = Σ_j c[i,j,k] u_j
+    r_unit = worst([_key_gap(n, ((j[left], k[left]), uvec[i[left]] * cv[left]), eye),
+                    _key_gap(n, ((i[right], k[right]), uvec[j[right]] * cv[right]), eye)])
+    s = star.dense(n)  # dim², as BLAS reads it: the star residuals keep their last bits
+    r_inv = float(np.max(np.abs(np.conj(s) @ s - np.eye(n))))
     r_star_unit = float(np.max(np.abs(np.conj(uvec) @ s - uvec)))
     return {"unit": r_unit, "assoc": r_assoc, "star_inv": r_inv,
             "star_anti": r_anti, "star_unit": r_star_unit}
@@ -783,15 +822,19 @@ def _table_residuals(c: np.ndarray, s: np.ndarray, uvec: np.ndarray) -> dict:
 # ---- product, star ----------------------------------------------------------
 
 def tube_product(A: TubeAlgebra, f: TubeElement, g: TubeElement) -> TubeElement:
-    """f·g, read off mult_table over the nonzero coordinates of f and g."""
-    v, w = f.vector, g.vector
-    i, j = np.flatnonzero(v), np.flatnonzero(w)
-    return TubeElement(A, np.einsum("i,j,ijk->k", v[i], w[j], A.mult_table[np.ix_(i, j)]))
+    """f·g = Σ f_i·g_j·c[i, j, k]·e_k, summed over the product entries
+    (i, j, k, c) whose f_i and g_j are both nonzero."""
+    (i, j, k), c = A.mult
+    v, w = f.vector[i], g.vector[j]
+    t = np.flatnonzero((v != 0) & (w != 0))
+    return TubeElement(A, add_per(k[t], v[t] * w[t] * c[t], A.dim))
 
 
 def tube_star(A: TubeAlgebra, f: TubeElement) -> TubeElement:
-    """f*, read off star_table: the star is antilinear."""
-    return TubeElement(A, np.conj(f.vector) @ A.star_table)
+    """f* = Σ conj(f_p)·s[p, q]·e_q over the star entries: the star is
+    antilinear."""
+    (p, q), s = A.star
+    return TubeElement(A, add_per(q, np.conj(f.vector[p]) * s, A.dim))
 
 
 # ---- tube elements as endomorphisms of Δ -------------------------------------
@@ -932,16 +975,17 @@ def f_map(A: TubeAlgebra, delta: DeltaObject, T: dict) -> TubeElement:
 SPARSE_ZERO = 1e-12
 
 
-def _sparse_rows(table: np.ndarray) -> list:
+def _sparse_rows(entries: tables.Entries) -> list:
     """[*index, re, im] of every entry above SPARSE_ZERO in modulus, in C order."""
-    idx = np.nonzero(np.abs(table) > SPARSE_ZERO)
-    v = table[idx]
-    return [list(row) for row in zip(*(i.tolist() for i in idx),
+    keep = np.abs(entries.val) > SPARSE_ZERO
+    v = entries.val[keep]
+    return [list(row) for row in zip(*(i[keep].tolist() for i in entries.index),
                                      v.real.tolist(), v.imag.tolist())]
 
 
 def tube_json(A: TubeAlgebra, category: str | None = None) -> dict:
-    """Sparse structure-constant tables in a stable order."""
+    """The product and star entries above SPARSE_ZERO, in C order, with the
+    basis they are written in."""
     labs = A.spec.labels
     # basis rows: each direction's blocks, numbered from its first one
     basis, first = [], {}
@@ -953,6 +997,6 @@ def tube_json(A: TubeAlgebra, category: str | None = None) -> dict:
         "lambda": A.lam.as_dict(A.spec),
         "dim": A.dim,
         "basis": basis,
-        "mult_table": _sparse_rows(A.mult_table),
-        "star_table": _sparse_rows(A.star_table),
+        "mult_table": _sparse_rows(A.mult),
+        "star_table": _sparse_rows(A.star),
     }

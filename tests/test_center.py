@@ -20,6 +20,7 @@ from tubecat.center import (center_report, decompose_blocks,
                             extract_center_simples)
 from tubecat.errors import DegenerateSpectrum, ToleranceError
 from tubecat.jsonutil import dumps_canonical
+from tubecat.sums import SumObject
 from tubecat.tube import LambdaObject, build_delta, build_tube_algebra
 from oracles import blocks_element, braiding_blocks
 
@@ -370,6 +371,60 @@ def test_center_nullspace_svd_is_thin():
     assert peak < full_u, (peak, full_u)
 
 
+def test_a_degenerate_draw_fails_the_centrality_check(catalog, monkeypatch):
+    # x and y multiples of the unit commute with everything, so their
+    # commutant is all of A, not its center: the check of every found
+    # vector against every basis element refuses it as a bad draw
+    from tubecat.tube import TubeAlgebra
+    spec = catalog["rep_s3"]
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    scale = iter((2.0, -0.5j))
+    monkeypatch.setattr(TubeAlgebra, "random_element", lambda self, rng: self.unit * next(scale))
+    with pytest.raises(DegenerateSpectrum,
+                       match="decompose_blocks: centrality defect .*; try another seed"):
+        decompose_blocks(A, seed=1)
+
+
+@pytest.mark.parametrize("name", ["fibonacci", "rep_s3"])
+def test_a_non_central_vector_fails_the_centrality_check(catalog, name, monkeypatch):
+    # one vector of the found center basis swapped for a basis element
+    # from slot l to slot m ≠ l, which the unit's summand at slot l fixes
+    # on one side and kills on the other, so it is not central
+    spec = catalog[name]
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    k = next(span.start for (_a, m, l), span in A.spans.items()
+             if m != l and span.stop > span.start)
+    real = tubecat.center._commutant
+
+    def slipped(A, x, y):
+        V = real(A, x, y)
+        V[:, -1] = np.eye(A.dim)[k]
+        return V
+
+    monkeypatch.setattr(tubecat.center, "_commutant", slipped)
+    with pytest.raises(DegenerateSpectrum, match="decompose_blocks: centrality defect"):
+        decompose_blocks(A, seed=1)
+
+
+def test_block_split_holds_no_dense_table():
+    # Vec[Z/12]^ω, tube dim 144: the build and the block split peak under
+    # 16 MiB (about 4.5 here), where the dense dim³ table alone held 47.8
+    import tracemalloc
+    from conftest import pointed_category
+    from tubecat.catspec import load_spec
+    spec = load_spec(pointed_category(12, k=1))
+    lam = LambdaObject.all_simples(spec)
+    tracemalloc.start()
+    try:
+        A = build_tube_algebra(spec, lam)
+        dec = decompose_blocks(A, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (A.dim, dec.rank) == (144, 144)
+    assert peak < 16 * 2 ** 20, peak / 2 ** 20
+
+
 # ---- Vec[Z/n]^ω past rank 36: the twisted double D^ω(Z/n) ----------------------
 
 def _twisted_double_twists(n, k):
@@ -605,7 +660,6 @@ def test_compression_refuses_a_mismatched_isometry(catalog):
     # category than Δ each raise ShapeError (numpy's ValueError, a braiding
     # read as if V were zero there, and ValueError before)
     from tubecat.errors import ShapeError
-    from tubecat.sums import SumObject
     spec = catalog["fibonacci"]
     lam = LambdaObject.all_simples(spec)
     D = build_delta(spec, lam)
@@ -648,22 +702,15 @@ def test_extraction_names_a_conjugated_block(catalog, monkeypatch):
     A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
     dec = decompose_blocks(A, seed=1)
     tau = spec.index("tau")
-    real = tubecat.center.compress_halfbraiding
-    made = []
-
-    def conjugated(delta, X, V):
-        out = real(delta, X, V)
-        made.append(X)
-        return _conjugate_one_block(X, out, tau) if len(X) == 2 else out
-
-    monkeypatch.setattr(tubecat.center, "compress_halfbraiding", conjugated)
     k = dec.sizes.index(2)  # the two-summand simple's block
+    made = _corrupt_simple(monkeypatch, k, lambda X, e: _conjugate_one_block(X, e, tau))
     with pytest.raises(ToleranceError, match=rf"^block {k}: half-braiding unitarity "
                        r"defect \S+ >= 1e-08 on the extracted simple$") as err:
         extract_center_simples(A, D, dec)
-    # every block is compressed once, in block order, before the one check
-    # on their sum
-    assert [len(X) for X in made] == list(dec.sizes), err.value
+    # Δ's braiding is compressed once, onto the sum of every block's
+    # simple, before the one check on that sum
+    assert len(made) == 1, err.value
+    assert [len(X) for X in made[0]] == list(dec.sizes)
     assert sorted(dec.sizes, reverse=True) == [2, 1, 1, 1]
 
 
@@ -713,16 +760,31 @@ def test_sum_check_matches_each_simple_alone(catalog, name):
                    - s.unitarity_defect) <= 1e-15, (name, s.underlying)
 
 
-def _corrupt_simple(monkeypatch, pick, change):
-    # change(X, e_X) for the simple compressed pick-th, after compression
+def _corrupt_simple(monkeypatch, k, change):
+    # change(X, e_X) for the k-th simple X, aimed at its diagonal blocks of
+    # the one braiding compressed onto ⊕X (tags (simple, tag)); returns, per
+    # compression, the summands of each simple in ⊕X
     real = tubecat.center.compress_halfbraiding
     made = []
 
-    def corrupted(delta, X, V):
-        out = real(delta, X, V)
-        made.append(X)
-        if len(made) - 1 == pick(made):
-            out = change(X, out)
+    def corrupted(delta, total, V):
+        out = real(delta, total, V)
+        at = [[n for n, (simple, _t) in enumerate(total.tags) if simple == j]
+              for j in range(total.tags[-1][0] + 1)]
+        made.append(at)
+        X = SumObject(total.engine, [total.summands[n] for n in at[k]],
+                      [total.tags[n][1] for n in at[k]])
+        p, q = at[k][0], at[k][-1] + 1
+        cut = {}
+        for a, per_root in out.items():
+            rows, cols = total.stacked((a,)).starts, total.stacked((), (a,)).starts
+            cut[a] = {r: (slice(rows[r][p], rows[r][q]), slice(cols[r][p], cols[r][q]))
+                      for r in per_root if rows[r][q] > rows[r][p]}
+        changed = change(X, {a: {r: out[a][r][blk] for r, blk in c.items()}
+                             for a, c in cut.items()})
+        for a, c in cut.items():
+            for r, blk in c.items():
+                out[a][r][blk] = changed[a][r]
         return out
 
     monkeypatch.setattr(tubecat.center, "compress_halfbraiding", corrupted)
@@ -740,13 +802,12 @@ def _negate_one_block(X, e, letter):
 
 
 def test_extraction_names_the_last_simple(monkeypatch):
-    # one block of e_1 negated in the last simple compressed, on Vec[Z/4]^ω
+    # one block of e_1 negated in the last simple, on Vec[Z/4]^ω
     # (its braiding is real, so conjugating a block would not change it):
     # only that block fails, and the error names it
     A, D, dec = _extraction(_z4())
     r = dec.rank
-    _corrupt_simple(monkeypatch, lambda made: r - 1,
-                    lambda X, e: _negate_one_block(X, e, 1))
+    _corrupt_simple(monkeypatch, r - 1, lambda X, e: _negate_one_block(X, e, 1))
     with pytest.raises(ToleranceError, match=rf"^block {r - 1}: \S+ .*defect \S+ >= 1e-08 "
                        r"at \(a, b\) = \(\S+, \S+\) on the extracted simple$") as err:
         extract_center_simples(A, D, dec)
@@ -756,8 +817,8 @@ def test_extraction_names_the_last_simple(monkeypatch):
 
 
 def test_nan_in_one_simple_stays_in_its_part(catalog, monkeypatch):
-    # NaN on every block of one simple's e_τ (fibonacci, the second simple
-    # compressed): its unitarity and hexagon residuals read NaN, its unit
+    # NaN on every block of one simple's e_τ (fibonacci, the second
+    # simple): its unitarity and hexagon residuals read NaN, its unit
     # residual and every other simple's residuals stay finite and small, and
     # the error names that simple's block
     def poisoned(X, e):
@@ -767,7 +828,7 @@ def test_nan_in_one_simple_stays_in_its_part(catalog, monkeypatch):
         return {**e, tau: nan.stacked(X.stacked((), (tau,)), X.stacked((tau,)))}
 
     A, D, dec = _extraction(catalog["fibonacci"])
-    _corrupt_simple(monkeypatch, lambda made: 1, poisoned)
+    _corrupt_simple(monkeypatch, 1, poisoned)
     with pytest.raises(ToleranceError, match=r"^block 1: half-braiding unitarity "
                        r"defect nan >= 1e-08 on the extracted simple$") as err:
         extract_center_simples(A, D, dec)

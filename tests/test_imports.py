@@ -155,3 +155,27 @@ def test_the_check_sees_a_stale_export(tmp_path):
                    "class K:\n    pass\n\n"
                    "N: int = 1\nM, P = 1, 2\n")
     assert stale_exports(src) == ["g", "gone"]
+
+
+# the dense views of the tube algebra's entries, made afresh on each access
+# for tests and benchmarks (tube.TubeAlgebra): no package code reads them
+DENSE_VIEWS = ("mult_table", "star_table")
+
+
+def dense_view_reads(path):
+    """(attribute, line) of each read of a dense table view in path."""
+    return [(node.attr, node.lineno) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in DENSE_VIEWS]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_dense_table_reads(path):
+    assert dense_view_reads(path) == []
+
+
+def test_the_check_sees_a_dense_table_read(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("class T:\n    @property\n    def mult_table(self):\n        return 0\n\n"
+                   "def f(A):\n    doc = {'star_table': 1}\n"
+                   "    return A.mult_table, getattr(A, 'x').star_table, doc\n")
+    assert dense_view_reads(src) == [("mult_table", 8), ("star_table", 8)]

@@ -23,9 +23,11 @@ from conftest import (pointed_category, rep_a4_random_table, root_gap, root_norm
 from tubecat.catalog import find
 from tubecat.catspec import FusionCategorySpec, load_spec, serialize
 from tubecat.errors import NotInCommutant, ShapeError, ToleranceError
+from tubecat.jsonutil import dumps_canonical
 from tubecat.morphism import Engine, engine_for
 from tubecat.ring import compute_fp_dims
 from tubecat.sums import SumObject, cut_block
+from tubecat.tables import Entries
 from tubecat.center import decompose_blocks, extract_center_simples
 from tubecat.tube import (DELTA_TOL, LambdaObject, TubeElement, build_delta,
                           build_tube_algebra, f_map, naturality_residual, t_map,
@@ -195,10 +197,17 @@ def dense_residuals(c, s):
     return float(assoc), float(anti)
 
 
-def table_residuals(A, c=None, s=None):
-    c = A.mult_table if c is None else c
-    s = A.star_table if s is None else s
-    return _table_residuals(c, s, A.vector_of(A.unit))
+def table_residuals(A, mult=None, star=None):
+    return _table_residuals(A.mult if mult is None else mult,
+                            A.star if star is None else star, A.vector_of(A.unit))
+
+
+def with_value(entries, t, value):
+    """entries with entry t's value replaced: the entry form of one table
+    cell changed."""
+    val = entries.val.copy()
+    val[t] = value
+    return Entries(entries.index, val)
 
 
 def direction(A, a):
@@ -235,30 +244,32 @@ def test_blockwise_selfcheck_matches_dense(catalog, algebras, pointed_algebras):
 
 def test_blockwise_selfcheck_sees_perturbed_entry(algebras):
     A = algebras["rep_s3"]
-    i, j, k = np.unravel_index(np.argmax(np.abs(A.mult_table)), A.mult_table.shape)
+    t = int(np.argmax(np.abs(A.mult.val)))  # the first largest entry in C order
     for bump in (1e-6, 1e-6j):  # a real and an imaginary defect
-        c = A.mult_table.copy()
-        c[i, j, k] += bump
-        got = table_residuals(A, c=c)
+        mult = with_value(A.mult, t, A.mult.val[t] + bump)
+        got = table_residuals(A, mult=mult)
         assert got["assoc"] >= 1e-7, bump
-        assoc, anti = dense_residuals(c, A.star_table)
+        assoc, anti = dense_residuals(mult.dense(A.dim), A.star_table)
         assert abs(got["assoc"] - assoc) <= 1e-14, bump
         assert abs(got["star_anti"] - anti) <= 1e-14, bump
 
 
 def test_blockwise_selfcheck_reads_grading_from_table(pointed_algebras):
     # on Vec[Z/4] a product of directions 1 and 1 lands in direction 2 only;
-    # an entry in direction 0 sits in a block the fusion rules say is zero
+    # an entry in direction 0 sits in a block the fusion rules say is zero,
+    # and joins the entries in its C-order place
     A = pointed_algebras[4]
     I = [direction(A, a) for a in range(A.spec.rank)]
     assert not np.any(A.mult_table[I[1], I[1], I[0]])
-    c = A.mult_table.copy()
-    c[I[1].start, I[1].start, I[0].start] = 1e-6
+    (i, j, k), val = A.mult
+    mult = tubecat.tables._entries(
+        tuple(np.append(ix, at) for ix, at in zip((i, j, k), (I[1].start, I[1].start, I[0].start))),
+        np.append(val, 1e-6), A.dim)
     clean = table_residuals(A)
-    got = table_residuals(A, c=c)
+    got = table_residuals(A, mult=mult)
     assert got["assoc"] >= 1e-7 > clean["assoc"]
     assert got["star_anti"] >= 1e-7 > clean["star_anti"]
-    assoc, anti = dense_residuals(c, A.star_table)
+    assoc, anti = dense_residuals(mult.dense(A.dim), A.star_table)
     assert abs(got["assoc"] - assoc) <= 1e-14
     assert abs(got["star_anti"] - anti) <= 1e-14
 
@@ -267,18 +278,16 @@ def test_selfcheck_fold_keeps_nan(algebras):
     # a NaN in the last direction pair's blocks must not be folded away
     A = algebras["rep_s3"]
     last = direction(A, A.spec.rank - 1)
-    c = A.mult_table.copy()
-    i, j, k = (last.start + idx for idx in np.unravel_index(
-        np.argmax(np.abs(A.mult_table[last, last, last])), (last.stop - last.start,) * 3))
-    c[i, j, k] = np.nan
-    got = table_residuals(A, c=c)
+
+    def largest_in_last(entries):
+        inside = np.flatnonzero(np.all([(ix >= last.start) & (ix < last.stop)
+                                        for ix in entries.index], axis=0))
+        return inside[np.argmax(np.abs(entries.val[inside]))]
+
+    got = table_residuals(A, mult=with_value(A.mult, largest_in_last(A.mult), np.nan))
     assert np.isnan(got["assoc"]) and np.isnan(got["star_anti"])
     # and one in the star table, on the last direction's largest entry
-    s = A.star_table.copy()
-    i, j = (last.start + idx for idx in np.unravel_index(
-        np.argmax(np.abs(A.star_table[last, last])), (last.stop - last.start,) * 2))
-    s[i, j] = np.nan
-    got = table_residuals(A, s=s)
+    got = table_residuals(A, star=with_value(A.star, largest_in_last(A.star), np.nan))
     assert np.isnan(got["star_anti"]) and np.isnan(got["star_inv"])
 
 
@@ -297,8 +306,9 @@ def test_build_names_nan_residual(catalog, monkeypatch):
 
 
 def test_selfcheck_holds_one_direction_pair_at_a_time():
-    # the self-check holds only the nonzero product terms, never a dim⁴
-    # block; the Z/6 build peaks near 2.2 MiB
+    # the build keeps the product as sorted entries, never a dense dim³
+    # table, and the self-check holds only the nonzero product terms, never
+    # a dim⁴ block; the Z/6 build peaks near 0.31 MiB
     import tracemalloc
     spec = load_spec(pointed_category(6, k=1))
     lam = LambdaObject.all_simples(spec)
@@ -308,7 +318,24 @@ def test_selfcheck_holds_one_direction_pair_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2 ** 20, peak / 2 ** 20
+    assert peak < 640 * 2 ** 10, peak / 2 ** 20
+
+
+def test_build_rejects_a_nudged_entry(monkeypatch):
+    # one product entry nudged by 1e-6, after the fill: the self-check on
+    # the entries must see it
+    real = tubecat.tables.fill
+
+    def nudged(eng, slots):
+        spans, dim, mult, star = real(eng, slots)
+        t = int(np.argmax(np.abs(mult.val)))
+        return spans, dim, with_value(mult, t, mult.val[t] + 1e-6), star
+
+    monkeypatch.setattr(tubecat.tables, "fill", nudged)
+    for name in ("fibonacci", "rep_s3"):
+        spec = find(name)
+        with pytest.raises(ToleranceError, match=r"tube algebra (assoc|star_anti) defect"):
+            build_tube_algebra(spec, LambdaObject.all_simples(spec))
 
 
 def test_norms_keep_nan_in_any_block(catalog, algebras):
@@ -1853,6 +1880,46 @@ def test_pointed_z3_twisted_builds(catalog):
 
 
 # ---- serialization ---------------------------------------------------------------
+
+ENTRY_CASES = [*TUBE_DIM, *(f"Z/{n} k=1" for n in (4, 5, 6, 7)), *SU2K]
+
+
+@pytest.mark.parametrize("name", ENTRY_CASES)
+def test_tube_json_is_the_dense_document(catalog, name):
+    # the document written from the sorted entries, byte for byte, against
+    # the one written from the dense views, entry by entry in C order
+    spec = _spec(catalog, name)
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    doc = tube_json(A)
+    dense = {**doc, "mult_table": sparse_rows(A.mult_table, tubecat.tube.SPARSE_ZERO),
+             "star_table": sparse_rows(A.star_table, tubecat.tube.SPARSE_ZERO)}
+    assert dumps_canonical(doc) == dumps_canonical(dense), name
+
+
+@pytest.mark.parametrize("name", [*TUBE_DIM, "Z/5 k=1"])
+def test_product_and_star_are_the_dense_contractions(catalog, name):
+    # tube_product and tube_star, sums over the entries, against the
+    # einsum over the dense views on seeded random elements
+    spec = _spec(catalog, name)
+    A = build_tube_algebra(spec, LambdaObject.all_simples(spec))
+    rng = np.random.default_rng(29)
+    c, s = A.mult_table, A.star_table
+    for _ in range(3):
+        f, g = A.random_element(rng), A.random_element(rng)
+        want = np.einsum("i,j,ijk->k", f.vector, g.vector, c)
+        assert np.max(np.abs(tube_product(A, f, g).vector - want)) <= 1e-14, name
+        assert np.max(np.abs(tube_star(A, f).vector - np.conj(f.vector) @ s)) <= 1e-14, name
+
+
+def test_dense_views_are_made_on_each_access(algebras):
+    # mult_table and star_table are read-only and never kept with A
+    A = algebras["rep_s3"]
+    c, s = A.mult_table, A.star_table
+    assert c is not A.mult_table and s is not A.star_table
+    assert not c.flags.writeable and not s.flags.writeable
+    assert np.count_nonzero(c) == len(A.mult.val) and np.count_nonzero(s) == len(A.star.val)
+    assert "mult_table" not in vars(A) and "star_table" not in vars(A)
+
 
 @pytest.mark.parametrize("name", ["rep_s3", "Z/5 k=1"])
 def test_tube_json_rows_match_the_entry_loop(catalog, name):
