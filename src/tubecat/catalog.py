@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .catspec import FusionCategorySpec, load_spec
 from .errors import SchemaError
+
+if TYPE_CHECKING:
+    from .catspec import FusionCategorySpec
 
 __all__ = ["BUILTIN_NAMES", "available", "find"]
 
@@ -46,7 +49,10 @@ def available() -> list[str]:
 
 
 def find(name_or_path: str) -> FusionCategorySpec:
-    """Resolve a catalog name, alias, or filesystem path and load it."""
+    """Resolve a catalog name, alias, or filesystem path and load it.  The
+    loader is imported here, so listing the catalog loads no numpy."""
+    from .catspec import load_spec
+
     name = _ALIASES.get(name_or_path, name_or_path)
     cand = Path(name)
     if cand.suffix == ".json" or os.sep in name or cand.is_file():

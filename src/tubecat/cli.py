@@ -5,6 +5,8 @@ relation suites, ``tube`` emits structure constants, ``center`` runs the
 full block/center pipeline.  Exit codes: 0 all checks pass, 1 a
 verification failed (bad data, not bad usage), 2 the request itself was
 malformed.  JSON output is canonical: same config and seed, same bytes.
+Each command imports its own pipeline when it runs, so ``catalog`` loads no
+numpy, ``verify`` no tube algebra and ``center`` no relation suites.
 """
 from __future__ import annotations
 
@@ -12,15 +14,15 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .catalog import available, find
-from .catspec import load_spec
-from .center import center_report
 from .errors import (ConsistencyError, DegenerateSpectrum, EmptySpace,
                      NotInCommutant, SchemaError, ShapeError, ToleranceError)
 from .jsonutil import dumps_canonical
-from .relations import SUITES, run_suite
-from .tube import LambdaObject, build_tube_algebra, tube_json
+
+if TYPE_CHECKING:
+    from .tube import LambdaObject
 
 __all__ = ["CliConfig", "run", "main"]
 
@@ -41,6 +43,8 @@ class CliConfig:
 
 
 def _load_category(path_or_name: str):
+    from .catspec import load_spec
+
     if path_or_name == "-":
         return load_spec(sys.stdin.buffer.read()), "stdin"
     spec = find(path_or_name)
@@ -48,6 +52,8 @@ def _load_category(path_or_name: str):
 
 
 def _parse_lambda(spec, text: str) -> LambdaObject:
+    from .tube import LambdaObject
+
     if text == "all-simples":
         return LambdaObject.all_simples(spec)
     mult = {}
@@ -77,6 +83,8 @@ def _cmd_catalog(cfg: CliConfig):
 
 
 def _cmd_verify(cfg: CliConfig):
+    from .relations import SUITES, run_suite
+
     spec, shown = _load_category(cfg.category)
     suites = []
     for name in SUITES:
@@ -96,6 +104,8 @@ def _cmd_verify(cfg: CliConfig):
 
 
 def _cmd_tube(cfg: CliConfig):
+    from .tube import build_tube_algebra, tube_json
+
     spec, shown = _load_category(cfg.category)
     lam = _parse_lambda(spec, cfg.lam)
     A = build_tube_algebra(spec, lam, tol=cfg.tol)
@@ -103,6 +113,8 @@ def _cmd_tube(cfg: CliConfig):
 
 
 def _cmd_center(cfg: CliConfig):
+    from .center import center_report
+
     spec, shown = _load_category(cfg.category)
     lam = _parse_lambda(spec, cfg.lam)
     rep = center_report(spec, lam=lam, seed=cfg.seed, category=shown)

@@ -20,6 +20,7 @@ block-diagonal matrix (lift), and no sum is tensored into a new one.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 
@@ -111,13 +112,17 @@ class OneLetter:
     w + (a,): count[a, j, r] trees at root r, one per slot ν of the vertex,
     and first[a, j, r] the position at r of the first of them, summand-major
     as stacked; ``lifts`` = (left, right) reads each tree at (a, r) as its
-    summand j and slot ν (lifts_of)."""
+    summand j and slot ν (lifts_of), made on first read, since the twists
+    read only the counts."""
 
     def __init__(self, N: np.ndarray, label: np.ndarray):
         self.label = label
         self.left, self.right = ((count, np.cumsum(count, axis=1) - count)
                                  for count in (N[:, label], N[label].transpose(1, 0, 2)))
-        self.lifts = tuple(lifts_of(count) for count, _first in (self.left, self.right))
+
+    @cached_property
+    def lifts(self) -> tuple:
+        return tuple(lifts_of(count) for count, _first in (self.left, self.right))
 
 
 class SumObject:

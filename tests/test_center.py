@@ -595,6 +595,43 @@ def test_partial_lambda_skips_the_sums_over_all_simples(catalog):
     assert tubecat.center._soft_checks(spec, lam, simples) == {"unit twists": True}
 
 
+@pytest.mark.parametrize("name", ["ising", "rep_s3"])
+def test_twists_make_no_lifts(name, monkeypatch):
+    # compute_twists reads only the counts of each simple's one-letter
+    # trees (OneLetter.left/right), so on a fresh extraction it makes no
+    # lifts_of call; the compression onto ⊕X makes its lifts on first read,
+    # and its braidings come out bit for bit as with lifts made eagerly
+    import tubecat.sums
+    from tubecat.catalog import find
+    real, calls, init = tubecat.sums.lifts_of, [], tubecat.sums.OneLetter.__init__
+
+    def made_eagerly(one, *args):  # the lifts made in the constructor
+        init(one, *args)
+        one.lifts
+
+    def extract(eager):
+        with monkeypatch.context() as m:
+            if eager:
+                m.setattr(tubecat.sums.OneLetter, "__init__", made_eagerly)
+            spec = find(name)  # a fresh spec: a fresh engine and its cache
+            lam = LambdaObject.all_simples(spec)
+            A = build_tube_algebra(spec, lam)
+            return extract_center_simples(A, build_delta(spec, lam), decompose_blocks(A, 1))
+
+    eager = extract(True)
+    monkeypatch.setattr(tubecat.sums, "lifts_of", lambda count: calls.append(1) or real(count))
+    simples = extract(False)
+    assert len(calls) == 2  # the left and right lifts of ⊕X, once
+    tubecat.center.compute_twists(simples)
+    assert len(calls) == 2
+    assert all("lifts" not in vars(s.obj.one_letter()) for s in simples)
+    for s, e in zip(simples, eager, strict=True):
+        assert s.braiding.keys() == e.braiding.keys()
+        for a, per_root in s.braiding.items():
+            assert per_root.keys() == e.braiding[a].keys()
+            assert all(np.array_equal(m, e.braiding[a][r]) for r, m in per_root.items())
+
+
 def test_extraction_builds_no_hom_basis_into_delta(monkeypatch):
     # the isometries are read off the stacked coordinates of Hom(z, Δ), so
     # no basis of Hom(z, w) is built for a summand w of Δ, on any block

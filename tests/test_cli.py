@@ -158,9 +158,10 @@ def test_broken_pentagon_is_verification_failure(tmp_path, capsys):
 
 def test_verify_names_a_later_nan_residual(monkeypatch, capsys):
     # a NaN case after clean ones must fail the run by name, not reach the
-    # JSON writer (which refuses non-finite floats)
-    import tubecat.cli
-    real = tubecat.cli.run_suite
+    # JSON writer (which refuses non-finite floats); the CLI reads run_suite
+    # off the relations module when verify runs
+    import tubecat.relations
+    real = tubecat.relations.run_suite
 
     def with_nan(spec, name, tol=1e-9):
         rep = real(spec, name, tol=tol)
@@ -168,7 +169,7 @@ def test_verify_names_a_later_nan_residual(monkeypatch, capsys):
             rep.add(["tau", "tau", "tau"], float("nan"))
         return rep
 
-    monkeypatch.setattr(tubecat.cli, "run_suite", with_nan)
+    monkeypatch.setattr(tubecat.relations, "run_suite", with_nan)
     code, out, err = run_capture(capsys, command="verify", category="fibonacci")
     assert code == 1 and out == ""
     assert "verification failure" in err
@@ -269,11 +270,12 @@ def test_missing_non_unit_f_block_is_input_error(tmp_path, capsys):
 
 def test_import_loads_no_third_party_module_but_numpy():
     """`import tubecat` is most of a CLI call's start-up: it may pull in
-    numpy and the standard library, nothing else (scipy, say)."""
+    the standard library, nothing else (numpy loads with the first name
+    that needs it, scipy never)."""
     probe = ("import sys; before = set(sys.modules); import tubecat; "
              "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
              " - set(sys.stdlib_module_names))))")
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == {"numpy", "tubecat"}
+    assert set(proc.stdout.split()) == {"tubecat"}

@@ -3,8 +3,9 @@
 A stdlib stand-in for a linter's unused-import rule: each module is parsed
 with ast, and a name bound by a module-level import must be read somewhere
 in that module (string annotations included), be listed in its __all__, or
-be re-exported by the package __init__.  The package __init__ re-exports
-everything it imports.
+be a package name: the package __init__ loads its public names on first
+use from the name -> module table ``_HOME``, and each entry there must be
+bound at the top level of the module it names.
 
 Likewise for dead code: a module-level private function or class (a name
 with a leading underscore) must be read somewhere in the package, as a
@@ -70,13 +71,33 @@ def stale_exports(path):
     return sorted(_all(tree) - _module_names(tree))
 
 
+def home_table(package):
+    """name -> module stem, the literal ``_HOME`` table of package's
+    __init__ (empty if it has none)."""
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_HOME" for t in node.targets):
+            return {k.value: v.value for k, v in zip(node.value.keys, node.value.values)}
+    return {}
+
+
 def _reexported():
-    """module stem -> names the package __init__ imports from it."""
+    """module stem -> names the package __init__ loads from it on first use."""
     out = {}
-    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
-            out.setdefault(node.module, set()).update(a.name for a in node.names)
+    for name, home in home_table(PACKAGE).items():
+        out.setdefault(home, set()).add(name)
     return out
+
+
+def unbound_homes(package):
+    """(name, module stem) of each entry of package's ``_HOME`` table that
+    the module it names does not bind at its top level, or that names no
+    module of the package, sorted."""
+    table, bound = home_table(package), {}
+    for home in set(table.values()):
+        path = package / f"{home}.py"
+        bound[home] = _module_names(ast.parse(path.read_text())) if path.is_file() else set()
+    return sorted((name, home) for name, home in table.items() if name not in bound[home])
 
 
 def unused_imports(path):
@@ -140,6 +161,20 @@ def test_the_check_sees_an_unused_import(tmp_path):
                    "__all__ = ['sep']\n\n"
                    "def f(x: 'np.ndarray') -> int:\n    return 1\n")
     assert unused_imports(src) == [("math", 2), ("path", 4)]
+
+
+def test_every_package_name_is_bound_in_its_home():
+    assert len(home_table(PACKAGE)) > 0
+    assert unbound_homes(PACKAGE) == []
+
+
+def test_the_check_sees_an_unbound_package_name(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        "_HOME = {'f': 'a', 'K': 'a', 'sep': 'a', 'g': 'a', 'h': 'gone'}\n")
+    (tmp_path / "a.py").write_text("from os import sep\n\n"
+                                   "def f():\n    g = 1\n    return g\n\n"
+                                   "class K:\n    pass\n")
+    assert unbound_homes(tmp_path) == [("g", "a"), ("h", "gone")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
