@@ -67,6 +67,34 @@ def _as_number(val, where: str) -> float:
     return val
 
 
+def _f_entry(ent, look, seen: set) -> tuple:
+    """One F entry of a category file, checked, as FSymbolTable.from_entries
+    reads it; its key joins ``seen``.  SchemaError names the first fault."""
+    if not isinstance(ent, dict):
+        raise SchemaError(f"F entry {ent!r} is not an object")
+    abcd = _need(ent, "abcd", list)
+    if len(abcd) != 4:
+        raise SchemaError(f"F entry abcd {abcd!r} must have 4 labels")
+    a, b, c, d = (look(l, "F.abcd") for l in abcd)
+    e = look(_need(ent, "e", str), "F.e")
+    f = look(_need(ent, "f", str), "F.f")
+    mu = ent.get("mu", [0, 0])
+    nu = ent.get("nu", [0, 0])
+    for pair, nm in ((mu, "mu"), (nu, "nu")):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(k, int) and not isinstance(k, bool)
+                        and k >= 0 for k in pair)):
+            raise SchemaError(f"F entry {nm} {pair!r} must be two ints >= 0")
+    key = ((a, b, c, d), e, f, tuple(mu), tuple(nu))
+    if key in seen:
+        raise SchemaError(f"duplicate F entry for abcd {tuple(abcd)} e={ent['e']!r} "
+                          f"f={ent['f']!r} mu={mu} nu={nu}")
+    seen.add(key)
+    val = complex(_as_number(ent.get("re", 0.0), "F.re"),
+                  _as_number(ent.get("im", 0.0), "F.im"))
+    return (*key, val)
+
+
 def load_spec(source) -> FusionCategorySpec:
     """Parse and fully validate a category file.
 
@@ -153,29 +181,26 @@ def load_spec(source) -> FusionCategorySpec:
 
     entries, seen = [], set()
     for ent in _need(data, "F", list):
-        if not isinstance(ent, dict):
-            raise SchemaError(f"F entry {ent!r} is not an object")
-        abcd = _need(ent, "abcd", list)
-        if len(abcd) != 4:
-            raise SchemaError(f"F entry abcd {abcd!r} must have 4 labels")
-        a, b, c, d = (look(l, "F.abcd") for l in abcd)
-        e = look(_need(ent, "e", str), "F.e")
-        f = look(_need(ent, "f", str), "F.f")
-        mu = ent.get("mu", [0, 0])
-        nu = ent.get("nu", [0, 0])
-        for pair, nm in ((mu, "mu"), (nu, "nu")):
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(k, int) and not isinstance(k, bool)
-                            and k >= 0 for k in pair)):
-                raise SchemaError(f"F entry {nm} {pair!r} must be two ints >= 0")
-        key = ((a, b, c, d), e, f, tuple(mu), tuple(nu))
-        if key in seen:
-            raise SchemaError(f"duplicate F entry for abcd {tuple(abcd)} e={ent['e']!r} "
-                              f"f={ent['f']!r} mu={mu} nu={nu}")
-        seen.add(key)
-        val = complex(_as_number(ent.get("re", 0.0), "F.re"),
-                      _as_number(ent.get("im", 0.0), "F.im"))
-        entries.append((*key, val))
+        # the common form is read directly; any other, and every fault, goes
+        # through _f_entry, which names the fault
+        try:
+            abcd, mu, nu = ent["abcd"], ent.get("mu", [0, 0]), ent.get("nu", [0, 0])
+            re, im = ent.get("re", 0.0), ent.get("im", 0.0)
+            key = ((idx[abcd[0]], idx[abcd[1]], idx[abcd[2]], idx[abcd[3]]),
+                   idx[ent["e"]], idx[ent["f"]], (mu[0], mu[1]), (nu[0], nu[1]))
+            direct = (type(ent) is dict and type(abcd) is type(mu) is type(nu) is list
+                      and len(abcd) == 4 and len(mu) == len(nu) == 2
+                      and type(mu[0]) is type(mu[1]) is type(nu[0]) is type(nu[1]) is int
+                      and min(mu[0], mu[1], nu[0], nu[1]) >= 0
+                      and type(re) is type(im) is float and re - re == im - im == 0
+                      and key not in seen)
+        except (LookupError, TypeError, AttributeError):
+            direct = False
+        if direct:
+            seen.add(key)
+            entries.append((*key, complex(re, im)))
+        else:
+            entries.append(_f_entry(ent, look, seen))
 
     fsymbols = FSymbolTable.from_entries(ring, entries)
 

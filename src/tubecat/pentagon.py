@@ -7,7 +7,8 @@ F-moves).  The residual is the max-abs difference of the two transition
 matrices; no closed-form pentagon identity is trusted, only the operational
 meaning of an F-move.  Both routes stay, each summed on its own.
 
-All trees of all words go at once, as sparse joins on F's flat entry table.
+All trees of all words go at once, as sparse joins on F's flat entry table,
+once per table.
 The per-word loop is the oracle (tests/oracles.py); terms are summed in its
 order.
 """
@@ -79,16 +80,26 @@ def _word_residuals(F) -> np.ndarray:
     return out
 
 
+def _residuals(F) -> np.ndarray:
+    """_word_residuals(F), computed once per table and kept with it (the
+    table is read-only): the load's check and the suite read one array."""
+    out = F.cache.get("pentagon")
+    if out is None:
+        out = F.cache["pentagon"] = _word_residuals(F)
+        out.flags.writeable = False
+    return out
+
+
 def iter_pentagon_cases(F):
     """((a,b,c,d), residual) per 4-letter word, residual maxed over roots."""
     return zip(itertools.product(range(F.ring.rank), repeat=4),
-               _word_residuals(F).tolist())
+               _residuals(F).tolist())
 
 
 def pentagon_residual(F):
     """Worst residual and the word attaining it: (residual, (a,b,c,d)); the
     first NaN word, else the last word at the max."""
-    res = _word_residuals(F)
+    res = _residuals(F)
     nan = np.flatnonzero(res != res)
     i = nan[0] if len(nan) else len(res) - 1 - int(np.argmax(res[::-1]))
     return float(res[i]), tuple(int(k) for k in np.unravel_index(i, (F.ring.rank,) * 4))

@@ -111,17 +111,16 @@ def compute_fp_dims(ring: FusionRing) -> QuantumDimensions:
     leading eigenvalues.
     """
     r = ring.rank
-    d = np.empty(r)
-    for x in range(r):
-        evals = np.linalg.eigvals(ring.N[x].astype(np.float64))
-        lead = evals[np.argmax(evals.real)]
-        if abs(lead.imag) > DIM_TOL:
+    evals = np.linalg.eigvals(ring.N.astype(np.float64))
+    lead = evals[np.arange(r), np.argmax(evals.real, axis=1)]
+    d = np.ascontiguousarray(lead.real)
+    bad = np.flatnonzero((np.abs(lead.imag) > DIM_TOL) | (d < 1.0 - DIM_TOL))
+    if len(bad):  # the first label to fail, as a loop over x would meet it
+        x = int(bad[0])
+        if abs(lead[x].imag) > DIM_TOL:
             raise ConsistencyError(
-                f"leading eigenvalue of N_{ring.labels[x]} is not real: {lead}")
-        d[x] = lead.real
-        if d[x] < 1.0 - DIM_TOL:
-            raise ConsistencyError(
-                f"d[{ring.labels[x]}] = {d[x]} < 1")
+                f"leading eigenvalue of N_{ring.labels[x]} is not real: {lead[x]}")
+        raise ConsistencyError(f"d[{ring.labels[x]}] = {d[x]} < 1")
     if abs(d[ring.unit] - 1.0) > DIM_TOL:
         raise ConsistencyError("d[unit] != 1")
     dual = np.asarray(ring.dual)

@@ -4,8 +4,8 @@ the vertex pieces of Δ's half-braiding, from F entries.
 The product of two basis tubes is a fixed contraction of three F entries
 and √d weights, and the star one of two F entries and the zig-zag scalar
 that duality's cup and cap are calibrated by; no diagram is drawn.  Both
-are evaluated once over Λ = all simples (LabelBasis), as joins over
-FSymbolTable.table (fsymbols.join), and each term is then copied to every
+are evaluated once per engine over Λ = all simples (LabelBasis), as joins
+over FSymbolTable.split (fsymbols.join), and each term is then copied to every
 choice of slots of Λ that carry its labels (fill).  A(Λ) keeps them as
 they come, sorted nonzero entries (Entries), never as a dense table.
 A(Λ) acts on Δ(Λ) by the same product terms, read with the right factor's
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fsymbols import add_per, group, join, join_unsorted
-from .morphism import Engine
+from .morphism import Engine, cached
 
 __all__ = ["Entries", "fill", "action", "rotations", "vertex_pieces"]
 
@@ -80,7 +80,7 @@ def fill(eng: Engine, slots: tuple) -> tuple:
     Entries, every term of product_terms and star_terms copied to each
     choice of slots that carry its labels.  mult holds (i, j, k) with the
     coefficient of e_k in e_i·e_j, star (p, q) with that of e_q in e_p*."""
-    lb = LabelBasis(eng.ring)
+    lb, ((f, g, e), val) = _products(eng)
     labels = np.array([x for x, _c in slots])
     spans, start = _spans(lb, labels)
     dim = sum(span.stop - span.start for span in spans.values())
@@ -88,7 +88,6 @@ def fill(eng: Engine, slots: tuple) -> tuple:
     def at(k, m, l):  # label-level basis k, from slot l to slot m
         return start[lb.a[k], m, l] + lb.loc[k]
 
-    (f, g, e), val = product_terms(eng, lb)
     t, (l, p, m) = slot_copies(labels, lb.src[g], lb.dst[g], lb.dst[f])
     mult = _entries((at(f[t], m, p), at(g[t], p, l), at(e[t], m, l)), val[t], dim)
     (f, e), val = star_terms(eng, lb)
@@ -119,7 +118,7 @@ def action(eng: Engine, slots: tuple) -> tuple:
     """
     ring, d = eng.ring, np.asarray(eng.d)
     r, n_slots = ring.rank, len(slots)
-    lb = LabelBasis(ring)
+    lb, ((f, g, e), val) = _products(eng)
     labels = np.array([x for x, _c in slots])
     _, start = _spans(lb, labels)
     per = lb.size[:, :, labels].transpose(1, 0, 2).reshape(r, r * n_slots)  # [z, (x, s)]
@@ -130,13 +129,12 @@ def action(eng: Engine, slots: tuple) -> tuple:
     def pos(k, s):  # Δ coordinate of label-level basis k in summand (lb.a[k], s)
         return first[lb.src[k], lb.a[k], s] + lb.loc[k]
 
-    (f, g, e), val = product_terms(eng, lb)
     t, (p, m) = slot_copies(labels, lb.dst[g], lb.dst[f])
     f, g, e, z = f[t], g[t], e[t], lb.src[g[t]]
     terms = (start[lb.a[f], m, p] + lb.loc[f],
              corner[z] + pos(e, m) * n[z] + pos(g, p), val[t])
 
-    (x, y, z, mu), rv, rw, cv, cw, fv = _f_entries(eng.F)
+    (x, y, z, mu), rv, rw, cv, cw, fv = eng.F.split
     zeta = _zeta(eng)
     h = np.flatnonzero(z[cv] == ring.unit)  # F^{w x̄ x}_w[(z, μ₁, μ₂), (1,0,0)]
     q, v = join_unsorted(x * r + z, y[rw[h]] * r + x[rv[h]])  # vertices (x, x_s; w, ν)
@@ -183,15 +181,13 @@ class LabelBasis:
         return self.first[a, src, dst] + self.off[a, src, dst, z] + nu * self.N[src, a, z] + mu
 
 
-def _f_entries(F) -> tuple:
-    """F.table with each entry's vertices split out: the vertex labels x,
-    y, z and multiplicity index μ, then per entry its row (rv, rw), column
-    (cv, cw) and value."""
-    x, y, z, row, col, val = F.table
-    n, r = len(x), F.ring.rank
-    new = np.diff((x * r + y) * r + z, prepend=-1) != 0
-    mu = np.arange(n) - np.maximum.accumulate(np.where(new, np.arange(n), 0))
-    return (x, y, z, mu), *np.divmod(row, n), *np.divmod(col, n), val
+def _products(eng: Engine) -> tuple:
+    """(lb, product_terms(eng, lb)) for lb the LabelBasis of the engine's
+    ring, made once per engine: fill and action read the same terms."""
+    def make():
+        lb = LabelBasis(eng.ring)
+        return lb, product_terms(eng, lb)
+    return cached(eng.cache, ("product terms",), make)
 
 
 def _summed(lb: LabelBasis, keys: tuple, val: np.ndarray) -> tuple:
@@ -216,7 +212,7 @@ def product_terms(eng: Engine, lb: LabelBasis) -> tuple:
     (c, z₂, z, σ), F₁'s (c, b, a, t)), which would also drop a pair of
     unequal c.
     """
-    (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
+    (x, y, z, mu), rv, rw, cv, cw, val = eng.F.split
     r, n = eng.ring.rank, len(x)
     e2, e1 = join_unsorted(rw * r + y[rv], rw * r + x[rv])
     q, e3 = join_unsorted(cw * n + rv, cw[e2] * n + cv[e1])
@@ -233,7 +229,7 @@ def product_terms(eng: Engine, lb: LabelBasis) -> tuple:
 def _zeta(eng: Engine) -> np.ndarray:
     """ζ_a = F^{a ā a}_a[(1,0,0),(1,0,0)] per label a: the raw zig-zag
     scalar that duality's cup and cap are calibrated by."""
-    (x, _y, z, _mu), rv, _rw, cv, _cw, val = _f_entries(eng.F)
+    (x, _y, z, _mu), rv, _rw, cv, _cw, val = eng.F.split
     zeta = np.zeros(eng.ring.rank, dtype=complex)
     one = (z[rv] == eng.ring.unit) & (z[cv] == eng.ring.unit)
     zeta[x[rv[one]]] = val[one]
@@ -254,7 +250,7 @@ def star_terms(eng: Engine, lb: LabelBasis) -> tuple:
     with the same letter a, then S₃ on its column vertex (a, z, y, λ),
     whose b is ā as S₁'s a is b̄.
     """
-    (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
+    (x, y, z, mu), rv, rw, cv, cw, val = eng.F.split
     r, u = eng.ring.rank, eng.ring.unit
     zeta = _zeta(eng)
     s1, s3 = np.flatnonzero(z[cv] == u), np.flatnonzero(z[rv] == u)
@@ -278,7 +274,7 @@ def rotations(eng: Engine) -> dict:
     the fusion half of pairs.canonical_pair with a cup and a cap.  Fields
     b, y, x, t, sigma and val, one entry per R[t, σ] of every admissible
     (b, y, x)."""
-    (x, y, z, mu), rv, rw, cv, _cw, val = _f_entries(eng.F)
+    (x, y, z, mu), rv, rw, cv, _cw, val = eng.F.split
     d, zeta = np.asarray(eng.d), _zeta(eng)
     h = np.flatnonzero(z[rw] == eng.ring.unit)
     b, yy, xx = y[rv[h]], y[rw[h]], z[cv[h]]
@@ -312,7 +308,7 @@ def vertex_pieces(eng: Engine, rot: dict) -> tuple:
     Δ's R are the rotated fusion halves (rotations); a caller may pass any
     R in that form.
     """
-    (x, y, z, mu), rv, rw, cv, cw, val = _f_entries(eng.F)
+    (x, y, z, mu), rv, rw, cv, cw, val = eng.F.split
     dual = np.asarray(eng.ring.dual)
     r, n = eng.ring.rank, int(eng.ring.N.max())
     vpads = {"u": x[rv], "a": y[rv], "b": y[rw], "c": z[cv], "mu": mu[cv], "z": z[rw],

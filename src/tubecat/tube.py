@@ -237,8 +237,8 @@ class _Omega:
     def __init__(self, obj: SumObject):
         N, r = obj.engine.ring.N, obj.engine.ring.rank
         S, sb, word = _sides(obj), obj.stacked(), np.array(obj.summands)
-        (_x, _y, z, mu), rv, rw, cv, cw, val = tables._f_entries(obj.engine.F)
-        V, vertex = len(z), (np.cumsum(N) - N.ravel()).reshape(N.shape)  # as _f_entries
+        (_x, _y, z, mu), rv, rw, cv, cw, val = obj.engine.F.split
+        V, vertex = len(z), (np.cumsum(N) - N.ravel()).reshape(N.shape)  # as F.split
         # Ω's columns (p, ν) at (c, r) in order, p the tree ((u, σ₁), (z, σ₂)) of (x, l, m)
         c, rt, p, nu = vertices(N[:, sb.root].transpose(0, 2, 1))
         col = np.arange(len(c)) - np.searchsorted(c * r + rt, c * r + rt)
@@ -402,8 +402,8 @@ def _word_legs(hb: _Stacked, entries: tuple | None = None) -> Callable:
     S = _sides(obj)
     b, u, q, p, e_val = _entries(hb) if entries is None else entries
     i, j = S.rights[1][p], S.summand[q]
-    (x, _y, z, mu), rv, rw, cv, cw, val = tables._f_entries(obj.engine.F)
-    vertex, V = (np.cumsum(N) - N.ravel()).reshape(N.shape), len(x)  # as tables._f_entries
+    (x, _y, z, mu), rv, rw, cv, cw, val = obj.engine.F.split
+    vertex, V = (np.cumsum(N) - N.ravel()).reshape(N.shape), len(x)  # as F.split
     # e_b's column (i, σ) and row (j, σ′) as the vertices (x_i, b) → u and (b, x_j) → u
     col_v = vertex[label[i], b, u] + S.rights[3][p]
     row_v = vertex[b, label[j], u] + S.pos[q] - before[b, j, u]

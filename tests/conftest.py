@@ -1,4 +1,5 @@
 import cmath
+import json
 import itertools
 import math
 
@@ -112,10 +113,26 @@ def su2k_category(k: int) -> dict:
     return doc
 
 
+def table_docs() -> dict:
+    """name -> category file: the catalog, Vec[Z/n]^ω for n = 2..8 at
+    k = 1, 2, and SU(2)_2..4."""
+    from tubecat.catalog import _DATA_DIR
+    docs = {name: json.loads((_DATA_DIR / f"{name}.json").read_text()) for name in BUILTIN_NAMES}
+    docs.update({f"Z/{n} k={k}": pointed_category(n, k=k) for n in range(2, 9) for k in (1, 2)})
+    docs.update({f"SU(2)_{k}": su2k_category(k) for k in (2, 3, 4)})
+    return docs
+
+
 def rep_a4_random_table(seed: int) -> FSymbolTable:
     """Rep(A4)'s fusion ring, labels 1, 1′, 1″, 3 with 3⊗3 = 1+1′+1″+2·3,
     carrying seeded random unitary F blocks (identity where a, b or c is the
     unit).  No pentagon holds; it feeds a checker every multiplicity index."""
+    return FSymbolTable(*rep_a4_random_blocks(seed))
+
+
+def rep_a4_random_blocks(seed: int) -> tuple:
+    """(ring, blocks) of rep_a4_random_table(seed), the blocks a dict
+    (a,b,c,d) -> dense block that a test may alter before building a table."""
     N = np.zeros((4, 4, 4), dtype=np.int64)
     for a in range(3):
         for b in range(3):
@@ -131,4 +148,4 @@ def rep_a4_random_table(seed: int) -> FSymbolTable:
         n = int(size[key])
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         blocks[key] = np.eye(n, dtype=complex) if 0 in key[:3] else np.linalg.qr(g)[0]
-    return FSymbolTable(ring, blocks)
+    return ring, blocks

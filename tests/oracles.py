@@ -49,6 +49,12 @@ where tubecat.tube._Omega joins the F entries of every state at once.
 The block maps live between sums whose words are shifted by a letter
 (shifted), a SumObject the library itself never forms.
 
+The F table is here as the loader built it before it stored one flat
+table: the file's entries read one at a time (doc_entries), staged into
+dense per-(a,b,c,d) blocks (staged_blocks) and the blocks concatenated
+into the flat table (entry_table), where tubecat.fsymbols takes the
+table's index part from N alone and scatters the entries into its values.
+
 The pentagon's two routes are here too, one word and one root at a time, as
 loops over block rows and columns (trees_T1 … pentagon_residual), where
 tubecat.pentagon runs them as joins on the flat F entry table.
@@ -874,3 +880,91 @@ def pentagon_residual(F):
         if res >= top:
             top, where = res, word
     return top, where
+
+
+def doc_entries(doc):
+    """A category file's F list as FSymbolTable.from_entries reads it, one
+    entry at a time and unchecked."""
+    idx = {lab: i for i, lab in enumerate(doc["labels"])}
+    return [(tuple(idx[l] for l in ent["abcd"]), idx[ent["e"]], idx[ent["f"]],
+             tuple(ent.get("mu", [0, 0])), tuple(ent.get("nu", [0, 0])),
+             complex(float(ent.get("re", 0.0)), float(ent.get("im", 0.0))))
+            for ent in doc["F"]]
+
+
+def staged_blocks(ring, entries):
+    """(a,b,c,d) -> dense block of every admissible tuple: each entry
+    written at its channel row and column, the identity where a, b or c is
+    the unit, unchecked."""
+    N = ring.N
+    size = np.einsum("abe,ecd->abcd", N, N)
+    blocks = {}
+    for key in map(tuple, np.argwhere(size).tolist()):
+        n = int(size[key])
+        blocks[key] = np.eye(n, dtype=complex) if ring.unit in key[:3] else np.zeros((n, n), complex)
+    for abcd, e, f, (m1, m2), (n1, n2), val in entries:
+        a, b, c, d = abcd
+        if ring.unit not in abcd[:3]:
+            i = int(sum(N[a, b, k] * N[k, c, d] for k in range(e))) + m1 * int(N[e, c, d]) + m2
+            j = int(sum(N[b, c, k] * N[a, k, d] for k in range(f))) + n1 * int(N[a, f, d]) + n2
+            blocks[abcd][i, j] = val
+    return blocks
+
+
+def block_entries(ring, blocks):
+    """The nonzero entries of the non-unit blocks, block by block in
+    (a,b,c,d) order and row-major, as FSymbolTable.iter_entries yields
+    them: channel rows and columns as the blocks number them."""
+    N, out = ring.N, []
+    for key, mat in sorted(blocks.items()):
+        a, b, c, d = key
+        if ring.unit in key[:3]:
+            continue
+        rows = [(e, i, j) for e in range(ring.rank)
+                for i in range(N[a, b, e]) for j in range(N[e, c, d])]
+        cols = [(f, i, j) for f in range(ring.rank)
+                for i in range(N[b, c, f]) for j in range(N[a, f, d])]
+        for i, j in zip(*np.nonzero(mat)):
+            (e, m1, m2), (f, n1, n2) = rows[i], cols[j]
+            out.append((key, int(e), int(f), (int(m1), int(m2)), (int(n1), int(n2)),
+                        complex(mat[i, j])))
+    return out
+
+
+def entry_table(ring, blocks):
+    """(x, y, z, row, col, val) of dense blocks: vertex v = (x[v], y[v],
+    z[v], μ) in that order, pair (v, w) = v·V + w, blocks in (a,b,c,d)
+    order, row-major; the rows and columns found by joins over the
+    vertices, the values the blocks concatenated."""
+    from tubecat.fsymbols import join
+    N, r = ring.N, ring.rank
+    x, y, z = np.nonzero(N)
+    n = N[x, y, z]
+    x, y, z = np.repeat(x, n), np.repeat(y, n), np.repeat(z, n)
+    V = len(x)
+    v, w = join(x, z)  # rows (a,b,e,mu), (e,c,d,nu)
+    block = ((x[v] * r + y[v]) * r + y[w]) * r + z[w]
+    order = np.argsort(block, kind="stable")
+    rows, block = (v * V + w)[order], block[order]
+    by_y = np.argsort(y, kind="stable")
+    v, w = join(y[by_y], z)  # columns (b,c,f,rho), (a,f,d,sigma)
+    w = by_y[w]
+    cols = (v * V + w)[np.argsort(((x[w] * r + x[v]) * r + y[v]) * r + z[w], kind="stable")]
+    start = np.flatnonzero(np.diff(block, prepend=-1))
+    keys, n = block[start], np.diff(start, append=len(block))
+    k = np.repeat(np.arange(len(keys)), n * n)
+    i, j = np.divmod(np.arange(len(k)) - np.repeat(np.cumsum(n * n) - n * n, n * n), n[k])
+    labels = (t.tolist() for t in np.unravel_index(keys, (r,) * 4))
+    val = np.concatenate([blocks[key].ravel() for key in zip(*labels)])
+    assert len(val) == len(k), "F blocks do not fit the fusion ring"
+    return x, y, z, rows[start[k] + i], cols[start[k] + j], val.astype(complex)
+
+
+def split_table(ring, table):
+    """The table with each entry's vertices split out, ((x, y, z, μ), rv,
+    rw, cv, cw, val): μ counted along each run of equal (x, y, z)."""
+    x, y, z, row, col, val = table
+    n, r = len(x), ring.rank
+    new = np.diff((x * r + y) * r + z, prepend=-1) != 0
+    mu = np.arange(n) - np.maximum.accumulate(np.where(new, np.arange(n), 0))
+    return (x, y, z, mu), *np.divmod(row, n), *np.divmod(col, n), val

@@ -3,6 +3,7 @@ import copy
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -87,7 +88,8 @@ def test_perturbed_fib_fails_pentagon():
             break
     else:
         raise AssertionError("entry not found")
-    with pytest.raises(ConsistencyError, match="pentagon"):
+    with pytest.raises(ConsistencyError, match=r"^pentagon residual \d\.\d{3}e[-+]\d\d at "
+                       r"word \('\w+', '\w+', '\w+', '\w+'\) exceeds 1e-09$"):
         load_spec(doc)
 
 
@@ -175,7 +177,8 @@ def test_f_unitarity_gate():
                 ent["re"] *= 2.0
             if ent["e"] == "tau" and ent["f"] == "1":
                 ent["re"] *= 0.5
-    with pytest.raises(ConsistencyError, match="unitar"):
+    with pytest.raises(ConsistencyError,
+                       match=r"^F blocks fail unitarity at \d\.\d{3}e[-+]\d\d$"):
         load_spec(doc)
 
 
@@ -193,3 +196,60 @@ def test_pointed_cocycle_entries_are_reduced_roots_of_unity(k):
             want = complex(math.cos(2 * math.pi * m / n), math.sin(2 * math.pi * m / n))
             gaps.append(abs(F.block(a, b, c, (a + b + c) % n)[0, 0] - want))
     assert max(gaps) <= 2.3e-16
+
+
+def _fib_doc():
+    return json.loads(serialize(find("fibonacci")))
+
+
+@pytest.mark.parametrize("mangle, text", [
+    (lambda F: F[0].update(re=float("nan")), "F.re must be finite, got nan"),
+    (lambda F: F[-1].update(im=float("-inf")), "F.im must be finite, got -inf"),
+    (lambda F: F[0].update(re=True), "F.re must be a number, got bool"),
+    (lambda F: F[0].update(im="0"), "F.im must be a number, got str"),
+    (lambda F: F.append(3), "F entry 3 is not an object"),
+    (lambda F: F[0].pop("f"), "missing required key 'f'"),
+    (lambda F: F[0].update(e=1), "key 'e' has type int"),
+    (lambda F: F[0].update(abcd=["tau"] * 3), "F entry abcd ['tau', 'tau', 'tau'] must have 4 labels"),
+    (lambda F: F[0].update(abcd="tauu"), "key 'abcd' has type str"),
+    (lambda F: F[0].update(abcd=["tau", 1, "tau", "tau"]), "label 1 in F.abcd is not a string"),
+    (lambda F: F[0].update(f="x"), "unknown label 'x' in F.f"),
+    (lambda F: F[0].update(mu=[True, 0]), "F entry mu [True, 0] must be two ints >= 0"),
+    (lambda F: F[0].update(nu=[0, -1]), "F entry nu [0, -1] must be two ints >= 0"),
+    (lambda F: F[0].update(nu=(0, 0)), "F entry nu (0, 0) must be two ints >= 0"),
+    (lambda F: F[0].update(mu=[0, 0.0]), "F entry mu [0, 0.0] must be two ints >= 0"),
+])
+def test_f_entry_refusal_texts(mangle, text):
+    # each fault of a single entry, whichever reading meets it first,
+    # is named in the loader's words
+    doc = _fib_doc()
+    mangle(doc["F"])
+    with pytest.raises(SchemaError, match="^" + re.escape(text) + "$"):
+        load_spec(doc)
+
+
+def test_duplicate_is_named_before_a_later_fault_of_the_same_entry():
+    doc = _fib_doc()
+    doc["F"].append({**doc["F"][0], "re": float("nan")})
+    with pytest.raises(SchemaError, match="^duplicate F entry for abcd"):
+        load_spec(doc)
+
+
+def test_every_accepted_entry_form_loads_the_same_table():
+    # ints for numbers, explicit multiplicity indices, a missing im and a
+    # dict subclass for an entry are read as the plain form is
+    from collections import OrderedDict
+    for doc in (_fib_doc(), pointed_category(3, k=1)):
+        plain = load_spec(copy.deepcopy(doc)).fsymbols
+        for i, ent in enumerate(doc["F"]):
+            ent.setdefault("mu", [0, 0])
+            ent.setdefault("nu", [0, 0])
+            for part in ("re", "im"):
+                if float(ent.get(part, 0.0)).is_integer():
+                    ent[part] = int(ent.get(part, 0.0))
+            if ent.get("im") == 0:
+                ent.pop("im")
+            if i % 2:
+                doc["F"][i] = OrderedDict(ent)
+        again = load_spec(doc).fsymbols
+        assert [a.tobytes() for a in again.table] == [a.tobytes() for a in plain.table]

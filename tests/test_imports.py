@@ -214,3 +214,39 @@ def test_the_check_sees_a_dense_table_read(tmp_path):
                    "def f(A):\n    doc = {'star_table': 1}\n"
                    "    return A.mult_table, getattr(A, 'x').star_table, doc\n")
     assert dense_view_reads(src) == [("mult_table", 8), ("star_table", 8)]
+
+
+# np.unique pages in more of numpy on its first call in a process (18-30
+# CPU ms measured on a 2-vCPU Xeon), which every fresh load would pay;
+# fsymbols.group sorts stably instead
+SLOW_FIRST_CALLS = ("unique",)
+
+
+def unique_calls(path):
+    """(name, line) of each numpy.unique read in path, as np.unique,
+    numpy.unique or a name imported from numpy."""
+    tree = ast.parse(path.read_text())
+    numpy_names = {"np", "numpy"} | {a.asname or a.name for node in ast.walk(tree)
+                                     if isinstance(node, ast.Import)
+                                     for a in node.names if a.name == "numpy"}
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in SLOW_FIRST_CALLS
+                and isinstance(node.value, ast.Name) and node.value.id in numpy_names):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            out.extend((a.name, node.lineno) for a in node.names if a.name in SLOW_FIRST_CALLS)
+    return sorted(out, key=lambda item: item[1])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_numpy_unique(path):
+    assert unique_calls(path) == []
+
+
+def test_the_check_sees_numpy_unique(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("import numpy\nimport numpy as xp\nfrom numpy import unique\n\n"
+                   "def f(a, np):\n    keys = {'unique': 1}\n"
+                   "    return np.unique(a), numpy.unique(a), xp.unique(a), a.unique, keys\n")
+    assert unique_calls(src) == [("unique", 3), ("unique", 7), ("unique", 7), ("unique", 7)]

@@ -137,10 +137,30 @@ def test_cases_match_loop_with_multiplicity(seed):
 @pytest.mark.parametrize("key", [(3, 3, 3, 3), (3, 1, 3, 2), (1, 2, 3, 3)])
 def test_nan_word_matches_loop(key):
     import oracles
-    from conftest import rep_a4_random_table
-    F = rep_a4_random_table(3)
-    F.block(*key)[-1, 0] = np.nan
+    from conftest import rep_a4_random_blocks
+    ring, blocks = rep_a4_random_blocks(3)
+    blocks[key][-1, 0] = np.nan
+    F = FSymbolTable(ring, blocks)
     res, word = pentagon_residual(F)
     assert res != res
     want = oracles.pentagon_residual(F)
     assert want[0] != want[0] and word == want[1]
+
+
+def test_residuals_are_computed_once_per_table(monkeypatch):
+    # load_spec's gate and the pentagon suite read one per-word array, kept
+    # with the read-only table; a new table computes its own
+    import tubecat.pentagon
+    from conftest import pointed_category
+    from tubecat.catspec import load_spec
+    real, calls = tubecat.pentagon._word_residuals, []
+    monkeypatch.setattr(tubecat.pentagon, "_word_residuals",
+                        lambda F: calls.append(F) or real(F))
+    spec = load_spec(pointed_category(3, k=1))
+    rep = verify_pentagon(spec)
+    pentagon_residual(spec.fsymbols)
+    assert rep.ok and calls == [spec.fsymbols]
+    fresh = real(spec.fsymbols)
+    assert [c["residual"] for c in rep.as_dict()["cases"]] == fresh.tolist()
+    again = load_spec(pointed_category(3, k=1))
+    assert len(calls) == 2 and calls[1] is again.fsymbols

@@ -121,3 +121,31 @@ def test_channel_table_matches_N(catalog):
                     assert type(n) is int and n > 0
                     table[x, y, z] = n
         assert np.array_equal(table, ring.N), ring.labels
+
+
+def test_pf_dims_match_one_eigvals_call_per_label():
+    # the batched eigenvalue call gives each label's leading eigenvalue to
+    # the bit, as one call per fusion matrix did
+    from conftest import table_docs
+    from tubecat.catspec import load_spec
+    for name, doc in table_docs().items():
+        ring = load_spec(doc).ring
+        want = []
+        for x in range(ring.rank):
+            evals = np.linalg.eigvals(ring.N[x].astype(np.float64))
+            want.append(evals[np.argmax(evals.real)].real)
+        assert compute_fp_dims(ring).d.tobytes() == np.array(want).tobytes(), name
+
+
+def test_pf_refusals_name_the_first_label():
+    # unvalidated rings: b's leading eigenvalue is ±i and c's fusion matrix
+    # is zero, so d[c] = 0 < 1; whichever label comes first is named
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    N[0] = np.eye(3, dtype=np.int64)
+    N[1] = [[0, -1, 0], [1, 0, 0], [0, 0, -5]]
+    ring = FusionRing(labels=("a", "b", "c"), unit=0, dual=(0, 1, 2), N=N)
+    with pytest.raises(ConsistencyError, match=r"^leading eigenvalue of N_b is not real: "):
+        compute_fp_dims(ring)
+    swapped = FusionRing(labels=("a", "b", "c"), unit=0, dual=(0, 1, 2), N=N[[0, 2, 1]])
+    with pytest.raises(ConsistencyError, match=r"^d\[b\] = 0\.0 < 1$"):
+        compute_fp_dims(swapped)

@@ -711,6 +711,24 @@ def test_vertex_pieces_are_gathered_once_per_category(monkeypatch):
     assert len(calls) == 1 and calls[0][0] is engine_for(spec)
 
 
+def test_product_terms_are_joined_once_per_engine(monkeypatch):
+    # the build's fill and t_map's action read one set of product terms,
+    # kept on the engine, and t_map still gives what a fresh join gives
+    spec = load_spec(pointed_category(3, k=1))
+    real, calls = tubecat.tables.product_terms, []
+    monkeypatch.setattr(tubecat.tables, "product_terms",
+                        lambda *args: calls.append(args) or real(*args))
+    lam = LambdaObject.all_simples(spec)
+    A, D = build_tube_algebra(spec, lam), build_delta(spec, lam)
+    f = TubeElement(A, np.random.default_rng(3).normal(size=A.dim) + 0j)
+    T = t_map(A, D, f)
+    assert len(calls) == 1 and calls[0][0] is engine_for(spec)
+    engine_for(spec).cache.clear()
+    again = t_map(A, D, f)
+    assert len(calls) == 2
+    assert all(T[z].tobytes() == again[z].tobytes() for z in T) and T.keys() == again.keys()
+
+
 def _rep_a4_engine(seed):
     """(engine, rng) of Rep(A4)'s ring with seeded random unitary F blocks."""
     F = rep_a4_random_table(seed)
@@ -1231,8 +1249,9 @@ def test_unit_corner_is_the_fusion_algebra(catalog, name):
     assert decompose_blocks(A, seed=1).sizes == (1,) * spec.rank
 
 
-def test_build_rejects_corrupted_product(catalog, monkeypatch):
-    spec = catalog["fibonacci"]
+def test_build_rejects_corrupted_product(monkeypatch):
+    # a fresh load: product terms are kept per engine, made on first use
+    spec = find("fibonacci")
     tau = spec.index("tau")
     real = tubecat.tables.product_terms
     scaled = []
